@@ -20,13 +20,12 @@ from pathlib import Path
 
 from . import scenario as scenario_mod
 from .asm import AsmError, assemble, disassemble
-from .engine import Contract, RegionGrant
+from .engine import Contract, RegionGrant, parse_mode
 from .facilities import (
     STANDARD_SYSCALL_IDS,
-    CallerIdentity,
     FacilityContext,
     SensorFixture,
-    scopes_from_syscalls,
+    standalone_caller,
     standard_syscall_table,
 )
 from .fixtures import BENCH_FIXTURES, bench_case
@@ -45,7 +44,7 @@ from .update import (
     save_public_key,
     sign_manifest,
 )
-from .verifier import VerifyLimits, check_program, verification_report, verify
+from .verifier import VerifyLimits, VerifyRejected, check_program, verification_report, verify
 from .vm import exec_program
 
 EXIT_OK = 0
@@ -90,12 +89,6 @@ def _parse_ids(text: str | None) -> frozenset[int]:
         raise CliError(f"expected comma-separated syscall ids, got {text!r}") from None
 
 
-def _parse_mode(mode: str, what: str) -> tuple[bool, bool]:
-    if not mode or set(mode) - {"r", "w"}:
-        raise CliError(f"{what}: mode must be r, w, or rw, got {mode!r}")
-    return "r" in mode, "w" in mode
-
-
 def _parse_region_spec(spec: str) -> tuple[str, int, bool, bool, bytes]:
     """label:len:mode with an optional @hexinit tail."""
     body, _, init_hex = spec.partition("@")
@@ -106,13 +99,13 @@ def _parse_region_spec(spec: str) -> tuple[str, int, bool, bool, bytes]:
     try:
         length = int(len_text, 0)
         init = bytes.fromhex(init_hex) if init_hex else b""
+        readable, writable = parse_mode(mode)
     except ValueError as exc:
         raise CliError(f"--region {spec!r}: {exc}") from None
     if length <= 0:
         raise CliError(f"--region {spec!r}: length must be positive")
     if len(init) > length:
         raise CliError(f"--region {spec!r}: init bytes longer than the region")
-    readable, writable = _parse_mode(mode, f"--region {spec!r}")
     return label, length, readable, writable, init
 
 
@@ -177,49 +170,46 @@ def cmd_disasm(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_and_report(args: argparse.Namespace, program: Program) -> list:
-    errors = check_program(program, _limits(args), _parse_ids(args.allow))
-    if errors:
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "ok": False,
-                        "errors": [
-                            {
-                                "kind": e.kind.value,
-                                "slot": e.slot_index,
-                                "mnemonic": e.mnemonic,
-                                "detail": e.detail,
-                            }
-                            for e in errors
-                        ],
-                    },
-                    sort_keys=True,
-                )
+def _report_rejection(args: argparse.Namespace, errors: list) -> int:
+    if args.format == "json":
+        print(
+            json.dumps(
+                {
+                    "ok": False,
+                    "errors": [
+                        {
+                            "kind": e.kind.value,
+                            "slot": e.slot_index,
+                            "mnemonic": e.mnemonic,
+                            "detail": e.detail,
+                        }
+                        for e in errors
+                    ],
+                },
+                sort_keys=True,
             )
-        else:
-            print(verification_report(errors), file=sys.stderr)
-    return errors
+        )
+    else:
+        print(verification_report(errors), file=sys.stderr)
+    return EXIT_VERIFY_REJECTED
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     program = Program.from_bytes(_read_bytes(args.input))
-    errors = _verify_and_report(args, program)
+    errors = check_program(program, _limits(args), _parse_ids(args.allow))
     if errors:
-        return EXIT_VERIFY_REJECTED
+        return _report_rejection(args, errors)
     _emit(args, {"ok": True, "errors": []}, ["OK"])
     return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     program = Program.from_bytes(_read_bytes(args.input))
-    limits = _limits(args)
     allowed = _parse_ids(args.allow)
-    errors = _verify_and_report(args, program)
-    if errors:
-        return EXIT_VERIFY_REJECTED
-    vp = verify(program, limits, allowed)
+    try:
+        vp = verify(program, _limits(args), allowed)
+    except VerifyRejected as exc:
+        return _report_rejection(args, exc.errors)
 
     memory = HostMemory()
     regions = []
@@ -243,14 +233,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         except ValueError:
             raise CliError(f"--sensor wants id=v1,v2,..., got {spec!r}") from None
         fac.sensors[sensor_id] = SensorFixture(sensor_id, samples)
-    tenant_id, container_id = uuid.UUID(int=1), uuid.UUID(int=2)
-    fac.stores.create_tenant_store(tenant_id)
-    fac.stores.create_container_store(container_id)
-    fac.caller = CallerIdentity(tenant_id, container_id, scopes_from_syscalls(allowed))
-    fac.response_region = next((r for r in regions if r.label == "response"), None)
+    caller = standalone_caller(fac, allowed)
     table = standard_syscall_table(fac).restricted(allowed)
 
-    outcome = exec_program(vp, ctx, acl, table)
+    outcome = exec_program(vp, ctx, acl, table, caller=caller)
 
     data = {
         "return": outcome.return_value,
@@ -274,29 +260,32 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    """Median cost of verification, of a first run (decode, run state,
+    verification, execution) and of a warm run (execution on kept state)."""
     case = bench_case(args.fixture)
     limits = _limits(args)
+    payload = case.program.to_bytes()
     verify_ns: list[int] = []
     first_ns: list[int] = []
     warm_ns: list[int] = []
     instructions = 0
     for _ in range(args.repeat):
         t0 = time.perf_counter_ns()
-        errors = check_program(case.program, limits, case.allowed_syscalls)
-        verify_ns.append(time.perf_counter_ns() - t0)
-        if errors:
-            raise CliError(f"fixture {args.fixture} no longer verifies: {errors[0]}")
-
-        ctx, acl, table = case.make_run()
-        t0 = time.perf_counter_ns()
-        vp = verify(case.program, limits, case.allowed_syscalls)
-        outcome = exec_program(vp, ctx, acl, table)
+        program = Program.from_bytes(payload)
+        ctx, acl, table, caller = case.make_run()
+        t1 = time.perf_counter_ns()
+        try:
+            vp = verify(program, limits, case.allowed_syscalls)
+        except VerifyRejected as exc:
+            raise CliError(f"fixture {args.fixture} no longer verifies: {exc.errors[0]}") from None
+        verify_ns.append(time.perf_counter_ns() - t1)
+        outcome = exec_program(vp, ctx, acl, table, caller=caller)
         first_ns.append(time.perf_counter_ns() - t0)
         if not outcome.ok:
             raise CliError(f"fixture {args.fixture} faulted: {outcome.fault}")
 
         t0 = time.perf_counter_ns()
-        outcome = exec_program(vp, ctx, acl, table)
+        outcome = exec_program(vp, ctx, acl, table, caller=caller)
         warm_ns.append(time.perf_counter_ns() - t0)
         instructions = outcome.executed
 
@@ -375,8 +364,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
     grants = set()
     for spec in args.grant or ():
         label, _, mode = spec.partition(":")
-        readable, writable = _parse_mode(mode or "r", f"--grant {spec!r}")
-        grants.add(RegionGrant(label, readable, writable))
+        grants.add(RegionGrant(label, *parse_mode(mode or "r")))
     contract = Contract(_parse_ids(args.syscalls if args.syscalls is not None else ""), frozenset(grants))
     manifest = build_manifest(
         _parse_uuid(args.tenant, "--tenant"),

@@ -21,15 +21,10 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .facilities import (
-    CallerIdentity,
-    FacilityContext,
-    scopes_from_syscalls,
-    standard_syscall_table,
-)
+from .facilities import CallerIdentity, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
-from .verifier import VerifiedProgram, VerifyError, VerifyLimits, check_program, verify
+from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
 from .vm import ExecOutcome, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
@@ -67,15 +62,30 @@ class ContextShapeMismatch(EngineError):
     pass
 
 
+def parse_mode(text: object) -> tuple[bool, bool]:
+    """A region mode, 'r', 'w' or 'rw', as (readable, writable); anything
+    else raises ValueError."""
+    if text not in ("r", "w", "rw"):
+        raise ValueError(f"mode must be 'r', 'w', or 'rw', got {text!r}")
+    return "r" in text, "w" in text
+
+
+def format_mode(readable: bool, writable: bool) -> str:
+    return ("r" if readable else "") + ("w" if writable else "")
+
+
 @dataclass(frozen=True)
 class RegionGrant:
     label: str
     readable: bool = True
     writable: bool = False
 
-    @property
-    def mode(self) -> str:
-        return ("r" if self.readable else "") + ("w" if self.writable else "")
+
+def _helper_id(value: object) -> int:
+    number = int(value, 0) if isinstance(value, str) else value
+    if type(number) is not int or not 0 <= number < 1 << 32:
+        raise ValueError(f"helper id must be a u32, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -88,6 +98,31 @@ class Contract:
     @classmethod
     def of(cls, syscalls: Iterable[int] = (), regions: Iterable[RegionGrant] = ()) -> "Contract":
         return cls(frozenset(syscalls), frozenset(regions))
+
+    def to_json(self) -> dict:
+        return {
+            "syscalls": sorted(self.syscalls),
+            "regions": [
+                {"label": g.label, "mode": format_mode(g.readable, g.writable)}
+                for g in sorted(self.regions, key=lambda g: g.label)
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, data: object) -> "Contract":
+        """Inverse of to_json, where a grant's mode defaults to 'r'. Malformed
+        data raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"contract must be an object, got {data!r}")
+        syscalls, grants = data.get("syscalls", []), data.get("regions", [])
+        if not isinstance(syscalls, list) or not isinstance(grants, list):
+            raise ValueError(f"contract syscalls and regions must be lists, got {data!r}")
+        regions = set()
+        for grant in grants:
+            if not isinstance(grant, dict) or not isinstance(grant.get("label"), str):
+                raise ValueError(f"region grant needs a string label, got {grant!r}")
+            regions.add(RegionGrant(grant["label"], *parse_mode(grant.get("mode", "r"))))
+        return cls(frozenset(_helper_id(s) for s in syscalls), frozenset(regions))
 
 
 @dataclass(frozen=True)
@@ -130,6 +165,7 @@ class Container:
     program: Program
     requested: Contract
     granted: Contract
+    caller: CallerIdentity
     stats: ContainerStats = field(default_factory=ContainerStats)
     verified: VerifiedProgram | None = None
     verify_errors: tuple[VerifyError, ...] | None = None
@@ -274,13 +310,15 @@ class Engine:
                 raise SlotLimitReached(f"hook {hook.name!r} is at its {hook.slot_limit}-slot limit")
             self._setup_open = False
             container_id = self._new_id()
+            granted = intersect_contract(hook, contract)
             self.containers[container_id] = Container(
                 container_id=container_id,
                 tenant_id=tenant_id,
                 hook_id=hook_id,
                 program=program,
                 requested=contract,
-                granted=intersect_contract(hook, contract),
+                granted=granted,
+                caller=CallerIdentity.for_grant(tenant_id, container_id, granted.syscalls),
             )
             hook.slots.append(container_id)
             self.facilities.stores.create_container_store(container_id)
@@ -308,6 +346,9 @@ class Engine:
             container.program = program
             container.requested = contract
             container.granted = intersect_contract(hook, contract)
+            container.caller = CallerIdentity.for_grant(
+                container.tenant_id, container_id, container.granted.syscalls
+            )
             container.verified = None
             container.verify_errors = None
             container.stats = ContainerStats()
@@ -334,11 +375,10 @@ class Engine:
     def _ensure_verified(self, container: Container) -> VerifiedProgram | None:
         if container.verified is None and container.verify_errors is None:
             container.stats.verify_count += 1
-            errors = check_program(container.program, self.limits, container.granted.syscalls)
-            if errors:
-                container.verify_errors = tuple(errors)
-            else:
+            try:
                 container.verified = verify(container.program, self.limits, container.granted.syscalls)
+            except VerifyRejected as exc:
+                container.verify_errors = tuple(exc.errors)
         return container.verified
 
     def trigger_hook(self, hook_id: uuid.UUID, event: Mapping[str, bytes] | None = None) -> TriggerResult:
@@ -371,7 +411,6 @@ class Engine:
                 )
 
             outcomes: list[SlotOutcome] = []
-            fac = self.facilities
             for container_id in list(hook.slots):
                 container = self.containers[container_id]
                 vp = self._ensure_verified(container)
@@ -386,21 +425,8 @@ class Engine:
                         views.append(ctx_regions[spec.label].view(grant.readable, grant.writable))
                 acl = AccessList([fresh_stack(host), *views])
                 ctx = views[0] if views else None
-                fac.caller = CallerIdentity(
-                    container.tenant_id, container_id, scopes_from_syscalls(container.granted.syscalls)
-                )
-                fac.response_region = next((v for v in views if v.label == "response"), None)
-                try:
-                    outcome = exec_program(
-                        vp,
-                        ctx,
-                        acl,
-                        self.syscall_table.restricted(container.granted.syscalls),
-                        vp.budget,
-                    )
-                finally:
-                    fac.caller = None
-                    fac.response_region = None
+                table = self.syscall_table.restricted(container.granted.syscalls)
+                outcome = exec_program(vp, ctx, acl, table, vp.budget, container.caller)
                 container.stats.runs += 1
                 container.stats.total_executed += outcome.executed
                 if outcome.fault is not None:
@@ -435,11 +461,7 @@ class Engine:
                     "name": h.name,
                     "allowed_syscalls": sorted(h.allowed_syscalls),
                     "context": [
-                        {
-                            "label": s.label,
-                            "size": s.size,
-                            "mode": ("r" if s.readable else "") + ("w" if s.writable else ""),
-                        }
+                        {"label": s.label, "size": s.size, "mode": format_mode(s.readable, s.writable)}
                         for s in h.context_template
                     ],
                     "return_policy": h.return_policy,
@@ -455,13 +477,7 @@ class Engine:
                     "bytecode_len": c.program.byte_len,
                     "verified": c.verified is not None,
                     "rejected": c.verify_errors is not None,
-                    "granted": {
-                        "syscalls": sorted(c.granted.syscalls),
-                        "regions": [
-                            {"label": g.label, "mode": g.mode}
-                            for g in sorted(c.granted.regions, key=lambda g: g.label)
-                        ],
-                    },
+                    "granted": c.granted.to_json(),
                     "stats": {
                         "runs": c.stats.runs,
                         "faults": c.stats.faults,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 from uuid import UUID
 
-from .memory import MemoryRegion, Mode, require_access
+from .memory import Mode, require_access
 from .vm import SyscallEnv, SyscallError, SyscallTable
 
 SCOPE_CONTAINER = "container"
@@ -92,6 +92,11 @@ class CallerIdentity:
     tenant_id: UUID | None
     container_id: UUID | None
     scopes: frozenset[str]
+
+    @classmethod
+    def for_grant(cls, tenant_id: UUID, container_id: UUID, syscalls: Iterable[int]) -> "CallerIdentity":
+        """The identity of a container whose contract grants ``syscalls``."""
+        return cls(tenant_id, container_id, scopes_from_syscalls(syscalls))
 
 
 def scopes_from_syscalls(ids: Iterable[int]) -> frozenset[str]:
@@ -224,21 +229,29 @@ class VirtualClock:
 class FacilityContext:
     """Everything the standard helpers need, bundled per engine.
 
-    ``caller`` and ``response_region`` are rebound around each program run
-    by whoever drives the VM; the engine does this under its own lock.
+    Who is calling is not stored here: each helper call gets its caller in
+    its SyscallEnv.
     """
 
     stores: StoreManager = field(default_factory=StoreManager)
     clock: VirtualClock = field(default_factory=VirtualClock)
     sensors: dict[int, SensorFixture] = field(default_factory=dict)
     debug_log: list[tuple[UUID | None, int]] = field(default_factory=list)
-    caller: CallerIdentity | None = None
-    response_region: MemoryRegion | None = None
 
-    def require_caller(self) -> CallerIdentity:
-        if self.caller is None:
-            raise SyscallError("no caller identity bound")
-        return self.caller
+
+def standalone_caller(fac: FacilityContext, syscalls: Iterable[int]) -> CallerIdentity:
+    """A caller outside any engine (a CLI run, a bench fixture), with fresh
+    tenant and container stores of its own in ``fac``."""
+    tenant_id, container_id = UUID(int=1), UUID(int=2)
+    fac.stores.create_tenant_store(tenant_id)
+    fac.stores.create_container_store(container_id)
+    return CallerIdentity.for_grant(tenant_id, container_id, syscalls)
+
+
+def _caller_of(env: SyscallEnv) -> CallerIdentity:
+    if env.caller is None:
+        raise SyscallError("no caller identity bound")
+    return env.caller
 
 
 def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
@@ -246,8 +259,9 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
 
     def kv_put(scope: str):
         def helper(env: SyscallEnv, key: int, value: int) -> int:
+            caller = _caller_of(env)
             try:
-                fac.stores.put(scope, fac.require_caller(), key & 0xFFFF_FFFF, _as_i64(value))
+                fac.stores.put(scope, caller, key & 0xFFFF_FFFF, _as_i64(value))
             except StoreFull:
                 return KV_ERR_FULL
             except ScopeDenied:
@@ -258,8 +272,9 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
 
     def kv_get(scope: str):
         def helper(env: SyscallEnv, key: int) -> int:
+            caller = _caller_of(env)
             try:
-                return fac.stores.get(scope, fac.require_caller(), key & 0xFFFF_FFFF)
+                return fac.stores.get(scope, caller, key & 0xFFFF_FFFF)
             except ScopeDenied:
                 return 0
 
@@ -273,7 +288,7 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
         return fixture.read() if fixture is not None else 0
 
     def response_write(env: SyscallEnv, offset: int, value: int) -> int:
-        region = fac.response_region
+        region = env.acl.labeled("response")
         if region is None:
             raise SyscallError("no response region on this hook")
         addr = (region.base + offset) & MASK64
@@ -282,7 +297,7 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
         return 0
 
     def debug_log(env: SyscallEnv, value: int) -> int:
-        caller = fac.caller
+        caller = env.caller
         fac.debug_log.append((caller.container_id if caller else None, _as_i64(value)))
         return 0
 

@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
-from uuid import UUID
 
 from . import facilities as fa
 from .asm import assemble
@@ -156,31 +155,24 @@ def fixture_program(name: str) -> Program:
 
 @dataclass(frozen=True)
 class BenchCase:
-    """One benchmarkable workload: a program plus a fresh-run factory."""
+    """One benchmarkable workload: a program plus a fresh-run factory that
+    returns the context, access list, helper table and caller of one run."""
 
     name: str
     program: Program
     allowed_syscalls: frozenset[int]
-    make_run: Callable[[], tuple[MemoryRegion | None, AccessList, SyscallTable]]
+    make_run: Callable[[], tuple[MemoryRegion | None, AccessList, SyscallTable, fa.CallerIdentity | None]]
 
 
 def _bench_fletcher32() -> BenchCase:
     def make_run():
         host = HostMemory()
         ctx = host.alloc(360, "ctx", True, False, FLETCHER32_INPUT)
-        return ctx, AccessList([fresh_stack(host), ctx]), SyscallTable()
+        return ctx, AccessList([fresh_stack(host), ctx]), SyscallTable(), None
 
     return BenchCase(
         "fletcher32_360", fixture_program("fletcher32_360"), frozenset(), make_run
     )
-
-
-def _facility_caller(fac: fa.FacilityContext, scopes: frozenset[str]) -> None:
-    tenant_id = UUID(int=1)
-    container_id = UUID(int=2)
-    fac.stores.create_tenant_store(tenant_id)
-    fac.stores.create_container_store(container_id)
-    fac.caller = fa.CallerIdentity(tenant_id, container_id, scopes)
 
 
 def _bench_thread_counter() -> BenchCase:
@@ -188,11 +180,11 @@ def _bench_thread_counter() -> BenchCase:
 
     def make_run():
         fac = fa.FacilityContext()
-        _facility_caller(fac, fa.scopes_from_syscalls(allowed))
+        caller = fa.standalone_caller(fac, allowed)
         host = HostMemory()
         ctx = host.alloc(16, "ctx", True, False, struct.pack("<QQ", 1, 2))
         table = fa.standard_syscall_table(fac).restricted(allowed)
-        return ctx, AccessList([fresh_stack(host), ctx]), table
+        return ctx, AccessList([fresh_stack(host), ctx]), table, caller
 
     return BenchCase("thread_counter", fixture_program("thread_counter"), allowed, make_run)
 
@@ -203,10 +195,10 @@ def _bench_sensor_reader() -> BenchCase:
     def make_run():
         fac = fa.FacilityContext()
         fac.sensors[1] = fa.SensorFixture(1, [10, 20, 30])
-        _facility_caller(fac, fa.scopes_from_syscalls(allowed))
+        caller = fa.standalone_caller(fac, allowed)
         host = HostMemory()
         table = fa.standard_syscall_table(fac).restricted(allowed)
-        return None, AccessList([fresh_stack(host)]), table
+        return None, AccessList([fresh_stack(host)]), table, caller
 
     return BenchCase("sensor_reader", fixture_program("sensor_reader"), allowed, make_run)
 

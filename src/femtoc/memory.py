@@ -149,13 +149,9 @@ class AccessList:
         return None
 
 
-def check_access(acl: AccessList, addr: int, length: int, mode: Mode) -> bool:
-    """True iff [addr, addr+length) sits inside a single granting region."""
-    return acl.region_for(addr, length, mode) is not None
-
-
 def require_access(acl: AccessList, addr: int, length: int, mode: Mode) -> MemoryRegion:
-    """Like check_access but raises AccessViolation; for host helpers."""
+    """The region granting [addr, addr+length) in ``mode``; raises
+    AccessViolation when none does. For host helpers."""
     region = acl.region_for(addr, length, mode)
     if region is None:
         raise AccessViolation(addr, length, mode)

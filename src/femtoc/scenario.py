@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any
 
 from .asm import assemble
-from .engine import Contract, ContextRegionSpec, Engine, RegionGrant, ReturnPolicy, TriggerResult
+from .engine import Contract, ContextRegionSpec, Engine, ReturnPolicy, TriggerResult, parse_mode
 from .facilities import SensorFixture
 from .fixtures import fixture_program
 from .isa import Program
@@ -76,19 +76,31 @@ def _parse_int(value: Any, what: str) -> int:
     raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
-def _parse_mode(mode: str) -> tuple[bool, bool]:
-    if not isinstance(mode, str) or not mode or set(mode) - {"r", "w"}:
-        raise ParseError(f"mode must be 'r', 'w', or 'rw', got {mode!r}")
-    return "r" in mode, "w" in mode
+def _field(spec: Any, key: str, what: str, kind: type = object) -> Any:
+    """The required field ``spec[key]``, which must be of type ``kind``."""
+    if not isinstance(spec, dict):
+        raise ParseError(f"{what} must be an object, got {spec!r}")
+    if key not in spec:
+        raise ParseError(f"{what} is missing {key!r}")
+    value = spec[key]
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
-def _parse_contract(data: dict) -> Contract:
-    syscalls = frozenset(_parse_int(s, "contract syscall") for s in data.get("syscalls", ()))
-    regions = set()
-    for entry in data.get("regions", ()):
-        readable, writable = _parse_mode(entry.get("mode", "r"))
-        regions.add(RegionGrant(entry["label"], readable, writable))
-    return Contract(syscalls, frozenset(regions))
+def _entries(spec: dict, key: str) -> list:
+    """The optional list ``spec[key]``, empty when absent."""
+    value = spec.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a list, got {value!r}")
+    return value
+
+
+def _parse_contract(data: Any) -> Contract:
+    try:
+        return Contract.from_json(data)
+    except ValueError as exc:
+        raise ParseError(f"contract: {exc}") from None
 
 
 def _parse_payload_value(value: Any, what: str) -> bytes:
@@ -141,33 +153,35 @@ class ScenarioRuntime:
 
     def _build(self) -> None:
         doc = self.doc
-        for spec in doc.get("tenants", ()):
-            name = spec["name"]
+        for spec in _entries(doc, "tenants"):
+            name = _field(spec, "name", "tenant", str)
             if name in self.tenant_ids:
                 raise ParseError(f"duplicate tenant name {name!r}")
             private, public = self._derive_key(name, spec)
             self.tenant_keys[name] = private
             self.tenant_ids[name] = self.engine.register_tenant(name, public)
-        for spec in doc.get("sensors", ()):
-            sensor_id = _parse_int(spec["id"], "sensor id")
-            samples = [_parse_int(s, "sensor sample") for s in spec["samples"]]
+        for spec in _entries(doc, "sensors"):
+            sensor_id = _parse_int(_field(spec, "id", "sensor"), "sensor id")
+            samples = [_parse_int(s, "sensor sample") for s in _field(spec, "samples", "sensor", list)]
             self.engine.facilities.sensors[sensor_id] = SensorFixture(sensor_id, samples)
-        for spec in doc.get("hooks", ()):
+        for spec in _entries(doc, "hooks"):
+            name = _field(spec, "name", "hook", str)
             template = []
-            for region in spec.get("context", ()):
-                readable, writable = _parse_mode(region.get("mode", "r"))
-                template.append(
-                    ContextRegionSpec(
-                        region["label"], _parse_int(region["size"], "region size"), readable, writable
-                    )
-                )
-            self.hook_ids[spec["name"]] = self.engine.register_hook(
-                spec["name"],
-                [_parse_int(s, "hook syscall") for s in spec.get("syscalls", ())],
+            for region in _entries(spec, "context"):
+                label = _field(region, "label", "context region", str)
+                size = _parse_int(_field(region, "size", "context region"), "region size")
+                try:
+                    readable, writable = parse_mode(region.get("mode", "r"))
+                except ValueError as exc:
+                    raise ParseError(f"context region {label!r}: {exc}") from None
+                template.append(ContextRegionSpec(label, size, readable, writable))
+            self.hook_ids[name] = self.engine.register_hook(
+                name,
+                [_parse_int(s, "hook syscall") for s in _entries(spec, "syscalls")],
                 template,
                 spec.get("return_policy", ReturnPolicy.IGNORE_ALL),
             )
-        for index, action in enumerate(doc.get("setup", ())):
+        for index, action in enumerate(_entries(doc, "setup")):
             self._run_setup_action(index, action)
 
     def _tenant(self, name: str):
@@ -211,13 +225,14 @@ class ScenarioRuntime:
         raise ParseError(f"program needs one of fixture/asm/hex/file: {spec!r}")
 
     def _run_setup_action(self, index: int, action: dict) -> None:
-        kind = action.get("action")
+        what = f"setup action {index}"
+        kind = _field(action, "action", what)
         if kind == "install":
             container_id = self.engine.install_container(
-                self._tenant(action["tenant"]),
-                self._program(action["program"]),
+                self._tenant(_field(action, "tenant", what, str)),
+                self._program(_field(action, "program", what, dict)),
                 _parse_contract(action.get("contract", {})),
-                self._hook(action["hook"]),
+                self._hook(_field(action, "hook", what, str)),
             )
             name = action.get("name", f"container{index}")
             if name in self.container_ids:
@@ -227,16 +242,16 @@ class ScenarioRuntime:
                 {"action": "install", "name": name, "container_id": str(container_id)}
             )
         elif kind == "update":
-            tenant_name = action["tenant"]
+            tenant_name = _field(action, "tenant", what, str)
             private = self.tenant_keys.get(tenant_name)
             if private is None:
                 raise UnknownReference(f"tenant {tenant_name!r} has no signing key in this scenario")
-            payload = self._program(action["program"]).to_bytes()
+            payload = self._program(_field(action, "program", what, dict)).to_bytes()
             manifest = sign_manifest(
                 build_manifest(
                     self._tenant(tenant_name),
-                    self._hook(action["hook"]),
-                    _parse_int(action["sequence"], "update sequence"),
+                    self._hook(_field(action, "hook", what, str)),
+                    _parse_int(_field(action, "sequence", what), "update sequence"),
                     payload,
                     _parse_contract(action.get("contract", {})),
                 ),
@@ -262,9 +277,10 @@ class ScenarioRuntime:
     # -- events ---------------------------------------------------------
 
     def parse_events(self) -> list[dict]:
-        events = list(self.doc.get("events", ()))
+        events = _entries(self.doc, "events")
         last_at = None
-        for event in events:
+        for index, event in enumerate(events):
+            _field(event, "hook", f"event {index}", str)
             at_ms = _parse_int(event.get("at_ms", 0), "at_ms")
             if last_at is not None and at_ms < last_at:
                 raise ParseError("events must be sorted by at_ms")
@@ -415,8 +431,9 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
     events = runtime.parse_events()
 
     by_index: dict[Any, list[dict]] = {}
-    assertions = list(doc.get("assertions", ()))
-    for assertion in assertions:
+    for index, assertion in enumerate(_entries(doc, "assertions")):
+        check = _field(assertion, "check", f"assertion {index}", dict)
+        _field(check, "kind", f"assertion {index} check", str)
         by_index.setdefault(assertion.get("after_event", "final"), []).append(assertion)
 
     event_reports: list[dict] = []

@@ -6,8 +6,9 @@ number, and the requested contract.  The tenant signs the manifest's
 canonical byte form with Ed25519; JSON is transport only and never signed.
 
 Applying an update authenticates the signature against the registered
-tenant key, checks payload integrity, refuses sequence rollback, and only
-then swaps (or installs) the tenant's container on that hook atomically.
+tenant key, checks payload integrity, refuses sequence rollback, decodes
+the payload, and only then swaps (or installs) the tenant's container on
+that hook atomically.
 A rejected update changes no engine state at all.
 """
 
@@ -29,7 +30,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .engine import Contract, Engine, RegionGrant
+from .engine import Contract, Engine
 from .isa import Program
 
 MANIFEST_VERSION = 1
@@ -41,6 +42,7 @@ class UpdateReject(Enum):
     ROLLBACK_REJECTED = "RollbackRejected"
     UNKNOWN_HOOK = "UnknownHook"
     UNKNOWN_TENANT = "UnknownTenant"
+    MALFORMED_PAYLOAD = "MalformedPayload"
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,7 @@ def _signature_valid(manifest: Manifest, public_key_raw: bytes) -> bool:
 
 
 def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOutcome:
-    """Authenticate, check integrity and freshness, then swap atomically."""
+    """Authenticate, check integrity and freshness, decode, then swap atomically."""
     with engine.lock:
         tenant = engine.tenants.get(manifest.tenant_id)
         if tenant is None:
@@ -144,8 +146,11 @@ def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOu
         last = engine.last_update_sequence(manifest.tenant_id, manifest.storage_location)
         if last is not None and manifest.sequence_number <= last:
             return UpdateOutcome(False, reason=UpdateReject.ROLLBACK_REJECTED)
+        try:
+            program = Program.from_bytes(payload)
+        except ValueError:
+            return UpdateOutcome(False, reason=UpdateReject.MALFORMED_PAYLOAD)
 
-        program = Program.from_bytes(payload)
         existing = engine.tenant_container_on_hook(manifest.tenant_id, manifest.storage_location)
         if existing is not None:
             engine.replace_container(existing, program, manifest.contract)
@@ -225,26 +230,12 @@ def manifest_to_json(manifest: Manifest) -> dict:
             "tenant_id": str(manifest.tenant_id),
             "payload_digest": manifest.payload_digest.hex(),
             "payload_size": manifest.payload_size,
-            "contract": {
-                "syscalls": sorted(manifest.contract.syscalls),
-                "regions": [
-                    {"label": g.label, "mode": g.mode}
-                    for g in sorted(manifest.contract.regions, key=lambda g: g.label)
-                ],
-            },
+            "contract": manifest.contract.to_json(),
         },
         "signature": base64.b64encode(manifest.signature).decode("ascii")
         if manifest.signature
         else None,
     }
-
-
-def contract_from_json(data: dict) -> Contract:
-    regions = set()
-    for entry in data.get("regions", ()):
-        mode = entry.get("mode", "r")
-        regions.add(RegionGrant(entry["label"], "r" in mode, "w" in mode))
-    return Contract(frozenset(int(s) for s in data.get("syscalls", ())), frozenset(regions))
 
 
 def manifest_from_json(data: dict) -> Manifest:
@@ -257,7 +248,7 @@ def manifest_from_json(data: dict) -> Manifest:
         tenant_id=uuid.UUID(body["tenant_id"]),
         payload_digest=bytes.fromhex(body["payload_digest"]),
         payload_size=int(body["payload_size"]),
-        contract=contract_from_json(body.get("contract", {})),
+        contract=Contract.from_json(body.get("contract", {})),
         signature=base64.b64decode(signature) if signature else None,
     )
 

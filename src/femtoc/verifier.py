@@ -77,8 +77,6 @@ class VerifiedProgram:
 
     program: Program
     limits: VerifyLimits
-    jump_targets: frozenset[int]
-    syscalls_used: frozenset[int]
 
     @property
     def budget(self) -> int:
@@ -248,23 +246,6 @@ def check_program(
     return errors
 
 
-def _collect_jump_targets(program: Program) -> frozenset[int]:
-    targets = set()
-    for i, ins in enumerate(program.slots):
-        info = opcode_info(ins.opcode)
-        if info is not None and info.is_jump:
-            targets.add(i + 1 + ins.offset)
-    return frozenset(targets)
-
-
-def _collect_syscalls(program: Program) -> frozenset[int]:
-    return frozenset(
-        ins.imm
-        for ins in program.slots
-        if (info := opcode_info(ins.opcode)) is not None and info.kind is OpKind.CALL
-    )
-
-
 def verify(
     program: Program,
     limits: VerifyLimits | None = None,
@@ -275,12 +256,7 @@ def verify(
     errors = check_program(program, limits, allowed_syscalls)
     if errors:
         raise VerifyRejected(errors)
-    return VerifiedProgram(
-        program=program,
-        limits=limits,
-        jump_targets=_collect_jump_targets(program),
-        syscalls_used=_collect_syscalls(program),
-    )
+    return VerifiedProgram(program, limits)
 
 
 def verification_report(errors: list[VerifyError]) -> str:

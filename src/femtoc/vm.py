@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .isa import OPCODE_INFO, OpKind, Program
 from .memory import AccessList, AccessViolation, MemoryRegion, Mode
 from .verifier import VerifiedProgram
+
+if TYPE_CHECKING:
+    from .facilities import CallerIdentity
 
 MASK64 = (1 << 64) - 1
 MASK32 = (1 << 32) - 1
@@ -73,10 +76,13 @@ class _Trap(Exception):
 
 
 class SyscallEnv(NamedTuple):
-    """Host-side context handed to helpers so they can vet pointer args."""
+    """Host-side context handed to helpers: the run's access list, the call's
+    slot, and the identity of the container making the call (None when the
+    run has no caller)."""
 
     acl: AccessList
     pc: int
+    caller: CallerIdentity | None
 
 
 SyscallFn = Callable[..., int]
@@ -177,13 +183,14 @@ def exec_program(
     acl: AccessList,
     syscalls: SyscallTable | None = None,
     budget: int | None = None,
-    on_step: Callable[[int], None] | None = None,
+    caller: CallerIdentity | None = None,
 ) -> ExecOutcome:
     """Run a verified program to completion.
 
     Registers start zeroed except r1 (context base, when a context region is
     given) and r10 (stack base).  The outcome's ``executed`` count is exact:
     the number of instructions that started executing, capped at the budget.
+    Helpers see ``caller`` in their SyscallEnv.
     """
     slots = vp.program.slots
     n = len(slots)
@@ -219,8 +226,6 @@ def exec_program(
             if not 0 <= pc < n:
                 # Unreachable for verified programs; kept as a hard stop.
                 raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
-            if on_step is not None:
-                on_step(pc)
             ins = slots[pc]
             executed += 1
             info = OPCODE_INFO[ins.opcode]
@@ -277,7 +282,7 @@ def exec_program(
                     raise _Trap(
                         Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {ins.imm:#x} not available")
                     )
-                env = SyscallEnv(acl=acl, pc=pc)
+                env = SyscallEnv(acl=acl, pc=pc, caller=caller)
                 args = regs[1 : 1 + entry.argc]
                 try:
                     result = entry.fn(env, *args)

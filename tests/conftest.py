@@ -25,3 +25,24 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_log.LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def check_program_scans(monkeypatch):
+    """Every program ``femtoc.verifier.check_program`` scans, in call order.
+
+    The counter replaces each femtoc module's binding of the function, so a
+    scan is seen whichever module makes it."""
+    import femtoc.verifier
+
+    original = femtoc.verifier.check_program
+    scanned = []
+
+    def counted(program, *args, **kwargs):
+        scanned.append(program)
+        return original(program, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "femtoc" and getattr(module, "check_program", None) is original:
+            monkeypatch.setattr(module, "check_program", counted)
+    return scanned

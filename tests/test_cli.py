@@ -4,6 +4,7 @@ and both output formats."""
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +143,13 @@ def test_run_fault_exits_3(tmp_path, capsys):
 def test_run_verify_reject_exits_1(tmp_path):
     bin_path = write_bin(tmp_path, "p.bin", NO_EXIT_SRC)
     assert main(["run", str(bin_path)]) == 1
+
+
+def test_run_scans_the_program_once(tmp_path, check_program_scans):
+    assert main(["run", str(write_bin(tmp_path, "ok.bin", RETURN_5_SRC))]) == 0
+    assert len(check_program_scans) == 1
+    assert main(["run", str(write_bin(tmp_path, "bad.bin", NO_EXIT_SRC))]) == 1
+    assert len(check_program_scans) == 2
 
 
 def test_run_with_ctx_bytes(tmp_path, capsys):
@@ -289,6 +297,43 @@ def test_scenario_malformed_file_exits_2(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+# case -> (the field the error must name, the part of the document that is wrong)
+MALFORMED_SCENARIOS = {
+    "tenant name missing": ("name", {"tenants": [{}]}),
+    "tenant name mistyped": ("name", {"tenants": [{"name": 5}]}),
+    "hook name missing": ("name", {"hooks": [{}]}),
+    "region label missing": ("label", {"hooks": [{"name": "h", "context": [{"size": 8}]}]}),
+    "region size missing": ("size", {"hooks": [{"name": "h", "context": [{"label": "ctx"}]}]}),
+    "sensor id missing": ("id", {"sensors": [{"samples": [1]}]}),
+    "sensor samples missing": ("samples", {"sensors": [{"id": 1}]}),
+    "sensor samples mistyped": ("samples", {"sensors": [{"id": 1, "samples": 3}]}),
+    "setup tenant missing": (
+        "tenant",
+        {"setup": [{"action": "install", "hook": "h", "program": {"fixture": "hostile_writer"}}]},
+    ),
+    "setup hook missing": (
+        "hook",
+        {"setup": [{"action": "install", "tenant": "t", "program": {"fixture": "hostile_writer"}}]},
+    ),
+    "setup program missing": ("program", {"setup": [{"action": "install", "tenant": "t", "hook": "h"}]}),
+    "event hook missing": ("hook", {"events": [{"at_ms": 0}]}),
+    "assertion check missing": ("check", {"assertions": [{"after_event": "final"}]}),
+    "tenants not a list": ("tenants", {"tenants": {"name": "t"}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SCENARIOS))
+def test_scenario_missing_or_mistyped_field_exits_2(tmp_path, capsys, case):
+    field, broken = MALFORMED_SCENARIOS[case]
+    doc = {"schema_version": 1, "tenants": [{"name": "t"}], "hooks": [{"name": "h"}], **broken}
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scenario", "run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error:") and "Traceback" not in err
+    assert repr(field) in err
+
+
 # -- keygen / sign / apply -----------------------------------------------
 
 
@@ -366,6 +411,32 @@ def test_apply_rejects_unknown_tenant_with_exit_4(tmp_path, capsys):
                                  "--engine", s["engine"]])
     assert rc == 4
     assert data["reason"] == "UnknownTenant"
+
+
+def test_apply_rejects_payload_of_partial_slots_with_exit_4(tmp_path, capsys):
+    s = signing_setup(tmp_path, capsys)
+    ragged = tmp_path / "ragged.bin"
+    ragged.write_bytes(assemble(RETURN_5_SRC).to_bytes()[:12])
+    assert main(["sign", str(ragged), "--key", s["key"], "--tenant", s["tenant"],
+                 "--hook", s["hook"], "--sequence", "1", "-o", s["manifest"]]) == 0
+    rc, data = run_json(capsys, ["apply", s["manifest"], str(ragged), "--engine", s["engine"]])
+    assert rc == 4
+    assert data == {"accepted": False, "container_id": None, "reason": "MalformedPayload"}
+
+
+@pytest.mark.parametrize("mode", ["x", "rwx"])
+def test_apply_rejects_unknown_region_mode_with_exit_2(tmp_path, capsys, mode):
+    s = signing_setup(tmp_path, capsys)
+    assert main(["sign", s["payload"], "--key", s["key"], "--tenant", s["tenant"],
+                 "--hook", s["hook"], "--sequence", "1", "--grant", "ctx:r",
+                 "-o", s["manifest"]]) == 0
+    envelope = json.loads(Path(s["manifest"]).read_text())
+    envelope["manifest"]["contract"]["regions"][0]["mode"] = mode
+    Path(s["manifest"]).write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert main(["apply", s["manifest"], s["payload"], "--engine", s["engine"]]) == 2
+    err = capsys.readouterr().err
+    assert "mode" in err and "Traceback" not in err
 
 
 def test_sign_rejects_malformed_uuid(tmp_path, capsys):

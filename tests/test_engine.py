@@ -153,6 +153,18 @@ def test_verify_once_across_many_triggers():
     assert stats.runs == 5
 
 
+def test_first_trigger_scans_each_container_once(check_program_scans):
+    engine, tenant, hook = engine_with_hook(syscalls=())
+    programs = [EXIT_ONLY, assemble("mov64 r0, 7\nexit"), assemble("mov64 r10, 1\nexit")]
+    for program in programs:
+        engine.install_container(tenant, program, Contract.of(), hook)
+    engine.trigger_hook(hook)
+    assert check_program_scans == programs  # the rejected one included
+    for _ in range(3):
+        engine.trigger_hook(hook)
+    assert check_program_scans == programs
+
+
 def test_rejected_container_reports_errors_and_caches_the_verdict():
     engine, tenant, hook = engine_with_hook(syscalls=())
     bad = assemble("mov64 r10, 1\nexit")
@@ -238,24 +250,26 @@ def test_container_without_region_grant_cannot_touch_context():
 
 
 def test_read_only_response_grant_blocks_the_write_helper():
-    engine = Engine()
-    tenant = engine.register_tenant("alpha")
-    hook = engine.register_hook(
-        "h",
-        {0x20},
-        [ContextRegionSpec("response", 16, readable=True, writable=True)],
-    )
-    program = assemble("mov64 r1, 0\nmov64 r2, 7\ncall 0x20\nexit")
-    engine.install_container(
-        tenant,
-        program,
-        Contract.of(syscalls={0x20}, regions=[RegionGrant("response", readable=True, writable=False)]),
-        hook,
-    )
-    slot = engine.trigger_hook(hook).outcomes[0]
-    assert slot.outcome.fault is not None
-    assert slot.outcome.fault.kind is FaultKind.MEMORY_VIOLATION
-    assert slot.outcome.fault.pc == 2  # attributed to the call
+    # A read-only grant denies the write; no response region at all fails
+    # the helper itself.
+    cases = [
+        ([RegionGrant("response", readable=True, writable=False)], FaultKind.MEMORY_VIOLATION),
+        ([], FaultKind.BAD_SYSCALL),
+    ]
+    for regions, expected in cases:
+        engine = Engine()
+        tenant = engine.register_tenant("alpha")
+        hook = engine.register_hook(
+            "h",
+            {0x20},
+            [ContextRegionSpec("response", 16, readable=True, writable=True)],
+        )
+        program = assemble("mov64 r1, 0\nmov64 r2, 7\ncall 0x20\nexit")
+        engine.install_container(tenant, program, Contract.of(syscalls={0x20}, regions=regions), hook)
+        slot = engine.trigger_hook(hook).outcomes[0]
+        assert slot.outcome.fault is not None
+        assert slot.outcome.fault.kind is expected
+        assert slot.outcome.fault.pc == 2  # attributed to the call
 
 
 def test_fault_isolation_between_slots():

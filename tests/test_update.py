@@ -284,6 +284,15 @@ def test_reject_sequence_replay_and_rollback():
     assert apply_update(engine, signed(alpha, hook, 6, RETURN_9, ALPHA_KEY), RETURN_9).accepted
 
 
+def test_reject_payload_that_is_not_whole_slots():
+    engine, hook, alpha, _ = fresh_engine()
+    ragged = RETURN_5 + b"\x00"
+    manifest = signed(alpha, hook, 1, ragged, ALPHA_KEY)
+    assert reject_reason(engine, manifest, ragged) == UpdateReject.MALFORMED_PAYLOAD
+    assert UpdateReject.MALFORMED_PAYLOAD.value == "MalformedPayload"
+    assert engine.last_update_sequence(alpha, hook) is None  # sequence not consumed
+
+
 def test_reject_precedence_tenant_before_signature_before_digest():
     engine, hook, alpha, _ = fresh_engine()
     # everything wrong at once: unknown tenant wins
@@ -309,6 +318,7 @@ def test_rejected_update_changes_no_engine_state():
         (signed(alpha, hook, 2, RETURN_9, ALPHA_KEY), RETURN_5),
         (signed(alpha, uuid.uuid4(), 2, RETURN_9, ALPHA_KEY), RETURN_9),
         (signed(alpha, hook, 1, RETURN_9, ALPHA_KEY), RETURN_9),
+        (signed(alpha, hook, 2, RETURN_9[:12], ALPHA_KEY), RETURN_9[:12]),
     ]
     for manifest, payload in attempts:
         assert not apply_update(engine, manifest, payload).accepted
@@ -381,6 +391,12 @@ def test_manifest_json_envelope_round_trip(tmp_path):
     path = tmp_path / "m.json"
     save_manifest(manifest, path)
     assert load_manifest(path) == manifest
+
+    for mode in ("x", "rwx"):
+        bad = json.loads(json.dumps(envelope))
+        bad["manifest"]["contract"]["regions"][0]["mode"] = mode
+        with pytest.raises(ValueError, match="mode"):
+            manifest_from_json(bad)
 
 
 def test_signature_survives_wire_round_trip_and_still_applies():

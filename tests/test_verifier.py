@@ -186,12 +186,6 @@ def test_verify_raises_with_all_errors():
     assert [e.kind for e in err.value.errors] == [K.WRITE_TO_R10, K.JUMP_OUT_OF_BOUNDS]
 
 
-def test_verified_program_records_jump_targets_and_syscalls():
-    vp = verify(assemble("ja +1\nexit\ncall 0x10\nexit"), allowed_syscalls={0x10})
-    assert vp.jump_targets == frozenset({2})
-    assert vp.syscalls_used == frozenset({0x10})
-
-
 def test_report_format():
     assert verification_report([]) == "OK"
     report = verification_report(check_program(assemble("mov64 r10, 1\nexit")))

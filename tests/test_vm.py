@@ -342,6 +342,23 @@ def test_clock_helper_returns_virtual_time():
     assert outcome.return_value == 12345
 
 
+def test_store_helpers_without_a_caller_fault_before_reading_facilities():
+    reads = []
+
+    class WatchedFacilities(FacilityContext):
+        def __getattribute__(self, name):
+            reads.append(name)
+            return super().__getattribute__(name)
+
+    store_ids = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06}
+    table = standard_syscall_table(WatchedFacilities()).restricted(store_ids)
+    for sys_id in sorted(store_ids):
+        outcome, _, _ = run(f"mov64 r1, 1\ncall {sys_id:#x}\nexit", table=table, allowed={sys_id})
+        assert outcome.fault.kind is FaultKind.BAD_SYSCALL
+        assert outcome.fault.pc == 1
+    assert reads == []
+
+
 def test_call_costs_one_step_and_preserves_r1_to_r5():
     table = SyscallTable()
     table.register(0x42, lambda env: 7, argc=0, name="seven")
