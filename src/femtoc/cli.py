@@ -259,6 +259,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if outcome.ok else EXIT_FAULT
 
 
+# Each repeat times this many first runs, each followed at once by a warm run
+# on its state. Host speed on a shared machine drifts within milliseconds;
+# alternating the two samples both in the same phases.
+PAIRS_PER_REPEAT = 5
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """Median cost of verification, of a first run (decode, run state,
     verification, execution) and of a warm run (execution on kept state)."""
@@ -269,7 +275,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     first_ns: list[int] = []
     warm_ns: list[int] = []
     instructions = 0
-    for _ in range(args.repeat):
+    for _ in range(args.repeat * PAIRS_PER_REPEAT):
         t0 = time.perf_counter_ns()
         program = Program.from_bytes(payload)
         ctx, acl, table, caller = case.make_run()

@@ -6,8 +6,9 @@ bytecode + granted contract) to one hook slot.  The grant is the
 intersection of what the container requested with what the hook allows,
 both for helper ids and for named context regions.
 
-Verification is deferred to the first trigger and performed exactly once
-per installed bytecode; triggering a hook runs its containers in slot
+Verification is performed exactly once per installed bytecode: by the
+signed-update path before it installs, otherwise on the first trigger.
+Triggering a hook runs its containers in slot
 order with fresh zeroed context buffers, a fresh stack each, and full fault
 isolation between slots.
 """
@@ -297,8 +298,11 @@ class Engine:
         program: Program,
         contract: Contract,
         hook_id: uuid.UUID,
+        verified: VerifiedProgram | None = None,
     ) -> uuid.UUID:
-        """Attach bytecode to a hook slot. Verification waits for the first
+        """Attach bytecode to a hook slot. ``verified``, when given, is
+        ``program`` already verified under this engine's limits and the
+        granted contract; otherwise verification waits for the first
         trigger."""
         with self.lock:
             if tenant_id not in self.tenants:
@@ -319,6 +323,8 @@ class Engine:
                 requested=contract,
                 granted=granted,
                 caller=CallerIdentity.for_grant(tenant_id, container_id, granted.syscalls),
+                stats=ContainerStats(verify_count=int(verified is not None)),
+                verified=verified,
             )
             hook.slots.append(container_id)
             self.facilities.stores.create_container_store(container_id)
@@ -332,11 +338,17 @@ class Engine:
             self.hooks[container.hook_id].slots.remove(container_id)
             self.facilities.stores.destroy_container_store(container_id)
 
-    def replace_container(self, container_id: uuid.UUID, program: Program, contract: Contract) -> None:
+    def replace_container(
+        self,
+        container_id: uuid.UUID,
+        program: Program,
+        contract: Contract,
+        verified: VerifiedProgram | None = None,
+    ) -> None:
         """Atomically swap a container's bytecode and contract in place.
 
         The slot position and id survive; verification state, stats, and the
-        container store start over.
+        container store start over. ``verified`` is as for install_container.
         """
         with self.lock:
             container = self.containers.get(container_id)
@@ -349,9 +361,9 @@ class Engine:
             container.caller = CallerIdentity.for_grant(
                 container.tenant_id, container_id, container.granted.syscalls
             )
-            container.verified = None
+            container.verified = verified
             container.verify_errors = None
-            container.stats = ContainerStats()
+            container.stats = ContainerStats(verify_count=int(verified is not None))
             self.facilities.stores.destroy_container_store(container_id)
             self.facilities.stores.create_container_store(container_id)
 

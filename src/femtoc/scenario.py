@@ -88,6 +88,14 @@ def _field(spec: Any, key: str, what: str, kind: type = object) -> Any:
     return value
 
 
+def _parse_hex(spec: dict, key: str, what: str) -> bytes:
+    """The hex string field ``spec[key]`` as bytes."""
+    try:
+        return bytes.fromhex(_field(spec, key, what, str))
+    except ValueError:
+        raise ParseError(f"{what} {key!r} must be hex, got {spec[key]!r}") from None
+
+
 def _entries(spec: dict, key: str) -> list:
     """The optional list ``spec[key]``, empty when absent."""
     value = spec.get(key, [])
@@ -126,10 +134,15 @@ class ScenarioRuntime:
         self.base_dir = base_dir or Path.cwd()
         self.seed = _parse_int(doc.get("seed", 0), "seed")
         limits = doc.get("limits") or {}
-        self.limits = VerifyLimits(
-            _parse_int(limits.get("max_instructions", 4096), "max_instructions"),
-            _parse_int(limits.get("max_branches", 256), "max_branches"),
-        )
+        if not isinstance(limits, dict):
+            raise ParseError(f"'limits' must be an object, got {limits!r}")
+        try:
+            self.limits = VerifyLimits(
+                _parse_int(limits.get("max_instructions", 4096), "max_instructions"),
+                _parse_int(limits.get("max_branches", 256), "max_branches"),
+            )
+        except ValueError as exc:
+            raise ParseError(f"'limits': {exc}") from None
         self.engine = Engine(limits=self.limits, rng=random.Random(self.seed))
         self.tenant_ids: dict[str, Any] = {}
         self.tenant_keys: dict[str, Any] = {}
@@ -142,9 +155,9 @@ class ScenarioRuntime:
 
     def _derive_key(self, name: str, spec: dict):
         if "public_key" in spec:
-            return None, bytes.fromhex(spec["public_key"])
+            return None, _parse_hex(spec, "public_key", f"tenant {name!r}")
         if "key_seed" in spec:
-            private = private_key_from_seed(bytes.fromhex(spec["key_seed"]))
+            private = private_key_from_seed(_parse_hex(spec, "key_seed", f"tenant {name!r}"))
         else:
             private = private_key_from_seed(
                 hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
@@ -434,7 +447,10 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
     for index, assertion in enumerate(_entries(doc, "assertions")):
         check = _field(assertion, "check", f"assertion {index}", dict)
         _field(check, "kind", f"assertion {index} check", str)
-        by_index.setdefault(assertion.get("after_event", "final"), []).append(assertion)
+        after = assertion.get("after_event", "final")
+        if after != "final" and type(after) is not int:
+            raise ParseError(f"assertion {index} 'after_event' must be an int or 'final', got {after!r}")
+        by_index.setdefault(after, []).append(assertion)
 
     event_reports: list[dict] = []
     assertion_reports: list[dict] = []

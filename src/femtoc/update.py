@@ -7,8 +7,9 @@ canonical byte form with Ed25519; JSON is transport only and never signed.
 
 Applying an update authenticates the signature against the registered
 tenant key, checks payload integrity, refuses sequence rollback, decodes
-the payload, and only then swaps (or installs) the tenant's container on
-that hook atomically.
+the payload, verifies it against the contract the hook would grant, and
+only then swaps (or installs) the tenant's container on that hook
+atomically, already verified.
 A rejected update changes no engine state at all.
 """
 
@@ -30,8 +31,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .engine import Contract, Engine
+from .engine import Contract, Engine, intersect_contract
 from .isa import Program
+from .verifier import VerifyRejected, verify
 
 MANIFEST_VERSION = 1
 
@@ -43,6 +45,7 @@ class UpdateReject(Enum):
     UNKNOWN_HOOK = "UnknownHook"
     UNKNOWN_TENANT = "UnknownTenant"
     MALFORMED_PAYLOAD = "MalformedPayload"
+    VERIFY_REJECTED = "VerifyRejected"
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,8 @@ def _signature_valid(manifest: Manifest, public_key_raw: bytes) -> bool:
 
 
 def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOutcome:
-    """Authenticate, check integrity and freshness, decode, then swap atomically."""
+    """Authenticate, check integrity and freshness, decode and verify, then
+    swap atomically."""
     with engine.lock:
         tenant = engine.tenants.get(manifest.tenant_id)
         if tenant is None:
@@ -150,14 +154,19 @@ def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOu
             program = Program.from_bytes(payload)
         except ValueError:
             return UpdateOutcome(False, reason=UpdateReject.MALFORMED_PAYLOAD)
+        granted = intersect_contract(hook, manifest.contract)
+        try:
+            verified = verify(program, engine.limits, granted.syscalls)
+        except VerifyRejected:
+            return UpdateOutcome(False, reason=UpdateReject.VERIFY_REJECTED)
 
         existing = engine.tenant_container_on_hook(manifest.tenant_id, manifest.storage_location)
         if existing is not None:
-            engine.replace_container(existing, program, manifest.contract)
+            engine.replace_container(existing, program, manifest.contract, verified)
             container_id = existing
         else:
             container_id = engine.install_container(
-                manifest.tenant_id, program, manifest.contract, manifest.storage_location
+                manifest.tenant_id, program, manifest.contract, manifest.storage_location, verified
             )
         engine.record_update_sequence(
             manifest.tenant_id, manifest.storage_location, manifest.sequence_number
@@ -238,18 +247,30 @@ def manifest_to_json(manifest: Manifest) -> dict:
     }
 
 
-def manifest_from_json(data: dict) -> Manifest:
-    body = data["manifest"]
-    signature = data.get("signature")
+def manifest_from_json(data: object) -> Manifest:
+    """Inverse of manifest_to_json. Malformed data raises ValueError naming
+    the field."""
+    body = data.get("manifest") if isinstance(data, dict) else None
+    if not isinstance(body, dict):
+        raise ValueError("manifest envelope needs a 'manifest' object")
+
+    def field(key: str, convert, source: dict = body):
+        try:
+            return convert(source[key])
+        except KeyError:
+            raise ValueError(f"manifest is missing {key!r}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"manifest {key!r}: {exc}") from None
+
     return Manifest(
-        manifest_version=int(body["manifest_version"]),
-        sequence_number=int(body["sequence_number"]),
-        storage_location=uuid.UUID(body["storage_location"]),
-        tenant_id=uuid.UUID(body["tenant_id"]),
-        payload_digest=bytes.fromhex(body["payload_digest"]),
-        payload_size=int(body["payload_size"]),
+        manifest_version=field("manifest_version", int),
+        sequence_number=field("sequence_number", int),
+        storage_location=field("storage_location", uuid.UUID),
+        tenant_id=field("tenant_id", uuid.UUID),
+        payload_digest=field("payload_digest", bytes.fromhex),
+        payload_size=field("payload_size", int),
         contract=Contract.from_json(body.get("contract", {})),
-        signature=base64.b64decode(signature) if signature else None,
+        signature=field("signature", base64.b64decode, data) if data.get("signature") else None,
     )
 
 

@@ -20,9 +20,10 @@ from enum import Enum
 from typing import Iterable
 
 from .isa import (
-    OP_LDDW,
-    OpKind,
+    OPCODE_INFO,
     Instruction,
+    OpcodeInfo,
+    OpKind,
     Program,
     continuation_slots,
     encode_instruction,
@@ -31,6 +32,60 @@ from .isa import (
 
 DEFAULT_MAX_INSTRUCTIONS = 4096
 DEFAULT_MAX_BRANCHES = 256
+
+MASK64 = (1 << 64) - 1
+MASK32 = (1 << 32) - 1
+
+# -- the executable form ----------------------------------------------------
+#
+# verify() lowers every slot to one row (code, sub, dst, src, off, imm):
+#   code  the interpreter's handler;
+#   sub   the ALU operation, the comparison or the byte order; for loads
+#         and stores, the access width in bytes;
+#   off   the memory offset, or a jump's absolute target slot;
+#   imm   the immediate, sign-extended to 64 bits or cut to 32 as the
+#         operation reads it; lddw's joined 64-bit value; a call's helper
+#         id and a byte swap's bit width as encoded.
+# The second slot of a wide load lowers to a row the interpreter refuses to
+# run; verified control flow never reaches it.
+# Codes and sub-ops are numbered in the order the interpreter tests them.
+
+(ALU64_K, ALU64_X, JCOND_K, LDX, STX, JA, JCOND_X, ALU32_K, ALU32_X, ST, CALL, EXIT, LDDW, END,
+ NOT_RUNNABLE) = range(15)
+
+ALU_OPS = ("add", "sub", "mov", "xor", "mul", "and", "or", "lsh", "rsh", "mod", "div", "arsh",
+           "neg")
+ADD, SUB, MOV, XOR, MUL, AND, OR, LSH, RSH, MOD, DIV, ARSH, NEG = range(len(ALU_OPS))
+CMP_OPS = ("jne", "jeq", "jgt", "jge", "jlt", "jle", "jset", "jsgt", "jsge", "jslt", "jsle")
+JNE, JEQ, JGT, JGE, JLT, JLE, JSET, JSGT, JSGE, JSLT, JSLE = range(len(CMP_OPS))
+BYTE_ORDERS = ("le", "be")
+LE, BE = range(len(BYTE_ORDERS))
+
+_NOT_RUNNABLE = (NOT_RUNNABLE, 0, 0, 0, 0, 0)
+
+_CODE_OF_KIND = {OpKind.LDX: LDX, OpKind.STX: STX, OpKind.ST: ST, OpKind.JA: JA,
+                 OpKind.CALL: CALL, OpKind.EXIT: EXIT, OpKind.LDDW: LDDW}
+
+
+def _row(info: OpcodeInfo) -> tuple[str, bool, int, int, int]:
+    """What the scan needs of one opcode: (name, writes_dst, code, sub,
+    immediate mask); a mask of -1 keeps the immediate as encoded."""
+    kind, reg = info.kind, info.source == "reg"
+    if kind is OpKind.ALU64:
+        code, sub, mask = ALU64_X if reg else ALU64_K, ALU_OPS.index(info.alu_op), MASK64
+    elif kind is OpKind.ALU32:
+        code, sub, mask = ALU32_X if reg else ALU32_K, ALU_OPS.index(info.alu_op), MASK32
+    elif kind is OpKind.JCOND:
+        code, sub, mask = JCOND_X if reg else JCOND_K, CMP_OPS.index(info.name), MASK64
+    elif kind is OpKind.END:
+        code, sub, mask = END, BYTE_ORDERS.index(info.alu_op), -1
+    else:
+        code, sub = _CODE_OF_KIND[kind], info.width or 0
+        mask = {OpKind.CALL: -1, OpKind.LDDW: MASK32}.get(kind, MASK64)
+    return info.name, info.writes_dst, code, sub, mask
+
+
+_ROWS = {opcode: _row(info) for opcode, info in OPCODE_INFO.items()}
 
 
 @dataclass(frozen=True)
@@ -73,10 +128,12 @@ class VerifyError:
 
 @dataclass(frozen=True)
 class VerifiedProgram:
-    """A program that passed all checks, with its derived run-time budget."""
+    """A program that passed all checks, with its derived run-time budget
+    and its executable form: one row per slot, as described above."""
 
     program: Program
     limits: VerifyLimits
+    form: tuple[tuple[int, ...], ...]
 
     @property
     def budget(self) -> int:
@@ -98,141 +155,92 @@ def _mnemonic(ins: Instruction) -> str:
     return info.name
 
 
-def check_program(
+def _scan(
     program: Program,
-    limits: VerifyLimits | None = None,
-    allowed_syscalls: Iterable[int] = (),
-) -> list[VerifyError]:
-    """Run every check and return all violations, in slot order."""
-    limits = limits or VerifyLimits()
+    limits: VerifyLimits,
+    allowed_syscalls: Iterable[int],
+) -> tuple[list[VerifyError], tuple[tuple[int, ...], ...]]:
+    """Run every check and lower each slot to its executable row.
+
+    Returns all violations, in slot order, and the executable form; the
+    form is meaningful only when there are no violations.
+    """
     allowed = frozenset(allowed_syscalls)
     slots = program.slots
     n = len(slots)
     errors: list[VerifyError] = []
+    form: list[tuple[int, ...]] = []
     is_cont = continuation_slots(slots)
 
+    def fail(kind: VerifyErrorKind, at: int, mnemonic: str, detail: str) -> None:
+        errors.append(VerifyError(kind, at, mnemonic, detail))
+
     if n > limits.max_instructions:
-        errors.append(
-            VerifyError(
-                VerifyErrorKind.TOO_LONG,
-                limits.max_instructions,
-                _mnemonic(slots[limits.max_instructions]),
-                f"program has {n} slots, limit is {limits.max_instructions}",
-            )
-        )
+        at = limits.max_instructions
+        detail = f"program has {n} slots, limit is {at}"
+        fail(VerifyErrorKind.TOO_LONG, at, _mnemonic(slots[at]), detail)
 
     has_exit = False
     last_real = -1
     i = 0
     while i < n:
         ins = slots[i]
-        info = opcode_info(ins.opcode)
+        row = _ROWS.get(ins.opcode)
         last_real = i
-        if info is None:
-            errors.append(
-                VerifyError(
-                    VerifyErrorKind.UNKNOWN_OPCODE,
-                    i,
-                    _mnemonic(ins),
-                    f"opcode {ins.opcode:#04x} is not part of the supported set",
-                )
-            )
+        if row is None:
+            detail = f"opcode {ins.opcode:#04x} is not part of the supported set"
+            fail(VerifyErrorKind.UNKNOWN_OPCODE, i, _mnemonic(ins), detail)
+            form.append(_NOT_RUNNABLE)
             i += 1
             continue
+        name, writes_dst, code, sub, imm_mask = row
+        dst, src, off, imm = ins.dst, ins.src, ins.offset, ins.imm & imm_mask
 
-        if ins.dst > 10 or ins.src > 10:
-            bad = f"r{ins.dst}" if ins.dst > 10 else f"r{ins.src}"
-            errors.append(
-                VerifyError(
-                    VerifyErrorKind.BAD_REGISTER_FIELD,
-                    i,
-                    info.name,
-                    f"register field names {bad}; only r0..r10 exist",
-                )
-            )
-        elif info.writes_dst and ins.dst == 10:
-            errors.append(
-                VerifyError(
-                    VerifyErrorKind.WRITE_TO_R10,
-                    i,
-                    info.name,
-                    "r10 is the read-only stack pointer and cannot be written",
-                )
-            )
+        if dst > 10 or src > 10:
+            bad = f"r{dst}" if dst > 10 else f"r{src}"
+            detail = f"register field names {bad}; only r0..r10 exist"
+            fail(VerifyErrorKind.BAD_REGISTER_FIELD, i, name, detail)
+        elif dst == 10 and writes_dst:
+            detail = "r10 is the read-only stack pointer and cannot be written"
+            fail(VerifyErrorKind.WRITE_TO_R10, i, name, detail)
 
-        if info.kind is OpKind.END and ins.imm not in (16, 32, 64):
-            errors.append(
-                VerifyError(
-                    VerifyErrorKind.UNKNOWN_OPCODE,
-                    i,
-                    info.name,
-                    f"byte-order width {ins.imm} is not one of 16/32/64",
-                )
-            )
+        if code == END and imm not in (16, 32, 64):
+            detail = f"byte-order width {imm} is not one of 16/32/64"
+            fail(VerifyErrorKind.UNKNOWN_OPCODE, i, name, detail)
 
-        if info.is_jump:
-            target = i + 1 + ins.offset
-            if not 0 <= target < n:
-                errors.append(
-                    VerifyError(
-                        VerifyErrorKind.JUMP_OUT_OF_BOUNDS,
-                        i,
-                        info.name,
-                        f"jump target {target} falls outside slots [0, {n})",
-                    )
-                )
-            elif is_cont[target]:
-                errors.append(
-                    VerifyError(
-                        VerifyErrorKind.TRUNCATED_WIDE_LOAD,
-                        i,
-                        info.name,
-                        f"jump target {target} lands inside a wide load",
-                    )
-                )
-        elif info.kind is OpKind.CALL:
-            if ins.imm not in allowed:
-                errors.append(
-                    VerifyError(
-                        VerifyErrorKind.UNKNOWN_SYSCALL,
-                        i,
-                        info.name,
-                        f"helper id {ins.imm:#x} is not granted to this program",
-                    )
-                )
-        elif info.kind is OpKind.EXIT:
+        if code == JCOND_K or code == JCOND_X or code == JA:
+            off = i + 1 + off
+            if not 0 <= off < n:
+                detail = f"jump target {off} falls outside slots [0, {n})"
+                fail(VerifyErrorKind.JUMP_OUT_OF_BOUNDS, i, name, detail)
+            elif is_cont[off]:
+                detail = f"jump target {off} lands inside a wide load"
+                fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
+        elif code == CALL:
+            if imm not in allowed:
+                detail = f"helper id {imm:#x} is not granted to this program"
+                fail(VerifyErrorKind.UNKNOWN_SYSCALL, i, name, detail)
+        elif code == EXIT:
             has_exit = True
-        elif info.kind is OpKind.LDDW:
+        elif code == LDDW:
             if i + 1 >= n:
-                errors.append(
-                    VerifyError(
-                        VerifyErrorKind.TRUNCATED_WIDE_LOAD,
-                        i,
-                        info.name,
-                        "wide load is missing its continuation slot",
-                    )
-                )
+                detail = "wide load is missing its continuation slot"
+                fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
             elif slots[i + 1].opcode != 0:
-                errors.append(
-                    VerifyError(
-                        VerifyErrorKind.TRUNCATED_WIDE_LOAD,
-                        i,
-                        info.name,
-                        "wide load continuation slot must have a zero opcode",
-                    )
-                )
+                detail = "wide load continuation slot must have a zero opcode"
+                fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
             else:
+                imm |= (slots[i + 1].imm & MASK32) << 32
+                form += ((code, sub, dst, src, off, imm), _NOT_RUNNABLE)
                 i += 2
                 continue
+        form.append((code, sub, dst, src, off, imm))
         i += 1
 
     # A single NoExit covers both ways control can escape: no exit anywhere,
     # or a final instruction that can fall through past the last slot.
-    terminal_ok = False
-    if last_real >= 0:
-        last_info = opcode_info(slots[last_real].opcode)
-        terminal_ok = last_info is not None and last_info.kind in (OpKind.EXIT, OpKind.JA)
-    if not has_exit or not terminal_ok:
+    last_row = _ROWS.get(slots[last_real].opcode) if last_real >= 0 else None
+    if not has_exit or last_row is None or last_row[2] not in (EXIT, JA):
         at = max(last_real, 0)
         mnem = _mnemonic(slots[at]) if n else "<empty>"
         detail = (
@@ -240,10 +248,19 @@ def check_program(
             if not has_exit
             else "control can fall off the end; the last instruction must be exit or ja"
         )
-        errors.append(VerifyError(VerifyErrorKind.NO_EXIT, at, mnem, detail))
+        fail(VerifyErrorKind.NO_EXIT, at, mnem, detail)
 
     errors.sort(key=lambda e: e.slot_index)
-    return errors
+    return errors, tuple(form)
+
+
+def check_program(
+    program: Program,
+    limits: VerifyLimits | None = None,
+    allowed_syscalls: Iterable[int] = (),
+) -> list[VerifyError]:
+    """Run every check and return all violations, in slot order."""
+    return _scan(program, limits or VerifyLimits(), allowed_syscalls)[0]
 
 
 def verify(
@@ -251,12 +268,15 @@ def verify(
     limits: VerifyLimits | None = None,
     allowed_syscalls: Iterable[int] = (),
 ) -> VerifiedProgram:
-    """Return a VerifiedProgram or raise VerifyRejected with all violations."""
+    """Return a VerifiedProgram or raise VerifyRejected with all violations.
+
+    The same scan that checks the program lowers it to the executable form
+    the interpreter runs."""
     limits = limits or VerifyLimits()
-    errors = check_program(program, limits, allowed_syscalls)
+    errors, form = _scan(program, limits, allowed_syscalls)
     if errors:
         raise VerifyRejected(errors)
-    return VerifiedProgram(program, limits)
+    return VerifiedProgram(program, limits, form)
 
 
 def verification_report(errors: list[VerifyError]) -> str:

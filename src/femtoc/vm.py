@@ -18,15 +18,15 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .isa import OPCODE_INFO, OpKind, Program
 from .memory import AccessList, AccessViolation, MemoryRegion, Mode
-from .verifier import VerifiedProgram
+from .verifier import (
+    ADD, ALU32_K, ALU32_X, ALU64_K, ALU64_X, AND, ARSH, BE, CALL, DIV, END, EXIT, JA, JCOND_K,
+    JCOND_X, JEQ, JGE, JGT, JLE, JLT, JNE, JSET, JSGE, JSGT, JSLT, LDDW, LDX, LSH, MASK32, MASK64,
+    MOD, MOV, MUL, OR, RSH, ST, STX, SUB, XOR, VerifiedProgram,
+)
 
 if TYPE_CHECKING:
     from .facilities import CallerIdentity
-
-MASK64 = (1 << 64) - 1
-MASK32 = (1 << 32) - 1
 
 
 def _s64(x: int) -> int:
@@ -132,51 +132,6 @@ class SyscallTable:
         return sub
 
 
-_ALU64 = {
-    "add": lambda a, b: (a + b) & MASK64,
-    "sub": lambda a, b: (a - b) & MASK64,
-    "mul": lambda a, b: (a * b) & MASK64,
-    "div": lambda a, b: a // b if b else 0,
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "lsh": lambda a, b: (a << (b & 63)) & MASK64,
-    "rsh": lambda a, b: a >> (b & 63),
-    "mod": lambda a, b: a % b if b else 0,
-    "xor": lambda a, b: a ^ b,
-    "mov": lambda a, b: b,
-    "arsh": lambda a, b: (_s64(a) >> (b & 63)) & MASK64,
-}
-
-_ALU32 = {
-    "add": lambda a, b: (a + b) & MASK32,
-    "sub": lambda a, b: (a - b) & MASK32,
-    "mul": lambda a, b: (a * b) & MASK32,
-    "div": lambda a, b: a // b if b else 0,
-    "or": lambda a, b: a | b,
-    "and": lambda a, b: a & b,
-    "lsh": lambda a, b: (a << (b & 31)) & MASK32,
-    "rsh": lambda a, b: a >> (b & 31),
-    "mod": lambda a, b: a % b if b else 0,
-    "xor": lambda a, b: a ^ b,
-    "mov": lambda a, b: b,
-    "arsh": lambda a, b: (_s32(a) >> (b & 31)) & MASK32,
-}
-
-_CMP = {
-    "jeq": lambda a, b: a == b,
-    "jgt": lambda a, b: a > b,
-    "jge": lambda a, b: a >= b,
-    "jset": lambda a, b: (a & b) != 0,
-    "jne": lambda a, b: a != b,
-    "jsgt": lambda a, b: _s64(a) > _s64(b),
-    "jsge": lambda a, b: _s64(a) >= _s64(b),
-    "jlt": lambda a, b: a < b,
-    "jle": lambda a, b: a <= b,
-    "jslt": lambda a, b: _s64(a) < _s64(b),
-    "jsle": lambda a, b: _s64(a) <= _s64(b),
-}
-
-
 def exec_program(
     vp: VerifiedProgram,
     ctx: MemoryRegion | None,
@@ -191,11 +146,16 @@ def exec_program(
     given) and r10 (stack base).  The outcome's ``executed`` count is exact:
     the number of instructions that started executing, capped at the budget.
     Helpers see ``caller`` in their SyscallEnv.
+
+    The loop runs the verifier's executable form, one row per slot, and
+    tests handler codes in order of how often programs execute them.
     """
-    slots = vp.program.slots
-    n = len(slots)
+    form = vp.form
+    n = len(form)
     budget = vp.budget if budget is None else budget
     syscalls = syscalls or SyscallTable()
+    region_for = acl.region_for
+    read, write = Mode.READ, Mode.WRITE
 
     regs = [0] * 11
     if ctx is not None:
@@ -207,18 +167,6 @@ def exec_program(
     executed = 0
     branches = 0
 
-    def mem_load(addr: int, size: int, at: int) -> int:
-        region = acl.region_for(addr, size, Mode.READ)
-        if region is None:
-            raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, at, addr, size, "read denied"))
-        return region.memory.load(addr, size)
-
-    def mem_store(addr: int, size: int, value: int, at: int) -> None:
-        region = acl.region_for(addr, size, Mode.WRITE)
-        if region is None:
-            raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, at, addr, size, "write denied"))
-        region.memory.store(addr, size, value)
-
     try:
         while True:
             if executed >= budget:
@@ -226,61 +174,123 @@ def exec_program(
             if not 0 <= pc < n:
                 # Unreachable for verified programs; kept as a hard stop.
                 raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
-            ins = slots[pc]
+            code, sub, dst, src, off, imm = form[pc]
             executed += 1
-            info = OPCODE_INFO[ins.opcode]
-            kind = info.kind
 
-            if kind is OpKind.ALU64 or kind is OpKind.ALU32:
-                table = _ALU64 if kind is OpKind.ALU64 else _ALU32
-                if info.alu_op == "neg":
-                    a = regs[ins.dst]
-                    regs[ins.dst] = (-a) & MASK64 if kind is OpKind.ALU64 else (-a) & MASK32
-                else:
-                    a = regs[ins.dst]
-                    b = regs[ins.src] if info.source == "reg" else ins.imm & MASK64
-                    if kind is OpKind.ALU32:
-                        a &= MASK32
-                        b &= MASK32
-                    regs[ins.dst] = table[info.alu_op](a, b)
+            if code <= ALU64_X:
+                a = regs[dst]
+                b = imm if code == ALU64_K else regs[src]
+                if sub == ADD:
+                    a = (a + b) & MASK64
+                elif sub == SUB:
+                    a = (a - b) & MASK64
+                elif sub == MOV:
+                    a = b
+                elif sub == XOR:
+                    a ^= b
+                elif sub == MUL:
+                    a = (a * b) & MASK64
+                elif sub == AND:
+                    a &= b
+                elif sub == OR:
+                    a |= b
+                elif sub == LSH:
+                    a = (a << (b & 63)) & MASK64
+                elif sub == RSH:
+                    a >>= b & 63
+                elif sub == MOD:
+                    a = a % b if b else 0
+                elif sub == DIV:
+                    a = a // b if b else 0
+                elif sub == ARSH:
+                    a = (_s64(a) >> (b & 63)) & MASK64
+                else:  # NEG
+                    a = -a & MASK64
+                regs[dst] = a
                 pc += 1
-            elif kind is OpKind.LDX:
-                addr = (regs[ins.src] + ins.offset) & MASK64
-                regs[ins.dst] = mem_load(addr, info.width, pc)
-                pc += 1
-            elif kind is OpKind.STX:
-                addr = (regs[ins.dst] + ins.offset) & MASK64
-                mem_store(addr, info.width, regs[ins.src], pc)
-                pc += 1
-            elif kind is OpKind.ST:
-                addr = (regs[ins.dst] + ins.offset) & MASK64
-                mem_store(addr, info.width, ins.imm & MASK64, pc)
-                pc += 1
-            elif kind is OpKind.JCOND:
-                a = regs[ins.dst]
-                b = regs[ins.src] if info.source == "reg" else ins.imm & MASK64
-                if _CMP[info.name](a, b):
+            elif code == JCOND_K or code == JCOND_X:
+                a = regs[dst]
+                b = imm if code == JCOND_K else regs[src]
+                if sub == JNE:
+                    taken = a != b
+                elif sub == JEQ:
+                    taken = a == b
+                elif sub == JGT:
+                    taken = a > b
+                elif sub == JGE:
+                    taken = a >= b
+                elif sub == JLT:
+                    taken = a < b
+                elif sub == JLE:
+                    taken = a <= b
+                elif sub == JSET:
+                    taken = (a & b) != 0
+                elif sub == JSGT:
+                    taken = _s64(a) > _s64(b)
+                elif sub == JSGE:
+                    taken = _s64(a) >= _s64(b)
+                elif sub == JSLT:
+                    taken = _s64(a) < _s64(b)
+                else:  # JSLE
+                    taken = _s64(a) <= _s64(b)
+                if taken:
                     branches += 1
-                    pc = pc + 1 + ins.offset
+                    pc = off
                 else:
                     pc += 1
-            elif kind is OpKind.JA:
+            elif code == LDX:
+                addr = (regs[src] + off) & MASK64
+                region = region_for(addr, sub, read)
+                if region is None:
+                    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, pc, addr, sub, "read denied"))
+                regs[dst] = region.memory.load(addr, sub)
+                pc += 1
+            elif code == STX or code == ST:
+                addr = (regs[dst] + off) & MASK64
+                region = region_for(addr, sub, write)
+                if region is None:
+                    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, pc, addr, sub, "write denied"))
+                region.memory.store(addr, sub, regs[src] if code == STX else imm)
+                pc += 1
+            elif code == JA:
                 branches += 1
-                pc = pc + 1 + ins.offset
-            elif kind is OpKind.EXIT:
-                if regs[10] != stack_base:
-                    raise RuntimeError("stack pointer register mutated during run")
-                return ExecOutcome(regs[0], executed, branches)
-            elif kind is OpKind.LDDW:
-                lo = slots[pc].imm & MASK32
-                hi = slots[pc + 1].imm & MASK32
-                regs[ins.dst] = lo | (hi << 32)
-                pc += 2
-            elif kind is OpKind.CALL:
-                entry = syscalls.lookup(ins.imm)
+                pc = off
+            elif code == ALU32_K or code == ALU32_X:
+                a = regs[dst] & MASK32
+                b = imm if code == ALU32_K else regs[src] & MASK32
+                if sub == ADD:
+                    a = (a + b) & MASK32
+                elif sub == SUB:
+                    a = (a - b) & MASK32
+                elif sub == MOV:
+                    a = b
+                elif sub == XOR:
+                    a ^= b
+                elif sub == MUL:
+                    a = (a * b) & MASK32
+                elif sub == AND:
+                    a &= b
+                elif sub == OR:
+                    a |= b
+                elif sub == LSH:
+                    a = (a << (b & 31)) & MASK32
+                elif sub == RSH:
+                    a >>= b & 31
+                elif sub == MOD:
+                    a = a % b if b else 0
+                elif sub == DIV:
+                    a = a // b if b else 0
+                elif sub == ARSH:
+                    a = (_s32(a) >> (b & 31)) & MASK32
+                else:  # NEG
+                    a = -a & MASK32
+                regs[dst] = a
+                pc += 1
+            elif code == CALL:
+                entry = syscalls.lookup(imm)
                 if entry is None:
                     raise _Trap(
-                        Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {ins.imm:#x} not available")
+                        Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {imm:#x} not available")
                     )
                 env = SyscallEnv(acl=acl, pc=pc, caller=caller)
                 args = regs[1 : 1 + entry.argc]
@@ -306,15 +316,21 @@ def exec_program(
                     ) from None
                 regs[0] = (result or 0) & MASK64
                 pc += 1
-            elif kind is OpKind.END:
-                width = ins.imm
-                value = regs[ins.dst] & ((1 << width) - 1)
-                if info.alu_op == "be":
-                    value = int.from_bytes(value.to_bytes(width // 8, "little"), "big")
-                regs[ins.dst] = value
+            elif code == EXIT:
+                if regs[10] != stack_base:
+                    raise RuntimeError("stack pointer register mutated during run")
+                return ExecOutcome(regs[0], executed, branches)
+            elif code == LDDW:
+                regs[dst] = imm
+                pc += 2
+            elif code == END:
+                value = regs[dst] & ((1 << imm) - 1)
+                if sub == BE:
+                    value = int.from_bytes(value.to_bytes(imm // 8, "little"), "big")
+                regs[dst] = value
                 pc += 1
             else:  # pragma: no cover
-                raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=f"unhandled kind {kind}"))
+                raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=f"unhandled handler code {code}"))
     except _Trap as trap:
         if regs[10] != stack_base:
             raise RuntimeError("stack pointer register mutated during run")

@@ -29,20 +29,19 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture
 def check_program_scans(monkeypatch):
-    """Every program ``femtoc.verifier.check_program`` scans, in call order.
+    """Every program the verifier's one scan checks, in call order.
 
-    The counter replaces each femtoc module's binding of the function, so a
-    scan is seen whichever module makes it."""
+    ``check_program`` and ``verify`` both run ``femtoc.verifier._scan``, so
+    counting its calls counts verification passes whichever entry point
+    makes them."""
     import femtoc.verifier
 
-    original = femtoc.verifier.check_program
+    original = femtoc.verifier._scan
     scanned = []
 
     def counted(program, *args, **kwargs):
         scanned.append(program)
         return original(program, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "femtoc" and getattr(module, "check_program", None) is original:
-            monkeypatch.setattr(module, "check_program", counted)
+    monkeypatch.setattr(femtoc.verifier, "_scan", counted)
     return scanned

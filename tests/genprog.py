@@ -28,11 +28,16 @@ JCOND_OPS = sorted(op for op, info in _INFO.items() if info.kind is isa.OpKind.J
 IMM32 = (-(1 << 31), (1 << 31) - 1)
 
 
-def _mem_offset(rng: random.Random, base_reg: int) -> int:
+def _mem_offset(rng: random.Random, base_reg: int, ctx_span: int) -> int:
     # Bias r10-based accesses into the stack (r10 is the region start, so
-    # valid offsets are 0..511); everything else may be wild and fault.
+    # valid offsets are 0..511) and, when ctx_span is given, r1-based ones
+    # into the ctx_span bytes from the context base, which may cover several
+    # regions and the guards between them; everything else may be wild and
+    # fault.
     if base_reg == 10 and rng.random() < 0.8:
         return rng.randint(0, 504)
+    if base_reg == 1 and ctx_span and rng.random() < 0.8:
+        return rng.randint(0, ctx_span - 1)
     return rng.randint(-256, 256)
 
 
@@ -40,7 +45,13 @@ def random_accepted_program(
     rng: random.Random,
     max_slots: int = 64,
     allowed_syscalls: tuple[int, ...] = (),
+    ctx_span: int = 0,
 ) -> Program:
+    """A program that passes the pre-flight checks under ``allowed_syscalls``.
+
+    ``allowed_syscalls`` adds helper calls to the mix; ``ctx_span`` biases
+    r1-based memory accesses into that many bytes from the context base.
+    """
     target_len = rng.randint(1, max_slots - 1)
     slots: list[Instruction] = []
     jump_sites: list[int] = []
@@ -51,7 +62,7 @@ def random_accepted_program(
         if roll < 0.35:
             op = rng.choice(ALU_OPS)
             info = _INFO[op]
-            src = rng.randint(0, 10) if info.source == isa.SRC_X else 0
+            src = rng.randint(0, 10) if info.source == "reg" else 0
             slots.append(
                 Instruction(op, dst=rng.randint(0, 9), src=src, imm=rng.randint(*IMM32))
             )
@@ -66,28 +77,38 @@ def random_accepted_program(
             base = rng.randint(0, 10)
             slots.append(
                 Instruction(
-                    rng.choice(LDX_OPS), dst=rng.randint(0, 9), src=base, offset=_mem_offset(rng, base)
+                    rng.choice(LDX_OPS),
+                    dst=rng.randint(0, 9),
+                    src=base,
+                    offset=_mem_offset(rng, base, ctx_span),
                 )
             )
         elif roll < 0.70:
-            base = rng.choice((10, 10, rng.randint(0, 10)))
+            # With a context span, a third of the stores aim at the context.
+            base = rng.choice((10, 1 if ctx_span else 10, rng.randint(0, 10)))
             if rng.random() < 0.5:
                 slots.append(
                     Instruction(
-                        rng.choice(ST_OPS), dst=base, offset=_mem_offset(rng, base), imm=rng.randint(*IMM32)
+                        rng.choice(ST_OPS),
+                        dst=base,
+                        offset=_mem_offset(rng, base, ctx_span),
+                        imm=rng.randint(*IMM32),
                     )
                 )
             else:
                 slots.append(
                     Instruction(
-                        rng.choice(STX_OPS), dst=base, src=rng.randint(0, 10), offset=_mem_offset(rng, base)
+                        rng.choice(STX_OPS),
+                        dst=base,
+                        src=rng.randint(0, 10),
+                        offset=_mem_offset(rng, base, ctx_span),
                     )
                 )
         elif roll < 0.85:
             op = rng.choice(JCOND_OPS) if rng.random() < 0.8 else isa.OP_JA
             info = _INFO[op]
             dst = rng.randint(0, 10) if info.kind is isa.OpKind.JCOND else 0
-            src = rng.randint(0, 10) if info.source == isa.SRC_X else 0
+            src = rng.randint(0, 10) if info.source == "reg" else 0
             jump_sites.append(len(slots))
             slots.append(Instruction(op, dst=dst, src=src, imm=rng.randint(*IMM32)))
         elif roll < 0.90 and allowed_syscalls:

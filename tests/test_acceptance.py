@@ -414,6 +414,11 @@ def test_criterion_7_update_security():
     checks.append(
         ("reject RollbackRejected", not replay.accepted and replay.reason.value == "RollbackRejected")
     )
+    no_exit = assemble("mov64 r0, 1").to_bytes()
+    unverifiable = apply_update(engine, manifest(2, no_exit, alpha_key), no_exit)
+    checks.append(
+        ("reject VerifyRejected", not unverifiable.accepted and unverifiable.reason.value == "VerifyRejected")
+    )
     checks.append(("rejects leave state bit-identical", engine.introspection_json() == before))
 
     second = apply_update(engine, manifest(2, payload_v2, alpha_key), payload_v2)
@@ -427,7 +432,7 @@ def test_criterion_7_update_security():
     record(
         7,
         ok,
-        f"{len(checks)} update checks: accept, 3 reject reasons, bit-identical "
+        f"{len(checks)} update checks: accept, 4 reject reasons, bit-identical "
         f"state on reject, atomic swap" + (f"; failed: {failed}" if failed else ""),
     )
     assert ok

@@ -319,6 +319,12 @@ MALFORMED_SCENARIOS = {
     "event hook missing": ("hook", {"events": [{"at_ms": 0}]}),
     "assertion check missing": ("check", {"assertions": [{"after_event": "final"}]}),
     "tenants not a list": ("tenants", {"tenants": {"name": "t"}}),
+    "limits not an object": ("limits", {"limits": [1]}),
+    "tenant public_key mistyped": ("public_key", {"tenants": [{"name": "t", "public_key": 5}]}),
+    "assertion after_event mistyped": (
+        "after_event",
+        {"assertions": [{"after_event": [0], "check": {"kind": "policy"}}]},
+    ),
 }
 
 
@@ -424,6 +430,16 @@ def test_apply_rejects_payload_of_partial_slots_with_exit_4(tmp_path, capsys):
     assert data == {"accepted": False, "container_id": None, "reason": "MalformedPayload"}
 
 
+def test_apply_rejects_unverifiable_payload_with_exit_4(tmp_path, capsys):
+    s = signing_setup(tmp_path, capsys)
+    no_exit = write_bin(tmp_path, "no_exit.bin", NO_EXIT_SRC)
+    assert main(["sign", str(no_exit), "--key", s["key"], "--tenant", s["tenant"],
+                 "--hook", s["hook"], "--sequence", "1", "-o", s["manifest"]]) == 0
+    rc, data = run_json(capsys, ["apply", s["manifest"], str(no_exit), "--engine", s["engine"]])
+    assert rc == 4
+    assert data == {"accepted": False, "container_id": None, "reason": "VerifyRejected"}
+
+
 @pytest.mark.parametrize("mode", ["x", "rwx"])
 def test_apply_rejects_unknown_region_mode_with_exit_2(tmp_path, capsys, mode):
     s = signing_setup(tmp_path, capsys)
@@ -437,6 +453,29 @@ def test_apply_rejects_unknown_region_mode_with_exit_2(tmp_path, capsys, mode):
     assert main(["apply", s["manifest"], s["payload"], "--engine", s["engine"]]) == 2
     err = capsys.readouterr().err
     assert "mode" in err and "Traceback" not in err
+
+
+# case -> (the field the error must name, an edit that breaks the envelope)
+MALFORMED_MANIFESTS = {
+    "manifest empty": ("manifest_version", lambda envelope: envelope.update(manifest={})),
+    "manifest missing": ("manifest", lambda envelope: envelope.pop("manifest")),
+    "tenant id mistyped": ("tenant_id", lambda envelope: envelope["manifest"].update(tenant_id=5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MANIFESTS))
+def test_apply_rejects_malformed_manifest_with_exit_2(tmp_path, capsys, case):
+    field, edit = MALFORMED_MANIFESTS[case]
+    s = signing_setup(tmp_path, capsys)
+    assert main(["sign", s["payload"], "--key", s["key"], "--tenant", s["tenant"],
+                 "--hook", s["hook"], "--sequence", "1", "-o", s["manifest"]]) == 0
+    envelope = json.loads(Path(s["manifest"]).read_text())
+    edit(envelope)
+    Path(s["manifest"]).write_text(json.dumps(envelope))
+    capsys.readouterr()
+    assert main(["apply", s["manifest"], s["payload"], "--engine", s["engine"]]) == 2
+    err = capsys.readouterr().err
+    assert repr(field) in err and "Traceback" not in err
 
 
 def test_sign_rejects_malformed_uuid(tmp_path, capsys):

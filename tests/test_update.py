@@ -42,6 +42,7 @@ from femtoc.update import (
 
 RETURN_5 = assemble("mov64 r0, 5\nexit").to_bytes()
 RETURN_9 = assemble("mov64 r0, 9\nexit").to_bytes()
+NO_EXIT = assemble("mov64 r0, 1").to_bytes()
 
 ALPHA_KEY = private_key_from_seed(b"alpha update key")
 BETA_KEY = private_key_from_seed(b"beta update key")
@@ -177,11 +178,11 @@ def test_replace_resets_verification_stats_and_store():
     apply_update(engine, signed(alpha, hook, 2, RETURN_5, ALPHA_KEY), RETURN_5)
     container = engine.containers[cid]
     assert container.stats.runs == 0
-    assert container.stats.verify_count == 0
+    assert container.stats.verify_count == 1  # verified by the update itself
     assert engine.facilities.stores.container_stores[cid].get(7) == 0  # wiped
 
     engine.trigger_hook(hook)
-    assert container.stats.verify_count == 1  # re-verified once after swap
+    assert container.stats.verify_count == 1  # the first trigger does not verify again
 
 
 def test_distinct_tenants_occupy_distinct_slots():
@@ -293,6 +294,40 @@ def test_reject_payload_that_is_not_whole_slots():
     assert engine.last_update_sequence(alpha, hook) is None  # sequence not consumed
 
 
+def test_reject_update_that_fails_verification():
+    engine, hook, alpha, _ = fresh_engine()
+    put_then_exit = assemble("mov64 r1, 7\nmov64 r2, 3\ncall 0x01\nmov64 r0, 5\nexit").to_bytes()
+    contract = Contract.of({0x01})
+    cid = apply_update(
+        engine, signed(alpha, hook, 1, put_then_exit, ALPHA_KEY, contract), put_then_exit
+    ).container_id
+    engine.trigger_hook(hook)
+    before = engine.introspection_json()
+
+    manifest = signed(alpha, hook, 2, NO_EXIT, ALPHA_KEY, contract)
+    assert reject_reason(engine, manifest, NO_EXIT) == UpdateReject.VERIFY_REJECTED
+    assert UpdateReject.VERIFY_REJECTED.value == "VerifyRejected"
+    assert engine.introspection_json() == before
+    assert engine.last_update_sequence(alpha, hook) == 1  # sequence not consumed
+    assert engine.facilities.stores.container_stores[cid].get(7) == 3  # store kept
+    assert engine.trigger_hook(hook).policy_value == 5  # the working container still runs
+
+    # Verification uses the granted contract: the hook does not allow 0x20.
+    response = assemble("mov64 r0, 1\ncall 0x20\nexit").to_bytes()
+    manifest = signed(alpha, hook, 2, response, ALPHA_KEY, Contract.of({0x20}))
+    assert reject_reason(engine, manifest, response) == UpdateReject.VERIFY_REJECTED
+
+
+def test_accepted_update_installs_verified_program(check_program_scans):
+    engine, hook, alpha, _ = fresh_engine()
+    cid = apply_update(engine, signed(alpha, hook, 1, RETURN_5, ALPHA_KEY), RETURN_5).container_id
+    container = engine.containers[cid]
+    assert container.verified is not None and container.stats.verify_count == 1
+    assert len(check_program_scans) == 1
+    assert engine.trigger_hook(hook).policy_value == 5
+    assert len(check_program_scans) == 1  # the first trigger does not verify again
+
+
 def test_reject_precedence_tenant_before_signature_before_digest():
     engine, hook, alpha, _ = fresh_engine()
     # everything wrong at once: unknown tenant wins
@@ -319,6 +354,7 @@ def test_rejected_update_changes_no_engine_state():
         (signed(alpha, uuid.uuid4(), 2, RETURN_9, ALPHA_KEY), RETURN_9),
         (signed(alpha, hook, 1, RETURN_9, ALPHA_KEY), RETURN_9),
         (signed(alpha, hook, 2, RETURN_9[:12], ALPHA_KEY), RETURN_9[:12]),
+        (signed(alpha, hook, 2, NO_EXIT, ALPHA_KEY), NO_EXIT),
     ]
     for manifest, payload in attempts:
         assert not apply_update(engine, manifest, payload).accepted
@@ -397,6 +433,8 @@ def test_manifest_json_envelope_round_trip(tmp_path):
         bad["manifest"]["contract"]["regions"][0]["mode"] = mode
         with pytest.raises(ValueError, match="mode"):
             manifest_from_json(bad)
+    with pytest.raises(ValueError, match="'manifest_version'"):
+        manifest_from_json({"manifest": {}})
 
 
 def test_signature_survives_wire_round_trip_and_still_applies():
