@@ -20,17 +20,10 @@ from pathlib import Path
 
 from . import scenario as scenario_mod
 from .asm import AsmError, assemble, disassemble
-from .engine import Contract, RegionGrant, parse_mode
-from .facilities import (
-    STANDARD_SYSCALL_IDS,
-    FacilityContext,
-    SensorFixture,
-    standalone_caller,
-    standard_syscall_table,
-)
+from .engine import Contract, ContextRegionSpec, Engine, RegionGrant, parse_mode
+from .facilities import STANDARD_SYSCALL_IDS, SensorFixture
 from .fixtures import BENCH_FIXTURES, bench_case
 from .isa import Program
-from .memory import AccessList, HostMemory, fresh_stack
 from .update import (
     apply_update,
     build_manifest,
@@ -89,7 +82,7 @@ def _parse_ids(text: str | None) -> frozenset[int]:
         raise CliError(f"expected comma-separated syscall ids, got {text!r}") from None
 
 
-def _parse_region_spec(spec: str) -> tuple[str, int, bool, bool, bytes]:
+def _parse_region_spec(spec: str) -> tuple[ContextRegionSpec, bytes]:
     """label:len:mode with an optional @hexinit tail."""
     body, _, init_hex = spec.partition("@")
     parts = body.split(":")
@@ -106,7 +99,7 @@ def _parse_region_spec(spec: str) -> tuple[str, int, bool, bool, bytes]:
         raise CliError(f"--region {spec!r}: length must be positive")
     if len(init) > length:
         raise CliError(f"--region {spec!r}: init bytes longer than the region")
-    return label, length, readable, writable, init
+    return ContextRegionSpec(label, length, readable, writable), init
 
 
 def _parse_hex(text: str, what: str) -> bytes:
@@ -204,27 +197,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """Run the program as the only container on a one-hook engine whose
+    context regions, helpers and sensors come from the arguments."""
     program = Program.from_bytes(_read_bytes(args.input))
     allowed = _parse_ids(args.allow)
-    try:
-        vp = verify(program, _limits(args), allowed)
-    except VerifyRejected as exc:
-        return _report_rejection(args, exc.errors)
-
-    memory = HostMemory()
-    regions = []
+    regions = []  # (spec, init bytes) in argument order; r1 points at the first
     if args.ctx is not None:
         init = _parse_hex(args.ctx, "--ctx")
-        regions.append(
-            memory.alloc(max(len(init), 1), "ctx", readable=True, writable=False, init=init)
-        )
-    for spec in args.region or ():
-        label, length, readable, writable, init = _parse_region_spec(spec)
-        regions.append(memory.alloc(length, label, readable=readable, writable=writable, init=init))
-    acl = AccessList([fresh_stack(memory), *regions])
-    ctx = regions[0] if regions else None  # r1, same convention as a hook's first view
+        regions.append((ContextRegionSpec("ctx", max(len(init), 1)), init))
+    regions += [_parse_region_spec(spec) for spec in args.region or ()]
 
-    fac = FacilityContext()
+    engine = Engine(_limits(args))
     for spec in args.sensor or ():
         head, _, tail = spec.partition("=")
         try:
@@ -232,12 +215,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             samples = [int(s, 0) for s in tail.split(",") if s]
         except ValueError:
             raise CliError(f"--sensor wants id=v1,v2,..., got {spec!r}") from None
-        fac.sensors[sensor_id] = SensorFixture(sensor_id, samples)
-    caller = standalone_caller(fac, allowed)
-    table = standard_syscall_table(fac).restricted(allowed)
+        engine.facilities.sensors[sensor_id] = SensorFixture(sensor_id, samples)
+    hook = engine.register_hook("run", allowed, [spec for spec, _ in regions])
+    grants = [RegionGrant(spec.label, spec.readable, spec.writable) for spec, _ in regions]
+    engine.install_container(engine.register_tenant("run"), program, Contract.of(allowed, grants), hook)
+    result = engine.trigger_hook(hook, {spec.label: init.ljust(spec.size, b"\0") for spec, init in regions})
 
-    outcome = exec_program(vp, ctx, acl, table, caller=caller)
-
+    (slot,) = result.outcomes
+    if slot.outcome is None:
+        return _report_rejection(args, list(slot.verify_errors))
+    outcome = slot.outcome
     data = {
         "return": outcome.return_value,
         "executed": outcome.executed,
@@ -252,9 +239,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if outcome.fault:
         data["fault_pc"] = outcome.fault.pc
         lines.append(f"fault: {outcome.fault}")
-    for label, value in ((r.label, memory.read(r.base, r.length).hex()) for r in regions if r.writable):
-        data.setdefault("regions", {})[label] = value
-        lines.append(f"region {label}: {value}")
+    for spec, _ in regions:
+        if spec.writable:
+            value = result.context_after[spec.label].hex()
+            data.setdefault("regions", {})[spec.label] = value
+            lines.append(f"region {spec.label}: {value}")
     _emit(args, data, lines)
     return EXIT_OK if outcome.ok else EXIT_FAULT
 
@@ -367,11 +356,10 @@ def _parse_uuid(text: str, what: str) -> uuid.UUID:
 
 def cmd_sign(args: argparse.Namespace) -> int:
     payload = _read_bytes(args.payload)
-    grants = set()
-    for spec in args.grant or ():
-        label, _, mode = spec.partition(":")
-        grants.add(RegionGrant(label, *parse_mode(mode or "r")))
-    contract = Contract(_parse_ids(args.syscalls if args.syscalls is not None else ""), frozenset(grants))
+    grants = [spec.partition(":") for spec in args.grant or ()]
+    regions = [{"label": label, "mode": mode or "r"} for label, _, mode in grants]
+    syscalls = (args.syscalls or "").replace(",", " ").split()
+    contract = Contract.from_json({"syscalls": syscalls, "regions": regions})
     manifest = build_manifest(
         _parse_uuid(args.tenant, "--tenant"),
         _parse_uuid(args.hook, "--hook"),

@@ -164,8 +164,8 @@ class Container:
     tenant_id: uuid.UUID
     hook_id: uuid.UUID
     program: Program
-    requested: Contract
     granted: Contract
+    views: tuple[RegionGrant, ...]  # the granted regions in hook-template order; r1 is the first
     caller: CallerIdentity
     stats: ContainerStats = field(default_factory=ContainerStats)
     verified: VerifiedProgram | None = None
@@ -314,20 +314,8 @@ class Engine:
                 raise SlotLimitReached(f"hook {hook.name!r} is at its {hook.slot_limit}-slot limit")
             self._setup_open = False
             container_id = self._new_id()
-            granted = intersect_contract(hook, contract)
-            self.containers[container_id] = Container(
-                container_id=container_id,
-                tenant_id=tenant_id,
-                hook_id=hook_id,
-                program=program,
-                requested=contract,
-                granted=granted,
-                caller=CallerIdentity.for_grant(tenant_id, container_id, granted.syscalls),
-                stats=ContainerStats(verify_count=int(verified is not None)),
-                verified=verified,
-            )
+            self._bind(hook, tenant_id, container_id, program, contract, verified)
             hook.slots.append(container_id)
-            self.facilities.stores.create_container_store(container_id)
             return container_id
 
     def remove_container(self, container_id: uuid.UUID) -> None:
@@ -355,17 +343,29 @@ class Engine:
             if container is None:
                 raise UnknownContainer(str(container_id))
             hook = self.hooks[container.hook_id]
-            container.program = program
-            container.requested = contract
-            container.granted = intersect_contract(hook, contract)
-            container.caller = CallerIdentity.for_grant(
-                container.tenant_id, container_id, container.granted.syscalls
-            )
-            container.verified = verified
-            container.verify_errors = None
-            container.stats = ContainerStats(verify_count=int(verified is not None))
-            self.facilities.stores.destroy_container_store(container_id)
-            self.facilities.stores.create_container_store(container_id)
+            self._bind(hook, container.tenant_id, container_id, program, contract, verified)
+
+    def _bind(
+        self,
+        hook: Hook,
+        tenant_id: uuid.UUID,
+        container_id: uuid.UUID,
+        program: Program,
+        contract: Contract,
+        verified: VerifiedProgram | None,
+    ) -> None:
+        """Give a container on ``hook`` everything it runs with: its program,
+        the granted contract and region views, its caller identity, fresh
+        verification state and stats, and an empty container store."""
+        granted = intersect_contract(hook, contract)
+        rank = {spec.label: i for i, spec in enumerate(hook.context_template)}
+        views = tuple(sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable)))
+        caller = CallerIdentity.for_grant(tenant_id, container_id, granted.syscalls)
+        stats = ContainerStats(verify_count=int(verified is not None))
+        self.containers[container_id] = Container(
+            container_id, tenant_id, hook.hook_id, program, granted, views, caller, stats, verified
+        )
+        self.facilities.stores.create_container_store(container_id)
 
     def tenant_container_on_hook(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> uuid.UUID | None:
         with self.lock:
@@ -405,11 +405,11 @@ class Engine:
             if hook is None:
                 raise UnknownHook(str(hook_id))
             payload = dict(event or {})
-            known = {spec.label for spec in hook.context_template}
+            specs = {spec.label: spec for spec in hook.context_template}
             for label, data in payload.items():
-                if label not in known:
+                spec = specs.get(label)
+                if spec is None:
                     raise ContextShapeMismatch(f"hook {hook.name!r} has no context region {label!r}")
-                spec = next(s for s in hook.context_template if s.label == label)
                 if len(data) != spec.size:
                     raise ContextShapeMismatch(
                         f"context {label!r} expects {spec.size} bytes, got {len(data)}"
@@ -429,12 +429,7 @@ class Engine:
                 if vp is None:
                     outcomes.append(SlotOutcome(container_id, None, container.verify_errors or ()))
                     continue
-                views = []
-                granted = {g.label: g for g in container.granted.regions}
-                for spec in hook.context_template:
-                    grant = granted.get(spec.label)
-                    if grant is not None:
-                        views.append(ctx_regions[spec.label].view(grant.readable, grant.writable))
+                views = [ctx_regions[g.label].view(g.readable, g.writable) for g in container.views]
                 acl = AccessList([fresh_stack(host), *views])
                 ctx = views[0] if views else None
                 table = self.syscall_table.restricted(container.granted.syscalls)

@@ -240,8 +240,9 @@ class FacilityContext:
 
 
 def standalone_caller(fac: FacilityContext, syscalls: Iterable[int]) -> CallerIdentity:
-    """A caller outside any engine (a CLI run, a bench fixture), with fresh
-    tenant and container stores of its own in ``fac``."""
+    """A caller outside any engine, with fresh tenant and container stores of
+    its own in ``fac``. Only the ``femtoc bench`` fixtures
+    (``fixtures.bench_case``) still run outside an engine."""
     tenant_id, container_id = UUID(int=1), UUID(int=2)
     fac.stores.create_tenant_store(tenant_id)
     fac.stores.create_container_store(container_id)

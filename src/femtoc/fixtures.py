@@ -158,61 +158,38 @@ class BenchCase:
     """One benchmarkable workload: a program plus a fresh-run factory that
     returns the context, access list, helper table and caller of one run."""
 
-    name: str
     program: Program
     allowed_syscalls: frozenset[int]
-    make_run: Callable[[], tuple[MemoryRegion | None, AccessList, SyscallTable, fa.CallerIdentity | None]]
+    make_run: Callable[[], tuple[MemoryRegion | None, AccessList, SyscallTable, fa.CallerIdentity]]
 
 
-def _bench_fletcher32() -> BenchCase:
-    def make_run():
-        host = HostMemory()
-        ctx = host.alloc(360, "ctx", True, False, FLETCHER32_INPUT)
-        return ctx, AccessList([fresh_stack(host), ctx]), SyscallTable(), None
+# Bench fixture -> (context bytes at r1, or None; sensor id -> samples).
+_BENCH_INPUTS: dict[str, tuple[bytes | None, dict[int, tuple[int, ...]]]] = {
+    "fletcher32_360": (FLETCHER32_INPUT, {}),
+    "thread_counter": (struct.pack("<QQ", 1, 2), {}),
+    "sensor_reader": (None, {1: (10, 20, 30)}),
+}
 
-    return BenchCase(
-        "fletcher32_360", fixture_program("fletcher32_360"), frozenset(), make_run
-    )
-
-
-def _bench_thread_counter() -> BenchCase:
-    allowed = FIXTURE_SYSCALLS["thread_counter"]
-
-    def make_run():
-        fac = fa.FacilityContext()
-        caller = fa.standalone_caller(fac, allowed)
-        host = HostMemory()
-        ctx = host.alloc(16, "ctx", True, False, struct.pack("<QQ", 1, 2))
-        table = fa.standard_syscall_table(fac).restricted(allowed)
-        return ctx, AccessList([fresh_stack(host), ctx]), table, caller
-
-    return BenchCase("thread_counter", fixture_program("thread_counter"), allowed, make_run)
-
-
-def _bench_sensor_reader() -> BenchCase:
-    allowed = FIXTURE_SYSCALLS["sensor_reader"]
-
-    def make_run():
-        fac = fa.FacilityContext()
-        fac.sensors[1] = fa.SensorFixture(1, [10, 20, 30])
-        caller = fa.standalone_caller(fac, allowed)
-        host = HostMemory()
-        table = fa.standard_syscall_table(fac).restricted(allowed)
-        return None, AccessList([fresh_stack(host)]), table, caller
-
-    return BenchCase("sensor_reader", fixture_program("sensor_reader"), allowed, make_run)
+BENCH_FIXTURES = tuple(_BENCH_INPUTS)
 
 
 def bench_case(name: str) -> BenchCase:
-    builders = {
-        "fletcher32_360": _bench_fletcher32,
-        "thread_counter": _bench_thread_counter,
-        "sensor_reader": _bench_sensor_reader,
-    }
+    """A bench fixture run outside any engine, so that a warm run can time
+    execution alone on state kept from the first."""
     try:
-        return builders[name]()
+        ctx_bytes, sensors = _BENCH_INPUTS[name]
     except KeyError:
         raise KeyError(f"no bench fixture named {name!r}") from None
+    allowed = FIXTURE_SYSCALLS[name]
 
+    def make_run():
+        fac = fa.FacilityContext()
+        for sensor_id, samples in sensors.items():
+            fac.sensors[sensor_id] = fa.SensorFixture(sensor_id, list(samples))
+        caller = fa.standalone_caller(fac, allowed)
+        host = HostMemory()
+        ctx = None if ctx_bytes is None else host.alloc(len(ctx_bytes), "ctx", True, False, ctx_bytes)
+        acl = AccessList([fresh_stack(host), *([ctx] if ctx else [])])
+        return ctx, acl, fa.standard_syscall_table(fac).restricted(allowed), caller
 
-BENCH_FIXTURES = ("fletcher32_360", "thread_counter", "sensor_reader")
+    return BenchCase(fixture_program(name), allowed, make_run)

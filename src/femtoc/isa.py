@@ -50,9 +50,6 @@ OP_JA = 0x05
 OP_CALL = 0x85
 OP_EXIT = 0x95
 
-N_REGISTERS = 11  # r0..r10; r10 is the read-only stack base pointer
-STACK_SIZE = 512
-
 
 class FieldOverflow(ValueError):
     """An instruction field does not fit its encoded width."""
@@ -139,10 +136,6 @@ class OpcodeInfo:
     @property
     def writes_dst(self) -> bool:
         return self.kind in (OpKind.ALU64, OpKind.ALU32, OpKind.END, OpKind.LDX, OpKind.LDDW)
-
-    @property
-    def is_jump(self) -> bool:
-        return self.kind in (OpKind.JA, OpKind.JCOND)
 
 
 _ALU_BINOPS = (

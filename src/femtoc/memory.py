@@ -81,10 +81,6 @@ class HostMemory:
         i = addr - self.base
         return bytes(self.buf[i : i + length])
 
-    def write(self, addr: int, data: bytes) -> None:
-        i = addr - self.base
-        self.buf[i : i + len(data)] = data
-
     def guards_intact(self) -> bool:
         expected = bytes([GUARD_BYTE]) * GUARD_LEN
         return all(bytes(self.buf[s:e]) == expected for s, e in self._guards)

@@ -38,7 +38,7 @@ import struct
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .asm import assemble
 from .engine import Contract, ContextRegionSpec, Engine, ReturnPolicy, TriggerResult, parse_mode
@@ -49,6 +49,8 @@ from .update import apply_update, build_manifest, private_key_from_seed, public_
 from .verifier import VerifyLimits
 
 SCHEMA_VERSION = 1
+MASK64 = (1 << 64) - 1
+MAX_CONTEXT_SIZE = 1 << 16  # bytes; every trigger allocates each context region afresh
 
 
 class ScenarioError(Exception):
@@ -88,6 +90,11 @@ def _field(spec: Any, key: str, what: str, kind: type = object) -> Any:
     return value
 
 
+def _optional(spec: dict, key: str, what: str, kind: type, default: Any) -> Any:
+    """The optional field ``spec[key]``, which must be of type ``kind``."""
+    return _field(spec, key, what, kind) if key in spec else default
+
+
 def _parse_hex(spec: dict, key: str, what: str) -> bytes:
     """The hex string field ``spec[key]`` as bytes."""
     try:
@@ -113,12 +120,16 @@ def _parse_contract(data: Any) -> Contract:
 
 def _parse_payload_value(value: Any, what: str) -> bytes:
     if isinstance(value, dict):
-        if "u64" in value:
-            return struct.pack(f"<{len(value['u64'])}Q", *[v & ((1 << 64) - 1) for v in value["u64"]])
-        if "hex" in value:
-            return bytes.fromhex(value["hex"])
-        if "bytes" in value:
-            return bytes(value["bytes"])
+        words, data = value.get("u64"), value.get("bytes")
+        try:
+            if isinstance(words, list) and all(isinstance(word, int) for word in words):
+                return struct.pack(f"<{len(words)}Q", *[word & MASK64 for word in words])
+            if "hex" in value:
+                return bytes.fromhex(value["hex"])
+            if isinstance(data, list):
+                return bytes(data)
+        except (TypeError, ValueError):
+            pass
     raise ParseError(f"{what}: expected one of u64/hex/bytes, got {value!r}")
 
 
@@ -183,6 +194,8 @@ class ScenarioRuntime:
             for region in _entries(spec, "context"):
                 label = _field(region, "label", "context region", str)
                 size = _parse_int(_field(region, "size", "context region"), "region size")
+                if not 0 <= size <= MAX_CONTEXT_SIZE:
+                    raise ParseError(f"context region {label!r} 'size' out of range: {size}")
                 try:
                     readable, writable = parse_mode(region.get("mode", "r"))
                 except ValueError as exc:
@@ -197,41 +210,35 @@ class ScenarioRuntime:
         for index, action in enumerate(_entries(doc, "setup")):
             self._run_setup_action(index, action)
 
-    def _tenant(self, name: str):
+    def _ref(self, kind: str, spec: dict, what: str):
+        """The id of the tenant, hook or container (``kind``) that ``spec[kind]`` names."""
+        name = _field(spec, kind, what, str)
+        names = {"tenant": self.tenant_ids, "hook": self.hook_ids, "container": self.container_ids}
         try:
-            return self.tenant_ids[name]
+            return names[kind][name]
         except KeyError:
-            raise UnknownReference(f"unknown tenant {name!r}") from None
-
-    def _hook(self, name: str):
-        try:
-            return self.hook_ids[name]
-        except KeyError:
-            raise UnknownReference(f"unknown hook {name!r}") from None
-
-    def _container(self, name: str):
-        try:
-            return self.container_ids[name]
-        except KeyError:
-            raise UnknownReference(f"unknown container {name!r}") from None
+            raise UnknownReference(f"unknown {kind} {name!r}") from None
 
     def _program(self, spec: dict) -> Program:
         if not isinstance(spec, dict):
             raise ParseError(f"program must be an object, got {spec!r}")
         if "fixture" in spec:
+            name = _field(spec, "fixture", "program", str)
             try:
-                return fixture_program(spec["fixture"])
+                return fixture_program(name)
             except KeyError:
-                raise UnknownReference(f"unknown fixture {spec['fixture']!r}") from None
+                raise UnknownReference(f"unknown fixture {name!r}") from None
         if "asm" in spec:
             text = spec["asm"]
-            if isinstance(text, list):
+            if isinstance(text, list) and all(isinstance(line, str) for line in text):
                 text = "\n".join(text)
+            if not isinstance(text, str):
+                raise ParseError(f"program 'asm' must be a string or a list of strings, got {text!r}")
             return assemble(text)
         if "hex" in spec:
-            return Program.from_bytes(bytes.fromhex(spec["hex"]))
+            return Program.from_bytes(_parse_hex(spec, "hex", "program"))
         if "file" in spec:
-            path = (self.base_dir / spec["file"]).resolve()
+            path = (self.base_dir / _field(spec, "file", "program", str)).resolve()
             if path.suffix == ".asm":
                 return assemble(path.read_text())
             return Program.from_bytes(path.read_bytes())
@@ -242,12 +249,12 @@ class ScenarioRuntime:
         kind = _field(action, "action", what)
         if kind == "install":
             container_id = self.engine.install_container(
-                self._tenant(_field(action, "tenant", what, str)),
+                self._ref("tenant", action, what),
                 self._program(_field(action, "program", what, dict)),
                 _parse_contract(action.get("contract", {})),
-                self._hook(_field(action, "hook", what, str)),
+                self._ref("hook", action, what),
             )
-            name = action.get("name", f"container{index}")
+            name = _optional(action, "name", what, str, f"container{index}")
             if name in self.container_ids:
                 raise ParseError(f"duplicate container name {name!r}")
             self.container_ids[name] = container_id
@@ -259,17 +266,19 @@ class ScenarioRuntime:
             private = self.tenant_keys.get(tenant_name)
             if private is None:
                 raise UnknownReference(f"tenant {tenant_name!r} has no signing key in this scenario")
+            name = _optional(action, "name", what, str, None)
             payload = self._program(_field(action, "program", what, dict)).to_bytes()
-            manifest = sign_manifest(
-                build_manifest(
-                    self._tenant(tenant_name),
-                    self._hook(_field(action, "hook", what, str)),
-                    _parse_int(_field(action, "sequence", what), "update sequence"),
-                    payload,
-                    _parse_contract(action.get("contract", {})),
-                ),
-                private,
+            manifest = build_manifest(
+                self._ref("tenant", action, what),
+                self._ref("hook", action, what),
+                _parse_int(_field(action, "sequence", what), "update sequence"),
+                payload,
+                _parse_contract(action.get("contract", {})),
             )
+            try:
+                manifest = sign_manifest(manifest, private)
+            except ValueError as exc:
+                raise ParseError(f"{what}: {exc}") from None
             outcome = apply_update(self.engine, manifest, payload)
             entry = {
                 "action": "update",
@@ -280,7 +289,6 @@ class ScenarioRuntime:
             }
             if outcome.accepted:
                 entry["container_id"] = str(outcome.container_id)
-                name = action.get("name")
                 if name:
                     self.container_ids[name] = outcome.container_id
             self.setup_results.append(entry)
@@ -290,10 +298,16 @@ class ScenarioRuntime:
     # -- events ---------------------------------------------------------
 
     def parse_events(self) -> list[dict]:
+        """The events, each checked against its hook before any fires."""
         events = _entries(self.doc, "events")
         last_at = None
         for index, event in enumerate(events):
-            _field(event, "hook", f"event {index}", str)
+            what = f"event {index}"
+            hook = self.engine.hooks[self._ref("hook", event, what)]
+            sizes = {spec.label: spec.size for spec in hook.context_template}
+            for label, value in _optional(event, "payload", what, dict, {}).items():
+                if len(_parse_payload_value(value, f"{what} payload {label!r}")) != sizes.get(label):
+                    raise ParseError(f"{what} payload {label!r} does not fit the context {sizes} of its hook")
             at_ms = _parse_int(event.get("at_ms", 0), "at_ms")
             if last_at is not None and at_ms < last_at:
                 raise ParseError("events must be sorted by at_ms")
@@ -309,7 +323,7 @@ class ScenarioRuntime:
             label: _parse_payload_value(value, f"payload {label!r}")
             for label, value in (event.get("payload") or {}).items()
         }
-        return self.engine.trigger_hook(self._hook(event["hook"]), payload)
+        return self.engine.trigger_hook(self._ref("hook", event, "event"), payload)
 
 
 @dataclass(frozen=True)
@@ -324,12 +338,8 @@ class ScenarioReport:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _container_name_index(runtime: ScenarioRuntime) -> dict:
-    return {cid: name for name, cid in runtime.container_ids.items()}
-
-
 def _event_report(runtime: ScenarioRuntime, index: int, event: dict, result: TriggerResult) -> dict:
-    names = _container_name_index(runtime)
+    names = {cid: name for name, cid in runtime.container_ids.items()}
     containers = []
     for slot in result.outcomes:
         entry: dict[str, Any] = {
@@ -354,70 +364,87 @@ def _event_report(runtime: ScenarioRuntime, index: int, event: dict, result: Tri
     }
 
 
-def _check_store(runtime: ScenarioRuntime, check: dict) -> tuple[bool, str]:
-    scope = check.get("scope", "container")
-    stores = runtime.engine.facilities.stores
-    if scope == "container":
-        store = stores.container_stores.get(runtime._container(check["container"]))
-    elif scope == "tenant":
-        store = stores.tenant_stores.get(runtime._tenant(check["tenant"]))
-    elif scope == "global":
-        store = stores.global_store
-    else:
-        raise ParseError(f"unknown store scope {scope!r}")
-    key = _parse_int(check["key"], "store key")
-    actual = store.get(key) if store is not None else 0
-    expected = _parse_int(check["equals"], "store value")
-    return actual == expected, f"{scope} store key {key}: expected {expected}, got {actual}"
-
-
-def _check_against_result(
-    runtime: ScenarioRuntime, check: dict, result: TriggerResult | None
-) -> tuple[bool, str]:
-    kind = check["kind"]
+def _parse_check(
+    runtime: ScenarioRuntime, check: dict, what: str
+) -> Callable[[TriggerResult | None], tuple[bool, str]]:
+    """Check an assertion's fields before any event fires. Returns the
+    function that evaluates it on the result of the event it follows, which
+    only a store check can do without an event."""
+    kind = _field(check, "kind", what, str)
     if kind == "store":
-        return _check_store(runtime, check)
-    if result is None:
-        return False, f"check {kind!r} needs a preceding event"
-    if kind == "context":
-        label = check["label"]
-        data = result.context_after.get(label)
-        if data is None:
-            return False, f"no context region {label!r} on that hook"
+        scope = _optional(check, "scope", what, str, "container")
+        stores = runtime.engine.facilities.stores
+        if scope == "container":
+            owners, owner = stores.container_stores, runtime._ref("container", check, what)
+        elif scope == "tenant":
+            owners, owner = stores.tenant_stores, runtime._ref("tenant", check, what)
+        elif scope == "global":
+            owners, owner = {None: stores.global_store}, None
+        else:
+            raise ParseError(f"unknown store scope {scope!r}")
+        key = _parse_int(_field(check, "key", what), "store key")
+        expected = _parse_int(_field(check, "equals", what), "store value")
+        if not 0 <= key < 1 << 32:
+            raise ParseError(f"{what} 'key' must be a u32, got {key}")
+
+        def evaluate(result: TriggerResult | None) -> tuple[bool, str]:
+            found = owners.get(owner)
+            actual = found.get(key) if found is not None else 0
+            return actual == expected, f"{scope} store key {key}: expected {expected}, got {actual}"
+
+    elif kind == "context":
+        label = _field(check, "label", what, str)
         offset = _parse_int(check.get("offset", 0), "context offset")
-        if offset + 8 > len(data):
-            return False, f"context {label!r} too short for u64 at offset {offset}"
-        actual = struct.unpack_from("<Q", data, offset)[0]
-        expected = _parse_int(check["u64_equals"], "context value") & ((1 << 64) - 1)
-        return actual == expected, f"context {label!r}@{offset}: expected {expected}, got {actual}"
-    if kind == "policy":
+        if offset < 0:
+            raise ParseError(f"{what} 'offset' must not be negative, got {offset}")
+        expected = _parse_int(_field(check, "u64_equals", what), "context value") & MASK64
+
+        def evaluate(result: TriggerResult) -> tuple[bool, str]:
+            data = result.context_after.get(label)
+            if data is None:
+                return False, f"no context region {label!r} on that hook"
+            if offset + 8 > len(data):
+                return False, f"context {label!r} too short for u64 at offset {offset}"
+            actual = struct.unpack_from("<Q", data, offset)[0]
+            return actual == expected, f"context {label!r}@{offset}: expected {expected}, got {actual}"
+
+    elif kind == "policy":
         expected = check.get("equals")
         if expected is not None:
             expected = _parse_int(expected, "policy value")
-        actual = result.policy_value
-        return actual == expected, f"policy value: expected {expected}, got {actual}"
-    if kind in ("fault", "no_fault", "return"):
-        target = runtime._container(check["container"])
-        slot = next((s for s in result.outcomes if s.container_id == target), None)
-        if slot is None:
-            return False, f"container {check['container']!r} did not run in that event"
+
+        def evaluate(result: TriggerResult) -> tuple[bool, str]:
+            actual = result.policy_value
+            return actual == expected, f"policy value: expected {expected}, got {actual}"
+
+    elif kind in ("fault", "no_fault", "return"):
+        target = runtime._ref("container", check, what)
         if kind == "return":
-            if slot.outcome is None:
-                return False, "container was rejected at verification"
-            expected = _parse_int(check["equals"], "return value") & ((1 << 64) - 1)
-            actual = slot.outcome.return_value
-            return actual == expected, f"return value: expected {expected}, got {actual}"
-        fault = slot.outcome.fault if slot.outcome is not None else None
-        if kind == "no_fault":
-            ok = slot.outcome is not None and fault is None
-            return ok, "no fault" if ok else f"faulted with {fault.kind.value if fault else 'verify reject'}"
+            expected = _parse_int(_field(check, "equals", what), "return value") & MASK64
         expected_kind = check.get("fault_kind")
-        if fault is None:
-            return False, "expected a fault, run was clean"
-        if expected_kind and fault.kind.value != expected_kind:
-            return False, f"expected fault {expected_kind}, got {fault.kind.value}"
-        return True, f"faulted with {fault.kind.value} as expected"
-    raise ParseError(f"unknown check kind {kind!r}")
+
+        def evaluate(result: TriggerResult) -> tuple[bool, str]:
+            slot = next((s for s in result.outcomes if s.container_id == target), None)
+            if slot is None:
+                return False, f"container {check['container']!r} did not run in that event"
+            if kind == "return":
+                if slot.outcome is None:
+                    return False, "container was rejected at verification"
+                actual = slot.outcome.return_value
+                return actual == expected, f"return value: expected {expected}, got {actual}"
+            fault = slot.outcome.fault if slot.outcome is not None else None
+            if kind == "no_fault":
+                ok = slot.outcome is not None and fault is None
+                return ok, "no fault" if ok else f"faulted with {fault.kind.value if fault else 'verify reject'}"
+            if fault is None:
+                return False, "expected a fault, run was clean"
+            if expected_kind and fault.kind.value != expected_kind:
+                return False, f"expected fault {expected_kind}, got {fault.kind.value}"
+            return True, f"faulted with {fault.kind.value} as expected"
+
+    else:
+        raise ParseError(f"unknown check kind {kind!r}")
+    return evaluate
 
 
 def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> ScenarioReport:
@@ -443,22 +470,26 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
     runtime = ScenarioRuntime(doc, base_dir)
     events = runtime.parse_events()
 
-    by_index: dict[Any, list[dict]] = {}
+    by_index: dict[Any, list[tuple[dict, Callable]]] = {}
     for index, assertion in enumerate(_entries(doc, "assertions")):
         check = _field(assertion, "check", f"assertion {index}", dict)
-        _field(check, "kind", f"assertion {index} check", str)
         after = assertion.get("after_event", "final")
-        if after != "final" and type(after) is not int:
-            raise ParseError(f"assertion {index} 'after_event' must be an int or 'final', got {after!r}")
-        by_index.setdefault(after, []).append(assertion)
+        if after != "final" and (type(after) is not int or not 0 <= after < len(events)):
+            raise ParseError(f"assertion {index} 'after_event' must be 'final' or an event index: {after!r}")
+        evaluator = _parse_check(runtime, check, f"assertion {index} check")
+        by_index.setdefault(after, []).append((assertion, evaluator))
 
     event_reports: list[dict] = []
     assertion_reports: list[dict] = []
     last_result: TriggerResult | None = None
 
     def evaluate(slot_key: Any, result: TriggerResult | None) -> None:
-        for assertion in by_index.get(slot_key, ()):
-            ok, detail = _check_against_result(runtime, assertion["check"], result)
+        for assertion, evaluator in by_index.get(slot_key, ()):
+            kind = assertion["check"]["kind"]
+            if result is None and kind != "store":
+                ok, detail = False, f"check {kind!r} needs a preceding event"
+            else:
+                ok, detail = evaluator(result)
             assertion_reports.append(
                 {
                     "after_event": assertion.get("after_event", "final"),

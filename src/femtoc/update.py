@@ -67,29 +67,38 @@ class UpdateOutcome:
     reason: UpdateReject | None = None
 
 
+def _pack(fmt: str, value: int, name: str) -> bytes:
+    """``value`` packed as ``fmt``; a value that does not fit raises ValueError naming ``name``."""
+    try:
+        return struct.pack(fmt, value)
+    except struct.error as exc:
+        raise ValueError(f"manifest {name!r}: {exc}, got {value!r}") from None
+
+
 def canonical_bytes(manifest: Manifest) -> bytes:
     """The exact byte string that gets signed.
 
     Fixed field order, big-endian fixed-width integers, UUIDs as their 16
     raw bytes; contract entries sorted so equal manifests serialize
-    identically regardless of construction order.
+    identically regardless of construction order. A field that does not fit
+    its width raises ValueError naming it.
     """
     out = bytearray()
-    out += struct.pack(">I", manifest.manifest_version)
-    out += struct.pack(">Q", manifest.sequence_number)
+    out += _pack(">I", manifest.manifest_version, "manifest_version")
+    out += _pack(">Q", manifest.sequence_number, "sequence_number")
     out += manifest.storage_location.bytes
     out += manifest.tenant_id.bytes
     out += manifest.payload_digest
-    out += struct.pack(">Q", manifest.payload_size)
+    out += _pack(">Q", manifest.payload_size, "payload_size")
     syscalls = sorted(manifest.contract.syscalls)
     out += struct.pack(">I", len(syscalls))
     for sys_id in syscalls:
-        out += struct.pack(">I", sys_id)
+        out += _pack(">I", sys_id, "syscalls")
     grants = sorted(manifest.contract.regions, key=lambda g: (g.label, g.readable, g.writable))
     out += struct.pack(">I", len(grants))
     for grant in grants:
         label = grant.label.encode("utf-8")
-        out += struct.pack(">H", len(label))
+        out += _pack(">H", len(label), "label")
         out += label
         out += struct.pack(">B", (1 if grant.readable else 0) | (2 if grant.writable else 0))
     return bytes(out)
@@ -259,10 +268,10 @@ def manifest_from_json(data: object) -> Manifest:
             return convert(source[key])
         except KeyError:
             raise ValueError(f"manifest is missing {key!r}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"manifest {key!r}: {exc}") from None
 
-    return Manifest(
+    manifest = Manifest(
         manifest_version=field("manifest_version", int),
         sequence_number=field("sequence_number", int),
         storage_location=field("storage_location", uuid.UUID),
@@ -272,6 +281,8 @@ def manifest_from_json(data: object) -> Manifest:
         contract=Contract.from_json(body.get("contract", {})),
         signature=field("signature", base64.b64decode, data) if data.get("signature") else None,
     )
+    canonical_bytes(manifest)  # a manifest without a canonical form does not load
+    return manifest
 
 
 def save_manifest(manifest: Manifest, path: Path) -> None:

@@ -210,6 +210,18 @@ def test_run_kv_roundtrip_through_helpers(tmp_path, capsys):
     assert data["return"] == 44
 
 
+def test_run_rejects_duplicate_or_reserved_region_labels(tmp_path, capsys):
+    bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
+    for regions in (
+        ["--region", "a:2:rw", "--region", "a:2:rw"],
+        ["--ctx", "00", "--region", "ctx:2:r"],
+        ["--region", "stack:512:rw"],
+    ):
+        assert main(["run", str(bin_path), *regions]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+
 def test_run_bad_region_spec_is_usage_error(tmp_path):
     bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
     assert main(["run", str(bin_path), "--region", "oops"]) == 2
@@ -297,6 +309,8 @@ def test_scenario_malformed_file_exits_2(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+CTX_HOOK = {"name": "h", "context": [{"label": "ctx", "size": 8}]}
+
 # case -> (the field the error must name, the part of the document that is wrong)
 MALFORMED_SCENARIOS = {
     "tenant name missing": ("name", {"tenants": [{}]}),
@@ -324,6 +338,39 @@ MALFORMED_SCENARIOS = {
     "assertion after_event mistyped": (
         "after_event",
         {"assertions": [{"after_event": [0], "check": {"kind": "policy"}}]},
+    ),
+    "assertion after_event past the last event": (
+        "after_event",
+        {"events": [{"hook": "h"}], "assertions": [{"after_event": 1, "check": {"kind": "policy"}}]},
+    ),
+    "store check key missing": (
+        "key",
+        {"assertions": [{"check": {"kind": "store", "scope": "global", "equals": 1}}]},
+    ),
+    "return check container missing": (
+        "container",
+        {"events": [{"hook": "h"}], "assertions": [{"after_event": 0, "check": {"kind": "return", "equals": 0}}]},
+    ),
+    "context region size out of range": (
+        "size",
+        {"hooks": [{"name": "h", "context": [{"label": "ctx", "size": 2**40}]}]},
+    ),
+    "payload u64 mistyped": (
+        "ctx",
+        {"hooks": [CTX_HOOK], "events": [{"hook": "h", "payload": {"ctx": {"u64": 5}}}]},
+    ),
+    "payload label unknown to the hook": (
+        "nope",
+        {"hooks": [CTX_HOOK], "events": [{"hook": "h", "payload": {"nope": {"u64": [1]}}}]},
+    ),
+    "payload size wrong": (
+        "ctx",
+        {"hooks": [CTX_HOOK], "events": [{"hook": "h", "payload": {"ctx": {"u64": [1, 2]}}}]},
+    ),
+    "update sequence negative": (
+        "sequence_number",
+        {"setup": [{"action": "update", "tenant": "t", "hook": "h", "sequence": -1,
+                    "program": {"fixture": "hostile_writer"}}]},
     ),
 }
 
@@ -460,6 +507,12 @@ MALFORMED_MANIFESTS = {
     "manifest empty": ("manifest_version", lambda envelope: envelope.update(manifest={})),
     "manifest missing": ("manifest", lambda envelope: envelope.pop("manifest")),
     "tenant id mistyped": ("tenant_id", lambda envelope: envelope["manifest"].update(tenant_id=5)),
+    "sequence negative": ("sequence_number", lambda envelope: envelope["manifest"].update(sequence_number=-1)),
+    "payload size over u64": ("payload_size", lambda envelope: envelope["manifest"].update(payload_size=2**70)),
+    "region label over 65535 bytes": (
+        "label",
+        lambda envelope: envelope["manifest"]["contract"].update(regions=[{"label": "x" * 70_000}]),
+    ),
 }
 
 
@@ -476,6 +529,20 @@ def test_apply_rejects_malformed_manifest_with_exit_2(tmp_path, capsys, case):
     assert main(["apply", s["manifest"], s["payload"], "--engine", s["engine"]]) == 2
     err = capsys.readouterr().err
     assert repr(field) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, argv",
+    [("sequence_number", ["--sequence", "-1"]), ("helper id", ["--sequence", "1", "--syscalls", "0x100000000"])],
+)
+def test_sign_rejects_out_of_range_fields_with_exit_2(tmp_path, capsys, field, argv):
+    s = signing_setup(tmp_path, capsys)
+    rc = main(["sign", s["payload"], "--key", s["key"], "--tenant", s["tenant"], "--hook", s["hook"],
+               *argv, "-o", s["manifest"]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and field in err
+    assert not Path(s["manifest"]).exists()
 
 
 def test_sign_rejects_malformed_uuid(tmp_path, capsys):

@@ -145,9 +145,6 @@ def test_opcode_table_flags():
     assert isa.opcode_info(0x61).writes_dst  # ldxw loads into dst
     assert not isa.opcode_info(0x62).writes_dst  # stw dst is a base address
     assert not isa.opcode_info(0x15).writes_dst  # jeq dst is a comparand
-    assert isa.opcode_info(0x05).is_jump
-    assert isa.opcode_info(0x15).is_jump
-    assert not isa.opcode_info(0x95).is_jump
     assert isa.opcode_info(0x06) is None
 
 

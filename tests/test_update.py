@@ -346,6 +346,7 @@ def test_rejected_update_changes_no_engine_state():
     apply_update(engine, signed(alpha, hook, 1, RETURN_5, ALPHA_KEY), RETURN_5)
     engine.trigger_hook(hook)
     before = engine.introspection_json()
+    good = signed(alpha, hook, 2, RETURN_9, ALPHA_KEY)
 
     attempts = [
         (signed(uuid.uuid4(), hook, 2, RETURN_9, ALPHA_KEY), RETURN_9),
@@ -355,6 +356,11 @@ def test_rejected_update_changes_no_engine_state():
         (signed(alpha, hook, 1, RETURN_9, ALPHA_KEY), RETURN_9),
         (signed(alpha, hook, 2, RETURN_9[:12], ALPHA_KEY), RETURN_9[:12]),
         (signed(alpha, hook, 2, NO_EXIT, ALPHA_KEY), NO_EXIT),
+        # fields with no canonical form: nothing can have signed them
+        (replace(good, sequence_number=-1), RETURN_9),
+        (replace(good, payload_size=2**70), RETURN_9),
+        (replace(good, contract=Contract.of({1 << 32})), RETURN_9),
+        (replace(good, contract=Contract.of(regions={RegionGrant("x" * 70_000)})), RETURN_9),
     ]
     for manifest, payload in attempts:
         assert not apply_update(engine, manifest, payload).accepted
@@ -435,6 +441,14 @@ def test_manifest_json_envelope_round_trip(tmp_path):
             manifest_from_json(bad)
     with pytest.raises(ValueError, match="'manifest_version'"):
         manifest_from_json({"manifest": {}})
+    for key, value in (("sequence_number", -1), ("payload_size", 2**70), ("manifest_version", 2**32)):
+        bad = json.loads(json.dumps(envelope))
+        bad["manifest"][key] = value
+        with pytest.raises(ValueError, match=repr(key)):
+            manifest_from_json(bad)
+    bad["manifest"]["sequence_number"] = float("inf")
+    with pytest.raises(ValueError, match="'sequence_number'"):
+        manifest_from_json(bad)
 
 
 def test_signature_survives_wire_round_trip_and_still_applies():
