@@ -29,6 +29,7 @@ from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected
 from .vm import ExecOutcome, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
+MAX_CONTEXT_SIZE = 1 << 16  # bytes; every trigger allocates each context region afresh
 
 
 class EngineError(Exception):
@@ -101,12 +102,10 @@ class Contract:
         return cls(frozenset(syscalls), frozenset(regions))
 
     def to_json(self) -> dict:
+        regions = sorted((g.label, format_mode(g.readable, g.writable)) for g in self.regions)
         return {
             "syscalls": sorted(self.syscalls),
-            "regions": [
-                {"label": g.label, "mode": format_mode(g.readable, g.writable)}
-                for g in sorted(self.regions, key=lambda g: g.label)
-            ],
+            "regions": [{"label": label, "mode": mode} for label, mode in regions],
         }
 
     @classmethod
@@ -277,6 +276,12 @@ class Engine:
                 raise ValueError(f"context label {STACK_LABEL!r} is reserved")
             if len({spec.label for spec in template}) != len(template):
                 raise ValueError("context labels must be unique")
+            for spec in template:
+                if not 0 <= spec.size <= MAX_CONTEXT_SIZE:
+                    raise ValueError(
+                        f"context region {spec.label!r} 'size' out of range 0..{MAX_CONTEXT_SIZE}: "
+                        f"{spec.size}"
+                    )
             hook_id = self._new_id()
             self.hooks[hook_id] = Hook(
                 hook_id, name, frozenset(allowed_syscalls), template, return_policy, slot_limit

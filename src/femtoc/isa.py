@@ -104,10 +104,12 @@ class Program:
     def from_bytes(cls, data: bytes) -> "Program":
         if len(data) % SLOT_SIZE != 0:
             raise ValueError(f"program length {len(data)} is not a multiple of {SLOT_SIZE}")
-        slots = tuple(
-            decode_instruction(data[i : i + SLOT_SIZE]) for i in range(0, len(data), SLOT_SIZE)
+        return cls(
+            tuple(
+                Instruction(opcode, regs & 0x0F, regs >> 4, offset, imm)
+                for opcode, regs, offset, imm in _SLOT.iter_unpack(data)
+            )
         )
-        return cls(slots)
 
 
 class OpKind(Enum):

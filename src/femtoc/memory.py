@@ -6,11 +6,18 @@ the whole accessed range [addr, addr+len) lies inside a single region that
 grants the required mode.  The allocator leaves guard gaps filled with a
 canary byte between regions, so any access that slipped past the checks is
 detectable after the fact.
+
+An access list also keeps its regions as two tuples of windows, one for
+reads and one for writes, each ``(lo, hi, buf, base)``: the region's
+address range [lo, hi), its host buffer and the buffer's base address, in
+region order.  The interpreter checks loads and stores by scanning these
+inline; the first window that covers a range is the region ``region_for``
+returns.  Helpers keep calling ``region_for`` through ``require_access``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -109,10 +116,16 @@ class MemoryRegion:
 
     def view(self, readable: bool, writable: bool) -> "MemoryRegion":
         """The same bytes under narrower (per-grant) permissions."""
-        return replace(self, readable=readable and self.readable, writable=writable and self.writable)
+        readable, writable = readable and self.readable, writable and self.writable
+        return MemoryRegion(self.base, self.length, readable, writable, self.label, self.memory)
 
     def snapshot(self) -> bytes:
         return self.memory.read(self.base, self.length)
+
+
+# (lo, hi, buf, base): a region's address range [lo, hi), its host buffer and
+# the buffer's base address.
+Window = tuple[int, int, bytearray, int]
 
 
 class AccessList:
@@ -122,14 +135,26 @@ class AccessList:
     """
 
     def __init__(self, regions: Sequence[MemoryRegion]):
-        stacks = [r for r in regions if r.label == STACK_LABEL]
+        self.regions: tuple[MemoryRegion, ...] = tuple(regions)
+        stacks: list[MemoryRegion] = []
+        read: list[Window] = []
+        write: list[Window] = []
+        for r in self.regions:
+            if r.label == STACK_LABEL:
+                stacks.append(r)
+            window = (r.base, r.base + r.length, r.memory.buf, r.memory.base)
+            if r.readable:
+                read.append(window)
+            if r.writable:
+                write.append(window)
         if len(stacks) != 1:
             raise ValueError("access list needs exactly one stack region")
         stack = stacks[0]
         if stack.length != STACK_SIZE or not (stack.readable and stack.writable):
             raise ValueError(f"stack region must be a readable+writable {STACK_SIZE}-byte region")
-        self.regions: tuple[MemoryRegion, ...] = tuple(regions)
         self.stack = stack
+        self.read_windows: tuple[Window, ...] = tuple(read)
+        self.write_windows: tuple[Window, ...] = tuple(write)
 
     def region_for(self, addr: int, length: int, mode: Mode) -> MemoryRegion | None:
         """First region that fully contains the range and grants the mode."""

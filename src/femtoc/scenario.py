@@ -41,7 +41,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .asm import assemble
-from .engine import Contract, ContextRegionSpec, Engine, ReturnPolicy, TriggerResult, parse_mode
+from .engine import (
+    Contract, ContextRegionSpec, DuplicateHookName, Engine, ReturnPolicy, TriggerResult, parse_mode,
+)
 from .facilities import SensorFixture
 from .fixtures import fixture_program
 from .isa import Program
@@ -50,7 +52,6 @@ from .verifier import VerifyLimits
 
 SCHEMA_VERSION = 1
 MASK64 = (1 << 64) - 1
-MAX_CONTEXT_SIZE = 1 << 16  # bytes; every trigger allocates each context region afresh
 
 
 class ScenarioError(Exception):
@@ -194,19 +195,20 @@ class ScenarioRuntime:
             for region in _entries(spec, "context"):
                 label = _field(region, "label", "context region", str)
                 size = _parse_int(_field(region, "size", "context region"), "region size")
-                if not 0 <= size <= MAX_CONTEXT_SIZE:
-                    raise ParseError(f"context region {label!r} 'size' out of range: {size}")
                 try:
                     readable, writable = parse_mode(region.get("mode", "r"))
                 except ValueError as exc:
                     raise ParseError(f"context region {label!r}: {exc}") from None
                 template.append(ContextRegionSpec(label, size, readable, writable))
-            self.hook_ids[name] = self.engine.register_hook(
-                name,
-                [_parse_int(s, "hook syscall") for s in _entries(spec, "syscalls")],
-                template,
-                spec.get("return_policy", ReturnPolicy.IGNORE_ALL),
-            )
+            syscalls = [_parse_int(s, "hook syscall") for s in _entries(spec, "syscalls")]
+            try:
+                self.hook_ids[name] = self.engine.register_hook(
+                    name, syscalls, template, spec.get("return_policy", ReturnPolicy.IGNORE_ALL)
+                )
+            except DuplicateHookName:
+                raise ParseError(f"duplicate hook name {name!r}") from None
+            except ValueError as exc:
+                raise ParseError(f"hook {name!r}: {exc}") from None
         for index, action in enumerate(_entries(doc, "setup")):
             self._run_setup_action(index, action)
 

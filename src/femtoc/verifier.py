@@ -11,6 +11,12 @@ exit or an unconditional jump).
 
 All violations are collected and reported together rather than stopping at
 the first one.
+
+The scan also proves some memory accesses safe once: a load or store whose
+base register is r10 and whose [off, off+width) lies within the stack
+lowers to a stack row, which the interpreter runs with no access-list
+check.  r10 holds the stack base for the whole run, because nothing may
+write it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .isa import (
     encode_instruction,
     opcode_info,
 )
+from .memory import STACK_SIZE
 
 DEFAULT_MAX_INSTRUCTIONS = 4096
 DEFAULT_MAX_BRANCHES = 256
@@ -44,14 +51,18 @@ MASK32 = (1 << 32) - 1
 #         and stores, the access width in bytes;
 #   off   the memory offset, or a jump's absolute target slot;
 #   imm   the immediate, sign-extended to 64 bits or cut to 32 as the
-#         operation reads it; lddw's joined 64-bit value; a call's helper
-#         id and a byte swap's bit width as encoded.
+#         operation reads it (st cuts it to the access width); lddw's
+#         joined 64-bit value; a call's helper id and a byte swap's bit
+#         width as encoded.
+# A load or store at [r10+off] with 0 <= off and off + width <= STACK_SIZE
+# lowers to LDX_STACK, STX_STACK or ST_STACK; its off is then the offset
+# into the stack.  Every other access keeps LDX, STX or ST.
 # The second slot of a wide load lowers to a row the interpreter refuses to
 # run; verified control flow never reaches it.
 # Codes and sub-ops are numbered in the order the interpreter tests them.
 
-(ALU64_K, ALU64_X, JCOND_K, LDX, STX, JA, JCOND_X, ALU32_K, ALU32_X, ST, CALL, EXIT, LDDW, END,
- NOT_RUNNABLE) = range(15)
+(ALU64_K, ALU64_X, JCOND_K, LDX, LDX_STACK, STX, STX_STACK, JA, JCOND_X, ALU32_K, ALU32_X, ST,
+ ST_STACK, CALL, EXIT, LDDW, END, NOT_RUNNABLE) = range(18)
 
 ALU_OPS = ("add", "sub", "mov", "xor", "mul", "and", "or", "lsh", "rsh", "mod", "div", "arsh",
            "neg")
@@ -65,11 +76,13 @@ _NOT_RUNNABLE = (NOT_RUNNABLE, 0, 0, 0, 0, 0)
 
 _CODE_OF_KIND = {OpKind.LDX: LDX, OpKind.STX: STX, OpKind.ST: ST, OpKind.JA: JA,
                  OpKind.CALL: CALL, OpKind.EXIT: EXIT, OpKind.LDDW: LDDW}
+_STACK_CODE = {LDX: LDX_STACK, STX: STX_STACK, ST: ST_STACK}
 
 
-def _row(info: OpcodeInfo) -> tuple[str, bool, int, int, int]:
+def _row(info: OpcodeInfo) -> tuple[str, bool, int, int, int, int]:
     """What the scan needs of one opcode: (name, writes_dst, code, sub,
-    immediate mask); a mask of -1 keeps the immediate as encoded."""
+    immediate mask, stack code); a mask of -1 keeps the immediate as
+    encoded, and the stack code is 0 for everything but loads and stores."""
     kind, reg = info.kind, info.source == "reg"
     if kind is OpKind.ALU64:
         code, sub, mask = ALU64_X if reg else ALU64_K, ALU_OPS.index(info.alu_op), MASK64
@@ -81,8 +94,8 @@ def _row(info: OpcodeInfo) -> tuple[str, bool, int, int, int]:
         code, sub, mask = END, BYTE_ORDERS.index(info.alu_op), -1
     else:
         code, sub = _CODE_OF_KIND[kind], info.width or 0
-        mask = {OpKind.CALL: -1, OpKind.LDDW: MASK32}.get(kind, MASK64)
-    return info.name, info.writes_dst, code, sub, mask
+        mask = {OpKind.CALL: -1, OpKind.LDDW: MASK32, OpKind.ST: (1 << 8 * sub) - 1}.get(kind, MASK64)
+    return info.name, info.writes_dst, code, sub, mask, _STACK_CODE.get(code, 0)
 
 
 _ROWS = {opcode: _row(info) for opcode, info in OPCODE_INFO.items()}
@@ -193,8 +206,10 @@ def _scan(
             form.append(_NOT_RUNNABLE)
             i += 1
             continue
-        name, writes_dst, code, sub, imm_mask = row
+        name, writes_dst, code, sub, imm_mask, stack_code = row
         dst, src, off, imm = ins.dst, ins.src, ins.offset, ins.imm & imm_mask
+        if stack_code and (src if code == LDX else dst) == 10 and 0 <= off <= STACK_SIZE - sub:
+            code = stack_code
 
         if dst > 10 or src > 10:
             bad = f"r{dst}" if dst > 10 else f"r{src}"

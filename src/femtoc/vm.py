@@ -10,23 +10,38 @@ the operands as two's complement.  Memory loads zero-extend.
 Every instruction costs one budget step; a helper call costs one step for
 the call itself and nothing for the host-side body.  Execution ends with an
 exit, a fault, or budget exhaustion — never anything else.
+
+Every load and store is checked against the access list inline: the loop
+scans the list's read or write windows for the first one that covers the
+access, and converts the bytes straight on that window's host buffer.
+Stack rows, the [r10+off] accesses the verifier proved to lie inside the
+stack, index the stack's bytes with no scan.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .memory import AccessList, AccessViolation, MemoryRegion, Mode
+from .memory import AccessList, AccessViolation, MemoryRegion
 from .verifier import (
     ADD, ALU32_K, ALU32_X, ALU64_K, ALU64_X, AND, ARSH, BE, CALL, DIV, END, EXIT, JA, JCOND_K,
-    JCOND_X, JEQ, JGE, JGT, JLE, JLT, JNE, JSET, JSGE, JSGT, JSLT, LDDW, LDX, LSH, MASK32, MASK64,
-    MOD, MOV, MUL, OR, RSH, ST, STX, SUB, XOR, VerifiedProgram,
+    JCOND_X, JEQ, JGE, JGT, JLE, JLT, JNE, JSET, JSGE, JSGT, JSLT, LDDW, LDX, LDX_STACK, LSH,
+    MASK32, MASK64, MOD, MOV, MUL, OR, RSH, ST, ST_STACK, STX, STX_STACK, SUB, XOR,
+    VerifiedProgram,
 )
 
 if TYPE_CHECKING:
     from .facilities import CallerIdentity
+
+
+# Little-endian unsigned codecs and value masks, indexed by access width.
+_FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+_UNPACK = tuple(struct.Struct(_FORMATS[w]).unpack_from if w in _FORMATS else None for w in range(9))
+_PACK = tuple(struct.Struct(_FORMATS[w]).pack_into if w in _FORMATS else None for w in range(9))
+_WIDTH_MASK = tuple((1 << 8 * w) - 1 for w in range(9))
 
 
 def _s64(x: int) -> int:
@@ -154,14 +169,17 @@ def exec_program(
     n = len(form)
     budget = vp.budget if budget is None else budget
     syscalls = syscalls or SyscallTable()
-    region_for = acl.region_for
-    read, write = Mode.READ, Mode.WRITE
+    read_windows, write_windows = acl.read_windows, acl.write_windows
+    unpack, pack, width_mask = _UNPACK, _PACK, _WIDTH_MASK
 
     regs = [0] * 11
     if ctx is not None:
         regs[1] = ctx.base
-    stack_base = acl.stack.base
+    stack = acl.stack
+    stack_base = stack.base
     regs[10] = stack_base
+    stack_buf = stack.memory.buf
+    stack_at = stack_base - stack.memory.base  # the stack's offset in stack_buf
 
     pc = 0
     executed = 0
@@ -240,17 +258,30 @@ def exec_program(
                     pc += 1
             elif code == LDX:
                 addr = (regs[src] + off) & MASK64
-                region = region_for(addr, sub, read)
-                if region is None:
+                end = addr + sub
+                for lo, hi, buf, buf_base in read_windows:
+                    if lo <= addr and end <= hi:
+                        regs[dst] = unpack[sub](buf, addr - buf_base)[0]
+                        break
+                else:
                     raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, pc, addr, sub, "read denied"))
-                regs[dst] = region.memory.load(addr, sub)
+                pc += 1
+            elif code == LDX_STACK:
+                regs[dst] = unpack[sub](stack_buf, stack_at + off)[0]
                 pc += 1
             elif code == STX or code == ST:
                 addr = (regs[dst] + off) & MASK64
-                region = region_for(addr, sub, write)
-                if region is None:
+                end = addr + sub
+                for lo, hi, buf, buf_base in write_windows:
+                    if lo <= addr and end <= hi:
+                        value = regs[src] & width_mask[sub] if code == STX else imm
+                        pack[sub](buf, addr - buf_base, value)
+                        break
+                else:
                     raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, pc, addr, sub, "write denied"))
-                region.memory.store(addr, sub, regs[src] if code == STX else imm)
+                pc += 1
+            elif code == STX_STACK:
+                pack[sub](stack_buf, stack_at + off, regs[src] & width_mask[sub])
                 pc += 1
             elif code == JA:
                 branches += 1
@@ -285,6 +316,9 @@ def exec_program(
                 else:  # NEG
                     a = -a & MASK32
                 regs[dst] = a
+                pc += 1
+            elif code == ST_STACK:
+                pack[sub](stack_buf, stack_at + off, imm)
                 pc += 1
             elif code == CALL:
                 entry = syscalls.lookup(imm)

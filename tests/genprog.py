@@ -30,12 +30,18 @@ IMM32 = (-(1 << 31), (1 << 31) - 1)
 
 def _mem_offset(rng: random.Random, base_reg: int, ctx_span: int) -> int:
     # Bias r10-based accesses into the stack (r10 is the region start, so
-    # valid offsets are 0..511) and, when ctx_span is given, r1-based ones
-    # into the ctx_span bytes from the context base, which may cover several
-    # regions and the guards between them; everything else may be wild and
-    # fault.
+    # valid offsets are 0..511), with extra weight at both of its ends so
+    # that wide accesses straddle them, and, when ctx_span is given, r1-based
+    # ones into the ctx_span bytes from the context base, which may cover
+    # several regions and the guards between them; everything else may be
+    # wild and fault.
     if base_reg == 10 and rng.random() < 0.8:
-        return rng.randint(0, 504)
+        roll = rng.random()
+        if roll < 0.1:
+            return rng.randint(-8, -1)
+        if roll < 0.2:
+            return rng.randint(504, 511)
+        return rng.randint(0, 511)
     if base_reg == 1 and ctx_span and rng.random() < 0.8:
         return rng.randint(0, ctx_span - 1)
     return rng.randint(-256, 256)

@@ -10,6 +10,7 @@ import pytest
 
 from femtoc.asm import assemble
 from femtoc.cli import main
+from femtoc.memory import HostMemory
 from femtoc.scenario import ScenarioRuntime, bundled_scenario_path
 
 RETURN_5_SRC = "mov64 r0, 5\nexit\n"
@@ -222,6 +223,28 @@ def test_run_rejects_duplicate_or_reserved_region_labels(tmp_path, capsys):
         assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_run_bounds_region_size_before_allocating(tmp_path, capsys, monkeypatch):
+    bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
+    allocated = []
+    alloc = HostMemory.alloc
+
+    def recording_alloc(memory, length, *args, **kwargs):
+        allocated.append(length)
+        if length > 65536:  # fail the test rather than allocate the region
+            raise AssertionError(f"asked to allocate {length} bytes")
+        return alloc(memory, length, *args, **kwargs)
+
+    monkeypatch.setattr(HostMemory, "alloc", recording_alloc)
+    for spec in ("x:4294967296:rw", "x:65537:r"):
+        assert main(["run", str(bin_path), "--region", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert "'x' 'size' out of range 0..65536" in captured.err
+    assert allocated == []
+    assert main(["run", str(bin_path), "--region", "x:65536:rw"]) == 0
+    assert 65536 in allocated
+
+
 def test_run_bad_region_spec_is_usage_error(tmp_path):
     bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
     assert main(["run", str(bin_path), "--region", "oops"]) == 2
@@ -355,6 +378,11 @@ MALFORMED_SCENARIOS = {
         "size",
         {"hooks": [{"name": "h", "context": [{"label": "ctx", "size": 2**40}]}]},
     ),
+    "context region size negative": (
+        "size",
+        {"hooks": [{"name": "h", "context": [{"label": "ctx", "size": -1}]}]},
+    ),
+    "hook name duplicated": ("h", {"hooks": [{"name": "h"}, {"name": "h"}]}),
     "payload u64 mistyped": (
         "ctx",
         {"hooks": [CTX_HOOK], "events": [{"hook": "h", "payload": {"ctx": {"u64": 5}}}]},

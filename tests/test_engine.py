@@ -14,6 +14,7 @@ from femtoc.engine import (
     ContextRegionSpec,
     ContextShapeMismatch,
     DuplicateHookName,
+    MAX_CONTEXT_SIZE,
     Engine,
     RegionGrant,
     ReturnPolicy,
@@ -115,6 +116,15 @@ def test_reserved_and_duplicate_context_labels_rejected():
         engine.register_hook(
             "h2", (), [ContextRegionSpec("a", 8), ContextRegionSpec("a", 8)]
         )
+
+
+def test_context_region_size_is_bounded_at_registration():
+    engine = Engine()
+    engine.register_hook("largest", (), [ContextRegionSpec("ctx", MAX_CONTEXT_SIZE)])
+    for size in (MAX_CONTEXT_SIZE + 1, 1 << 32, -1):
+        with pytest.raises(ValueError, match="'size' out of range"):
+            engine.register_hook(f"h{size}", (), [ContextRegionSpec("ctx", size)])
+    assert sorted(engine._hook_names) == ["largest"]
 
 
 def test_unknown_hook_and_tenant_on_install():

@@ -2,10 +2,15 @@
 parse/reference error surface."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import femtoc
 from femtoc.scenario import (
     ParseError,
     UnknownReference,
@@ -82,6 +87,38 @@ def test_malicious_tenant_faults_without_disturbing_neighbors():
 def test_reports_are_byte_identical_across_runs(name):
     path = bundled_scenario_path(name)
     assert run_scenario(path).to_json() == run_scenario(path).to_json()
+
+
+def test_report_does_not_depend_on_the_hash_seed(tmp_path):
+    # Two grants on one label ('r' and 'w') live in a frozenset, whose
+    # iteration order changes with PYTHONHASHSEED; the report must not.
+    doc = {
+        "schema_version": 1,
+        "tenants": [{"name": "t"}],
+        "hooks": [{"name": "h", "context": [{"label": "a", "size": 8, "mode": "rw"},
+                                           {"label": "b", "size": 8, "mode": "rw"}]}],
+        "setup": [{
+            "action": "install", "name": "c", "tenant": "t", "hook": "h",
+            "program": {"asm": "mov64 r0, 0\nexit"},
+            "contract": {"regions": [{"label": label, "mode": mode}
+                                     for label in ("a", "b") for mode in ("r", "w")]},
+        }],
+        "events": [{"hook": "h"}],
+    }
+    path = tmp_path / "two_grants_per_label.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(femtoc.__file__).parents[1])
+    reports = set()
+    for hash_seed in ("0", "1", "2", "3", "4", "5"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        result = subprocess.run(
+            [sys.executable, "-m", "femtoc.cli", "--format", "json", "scenario", "run", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        reports.add(result.stdout)
+    assert len(reports) == 1
 
 
 def test_report_is_canonical_json():

@@ -3,6 +3,7 @@
 import pytest
 
 from femtoc import isa
+from femtoc import verifier as V
 from femtoc.asm import assemble
 from femtoc.isa import Instruction, Program
 from femtoc.verifier import (
@@ -74,6 +75,34 @@ def test_stack_store_through_r10_is_not_a_write_to_r10():
 
 def test_compare_against_r10_is_allowed():
     assert kinds(assemble("jeq r10, 0, +0\nexit")) == []
+
+
+def _lowered_code(ins):
+    return verify(Program((ins, Instruction(isa.OP_EXIT)))).form[0][0]
+
+
+@pytest.mark.parametrize("width,suffix", [(1, "b"), (2, "h"), (4, "w"), (8, "dw")])
+def test_only_r10_accesses_proven_inside_the_stack_become_stack_rows(width, suffix):
+    ldx = isa.opcode_by_name("ldx" + suffix, "reg")
+    stx = isa.opcode_by_name("stx" + suffix, "reg")
+    st = isa.opcode_by_name("st" + suffix, "imm")
+    cases = {
+        V.LDX: lambda off, base=10: Instruction(ldx, dst=0, src=base, offset=off),
+        V.STX: lambda off, base=10: Instruction(stx, dst=base, src=1, offset=off),
+        V.ST: lambda off, base=10: Instruction(st, dst=base, src=0, offset=off, imm=-1),
+    }
+    stack_code = {V.LDX: V.LDX_STACK, V.STX: V.STX_STACK, V.ST: V.ST_STACK}
+    for code, make in cases.items():
+        for off in (0, 512 - width):
+            assert _lowered_code(make(off)) == stack_code[code]
+        for off in (513 - width, 512, -1, -width):
+            assert _lowered_code(make(off)) == code
+        # Based on any other register the access keeps the window check.
+        for base in (1, 9):
+            assert _lowered_code(make(0, base)) == code
+    # r10 as the value source (or an unused src field) is not the base.
+    assert _lowered_code(Instruction(stx, dst=1, src=10, offset=0)) == V.STX
+    assert _lowered_code(Instruction(st, dst=1, src=10, offset=0)) == V.ST
 
 
 def test_jump_past_end_is_out_of_bounds():

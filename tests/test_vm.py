@@ -253,6 +253,27 @@ def test_address_arithmetic_wraps_mod_2_64():
     assert outcome.fault.kind is FaultKind.MEMORY_VIOLATION
 
 
+def test_windows_agree_with_region_for(rng):
+    mem = HostMemory()
+    ro = mem.alloc(24, "ro", readable=True, writable=False)
+    rw = mem.alloc(40, "rw", readable=True, writable=True)
+    wo = mem.alloc(16, "wo", readable=False, writable=True)
+    regions = [ro, rw.view(True, False), fresh_stack(mem), rw, wo, ro]
+    acl = AccessList(regions)
+    windows = {Mode.READ: acl.read_windows, Mode.WRITE: acl.write_windows}
+    lo, hi = mem.base - 16, mem.base + len(mem.buf) + 16
+    for _ in range(20_000):
+        addr, length = rng.randrange(lo, hi), rng.choice((1, 2, 4, 8, 3, 16, 0))
+        mode = rng.choice((Mode.READ, Mode.WRITE))
+        region = acl.region_for(addr, length, mode)
+        window = next((w for w in windows[mode] if w[0] <= addr and addr + length <= w[1]), None)
+        if region is None:
+            assert window is None, (addr, length, mode)
+        else:
+            assert window[:2] == (region.base, region.end)
+            assert window[2] is region.memory.buf and window[3] == region.memory.base
+
+
 # -- jumps and budget ------------------------------------------------------
 
 def test_conditional_jump_taken_and_not_taken():
