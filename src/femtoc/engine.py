@@ -8,9 +8,16 @@ both for helper ids and for named context regions.
 
 Verification is performed exactly once per installed bytecode: by the
 signed-update path before it installs, otherwise on the first trigger.
-Triggering a hook runs its containers in slot
-order with fresh zeroed context buffers, a fresh stack each, and full fault
+Triggering a hook runs its containers in slot order with context regions
+holding only the event's bytes, a zeroed stack each, and full fault
 isolation between slots.
+
+Each hook keeps one memory layout for all its triggers: its context
+regions, then one stack per slot position, in a guard-padded buffer that
+every trigger resets from its template before it writes in the event.  The
+running slot at position j (verify-rejected slots take none) uses stack j.
+Each container keeps its access list for the position it last ran at and
+its restricted helper table for the engine table it was cut from.
 """
 
 from __future__ import annotations
@@ -26,10 +33,10 @@ from .facilities import CallerIdentity, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
 from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
-from .vm import ExecOutcome, exec_program
+from .vm import ExecOutcome, SyscallTable, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
-MAX_CONTEXT_SIZE = 1 << 16  # bytes; every trigger allocates each context region afresh
+MAX_CONTEXT_SIZE = 1 << 16  # bytes; each hook keeps every context region in its buffer
 
 
 class EngineError(Exception):
@@ -127,7 +134,7 @@ class Contract:
 
 @dataclass(frozen=True)
 class ContextRegionSpec:
-    """One named buffer a hook materializes for every trigger."""
+    """One named region of a hook's buffer, reset for every trigger."""
 
     label: str
     size: int
@@ -164,11 +171,19 @@ class Container:
     hook_id: uuid.UUID
     program: Program
     granted: Contract
-    views: tuple[RegionGrant, ...]  # the granted regions in hook-template order; r1 is the first
+    views: tuple[MemoryRegion, ...]  # the granted context regions in hook-template order
+    ctx: MemoryRegion | None  # r1: the first view
     caller: CallerIdentity
     stats: ContainerStats = field(default_factory=ContainerStats)
     verified: VerifiedProgram | None = None
     verify_errors: tuple[VerifyError, ...] | None = None
+    # Kept across triggers: the access list for the stack position this
+    # container last ran at, and its restricted helper table together with
+    # the engine table it was cut from.
+    acl_position: int = -1
+    acl: AccessList | None = None
+    helpers_source: SyscallTable | None = None
+    helpers: SyscallTable | None = None
 
 
 @dataclass
@@ -180,6 +195,17 @@ class Hook:
     return_policy: str
     slot_limit: int = DEFAULT_SLOT_LIMIT
     slots: list[uuid.UUID] = field(default_factory=list)
+    # One layout for every trigger: the context regions by label, in
+    # template order, then stack j for the running slot at position j.
+    memory: HostMemory = field(default_factory=HostMemory)
+    context: dict[str, MemoryRegion] = field(default_factory=dict)
+    stacks: list[MemoryRegion] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        for spec in self.context_template:
+            self.context[spec.label] = self.memory.alloc(
+                spec.size, spec.label, spec.readable, spec.writable
+            )
 
 
 @dataclass(frozen=True)
@@ -321,6 +347,8 @@ class Engine:
             container_id = self._new_id()
             self._bind(hook, tenant_id, container_id, program, contract, verified)
             hook.slots.append(container_id)
+            if len(hook.stacks) < len(hook.slots):
+                hook.stacks.append(fresh_stack(hook.memory))
             return container_id
 
     def remove_container(self, container_id: uuid.UUID) -> None:
@@ -364,11 +392,13 @@ class Engine:
         verification state and stats, and an empty container store."""
         granted = intersect_contract(hook, contract)
         rank = {spec.label: i for i, spec in enumerate(hook.context_template)}
-        views = tuple(sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable)))
+        grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
+        views = tuple(hook.context[g.label].view(g.readable, g.writable) for g in grants)
+        ctx = views[0] if views else None
         caller = CallerIdentity.for_grant(tenant_id, container_id, granted.syscalls)
         stats = ContainerStats(verify_count=int(verified is not None))
         self.containers[container_id] = Container(
-            container_id, tenant_id, hook.hook_id, program, granted, views, caller, stats, verified
+            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, caller, stats, verified
         )
         self.facilities.stores.create_container_store(container_id)
 
@@ -402,43 +432,47 @@ class Engine:
         """Fire a hook: run every attached container once, in slot order.
 
         ``event`` supplies initial bytes per context label; omitted labels
-        start zeroed.  Context buffers are fresh per trigger, stacks fresh
-        per container, and one container's fault never stops the next.
+        start zeroed.  The hook's buffer is reset from its template first,
+        so context regions start afresh per trigger and every stack zeroed;
+        one container's fault never stops the next.  A helper must not call
+        back into trigger_hook: that would reset the buffer under the
+        running container.
         """
         with self.lock:
             hook = self.hooks.get(hook_id)
             if hook is None:
                 raise UnknownHook(str(hook_id))
-            payload = dict(event or {})
-            specs = {spec.label: spec for spec in hook.context_template}
-            for label, data in payload.items():
-                spec = specs.get(label)
-                if spec is None:
+            memory = hook.memory
+            memory.reset()
+            for label, data in (event or {}).items():
+                region = hook.context.get(label)
+                if region is None:
                     raise ContextShapeMismatch(f"hook {hook.name!r} has no context region {label!r}")
-                if len(data) != spec.size:
+                if len(data) != region.length:
                     raise ContextShapeMismatch(
-                        f"context {label!r} expects {spec.size} bytes, got {len(data)}"
+                        f"context {label!r} expects {region.length} bytes, got {len(data)}"
                     )
-
-            host = HostMemory()
-            ctx_regions: dict[str, MemoryRegion] = {}
-            for spec in hook.context_template:
-                ctx_regions[spec.label] = host.alloc(
-                    spec.size, spec.label, spec.readable, spec.writable, payload.get(spec.label)
-                )
+                start = region.base - memory.base
+                memory.buf[start : start + region.length] = data
 
             outcomes: list[SlotOutcome] = []
+            position = 0
             for container_id in list(hook.slots):
                 container = self.containers[container_id]
                 vp = self._ensure_verified(container)
                 if vp is None:
                     outcomes.append(SlotOutcome(container_id, None, container.verify_errors or ()))
                     continue
-                views = [ctx_regions[g.label].view(g.readable, g.writable) for g in container.views]
-                acl = AccessList([fresh_stack(host), *views])
-                ctx = views[0] if views else None
-                table = self.syscall_table.restricted(container.granted.syscalls)
-                outcome = exec_program(vp, ctx, acl, table, vp.budget, container.caller)
+                if container.acl_position != position:
+                    container.acl = AccessList([hook.stacks[position], *container.views])
+                    container.acl_position = position
+                if container.helpers_source is not self.syscall_table:
+                    container.helpers = self.syscall_table.restricted(container.granted.syscalls)
+                    container.helpers_source = self.syscall_table
+                position += 1
+                outcome = exec_program(
+                    vp, container.ctx, container.acl, container.helpers, vp.budget, container.caller
+                )
                 container.stats.runs += 1
                 container.stats.total_executed += outcome.executed
                 if outcome.fault is not None:
@@ -451,7 +485,7 @@ class Engine:
                     if slot.outcome is not None and slot.outcome.ok and slot.outcome.return_value:
                         policy_value = slot.outcome.return_value
                         break
-            context_after = {label: region.snapshot() for label, region in ctx_regions.items()}
+            context_after = {label: region.snapshot() for label, region in hook.context.items()}
             return TriggerResult(hook_id, tuple(outcomes), policy_value, context_after)
 
     # -- introspection -------------------------------------------------

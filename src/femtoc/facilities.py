@@ -14,6 +14,7 @@ scenario says so, which keeps every run reproducible.
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 from uuid import UUID
@@ -28,6 +29,7 @@ SCOPE_GLOBAL = "global"
 CONTAINER_STORE_CAPACITY = 64
 TENANT_STORE_CAPACITY = 128
 GLOBAL_STORE_CAPACITY = 256
+DEBUG_LOG_CAPACITY = 1024  # newest (container id, value) entries helper 0x30 keeps
 
 # Helper ids. The verifier checks CALL immediates against the subset a
 # contract grants, so unused ids are unreachable even though the table
@@ -236,7 +238,9 @@ class FacilityContext:
     stores: StoreManager = field(default_factory=StoreManager)
     clock: VirtualClock = field(default_factory=VirtualClock)
     sensors: dict[int, SensorFixture] = field(default_factory=dict)
-    debug_log: list[tuple[UUID | None, int]] = field(default_factory=list)
+    debug_log: deque[tuple[UUID | None, int]] = field(
+        default_factory=lambda: deque(maxlen=DEBUG_LOG_CAPACITY)
+    )
 
 
 def standalone_caller(fac: FacilityContext, syscalls: Iterable[int]) -> CallerIdentity:

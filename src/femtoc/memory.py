@@ -5,7 +5,9 @@ comes entirely from the access list: a load or store is allowed only when
 the whole accessed range [addr, addr+len) lies inside a single region that
 grants the required mode.  The allocator leaves guard gaps filled with a
 canary byte between regions, so any access that slipped past the checks is
-detectable after the fact.
+detectable after the fact.  A buffer is reused across runs by ``reset``,
+which puts back every byte the allocations wrote: guards, zeros and init
+data.
 
 An access list also keeps its regions as two tuples of windows, one for
 reads and one for writes, each ``(lo, hi, buf, base)``: the region's
@@ -50,6 +52,7 @@ class HostMemory:
     def __init__(self, base: int = DEFAULT_BASE):
         self.base = base
         self.buf = bytearray()
+        self._fresh = bytearray()  # buf as the allocations left it
         self._guards: list[tuple[int, int]] = []  # [start, end) offsets into buf
 
     def _push_guard(self) -> None:
@@ -74,11 +77,13 @@ class HostMemory:
         if init:
             self.buf[start : start + len(init)] = init
         self._push_guard()
+        self._fresh += self.buf[len(self._fresh) :]
         return MemoryRegion(self.base + start, length, readable, writable, label, self)
 
-    def load(self, addr: int, size: int) -> int:
-        i = addr - self.base
-        return int.from_bytes(self.buf[i : i + size], "little")
+    def reset(self) -> None:
+        """Put back every byte as the allocations left it, in place, so
+        regions and windows that hold ``buf`` stay valid."""
+        self.buf[:] = self._fresh
 
     def store(self, addr: int, size: int, value: int) -> None:
         i = addr - self.base

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from femtoc.isa import OPCODE_INFO, OpKind
-from femtoc.memory import AccessList, AccessViolation, MemoryRegion, Mode
+from femtoc.memory import AccessList, AccessViolation, HostMemory, MemoryRegion, Mode
 from femtoc.verifier import VerifiedProgram
 from femtoc.vm import (
     MASK32,
@@ -28,6 +28,11 @@ from femtoc.vm import (
 
 if TYPE_CHECKING:
     from femtoc.facilities import CallerIdentity
+
+
+def _load(memory: HostMemory, addr: int, size: int) -> int:
+    i = addr - memory.base
+    return int.from_bytes(memory.buf[i : i + size], "little")
 
 
 def _s64(x: int) -> int:
@@ -123,7 +128,7 @@ def exec_program(
         region = acl.region_for(addr, size, Mode.READ)
         if region is None:
             raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, at, addr, size, "read denied"))
-        return region.memory.load(addr, size)
+        return _load(region.memory, addr, size)
 
     def mem_store(addr: int, size: int, value: int, at: int) -> None:
         region = acl.region_for(addr, size, Mode.WRITE)

@@ -26,8 +26,8 @@ from femtoc.engine import (
     intersect_contract,
 )
 from femtoc.fixtures import FIXTURE_SYSCALLS, fixture_program
-from femtoc.verifier import VerifyLimits
-from femtoc.vm import FaultKind
+from femtoc.verifier import VerifyLimits, verify
+from femtoc.vm import FaultKind, SyscallTable
 
 EXIT_ONLY = assemble("mov64 r0, 0\nexit")
 
@@ -439,3 +439,161 @@ def test_concurrent_triggers_on_distinct_hooks():
         t.join()
     assert not errors
     assert [engine.containers[c].stats.runs for c in cids] == [50, 50, 50, 50]
+
+
+# -- the hook's buffer, reused across triggers ------------------------------
+
+STACK_WRITER = assemble("mov64 r2, 0x77\nstxdw [r10+8], r2\nmov64 r0, 0\nexit")
+STACK_READER = assemble("ldxdw r0, [r10+8]\nexit")
+# Returns the stack byte it finds, then leaves a mark there for the next run.
+STACK_READ_THEN_MARK = assemble(
+    "ldxdw r0, [r10+8]\nmov64 r2, 0x77\nstxdw [r10+8], r2\nexit"
+)
+
+
+def test_a_slot_never_sees_the_previous_slots_stack():
+    engine, tenant, hook = engine_with_hook()
+    engine.install_container(tenant, STACK_WRITER, Contract.of(), hook)
+    reader = engine.install_container(tenant, STACK_READER, Contract.of(), hook)
+    for _ in range(2):
+        result = engine.trigger_hook(hook)
+        by_id = {slot.container_id: slot for slot in result.outcomes}
+        assert by_id[reader].outcome.fault is None
+        assert by_id[reader].outcome.return_value == 0
+
+
+def test_a_container_never_sees_its_own_stack_from_the_last_trigger():
+    engine, tenant, hook = engine_with_hook()
+    engine.install_container(tenant, STACK_READ_THEN_MARK, Contract.of(), hook)
+    for _ in range(3):
+        (slot,) = engine.trigger_hook(hook).outcomes
+        assert slot.outcome.fault is None
+        assert slot.outcome.return_value == 0
+
+
+def test_a_context_region_left_out_of_the_next_event_reads_zero():
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook(
+        "h",
+        (),
+        [
+            ContextRegionSpec("out", 8, readable=True, writable=True),
+            ContextRegionSpec("in", 8, readable=True, writable=False),
+        ],
+    )
+    # Returns the first word of "out", then overwrites it.
+    program = assemble("ldxdw r0, [r1+0]\nmov64 r2, 0x55\nstxdw [r1+0], r2\nexit")
+    engine.install_container(
+        tenant, program, Contract.of(regions=[RegionGrant("out", True, True)]), hook
+    )
+    first = engine.trigger_hook(hook, {"out": struct.pack("<Q", 7), "in": bytes(8)})
+    assert first.outcomes[0].outcome.return_value == 7
+    assert first.context_after["out"] == struct.pack("<Q", 0x55)
+    second = engine.trigger_hook(hook, {"in": struct.pack("<Q", 3)})
+    assert second.outcomes[0].outcome.return_value == 0
+    assert second.context_after == {"out": struct.pack("<Q", 0x55), "in": struct.pack("<Q", 3)}
+
+
+def test_guards_stay_intact_in_the_hooks_buffer_after_a_hostile_writer():
+    engine = Engine()
+    tenant = engine.register_tenant("mallory")
+    hook = engine.register_hook("h", (), [ContextRegionSpec("ctx", 16, True, True)])
+    hostile = fixture_program("hostile_writer")
+    for _ in range(2):
+        engine.install_container(
+            tenant, hostile, Contract.of(regions=[RegionGrant("ctx", True, True)]), hook
+        )
+    memory = engine.hooks[hook].memory
+    for _ in range(2):
+        result = engine.trigger_hook(hook, {"ctx": bytes(range(16))})
+        kinds = [slot.outcome.fault.kind for slot in result.outcomes]
+        assert kinds == [FaultKind.MEMORY_VIOLATION] * 2
+        assert memory.guards_intact()
+
+
+# Returns r10. When the first word of region "a" is nonzero, it instead
+# loads the byte that far above r10, past the stack when it is 512.
+R10_PROBE = assemble(
+    """
+    mov64 r0, r10
+    ldxdw r2, [r1+0]
+    jeq r2, 0, +3
+    mov64 r3, r10
+    add64 r3, r2
+    ldxb r0, [r3+0]
+    exit
+    """
+)
+NOT_GRANTED = assemble("call 0x30\nexit")  # fails verification: 0x30 is not granted
+# Addresses the allocation order gives: regions a (8 bytes) and b (16 bytes),
+# then one 512-byte stack per running slot, each region fenced by 16-byte guards.
+STACK_0, STACK_1 = 0x1068, 0x1288
+
+
+def test_running_slots_take_stacks_in_order_and_keep_their_addresses():
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook(
+        "h", (), [ContextRegionSpec("a", 8, True, True), ContextRegionSpec("b", 16, True, False)]
+    )
+    contract = Contract.of(regions=[RegionGrant("a", True, True), RegionGrant("b")])
+    first, rejected, third = (
+        engine.install_container(tenant, program, contract, hook)
+        for program in (R10_PROBE, NOT_GRANTED, R10_PROBE)
+    )
+
+    def returns(event=None):
+        result = engine.trigger_hook(hook, event)
+        return {s.container_id: s.outcome and s.outcome.return_value for s in result.outcomes}
+
+    def faults():
+        result = engine.trigger_hook(hook, {"a": struct.pack("<Q", 512), "b": bytes(16)})
+        return {s.container_id: s.outcome and s.outcome.fault for s in result.outcomes}
+
+    assert returns() == {first: STACK_0, rejected: None, third: STACK_1}
+    fault = faults()[third]
+    assert (fault.kind, fault.pc, fault.addr, fault.length) == (
+        FaultKind.MEMORY_VIOLATION, 5, STACK_1 + 512, 1
+    )
+
+    engine.remove_container(first)
+    assert returns() == {rejected: None, third: STACK_0}
+    assert faults()[third].addr == STACK_0 + 512
+    fourth = engine.install_container(tenant, R10_PROBE, contract, hook)
+    assert returns() == {rejected: None, third: STACK_0, fourth: STACK_1}
+
+
+def test_a_replaced_engine_helper_table_takes_effect_at_the_next_trigger():
+    engine, tenant, hook = engine_with_hook(syscalls=(0x10,))
+    program = assemble("call 0x10\ncall 0x30\nexit")
+    # Verified as if 0x30 were granted, so only the helper table stands
+    # between the program and 0x30 at run time.
+    verified = verify(program, engine.limits, frozenset({0x10, 0x30}))
+    cid = engine.install_container(
+        tenant, program, Contract.of(syscalls={0x10, 0x30}), hook, verified=verified
+    )
+    assert engine.containers[cid].granted.syscalls == frozenset({0x10})
+
+    def fault_of_one_trigger():
+        (slot,) = engine.trigger_hook(hook).outcomes
+        return slot.outcome.fault.kind, slot.outcome.fault.pc
+
+    assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
+    calls = []
+    original = engine.syscall_table
+    wrapped = SyscallTable()
+    for sys_id in sorted(original.ids()):
+        entry = original.lookup(sys_id)
+
+        def recording(env, *args, entry=entry):
+            calls.append(entry.id)
+            return entry.fn(env, *args)
+
+        wrapped.register(sys_id, recording, entry.argc, entry.name)
+    engine.syscall_table = wrapped
+    assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
+    assert calls == [0x10]
+    engine.syscall_table = original
+    assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
+    assert calls == [0x10]

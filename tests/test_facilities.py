@@ -17,6 +17,7 @@ from femtoc.facilities import (
     scopes_from_syscalls,
     standard_syscall_table,
 )
+from femtoc.vm import SyscallEnv
 
 
 def caller(manager, tenant, container, scopes=(fa.SCOPE_CONTAINER, fa.SCOPE_TENANT, fa.SCOPE_GLOBAL)):
@@ -168,3 +169,16 @@ def test_store_dump_shape():
     }
     assert flat[(fa.SCOPE_CONTAINER, 2)] == -5
     assert flat[(fa.SCOPE_GLOBAL, 1)] == 10
+
+
+def test_debug_log_keeps_only_the_newest_entries():
+    fac = FacilityContext()
+    debug_log = standard_syscall_table(fac).lookup(fa.SYS_DEBUG_LOG).fn
+    who = CallerIdentity(uuid.uuid4(), uuid.uuid4(), frozenset())
+    total = 10 * fa.DEBUG_LOG_CAPACITY
+    for value in range(total):
+        assert debug_log(SyscallEnv(None, 0, who), value) == 0
+    assert len(fac.debug_log) == fa.DEBUG_LOG_CAPACITY
+    assert list(fac.debug_log) == [
+        (who.container_id, value) for value in range(total - fa.DEBUG_LOG_CAPACITY, total)
+    ]

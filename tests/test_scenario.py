@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import femtoc
+from femtoc.cli import main
 from femtoc.scenario import (
     ParseError,
     UnknownReference,
@@ -87,6 +88,16 @@ def test_malicious_tenant_faults_without_disturbing_neighbors():
 def test_reports_are_byte_identical_across_runs(name):
     path = bundled_scenario_path(name)
     assert run_scenario(path).to_json() == run_scenario(path).to_json()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_json_report_matches_the_golden_copy(name, capsys):
+    # tests/golden/<name>.json is the `femtoc --format json scenario run`
+    # output for the bundled scenario; regenerate it only for an intended
+    # change of behaviour.
+    assert main(["--format", "json", "scenario", "run", str(bundled_scenario_path(name))]) == 0
+    golden = Path(__file__).parent / "golden" / f"{name}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_report_does_not_depend_on_the_hash_seed(tmp_path):
