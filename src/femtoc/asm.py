@@ -35,6 +35,7 @@ from .isa import (
     OpKind,
     Instruction,
     Program,
+    decode_instruction,
     encode_instruction,
     opcode_by_name,
     opcode_info,
@@ -247,8 +248,6 @@ def assemble(text: str) -> Program:
                 raise AsmError(lineno, f"raw expects 16 hex digits, got {hex_tok!r}") from None
             if len(blob) != 8:
                 raise AsmError(lineno, f"raw expects exactly 8 bytes, got {len(blob)}")
-            from .isa import decode_instruction
-
             out.append(decode_instruction(blob))
     return Program(tuple(out))
 

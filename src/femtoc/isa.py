@@ -10,13 +10,20 @@ Every instruction occupies one 64-bit slot laid out little-endian as
 The only multi-slot instruction is the wide immediate load (``lddw``), whose
 second slot carries the upper 32 bits of the immediate and must have a zero
 opcode.
+
+A ``Program`` is its encoded bytes.  Decoding a payload checks its length and
+keeps the bytes; the ``Instruction`` objects of its slots are built only when
+something asks for them (the disassembler, an error listing, a test).
+Building a ``Program`` from ``Instruction``s encodes them at once, so a field
+that does not fit its width raises ``FieldOverflow`` there.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable
 
 SLOT_SIZE = 8
 
@@ -87,29 +94,51 @@ def decode_instruction(slot: bytes) -> Instruction:
     return Instruction(opcode, regs & 0x0F, regs >> 4, offset, imm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Program:
-    """A decoded sequence of instruction slots."""
+    """An encoded program: ``SLOT_SIZE`` bytes per instruction slot.
 
-    slots: tuple[Instruction, ...]
+    The bytes are the program.  ``Program.from_bytes`` keeps them as given;
+    ``Program(slots)`` encodes the instructions once and raises
+    ``FieldOverflow`` if a field does not fit its width.  ``slots`` decodes
+    to ``Instruction``s on first use and keeps the result; the verifier
+    reads the bytes and never asks for it.  Programs are immutable, and
+    equality and hashing follow the bytes.
+    """
 
-    @property
-    def byte_len(self) -> int:
-        return len(self.slots) * SLOT_SIZE
+    _data: bytes
+    _slots: tuple[Instruction, ...] | None = field(default=None, compare=False, repr=False)
 
-    def to_bytes(self) -> bytes:
-        return b"".join(encode_instruction(i) for i in self.slots)
+    def __init__(self, slots: Iterable[Instruction]):
+        slots = tuple(slots)
+        object.__setattr__(self, "_data", b"".join(map(encode_instruction, slots)))
+        object.__setattr__(self, "_slots", slots)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Program":
         if len(data) % SLOT_SIZE != 0:
             raise ValueError(f"program length {len(data)} is not a multiple of {SLOT_SIZE}")
-        return cls(
-            tuple(
+        program = cls.__new__(cls)
+        object.__setattr__(program, "_data", bytes(data))
+        object.__setattr__(program, "_slots", None)
+        return program
+
+    @property
+    def slots(self) -> tuple[Instruction, ...]:
+        if self._slots is None:
+            decoded = tuple(
                 Instruction(opcode, regs & 0x0F, regs >> 4, offset, imm)
-                for opcode, regs, offset, imm in _SLOT.iter_unpack(data)
+                for opcode, regs, offset, imm in _SLOT.iter_unpack(self._data)
             )
-        )
+            object.__setattr__(self, "_slots", decoded)
+        return self._slots
+
+    @property
+    def byte_len(self) -> int:
+        return len(self._data)
+
+    def to_bytes(self) -> bytes:
+        return self._data
 
 
 class OpKind(Enum):
@@ -224,18 +253,16 @@ _BY_NAME: dict[tuple[str, str | None], int] = {
 }
 
 
-def continuation_slots(slots: tuple[Instruction, ...]) -> list[bool]:
-    """Mark slots that are the second half of a wide load.
+def continuation_slots(opcodes: bytes) -> list[bool]:
+    """Mark slots that are the second half of a wide load, given one opcode
+    byte per slot (``program.to_bytes()[::SLOT_SIZE]``).
 
     The scan is sequential: a slot already consumed as a continuation cannot
     itself start a wide load.
     """
-    marks = [False] * len(slots)
-    i = 0
-    while i < len(slots):
-        if slots[i].opcode == OP_LDDW and i + 1 < len(slots):
-            marks[i + 1] = True
-            i += 2
-        else:
-            i += 1
+    marks = [False] * len(opcodes)
+    i = opcodes.find(OP_LDDW)
+    while 0 <= i < len(opcodes) - 1:
+        marks[i + 1] = True
+        i = opcodes.find(OP_LDDW, i + 2)
     return marks

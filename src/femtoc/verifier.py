@@ -12,6 +12,11 @@ exit or an unconditional jump).
 All violations are collected and reported together rather than stopping at
 the first one.
 
+The scan reads the program's encoded bytes, one ``(opcode, regs, off, imm)``
+tuple per slot, and splits the register byte itself; it never decodes the
+program to ``Instruction`` objects.  Error mnemonics come from the opcode
+table, or from the slot's raw bytes for an unknown opcode.
+
 The scan also proves some memory accesses safe once: a load or store whose
 base register is r10 and whose [off, off+width) lies within the stack
 lowers to a stack row, which the interpreter runs with no access-list
@@ -26,13 +31,13 @@ from enum import Enum
 from typing import Iterable
 
 from .isa import (
+    _SLOT,
     OPCODE_INFO,
-    Instruction,
+    SLOT_SIZE,
     OpcodeInfo,
     OpKind,
     Program,
     continuation_slots,
-    encode_instruction,
     opcode_info,
 )
 from .memory import STACK_SIZE
@@ -161,10 +166,12 @@ class VerifyRejected(ValueError):
         self.errors = errors
 
 
-def _mnemonic(ins: Instruction) -> str:
-    info = opcode_info(ins.opcode)
+def _mnemonic(data: bytes, at: int) -> str:
+    """Slot ``at``'s opcode name, or its raw bytes if the opcode has none."""
+    start = at * SLOT_SIZE
+    info = opcode_info(data[start])
     if info is None:
-        return f"raw {encode_instruction(ins).hex()}"
+        return f"raw {data[start:start + SLOT_SIZE].hex()}"
     return info.name
 
 
@@ -179,11 +186,11 @@ def _scan(
     form is meaningful only when there are no violations.
     """
     allowed = frozenset(allowed_syscalls)
-    slots = program.slots
-    n = len(slots)
+    data = program.to_bytes()
+    n = len(data) // SLOT_SIZE
     errors: list[VerifyError] = []
     form: list[tuple[int, ...]] = []
-    is_cont = continuation_slots(slots)
+    is_cont = continuation_slots(data[::SLOT_SIZE])
 
     def fail(kind: VerifyErrorKind, at: int, mnemonic: str, detail: str) -> None:
         errors.append(VerifyError(kind, at, mnemonic, detail))
@@ -191,23 +198,24 @@ def _scan(
     if n > limits.max_instructions:
         at = limits.max_instructions
         detail = f"program has {n} slots, limit is {at}"
-        fail(VerifyErrorKind.TOO_LONG, at, _mnemonic(slots[at]), detail)
+        fail(VerifyErrorKind.TOO_LONG, at, _mnemonic(data, at), detail)
 
     has_exit = False
     last_real = -1
-    i = 0
-    while i < n:
-        ins = slots[i]
-        row = _ROWS.get(ins.opcode)
+    in_wide_load = False
+    for i, (opcode, regs, off, imm) in enumerate(_SLOT.iter_unpack(data)):
+        if in_wide_load:  # lowered with the wide load's first slot
+            in_wide_load = False
+            continue
+        row = _ROWS.get(opcode)
         last_real = i
         if row is None:
-            detail = f"opcode {ins.opcode:#04x} is not part of the supported set"
-            fail(VerifyErrorKind.UNKNOWN_OPCODE, i, _mnemonic(ins), detail)
+            detail = f"opcode {opcode:#04x} is not part of the supported set"
+            fail(VerifyErrorKind.UNKNOWN_OPCODE, i, _mnemonic(data, i), detail)
             form.append(_NOT_RUNNABLE)
-            i += 1
             continue
         name, writes_dst, code, sub, imm_mask, stack_code = row
-        dst, src, off, imm = ins.dst, ins.src, ins.offset, ins.imm & imm_mask
+        dst, src, imm = regs & 0x0F, regs >> 4, imm & imm_mask
         if stack_code and (src if code == LDX else dst) == 10 and 0 <= off <= STACK_SIZE - sub:
             code = stack_code
 
@@ -241,23 +249,22 @@ def _scan(
             if i + 1 >= n:
                 detail = "wide load is missing its continuation slot"
                 fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
-            elif slots[i + 1].opcode != 0:
+            elif data[SLOT_SIZE * (i + 1)] != 0:
                 detail = "wide load continuation slot must have a zero opcode"
                 fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
             else:
-                imm |= (slots[i + 1].imm & MASK32) << 32
+                imm |= (_SLOT.unpack_from(data, SLOT_SIZE * (i + 1))[3] & MASK32) << 32
                 form += ((code, sub, dst, src, off, imm), _NOT_RUNNABLE)
-                i += 2
+                in_wide_load = True
                 continue
         form.append((code, sub, dst, src, off, imm))
-        i += 1
 
     # A single NoExit covers both ways control can escape: no exit anywhere,
     # or a final instruction that can fall through past the last slot.
-    last_row = _ROWS.get(slots[last_real].opcode) if last_real >= 0 else None
+    last_row = _ROWS.get(data[SLOT_SIZE * last_real]) if last_real >= 0 else None
     if not has_exit or last_row is None or last_row[2] not in (EXIT, JA):
         at = max(last_real, 0)
-        mnem = _mnemonic(slots[at]) if n else "<empty>"
+        mnem = _mnemonic(data, at) if n else "<empty>"
         detail = (
             "program contains no exit instruction"
             if not has_exit

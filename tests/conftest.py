@@ -45,3 +45,15 @@ def check_program_scans(monkeypatch):
 
     monkeypatch.setattr(femtoc.verifier, "_scan", counted)
     return scanned
+
+
+@pytest.fixture
+def forbid_instructions(monkeypatch):
+    """Call the returned function to make every later ``Instruction``
+    construction fail the test: the hosting path decodes no slots."""
+    from femtoc.isa import Instruction
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an Instruction was built on the hosting path")
+
+    return lambda: monkeypatch.setattr(Instruction, "__init__", refuse)

@@ -126,7 +126,7 @@ def random_accepted_program(
 
     slots.append(Instruction(isa.OP_EXIT))
 
-    continuation = isa.continuation_slots(tuple(slots))
+    continuation = isa.continuation_slots(bytes(ins.opcode for ins in slots))
     targets = [i for i in range(len(slots)) if not continuation[i]]
     for site in jump_sites:
         target = rng.choice(targets)

@@ -153,6 +153,16 @@ def test_run_scans_the_program_once(tmp_path, check_program_scans):
     assert len(check_program_scans) == 2
 
 
+def test_run_of_a_bin_builds_no_instruction(tmp_path, capsys, forbid_instructions):
+    ok = write_bin(tmp_path, "ok.bin", ECHO_SRC)
+    bad = write_bin(tmp_path, "bad.bin", NO_EXIT_SRC)
+    forbid_instructions()
+    rc, data = run_json(capsys, ["run", str(ok), "--ctx", "2a00000000000000"])
+    assert (rc, data["return"]) == (0, 42)
+    rc, data = run_json(capsys, ["run", str(bad)])
+    assert (rc, data["errors"][0]["kind"]) == (1, "NoExit")
+
+
 def test_run_with_ctx_bytes(tmp_path, capsys):
     bin_path = write_bin(tmp_path, "p.bin", ECHO_SRC)
     rc, data = run_json(capsys, ["run", str(bin_path), "--ctx", "2a00000000000000"])

@@ -26,6 +26,7 @@ from femtoc.engine import (
     intersect_contract,
 )
 from femtoc.fixtures import FIXTURE_SYSCALLS, fixture_program
+from femtoc.isa import Program
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import FaultKind, SyscallTable
 
@@ -217,6 +218,26 @@ def test_thread_counter_three_switches_to_thread_two():
         engine.trigger_hook(hook, {"ctx": struct.pack("<QQ", prev, 2)})
     store = engine.facilities.stores.container_stores[cid]
     assert store.get(2) == 3
+
+
+def test_install_and_first_trigger_of_decoded_bytes_build_no_instruction(forbid_instructions):
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook(
+        "sched.thread_switch",
+        FIXTURE_SYSCALLS["thread_counter"],
+        [ContextRegionSpec("ctx", 16, readable=True, writable=False)],
+    )
+    counter = fixture_program("thread_counter").to_bytes()
+    writes_r10 = assemble("mov64 r10, 1\nexit").to_bytes()
+    contract = Contract.of(syscalls=FIXTURE_SYSCALLS["thread_counter"], regions=[RegionGrant("ctx")])
+    forbid_instructions()
+    cid = engine.install_container(tenant, Program.from_bytes(counter), contract, hook)
+    engine.install_container(tenant, Program.from_bytes(writes_r10), contract, hook)
+    ran, rejected = engine.trigger_hook(hook, {"ctx": struct.pack("<QQ", 3, 2)}).outcomes
+    assert ran.outcome.ok
+    assert rejected.verify_errors[0].mnemonic == "mov64"
+    assert engine.facilities.stores.container_stores[cid].get(2) == 1
 
 
 def test_context_payload_must_match_template():

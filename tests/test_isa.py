@@ -97,6 +97,8 @@ def test_round_trip_property(opcode, dst, src, offset, imm):
 def test_encode_rejects_out_of_width_fields(bad):
     with pytest.raises(FieldOverflow):
         encode_instruction(bad)
+    with pytest.raises(FieldOverflow):
+        Program((Instruction(isa.OP_EXIT), bad))
 
 
 def test_decode_requires_exactly_eight_bytes():
@@ -111,7 +113,31 @@ def test_program_bytes_round_trip(rng):
     )
     program = Program(slots)
     assert program.byte_len == 17 * 8
-    assert Program.from_bytes(program.to_bytes()) == program
+    decoded = Program.from_bytes(program.to_bytes())
+    assert decoded == program
+    assert hash(decoded) == hash(program)
+    assert decoded.slots == slots
+    assert decoded != Program(slots[:-1])
+
+
+def test_program_keeps_its_bytes_and_decodes_slots_on_demand(rng):
+    for _ in range(200):
+        data = rng.randbytes(8 * rng.randrange(40))
+        program = Program.from_bytes(data)
+        assert program.to_bytes() == data
+        assert program.byte_len == len(data)
+        expected = tuple(decode_instruction(data[i : i + 8]) for i in range(0, len(data), 8))
+        assert program.slots == expected
+        assert program.slots is program.slots
+        assert Program(expected) == program
+
+
+def test_program_is_immutable():
+    program = Program.from_bytes(bytes.fromhex("9500000000000000"))
+    with pytest.raises(AttributeError):
+        program.slots = ()
+    with pytest.raises(AttributeError):
+        program._data = b""
 
 
 def test_program_from_bytes_rejects_ragged_input():
@@ -120,24 +146,14 @@ def test_program_from_bytes_rejects_ragged_input():
 
 
 def test_continuation_slot_marking():
-    slots = (
-        Instruction(0xB7, dst=0),
-        Instruction(isa.OP_LDDW, dst=1, imm=7),
-        Instruction(0, imm=1),
-        Instruction(isa.OP_EXIT),
-    )
-    assert continuation_slots(slots) == [False, False, True, False]
+    opcodes = bytes((0xB7, isa.OP_LDDW, 0, isa.OP_EXIT))
+    assert continuation_slots(opcodes) == [False, False, True, False]
 
 
 def test_lddw_continuation_is_not_double_counted():
     # A zero-opcode slot only continues the lddw directly before it.
-    slots = (
-        Instruction(isa.OP_LDDW, dst=1),
-        Instruction(0),
-        Instruction(0),
-        Instruction(isa.OP_EXIT),
-    )
-    assert continuation_slots(slots) == [False, True, False, False]
+    opcodes = bytes((isa.OP_LDDW, 0, 0, isa.OP_EXIT))
+    assert continuation_slots(opcodes) == [False, True, False, False]
 
 
 def test_opcode_table_flags():

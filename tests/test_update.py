@@ -456,3 +456,14 @@ def test_signature_survives_wire_round_trip_and_still_applies():
     manifest = signed(alpha, hook, 1, RETURN_5, ALPHA_KEY)
     wired = manifest_from_json(json.loads(json.dumps(manifest_to_json(manifest))))
     assert apply_update(engine, wired, RETURN_5).accepted
+
+
+def test_apply_update_and_first_trigger_build_no_instruction(forbid_instructions):
+    engine, hook, alpha, _ = fresh_engine()
+    forbid_instructions()
+    rejected = apply_update(engine, signed(alpha, hook, 1, NO_EXIT, ALPHA_KEY), NO_EXIT)
+    assert rejected.reason is UpdateReject.VERIFY_REJECTED
+    outcome = apply_update(engine, signed(alpha, hook, 2, RETURN_5, ALPHA_KEY), RETURN_5)
+    assert outcome.accepted
+    (slot,) = engine.trigger_hook(hook, {}).outcomes
+    assert slot.outcome.return_value == 5

@@ -1,5 +1,9 @@
 """Every pre-flight rule, its error kind, and error aggregation."""
 
+import hashlib
+import random
+import struct
+
 import pytest
 
 from femtoc import isa
@@ -234,7 +238,7 @@ def test_single_violation_injection_is_detected(rng):
     for trial in range(300):
         program = random_accepted_program(rng)
         slots = list(program.slots)
-        continuation = isa.continuation_slots(slots)
+        continuation = isa.continuation_slots(program.to_bytes()[::isa.SLOT_SIZE])
         sites = [i for i in range(len(slots) - 1) if not continuation[i]]
         if not sites:
             continue
@@ -245,3 +249,90 @@ def test_single_violation_injection_is_detected(rng):
         # Nuking an lddw head strands its continuation; both are real findings.
         errors = check_program(Program(tuple(mutated)), VerifyLimits(64, 8), ())
         assert errors, f"trial {trial}: mutation at {site} slipped through"
+
+
+# -- the verifier's output, pinned ------------------------------------------
+
+_PIN_SEED = 0x7E51
+_PIN_LIMITS = (VerifyLimits(), VerifyLimits(16, 4))
+_PIN_ALLOWED = (0x01, 0x30)
+_KNOWN_OPS = sorted(isa.OPCODE_INFO)
+# sha256 of the outputs below over the seeded corpus; recorded before the
+# verifier read the encoded bytes directly, so any change in what it reports
+# for any payload shows here.
+_PIN_DIGEST = "b48f0b4fa634baf343da3a297d3e3df064e572de1ed8741ba5880d4360acdf5d"
+
+
+def _raw_payload(rng):
+    """Slot bytes that hit every rule: unknown opcodes, register nibbles
+    11-15, wide loads at the end or followed by a non-zero opcode, jumps
+    past either end, helper ids in and out of the grant, odd byte-order
+    widths."""
+    if rng.random() < 0.2:
+        return rng.randbytes(8 * rng.randint(0, 12))
+
+    def reg():
+        return rng.randint(11, 15) if rng.random() < 0.1 else rng.randint(0, 10)
+
+    n = rng.randint(1, 24)
+    out = bytearray()
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.6:
+            op = rng.choice(_KNOWN_OPS)
+        elif roll < 0.72:
+            op = isa.OP_LDDW
+        elif roll < 0.82:
+            op = 0
+        else:
+            op = rng.randrange(256)
+        dst, src = reg(), reg()
+        off = rng.randint(-n - 2, n + 2)
+        imm = rng.choice((16, 32, 64, 24, rng.randrange(4), rng.randint(-(1 << 31), (1 << 31) - 1)))
+        out += struct.pack("<BBhi", op, src << 4 | dst, off, imm)
+    if rng.random() < 0.5:
+        out += bytes.fromhex("9500000000000000")
+    return bytes(out)
+
+
+def _pin_corpus():
+    """(program, limits) pairs: accepted programs, raw bytes, and payloads
+    over the small limit's instruction count."""
+    rng = random.Random(_PIN_SEED)
+    corpus = []
+    for _ in range(800):
+        program = random_accepted_program(rng, 48, allowed_syscalls=(0x01, 0x02, 0x30))
+        corpus.append((program, _PIN_LIMITS[0]))
+    for _ in range(900):
+        corpus.append((Program.from_bytes(_raw_payload(rng)), _PIN_LIMITS[rng.randrange(2)]))
+    while len(corpus) < 2100:
+        if rng.random() < 0.5:
+            program = random_accepted_program(rng, 48, allowed_syscalls=(0x01,))
+        else:
+            program = Program.from_bytes(_raw_payload(rng) * 2)
+        if program.byte_len > 16 * isa.SLOT_SIZE:
+            corpus.append((program, _PIN_LIMITS[1]))
+    return corpus
+
+
+def _pin_outputs():
+    def described(errors):
+        return [(e.kind.value, e.slot_index, e.mnemonic, e.detail) for e in errors]
+
+    for program, limits in _pin_corpus():
+        checked = described(check_program(program, limits, _PIN_ALLOWED))
+        try:
+            verified = ("form", verify(program, limits, _PIN_ALLOWED).form)
+        except VerifyRejected as exc:
+            verified = ("rejected", described(exc.errors))
+        yield checked, verified
+
+
+def test_verifier_output_matches_the_pinned_digest():
+    outputs = list(_pin_outputs())
+    assert len(outputs) >= 2000
+    seen = {kind for checked, _ in outputs for kind, *_ in checked}
+    assert seen == {kind.value for kind in K}
+    assert sum(verified[0] == "form" for _, verified in outputs) >= 500
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == _PIN_DIGEST
