@@ -1,0 +1,390 @@
+"""Python source for both execution tiers, generated from one table.
+
+The run-time semantics of every operation is written once, below, as a
+template of Python source over named fields.  ``interpreter_source`` fills
+the templates with the interpreter's run-time operands (``a``, ``b``,
+``regs[dst]``, ``off``, ...) and joins them into its dispatch loop over the
+verifier's rows.  ``compiled_source`` fills them with one slot's registers
+and constants and joins each basic block's slots into one arm of a dispatch
+loop over block starts, with registers as locals.  ``femtoc.vm`` executes
+both sources in its own namespace, so the names they use (``_Trap``,
+``Fault``, ``ExecOutcome``, ``_call_helper``, ...) are ``vm``'s.
+
+Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
+width; ``{mask}``, ``{shift}`` and ``{sign}`` are the width's value mask,
+shift-amount mask and sign bit (for a byte swap, ``{mask}`` covers the
+swapped bits and ``{nbytes}`` counts their bytes).  Signed operations map
+two's complement onto unsigned order by flipping the sign bit.
+"""
+
+from __future__ import annotations
+
+from .verifier import (
+    ALU32_K, ALU32_X, ALU64_K, ALU64_X, CALL, END, EXIT, JA, JCOND_K, JCOND_X, LDDW, LDX, LDX_STACK,
+    MASK32, MASK64, ST, ST_STACK, STX, STX_STACK,
+)
+
+# -- the semantics table --------------------------------------------------
+
+ALU = (  # by verifier.ALU_OPS
+    "({a} + {b}) & {mask}",  # add
+    "({a} - {b}) & {mask}",  # sub
+    "{b}",  # mov
+    "{a} ^ {b}",  # xor
+    "({a} * {b}) & {mask}",  # mul
+    "{a} & {b}",  # and
+    "{a} | {b}",  # or
+    "({a} << ({b} & {shift})) & {mask}",  # lsh
+    "{a} >> ({b} & {shift})",  # rsh
+    "{a} % {b} if {b} else 0",  # mod: unsigned, 0 on a zero divisor
+    "{a} // {b} if {b} else 0",  # div: unsigned, 0 on a zero divisor
+    "((({a} ^ {sign}) - {sign}) >> ({b} & {shift})) & {mask}",  # arsh
+    "-{a} & {mask}",  # neg
+)
+
+CMP = (  # by verifier.CMP_OPS; a true value takes the jump
+    "{a} != {b}",  # jne
+    "{a} == {b}",  # jeq
+    "{a} > {b}",  # jgt
+    "{a} >= {b}",  # jge
+    "{a} < {b}",  # jlt
+    "{a} <= {b}",  # jle
+    "{a} & {b}",  # jset
+    "({a} ^ {sign}) > ({b} ^ {sign})",  # jsgt
+    "({a} ^ {sign}) >= ({b} ^ {sign})",  # jsge
+    "({a} ^ {sign}) < ({b} ^ {sign})",  # jslt
+    "({a} ^ {sign}) <= ({b} ^ {sign})",  # jsle
+)
+
+END_OPS = (  # by verifier.BYTE_ORDERS
+    "{a} & {mask}",  # le
+    "int.from_bytes(({a} & {mask}).to_bytes({nbytes}, 'little'), 'big')",  # be
+)
+
+# Loads and stores scan the access list's windows for the first one that
+# covers the access; a stack row indexes the stack's bytes with no scan.
+LOAD = """\
+addr = ({base} + {off}) & {mask64}
+end = addr + {width}
+for lo, hi, buf, buf_base in read_windows:
+    if lo <= addr and end <= hi:
+        {dst} = unpack[{width}](buf, addr - buf_base)[0]
+        break
+else:
+    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "read denied"))
+"""
+
+STORE = """\
+addr = ({base} + {off}) & {mask64}
+end = addr + {width}
+for lo, hi, buf, buf_base in write_windows:
+    if lo <= addr and end <= hi:
+        pack[{width}](buf, addr - buf_base, {value})
+        break
+else:
+    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "write denied"))
+"""
+
+LOAD_STACK = "{dst} = unpack[{width}](stack_buf, stack_at + {off})[0]\n"
+STORE_STACK = "pack[{width}](stack_buf, stack_at + {off}, {value})\n"
+STORE_VALUE = "{src} & {wmask}"  # stx cuts the register to the access width
+CALL_HELPER = "{r0} = _call_helper(syscalls, acl, caller, {pc}, {imm}, {args})\n"
+LOAD_WIDE = "{dst} = {imm}\n"
+
+EXIT_RUN = """\
+if {r10} != stack_base:
+    raise RuntimeError("stack pointer register mutated during run")
+return ExecOutcome({r0}, executed, branches)
+"""
+
+# What one run sets up from its access list: the windows, the stack's bytes
+# and the stack's offset in them.
+PROLOGUE = """\
+read_windows, write_windows = acl.read_windows, acl.write_windows
+unpack, pack = _UNPACK, _PACK
+stack = acl.stack
+stack_base = stack.base
+stack_buf = stack.memory.buf
+stack_at = stack_base - stack.memory.base
+"""
+
+_W64 = {"mask": hex(MASK64), "shift": "63", "sign": hex(1 << 63)}
+_W32 = {"mask": hex(MASK32), "shift": "31", "sign": hex(1 << 31)}
+_M64 = hex(MASK64)
+
+
+def _indent(text: str, depth: int) -> str:
+    pad = "    " * depth
+    return "".join(pad + line + "\n" for line in text.splitlines())
+
+
+def _switch(selector: str, target: str, exprs: tuple[str, ...], fields: dict, depth: int) -> str:
+    """An if-chain on ``selector`` (0, 1, ...) assigning ``target`` the
+    selected template's value; the last template takes the ``else``."""
+    arms = [f"if {selector} == 0:"] + [f"elif {selector} == {i}:" for i in range(1, len(exprs) - 1)]
+    arms.append("else:")
+    body = "".join(f"{arm}\n    {target} = {expr.format(**fields)}\n" for arm, expr in zip(arms, exprs))
+    return _indent(body, depth)
+
+
+# -- the interpreter ---------------------------------------------------------
+
+_INTERPRETER = """\
+def _interpret(form, regs, pc, executed, branches, budget, acl, syscalls, caller):
+{prologue}\
+    width_mask = _WIDTH_MASK
+    n = len(form)
+    try:
+        while True:
+            if executed >= budget:
+                raise _Trap(Fault(FaultKind.BUDGET_EXCEEDED, pc, note="budget %d exhausted" % budget))
+            if not 0 <= pc < n:
+                # Unreachable for verified programs; kept as a hard stop.
+                raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
+            code, sub, dst, src, off, imm = form[pc]
+            executed += 1
+
+            if code <= {ALU64_X}:
+                a = regs[dst]
+                b = imm if code == {ALU64_K} else regs[src]
+{alu64}\
+                regs[dst] = a
+                pc += 1
+            elif code == {JCOND_K} or code == {JCOND_X}:
+                a = regs[dst]
+                b = imm if code == {JCOND_K} else regs[src]
+{cmp}\
+                if taken:
+                    branches += 1
+                    pc = off
+                else:
+                    pc += 1
+            elif code == {LDX}:
+{ldx}\
+                pc += 1
+            elif code == {LDX_STACK}:
+{ldx_stack}\
+                pc += 1
+            elif code == {STX} or code == {ST}:
+{st}\
+                pc += 1
+            elif code == {STX_STACK}:
+{stx_stack}\
+                pc += 1
+            elif code == {JA}:
+                branches += 1
+                pc = off
+            elif code == {ALU32_K} or code == {ALU32_X}:
+                a = regs[dst] & {mask32}
+                b = imm if code == {ALU32_K} else regs[src] & {mask32}
+{alu32}\
+                regs[dst] = a
+                pc += 1
+            elif code == {ST_STACK}:
+{st_stack}\
+                pc += 1
+            elif code == {CALL}:
+{call}\
+                pc += 1
+            elif code == {EXIT}:
+{exit}\
+            elif code == {LDDW}:
+{lddw}\
+                pc += 2
+            elif code == {END}:
+{end}\
+                regs[dst] = a
+                pc += 1
+            else:  # pragma: no cover
+                raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="unhandled handler code %d" % code))
+    except _Trap as trap:
+        if regs[10] != stack_base:
+            raise RuntimeError("stack pointer register mutated during run")
+        return ExecOutcome(regs[0], executed, branches, trap.fault)
+"""
+
+
+def interpreter_source() -> str:
+    """``_interpret(form, regs, pc, executed, branches, budget, acl,
+    syscalls, caller)``: run ``form`` from slot ``pc`` with the given
+    registers and counters, one row per step, and return its ExecOutcome."""
+    arm = 4  # the indent of an arm's body
+    operands = {"a": "a", "b": "b"}
+    memory = {"mask64": _M64, "width": "sub", "off": "off", "pc": "pc"}
+    codes = {
+        "ALU64_K": ALU64_K, "ALU64_X": ALU64_X, "JCOND_K": JCOND_K, "JCOND_X": JCOND_X, "LDX": LDX,
+        "LDX_STACK": LDX_STACK, "STX": STX, "ST": ST, "STX_STACK": STX_STACK, "JA": JA,
+        "ALU32_K": ALU32_K, "ALU32_X": ALU32_X, "ST_STACK": ST_STACK, "CALL": CALL, "EXIT": EXIT,
+        "LDDW": LDDW, "END": END,
+    }
+    stx_value = STORE_VALUE.format(src="regs[src]", wmask="width_mask[sub]")
+    return _INTERPRETER.format(
+        prologue=_indent(PROLOGUE, 1),
+        alu64=_switch("sub", "a", ALU, {**operands, **_W64}, arm),
+        alu32=_switch("sub", "a", ALU, {**operands, **_W32}, arm),
+        cmp=_switch("sub", "taken", CMP, {**operands, **_W64}, arm),
+        end=_switch("sub", "a", END_OPS, {"a": "regs[dst]", "mask": "((1 << imm) - 1)",
+                                          "nbytes": "(imm >> 3)"}, arm),
+        ldx=_indent(LOAD.format(base="regs[src]", dst="regs[dst]", **memory), arm),
+        ldx_stack=_indent(LOAD_STACK.format(dst="regs[dst]", width="sub", off="off"), arm),
+        st=_indent(STORE.format(base="regs[dst]", value=f"{stx_value} if code == {STX} else imm",
+                                **memory), arm),
+        stx_stack=_indent(STORE_STACK.format(width="sub", off="off", value=stx_value), arm),
+        st_stack=_indent(STORE_STACK.format(width="sub", off="off", value="imm"), arm),
+        call=_indent(CALL_HELPER.format(r0="regs[0]", pc="pc", imm="imm", args="*regs[1:6]"), arm),
+        exit=_indent(EXIT_RUN.format(r0="regs[0]", r10="regs[10]"), arm),
+        lddw=_indent(LOAD_WIDE.format(dst="regs[dst]", imm="imm"), arm),
+        mask32=hex(MASK32),
+        **codes,
+    )
+
+
+# -- the compiled tier ---------------------------------------------------------
+
+_BRANCHES = (JCOND_K, JCOND_X, JA)
+_ENDS_BLOCK = (JCOND_K, JCOND_X, JA, EXIT)
+
+
+def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
+    """The reachable basic blocks of a verified form: first slot -> the
+    slots of its instructions, in order.  A block ends at a jump or an
+    exit, or before the next jump target."""
+    n = len(form)
+    leaders = {0}
+    for i, (code, _sub, _dst, _src, off, _imm) in enumerate(form):
+        if code in _BRANCHES:
+            leaders.add(off)
+        if code in _ENDS_BLOCK and i + 1 < n:
+            leaders.add(i + 1)
+    blocks: dict[int, list[int]] = {}
+    todo = [0]
+    while todo:
+        start = todo.pop()
+        if start in blocks:
+            continue
+        slots = blocks[start] = []
+        at = start
+        while True:
+            code, off = form[at][0], form[at][4]
+            slots.append(at)
+            at += 2 if code == LDDW else 1
+            if code in _BRANCHES:
+                todo.append(off)
+            if code == JCOND_K or code == JCOND_X or (code not in _ENDS_BLOCK and at in leaders):
+                todo.append(at)
+            if code in _ENDS_BLOCK or at in leaders:
+                break
+    return blocks
+
+
+def _slot_source(pc: int, row: tuple[int, ...]) -> str:
+    """One non-branching slot's statements, with registers as locals."""
+    code, sub, dst, src, off, imm = row
+    rd, rs = f"r{dst}", f"r{src}"
+    if code == ALU64_K or code == ALU64_X:
+        b = str(imm) if code == ALU64_K else rs
+        return f"{rd} = {ALU[sub].format(a=rd, b=b, **_W64)}\n"
+    if code == ALU32_K or code == ALU32_X:
+        m = _W32["mask"]
+        b = str(imm) if code == ALU32_K else f"({rs} & {m})"
+        return f"{rd} = {ALU[sub].format(a=f'({rd} & {m})', b=b, **_W32)}\n"
+    if code == LDX:
+        return LOAD.format(base=rs, off=off, dst=rd, width=sub, pc=pc, mask64=_M64)
+    if code == LDX_STACK:
+        return LOAD_STACK.format(dst=rd, width=sub, off=off)
+    if code == STX or code == ST:
+        value = STORE_VALUE.format(src=rs, wmask=hex((1 << 8 * sub) - 1)) if code == STX else imm
+        return STORE.format(base=rd, off=off, width=sub, value=value, pc=pc, mask64=_M64)
+    if code == STX_STACK:
+        value = STORE_VALUE.format(src=rs, wmask=hex((1 << 8 * sub) - 1))
+        return STORE_STACK.format(width=sub, off=off, value=value)
+    if code == ST_STACK:
+        return STORE_STACK.format(width=sub, off=off, value=imm)
+    if code == CALL:
+        return CALL_HELPER.format(r0="r0", pc=pc, imm=imm, args="r1, r2, r3, r4, r5")
+    if code == LDDW:
+        return LOAD_WIDE.format(dst=rd, imm=imm)
+    if code == END:
+        expr = END_OPS[sub].format(a=rd, mask=hex((1 << imm) - 1), nbytes=imm // 8)
+        return f"{rd} = {expr}\n"
+    raise ValueError(f"slot {pc}: handler code {code} has no compiled form")
+
+
+def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int]) -> str:
+    """One block: the budget check, its slots, and where control goes next.
+
+    A block that might not fit in the remaining budget raises _Handover,
+    whose handler gives the live state to the interpreter at the block's
+    first slot (``pc`` is always the running block's start), so the budget
+    runs out on the exact slot.  A block that jumps back to its own start
+    loops in place.
+    """
+    length = len(slots)
+    last = slots[-1]
+    code, sub, dst, src, off, imm = form[last]
+    head = f"if executed + {length} > budget:\n    raise _Handover\nexecuted += {length}\n"
+    body = "".join(_slot_source(pc, form[pc]) for pc in slots if form[pc][0] not in _ENDS_BLOCK)
+    if code == EXIT:
+        return head + body + EXIT_RUN.format(r0="r0", r10="r10")
+    if code == JA:
+        return head + body + f"branches += 1\npc = {off}\n"
+    if code != JCOND_K and code != JCOND_X:
+        return head + body + f"pc = {last + (2 if code == LDDW else 1)}\n"
+    taken = CMP[sub].format(a=f"r{dst}", b=str(imm) if code == JCOND_K else f"r{src}", **_W64)
+    if off == start:
+        loop = head + body + f"if {taken}:\n    branches += 1\nelse:\n    break\n"
+        return "while True:\n" + _indent(loop, 1) + f"pc = {last + 1}\n"
+    return head + body + f"if {taken}:\n    branches += 1\n    pc = {off}\nelse:\n    pc = {last + 1}\n"
+
+
+def _dispatch(form, blocks: dict[int, list[int]], starts: list[int], depth: int) -> str:
+    """A binary search on ``pc`` over the sorted block starts, with each
+    block's source at its leaf."""
+    if len(starts) == 1:
+        return _indent(_block_source(form, starts[0], blocks[starts[0]]), depth)
+    mid = len(starts) // 2
+    return (
+        _indent(f"if pc < {starts[mid]}:", depth)
+        + _dispatch(form, blocks, starts[:mid], depth + 1)
+        + _indent("else:", depth)
+        + _dispatch(form, blocks, starts[mid:], depth + 1)
+    )
+
+
+_COMPILED = """\
+def bind(form, after):
+    def run(r1, acl, syscalls, caller, budget):
+{prologue}\
+        r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0
+        r10 = stack_base
+        executed = branches = pc = 0
+        try:
+            while True:
+{dispatch}\
+        except _Handover:
+            regs = [r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10]
+            return _interpret(form, regs, pc, executed, branches, budget, acl, syscalls, caller)
+        except _Trap as trap:
+            if r10 != stack_base:
+                raise RuntimeError("stack pointer register mutated during run")
+            # A block counts all its steps on entry; give back the ones
+            # after the faulting slot.
+            return ExecOutcome(r0, executed - after[trap.fault.pc], branches, trap.fault)
+    return run
+"""
+
+
+def compiled_source(form: tuple[tuple[int, ...], ...]) -> tuple[str, tuple[int, ...]]:
+    """The source of ``bind(form, after)``, and its ``after``: per slot, the
+    steps its block runs after it.  ``bind`` returns ``run(r1, acl,
+    syscalls, caller, budget)``, which runs the verified ``form`` block by
+    block and returns the ExecOutcome the interpreter would."""
+    blocks = _basic_blocks(form)
+    after = [0] * len(form)
+    for slots in blocks.values():
+        for position, pc in enumerate(slots):
+            after[pc] = len(slots) - 1 - position
+    source = _COMPILED.format(
+        prologue=_indent(PROLOGUE, 2), dispatch=_dispatch(form, blocks, sorted(blocks), 4)
+    )
+    return source, tuple(after)

@@ -17,7 +17,10 @@ regions, then one stack per slot position, in a guard-padded buffer that
 every trigger resets from its template before it writes in the event.  The
 running slot at position j (verify-rejected slots take none) uses stack j.
 Each container keeps its access list for the position it last ran at and
-its restricted helper table for the engine table it was cut from.
+its restricted helper table for the engine table it was cut from.  Its
+VerifiedProgram also carries the execution tiers' state (see ``vm``), so a
+hot container's compiled form goes when the container is removed or
+replaced.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import random
 import threading
 import uuid
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .facilities import CallerIdentity, FacilityContext, standard_syscall_table
 from .isa import Program
@@ -208,8 +211,7 @@ class Hook:
             )
 
 
-@dataclass(frozen=True)
-class SlotOutcome:
+class SlotOutcome(NamedTuple):
     """Per-container result of one trigger.
 
     ``outcome`` is None when the bytecode failed its one-time verification;
@@ -221,8 +223,7 @@ class SlotOutcome:
     verify_errors: tuple[VerifyError, ...] = ()
 
 
-@dataclass(frozen=True)
-class TriggerResult:
+class TriggerResult(NamedTuple):
     hook_id: uuid.UUID
     outcomes: tuple[SlotOutcome, ...]
     policy_value: int | None

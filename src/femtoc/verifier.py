@@ -26,9 +26,9 @@ write it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .isa import (
     _SLOT,
@@ -144,14 +144,21 @@ class VerifyError:
         return f"slot {self.slot_index}: {self.mnemonic}: {self.detail}"
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerifiedProgram:
     """A program that passed all checks, with its derived run-time budget
-    and its executable form: one row per slot, as described above."""
+    and its executable form: one row per slot, as described above.
+
+    The execution tiers keep their state for this program here, so it lives
+    and dies with it: ``interpreted`` counts the instructions the
+    interpreter has executed over all runs, and ``compiled`` is the compiled
+    form once that count made it hot (see ``femtoc.vm``)."""
 
     program: Program
     limits: VerifyLimits
     form: tuple[tuple[int, ...], ...]
+    interpreted: int = field(default=0, compare=False, repr=False)
+    compiled: Callable | None = field(default=None, compare=False, repr=False)
 
     @property
     def budget(self) -> int:

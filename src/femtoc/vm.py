@@ -1,4 +1,4 @@
-"""The interpreter: executes verified programs under an access list and a
+"""The execution tiers: run verified programs under an access list and a
 step budget.
 
 Register semantics follow the 64-bit convention: all registers hold
@@ -11,11 +11,25 @@ Every instruction costs one budget step; a helper call costs one step for
 the call itself and nothing for the host-side body.  Execution ends with an
 exit, a fault, or budget exhaustion — never anything else.
 
-Every load and store is checked against the access list inline: the loop
-scans the list's read or write windows for the first one that covers the
-access, and converts the bytes straight on that window's host buffer.
-Stack rows, the [r10+off] accesses the verifier proved to lie inside the
-stack, index the stack's bytes with no scan.
+There are two tiers, and both are generated from ``codegen``'s one table of
+per-operation templates.  A program first runs on the interpreter, which
+dispatches on the verifier's rows one slot at a time.  Once the interpreter
+has executed ``HOT_STEPS_PER_SLOT`` (64) of its instructions per slot, over
+all its runs, the next run compiles the form into one Python function: its
+registers are locals and its basic blocks are arms of one dispatch loop.
+The function is kept on the VerifiedProgram, so it lives as long as the
+installed program.  A program that runs once never compiles.
+
+What each tier checks is the same.  Every load and store scans the access
+list's read or write windows for the first one that covers the access, and
+converts the bytes straight on that window's host buffer; stack rows, the
+[r10+off] accesses the verifier proved to lie inside the stack, index the
+stack's bytes with no scan.  The compiled tier checks the budget once per
+block: a block that might not fit in what is left hands its registers and
+counters to the interpreter at its first slot.  A fault inside a block
+reports the same slot, step and branch counts as the interpreter.  The
+access list, stack, helper table and caller are arguments of every run,
+never part of the compiled function.
 """
 
 from __future__ import annotations
@@ -25,13 +39,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from .codegen import compiled_source, interpreter_source
 from .memory import AccessList, AccessViolation, MemoryRegion
-from .verifier import (
-    ADD, ALU32_K, ALU32_X, ALU64_K, ALU64_X, AND, ARSH, BE, CALL, DIV, END, EXIT, JA, JCOND_K,
-    JCOND_X, JEQ, JGE, JGT, JLE, JLT, JNE, JSET, JSGE, JSGT, JSLT, LDDW, LDX, LDX_STACK, LSH,
-    MASK32, MASK64, MOD, MOV, MUL, OR, RSH, ST, ST_STACK, STX, STX_STACK, SUB, XOR,
-    VerifiedProgram,
-)
+from .verifier import MASK32, MASK64, VerifiedProgram  # noqa: F401  (MASK32 is re-exported)
 
 if TYPE_CHECKING:
     from .facilities import CallerIdentity
@@ -42,15 +52,6 @@ _FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
 _UNPACK = tuple(struct.Struct(_FORMATS[w]).unpack_from if w in _FORMATS else None for w in range(9))
 _PACK = tuple(struct.Struct(_FORMATS[w]).pack_into if w in _FORMATS else None for w in range(9))
 _WIDTH_MASK = tuple((1 << 8 * w) - 1 for w in range(9))
-
-
-def _s64(x: int) -> int:
-    return x - (1 << 64) if x & (1 << 63) else x
-
-
-def _s32(x: int) -> int:
-    x &= MASK32
-    return x - (1 << 32) if x & (1 << 31) else x
 
 
 class FaultKind(Enum):
@@ -73,8 +74,7 @@ class Fault:
         return f"{self.kind.value} at slot {self.pc}{loc}{note}"
 
 
-@dataclass(frozen=True)
-class ExecOutcome:
+class ExecOutcome(NamedTuple):
     return_value: int
     executed: int
     branches_taken: int
@@ -88,6 +88,11 @@ class ExecOutcome:
 class _Trap(Exception):
     def __init__(self, fault: Fault):
         self.fault = fault
+
+
+class _Handover(Exception):
+    """Raised by compiled code when its next block might not fit in the
+    budget left: the interpreter takes over at that block."""
 
 
 class SyscallEnv(NamedTuple):
@@ -147,6 +152,56 @@ class SyscallTable:
         return sub
 
 
+def _call_helper(
+    syscalls: SyscallTable, acl: AccessList, caller: CallerIdentity | None, pc: int, sys_id: int, *regs: int
+) -> int:
+    """Call helper ``sys_id`` from slot ``pc`` with r1..r5 as ``regs``; its
+    result, cut to 64 bits, goes to r0.  A missing id or a helper's refusal
+    raises the run's fault."""
+    entry = syscalls.lookup(sys_id)
+    if entry is None:
+        raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {sys_id:#x} not available"))
+    env = SyscallEnv(acl=acl, pc=pc, caller=caller)
+    try:
+        result = entry.fn(env, *regs[: entry.argc])
+    except AccessViolation as exc:
+        raise _Trap(
+            Fault(FaultKind.MEMORY_VIOLATION, pc, exc.addr, exc.length, f"helper {entry.name} denied")
+        ) from None
+    except SyscallError as exc:
+        raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=str(exc))) from None
+    except _Trap:
+        raise
+    except Exception as exc:  # defensive: helpers must not crash the host
+        raise _Trap(
+            Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper {entry.name} failed: {exc!r}")
+        ) from None
+    return (result or 0) & MASK64
+
+
+def _define(source: str, name: str, filename: str) -> Callable:
+    """Run generated ``source`` in this module's namespace; return its ``name``."""
+    namespace: dict = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace[name]
+
+
+_interpret = _define(interpreter_source(), "_interpret", "<femtoc interpreter>")
+
+# A program's form is compiled once the interpreter has run this many of its
+# instructions per slot.  On a 2-core Xeon host the interpreter takes ~0.2 us
+# a step, so that is ~13 us per slot, about what compiling a large form
+# costs per slot (~17 ms for 1024 slots); small forms add a fixed ~0.4 ms.
+HOT_STEPS_PER_SLOT = 64
+
+
+def compile_form(form: tuple[tuple[int, ...], ...]) -> Callable[..., ExecOutcome]:
+    """The compiled tier of a verified form: ``run(r1, acl, syscalls,
+    caller, budget)``, which returns the ExecOutcome the interpreter would."""
+    source, after = compiled_source(form)
+    return _define(source, "bind", "<femtoc compiled form>")(form, after)
+
+
 def exec_program(
     vp: VerifiedProgram,
     ctx: MemoryRegion | None,
@@ -162,210 +217,21 @@ def exec_program(
     the number of instructions that started executing, capped at the budget.
     Helpers see ``caller`` in their SyscallEnv.
 
-    The loop runs the verifier's executable form, one row per slot, and
-    tests handler codes in order of how often programs execute them.
+    A program runs on the interpreter until it has executed
+    ``HOT_STEPS_PER_SLOT`` instructions per slot over its runs; the run
+    that finds it there compiles its form, and it and every later run call
+    the compiled function.
     """
-    form = vp.form
-    n = len(form)
     budget = vp.budget if budget is None else budget
     syscalls = syscalls or SyscallTable()
-    read_windows, write_windows = acl.read_windows, acl.write_windows
-    unpack, pack, width_mask = _UNPACK, _PACK, _WIDTH_MASK
-
-    regs = [0] * 11
-    if ctx is not None:
-        regs[1] = ctx.base
-    stack = acl.stack
-    stack_base = stack.base
-    regs[10] = stack_base
-    stack_buf = stack.memory.buf
-    stack_at = stack_base - stack.memory.base  # the stack's offset in stack_buf
-
-    pc = 0
-    executed = 0
-    branches = 0
-
-    try:
-        while True:
-            if executed >= budget:
-                raise _Trap(Fault(FaultKind.BUDGET_EXCEEDED, pc, note=f"budget {budget} exhausted"))
-            if not 0 <= pc < n:
-                # Unreachable for verified programs; kept as a hard stop.
-                raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
-            code, sub, dst, src, off, imm = form[pc]
-            executed += 1
-
-            if code <= ALU64_X:
-                a = regs[dst]
-                b = imm if code == ALU64_K else regs[src]
-                if sub == ADD:
-                    a = (a + b) & MASK64
-                elif sub == SUB:
-                    a = (a - b) & MASK64
-                elif sub == MOV:
-                    a = b
-                elif sub == XOR:
-                    a ^= b
-                elif sub == MUL:
-                    a = (a * b) & MASK64
-                elif sub == AND:
-                    a &= b
-                elif sub == OR:
-                    a |= b
-                elif sub == LSH:
-                    a = (a << (b & 63)) & MASK64
-                elif sub == RSH:
-                    a >>= b & 63
-                elif sub == MOD:
-                    a = a % b if b else 0
-                elif sub == DIV:
-                    a = a // b if b else 0
-                elif sub == ARSH:
-                    a = (_s64(a) >> (b & 63)) & MASK64
-                else:  # NEG
-                    a = -a & MASK64
-                regs[dst] = a
-                pc += 1
-            elif code == JCOND_K or code == JCOND_X:
-                a = regs[dst]
-                b = imm if code == JCOND_K else regs[src]
-                if sub == JNE:
-                    taken = a != b
-                elif sub == JEQ:
-                    taken = a == b
-                elif sub == JGT:
-                    taken = a > b
-                elif sub == JGE:
-                    taken = a >= b
-                elif sub == JLT:
-                    taken = a < b
-                elif sub == JLE:
-                    taken = a <= b
-                elif sub == JSET:
-                    taken = (a & b) != 0
-                elif sub == JSGT:
-                    taken = _s64(a) > _s64(b)
-                elif sub == JSGE:
-                    taken = _s64(a) >= _s64(b)
-                elif sub == JSLT:
-                    taken = _s64(a) < _s64(b)
-                else:  # JSLE
-                    taken = _s64(a) <= _s64(b)
-                if taken:
-                    branches += 1
-                    pc = off
-                else:
-                    pc += 1
-            elif code == LDX:
-                addr = (regs[src] + off) & MASK64
-                end = addr + sub
-                for lo, hi, buf, buf_base in read_windows:
-                    if lo <= addr and end <= hi:
-                        regs[dst] = unpack[sub](buf, addr - buf_base)[0]
-                        break
-                else:
-                    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, pc, addr, sub, "read denied"))
-                pc += 1
-            elif code == LDX_STACK:
-                regs[dst] = unpack[sub](stack_buf, stack_at + off)[0]
-                pc += 1
-            elif code == STX or code == ST:
-                addr = (regs[dst] + off) & MASK64
-                end = addr + sub
-                for lo, hi, buf, buf_base in write_windows:
-                    if lo <= addr and end <= hi:
-                        value = regs[src] & width_mask[sub] if code == STX else imm
-                        pack[sub](buf, addr - buf_base, value)
-                        break
-                else:
-                    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, pc, addr, sub, "write denied"))
-                pc += 1
-            elif code == STX_STACK:
-                pack[sub](stack_buf, stack_at + off, regs[src] & width_mask[sub])
-                pc += 1
-            elif code == JA:
-                branches += 1
-                pc = off
-            elif code == ALU32_K or code == ALU32_X:
-                a = regs[dst] & MASK32
-                b = imm if code == ALU32_K else regs[src] & MASK32
-                if sub == ADD:
-                    a = (a + b) & MASK32
-                elif sub == SUB:
-                    a = (a - b) & MASK32
-                elif sub == MOV:
-                    a = b
-                elif sub == XOR:
-                    a ^= b
-                elif sub == MUL:
-                    a = (a * b) & MASK32
-                elif sub == AND:
-                    a &= b
-                elif sub == OR:
-                    a |= b
-                elif sub == LSH:
-                    a = (a << (b & 31)) & MASK32
-                elif sub == RSH:
-                    a >>= b & 31
-                elif sub == MOD:
-                    a = a % b if b else 0
-                elif sub == DIV:
-                    a = a // b if b else 0
-                elif sub == ARSH:
-                    a = (_s32(a) >> (b & 31)) & MASK32
-                else:  # NEG
-                    a = -a & MASK32
-                regs[dst] = a
-                pc += 1
-            elif code == ST_STACK:
-                pack[sub](stack_buf, stack_at + off, imm)
-                pc += 1
-            elif code == CALL:
-                entry = syscalls.lookup(imm)
-                if entry is None:
-                    raise _Trap(
-                        Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {imm:#x} not available")
-                    )
-                env = SyscallEnv(acl=acl, pc=pc, caller=caller)
-                args = regs[1 : 1 + entry.argc]
-                try:
-                    result = entry.fn(env, *args)
-                except AccessViolation as exc:
-                    raise _Trap(
-                        Fault(
-                            FaultKind.MEMORY_VIOLATION,
-                            pc,
-                            exc.addr,
-                            exc.length,
-                            f"helper {entry.name} denied",
-                        )
-                    ) from None
-                except SyscallError as exc:
-                    raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=str(exc))) from None
-                except _Trap:
-                    raise
-                except Exception as exc:  # defensive: helpers must not crash the host
-                    raise _Trap(
-                        Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper {entry.name} failed: {exc!r}")
-                    ) from None
-                regs[0] = (result or 0) & MASK64
-                pc += 1
-            elif code == EXIT:
-                if regs[10] != stack_base:
-                    raise RuntimeError("stack pointer register mutated during run")
-                return ExecOutcome(regs[0], executed, branches)
-            elif code == LDDW:
-                regs[dst] = imm
-                pc += 2
-            elif code == END:
-                value = regs[dst] & ((1 << imm) - 1)
-                if sub == BE:
-                    value = int.from_bytes(value.to_bytes(imm // 8, "little"), "big")
-                regs[dst] = value
-                pc += 1
-            else:  # pragma: no cover
-                raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=f"unhandled handler code {code}"))
-    except _Trap as trap:
-        if regs[10] != stack_base:
-            raise RuntimeError("stack pointer register mutated during run")
-        return ExecOutcome(regs[0], executed, branches, trap.fault)
+    r1 = 0 if ctx is None else ctx.base
+    run = vp.compiled
+    if run is None:
+        form = vp.form
+        if vp.interpreted < len(form) * HOT_STEPS_PER_SLOT:
+            regs = [0, r1, 0, 0, 0, 0, 0, 0, 0, 0, acl.stack.base]
+            outcome = _interpret(form, regs, 0, 0, 0, budget, acl, syscalls, caller)
+            vp.interpreted += outcome.executed
+            return outcome
+        run = vp.compiled = compile_form(form)
+    return run(r1, acl, syscalls, caller, budget)

@@ -57,3 +57,21 @@ def forbid_instructions(monkeypatch):
         raise AssertionError("an Instruction was built on the hosting path")
 
     return lambda: monkeypatch.setattr(Instruction, "__init__", refuse)
+
+
+@pytest.fixture
+def compiled_tier(monkeypatch):
+    """Force the compiled tier: every verified program compiles at its
+    first run. Returns the forms compiled so far, in order."""
+    import femtoc.vm
+
+    original = femtoc.vm.compile_form
+    compiled = []
+
+    def counted(form):
+        compiled.append(form)
+        return original(form)
+
+    monkeypatch.setattr(femtoc.vm, "HOT_STEPS_PER_SLOT", 0)
+    monkeypatch.setattr(femtoc.vm, "compile_form", counted)
+    return compiled

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from femtoc import vm
 from femtoc.asm import assemble
 from femtoc.cli import main
+from femtoc.fixtures import BENCH_FIXTURES, bench_case
 from femtoc.memory import HostMemory
 from femtoc.scenario import ScenarioRuntime, bundled_scenario_path
+from femtoc.verifier import VerifyLimits, verify
 
 RETURN_5_SRC = "mov64 r0, 5\nexit\n"
 ECHO_SRC = "ldxdw r0, [r1+0]\nexit\n"
@@ -288,6 +291,22 @@ def test_bench_reports_all_fields(capsys):
     assert data["ns_per_instruction"] == pytest.approx(
         data["warm_run_ns"] / data["instructions"], rel=0.01
     )
+
+
+@pytest.mark.parametrize("fixture", BENCH_FIXTURES)
+def test_bench_times_no_compilation(fixture, monkeypatch):
+    # Each repeat verifies afresh and runs twice; a program compiles only on
+    # a run that starts after 64 interpreted steps per slot, so neither
+    # timed run of a bundled fixture may reach that.
+    compiles = []
+    monkeypatch.setattr(vm, "compile_form", compiles.append)
+    assert main(["bench", fixture, "--repeat", "1"]) == 0
+    case = bench_case(fixture)
+    vp = verify(case.program, VerifyLimits(), case.allowed_syscalls)
+    ctx, acl, table, caller = case.make_run()
+    executed = vm.exec_program(vp, ctx, acl, table, caller=caller).executed
+    assert executed < vm.HOT_STEPS_PER_SLOT * len(vp.form)
+    assert compiles == []
 
 
 def test_bench_instruction_count_is_stable(capsys):

@@ -13,6 +13,11 @@ Half of the programs also call helpers from a three-helper table: one
 returns a value, one raises SyscallError for a third of its inputs, one
 writes through the access list and raises AccessViolation when that is
 denied. A fourth id is granted by the verifier but missing from the table.
+
+Each program runs once, so the streams above stay on the interpreter. Two
+more streams run with the compile threshold at 0: every program then runs
+its compiled form, whose blocks check the budget once each and hand over to
+the interpreter when a block might not fit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from femtoc.vm import SyscallError, SyscallTable
 from genprog import random_accepted_program
 
 PROGRAMS = 12_000  # per stream; two streams
+COMPILED_PROGRAMS = 4_000  # per stream with the compiled tier forced on; each compiles once
 LIMITS = VerifyLimits(64, 8)
 RO_LEN = 32
 RW_LEN = 32
@@ -68,12 +74,12 @@ def _host(init: bytes):
     return memory, ro, AccessList([stack, ro, rw])
 
 
-def _mismatches(seed: int, allowed: tuple[int, ...]) -> tuple[list[str], int]:
+def _mismatches(seed: int, allowed: tuple[int, ...], programs: int) -> tuple[list[str], int]:
     rng = random.Random(seed)
     table = _helper_table()
     found = []
     faults = 0
-    for index in range(PROGRAMS):
+    for index in range(programs):
         program = random_accepted_program(
             rng, max_slots=48, allowed_syscalls=allowed, ctx_span=CTX_SPAN
         )
@@ -93,7 +99,15 @@ def _mismatches(seed: int, allowed: tuple[int, ...]) -> tuple[list[str], int]:
 
 @pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
 def test_interpreter_matches_reference(allowed):
-    mismatches, faults = _mismatches(0xD1FF + len(allowed), allowed)
+    mismatches, faults = _mismatches(0xD1FF + len(allowed), allowed, PROGRAMS)
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     # The stream must exercise both clean exits and faults.
     assert 0 < faults < PROGRAMS
+
+
+@pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
+def test_compiled_tier_matches_reference(allowed, compiled_tier):
+    mismatches, faults = _mismatches(0xC0DE + len(allowed), allowed, COMPILED_PROGRAMS)
+    assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
+    assert 0 < faults < COMPILED_PROGRAMS
+    assert len(compiled_tier) == COMPILED_PROGRAMS

@@ -1,10 +1,12 @@
 """Hosting engine: contracts, lifecycle, triggering, isolation, stats."""
 
+import gc
 import json
 import random
 import struct
 import threading
 import uuid
+import weakref
 
 import pytest
 
@@ -618,3 +620,33 @@ def test_a_replaced_engine_helper_table_takes_effect_at_the_next_trigger():
     engine.syscall_table = original
     assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
     assert calls == [0x10]
+
+
+# -- the compiled tier --------------------------------------------------------
+
+
+def test_compiled_slots_take_stacks_in_order_and_keep_their_addresses(compiled_tier):
+    # The stack and the access list are arguments of every run, never part
+    # of the compiled function: the third container keeps the form it
+    # compiled at stack 1 and runs it on stack 0 after the first is removed.
+    test_running_slots_take_stacks_in_order_and_keep_their_addresses()
+    assert len(compiled_tier) == 3  # first, third and fourth
+
+
+def test_a_replaced_engine_helper_table_reaches_compiled_code_at_the_next_trigger(compiled_tier):
+    test_a_replaced_engine_helper_table_takes_effect_at_the_next_trigger()
+    assert len(compiled_tier) == 1
+
+
+def test_a_removed_container_frees_its_compiled_form(compiled_tier):
+    engine, tenant, hook = engine_with_hook()
+    cid = engine.install_container(tenant, assemble("mov64 r0, 3\nexit"), Contract.of(), hook)
+    (slot,) = engine.trigger_hook(hook).outcomes
+    assert slot.outcome.return_value == 3
+    verified = engine.containers[cid].verified
+    assert verified.compiled is not None
+    program_ref, function_ref = weakref.ref(verified), weakref.ref(verified.compiled)
+    del verified, slot
+    engine.remove_container(cid)
+    gc.collect()
+    assert program_ref() is None and function_ref() is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from femtoc import vm
 from femtoc.asm import assemble
 from femtoc.facilities import FacilityContext, standard_syscall_table
 from femtoc.memory import AccessList, HostMemory, Mode, fresh_stack, require_access
@@ -476,3 +477,241 @@ def test_every_random_run_terminates_inside_budget(rng):
         assert outcome.executed <= limits.budget
         assert outcome.fault is not None or outcome.ok
         assert mem.guards_intact()
+
+
+# -- the compiled tier --------------------------------------------------------
+#
+# Each test runs a program on a fresh VerifiedProgram per tier: once
+# interpreted (a first run never compiles) and once with the compile
+# threshold at 0, so that the run calls the compiled form.
+
+ORACLE_CMP = {
+    "jeq": lambda a, b: a == b,
+    "jne": lambda a, b: a != b,
+    "jgt": lambda a, b: a > b,
+    "jge": lambda a, b: a >= b,
+    "jlt": lambda a, b: a < b,
+    "jle": lambda a, b: a <= b,
+    "jset": lambda a, b: a & b != 0,
+    "jsgt": lambda a, b: s64(a) > s64(b),
+    "jsge": lambda a, b: s64(a) >= s64(b),
+    "jslt": lambda a, b: s64(a) < s64(b),
+    "jsle": lambda a, b: s64(a) <= s64(b),
+}
+
+
+HOT_STEPS_PER_SLOT = vm.HOT_STEPS_PER_SLOT  # the threshold as shipped, before any test patches it
+
+
+def run_both_tiers(monkeypatch, src, *, ctx=b"", table=None, allowed=(), budget=None):
+    """[(outcome, host bytes), ...] of an interpreted and a compiled run of
+    ``src``, and the base of its read-only context region."""
+    program = assemble(src)
+    results = []
+    for hot in (HOT_STEPS_PER_SLOT, 0):
+        monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", hot)
+        vp = verify(program, VerifyLimits(256, 16), allowed)
+        mem = HostMemory()
+        ctx_region = mem.alloc(max(len(ctx), 8), "ctx", readable=True, writable=False, init=ctx)
+        outcome = exec_program(vp, ctx_region, AccessList([fresh_stack(mem), ctx_region]), table, budget)
+        assert (vp.compiled is not None) == (hot == 0)
+        results.append((outcome, bytes(mem.buf)))
+    return results, ctx_region.base
+
+
+def compiled_result(monkeypatch, src, **kw):
+    (interpreted, compiled), _ = run_both_tiers(monkeypatch, src, **kw)
+    assert compiled == interpreted
+    return compiled[0].return_value
+
+
+def test_compiled_alu_rows_match_the_oracles(rng, monkeypatch):
+    for op in sorted(ORACLE64):
+        for _ in range(6):
+            a, b = rng.getrandbits(64), rng.getrandbits(64)
+            k = rng.choice((0, 1, -1, 63, 64, rng.randint(-(1 << 31), (1 << 31) - 1)))
+            load = f"lddw r1, {a:#x}\nlddw r2, {b:#x}\n"
+            cases = {
+                f"{op}64 r1, r2": ORACLE64[op](a, b),
+                f"{op}64 r1, {k}": ORACLE64[op](a, k & M64),
+                f"{op}32 r1, r2": ORACLE32[op](a & M32, b & M32),
+                f"{op}32 r1, {k}": ORACLE32[op](a & M32, k & M32),
+            }
+            for line, expected in cases.items():
+                got = compiled_result(monkeypatch, f"{load}{line}\nmov64 r0, r1\nexit")
+                assert got == expected, (line, hex(a), hex(b))
+    for _ in range(6):
+        a = rng.getrandbits(64)
+        assert compiled_result(monkeypatch, f"lddw r1, {a:#x}\nneg64 r1\nmov64 r0, r1\nexit") == -a & M64
+        assert compiled_result(monkeypatch, f"lddw r1, {a:#x}\nneg32 r1\nmov64 r0, r1\nexit") == (
+            -(a & M32) & M32
+        )
+
+
+def test_compiled_comparisons_match_the_oracles(rng, monkeypatch):
+    edges = (0, 1, M64, 1 << 63, (1 << 63) - 1, 1 << 31)
+    for op, oracle in sorted(ORACLE_CMP.items()):
+        for _ in range(12):
+            a = rng.choice(edges + (rng.getrandbits(64),))
+            b = rng.choice(edges + (a, rng.getrandbits(64)))
+            k = rng.choice((0, -1, 1, rng.randint(-(1 << 31), (1 << 31) - 1)))
+            for operand, value in (("r2", b), (str(k), k & M64)):
+                src = f"lddw r1, {a:#x}\nlddw r2, {b:#x}\nmov64 r0, 1\n{op} r1, {operand}, +1\nmov64 r0, 0\nexit"
+                assert compiled_result(monkeypatch, src) == oracle(a, value), (op, hex(a), operand)
+
+
+def test_compiled_lddw_and_byte_order_rows(rng, monkeypatch):
+    for _ in range(10):
+        a = rng.getrandbits(64)
+        assert compiled_result(monkeypatch, f"lddw r0, {a:#x}\nexit") == a
+        for bits in (16, 32, 64):
+            low = a & ((1 << bits) - 1)
+            swapped = int.from_bytes(low.to_bytes(bits // 8, "little"), "big")
+            for mnem, expected in ((f"le{bits}", low), (f"be{bits}", swapped)):
+                src = f"lddw r1, {a:#x}\n{mnem} r1\nlddw r2, 5\nadd64 r1, r2\nmov64 r0, r1\nexit"
+                assert compiled_result(monkeypatch, src) == (expected + 5) & M64, (mnem, hex(a))
+
+
+# Two taken branches, then a block whose third instruction (slot 4) faults.
+MID_BLOCK = """
+        mov64 r2, 3
+loop:   sub64 r2, 1
+        jne r2, 0, loop
+        mov64 r3, 7
+        {access}
+        add64 r3, 1
+        mov64 r0, r3
+        exit
+"""
+
+
+@pytest.mark.parametrize(
+    "access, offset, width, note",
+    [
+        ("ldxdw r4, [r1+1000]", 1000, 8, "read denied"),
+        ("stxdw [r1+4], r3", 4, 8, "write denied"),
+        ("sth [r1+7], 1", 7, 2, "write denied"),
+    ],
+)
+def test_compiled_memory_violation_mid_block_is_the_interpreters(monkeypatch, access, offset, width, note):
+    (interpreted, compiled), ctx_base = run_both_tiers(monkeypatch, MID_BLOCK.format(access=access))
+    assert compiled == interpreted
+    outcome = compiled[0]
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (0, 9, 2)
+    fault = outcome.fault
+    assert (fault.kind, fault.pc, fault.addr, fault.length, fault.note) == (
+        FaultKind.MEMORY_VIOLATION, 4, ctx_base + offset, width, note
+    )
+
+
+def _denying_writer(env, addr):
+    require_access(env.acl, addr, 8, Mode.WRITE)
+    return 0
+
+
+def _refusing(env, addr):
+    raise SyscallError("nope")
+
+
+@pytest.mark.parametrize(
+    "sys_id, kind, addr, length, note",
+    [
+        (0x51, FaultKind.MEMORY_VIOLATION, 0x4141414141414141, 8, "helper writer denied"),
+        (0x52, FaultKind.BAD_SYSCALL, None, None, "nope"),
+        (0x60, FaultKind.BAD_SYSCALL, None, None, "helper id 0x60 not available"),
+    ],
+    ids=["access-violation", "syscall-error", "missing-id"],
+)
+def test_compiled_helper_faults_are_the_interpreters(monkeypatch, sys_id, kind, addr, length, note):
+    table = SyscallTable()
+    table.register(0x51, _denying_writer, argc=1, name="writer")
+    table.register(0x52, _refusing, argc=1, name="refusing")
+    src = f"""
+        mov64 r6, 2
+loop:   sub64 r6, 1
+        jne r6, 0, loop
+        lddw r1, 0x4141414141414141
+        mov64 r0, 9
+        call {sys_id:#x}
+        mov64 r0, 1
+        exit
+"""
+    (interpreted, compiled), _ = run_both_tiers(monkeypatch, src, table=table, allowed={sys_id})
+    assert compiled == interpreted
+    outcome = compiled[0]
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (9, 8, 1)
+    fault = outcome.fault
+    assert (fault.kind, fault.pc, fault.addr, fault.length, fault.note) == (kind, 6, addr, length, note)
+
+
+def test_a_block_longer_than_the_budget_left_hands_over_to_the_interpreter(monkeypatch):
+    unrolled = "mov64 r0, 0\nloop: add64 r0, 1\nadd64 r0, 1\nadd64 r0, 1\nja loop\nexit"
+    (interpreted, compiled), _ = run_both_tiers(monkeypatch, unrolled, budget=10)
+    assert compiled == interpreted
+    # Blocks of 1 and 4 steps run to 9; the next block does not fit, so the
+    # interpreter runs slot 1 and stops on slot 2 with the budget spent.
+    outcome = compiled[0]
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (7, 10, 2)
+    assert (outcome.fault.kind, outcome.fault.pc) == (FaultKind.BUDGET_EXCEEDED, 2)
+
+    self_loop = "mov64 r2, 9\nloop: add64 r0, 3\nsub64 r2, 1\njne r2, 0, loop\nexit"
+    for src in (unrolled, self_loop):
+        for budget in range(1, 32):
+            (interpreted, compiled), _ = run_both_tiers(monkeypatch, src, budget=budget)
+            assert compiled == interpreted, (src, budget)
+
+
+def test_a_program_compiles_once_it_has_run_64_steps_per_slot(monkeypatch):
+    compiles = []
+    original = vm.compile_form
+    monkeypatch.setattr(vm, "compile_form", lambda form: compiles.append(form) or original(form))
+    vp = verify(assemble("mov64 r0, 1\nadd64 r0, 2\nexit"), VerifyLimits(256, 16))
+    mem = HostMemory()
+    acl = AccessList([fresh_stack(mem)])
+    threshold = HOT_STEPS_PER_SLOT * len(vp.form)
+    assert threshold == 192
+    outcomes = set()
+    for _ in range(threshold // 3):
+        outcomes.add(exec_program(vp, None, acl))
+        assert vp.compiled is None
+    assert vp.interpreted == threshold
+    for _ in range(3):
+        outcomes.add(exec_program(vp, None, acl))
+        assert vp.compiled is not None
+    assert vp.interpreted == threshold  # compiled runs are not counted
+    assert compiles == [vp.form]
+    assert outcomes == {(3, 3, 0, None)}
+
+
+def test_a_single_run_of_a_1024_slot_payload_never_compiles(monkeypatch):
+    compiles = []
+    monkeypatch.setattr(vm, "compile_form", compiles.append)
+    body = "add64 r0, 1\n" * 1020
+    vp = verify(assemble(f"mov64 r1, 70\nloop: {body}sub64 r1, 1\njne r1, 0, loop\nexit"))
+    assert len(vp.form) == 1024
+    outcome = exec_program(vp, None, AccessList([fresh_stack(HostMemory())]))
+    assert (outcome.return_value, outcome.fault) == (70 * 1020, None)
+    assert outcome.executed >= vm.HOT_STEPS_PER_SLOT * 1024  # hot, but it ran only once
+    assert compiles == [] and vp.compiled is None
+
+
+def test_a_run_enters_exec_program_once_in_either_tier(monkeypatch, compiled_tier):
+    # A tracer rebinds vm.exec_program; neither a cold run nor a handover to
+    # the interpreter may call back through that name.
+    entries = []
+    original = vm.exec_program
+
+    def traced(*args, **kwargs):
+        entries.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(vm, "exec_program", traced)
+    vp = verify(assemble("loop: add64 r0, 1\nadd64 r0, 1\nja loop\nexit"), VerifyLimits(256, 16))
+    acl = AccessList([fresh_stack(HostMemory())])
+    outcome = vm.exec_program(vp, None, acl, budget=7)
+    assert compiled_tier == [vp.form]
+    assert (outcome.executed, outcome.fault.kind, outcome.fault.pc) == (7, FaultKind.BUDGET_EXCEEDED, 1)
+    monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", 64)
+    cold = verify(vp.program, VerifyLimits(256, 16))
+    assert vm.exec_program(cold, None, acl, budget=7) == outcome
+    assert entries == [vp, cold]
