@@ -21,6 +21,9 @@ rejects fields above ``r10``). A TARGET is either a label or an explicit
 slot offset such as ``+3`` or ``-1``; a label resolves to the slot distance
 minus one. Immediates accept decimal or ``0x`` hex.
 
+Mnemonics and opcodes come from ``isa.OPCODE_INFO``, and one table,
+``_OPERANDS``, gives each kind's operand syntax to both directions.
+
 Disassembly is total: any slot that has no canonical text form (unknown
 opcode, or nonzero bits in fields the mnemonic cannot express) is rendered
 as a ``raw`` line, so reassembling always reproduces the input bytes.
@@ -29,15 +32,17 @@ as a ``raw`` line, so reassembling always reproduces the input bytes.
 from __future__ import annotations
 
 import re
+import struct
 
 from .isa import (
     OP_LDDW,
-    OpKind,
+    OPCODE_INFO,
     Instruction,
+    OpcodeInfo,
+    OpKind,
     Program,
     decode_instruction,
     encode_instruction,
-    opcode_by_name,
     opcode_info,
 )
 
@@ -63,23 +68,45 @@ _LABEL_RE = re.compile(r"^([A-Za-z_.][\w.]*)\s*:\s*(.*)$")
 _REG_RE = re.compile(r"^r(\d+)$")
 _MEM_RE = re.compile(r"^\[\s*r(\d+)\s*(?:([+-])\s*(\w+))?\s*\]$")
 
-_ALU_NAMES = {f"{op}{w}" for op, _ in (
-    ("add", 0), ("sub", 0), ("mul", 0), ("div", 0), ("or", 0), ("and", 0),
-    ("lsh", 0), ("rsh", 0), ("mod", 0), ("xor", 0), ("mov", 0), ("arsh", 0),
-) for w in ("32", "64")}
-_NEG_NAMES = {"neg32", "neg64"}
-_END_NAMES = {f"{o}{w}" for o in ("le", "be") for w in (16, 32, 64)}
-_LDX_NAMES = {"ldxb", "ldxh", "ldxw", "ldxdw"}
-_ST_NAMES = {"stb", "sth", "stw", "stdw"}
-_STX_NAMES = {"stxb", "stxh", "stxw", "stxdw"}
-_JCOND_NAMES = {
-    "jeq", "jgt", "jge", "jset", "jne", "jsgt", "jsge", "jlt", "jle", "jslt", "jsle",
+# Operand syntax of each (kind, source) of the opcode table, in text order.
+# ``[dst]`` and ``[src]`` are a memory operand ``[rX+off]`` based on that
+# register; ``target`` is the jump offset.
+_OPERANDS: dict[tuple[OpKind, str | None], tuple[str, ...]] = {
+    (OpKind.ALU64, "reg"): ("dst", "src"),
+    (OpKind.ALU64, "imm"): ("dst", "imm"),
+    (OpKind.ALU64, None): ("dst",),
+    (OpKind.ALU32, "reg"): ("dst", "src"),
+    (OpKind.ALU32, "imm"): ("dst", "imm"),
+    (OpKind.ALU32, None): ("dst",),
+    (OpKind.END, None): ("dst",),
+    (OpKind.LDX, "reg"): ("dst", "[src]"),
+    (OpKind.ST, "imm"): ("[dst]", "imm"),
+    (OpKind.STX, "reg"): ("[dst]", "src"),
+    (OpKind.JA, None): ("target",),
+    (OpKind.JCOND, "reg"): ("dst", "src", "target"),
+    (OpKind.JCOND, "imm"): ("dst", "imm", "target"),
+    (OpKind.CALL, "imm"): ("imm",),
+    (OpKind.EXIT, None): (),
 }
 
-_KNOWN = (
-    _ALU_NAMES | _NEG_NAMES | _END_NAMES | _LDX_NAMES | _ST_NAMES | _STX_NAMES
-    | _JCOND_NAMES | {"lddw", "ja", "call", "exit", "raw"}
-)
+# Memory operands are parsed first and a jump target right after the
+# destination, so a line with several faulty operands reports one fixed fault.
+_PARSE_RANK = {"[dst]": 0, "[src]": 0, "dst": 1, "target": 2}
+
+# A byte-order conversion spells its width, its immediate, in the mnemonic.
+_END_WIDTHS = (16, 32, 64)
+
+
+def _mnemonics() -> dict[str, tuple[dict[str | None, OpcodeInfo], int]]:
+    """Mnemonic -> (its opcode table entries by operand source, the immediate it spells)."""
+    table: dict[str, tuple[dict[str | None, OpcodeInfo], int]] = {}
+    for info in OPCODE_INFO.values():
+        for imm in _END_WIDTHS if info.kind is OpKind.END else (0,):
+            table.setdefault(f"{info.name}{imm or ''}", ({}, imm))[0][info.source] = info
+    return table
+
+
+_MNEMONICS = _mnemonics()
 
 
 def _parse_reg(tok: str, line: int) -> int:
@@ -133,10 +160,6 @@ def _split_operands(rest: str, line: int, expect: int) -> list[str]:
     return parts
 
 
-def _slot_cost(mnemonic: str) -> int:
-    return 2 if mnemonic == "lddw" else 1
-
-
 def assemble(text: str) -> Program:
     """Assemble source text into a Program; raises AsmError with line info."""
     # Pass 1: strip comments, collect labels and instruction positions.
@@ -158,10 +181,10 @@ def assemble(text: str) -> Program:
             continue
         split = line.split(None, 1)
         mnemonic, rest = split[0].lower(), (split[1] if len(split) > 1 else "")
-        if mnemonic not in _KNOWN:
+        if mnemonic not in _MNEMONICS and mnemonic != "raw":
             raise UnknownMnemonic(lineno, f"unknown mnemonic {mnemonic!r}")
         items.append((lineno, slot, mnemonic, rest.strip()))
-        slot += _slot_cost(mnemonic)
+        slot += 2 if mnemonic == "lddw" else 1
 
     def resolve_target(tok: str, line: int, at_slot: int) -> int:
         if re.fullmatch(r"[+-]\d+", tok):
@@ -178,68 +201,15 @@ def assemble(text: str) -> Program:
     # Pass 2: emit slots.
     out: list[Instruction] = []
     for lineno, at_slot, mnemonic, rest in items:
-        if mnemonic in _ALU_NAMES:
-            dst_tok, src_tok = _split_operands(rest, lineno, 2)
-            dst = _parse_reg(dst_tok, lineno)
-            if _REG_RE.match(src_tok):
-                op = opcode_by_name(mnemonic, "reg")
-                out.append(Instruction(op, dst, _parse_reg(src_tok, lineno)))
-            else:
-                op = opcode_by_name(mnemonic, "imm")
-                out.append(Instruction(op, dst, imm=_parse_imm32(src_tok, lineno)))
-        elif mnemonic in _NEG_NAMES:
-            (dst_tok,) = _split_operands(rest, lineno, 1)
-            out.append(Instruction(opcode_by_name(mnemonic), _parse_reg(dst_tok, lineno)))
-        elif mnemonic in _END_NAMES:
-            (dst_tok,) = _split_operands(rest, lineno, 1)
-            op = opcode_by_name(mnemonic[:2])
-            width = int(mnemonic[2:])
-            out.append(Instruction(op, _parse_reg(dst_tok, lineno), imm=width))
-        elif mnemonic == "lddw":
+        if mnemonic == "lddw":
             dst_tok, imm_tok = _split_operands(rest, lineno, 2)
             dst = _parse_reg(dst_tok, lineno)
             value = _parse_int(imm_tok, lineno)
             if not -(1 << 63) <= value < (1 << 64):
                 raise AsmError(lineno, f"wide immediate {imm_tok} does not fit 64 bits")
-            value &= (1 << 64) - 1
-            lo, hi = value & 0xFFFF_FFFF, value >> 32
-            out.append(Instruction(OP_LDDW, dst, imm=_as_s32(lo)))
-            out.append(Instruction(0, imm=_as_s32(hi)))
-        elif mnemonic in _LDX_NAMES:
-            dst_tok, mem_tok = _split_operands(rest, lineno, 2)
-            base, off = _parse_mem(mem_tok, lineno)
-            op = opcode_by_name(mnemonic, "reg")
-            out.append(Instruction(op, _parse_reg(dst_tok, lineno), base, off))
-        elif mnemonic in _STX_NAMES:
-            mem_tok, src_tok = _split_operands(rest, lineno, 2)
-            base, off = _parse_mem(mem_tok, lineno)
-            op = opcode_by_name(mnemonic, "reg")
-            out.append(Instruction(op, base, _parse_reg(src_tok, lineno), off))
-        elif mnemonic in _ST_NAMES:
-            mem_tok, imm_tok = _split_operands(rest, lineno, 2)
-            base, off = _parse_mem(mem_tok, lineno)
-            op = opcode_by_name(mnemonic, "imm")
-            out.append(Instruction(op, base, 0, off, _parse_imm32(imm_tok, lineno)))
-        elif mnemonic == "ja":
-            (target,) = _split_operands(rest, lineno, 1)
-            out.append(Instruction(opcode_by_name("ja"), offset=resolve_target(target, lineno, at_slot)))
-        elif mnemonic in _JCOND_NAMES:
-            dst_tok, other_tok, target = _split_operands(rest, lineno, 3)
-            dst = _parse_reg(dst_tok, lineno)
-            off = resolve_target(target, lineno, at_slot)
-            if _REG_RE.match(other_tok):
-                op = opcode_by_name(mnemonic, "reg")
-                out.append(Instruction(op, dst, _parse_reg(other_tok, lineno), off))
-            else:
-                op = opcode_by_name(mnemonic, "imm")
-                out.append(Instruction(op, dst, 0, off, _parse_imm32(other_tok, lineno)))
-        elif mnemonic == "call":
-            (imm_tok,) = _split_operands(rest, lineno, 1)
-            out.append(Instruction(opcode_by_name("call", "imm"), imm=_parse_imm32(imm_tok, lineno)))
-        elif mnemonic == "exit":
-            if rest:
-                raise AsmError(lineno, "exit takes no operands")
-            out.append(Instruction(opcode_by_name("exit")))
+            lo, hi = struct.unpack("<ii", (value & (1 << 64) - 1).to_bytes(8, "little"))
+            out.append(Instruction(OP_LDDW, dst, imm=lo))
+            out.append(Instruction(0, imm=hi))
         elif mnemonic == "raw":
             (hex_tok,) = _split_operands(rest, lineno, 1)
             try:
@@ -249,68 +219,52 @@ def assemble(text: str) -> Program:
             if len(blob) != 8:
                 raise AsmError(lineno, f"raw expects exactly 8 bytes, got {len(blob)}")
             out.append(decode_instruction(blob))
+        else:
+            forms, imm = _MNEMONICS[mnemonic]
+            info = next(iter(forms.values()))  # both forms take as many operands
+            tokens = _split_operands(rest, lineno, len(_OPERANDS[info.kind, info.source]))
+            if len(forms) > 1:  # a register or an immediate second operand picks the form
+                info = forms["reg" if _REG_RE.match(tokens[1]) else "imm"]
+            fields = {"imm": imm}
+            syntax = _OPERANDS[info.kind, info.source]
+            for operand, tok in sorted(zip(syntax, tokens), key=lambda pair: _PARSE_RANK.get(pair[0], 3)):
+                if operand == "target":
+                    fields["offset"] = resolve_target(tok, lineno, at_slot)
+                elif operand == "imm":
+                    fields["imm"] = _parse_imm32(tok, lineno)
+                elif operand[0] == "[":
+                    fields[operand[1:-1]], fields["offset"] = _parse_mem(tok, lineno)
+                else:
+                    fields[operand] = _parse_reg(tok, lineno)
+            out.append(Instruction(info.opcode, **fields))
     return Program(tuple(out))
-
-
-def _as_s32(u32: int) -> int:
-    return u32 - (1 << 32) if u32 >= 1 << 31 else u32
 
 
 def _render(ins: Instruction) -> str | None:
     """Canonical text for one slot, or None if it has no exact rendering."""
     info = opcode_info(ins.opcode)
-    if info is None:
+    if info is None or (info.kind, info.source) not in _OPERANDS:
         return None
-    k = info.kind
-    if k in (OpKind.ALU64, OpKind.ALU32):
-        if info.alu_op == "neg":
-            if ins.src or ins.offset or ins.imm:
-                return None
-            return f"{info.name} r{ins.dst}"
-        if info.source == "reg":
-            if ins.offset or ins.imm:
-                return None
-            return f"{info.name} r{ins.dst}, r{ins.src}"
-        if ins.src or ins.offset:
+    name = info.name
+    hidden = {"dst": ins.dst, "src": ins.src, "offset": ins.offset, "imm": ins.imm}
+    if info.kind is OpKind.END:
+        if ins.imm not in _END_WIDTHS:
             return None
-        return f"{info.name} r{ins.dst}, {ins.imm}"
-    if k is OpKind.END:
-        if ins.src or ins.offset or ins.imm not in (16, 32, 64):
-            return None
-        return f"{info.name}{ins.imm} r{ins.dst}"
-    if k is OpKind.LDX:
-        if ins.imm:
-            return None
-        return f"{info.name} r{ins.dst}, [r{ins.src}{ins.offset:+d}]"
-    if k is OpKind.ST:
-        if ins.src:
-            return None
-        return f"{info.name} [r{ins.dst}{ins.offset:+d}], {ins.imm}"
-    if k is OpKind.STX:
-        if ins.imm:
-            return None
-        return f"{info.name} [r{ins.dst}{ins.offset:+d}], r{ins.src}"
-    if k is OpKind.JA:
-        if ins.dst or ins.src or ins.imm:
-            return None
-        return f"ja {ins.offset:+d}"
-    if k is OpKind.JCOND:
-        if info.source == "reg":
-            if ins.imm:
-                return None
-            return f"{info.name} r{ins.dst}, r{ins.src}, {ins.offset:+d}"
-        if ins.src:
-            return None
-        return f"{info.name} r{ins.dst}, {ins.imm}, {ins.offset:+d}"
-    if k is OpKind.CALL:
-        if ins.dst or ins.src or ins.offset:
-            return None
-        return f"call {ins.imm:#x}" if ins.imm >= 0 else f"call {ins.imm}"
-    if k is OpKind.EXIT:
-        if ins.dst or ins.src or ins.offset or ins.imm:
-            return None
-        return "exit"
-    return None
+        name += str(hidden.pop("imm"))
+    words = []
+    for operand in _OPERANDS[info.kind, info.source]:
+        if operand == "target":
+            words.append(f"{hidden.pop('offset'):+d}")
+        elif operand == "imm":
+            imm = hidden.pop("imm")
+            words.append(f"{imm:#x}" if info.kind is OpKind.CALL and imm >= 0 else str(imm))
+        elif operand[0] == "[":
+            words.append(f"[r{hidden.pop(operand[1:-1])}{hidden.pop('offset'):+d}]")
+        else:
+            words.append(f"r{hidden.pop(operand)}")
+    if any(hidden.values()):  # a nonzero field the syntax does not show
+        return None
+    return f"{name} {', '.join(words)}" if words else name
 
 
 def disassemble(program: Program) -> str:

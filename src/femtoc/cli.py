@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import scenario as scenario_mod
 from .asm import AsmError, assemble, disassemble
-from .engine import Contract, ContextRegionSpec, Engine, RegionGrant, parse_mode
+from .engine import Contract, ContextRegionSpec, Engine, RegionGrant, _helper_id, parse_mode
 from .facilities import STANDARD_SYSCALL_IDS, SensorFixture
 from .fixtures import BENCH_FIXTURES, bench_case
 from .isa import Program
@@ -77,9 +77,9 @@ def _parse_ids(text: str | None) -> frozenset[int]:
     if not text:
         return frozenset()
     try:
-        return frozenset(int(part, 0) for part in text.replace(",", " ").split())
-    except ValueError:
-        raise CliError(f"expected comma-separated syscall ids, got {text!r}") from None
+        return frozenset(map(_helper_id, text.replace(",", " ").split()))
+    except ValueError as exc:
+        raise CliError(f"--allow {text!r}: {exc}") from None
 
 
 def _parse_region_spec(spec: str) -> tuple[ContextRegionSpec, bytes]:

@@ -94,7 +94,10 @@ class RegionGrant:
 
 
 def _helper_id(value: object) -> int:
-    number = int(value, 0) if isinstance(value, str) else value
+    try:
+        number = int(value, 0) if isinstance(value, str) else value
+    except ValueError:
+        number = None
     if type(number) is not int or not 0 <= number < 1 << 32:
         raise ValueError(f"helper id must be a u32, got {value!r}")
     return number

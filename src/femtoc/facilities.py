@@ -139,23 +139,16 @@ class KeyValueStore:
 class StoreManager:
     """Owns every store and routes callers to the ones they may reach."""
 
-    def __init__(
-        self,
-        container_capacity: int = CONTAINER_STORE_CAPACITY,
-        tenant_capacity: int = TENANT_STORE_CAPACITY,
-        global_capacity: int = GLOBAL_STORE_CAPACITY,
-    ):
+    def __init__(self):
         self._lock = threading.RLock()
-        self._container_capacity = container_capacity
-        self._tenant_capacity = tenant_capacity
-        self.global_store = KeyValueStore(SCOPE_GLOBAL, None, global_capacity)
+        self.global_store = KeyValueStore(SCOPE_GLOBAL, None, GLOBAL_STORE_CAPACITY)
         self.tenant_stores: dict[UUID, KeyValueStore] = {}
         self.container_stores: dict[UUID, KeyValueStore] = {}
 
     def create_container_store(self, container_id: UUID) -> None:
         with self._lock:
             self.container_stores[container_id] = KeyValueStore(
-                SCOPE_CONTAINER, container_id, self._container_capacity
+                SCOPE_CONTAINER, container_id, CONTAINER_STORE_CAPACITY
             )
 
     def destroy_container_store(self, container_id: UUID) -> None:
@@ -165,7 +158,7 @@ class StoreManager:
     def create_tenant_store(self, tenant_id: UUID) -> None:
         with self._lock:
             self.tenant_stores.setdefault(
-                tenant_id, KeyValueStore(SCOPE_TENANT, tenant_id, self._tenant_capacity)
+                tenant_id, KeyValueStore(SCOPE_TENANT, tenant_id, TENANT_STORE_CAPACITY)
             )
 
     def store_for(self, scope: str, caller: CallerIdentity) -> KeyValueStore:

@@ -30,7 +30,6 @@ SLOT_SIZE = 8
 _SLOT = struct.Struct("<BBhi")
 
 # Instruction class field (opcode & 0x07).
-CLS_LD = 0x00
 CLS_LDX = 0x01
 CLS_ST = 0x02
 CLS_STX = 0x03
@@ -49,7 +48,6 @@ SIZE_B = 0x10
 SIZE_DW = 0x18
 
 # Memory mode field (opcode & 0xe0).
-MODE_IMM = 0x00
 MODE_MEM = 0x60
 
 OP_LDDW = 0x18

@@ -109,6 +109,16 @@ def test_verify_allow_gates_syscalls(tmp_path):
     assert main(["verify", str(bin_path), "--allow", ""]) == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "run"])
+@pytest.mark.parametrize("ids", ["-1", "0x100000000", "1" * 23, "0x10,-1", "abc"])
+def test_allow_rejects_ids_that_are_not_u32_with_exit_2(tmp_path, capsys, command, ids):
+    bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
+    assert main([command, str(bin_path), "--allow", ids]) == 2
+    captured = capsys.readouterr()
+    assert "helper id must be a u32" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_limits_flag_and_env(tmp_path, monkeypatch, capsys):
     bin_path = write_bin(tmp_path, "p.bin", "mov64 r0, 1\nmov64 r1, 2\nmov64 r2, 3\nexit\n")
     assert main(["verify", str(bin_path)]) == 0
