@@ -22,7 +22,7 @@ from . import scenario as scenario_mod
 from .asm import AsmError, assemble, disassemble
 from .engine import Contract, ContextRegionSpec, Engine, RegionGrant, _helper_id, parse_mode
 from .facilities import STANDARD_SYSCALL_IDS, SensorFixture
-from .fixtures import BENCH_FIXTURES, bench_case
+from .fixtures import BENCH_FIXTURES, BENCH_INPUTS, FIXTURE_SYSCALLS, fixture_program
 from .isa import Program
 from .update import (
     apply_update,
@@ -37,8 +37,7 @@ from .update import (
     save_public_key,
     sign_manifest,
 )
-from .verifier import VerifyLimits, VerifyRejected, check_program, verification_report, verify
-from .vm import exec_program
+from .verifier import VerifyLimits, check_program, verification_report, verify
 
 EXIT_OK = 0
 EXIT_VERIFY_REJECTED = 1
@@ -51,22 +50,26 @@ class CliError(Exception):
     """Bad invocation or unreadable input; maps to exit code 2."""
 
 
-def _parse_limits(text: str) -> VerifyLimits:
+def _parse_limits(text: str, source: str) -> VerifyLimits:
     parts = text.split(",")
     if len(parts) != 2:
-        raise CliError(f"--limits wants 'Ni,Nb', got {text!r}")
+        raise CliError(f"{source} wants 'Ni,Nb', got {text!r}")
     try:
-        return VerifyLimits(int(parts[0], 0), int(parts[1], 0))
+        numbers = [int(part, 0) for part in parts]
     except ValueError:
-        raise CliError(f"--limits wants two integers, got {text!r}") from None
+        raise CliError(f"{source} wants two integers, got {text!r}") from None
+    try:
+        return VerifyLimits(*numbers)
+    except ValueError as exc:
+        raise CliError(f"{source} {text!r}: {exc}") from None
 
 
 def _limits(args: argparse.Namespace) -> VerifyLimits:
     if args.limits:
-        return _parse_limits(args.limits)
+        return _parse_limits(args.limits, "--limits")
     env = os.environ.get("FEMTOC_LIMITS")
     if env:
-        return _parse_limits(env)
+        return _parse_limits(env, "FEMTOC_LIMITS")
     return VerifyLimits()
 
 
@@ -196,30 +199,50 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _host(
+    program: Program,
+    limits: VerifyLimits,
+    allowed: frozenset[int],
+    regions: list[tuple[ContextRegionSpec, bytes]],
+    sensors: dict[int, tuple[int, ...]],
+) -> tuple[Engine, uuid.UUID, dict[str, bytes]]:
+    """A one-hook engine with ``program`` as its only container. The hook's
+    context regions are ``regions`` ((spec, init bytes) in order; r1 points
+    at the first), it allows the ``allowed`` helpers, and the contract asks
+    for exactly those helpers and every region. Returns the engine, the hook
+    and the event that writes each init, zero-padded, into its region."""
+    engine = Engine(limits)
+    for sensor_id, samples in sensors.items():
+        engine.facilities.sensors[sensor_id] = SensorFixture(sensor_id, list(samples))
+    hook = engine.register_hook("run", allowed, [spec for spec, _ in regions])
+    grants = [RegionGrant(spec.label, spec.readable, spec.writable) for spec, _ in regions]
+    engine.install_container(engine.register_tenant("run"), program, Contract.of(allowed, grants), hook)
+    return engine, hook, {spec.label: init.ljust(spec.size, b"\0") for spec, init in regions}
+
+
+def _ctx_region(init: bytes) -> tuple[ContextRegionSpec, bytes]:
+    """The read-only ``ctx`` region that ``--ctx`` and the bench fixtures
+    put at r1."""
+    return ContextRegionSpec("ctx", max(len(init), 1)), init
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     """Run the program as the only container on a one-hook engine whose
     context regions, helpers and sensors come from the arguments."""
     program = Program.from_bytes(_read_bytes(args.input))
     allowed = _parse_ids(args.allow)
-    regions = []  # (spec, init bytes) in argument order; r1 points at the first
-    if args.ctx is not None:
-        init = _parse_hex(args.ctx, "--ctx")
-        regions.append((ContextRegionSpec("ctx", max(len(init), 1)), init))
+    regions = [] if args.ctx is None else [_ctx_region(_parse_hex(args.ctx, "--ctx"))]
     regions += [_parse_region_spec(spec) for spec in args.region or ()]
-
-    engine = Engine(_limits(args))
+    limits = _limits(args)
+    sensors = {}
     for spec in args.sensor or ():
         head, _, tail = spec.partition("=")
         try:
-            sensor_id = int(head, 0)
-            samples = [int(s, 0) for s in tail.split(",") if s]
+            sensors[int(head, 0)] = tuple(int(s, 0) for s in tail.split(",") if s)
         except ValueError:
             raise CliError(f"--sensor wants id=v1,v2,..., got {spec!r}") from None
-        engine.facilities.sensors[sensor_id] = SensorFixture(sensor_id, samples)
-    hook = engine.register_hook("run", allowed, [spec for spec, _ in regions])
-    grants = [RegionGrant(spec.label, spec.readable, spec.writable) for spec, _ in regions]
-    engine.install_container(engine.register_tenant("run"), program, Contract.of(allowed, grants), hook)
-    result = engine.trigger_hook(hook, {spec.label: init.ljust(spec.size, b"\0") for spec, init in regions})
+    engine, hook, event = _host(program, limits, allowed, regions, sensors)
+    result = engine.trigger_hook(hook, event)
 
     (slot,) = result.outcomes
     if slot.outcome is None:
@@ -249,40 +272,44 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 # Each repeat times this many first runs, each followed at once by a warm run
-# on its state. Host speed on a shared machine drifts within milliseconds;
+# on its host. Host speed on a shared machine drifts within milliseconds;
 # alternating the two samples both in the same phases.
 PAIRS_PER_REPEAT = 5
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """Median cost of verification, of a first run (decode, run state,
-    verification, execution) and of a warm run (execution on kept state)."""
-    case = bench_case(args.fixture)
+    """Median cost of verification, of a first run (decode, the one-hook
+    engine that ``femtoc run`` builds, its one verification and a trigger)
+    and of a warm run (a second trigger of the same engine)."""
+    if args.repeat < 1:
+        raise CliError("--repeat must be at least 1")
     limits = _limits(args)
-    payload = case.program.to_bytes()
+    ctx, sensors = BENCH_INPUTS[args.fixture]
+    regions = [] if ctx is None else [_ctx_region(ctx)]
+    allowed = FIXTURE_SYSCALLS[args.fixture]
+    payload = fixture_program(args.fixture).to_bytes()
     verify_ns: list[int] = []
     first_ns: list[int] = []
     warm_ns: list[int] = []
-    instructions = 0
     for _ in range(args.repeat * PAIRS_PER_REPEAT):
         t0 = time.perf_counter_ns()
         program = Program.from_bytes(payload)
-        ctx, acl, table, caller = case.make_run()
-        t1 = time.perf_counter_ns()
-        try:
-            vp = verify(program, limits, case.allowed_syscalls)
-        except VerifyRejected as exc:
-            raise CliError(f"fixture {args.fixture} no longer verifies: {exc.errors[0]}") from None
-        verify_ns.append(time.perf_counter_ns() - t1)
-        outcome = exec_program(vp, ctx, acl, table, caller=caller)
+        engine, hook, event = _host(program, limits, allowed, regions, sensors)
+        (slot,) = engine.trigger_hook(hook, event).outcomes
         first_ns.append(time.perf_counter_ns() - t0)
-        if not outcome.ok:
-            raise CliError(f"fixture {args.fixture} faulted: {outcome.fault}")
+        if slot.outcome is None:
+            raise CliError(f"fixture {args.fixture} no longer verifies: {slot.verify_errors[0]}")
+        if not slot.outcome.ok:
+            raise CliError(f"fixture {args.fixture} faulted: {slot.outcome.fault}")
 
         t0 = time.perf_counter_ns()
-        outcome = exec_program(vp, ctx, acl, table, caller=caller)
+        (slot,) = engine.trigger_hook(hook, event).outcomes
         warm_ns.append(time.perf_counter_ns() - t0)
-        instructions = outcome.executed
+        instructions = slot.outcome.executed
+
+        t0 = time.perf_counter_ns()
+        verify(program, limits, allowed)
+        verify_ns.append(time.perf_counter_ns() - t0)
 
     warm = int(statistics.median(warm_ns))
     data = {
@@ -391,7 +418,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.engine).read_text())
         runtime = scenario_mod.ScenarioRuntime(doc, Path(args.engine).parent)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"{args.engine}: {exc}") from None
     except (scenario_mod.ParseError, scenario_mod.UnknownReference) as exc:
         raise CliError(str(exc)) from None

@@ -32,7 +32,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .facilities import CallerIdentity, FacilityContext, standard_syscall_table
+from .facilities import CallerIdentity, FacilityContext, scopes_from_syscalls, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
 from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
@@ -252,14 +252,9 @@ def intersect_contract(hook: Hook, requested: Contract) -> Contract:
 class Engine:
     """The host: owns tenants, hooks, containers, facilities, and stats."""
 
-    def __init__(
-        self,
-        limits: VerifyLimits | None = None,
-        rng: random.Random | None = None,
-        facilities: FacilityContext | None = None,
-    ):
+    def __init__(self, limits: VerifyLimits | None = None, rng: random.Random | None = None):
         self.limits = limits or VerifyLimits()
-        self.facilities = facilities or FacilityContext()
+        self.facilities = FacilityContext()
         self.syscall_table = standard_syscall_table(self.facilities)
         self.lock = threading.RLock()
         self._rng = rng
@@ -399,7 +394,7 @@ class Engine:
         grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
         views = tuple(hook.context[g.label].view(g.readable, g.writable) for g in grants)
         ctx = views[0] if views else None
-        caller = CallerIdentity.for_grant(tenant_id, container_id, granted.syscalls)
+        caller = CallerIdentity(tenant_id, container_id, scopes_from_syscalls(granted.syscalls))
         stats = ContainerStats(verify_count=int(verified is not None))
         self.containers[container_id] = Container(
             container_id, tenant_id, hook.hook_id, program, granted, views, ctx, caller, stats, verified

@@ -95,11 +95,6 @@ class CallerIdentity:
     container_id: UUID | None
     scopes: frozenset[str]
 
-    @classmethod
-    def for_grant(cls, tenant_id: UUID, container_id: UUID, syscalls: Iterable[int]) -> "CallerIdentity":
-        """The identity of a container whose contract grants ``syscalls``."""
-        return cls(tenant_id, container_id, scopes_from_syscalls(syscalls))
-
 
 def scopes_from_syscalls(ids: Iterable[int]) -> frozenset[str]:
     return frozenset(_SCOPE_OF_SYSCALL[i] for i in ids if i in _SCOPE_OF_SYSCALL)
@@ -234,16 +229,6 @@ class FacilityContext:
     debug_log: deque[tuple[UUID | None, int]] = field(
         default_factory=lambda: deque(maxlen=DEBUG_LOG_CAPACITY)
     )
-
-
-def standalone_caller(fac: FacilityContext, syscalls: Iterable[int]) -> CallerIdentity:
-    """A caller outside any engine, with fresh tenant and container stores of
-    its own in ``fac``. Only the ``femtoc bench`` fixtures
-    (``fixtures.bench_case``) still run outside an engine."""
-    tenant_id, container_id = UUID(int=1), UUID(int=2)
-    fac.stores.create_tenant_store(tenant_id)
-    fac.stores.create_container_store(container_id)
-    return CallerIdentity.for_grant(tenant_id, container_id, syscalls)
 
 
 def _caller_of(env: SyscallEnv) -> CallerIdentity:

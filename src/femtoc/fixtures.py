@@ -11,15 +11,11 @@ tests.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 from . import facilities as fa
 from .asm import assemble
 from .isa import Program
-from .memory import AccessList, HostMemory, MemoryRegion, fresh_stack
-from .vm import SyscallTable
 
 # 45 bytes x 8 = the canonical 360-byte workload.
 FLETCHER32_INPUT: bytes = b"The quick brown fox jumps over the lazy dog. " * 8
@@ -153,43 +149,12 @@ def fixture_program(name: str) -> Program:
         raise KeyError(f"no bundled fixture named {name!r}") from None
 
 
-@dataclass(frozen=True)
-class BenchCase:
-    """One benchmarkable workload: a program plus a fresh-run factory that
-    returns the context, access list, helper table and caller of one run."""
-
-    program: Program
-    allowed_syscalls: frozenset[int]
-    make_run: Callable[[], tuple[MemoryRegion | None, AccessList, SyscallTable, fa.CallerIdentity]]
-
-
-# Bench fixture -> (context bytes at r1, or None; sensor id -> samples).
-_BENCH_INPUTS: dict[str, tuple[bytes | None, dict[int, tuple[int, ...]]]] = {
+# Bench fixture -> (context bytes at r1, or None; sensor id -> samples). The
+# fixture runs with exactly its FIXTURE_SYSCALLS allowed and requested.
+BENCH_INPUTS: dict[str, tuple[bytes | None, dict[int, tuple[int, ...]]]] = {
     "fletcher32_360": (FLETCHER32_INPUT, {}),
     "thread_counter": (struct.pack("<QQ", 1, 2), {}),
     "sensor_reader": (None, {1: (10, 20, 30)}),
 }
 
-BENCH_FIXTURES = tuple(_BENCH_INPUTS)
-
-
-def bench_case(name: str) -> BenchCase:
-    """A bench fixture run outside any engine, so that a warm run can time
-    execution alone on state kept from the first."""
-    try:
-        ctx_bytes, sensors = _BENCH_INPUTS[name]
-    except KeyError:
-        raise KeyError(f"no bench fixture named {name!r}") from None
-    allowed = FIXTURE_SYSCALLS[name]
-
-    def make_run():
-        fac = fa.FacilityContext()
-        for sensor_id, samples in sensors.items():
-            fac.sensors[sensor_id] = fa.SensorFixture(sensor_id, list(samples))
-        caller = fa.standalone_caller(fac, allowed)
-        host = HostMemory()
-        ctx = None if ctx_bytes is None else host.alloc(len(ctx_bytes), "ctx", True, False, ctx_bytes)
-        acl = AccessList([fresh_stack(host), *([ctx] if ctx else [])])
-        return ctx, acl, fa.standard_syscall_table(fac).restricted(allowed), caller
-
-    return BenchCase(fixture_program(name), allowed, make_run)
+BENCH_FIXTURES = tuple(BENCH_INPUTS)

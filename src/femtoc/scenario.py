@@ -462,7 +462,7 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
             base_dir = path.parent
         try:
             doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"{path}: {exc}") from None
         name = doc.get("name", path.stem) if isinstance(doc, dict) else path.stem
     else:

@@ -290,4 +290,8 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
 
 
 def load_manifest(path: Path) -> Manifest:
-    return manifest_from_json(json.loads(path.read_text()))
+    try:
+        doc = json.loads(path.read_text())
+    except RecursionError as exc:  # malformed JSON raises JSONDecodeError, a ValueError
+        raise ValueError(f"{path}: {exc}") from None
+    return manifest_from_json(doc)

@@ -2,16 +2,19 @@
 and both output formats."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import femtoc
 from femtoc import vm
 from femtoc.asm import assemble
-from femtoc.cli import main
-from femtoc.fixtures import BENCH_FIXTURES, bench_case
+from femtoc.cli import PAIRS_PER_REPEAT, main
+from femtoc.engine import Engine
+from femtoc.fixtures import BENCH_FIXTURES, BENCH_INPUTS, FIXTURE_SYSCALLS, fixture_program
 from femtoc.memory import HostMemory
 from femtoc.scenario import ScenarioRuntime, bundled_scenario_path
 from femtoc.verifier import VerifyLimits, verify
@@ -134,6 +137,29 @@ def test_limits_flag_and_env(tmp_path, monkeypatch, capsys):
 def test_bad_limits_value_is_usage_error(tmp_path):
     bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
     assert main(["--limits", "banana", "verify", str(bin_path)]) == 2
+
+
+# (flag, FEMTOC_LIMITS) -> the one line on stderr; every row exits 2
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        ("0,5", None, "error: --limits '0,5': limits must be at least 1"),
+        ("5,-1", None, "error: --limits '5,-1': limits must be at least 1"),
+        (None, "1,0", "error: FEMTOC_LIMITS '1,0': limits must be at least 1"),
+        (None, "banana", "error: FEMTOC_LIMITS wants 'Ni,Nb', got 'banana'"),
+        (None, "1,x", "error: FEMTOC_LIMITS wants two integers, got '1,x'"),
+        ("1,x", "1,0", "error: --limits wants two integers, got '1,x'"),
+    ],
+)
+def test_limits_errors_name_their_source(tmp_path, monkeypatch, capsys, flag, env, message):
+    bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
+    if env is None:
+        monkeypatch.delenv("FEMTOC_LIMITS", raising=False)
+    else:
+        monkeypatch.setenv("FEMTOC_LIMITS", env)
+    assert main([*(["--limits", flag] if flag else []), "verify", str(bin_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message] and captured.out == ""
 
 
 # -- run ---------------------------------------------------------------
@@ -304,19 +330,55 @@ def test_bench_reports_all_fields(capsys):
 
 
 @pytest.mark.parametrize("fixture", BENCH_FIXTURES)
-def test_bench_times_no_compilation(fixture, monkeypatch):
-    # Each repeat verifies afresh and runs twice; a program compiles only on
-    # a run that starts after 64 interpreted steps per slot, so neither
-    # timed run of a bundled fixture may reach that.
+def test_bench_times_no_compilation(fixture, monkeypatch, capsys):
+    # Each pair builds a fresh host and triggers it twice; a program compiles
+    # only on a run that starts after 64 interpreted steps per slot, so
+    # neither timed run of a bundled fixture may reach that.
     compiles = []
     monkeypatch.setattr(vm, "compile_form", compiles.append)
-    assert main(["bench", fixture, "--repeat", "1"]) == 0
-    case = bench_case(fixture)
-    vp = verify(case.program, VerifyLimits(), case.allowed_syscalls)
-    ctx, acl, table, caller = case.make_run()
-    executed = vm.exec_program(vp, ctx, acl, table, caller=caller).executed
-    assert executed < vm.HOT_STEPS_PER_SLOT * len(vp.form)
+    rc, data = run_json(capsys, ["bench", fixture, "--repeat", "1"])
+    assert rc == 0
+    vp = verify(fixture_program(fixture), VerifyLimits(), FIXTURE_SYSCALLS[fixture])
+    assert data["instructions"] < vm.HOT_STEPS_PER_SLOT * len(vp.form)
     assert compiles == []
+
+
+@pytest.mark.parametrize("fixture", BENCH_FIXTURES)
+def test_bench_runs_the_fixture_on_the_run_engine(fixture, tmp_path, monkeypatch, capsys):
+    # Each pair is two triggers of one hook; the instruction count is what
+    # `femtoc run` executes on the same bytes, context, sensors and helpers.
+    triggers = []
+    trigger_hook = Engine.trigger_hook
+
+    def counted(self, *args):
+        triggers.append(args)
+        return trigger_hook(self, *args)
+
+    monkeypatch.setattr(Engine, "trigger_hook", counted)
+    rc, bench = run_json(capsys, ["bench", fixture, "--repeat", "1"])
+    assert rc == 0
+    assert len(triggers) == 2 * PAIRS_PER_REPEAT
+
+    ctx, sensors = BENCH_INPUTS[fixture]
+    bin_path = tmp_path / "fixture.bin"
+    bin_path.write_bytes(fixture_program(fixture).to_bytes())
+    argv = ["run", str(bin_path), "--allow", ",".join(map(str, sorted(FIXTURE_SYSCALLS[fixture])))]
+    if ctx is not None:
+        argv += ["--ctx", ctx.hex()]
+    for sensor_id, samples in sensors.items():
+        argv += ["--sensor", f"{sensor_id}=" + ",".join(map(str, samples))]
+    rc, run = run_json(capsys, argv)
+    assert rc == 0
+    assert bench["instructions"] == run["executed"] == {
+        "fletcher32_360": 1275, "thread_counter": 9, "sensor_reader": 16
+    }[fixture]
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_rejects_repeat_below_1(capsys, repeat):
+    assert main(["bench", "fletcher32_360", "--repeat", repeat]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --repeat must be at least 1"] and captured.out == ""
 
 
 def test_bench_instruction_count_is_stable(capsys):
@@ -628,8 +690,10 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_console_script_is_installed():
+    src = str(Path(femtoc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run(
-        [sys.executable, "-m", "femtoc.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "femtoc.cli", "--help"], capture_output=True, text=True, env=env
     )
     assert result.returncode == 0
     for name in ("asm", "disasm", "verify", "run", "bench", "scenario", "keygen", "sign", "apply"):

@@ -1,16 +1,19 @@
-"""Hostile documents through the command line: hypothesis mutates a valid
+"""Hostile input through the command line: hypothesis mutates a valid
 signed manifest (``femtoc apply``) and a valid scenario (``femtoc scenario
-run``) and every result must be an exit code the README documents for that
-command, never an escaping exception or a traceback on stderr."""
+run``) and draws whole argument vectors, and every result must be an exit
+code the README documents for that command, never an escaping exception or
+a traceback on stderr."""
 
+import argparse
 import copy
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from femtoc.asm import assemble
-from femtoc.cli import main
+from femtoc.cli import build_parser, main
 from femtoc.engine import Contract, RegionGrant
 from femtoc.scenario import ScenarioRuntime
 from femtoc.update import build_manifest, manifest_to_json, private_key_from_seed, public_key_raw, sign_manifest
@@ -92,7 +95,9 @@ ENGINE_DOC = {
 PAYLOAD = assemble("mov64 r0, 5\nexit").to_bytes()
 
 
-def test_apply_survives_hostile_manifests(tmp_path, capsys):
+def _write_update(tmp_path) -> dict:
+    """engine.json, payload.bin and m.json, a manifest that ``femtoc apply``
+    accepts for them; returns the manifest envelope."""
     runtime = ScenarioRuntime(ENGINE_DOC)
     key = private_key_from_seed(bytes.fromhex("aa11"))
     assert runtime.engine.tenants[runtime.tenant_ids["t"]].public_key == public_key_raw(key)
@@ -101,8 +106,13 @@ def test_apply_survives_hostile_manifests(tmp_path, capsys):
     envelope = manifest_to_json(sign_manifest(manifest, key))
     (tmp_path / "engine.json").write_text(json.dumps(ENGINE_DOC))
     (tmp_path / "payload.bin").write_bytes(PAYLOAD)
-    argv = ["apply", str(tmp_path / "m.json"), str(tmp_path / "payload.bin"), "--engine", str(tmp_path / "engine.json")]
     (tmp_path / "m.json").write_text(json.dumps(envelope))
+    return envelope
+
+
+def test_apply_survives_hostile_manifests(tmp_path, capsys):
+    envelope = _write_update(tmp_path)
+    argv = ["apply", str(tmp_path / "m.json"), str(tmp_path / "payload.bin"), "--engine", str(tmp_path / "engine.json")]
     _run(capsys, argv, {0})
 
     @settings(max_examples=EXAMPLES)
@@ -166,5 +176,138 @@ def test_scenario_run_survives_hostile_documents(tmp_path, capsys):
     def check(doc):
         path.write_text(json.dumps(doc))
         _run(capsys, ["scenario", "run", str(path)], {0, 1, 2})
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scenario", "run", "deep.json"],
+        ["apply", "deep.json", "payload.bin", "--engine", "engine.json"],
+        ["apply", "m.json", "payload.bin", "--engine", "deep.json"],
+    ],
+)
+def test_deeply_nested_json_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # json.loads raises RecursionError, not JSONDecodeError, on this.
+    _write_update(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+# -- argv ------------------------------------------------------------------
+
+# Subcommand -> the exit codes the README documents for it.
+EXIT_CODES = {
+    "asm": {0, 2},
+    "disasm": {0, 2},
+    "verify": {0, 1, 2},
+    "run": {0, 1, 2, 3},
+    "bench": {0, 2},
+    "scenario run": {0, 1, 2},
+    "keygen": {0, 2},
+    "sign": {0, 2},
+    "apply": {0, 2, 4},
+}
+# Files written afresh for every example (a command may overwrite them),
+# then plain values.
+FILES = {
+    "good.asm": "mov64 r0, 5\nexit\n",
+    "bad.asm": "mov64 r0,\nfrob r1\n",
+    "whole.bin": assemble("ldxdw r0, [r1+0]\nexit").to_bytes(),
+    "partial.bin": bytes(12),
+    "scenario.json": json.dumps(SCENARIO),
+    "malformed.json": '{"schema_version": 1,',
+}
+# The files above, key.pem (the key of ENGINE_DOC's tenant) and those of _write_update.
+PATHS = [*FILES, "key.pem", "engine.json", "payload.bin", "m.json"]
+ARG_VALUES = [*PATHS, "missing.bin", "-1", "0", "0x10", "4294967296", "zz", "a:8:rw", "stack:512:rw", "1=1,2"]
+# Flags whose values come from their own small pool: a --repeat of 4294967296
+# would run a fixture billions of times, and no value in ARG_VALUES is a
+# valid --limits or --format.
+FLAG_VALUES = {
+    "--repeat": ["1", "0", "-1", "zz"],
+    "--limits": ["64,8", "0,5", "3,4", "zz"],
+    "--format": ["json", "text"],
+}
+
+
+def _subparsers(parser: argparse.ArgumentParser, prefix: str = "") -> dict:
+    """Subcommand name ("scenario run" for nested ones) -> its parser."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_subparsers(sub, f"{prefix}{name} ") or {f"{prefix}{name}": sub})
+    return found
+
+
+def _flags(parser: argparse.ArgumentParser) -> list[str]:
+    """The flags that take a value (all but --help)."""
+    return [flag for action in parser._actions if action.nargs != 0 for flag in action.option_strings]
+
+
+PARSER = build_parser()
+COMMANDS = _subparsers(PARSER)
+
+
+@st.composite
+def argvs(draw):
+    """Global flags, a subcommand, then its positionals, its required flags
+    and up to two more of its flags, each flag with a value, in any order.
+    One in ten drops the last of those units or adds a value. A positional
+    draws half the time from its choices, or else from the files, and
+    otherwise from the whole pool."""
+
+    def value(flag):
+        return draw(st.sampled_from(FLAG_VALUES.get(flag, ARG_VALUES)))
+
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    parser = COMMANDS[command]
+    units = [[flag, value(flag)] for flag in draw(st.lists(st.sampled_from(_flags(PARSER)), max_size=2))]
+    units.append(command.split())
+    args = []
+    for action in parser._actions:
+        if not action.option_strings:
+            likely = st.sampled_from(action.choices or PATHS)
+            args.append([draw(likely | st.sampled_from(ARG_VALUES))])
+        elif action.required:
+            args.append([action.option_strings[0], value(action.option_strings[0])])
+    flags = _flags(parser)
+    args += [[flag, value(flag)] for flag in draw(st.lists(st.sampled_from(flags), max_size=2))] if flags else []
+    args = draw(st.permutations(args))
+    edit = draw(st.sampled_from(["none"] * 18 + ["drop", "add"]))
+    if edit == "drop":
+        args = args[:-1]
+    elif edit == "add":
+        args.append([value(None)])
+    return command, [token for unit in units + args for token in unit]
+
+
+def test_argv_gets_a_documented_exit_code(tmp_path, monkeypatch, capsys):
+    assert set(COMMANDS) == set(EXIT_CODES)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("FEMTOC_LIMITS", raising=False)
+    assert main(["keygen", "key", "--seed", "aa11"]) == 0
+    files = {**FILES, "key.pem": (tmp_path / "key.pem").read_bytes()}
+
+    @settings(max_examples=EXAMPLES)
+    @given(argvs())
+    def check(drawn):
+        command, argv = drawn
+        _write_update(tmp_path)
+        for name, content in files.items():
+            path = tmp_path / name
+            path.write_bytes(content) if isinstance(content, bytes) else path.write_text(content)
+        capsys.readouterr()
+        try:
+            _run(capsys, argv, EXIT_CODES[command])
+        except SystemExit as exc:
+            assert exc.code in (0, 2), (argv, exc.code)
+            assert "Traceback" not in capsys.readouterr().err
 
     check()

@@ -313,6 +313,13 @@ def test_unsupported_schema_version():
         run_scenario({"schema_version": 2})
 
 
+def test_deeply_nested_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ParseError, match="recursion"):
+        run_scenario(path)
+
+
 def test_events_must_be_sorted():
     doc = echo_scenario({"u64": [258, 0]})
     doc["events"] = [
