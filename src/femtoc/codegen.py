@@ -88,7 +88,7 @@ else:
 LOAD_STACK = "{dst} = unpack[{width}](stack_buf, stack_at + {off})[0]\n"
 STORE_STACK = "pack[{width}](stack_buf, stack_at + {off}, {value})\n"
 STORE_VALUE = "{src} & {wmask}"  # stx cuts the register to the access width
-CALL_HELPER = "{r0} = _call_helper(syscalls, acl, caller, {pc}, {imm}, {args})\n"
+CALL_HELPER = "{r0} = _call_helper(syscalls, env, {pc}, {imm}, {args})\n"
 LOAD_WIDE = "{dst} = {imm}\n"
 
 EXIT_RUN = """\
@@ -97,9 +97,10 @@ if {r10} != stack_base:
 return ExecOutcome({r0}, executed, branches)
 """
 
-# What one run sets up from its access list: the windows, the stack's bytes
-# and the stack's offset in them.
+# What one run sets up from its env's access list: the windows, the stack's
+# bytes and the stack's offset in them.
 PROLOGUE = """\
+acl = env.acl
 read_windows, write_windows = acl.read_windows, acl.write_windows
 unpack, pack = _UNPACK, _PACK
 stack = acl.stack
@@ -130,7 +131,7 @@ def _switch(selector: str, target: str, exprs: tuple[str, ...], fields: dict, de
 # -- the interpreter ---------------------------------------------------------
 
 _INTERPRETER = """\
-def _interpret(form, regs, pc, executed, branches, budget, acl, syscalls, caller):
+def _interpret(form, regs, pc, executed, branches, budget, syscalls, env):
 {prologue}\
     width_mask = _WIDTH_MASK
     n = len(form)
@@ -205,9 +206,9 @@ def _interpret(form, regs, pc, executed, branches, budget, acl, syscalls, caller
 
 
 def interpreter_source() -> str:
-    """``_interpret(form, regs, pc, executed, branches, budget, acl,
-    syscalls, caller)``: run ``form`` from slot ``pc`` with the given
-    registers and counters, one row per step, and return its ExecOutcome."""
+    """``_interpret(form, regs, pc, executed, branches, budget, syscalls,
+    env)``: run ``form`` from slot ``pc`` with the given registers and
+    counters, one row per step, and return its ExecOutcome."""
     arm = 4  # the indent of an arm's body
     operands = {"a": "a", "b": "b"}
     memory = {"mask64": _M64, "width": "sub", "off": "off", "pc": "pc"}
@@ -353,7 +354,7 @@ def _dispatch(form, blocks: dict[int, list[int]], starts: list[int], depth: int)
 
 _COMPILED = """\
 def bind(form, after):
-    def run(r1, acl, syscalls, caller, budget):
+    def run(r1, syscalls, env, budget):
 {prologue}\
         r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0
         r10 = stack_base
@@ -363,7 +364,7 @@ def bind(form, after):
 {dispatch}\
         except _Handover:
             regs = [r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10]
-            return _interpret(form, regs, pc, executed, branches, budget, acl, syscalls, caller)
+            return _interpret(form, regs, pc, executed, branches, budget, syscalls, env)
         except _Trap as trap:
             if r10 != stack_base:
                 raise RuntimeError("stack pointer register mutated during run")
@@ -376,9 +377,9 @@ def bind(form, after):
 
 def compiled_source(form: tuple[tuple[int, ...], ...]) -> tuple[str, tuple[int, ...]]:
     """The source of ``bind(form, after)``, and its ``after``: per slot, the
-    steps its block runs after it.  ``bind`` returns ``run(r1, acl,
-    syscalls, caller, budget)``, which runs the verified ``form`` block by
-    block and returns the ExecOutcome the interpreter would."""
+    steps its block runs after it.  ``bind`` returns ``run(r1, syscalls,
+    env, budget)``, which runs the verified ``form`` block by block and
+    returns the ExecOutcome the interpreter would."""
     blocks = _basic_blocks(form)
     after = [0] * len(form)
     for slots in blocks.values():

@@ -18,6 +18,8 @@ every trigger resets from its template before it writes in the event.  The
 running slot at position j (verify-rejected slots take none) uses stack j.
 Each container keeps its access list for the position it last ran at and
 its restricted helper table for the engine table it was cut from.  Its
+caller identity holds the stores its grant reaches, resolved when it is
+installed or replaced, so a helper call does no scope routing.  Its
 VerifiedProgram also carries the execution tiers' state (see ``vm``), so a
 hot container's compiled form goes when the container is removed or
 replaced.
@@ -32,7 +34,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .facilities import CallerIdentity, FacilityContext, scopes_from_syscalls, standard_syscall_table
+from .facilities import CallerIdentity, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
 from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
@@ -387,19 +389,21 @@ class Engine:
         verified: VerifiedProgram | None,
     ) -> None:
         """Give a container on ``hook`` everything it runs with: its program,
-        the granted contract and region views, its caller identity, fresh
-        verification state and stats, and an empty container store."""
+        the granted contract and region views, an empty container store, its
+        caller identity with the stores its grant reaches, and fresh
+        verification state and stats."""
         granted = intersect_contract(hook, contract)
         rank = {spec.label: i for i, spec in enumerate(hook.context_template)}
         grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
         views = tuple(hook.context[g.label].view(g.readable, g.writable) for g in grants)
         ctx = views[0] if views else None
-        caller = CallerIdentity(tenant_id, container_id, scopes_from_syscalls(granted.syscalls))
+        stores = self.facilities.stores
+        stores.create_container_store(container_id)
+        caller = stores.bind_caller(tenant_id, container_id, granted.syscalls)
         stats = ContainerStats(verify_count=int(verified is not None))
         self.containers[container_id] = Container(
             container_id, tenant_id, hook.hook_id, program, granted, views, ctx, caller, stats, verified
         )
-        self.facilities.stores.create_container_store(container_id)
 
     def tenant_container_on_hook(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> uuid.UUID | None:
         with self.lock:
@@ -548,4 +552,5 @@ class Engine:
         return json.dumps(self.introspection(), sort_keys=True, separators=(",", ":"))
 
     def store_dump(self) -> list[dict]:
-        return self.facilities.stores.dump()
+        with self.lock:
+            return self.facilities.stores.dump()

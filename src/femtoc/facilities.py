@@ -3,8 +3,10 @@
 Three key-value store scopes exist: per-container, per-tenant, and global.
 A caller can only ever reach its own container store, its own tenant's
 store, and the global store; which of those it may actually use is decided
-by the helper ids its contract grants.  Keys are u32, values are i64, and
-reading an absent key yields 0.
+by the helper ids its contract grants.  Both are fixed when the container
+is installed or replaced, so its CallerIdentity carries the stores
+themselves and a store helper finds its store with one dict lookup.  Keys
+are u32, values are i64, and reading an absent key yields 0.
 
 Sensors are replayable fixtures (reads past the end repeat the last
 sample) and the clock is virtual: it only moves when the surrounding
@@ -13,10 +15,9 @@ scenario says so, which keeps every run reproducible.
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Collection, Mapping
 from uuid import UUID
 
 from .memory import Mode, require_access
@@ -85,21 +86,6 @@ class StoreFull(Exception):
     """The store is at capacity and the key is new."""
 
 
-class ScopeDenied(Exception):
-    """The caller's contract does not grant this store scope."""
-
-
-@dataclass(frozen=True)
-class CallerIdentity:
-    tenant_id: UUID | None
-    container_id: UUID | None
-    scopes: frozenset[str]
-
-
-def scopes_from_syscalls(ids: Iterable[int]) -> frozenset[str]:
-    return frozenset(_SCOPE_OF_SYSCALL[i] for i in ids if i in _SCOPE_OF_SYSCALL)
-
-
 class KeyValueStore:
     """u32 -> i64 map with a fixed capacity; absent keys read as 0."""
 
@@ -131,62 +117,56 @@ class KeyValueStore:
         }
 
 
+@dataclass(frozen=True)
+class CallerIdentity:
+    """A container as its helpers see it: its id, and each store scope its
+    contract grants mapped to the one store of that scope it may use."""
+
+    container_id: UUID | None
+    stores: Mapping[str, KeyValueStore]
+
+
 class StoreManager:
-    """Owns every store and routes callers to the ones they may reach."""
+    """Owns every store and hands each container the ones it may reach.
+
+    It takes no lock: the engine calls it under ``Engine.lock``.
+    """
 
     def __init__(self):
-        self._lock = threading.RLock()
         self.global_store = KeyValueStore(SCOPE_GLOBAL, None, GLOBAL_STORE_CAPACITY)
         self.tenant_stores: dict[UUID, KeyValueStore] = {}
         self.container_stores: dict[UUID, KeyValueStore] = {}
 
     def create_container_store(self, container_id: UUID) -> None:
-        with self._lock:
-            self.container_stores[container_id] = KeyValueStore(
-                SCOPE_CONTAINER, container_id, CONTAINER_STORE_CAPACITY
-            )
+        self.container_stores[container_id] = KeyValueStore(
+            SCOPE_CONTAINER, container_id, CONTAINER_STORE_CAPACITY
+        )
 
     def destroy_container_store(self, container_id: UUID) -> None:
-        with self._lock:
-            self.container_stores.pop(container_id, None)
+        self.container_stores.pop(container_id, None)
 
     def create_tenant_store(self, tenant_id: UUID) -> None:
-        with self._lock:
-            self.tenant_stores.setdefault(
-                tenant_id, KeyValueStore(SCOPE_TENANT, tenant_id, TENANT_STORE_CAPACITY)
-            )
+        self.tenant_stores.setdefault(
+            tenant_id, KeyValueStore(SCOPE_TENANT, tenant_id, TENANT_STORE_CAPACITY)
+        )
 
-    def store_for(self, scope: str, caller: CallerIdentity) -> KeyValueStore:
-        """The single store a caller can reach in a scope, grant permitting."""
-        if scope not in caller.scopes:
-            raise ScopeDenied(f"contract grants no access to the {scope} store")
-        with self._lock:
-            if scope == SCOPE_GLOBAL:
-                return self.global_store
-            if scope == SCOPE_TENANT:
-                if caller.tenant_id is None or caller.tenant_id not in self.tenant_stores:
-                    raise ScopeDenied("caller has no tenant store")
-                return self.tenant_stores[caller.tenant_id]
-            if scope == SCOPE_CONTAINER:
-                if caller.container_id is None or caller.container_id not in self.container_stores:
-                    raise ScopeDenied("caller has no container store")
-                return self.container_stores[caller.container_id]
-        raise ValueError(f"unknown scope {scope!r}")
-
-    def put(self, scope: str, caller: CallerIdentity, key: int, value: int) -> None:
-        with self._lock:
-            self.store_for(scope, caller).put(key, value)
-
-    def get(self, scope: str, caller: CallerIdentity, key: int) -> int:
-        with self._lock:
-            return self.store_for(scope, caller).get(key)
+    def bind_caller(self, tenant_id: UUID, container_id: UUID, syscalls: Collection[int]) -> CallerIdentity:
+        """The caller identity of a container whose contract grants helper
+        ids ``syscalls``: only the scopes those reach get a store.  Call it
+        once the tenant's and the container's stores exist."""
+        reachable = {
+            SCOPE_GLOBAL: self.global_store,
+            SCOPE_TENANT: self.tenant_stores[tenant_id],
+            SCOPE_CONTAINER: self.container_stores[container_id],
+        }
+        stores = {scope: reachable[scope] for i, scope in _SCOPE_OF_SYSCALL.items() if i in syscalls}
+        return CallerIdentity(container_id, stores)
 
     def dump(self) -> list[dict]:
-        with self._lock:
-            stores = [self.global_store.to_dict()]
-            stores += [s.to_dict() for _, s in sorted(self.tenant_stores.items(), key=lambda kv: str(kv[0]))]
-            stores += [s.to_dict() for _, s in sorted(self.container_stores.items(), key=lambda kv: str(kv[0]))]
-            return stores
+        stores = [self.global_store.to_dict()]
+        stores += [s.to_dict() for _, s in sorted(self.tenant_stores.items(), key=lambda kv: str(kv[0]))]
+        stores += [s.to_dict() for _, s in sorted(self.container_stores.items(), key=lambda kv: str(kv[0]))]
+        return stores
 
 
 @dataclass
@@ -219,8 +199,9 @@ class VirtualClock:
 class FacilityContext:
     """Everything the standard helpers need, bundled per engine.
 
-    Who is calling is not stored here: each helper call gets its caller in
-    its SyscallEnv.
+    Who is calling is not stored here, and neither is which stores it may
+    reach: each run hands its helpers the container's CallerIdentity in
+    their SyscallEnv, with the stores resolved when the container was bound.
     """
 
     stores: StoreManager = field(default_factory=StoreManager)
@@ -242,24 +223,21 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
 
     def kv_put(scope: str):
         def helper(env: SyscallEnv, key: int, value: int) -> int:
-            caller = _caller_of(env)
+            store = _caller_of(env).stores.get(scope)
+            if store is None:
+                return KV_ERR_SCOPE
             try:
-                fac.stores.put(scope, caller, key & 0xFFFF_FFFF, _as_i64(value))
+                store.put(key & 0xFFFF_FFFF, _as_i64(value))
             except StoreFull:
                 return KV_ERR_FULL
-            except ScopeDenied:
-                return KV_ERR_SCOPE
             return KV_OK
 
         return helper
 
     def kv_get(scope: str):
         def helper(env: SyscallEnv, key: int) -> int:
-            caller = _caller_of(env)
-            try:
-                return fac.stores.get(scope, caller, key & 0xFFFF_FFFF)
-            except ScopeDenied:
-                return 0
+            store = _caller_of(env).stores.get(scope)
+            return 0 if store is None else store.get(key & 0xFFFF_FFFF)
 
         return helper
 

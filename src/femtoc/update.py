@@ -271,13 +271,18 @@ def manifest_from_json(data: object) -> Manifest:
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise ValueError(f"manifest {key!r}: {exc}") from None
 
+    def integer(value: object) -> int:
+        if type(value) is not int:  # not isinstance: JSON true loads as a bool, an int
+            raise ValueError(f"expected a JSON integer, got {value!r}")
+        return value
+
     manifest = Manifest(
-        manifest_version=field("manifest_version", int),
-        sequence_number=field("sequence_number", int),
+        manifest_version=field("manifest_version", integer),
+        sequence_number=field("sequence_number", integer),
         storage_location=field("storage_location", uuid.UUID),
         tenant_id=field("tenant_id", uuid.UUID),
         payload_digest=field("payload_digest", bytes.fromhex),
-        payload_size=field("payload_size", int),
+        payload_size=field("payload_size", integer),
         contract=Contract.from_json(body.get("contract", {})),
         signature=field("signature", base64.b64decode, data) if data.get("signature") else None,
     )

@@ -28,8 +28,9 @@ stack's bytes with no scan.  The compiled tier checks the budget once per
 block: a block that might not fit in what is left hands its registers and
 counters to the interpreter at its first slot.  A fault inside a block
 reports the same slot, step and branch counts as the interpreter.  The
-access list, stack, helper table and caller are arguments of every run,
-never part of the compiled function.
+helper table and the run's SyscallEnv (its access list, with the stack, and
+its caller) are arguments of every run, never part of the compiled
+function.
 """
 
 from __future__ import annotations
@@ -96,12 +97,11 @@ class _Handover(Exception):
 
 
 class SyscallEnv(NamedTuple):
-    """Host-side context handed to helpers: the run's access list, the call's
-    slot, and the identity of the container making the call (None when the
-    run has no caller)."""
+    """Host-side context of one run, handed to every helper it calls: the
+    run's access list and the identity of the container making the calls,
+    with the stores it may reach (None when the run has no caller)."""
 
     acl: AccessList
-    pc: int
     caller: CallerIdentity | None
 
 
@@ -152,16 +152,13 @@ class SyscallTable:
         return sub
 
 
-def _call_helper(
-    syscalls: SyscallTable, acl: AccessList, caller: CallerIdentity | None, pc: int, sys_id: int, *regs: int
-) -> int:
+def _call_helper(syscalls: SyscallTable, env: SyscallEnv, pc: int, sys_id: int, *regs: int) -> int:
     """Call helper ``sys_id`` from slot ``pc`` with r1..r5 as ``regs``; its
     result, cut to 64 bits, goes to r0.  A missing id or a helper's refusal
-    raises the run's fault."""
+    raises the run's fault at ``pc``."""
     entry = syscalls.lookup(sys_id)
     if entry is None:
         raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {sys_id:#x} not available"))
-    env = SyscallEnv(acl=acl, pc=pc, caller=caller)
     try:
         result = entry.fn(env, *regs[: entry.argc])
     except AccessViolation as exc:
@@ -196,8 +193,8 @@ HOT_STEPS_PER_SLOT = 64
 
 
 def compile_form(form: tuple[tuple[int, ...], ...]) -> Callable[..., ExecOutcome]:
-    """The compiled tier of a verified form: ``run(r1, acl, syscalls,
-    caller, budget)``, which returns the ExecOutcome the interpreter would."""
+    """The compiled tier of a verified form: ``run(r1, syscalls, env,
+    budget)``, which returns the ExecOutcome the interpreter would."""
     source, after = compiled_source(form)
     return _define(source, "bind", "<femtoc compiled form>")(form, after)
 
@@ -215,7 +212,8 @@ def exec_program(
     Registers start zeroed except r1 (context base, when a context region is
     given) and r10 (stack base).  The outcome's ``executed`` count is exact:
     the number of instructions that started executing, capped at the budget.
-    Helpers see ``caller`` in their SyscallEnv.
+    Every helper the run calls gets the same SyscallEnv, built here from
+    ``acl`` and ``caller``.
 
     A program runs on the interpreter until it has executed
     ``HOT_STEPS_PER_SLOT`` instructions per slot over its runs; the run
@@ -225,13 +223,14 @@ def exec_program(
     budget = vp.budget if budget is None else budget
     syscalls = syscalls or SyscallTable()
     r1 = 0 if ctx is None else ctx.base
+    env = SyscallEnv(acl, caller)
     run = vp.compiled
     if run is None:
         form = vp.form
         if vp.interpreted < len(form) * HOT_STEPS_PER_SLOT:
             regs = [0, r1, 0, 0, 0, 0, 0, 0, 0, 0, acl.stack.base]
-            outcome = _interpret(form, regs, 0, 0, 0, budget, acl, syscalls, caller)
+            outcome = _interpret(form, regs, 0, 0, 0, budget, syscalls, env)
             vp.interpreted += outcome.executed
             return outcome
         run = vp.compiled = compile_form(form)
-    return run(r1, acl, syscalls, caller, budget)
+    return run(r1, syscalls, env, budget)

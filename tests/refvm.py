@@ -199,7 +199,7 @@ def exec_program(
                     raise _Trap(
                         Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {ins.imm:#x} not available")
                     )
-                env = SyscallEnv(acl=acl, pc=pc, caller=caller)
+                env = SyscallEnv(acl=acl, caller=caller)
                 args = regs[1 : 1 + entry.argc]
                 try:
                     result = entry.fn(env, *args)

@@ -638,6 +638,10 @@ MALFORMED_MANIFESTS = {
     "tenant id mistyped": ("tenant_id", lambda envelope: envelope["manifest"].update(tenant_id=5)),
     "sequence negative": ("sequence_number", lambda envelope: envelope["manifest"].update(sequence_number=-1)),
     "payload size over u64": ("payload_size", lambda envelope: envelope["manifest"].update(payload_size=2**70)),
+    "sequence 1.0": ("sequence_number", lambda envelope: envelope["manifest"].update(sequence_number=1.0)),
+    "sequence true": ("sequence_number", lambda envelope: envelope["manifest"].update(sequence_number=True)),
+    "sequence string": ("sequence_number", lambda envelope: envelope["manifest"].update(sequence_number="1")),
+    "sequence 1.9": ("sequence_number", lambda envelope: envelope["manifest"].update(sequence_number=1.9)),
     "region label over 65535 bytes": (
         "label",
         lambda envelope: envelope["manifest"]["contract"].update(regions=[{"label": "x" * 70_000}]),

@@ -43,7 +43,7 @@ HELPER_IDS = (0x1, 0x2, 0x3, 0x4)  # 0x4 is granted but not in the table
 
 
 def _mix(env, r1, r2):
-    return r1 * 31 + r2 + env.pc
+    return r1 * 31 + r2
 
 
 def _refuse(env, r1, r2):

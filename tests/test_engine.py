@@ -1,5 +1,6 @@
 """Hosting engine: contracts, lifecycle, triggering, isolation, stats."""
 
+import ast
 import gc
 import json
 import random
@@ -7,9 +8,11 @@ import struct
 import threading
 import uuid
 import weakref
+from pathlib import Path
 
 import pytest
 
+import femtoc
 from femtoc.asm import assemble
 from femtoc.engine import (
     Contract,
@@ -391,6 +394,119 @@ def test_total_executed_accumulates():
     engine.trigger_hook(hook)
     engine.trigger_hook(hook)
     assert engine.containers[cid].stats.total_executed == 4  # 2 instructions each
+
+
+def counting_program(mark: int, tenant_key: int) -> Program:
+    """Adds ``mark`` to container key 1 and copies the sum to tenant key
+    ``tenant_key``; returns the sum."""
+    return assemble(
+        f"""
+        mov64 r1, 1
+        call 0x02
+        mov64 r6, r0
+        add64 r6, {mark}
+        mov64 r1, 1
+        mov64 r2, r6
+        call 0x01
+        mov64 r1, {tenant_key}
+        mov64 r2, r6
+        call 0x05
+        mov64 r0, r6
+        exit
+"""
+    )
+
+
+def test_a_container_never_reaches_an_old_store():
+    engine = Engine()
+    tenants = {name: engine.register_tenant(name) for name in ("A", "B")}
+    hook = engine.register_hook("h", (0x01, 0x02, 0x05))
+    contract = Contract.of(syscalls={0x01, 0x02, 0x05})
+    marks = {("A", 1): 1, ("A", 2): 10, ("B", 1): 100, ("B", 2): 1000}
+    keys = {who: n for n, who in enumerate(marks, 1)}
+    cids = {
+        who: engine.install_container(tenants[who[0]], counting_program(mark, keys[who]), contract, hook)
+        for who, mark in marks.items()
+    }
+    stores = engine.facilities.stores
+
+    def trigger(times):
+        for _ in range(times):
+            outcomes = engine.trigger_hook(hook).outcomes
+            assert all(slot.outcome.ok for slot in outcomes)
+        return [slot.outcome.return_value for slot in outcomes]
+
+    assert trigger(3) == [3, 30, 300, 3000]
+
+    old_a1 = stores.container_stores[cids[("A", 1)]]
+    engine.replace_container(cids[("A", 1)], counting_program(5, keys[("A", 1)]), contract)
+    new_a1 = stores.container_stores[cids[("A", 1)]]
+    assert new_a1 is not old_a1 and new_a1.entries == {}
+    assert trigger(2) == [10, 50, 500, 5000]
+    assert old_a1.entries == {1: 3}
+
+    old_b2 = stores.container_stores[cids[("B", 2)]]
+    engine.remove_container(cids[("B", 2)])
+    assert cids[("B", 2)] not in stores.container_stores
+    assert trigger(1) == [15, 60, 600]
+    assert old_b2.entries == {1: 5000}
+
+    def store(scope, owner, entries):
+        rows = [{"key": k, "value": v} for k, v in sorted(entries.items())]
+        return {"scope": scope, "owner": str(owner), "entries": rows}
+
+    containers = {cids[("A", 1)]: 15, cids[("A", 2)]: 60, cids[("B", 1)]: 600}
+    assert engine.store_dump() == [
+        {"scope": "global", "owner": None, "entries": []},
+        *sorted(
+            [store("tenant", tenants["A"], {1: 15, 2: 60}), store("tenant", tenants["B"], {3: 600, 4: 5000})],
+            key=lambda row: row["owner"],
+        ),
+        *sorted(
+            (store("container", cid, {1: value}) for cid, value in containers.items()),
+            key=lambda row: row["owner"],
+        ),
+    ]
+
+
+def test_a_compiled_container_never_reaches_an_old_store(compiled_tier):
+    test_a_container_never_reaches_an_old_store()
+    assert len(compiled_tier) == 5
+
+
+class CallSites(ast.NodeVisitor):
+    """(callee, enclosing module.class.function) of every call to ``names``."""
+
+    def __init__(self, module: str, names: set[str]):
+        self.scope, self.names, self.found = [module], names, []
+
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef
+
+    def visit_Call(self, node):
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if callee in self.names:
+            self.found.append((callee, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_only_bind_builds_a_callers_capabilities():
+    # One place resolves what a container's helpers reach: the package
+    # builds CallerIdentity only in StoreManager.bind_caller, and only
+    # Engine._bind calls that.
+    found = []
+    for path in sorted(Path(femtoc.__file__).parent.glob("*.py")):
+        sites = CallSites(path.stem, {"CallerIdentity", "bind_caller"})
+        sites.visit(ast.parse(path.read_text(), str(path)))
+        found += sites.found
+    assert sorted(found) == [
+        ("CallerIdentity", "facilities.StoreManager.bind_caller"),
+        ("bind_caller", "engine.Engine._bind"),
+    ]
 
 
 def test_context_after_snapshots_shared_buffer():

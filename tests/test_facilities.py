@@ -6,38 +6,58 @@ import pytest
 
 from femtoc import facilities as fa
 from femtoc.facilities import (
-    CallerIdentity,
     FacilityContext,
     KeyValueStore,
-    ScopeDenied,
     SensorFixture,
     StoreFull,
     StoreManager,
     VirtualClock,
-    scopes_from_syscalls,
     standard_syscall_table,
 )
 from femtoc.vm import SyscallEnv
 
+STORE_HELPERS = frozenset(
+    {
+        fa.SYS_CONTAINER_PUT, fa.SYS_CONTAINER_GET, fa.SYS_TENANT_PUT, fa.SYS_TENANT_GET,
+        fa.SYS_GLOBAL_PUT, fa.SYS_GLOBAL_GET,
+    }
+)
+PUT = {fa.SCOPE_CONTAINER: fa.SYS_CONTAINER_PUT, fa.SCOPE_TENANT: fa.SYS_TENANT_PUT, fa.SCOPE_GLOBAL: fa.SYS_GLOBAL_PUT}
+GET = {fa.SCOPE_CONTAINER: fa.SYS_CONTAINER_GET, fa.SCOPE_TENANT: fa.SYS_TENANT_GET, fa.SCOPE_GLOBAL: fa.SYS_GLOBAL_GET}
+# The store helpers reach stores only through their env's caller, so one
+# table serves every StoreManager below.
+TABLE = standard_syscall_table(FacilityContext())
 
-def caller(manager, tenant, container, scopes=(fa.SCOPE_CONTAINER, fa.SCOPE_TENANT, fa.SCOPE_GLOBAL)):
+
+def caller(manager, tenant, container, syscalls=STORE_HELPERS):
+    """The env of a run by ``container`` of ``tenant`` granted ``syscalls``,
+    bound as the engine binds it: after the container store exists."""
     manager.create_tenant_store(tenant)
     manager.create_container_store(container)
-    return CallerIdentity(tenant, container, frozenset(scopes))
+    return SyscallEnv(None, manager.bind_caller(tenant, container, syscalls))
+
+
+def put(env, scope, key, value):
+    return TABLE.lookup(PUT[scope]).fn(env, key, value)
+
+
+def get(env, scope, key):
+    return TABLE.lookup(GET[scope]).fn(env, key)
 
 
 def test_put_then_get():
     manager = StoreManager()
     who = caller(manager, uuid.uuid4(), uuid.uuid4())
-    manager.put(fa.SCOPE_CONTAINER, who, 7, 42)
-    assert manager.get(fa.SCOPE_CONTAINER, who, 7) == 42
+    assert put(who, fa.SCOPE_CONTAINER, 7, 42) == fa.KV_OK
+    assert get(who, fa.SCOPE_CONTAINER, 7) == 42
+    assert manager.container_stores[who.caller.container_id].entries == {7: 42}
 
 
 def test_absent_key_reads_zero():
     manager = StoreManager()
     who = caller(manager, uuid.uuid4(), uuid.uuid4())
-    assert manager.get(fa.SCOPE_CONTAINER, who, 12345) == 0
-    assert manager.get(fa.SCOPE_GLOBAL, who, 1) == 0
+    assert get(who, fa.SCOPE_CONTAINER, 12345) == 0
+    assert get(who, fa.SCOPE_GLOBAL, 1) == 0
 
 
 def test_key_and_value_widths():
@@ -66,10 +86,16 @@ def test_store_full_only_for_new_keys():
 
 def test_capacities_default_to_documented_sizes():
     manager = StoreManager()
-    who = caller(manager, uuid.uuid4(), uuid.uuid4())
-    assert manager.container_stores[who.container_id].capacity == 64
-    assert manager.tenant_stores[who.tenant_id].capacity == 128
+    tenant = uuid.uuid4()
+    who = caller(manager, tenant, uuid.uuid4())
+    assert manager.container_stores[who.caller.container_id].capacity == 64
+    assert manager.tenant_stores[tenant].capacity == 128
     assert manager.global_store.capacity == 256
+    for key in range(64):
+        assert put(who, fa.SCOPE_CONTAINER, key, key) == fa.KV_OK
+    assert put(who, fa.SCOPE_CONTAINER, 64, 1) == fa.KV_ERR_FULL
+    assert put(who, fa.SCOPE_CONTAINER, 0, 5) == fa.KV_OK  # a known key still takes writes
+    assert get(who, fa.SCOPE_CONTAINER, 64) == 0 and get(who, fa.SCOPE_CONTAINER, 0) == 5
 
 
 def test_isolation_matrix_two_tenants_two_containers_each():
@@ -83,52 +109,62 @@ def test_isolation_matrix_two_tenants_two_containers_each():
     }
     marks = {key: 1000 + n for n, key in enumerate(callers)}
     for key, who in callers.items():
-        manager.put(fa.SCOPE_CONTAINER, who, 1, marks[key])
-        manager.put(fa.SCOPE_TENANT, who, 1, 100 if key[0] == "A" else 200)
-    manager.put(fa.SCOPE_GLOBAL, callers[("A", 1)], 1, 777)
+        assert put(who, fa.SCOPE_CONTAINER, 1, marks[key]) == fa.KV_OK
+        assert put(who, fa.SCOPE_TENANT, 1, 100 if key[0] == "A" else 200) == fa.KV_OK
+    assert put(callers[("A", 1)], fa.SCOPE_GLOBAL, 1, 777) == fa.KV_OK
 
     # Container scope: each container sees only its own value.
-    seen = {key: manager.get(fa.SCOPE_CONTAINER, who, 1) for key, who in callers.items()}
+    seen = {key: get(who, fa.SCOPE_CONTAINER, 1) for key, who in callers.items()}
     assert seen == marks
     # Tenant scope: shared within a tenant, isolated across tenants.
-    assert manager.get(fa.SCOPE_TENANT, callers[("A", 1)], 1) == 100
-    assert manager.get(fa.SCOPE_TENANT, callers[("A", 2)], 1) == 100
-    assert manager.get(fa.SCOPE_TENANT, callers[("B", 1)], 1) == 200
+    assert get(callers[("A", 1)], fa.SCOPE_TENANT, 1) == 100
+    assert get(callers[("A", 2)], fa.SCOPE_TENANT, 1) == 100
+    assert get(callers[("B", 1)], fa.SCOPE_TENANT, 1) == 200
     # Global scope: everyone sees the same value.
-    assert all(manager.get(fa.SCOPE_GLOBAL, who, 1) == 777 for who in callers.values())
+    assert all(get(who, fa.SCOPE_GLOBAL, 1) == 777 for who in callers.values())
 
 
 def test_tenant_b_never_sees_tenant_a_store():
     manager = StoreManager()
     a = caller(manager, uuid.uuid4(), uuid.uuid4())
     b = caller(manager, uuid.uuid4(), uuid.uuid4())
-    manager.put(fa.SCOPE_TENANT, a, 1, 555)
-    assert manager.get(fa.SCOPE_TENANT, b, 1) == 0
+    assert put(a, fa.SCOPE_TENANT, 1, 555) == fa.KV_OK
+    assert get(b, fa.SCOPE_TENANT, 1) == 0
+    assert a.caller.stores[fa.SCOPE_TENANT] is not b.caller.stores[fa.SCOPE_TENANT]
 
 
 def test_scope_denied_without_grant():
     manager = StoreManager()
-    who = caller(manager, uuid.uuid4(), uuid.uuid4(), scopes=(fa.SCOPE_CONTAINER,))
-    with pytest.raises(ScopeDenied):
-        manager.put(fa.SCOPE_GLOBAL, who, 1, 1)
-    with pytest.raises(ScopeDenied):
-        manager.get(fa.SCOPE_TENANT, who, 1)
+    who = caller(manager, uuid.uuid4(), uuid.uuid4(), syscalls={fa.SYS_CONTAINER_PUT, fa.SYS_CONTAINER_GET})
+    assert put(who, fa.SCOPE_GLOBAL, 1, 1) == fa.KV_ERR_SCOPE == -2
+    assert put(who, fa.SCOPE_TENANT, 1, 1) == fa.KV_ERR_SCOPE
+    assert get(who, fa.SCOPE_TENANT, 1) == 0
+    assert get(who, fa.SCOPE_GLOBAL, 1) == 0
+    assert manager.global_store.entries == {}
+    assert all(store.entries == {} for store in manager.tenant_stores.values())
 
 
 def test_values_persist_across_calls_and_die_with_the_container():
     manager = StoreManager()
     who = caller(manager, uuid.uuid4(), uuid.uuid4())
-    manager.put(fa.SCOPE_CONTAINER, who, 9, 99)
-    assert manager.get(fa.SCOPE_CONTAINER, who, 9) == 99  # second invocation
-    manager.destroy_container_store(who.container_id)
-    assert who.container_id not in manager.container_stores
+    assert put(who, fa.SCOPE_CONTAINER, 9, 99) == fa.KV_OK
+    assert get(who, fa.SCOPE_CONTAINER, 9) == 99  # second invocation
+    manager.destroy_container_store(who.caller.container_id)
+    assert who.caller.container_id not in manager.container_stores
 
 
 def test_scopes_derive_from_syscall_grants():
-    assert scopes_from_syscalls({0x01, 0x02}) == frozenset({fa.SCOPE_CONTAINER})
-    assert scopes_from_syscalls({0x03}) == frozenset({fa.SCOPE_GLOBAL})
-    assert scopes_from_syscalls({0x06, 0x05}) == frozenset({fa.SCOPE_TENANT})
-    assert scopes_from_syscalls({0x10, 0x11}) == frozenset()
+    manager = StoreManager()
+    tenant, container = uuid.uuid4(), uuid.uuid4()
+    caller(manager, tenant, container)
+
+    def scopes(syscalls):
+        return manager.bind_caller(tenant, container, syscalls).stores
+
+    assert scopes({0x01, 0x02}) == {fa.SCOPE_CONTAINER: manager.container_stores[container]}
+    assert scopes({0x03}) == {fa.SCOPE_GLOBAL: manager.global_store}
+    assert scopes({0x06, 0x05}) == {fa.SCOPE_TENANT: manager.tenant_stores[tenant]}
+    assert scopes({0x10, 0x11}) == {}
 
 
 def test_sensor_repeats_last_sample():
@@ -158,8 +194,8 @@ def test_standard_table_exposes_exactly_the_documented_ids():
 def test_store_dump_shape():
     manager = StoreManager()
     who = caller(manager, uuid.uuid4(), uuid.uuid4())
-    manager.put(fa.SCOPE_CONTAINER, who, 2, -5)
-    manager.put(fa.SCOPE_GLOBAL, who, 1, 10)
+    assert put(who, fa.SCOPE_CONTAINER, 2, -5) == fa.KV_OK
+    assert put(who, fa.SCOPE_GLOBAL, 1, 10) == fa.KV_OK
     dump = manager.dump()
     assert all(set(entry) == {"scope", "owner", "entries"} for entry in dump)
     flat = {
@@ -174,11 +210,11 @@ def test_store_dump_shape():
 def test_debug_log_keeps_only_the_newest_entries():
     fac = FacilityContext()
     debug_log = standard_syscall_table(fac).lookup(fa.SYS_DEBUG_LOG).fn
-    who = CallerIdentity(uuid.uuid4(), uuid.uuid4(), frozenset())
+    env = caller(fac.stores, uuid.uuid4(), uuid.uuid4(), syscalls=())
     total = 10 * fa.DEBUG_LOG_CAPACITY
     for value in range(total):
-        assert debug_log(SyscallEnv(None, 0, who), value) == 0
+        assert debug_log(env, value) == 0
     assert len(fac.debug_log) == fa.DEBUG_LOG_CAPACITY
     assert list(fac.debug_log) == [
-        (who.container_id, value) for value in range(total - fa.DEBUG_LOG_CAPACITY, total)
+        (env.caller.container_id, value) for value in range(total - fa.DEBUG_LOG_CAPACITY, total)
     ]

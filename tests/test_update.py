@@ -441,7 +441,11 @@ def test_manifest_json_envelope_round_trip(tmp_path):
             manifest_from_json(bad)
     with pytest.raises(ValueError, match="'manifest_version'"):
         manifest_from_json({"manifest": {}})
-    for key, value in (("sequence_number", -1), ("payload_size", 2**70), ("manifest_version", 2**32)):
+    for key, value in (
+        ("sequence_number", -1), ("payload_size", 2**70), ("manifest_version", 2**32),
+        ("sequence_number", 1.0), ("sequence_number", True), ("sequence_number", "1"),
+        ("sequence_number", 1.9), ("manifest_version", 1.0), ("payload_size", "16"),
+    ):
         bad = json.loads(json.dumps(envelope))
         bad["manifest"][key] = value
         with pytest.raises(ValueError, match=repr(key)):
