@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import scenario as scenario_mod
 from .asm import AsmError, assemble, disassemble
-from .engine import Contract, ContextRegionSpec, Engine, RegionGrant, _helper_id, parse_mode
+from .engine import Contract, ContextRegionSpec, Engine, EngineError, RegionGrant, _helper_id, parse_mode
 from .facilities import STANDARD_SYSCALL_IDS, SensorFixture
 from .fixtures import BENCH_FIXTURES, BENCH_INPUTS, FIXTURE_SYSCALLS, fixture_program
 from .isa import Program
@@ -424,7 +424,10 @@ def cmd_apply(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from None
     manifest = load_manifest(Path(args.manifest))
     payload = _read_bytes(args.payload)
-    outcome = apply_update(runtime.engine, manifest, payload)
+    try:
+        outcome = apply_update(runtime.engine, manifest, payload)
+    except EngineError as exc:  # an install onto a full hook
+        raise CliError(f"{args.engine}: {exc}") from None
     data = {
         "accepted": outcome.accepted,
         "container_id": str(outcome.container_id) if outcome.container_id else None,

@@ -6,9 +6,10 @@ bytecode + granted contract) to one hook slot.  The grant is the
 intersection of what the container requested with what the hook allows,
 both for helper ids and for named context regions.
 
-Verification is performed exactly once per installed bytecode: by the
-signed-update path before it installs, otherwise on the first trigger.
-Triggering a hook runs its containers in slot order with context regions
+A container is verified once, when it is installed or replaced, under
+the engine's limits and the helper ids its hook grants; the signed-update
+path verifies through the same method first.  A trigger only reads the
+verdict, and runs the hook's containers in slot order with context regions
 holding only the event's bytes, a zeroed stack each, and full fault
 isolation between slots.
 
@@ -18,11 +19,11 @@ every trigger resets from its template before it writes in the event.  The
 running slot at position j (verify-rejected slots take none) uses stack j.
 Each container keeps its access list for the position it last ran at and
 its restricted helper table for the engine table it was cut from.  Its
-caller identity holds the stores its grant reaches, resolved when it is
-installed or replaced, so a helper call does no scope routing.  Its
-VerifiedProgram also carries the execution tiers' state (see ``vm``), so a
-hot container's compiled form goes when the container is removed or
-replaced.
+caller identity holds the stores its grant reaches and its response view,
+resolved when it is bound, so a helper call does no scope routing or
+region lookup.  Its VerifiedProgram also carries the execution tiers'
+state (see ``vm``), so a hot container's compiled form goes when the
+container is removed or replaced.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .facilities import CallerIdentity, FacilityContext, standard_syscall_table
+from .facilities import RESPONSE_LABEL, CallerIdentity, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
 from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
@@ -169,7 +170,7 @@ class ContainerStats:
     runs: int = 0
     faults: int = 0
     total_executed: int = 0
-    verify_count: int = 0
+    verify_count: int = 1  # a container is verified once, when it is bound
 
 
 @dataclass
@@ -182,9 +183,9 @@ class Container:
     views: tuple[MemoryRegion, ...]  # the granted context regions in hook-template order
     ctx: MemoryRegion | None  # r1: the first view
     caller: CallerIdentity
+    verified: VerifiedProgram | None  # None when verification rejected the program
+    verify_errors: tuple[VerifyError, ...] | None  # the rejection's violations
     stats: ContainerStats = field(default_factory=ContainerStats)
-    verified: VerifiedProgram | None = None
-    verify_errors: tuple[VerifyError, ...] | None = None
     # Kept across triggers: the access list for the stack position this
     # container last ran at, and its restricted helper table together with
     # the engine table it was cut from.
@@ -332,10 +333,7 @@ class Engine:
         hook_id: uuid.UUID,
         verified: VerifiedProgram | None = None,
     ) -> uuid.UUID:
-        """Attach bytecode to a hook slot. ``verified``, when given, is
-        ``program`` already verified under this engine's limits and the
-        granted contract; otherwise verification waits for the first
-        trigger."""
+        """Attach bytecode to a hook slot and verify it (see _bind)."""
         with self.lock:
             if tenant_id not in self.tenants:
                 raise UnknownTenant(str(tenant_id))
@@ -369,8 +367,8 @@ class Engine:
     ) -> None:
         """Atomically swap a container's bytecode and contract in place.
 
-        The slot position and id survive; verification state, stats, and the
-        container store start over. ``verified`` is as for install_container.
+        The slot position and id survive; the program is verified (see
+        _bind), and stats and the container store start over.
         """
         with self.lock:
             container = self.containers.get(container_id)
@@ -388,10 +386,18 @@ class Engine:
         contract: Contract,
         verified: VerifiedProgram | None,
     ) -> None:
-        """Give a container on ``hook`` everything it runs with: its program,
-        the granted contract and region views, an empty container store, its
-        caller identity with the stores its grant reaches, and fresh
-        verification state and stats."""
+        """Give a container on ``hook`` everything it runs with: its program
+        and verdict, the granted contract and region views, an empty
+        container store, its caller identity with the stores its grant
+        reaches and its response view, and fresh stats.  The program is
+        verified first, unless the update path passes it ``verified``; a
+        rejected one is bound too, and its triggers report the violations."""
+        errors = None
+        if verified is None:
+            try:
+                verified = self.verify_for(hook, program, contract)
+            except VerifyRejected as exc:
+                errors = tuple(exc.errors)
         granted = intersect_contract(hook, contract)
         rank = {spec.label: i for i, spec in enumerate(hook.context_template)}
         grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
@@ -399,11 +405,16 @@ class Engine:
         ctx = views[0] if views else None
         stores = self.facilities.stores
         stores.create_container_store(container_id)
-        caller = stores.bind_caller(tenant_id, container_id, granted.syscalls)
-        stats = ContainerStats(verify_count=int(verified is not None))
+        response = next((view for view in views if view.label == RESPONSE_LABEL), None)
+        caller = stores.bind_caller(tenant_id, container_id, granted.syscalls, response)
         self.containers[container_id] = Container(
-            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, caller, stats, verified
+            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, caller, verified, errors
         )
+
+    def verify_for(self, hook: Hook, program: Program, contract: Contract) -> VerifiedProgram:
+        """Verify under the engine's limits and the helper ids ``hook`` grants
+        ``contract`` (those of intersect_contract, without its regions)."""
+        return verify(program, self.limits, contract.syscalls & hook.allowed_syscalls)
 
     def tenant_container_on_hook(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> uuid.UUID | None:
         with self.lock:
@@ -421,15 +432,6 @@ class Engine:
         self._update_seqs[(tenant_id, hook_id)] = seq
 
     # -- execution -----------------------------------------------------
-
-    def _ensure_verified(self, container: Container) -> VerifiedProgram | None:
-        if container.verified is None and container.verify_errors is None:
-            container.stats.verify_count += 1
-            try:
-                container.verified = verify(container.program, self.limits, container.granted.syscalls)
-            except VerifyRejected as exc:
-                container.verify_errors = tuple(exc.errors)
-        return container.verified
 
     def trigger_hook(self, hook_id: uuid.UUID, event: Mapping[str, bytes] | None = None) -> TriggerResult:
         """Fire a hook: run every attached container once, in slot order.
@@ -462,9 +464,9 @@ class Engine:
             position = 0
             for container_id in list(hook.slots):
                 container = self.containers[container_id]
-                vp = self._ensure_verified(container)
+                vp = container.verified
                 if vp is None:
-                    outcomes.append(SlotOutcome(container_id, None, container.verify_errors or ()))
+                    outcomes.append(SlotOutcome(container_id, None, container.verify_errors))
                     continue
                 if container.acl_position != position:
                     container.acl = AccessList([hook.stacks[position], *container.views])

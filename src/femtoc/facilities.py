@@ -5,8 +5,9 @@ A caller can only ever reach its own container store, its own tenant's
 store, and the global store; which of those it may actually use is decided
 by the helper ids its contract grants.  Both are fixed when the container
 is installed or replaced, so its CallerIdentity carries the stores
-themselves and a store helper finds its store with one dict lookup.  Keys
-are u32, values are i64, and reading an absent key yields 0.
+themselves and a store helper finds its store with one dict lookup; it
+carries the response helper's region the same way.  Keys are u32, values
+are i64, and reading an absent key yields 0.
 
 Sensors are replayable fixtures (reads past the end repeat the last
 sample) and the clock is virtual: it only moves when the surrounding
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping
 from uuid import UUID
 
-from .memory import Mode, require_access
+from .memory import MemoryRegion, Mode, require_access
 from .vm import SyscallEnv, SyscallError, SyscallTable
 
 SCOPE_CONTAINER = "container"
@@ -31,6 +32,7 @@ CONTAINER_STORE_CAPACITY = 64
 TENANT_STORE_CAPACITY = 128
 GLOBAL_STORE_CAPACITY = 256
 DEBUG_LOG_CAPACITY = 1024  # newest (container id, value) entries helper 0x30 keeps
+RESPONSE_LABEL = "response"  # the context region helper 0x20 writes to
 
 # Helper ids. The verifier checks CALL immediates against the subset a
 # contract grants, so unused ids are unreachable even though the table
@@ -119,11 +121,12 @@ class KeyValueStore:
 
 @dataclass(frozen=True)
 class CallerIdentity:
-    """A container as its helpers see it: its id, and each store scope its
-    contract grants mapped to the one store of that scope it may use."""
+    """A container as its helpers see it: its id, the one store of each scope
+    its contract grants, and its first granted ``response`` view, if any."""
 
     container_id: UUID | None
     stores: Mapping[str, KeyValueStore]
+    response: MemoryRegion | None
 
 
 class StoreManager:
@@ -150,17 +153,20 @@ class StoreManager:
             tenant_id, KeyValueStore(SCOPE_TENANT, tenant_id, TENANT_STORE_CAPACITY)
         )
 
-    def bind_caller(self, tenant_id: UUID, container_id: UUID, syscalls: Collection[int]) -> CallerIdentity:
-        """The caller identity of a container whose contract grants helper
-        ids ``syscalls``: only the scopes those reach get a store.  Call it
-        once the tenant's and the container's stores exist."""
+    def bind_caller(
+        self, tenant_id: UUID, container_id: UUID, syscalls: Collection[int],
+        response: MemoryRegion | None = None,
+    ) -> CallerIdentity:
+        """The caller identity of a container granted helper ids ``syscalls``
+        and the ``response`` view: only the scopes those ids reach get a
+        store.  Call it once the tenant's and the container's stores exist."""
         reachable = {
             SCOPE_GLOBAL: self.global_store,
             SCOPE_TENANT: self.tenant_stores[tenant_id],
             SCOPE_CONTAINER: self.container_stores[container_id],
         }
         stores = {scope: reachable[scope] for i, scope in _SCOPE_OF_SYSCALL.items() if i in syscalls}
-        return CallerIdentity(container_id, stores)
+        return CallerIdentity(container_id, stores, response)
 
     def dump(self) -> list[dict]:
         stores = [self.global_store.to_dict()]
@@ -249,7 +255,7 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
         return fixture.read() if fixture is not None else 0
 
     def response_write(env: SyscallEnv, offset: int, value: int) -> int:
-        region = env.acl.labeled("response")
+        region = _caller_of(env).response
         if region is None:
             raise SyscallError("no response region on this hook")
         addr = (region.base + offset) & MASK64

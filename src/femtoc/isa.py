@@ -241,16 +241,6 @@ def opcode_info(opcode: int) -> OpcodeInfo | None:
     return OPCODE_INFO.get(opcode)
 
 
-def opcode_by_name(name: str, source: str | None = None) -> int:
-    """Reverse lookup used by the assembler; raises KeyError if absent."""
-    return _BY_NAME[(name, source)]
-
-
-_BY_NAME: dict[tuple[str, str | None], int] = {
-    (info.name, info.source): op for op, info in OPCODE_INFO.items()
-}
-
-
 def continuation_slots(opcodes: bytes) -> list[bool]:
     """Mark slots that are the second half of a wide load, given one opcode
     byte per slot (``program.to_bytes()[::SLOT_SIZE]``).

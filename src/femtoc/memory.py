@@ -168,12 +168,6 @@ class AccessList:
                 return region
         return None
 
-    def labeled(self, label: str) -> MemoryRegion | None:
-        for region in self.regions:
-            if region.label == label:
-                return region
-        return None
-
 
 def require_access(acl: AccessList, addr: int, length: int, mode: Mode) -> MemoryRegion:
     """The region granting [addr, addr+length) in ``mode``; raises

@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 from .asm import assemble
 from .engine import (
-    Contract, ContextRegionSpec, DuplicateHookName, Engine, ReturnPolicy, TriggerResult, parse_mode,
+    Contract, ContextRegionSpec, DuplicateHookName, Engine, EngineError, ReturnPolicy, TriggerResult, parse_mode,
 )
 from .facilities import SensorFixture
 from .fixtures import fixture_program
@@ -210,7 +210,10 @@ class ScenarioRuntime:
             except ValueError as exc:
                 raise ParseError(f"hook {name!r}: {exc}") from None
         for index, action in enumerate(_entries(doc, "setup")):
-            self._run_setup_action(index, action)
+            try:
+                self._run_setup_action(index, action)
+            except EngineError as exc:  # a full hook, say
+                raise ParseError(f"setup action {index}: {exc}") from None
 
     def _ref(self, kind: str, spec: dict, what: str):
         """The id of the tenant, hook or container (``kind``) that ``spec[kind]`` names."""
@@ -299,18 +302,25 @@ class ScenarioRuntime:
 
     # -- events ---------------------------------------------------------
 
+    def _event(self, event: dict, what: str) -> tuple[int, Any, dict[str, bytes]]:
+        """``event`` as (at_ms, hook id, payload bytes by label), checked against its hook."""
+        hook_id = self._ref("hook", event, what)
+        context = self.engine.hooks[hook_id].context
+        payload = {}
+        for label, value in _optional(event, "payload", what, dict, {}).items():
+            payload[label] = data = _parse_payload_value(value, f"{what} payload {label!r}")
+            region = context.get(label)
+            if region is None or len(data) != region.length:
+                sizes = {name: known.length for name, known in context.items()}
+                raise ParseError(f"{what} payload {label!r} does not fit the context {sizes} of its hook")
+        return _parse_int(event.get("at_ms", 0), "at_ms"), hook_id, payload
+
     def parse_events(self) -> list[dict]:
         """The events, each checked against its hook before any fires."""
         events = _entries(self.doc, "events")
         last_at = None
         for index, event in enumerate(events):
-            what = f"event {index}"
-            hook = self.engine.hooks[self._ref("hook", event, what)]
-            sizes = {spec.label: spec.size for spec in hook.context_template}
-            for label, value in _optional(event, "payload", what, dict, {}).items():
-                if len(_parse_payload_value(value, f"{what} payload {label!r}")) != sizes.get(label):
-                    raise ParseError(f"{what} payload {label!r} does not fit the context {sizes} of its hook")
-            at_ms = _parse_int(event.get("at_ms", 0), "at_ms")
+            at_ms, _, _ = self._event(event, f"event {index}")
             if last_at is not None and at_ms < last_at:
                 raise ParseError("events must be sorted by at_ms")
             last_at = at_ms
@@ -319,13 +329,9 @@ class ScenarioRuntime:
         return events
 
     def fire(self, event: dict) -> TriggerResult:
-        at_ms = _parse_int(event.get("at_ms", 0), "at_ms")
+        at_ms, hook_id, payload = self._event(event, "event")
         self.engine.facilities.clock.advance_to(at_ms)
-        payload = {
-            label: _parse_payload_value(value, f"payload {label!r}")
-            for label, value in (event.get("payload") or {}).items()
-        }
-        return self.engine.trigger_hook(self._ref("hook", event, "event"), payload)
+        return self.engine.trigger_hook(hook_id, payload)
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,9 @@ canonical byte form with Ed25519; JSON is transport only and never signed.
 
 Applying an update authenticates the signature against the registered
 tenant key, checks payload integrity, refuses sequence rollback, decodes
-the payload, verifies it against the contract the hook would grant, and
-only then swaps (or installs) the tenant's container on that hook
-atomically, already verified.
+the payload, verifies it with ``Engine.verify_for``, and only then swaps
+(or installs) the tenant's container on that hook atomically, handing over
+the verified program so that the engine does not verify it again.
 A rejected update changes no engine state at all.
 """
 
@@ -31,9 +31,9 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .engine import Contract, Engine, intersect_contract
+from .engine import Contract, Engine
 from .isa import Program
-from .verifier import VerifyRejected, verify
+from .verifier import VerifyRejected
 
 MANIFEST_VERSION = 1
 
@@ -163,16 +163,14 @@ def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOu
             program = Program.from_bytes(payload)
         except ValueError:
             return UpdateOutcome(False, reason=UpdateReject.MALFORMED_PAYLOAD)
-        granted = intersect_contract(hook, manifest.contract)
         try:
-            verified = verify(program, engine.limits, granted.syscalls)
+            verified = engine.verify_for(hook, program, manifest.contract)
         except VerifyRejected:
             return UpdateOutcome(False, reason=UpdateReject.VERIFY_REJECTED)
 
-        existing = engine.tenant_container_on_hook(manifest.tenant_id, manifest.storage_location)
-        if existing is not None:
-            engine.replace_container(existing, program, manifest.contract, verified)
-            container_id = existing
+        container_id = engine.tenant_container_on_hook(manifest.tenant_id, manifest.storage_location)
+        if container_id is not None:
+            engine.replace_container(container_id, program, manifest.contract, verified)
         else:
             container_id = engine.install_container(
                 manifest.tenant_id, program, manifest.contract, manifest.storage_location, verified

@@ -99,7 +99,7 @@ class _Handover(Exception):
 class SyscallEnv(NamedTuple):
     """Host-side context of one run, handed to every helper it calls: the
     run's access list and the identity of the container making the calls,
-    with the stores it may reach (None when the run has no caller)."""
+    with the stores and response view it may reach (None without a caller)."""
 
     acl: AccessList
     caller: CallerIdentity | None

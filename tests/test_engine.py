@@ -308,6 +308,107 @@ def test_read_only_response_grant_blocks_the_write_helper():
         assert slot.outcome.fault.pc == 2  # attributed to the call
 
 
+# The response region sits between two others, so a write that lands by any
+# other region's base shows up in the wrong bytes.
+RESPONSE_HOOK = [
+    ContextRegionSpec("request", 8),
+    ContextRegionSpec("response", 16, readable=True, writable=True),
+    ContextRegionSpec("scratch", 8, readable=True, writable=True),
+]
+RESPONSE_RW = RegionGrant("response", readable=True, writable=True)
+WRITTEN = 0x5EED
+
+
+def response_writer(offset: int, after: str = "") -> Program:
+    """Calls response_write(offset, WRITTEN) from slot 2, then runs ``after``."""
+    return assemble(f"mov64 r1, {offset}\nmov64 r2, {WRITTEN}\ncall 0x20\n{after}exit")
+
+
+def one_response_write(offset, regions):
+    """The hook, the container and the result of one trigger of a lone
+    response writer granted ``regions``."""
+    engine, tenant, hook_id = engine_with_hook(syscalls=(0x20,), context_template=RESPONSE_HOOK)
+    cid = engine.install_container(tenant, response_writer(offset), Contract.of({0x20}, regions), hook_id)
+    result = engine.trigger_hook(hook_id)
+    return engine.hooks[hook_id], engine.containers[cid], result
+
+
+@pytest.fixture(params=["interpreted", "compiled"])
+def tier(request):
+    """Run the test on each tier; the compiled one returns its forms."""
+    return request.getfixturevalue("compiled_tier") if request.param == "compiled" else None
+
+
+def test_response_write_lands_at_the_response_region_plus_offset(tier):
+    regions = [RegionGrant("request"), RESPONSE_RW, RegionGrant("scratch", readable=True, writable=True)]
+    for offset in (0, 8):
+        _, _, result = one_response_write(offset, regions)
+        (slot,) = result.outcomes
+        assert slot.outcome.ok and slot.outcome.return_value == 0
+        expected = bytearray(16)
+        expected[offset : offset + 8] = struct.pack("<Q", WRITTEN)
+        assert result.context_after == {"request": bytes(8), "response": expected, "scratch": bytes(8)}
+    assert tier is None or len(tier) == 2
+
+
+def test_response_write_without_a_response_grant_faults_at_the_call(tier):
+    for regions in ([], [RegionGrant("request"), RegionGrant("scratch", readable=True, writable=True)]):
+        _, _, result = one_response_write(0, regions)
+        fault = result.outcomes[0].outcome.fault
+        assert (fault.kind, fault.pc, fault.addr, fault.note) == (
+            FaultKind.BAD_SYSCALL, 2, None, "no response region on this hook"
+        )
+        assert result.context_after["scratch"] == bytes(8)
+
+
+def test_response_write_is_checked_against_the_access_list(tier):
+    read_only = RegionGrant("response", readable=True, writable=False)
+    for offset, grant in ((0, read_only), (8, read_only), (9, RESPONSE_RW), (-8, RESPONSE_RW)):
+        hook, _, result = one_response_write(offset, [grant])
+        fault = result.outcomes[0].outcome.fault
+        addr = (hook.context["response"].base + offset) & (1 << 64) - 1
+        assert (fault.kind, fault.pc, fault.addr, fault.length, fault.note) == (
+            FaultKind.MEMORY_VIOLATION, 2, addr, 8, "helper response_write denied"
+        )
+        assert result.context_after["response"] == bytes(16)
+
+
+def test_response_write_reaches_the_runs_own_stack_and_no_other(tier):
+    # The write is checked like any other against the run's access list,
+    # which holds the stack of the running slot's position.
+    engine, tenant, hook_id = engine_with_hook(syscalls=(0x20,), context_template=RESPONSE_HOOK)
+    contract = Contract.of({0x20}, [RESPONSE_RW])
+    engine.install_container(tenant, EXIT_ONLY, contract, hook_id)
+    writer = engine.install_container(tenant, EXIT_ONLY, contract, hook_id)
+    hook = engine.hooks[hook_id]
+    response = hook.context["response"].base
+
+    def write_at(addr):
+        program = response_writer(addr - response, "ldxdw r0, [r10+0]\n")
+        engine.replace_container(writer, program, contract)
+        return engine.trigger_hook(hook_id).outcomes[1].outcome
+
+    outcome = write_at(hook.stacks[1].base)
+    assert outcome.ok and outcome.return_value == WRITTEN
+    fault = write_at(hook.stacks[0].base).fault
+    assert (fault.kind, fault.pc, fault.addr, fault.length) == (
+        FaultKind.MEMORY_VIOLATION, 2, hook.stacks[0].base, 8
+    )
+
+
+def test_two_response_grants_write_through_the_first_view(tier):
+    # Views are ordered by template position, then mode: the write-only
+    # grant's view comes first and is the one the caller carries.
+    grants = [RegionGrant("response", readable=True, writable=False),
+              RegionGrant("response", readable=False, writable=True)]
+    _, container, result = one_response_write(8, grants)
+    assert result.outcomes[0].outcome.ok
+    assert result.context_after["response"] == bytes(8) + struct.pack("<Q", WRITTEN)
+    first = container.views[0]
+    assert (first.label, first.readable, first.writable) == ("response", False, True)
+    assert container.caller.response is first
+
+
 def test_fault_isolation_between_slots():
     engine = Engine(limits=VerifyLimits(64, 4))
     alpha = engine.register_tenant("alpha")
@@ -507,6 +608,84 @@ def test_only_bind_builds_a_callers_capabilities():
         ("CallerIdentity", "facilities.StoreManager.bind_caller"),
         ("bind_caller", "engine.Engine._bind"),
     ]
+
+
+def test_only_bind_and_the_update_path_verify_through_verify_for():
+    # One method verifies a container: Engine.verify_for, which joins the
+    # engine's limits with the helper ids the hook grants. Engine._bind
+    # calls it unless the update path, the only other caller, hands over
+    # what it verified.
+    package = Path(femtoc.__file__).parent
+    found = []
+    for stem in ("engine", "update"):
+        sites = CallSites(stem, {"verify", "intersect_contract", "verify_for"})
+        sites.visit(ast.parse((package / f"{stem}.py").read_text()))
+        found += sites.found
+    assert sorted(found) == [
+        ("intersect_contract", "engine.Engine._bind"),
+        ("verify", "engine.Engine.verify_for"),
+        ("verify", "update._signature_valid"),  # Ed25519PublicKey.verify, the signature check
+        ("verify_for", "engine.Engine._bind"),
+        ("verify_for", "update.apply_update"),
+    ]
+    assert not hasattr(femtoc.update, "verify") and not hasattr(femtoc.update, "intersect_contract")
+
+
+def test_a_container_is_verified_when_bound_and_never_under_a_trigger(monkeypatch):
+    from femtoc import engine as engine_module
+    from femtoc.update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
+
+    verifies = []  # one entry per verify call: whether a trigger was running
+    triggering = []
+    original_verify, original_trigger = engine_module.verify, Engine.trigger_hook
+
+    def counted_verify(*args):
+        verifies.append(bool(triggering))
+        return original_verify(*args)
+
+    def watched_trigger(self, *args):
+        triggering.append(True)
+        try:
+            return original_trigger(self, *args)
+        finally:
+            triggering.pop()
+
+    monkeypatch.setattr(engine_module, "verify", counted_verify)
+    monkeypatch.setattr(Engine, "trigger_hook", watched_trigger)
+
+    keys = {name: private_key_from_seed(name.encode()) for name in ("alpha", "beta")}
+    engine = Engine()
+    tenants = {name: engine.register_tenant(name, public_key_raw(key)) for name, key in keys.items()}
+    hook = engine.register_hook("h", (1, 2))
+
+    def states():
+        return {
+            uuid.UUID(c["container_id"]): (c["verified"], c["rejected"], c["stats"]["verify_count"])
+            for c in engine.introspection()["containers"]
+        }
+
+    good = engine.install_container(tenants["alpha"], EXIT_ONLY, Contract.of(), hook)
+    assert verifies == [False] and states() == {good: (True, False, 1)}
+    bad = engine.install_container(tenants["alpha"], assemble("mov64 r10, 1\nexit"), Contract.of(), hook)
+    assert verifies == [False] * 2 and states()[bad] == (False, True, 1)
+    engine.replace_container(bad, assemble("mov64 r0, 2\nexit"), Contract.of())
+    assert verifies == [False] * 3 and states()[bad] == (True, False, 1)
+    for _ in range(3):
+        engine.trigger_hook(hook)
+    assert verifies == [False] * 3
+
+    # An accepted update verifies once, through the engine, and binds what
+    # it verified: beta's installs a container, alpha's replaces one.
+    payload = assemble("mov64 r0, 9\nexit").to_bytes()
+    for name in ("beta", "alpha"):
+        manifest = sign_manifest(build_manifest(tenants[name], hook, 1, payload, Contract.of()), keys[name])
+        before = len(verifies)
+        outcome = apply_update(engine, manifest, payload)
+        assert outcome.accepted and verifies[before:] == [False]
+        assert states()[outcome.container_id] == (True, False, 1)
+    returns = [slot.outcome.return_value for slot in engine.trigger_hook(hook).outcomes]
+    assert returns == [9, 2, 9] and verifies == [False] * 5
+    assert all(c["stats"]["verify_count"] == 1 for c in engine.introspection()["containers"])
 
 
 def test_context_after_snapshots_shared_buffer():

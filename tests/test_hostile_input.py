@@ -95,16 +95,17 @@ ENGINE_DOC = {
 PAYLOAD = assemble("mov64 r0, 5\nexit").to_bytes()
 
 
-def _write_update(tmp_path) -> dict:
-    """engine.json, payload.bin and m.json, a manifest that ``femtoc apply``
-    accepts for them; returns the manifest envelope."""
-    runtime = ScenarioRuntime(ENGINE_DOC)
+def _write_update(tmp_path, engine_doc: dict = ENGINE_DOC) -> dict:
+    """engine.json (``engine_doc``), payload.bin and m.json, a manifest from
+    tenant t for hook h that ``femtoc apply`` accepts unless the hook is
+    full; returns the manifest envelope."""
+    runtime = ScenarioRuntime(engine_doc)
     key = private_key_from_seed(bytes.fromhex("aa11"))
     assert runtime.engine.tenants[runtime.tenant_ids["t"]].public_key == public_key_raw(key)
     contract = Contract.of({1, 2}, [RegionGrant("ctx")])
     manifest = build_manifest(runtime.tenant_ids["t"], runtime.hook_ids["h"], 1, PAYLOAD, contract)
     envelope = manifest_to_json(sign_manifest(manifest, key))
-    (tmp_path / "engine.json").write_text(json.dumps(ENGINE_DOC))
+    (tmp_path / "engine.json").write_text(json.dumps(engine_doc))
     (tmp_path / "payload.bin").write_bytes(PAYLOAD)
     (tmp_path / "m.json").write_text(json.dumps(envelope))
     return envelope
@@ -197,6 +198,46 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, monkeypatch, capsys, argv
     captured = capsys.readouterr()
     assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+# ENGINE_DOC with another tenant's 16 containers on h, the engine's slot limit.
+FULL_HOOK_DOC = {
+    **ENGINE_DOC,
+    "tenants": [*ENGINE_DOC["tenants"], {"name": "other"}],
+    "setup": [
+        {"action": "install", "tenant": "other", "hook": "h", "program": {"asm": "mov64 r0, 0\nexit"}}
+    ] * 16,
+}
+ONE_MORE = {
+    "install": {"action": "install", "tenant": "t", "hook": "h", "program": {"asm": "exit"}},
+    "update": {"action": "update", "tenant": "t", "hook": "h", "sequence": 1, "program": {"asm": "exit"}},
+}
+
+
+@pytest.mark.parametrize(
+    "argv,extra",
+    [
+        (["scenario", "run", "full.json"], "install"),
+        (["scenario", "run", "full.json"], "update"),
+        (["apply", "m.json", "payload.bin", "--engine", "engine.json"], None),
+    ],
+    ids=["install", "update", "apply"],
+)
+def test_a_full_hook_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, extra):
+    # One more container than the hook has slots for, from a setup action
+    # or from femtoc apply: exit 2 with one line naming where it came from.
+    _write_update(tmp_path, FULL_HOOK_DOC)
+    doc = copy.deepcopy(FULL_HOOK_DOC)
+    if extra:
+        doc["setup"].append(ONE_MORE[extra])
+    (tmp_path / "full.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    where = "setup action 16" if extra else "engine.json"
+    (line,) = captured.err.splitlines()
+    assert line.endswith(f"error: {where}: hook 'h' is at its 16-slot limit")
 
 
 # -- argv ------------------------------------------------------------------

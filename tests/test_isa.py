@@ -162,9 +162,6 @@ def test_opcode_table_flags():
     assert not isa.opcode_info(0x62).writes_dst  # stw dst is a base address
     assert not isa.opcode_info(0x15).writes_dst  # jeq dst is a comparand
     assert isa.opcode_info(0x06) is None
-
-
-def test_opcode_by_name():
-    assert isa.opcode_by_name("mov64", "imm") == 0xB7
-    assert isa.opcode_by_name("mov64", "reg") == 0xBF
-    assert isa.opcode_by_name("exit", None) == 0x95
+    # Three encodings pinned by (name, operand source).
+    named = {(info.name, info.source): op for op, info in isa.OPCODE_INFO.items()}
+    assert (named["mov64", "imm"], named["mov64", "reg"], named["exit", None]) == (0xB7, 0xBF, 0x95)

@@ -87,9 +87,10 @@ def _lowered_code(ins):
 
 @pytest.mark.parametrize("width,suffix", [(1, "b"), (2, "h"), (4, "w"), (8, "dw")])
 def test_only_r10_accesses_proven_inside_the_stack_become_stack_rows(width, suffix):
-    ldx = isa.opcode_by_name("ldx" + suffix, "reg")
-    stx = isa.opcode_by_name("stx" + suffix, "reg")
-    st = isa.opcode_by_name("st" + suffix, "imm")
+    ldx, stx, st = (
+        next(op for op, info in isa.OPCODE_INFO.items() if info.name == name + suffix)
+        for name in ("ldx", "stx", "st")
+    )
     cases = {
         V.LDX: lambda off, base=10: Instruction(ldx, dst=0, src=base, offset=off),
         V.STX: lambda off, base=10: Instruction(stx, dst=base, src=1, offset=off),
