@@ -8,7 +8,7 @@ verifier's rows.  ``compiled_source`` fills them with one slot's registers
 and constants and joins each basic block's slots into one arm of a dispatch
 loop over block starts, with registers as locals.  ``femtoc.vm`` executes
 both sources in its own namespace, so the names they use (``_Trap``,
-``Fault``, ``ExecOutcome``, ``_call_helper``, ...) are ``vm``'s.
+``Fault``, ``ExecOutcome``, ``_helper_fault``, ...) are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
 width; ``{mask}``, ``{shift}`` and ``{sign}`` are the width's value mask,
@@ -88,25 +88,25 @@ else:
 LOAD_STACK = "{dst} = unpack[{width}](stack_buf, stack_at + {off})[0]\n"
 STORE_STACK = "pack[{width}](stack_buf, stack_at + {off}, {value})\n"
 STORE_VALUE = "{src} & {wmask}"  # stx cuts the register to the access width
-CALL_HELPER = "{r0} = _call_helper(syscalls, env, {pc}, {imm}, {args})\n"
+CALL_HELPER = """\
+try:
+    {r0} = calls[{imm}](env, {args})
+except Exception as exc:
+    raise _Trap(_helper_fault(syscalls, {pc}, {imm}, exc)) from None
+"""
 LOAD_WIDE = "{dst} = {imm}\n"
 
 EXIT_RUN = """\
 if {r10} != stack_base:
     raise RuntimeError("stack pointer register mutated during run")
-return ExecOutcome({r0}, executed, branches)
+return _new(ExecOutcome, ({r0}, executed, branches, None))
 """
 
-# What one run sets up from its env's access list: the windows, the stack's
-# bytes and the stack's offset in them.
+# What one run sets up: ``AccessList.run_state`` and its helper table's callables.
 PROLOGUE = """\
-acl = env.acl
-read_windows, write_windows = acl.read_windows, acl.write_windows
+read_windows, write_windows, stack_buf, stack_at, stack_base = env.acl.run_state
+calls = syscalls.calls
 unpack, pack = _UNPACK, _PACK
-stack = acl.stack
-stack_base = stack.base
-stack_buf = stack.memory.buf
-stack_at = stack_base - stack.memory.base
 """
 
 _W64 = {"mask": hex(MASK64), "shift": "63", "sign": hex(1 << 63)}
@@ -201,7 +201,7 @@ def _interpret(form, regs, pc, executed, branches, budget, syscalls, env):
     except _Trap as trap:
         if regs[10] != stack_base:
             raise RuntimeError("stack pointer register mutated during run")
-        return ExecOutcome(regs[0], executed, branches, trap.fault)
+        return _new(ExecOutcome, (regs[0], executed, branches, trap.fault))
 """
 
 
@@ -219,6 +219,7 @@ def interpreter_source() -> str:
         "LDDW": LDDW, "END": END,
     }
     stx_value = STORE_VALUE.format(src="regs[src]", wmask="width_mask[sub]")
+    args = ", ".join(f"regs[{i}]" for i in range(1, 6))
     return _INTERPRETER.format(
         prologue=_indent(PROLOGUE, 1),
         alu64=_switch("sub", "a", ALU, {**operands, **_W64}, arm),
@@ -232,7 +233,7 @@ def interpreter_source() -> str:
                                 **memory), arm),
         stx_stack=_indent(STORE_STACK.format(width="sub", off="off", value=stx_value), arm),
         st_stack=_indent(STORE_STACK.format(width="sub", off="off", value="imm"), arm),
-        call=_indent(CALL_HELPER.format(r0="regs[0]", pc="pc", imm="imm", args="*regs[1:6]"), arm),
+        call=_indent(CALL_HELPER.format(r0="regs[0]", pc="pc", imm="imm", args=args), arm),
         exit=_indent(EXIT_RUN.format(r0="regs[0]", r10="regs[10]"), arm),
         lddw=_indent(LOAD_WIDE.format(dst="regs[dst]", imm="imm"), arm),
         mask32=hex(MASK32),
@@ -370,7 +371,7 @@ def bind(form, after):
                 raise RuntimeError("stack pointer register mutated during run")
             # A block counts all its steps on entry; give back the ones
             # after the faulting slot.
-            return ExecOutcome(r0, executed - after[trap.fault.pc], branches, trap.fault)
+            return _new(ExecOutcome, (r0, executed - after[trap.fault.pc], branches, trap.fault))
     return run
 """
 

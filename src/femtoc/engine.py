@@ -4,7 +4,7 @@ Hooks are fixed attachment points registered during a setup phase, before
 the first container is installed.  Installing attaches a container (tenant +
 bytecode + granted contract) to one hook slot.  The grant is the
 intersection of what the container requested with what the hook allows,
-both for helper ids and for named context regions.
+both for helper ids and for the hook's context regions, read by label.
 
 A container is verified once, when it is installed or replaced, under
 the engine's limits and the helper ids its hook grants; the signed-update
@@ -18,12 +18,12 @@ regions, then one stack per slot position, in a guard-padded buffer that
 every trigger resets from its template before it writes in the event.  The
 running slot at position j (verify-rejected slots take none) uses stack j.
 Each container keeps its access list for the position it last ran at and
-its restricted helper table for the engine table it was cut from.  Its
-caller identity holds the stores its grant reaches and its response view,
-resolved when it is bound, so a helper call does no scope routing or
-region lookup.  Its VerifiedProgram also carries the execution tiers'
-state (see ``vm``), so a hot container's compiled form goes when the
-container is removed or replaced.
+its restricted helper table, which both tiers call straight from, for the
+engine table it was cut from.  Its caller identity holds the stores its
+grant reaches and its response view, resolved when it is bound, so a helper
+call does no scope routing or region lookup.  Its VerifiedProgram also
+carries the execution tiers' state (see ``vm``), so a hot container's
+compiled form goes when the container is removed or replaced.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .facilities import RESPONSE_LABEL, CallerIdentity, FacilityContext, standar
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
 from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
-from .vm import ExecOutcome, SyscallTable, exec_program
+from .vm import ExecOutcome, SyscallTable, _new, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
 MAX_CONTEXT_SIZE = 1 << 16  # bytes; each hook keeps every context region in its buffer
@@ -239,17 +239,19 @@ class TriggerResult(NamedTuple):
 def intersect_contract(hook: Hook, requested: Contract) -> Contract:
     """granted = requested ∩ hook-allowed, for helpers and regions alike."""
     syscalls = requested.syscalls & hook.allowed_syscalls
-    specs = {s.label: s for s in hook.context_template}
     regions = set()
     for grant in requested.regions:
-        spec = specs.get(grant.label)
-        if spec is None:
+        region = hook.context.get(grant.label)
+        if region is None:
             continue
-        readable = grant.readable and spec.readable
-        writable = grant.writable and spec.writable
+        readable = grant.readable and region.readable
+        writable = grant.writable and region.writable
         if readable or writable:
-            regions.add(RegionGrant(grant.label, readable, writable))
-    return Contract(frozenset(syscalls), frozenset(regions))
+            narrowed = readable != grant.readable or writable != grant.writable
+            regions.add(RegionGrant(grant.label, readable, writable) if narrowed else grant)
+    if syscalls == requested.syscalls and regions == requested.regions:
+        return requested  # the hook narrows nothing
+    return Contract(syscalls, frozenset(regions))
 
 
 class Engine:
@@ -482,7 +484,7 @@ class Engine:
                 container.stats.total_executed += outcome.executed
                 if outcome.fault is not None:
                     container.stats.faults += 1
-                outcomes.append(SlotOutcome(container_id, outcome, ()))
+                outcomes.append(_new(SlotOutcome, (container_id, outcome, ())))
 
             policy_value = None
             if hook.return_policy == ReturnPolicy.FIRST_NONZERO_WINS:

@@ -6,8 +6,9 @@ store, and the global store; which of those it may actually use is decided
 by the helper ids its contract grants.  Both are fixed when the container
 is installed or replaced, so its CallerIdentity carries the stores
 themselves and a store helper finds its store with one dict lookup; it
-carries the response helper's region the same way.  Keys are u32, values
-are i64, and reading an absent key yields 0.
+carries the response helper's region the same way, and that helper writes
+through the run's write windows as the VM's stores do.  Keys are u32,
+values are i64, and reading an absent key yields 0.
 
 Sensors are replayable fixtures (reads past the end repeat the last
 sample) and the clock is virtual: it only moves when the surrounding
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Mapping
 from uuid import UUID
 
-from .memory import MemoryRegion, Mode, require_access
+from .memory import MemoryRegion, checked_store
 from .vm import SyscallEnv, SyscallError, SyscallTable
 
 SCOPE_CONTAINER = "container"
@@ -218,18 +219,15 @@ class FacilityContext:
     )
 
 
-def _caller_of(env: SyscallEnv) -> CallerIdentity:
-    if env.caller is None:
-        raise SyscallError("no caller identity bound")
-    return env.caller
-
-
 def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
     """Register the full documented helper set against one facility context."""
 
     def kv_put(scope: str):
         def helper(env: SyscallEnv, key: int, value: int) -> int:
-            store = _caller_of(env).stores.get(scope)
+            caller = env.caller
+            if caller is None:
+                raise SyscallError("no caller identity bound")
+            store = caller.stores.get(scope)
             if store is None:
                 return KV_ERR_SCOPE
             try:
@@ -242,7 +240,10 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
 
     def kv_get(scope: str):
         def helper(env: SyscallEnv, key: int) -> int:
-            store = _caller_of(env).stores.get(scope)
+            caller = env.caller
+            if caller is None:
+                raise SyscallError("no caller identity bound")
+            store = caller.stores.get(scope)
             return 0 if store is None else store.get(key & 0xFFFF_FFFF)
 
         return helper
@@ -255,12 +256,13 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
         return fixture.read() if fixture is not None else 0
 
     def response_write(env: SyscallEnv, offset: int, value: int) -> int:
-        region = _caller_of(env).response
+        caller = env.caller
+        if caller is None:
+            raise SyscallError("no caller identity bound")
+        region = caller.response
         if region is None:
             raise SyscallError("no response region on this hook")
-        addr = (region.base + offset) & MASK64
-        require_access(env.acl, addr, 8, Mode.WRITE)
-        region.memory.store(addr, 8, value)
+        checked_store(env.acl, (region.base + offset) & MASK64, 8, value)
         return 0
 
     def debug_log(env: SyscallEnv, value: int) -> int:

@@ -12,9 +12,9 @@ data.
 An access list also keeps its regions as two tuples of windows, one for
 reads and one for writes, each ``(lo, hi, buf, base)``: the region's
 address range [lo, hi), its host buffer and the buffer's base address, in
-region order.  The interpreter checks loads and stores by scanning these
-inline; the first window that covers a range is the region ``region_for``
-returns.  Helpers keep calling ``region_for`` through ``require_access``.
+region order.  The execution tiers check loads and stores by scanning
+these inline, and ``checked_store`` does the same for helpers; the first
+window that covers a range is the region ``region_for`` returns.
 """
 
 from __future__ import annotations
@@ -84,10 +84,6 @@ class HostMemory:
         """Put back every byte as the allocations left it, in place, so
         regions and windows that hold ``buf`` stay valid."""
         self.buf[:] = self._fresh
-
-    def store(self, addr: int, size: int, value: int) -> None:
-        i = addr - self.base
-        self.buf[i : i + size] = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
 
     def read(self, addr: int, length: int) -> bytes:
         i = addr - self.base
@@ -160,6 +156,9 @@ class AccessList:
         self.stack = stack
         self.read_windows: tuple[Window, ...] = tuple(read)
         self.write_windows: tuple[Window, ...] = tuple(write)
+        # What a run unpacks first: the windows, the stack's bytes, its offset in them and its base.
+        self.run_state = (self.read_windows, self.write_windows, stack.memory.buf,
+                          stack.base - stack.memory.base, stack.base)
 
     def region_for(self, addr: int, length: int, mode: Mode) -> MemoryRegion | None:
         """First region that fully contains the range and grants the mode."""
@@ -169,13 +168,16 @@ class AccessList:
         return None
 
 
-def require_access(acl: AccessList, addr: int, length: int, mode: Mode) -> MemoryRegion:
-    """The region granting [addr, addr+length) in ``mode``; raises
+def checked_store(acl: AccessList, addr: int, size: int, value: int) -> None:
+    """Store ``value``, cut to ``size`` bytes, at [addr, addr+size) through
+    the first write window that covers it, as the VM's stores do; raises
     AccessViolation when none does. For host helpers."""
-    region = acl.region_for(addr, length, mode)
-    if region is None:
-        raise AccessViolation(addr, length, mode)
-    return region
+    end = addr + size
+    for lo, hi, buf, base in acl.write_windows:
+        if lo <= addr and end <= hi:
+            buf[addr - base : end - base] = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+            return
+    raise AccessViolation(addr, size, Mode.WRITE)
 
 
 def fresh_stack(memory: HostMemory) -> MemoryRegion:

@@ -117,10 +117,6 @@ class VerifyLimits:
         if self.max_instructions < 1 or self.max_branches < 1:
             raise ValueError("limits must be at least 1")
 
-    @property
-    def budget(self) -> int:
-        return self.max_instructions * self.max_branches
-
 
 class VerifyErrorKind(Enum):
     BAD_REGISTER_FIELD = "BadRegisterField"
@@ -157,12 +153,9 @@ class VerifiedProgram:
     program: Program
     limits: VerifyLimits
     form: tuple[tuple[int, ...], ...]
+    budget: int  # the run-time step cap: max_instructions x max_branches
     interpreted: int = field(default=0, compare=False, repr=False)
     compiled: Callable | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def budget(self) -> int:
-        return self.limits.budget
 
 
 class VerifyRejected(ValueError):
@@ -305,7 +298,7 @@ def verify(
     errors, form = _scan(program, limits, allowed_syscalls)
     if errors:
         raise VerifyRejected(errors)
-    return VerifiedProgram(program, limits, form)
+    return VerifiedProgram(program, limits, form, limits.max_instructions * limits.max_branches)
 
 
 def verification_report(errors: list[VerifyError]) -> str:

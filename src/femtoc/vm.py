@@ -27,16 +27,17 @@ converts the bytes straight on that window's host buffer; stack rows, the
 stack's bytes with no scan.  The compiled tier checks the budget once per
 block: a block that might not fit in what is left hands its registers and
 counters to the interpreter at its first slot.  A fault inside a block
-reports the same slot, step and branch counts as the interpreter.  The
-helper table and the run's SyscallEnv (its access list, with the stack, and
-its caller) are arguments of every run, never part of the compiled
-function.
+reports the same slot, step and branch counts as the interpreter.
+
+A call runs the entry for its constant helper id in the run's SyscallTable
+directly; ``_helper_fault`` maps what it raises to the run's fault.  The
+table and the run's SyscallEnv (its access list, with the stack, and its
+caller) are arguments of every run, never part of the compiled function.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -61,8 +62,7 @@ class FaultKind(Enum):
     BAD_SYSCALL = "BadSyscall"
 
 
-@dataclass(frozen=True)
-class Fault:
+class Fault(NamedTuple):
     kind: FaultKind
     pc: int
     addr: int | None = None
@@ -105,9 +105,6 @@ class SyscallEnv(NamedTuple):
     caller: CallerIdentity | None
 
 
-SyscallFn = Callable[..., int]
-
-
 class DuplicateId(ValueError):
     pass
 
@@ -116,26 +113,39 @@ class SyscallError(Exception):
     """Raised by a helper to abort the run with a BadSyscall fault."""
 
 
-@dataclass(frozen=True)
-class SyscallEntry:
+_ADAPTERS = (  # by argc: fn(env, r1..r_argc) taking r1..r5, its result cut to 64 bits (None is 0)
+    lambda fn: lambda env, r1, r2, r3, r4, r5: (fn(env) or 0) & MASK64,
+    lambda fn: lambda env, r1, r2, r3, r4, r5: (fn(env, r1) or 0) & MASK64,
+    lambda fn: lambda env, r1, r2, r3, r4, r5: (fn(env, r1, r2) or 0) & MASK64,
+    lambda fn: lambda env, r1, r2, r3, r4, r5: (fn(env, r1, r2, r3) or 0) & MASK64,
+    lambda fn: lambda env, r1, r2, r3, r4, r5: (fn(env, r1, r2, r3, r4) or 0) & MASK64,
+    lambda fn: lambda env, r1, r2, r3, r4, r5: (fn(env, r1, r2, r3, r4, r5) or 0) & MASK64,
+)
+
+
+class SyscallEntry(NamedTuple):
     id: int
-    fn: SyscallFn
+    fn: Callable[..., int]
     argc: int
     name: str
+    call: Callable[..., int]  # fn adapted to (env, r1..r5), returning r0
 
 
 class SyscallTable:
-    """Helper registry: id -> host callback taking (env, r1..r_argc)."""
+    """Helper registry: id -> host callback taking (env, r1..r_argc).  Both
+    tiers call a helper from ``calls``: id -> its entry's ``call``."""
 
     def __init__(self) -> None:
         self._entries: dict[int, SyscallEntry] = {}
+        self.calls: dict[int, Callable[..., int]] = {}
 
-    def register(self, sys_id: int, fn: SyscallFn, argc: int, name: str = "") -> None:
+    def register(self, sys_id: int, fn: Callable[..., int], argc: int, name: str = "") -> None:
         if not 0 <= argc <= 5:
             raise ValueError("helpers take at most five register arguments")
         if sys_id in self._entries:
             raise DuplicateId(f"helper id {sys_id:#x} already registered")
-        self._entries[sys_id] = SyscallEntry(sys_id, fn, argc, name or fn.__name__)
+        entry = self._entries[sys_id] = SyscallEntry(sys_id, fn, argc, name or fn.__name__, _ADAPTERS[argc](fn))
+        self.calls[sys_id] = entry.call
 
     def lookup(self, sys_id: int) -> SyscallEntry | None:
         return self._entries.get(sys_id)
@@ -146,34 +156,24 @@ class SyscallTable:
     def restricted(self, allowed: frozenset[int] | set[int]) -> "SyscallTable":
         """A view exposing only the granted ids."""
         sub = SyscallTable()
-        for sys_id, entry in self._entries.items():
-            if sys_id in allowed:
-                sub._entries[sys_id] = entry
+        sub._entries = {sys_id: e for sys_id, e in self._entries.items() if sys_id in allowed}
+        sub.calls = {sys_id: e.call for sys_id, e in sub._entries.items()}
         return sub
 
 
-def _call_helper(syscalls: SyscallTable, env: SyscallEnv, pc: int, sys_id: int, *regs: int) -> int:
-    """Call helper ``sys_id`` from slot ``pc`` with r1..r5 as ``regs``; its
-    result, cut to 64 bits, goes to r0.  A missing id or a helper's refusal
-    raises the run's fault at ``pc``."""
+def _helper_fault(syscalls: SyscallTable, pc: int, sys_id: int, exc: Exception) -> Fault:
+    """The run's fault at slot ``pc`` for ``exc``, raised calling helper ``sys_id``."""
     entry = syscalls.lookup(sys_id)
     if entry is None:
-        raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {sys_id:#x} not available"))
-    try:
-        result = entry.fn(env, *regs[: entry.argc])
-    except AccessViolation as exc:
-        raise _Trap(
-            Fault(FaultKind.MEMORY_VIOLATION, pc, exc.addr, exc.length, f"helper {entry.name} denied")
-        ) from None
-    except SyscallError as exc:
-        raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note=str(exc))) from None
-    except _Trap:
-        raise
-    except Exception as exc:  # defensive: helpers must not crash the host
-        raise _Trap(
-            Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper {entry.name} failed: {exc!r}")
-        ) from None
-    return (result or 0) & MASK64
+        return Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {sys_id:#x} not available")
+    if isinstance(exc, AccessViolation):
+        return Fault(FaultKind.MEMORY_VIOLATION, pc, exc.addr, exc.length, f"helper {entry.name} denied")
+    if isinstance(exc, SyscallError):
+        return Fault(FaultKind.BAD_SYSCALL, pc, note=str(exc))
+    return Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper {entry.name} failed: {exc!r}")  # a crash
+
+
+_new = tuple.__new__  # builds a NamedTuple from all its fields, without its Python __new__
 
 
 def _define(source: str, name: str, filename: str) -> Callable:
@@ -223,7 +223,7 @@ def exec_program(
     budget = vp.budget if budget is None else budget
     syscalls = syscalls or SyscallTable()
     r1 = 0 if ctx is None else ctx.base
-    env = SyscallEnv(acl, caller)
+    env = _new(SyscallEnv, (acl, caller))
     run = vp.compiled
     if run is None:
         form = vp.form

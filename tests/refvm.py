@@ -134,7 +134,8 @@ def exec_program(
         region = acl.region_for(addr, size, Mode.WRITE)
         if region is None:
             raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, at, addr, size, "write denied"))
-        region.memory.store(addr, size, value)
+        i = addr - region.memory.base
+        region.memory.buf[i : i + size] = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
 
     try:
         while True:

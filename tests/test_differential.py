@@ -9,10 +9,17 @@ be equal.
 
 The host has two context regions, read-only then writable, so memory
 accesses land in either region, in the guard between them or outside.
-Half of the programs also call helpers from a three-helper table: one
-returns a value, one raises SyscallError for a third of its inputs, one
-writes through the access list and raises AccessViolation when that is
-denied. A fourth id is granted by the verifier but missing from the table.
+Half of the programs also call helpers from a six-helper table, which
+covers every shape a helper's adapter must pass on:
+- one returns a value, one raises SyscallError for a third of its inputs,
+  and one writes through the access list and raises AccessViolation when
+  that is denied (each takes two arguments);
+- one takes no argument and returns None;
+- one takes one argument and returns a negative or a wider-than-64-bit
+  value;
+- one takes five arguments and raises a plain KeyError for a fifth of its
+  inputs, which must read as a helper failure, not as a missing id.
+One more id is granted by the verifier but missing from the table.
 
 Each program runs once, so the streams above stay on the interpreter. Two
 more streams run with the compile threshold at 0: every program then runs
@@ -23,12 +30,13 @@ the interpreter when a block might not fit.
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 import refvm
 from femtoc import vm
-from femtoc.memory import GUARD_LEN, AccessList, HostMemory, Mode, fresh_stack, require_access
+from femtoc.memory import GUARD_LEN, AccessList, HostMemory, checked_store, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import SyscallError, SyscallTable
 from genprog import random_accepted_program
@@ -39,7 +47,11 @@ LIMITS = VerifyLimits(64, 8)
 RO_LEN = 32
 RW_LEN = 32
 CTX_SPAN = RO_LEN + GUARD_LEN + RW_LEN
-HELPER_IDS = (0x1, 0x2, 0x3, 0x4)  # 0x4 is granted but not in the table
+HELPER_IDS = (0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7)  # 0x4 is granted but not in the table
+
+
+# Helper name -> calls of it that returned, by both interpreters together.
+RETURNED: Counter = Counter()
 
 
 def _mix(env, r1, r2):
@@ -54,8 +66,25 @@ def _refuse(env, r1, r2):
 
 def _poke(env, r1, r2):
     addr = r1 + (r2 & 63)  # from the context base: read-only, guard or writable
-    require_access(env.acl, addr, 8, Mode.WRITE).memory.store(addr, 8, r2)
+    checked_store(env.acl, addr, 8, r2)
     return 0
+
+
+def _nothing(env):
+    RETURNED["_nothing"] += 1
+    return None  # r0 reads 0
+
+
+def _wide(env, r1):
+    RETURNED["_wide"] += 1
+    return -r1 if r1 & 1 else r1 << 64 | 7  # r0 takes the low 64 bits
+
+
+def _five(env, r1, r2, r3, r4, r5):
+    if (r1 ^ r5) % 5 == 0:
+        raise KeyError(r1)
+    RETURNED["_five"] += 1
+    return r1 + 3 * r2 + 5 * r3 + 7 * r4 + 11 * r5
 
 
 def _helper_table() -> SyscallTable:
@@ -63,6 +92,9 @@ def _helper_table() -> SyscallTable:
     table.register(0x1, _mix, 2)
     table.register(0x2, _refuse, 2)
     table.register(0x3, _poke, 2)
+    table.register(0x5, _nothing, 0)
+    table.register(0x6, _wide, 1)
+    table.register(0x7, _five, 5)
     return table
 
 
@@ -74,11 +106,12 @@ def _host(init: bytes):
     return memory, ro, AccessList([stack, ro, rw])
 
 
-def _mismatches(seed: int, allowed: tuple[int, ...], programs: int) -> tuple[list[str], int]:
+def _mismatches(seed: int, allowed: tuple[int, ...], programs: int) -> tuple[list[str], list]:
+    """The mismatches of a stream of ``programs``, and the package's outcomes."""
     rng = random.Random(seed)
     table = _helper_table()
     found = []
-    faults = 0
+    outcomes = []
     for index in range(programs):
         program = random_accepted_program(
             rng, max_slots=48, allowed_syscalls=allowed, ctx_span=CTX_SPAN
@@ -91,23 +124,37 @@ def _mismatches(seed: int, allowed: tuple[int, ...], programs: int) -> tuple[lis
             outcome = interpreter(vp, ctx, acl, table)
             results.append((outcome, bytes(memory.buf)))
         (got, got_buf), (want, want_buf) = results
-        faults += got.fault is not None
+        outcomes.append(got)
         if got != want or got_buf != want_buf:
             found.append(f"program {index}: {program.to_bytes().hex()}\n  vm:  {got}\n  ref: {want}")
-    return found, faults
+    return found, outcomes
+
+
+def _check_stream(allowed: tuple[int, ...], outcomes: list) -> None:
+    """The stream exercised clean exits and faults and, with helpers, every
+    helper shape: each helper returned at least once, and each way a call
+    can fault happened."""
+    notes = [o.fault.note for o in outcomes if o.fault is not None]
+    assert 0 < len(notes) < len(outcomes)
+    if allowed:
+        assert all(RETURNED[name] for name in ("_nothing", "_wide", "_five"))
+        for head in ("refused 0x", "helper _poke denied", "helper _five failed: KeyError(",
+                     "helper id 0x4 not available"):
+            assert any(note.startswith(head) for note in notes), head
 
 
 @pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
 def test_interpreter_matches_reference(allowed):
-    mismatches, faults = _mismatches(0xD1FF + len(allowed), allowed, PROGRAMS)
+    RETURNED.clear()
+    mismatches, outcomes = _mismatches(0xD1FF + len(allowed), allowed, PROGRAMS)
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
-    # The stream must exercise both clean exits and faults.
-    assert 0 < faults < PROGRAMS
+    _check_stream(allowed, outcomes)
 
 
 @pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
 def test_compiled_tier_matches_reference(allowed, compiled_tier):
-    mismatches, faults = _mismatches(0xC0DE + len(allowed), allowed, COMPILED_PROGRAMS)
+    RETURNED.clear()
+    mismatches, outcomes = _mismatches(0xC0DE + len(allowed), allowed, COMPILED_PROGRAMS)
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
-    assert 0 < faults < COMPILED_PROGRAMS
+    _check_stream(allowed, outcomes)
     assert len(compiled_tier) == COMPILED_PROGRAMS

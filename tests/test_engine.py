@@ -30,6 +30,7 @@ from femtoc.engine import (
     UnknownTenant,
     intersect_contract,
 )
+from femtoc.facilities import SensorFixture
 from femtoc.fixtures import FIXTURE_SYSCALLS, fixture_program
 from femtoc.isa import Program
 from femtoc.verifier import VerifyLimits, verify
@@ -98,6 +99,32 @@ def test_grant_dropped_when_no_mode_survives():
         )
     ].granted
     assert granted.regions == frozenset()
+
+
+def _intersect_by_template(hook, requested):
+    """The grant as the hook's context template defines it, built afresh."""
+    specs = {spec.label: spec for spec in hook.context_template}
+    regions = set()
+    for grant in requested.regions:
+        spec = specs.get(grant.label)
+        if spec is not None and (grant.readable and spec.readable or grant.writable and spec.writable):
+            regions.add(RegionGrant(grant.label, grant.readable and spec.readable, grant.writable and spec.writable))
+    return Contract(requested.syscalls & hook.allowed_syscalls, frozenset(regions))
+
+
+def test_intersect_contract_equals_the_templates_grant_and_keeps_an_unnarrowed_request():
+    engine = Engine()
+    hook = engine.hooks[engine.register_hook(
+        "h", (1, 2), [ContextRegionSpec("in", 8), ContextRegionSpec("out", 8, readable=True, writable=True)]
+    )]
+    grants = [RegionGrant(label, r, w) for label in ("in", "out", "ghost") for r in (False, True) for w in (False, True)]
+    rng = random.Random(7)
+    for _ in range(300):
+        requested = Contract.of(rng.sample((1, 2, 3), rng.randrange(4)), rng.sample(grants, rng.randrange(4)))
+        granted, expected = intersect_contract(hook, requested), _intersect_by_template(hook, requested)
+        assert granted == expected and hash(granted) == hash(expected)
+        assert granted.to_json() == expected.to_json()
+        assert (granted is requested) == (expected == requested)
 
 
 def test_hooks_close_at_first_install():
@@ -915,6 +942,100 @@ def test_a_replaced_engine_helper_table_takes_effect_at_the_next_trigger():
     engine.syscall_table = original
     assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
     assert calls == [0x10]
+
+
+SAMPLES = [10, 20, 30]
+
+
+def fleet_engine():
+    """One engine with the four fleet fixtures on three hooks, as the fleet
+    benchmark lays them out: scheduler counters with a hostile writer, two
+    sensor pollers, two request handlers."""
+    engine = Engine(rng=random.Random(5))
+    engine.facilities.sensors[1] = SensorFixture(1, list(SAMPLES))
+    tenant = engine.register_tenant("alpha")
+    ctx, request, response = RegionGrant("ctx"), RegionGrant("request"), RegionGrant("response", True, True)
+    layout = {
+        "sched": ([ContextRegionSpec("ctx", 16)], [ctx], ["thread_counter", "hostile_writer", "thread_counter"]),
+        "timer": ([], [], ["sensor_reader"] * 2),
+        "coap": (
+            [ContextRegionSpec("request", 16), ContextRegionSpec("response", 16, True, True)],
+            [request, response], ["coap_handler"] * 2,
+        ),
+    }
+    hooks = {
+        name: engine.register_hook(
+            name, frozenset().union(*(FIXTURE_SYSCALLS[f] for f in fixtures)), template,
+            ReturnPolicy.FIRST_NONZERO_WINS,
+        )
+        for name, (template, _, fixtures) in layout.items()
+    }
+    for name, (_, regions, fixtures) in layout.items():
+        for fixture in fixtures:
+            contract = Contract.of(FIXTURE_SYSCALLS[fixture], regions)
+            engine.install_container(tenant, fixture_program(fixture), contract, hooks[name])
+    return engine, hooks
+
+
+def fleet_round(engine, hooks, thread):
+    """One trigger of each hook, the scheduler's for ``thread``."""
+    ctx = struct.pack("<QQ", 0, thread)
+    return [
+        engine.trigger_hook(hooks["sched"], {"ctx": ctx}),
+        engine.trigger_hook(hooks["timer"]),
+        engine.trigger_hook(hooks["coap"]),
+    ]
+
+
+def fleet_calls(threads):
+    """(helper id, arguments) of every call ``fleet_round`` makes, in order,
+    for each thread in ``threads``: from what the fixtures' sources say."""
+    counts, previous, cursor, published, calls = {}, [0, 0], 0, 0, []
+    for thread in threads:
+        for counter in range(2):  # each with its own store
+            count = counts[counter, thread] = counts.get((counter, thread), 0) + 1
+            calls += [(0x02, (thread,)), (0x01, (thread, count))]
+        for poller in range(2):
+            sample = SAMPLES[min(cursor, len(SAMPLES) - 1)]
+            cursor += 1
+            published = (sample + previous[poller]) >> 1
+            calls += [(0x11, (1,)), (0x02, (100,)), (0x01, (100, sample)), (0x05, (1, published))]
+            previous[poller] = sample
+        calls += [(0x06, (1,)), (0x20, (0, published))] * 2
+    return calls
+
+
+def test_a_replaced_engine_helper_table_sees_every_fleet_call():
+    # A table wrapped the way the benchmark's tracer wraps one sees every
+    # helper call the four fleet fixtures make, in order, and changes no
+    # result; putting the original back takes effect at the next trigger.
+    plain, plain_hooks = fleet_engine()
+    engine, hooks = fleet_engine()
+    original = engine.syscall_table
+    calls = []
+    wrapped = SyscallTable()
+    for sys_id in sorted(original.ids()):
+        entry = original.lookup(sys_id)
+
+        def recording(*args, entry=entry):
+            calls.append((entry.id, args[1:]))
+            return entry.fn(*args)
+
+        wrapped.register(sys_id, recording, entry.argc, entry.name)
+    engine.syscall_table = wrapped
+    threads = [1, 2, 1]
+    for thread in threads:
+        assert fleet_round(engine, hooks, thread) == fleet_round(plain, plain_hooks, thread)
+    assert calls == fleet_calls(threads)
+    engine.syscall_table = original
+    assert fleet_round(engine, hooks, 3) == fleet_round(plain, plain_hooks, 3)
+    assert calls == fleet_calls(threads)
+    assert engine.store_dump() == plain.store_dump()
+
+
+def test_a_replaced_engine_helper_table_sees_every_fleet_call_in_compiled_code(compiled_tier):
+    test_a_replaced_engine_helper_table_sees_every_fleet_call()
+    assert len(compiled_tier) == 14  # seven containers on each of two engines
 
 
 # -- the compiled tier --------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from femtoc import vm
 from femtoc.asm import assemble
 from femtoc.facilities import FacilityContext, standard_syscall_table
-from femtoc.memory import AccessList, HostMemory, Mode, fresh_stack, require_access
+from femtoc.memory import AccessList, HostMemory, Mode, checked_store, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
@@ -407,7 +407,7 @@ def test_helper_receives_register_arguments():
 
 def test_helper_pointer_fault_is_attributed_to_the_call():
     def writer(env, addr):
-        require_access(env.acl, addr, 8, Mode.WRITE)
+        checked_store(env.acl, addr, 8, 0)
         return 0
 
     table = SyscallTable()
@@ -474,7 +474,7 @@ def test_every_random_run_terminates_inside_budget(rng):
         ctx = mem.alloc(64, "ctx", readable=True, writable=True)
         acl = AccessList([fresh_stack(mem), ctx])
         outcome = exec_program(vp, ctx, acl)
-        assert outcome.executed <= limits.budget
+        assert outcome.executed <= 64 * 8
         assert outcome.fault is not None or outcome.ok
         assert mem.guards_intact()
 
@@ -605,7 +605,7 @@ def test_compiled_memory_violation_mid_block_is_the_interpreters(monkeypatch, ac
 
 
 def _denying_writer(env, addr):
-    require_access(env.acl, addr, 8, Mode.WRITE)
+    checked_store(env.acl, addr, 8, 0)
     return 0
 
 
