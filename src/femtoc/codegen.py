@@ -6,15 +6,20 @@ the templates with the interpreter's run-time operands (``a``, ``b``,
 ``regs[dst]``, ``off``, ...) and joins them into its dispatch loop over the
 verifier's rows.  ``compiled_source`` fills them with one slot's registers
 and constants and joins each basic block's slots into one arm of a dispatch
-loop over block starts, with registers as locals.  ``femtoc.vm`` executes
-both sources in its own namespace, so the names they use (``_Trap``,
-``Fault``, ``ExecOutcome``, ``_helper_fault``, ...) are ``vm``'s.
+loop over block starts, with registers as locals; a block that jumps back
+to its own start becomes a loop over its passes, with one budget check for
+all of them.  ``femtoc.vm`` executes both sources in its own namespace, so
+the names they use (``_Trap``, ``Fault``, ``ExecOutcome``,
+``_helper_fault``, ...) are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
-width; ``{mask}``, ``{shift}`` and ``{sign}`` are the width's value mask,
-shift-amount mask and sign bit (for a byte swap, ``{mask}`` covers the
-swapped bits and ``{nbytes}`` counts their bytes).  Signed operations map
-two's complement onto unsigned order by flipping the sign bit.
+width; ``{mask}``, ``{wrap}``, ``{shift}`` and ``{sign}`` are the width's
+value mask, modulus, shift-amount mask and sign bit (for a byte swap,
+``{mask}`` covers the swapped bits and ``{nbytes}`` counts their bytes).
+Signed operations map two's complement onto unsigned order by flipping the
+sign bit.  Every result lies in [0, {wrap}), so every register holds a
+value in [0, 2**64); ``add`` and ``sub`` wrap by a comparison, which is
+cheaper than a mask for the usual small values.
 """
 
 from __future__ import annotations
@@ -27,8 +32,8 @@ from .verifier import (
 # -- the semantics table --------------------------------------------------
 
 ALU = (  # by verifier.ALU_OPS
-    "({a} + {b}) & {mask}",  # add
-    "({a} - {b}) & {mask}",  # sub
+    "t - {wrap} if (t := {a} + {b}) > {mask} else t",  # add
+    "t + {wrap} if (t := {a} - {b}) < 0 else t",  # sub
     "{b}",  # mov
     "{a} ^ {b}",  # xor
     "({a} * {b}) & {mask}",  # mul
@@ -61,28 +66,38 @@ END_OPS = (  # by verifier.BYTE_ORDERS
     "int.from_bytes(({a} & {mask}).to_bytes({nbytes}, 'little'), 'big')",  # be
 )
 
-# Loads and stores scan the access list's windows for the first one that
-# covers the access; a stack row indexes the stack's bytes with no scan.
+# Loads and stores test the first window of the access list inline, then
+# scan all its windows for the first one that covers the access; a stack row
+# indexes the stack's bytes with no scan.  ``{addr}`` is the access's
+# address: ADDRESS, or the base register itself at offset 0 (registers hold
+# values in [0, 2**64) on both tiers).
+ADDRESS = "({base} + {off}) & {mask64}"
 LOAD = """\
-addr = ({base} + {off}) & {mask64}
-end = addr + {width}
-for lo, hi, buf, buf_base in read_windows:
-    if lo <= addr and end <= hi:
-        {dst} = unpack[{width}](buf, addr - buf_base)[0]
-        break
+addr = {addr}
+if rlo <= addr and addr + {width} <= rhi:
+    {dst} = unpack[{width}](rbuf, addr - rbase)[0]
 else:
-    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "read denied"))
+    end = addr + {width}
+    for lo, hi, buf, buf_base in read_windows:
+        if lo <= addr and end <= hi:
+            {dst} = unpack[{width}](buf, addr - buf_base)[0]
+            break
+    else:
+        raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "read denied"))
 """
 
 STORE = """\
-addr = ({base} + {off}) & {mask64}
-end = addr + {width}
-for lo, hi, buf, buf_base in write_windows:
-    if lo <= addr and end <= hi:
-        pack[{width}](buf, addr - buf_base, {value})
-        break
+addr = {addr}
+if wlo <= addr and addr + {width} <= whi:
+    pack[{width}](wbuf, addr - wbase, {value})
 else:
-    raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "write denied"))
+    end = addr + {width}
+    for lo, hi, buf, buf_base in write_windows:
+        if lo <= addr and end <= hi:
+            pack[{width}](buf, addr - buf_base, {value})
+            break
+    else:
+        raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "write denied"))
 """
 
 LOAD_STACK = "{dst} = unpack[{width}](stack_buf, stack_at + {off})[0]\n"
@@ -102,16 +117,29 @@ if {r10} != stack_base:
 return _new(ExecOutcome, ({r0}, executed, branches, None))
 """
 
-# What one run sets up: ``AccessList.run_state`` and its helper table's callables.
+# What one run sets up: ``AccessList.run_state``, its first read and write
+# windows (the stack is both, so each list has one) and its helper table's callables.
 PROLOGUE = """\
 read_windows, write_windows, stack_buf, stack_at, stack_base = env.acl.run_state
+rlo, rhi, rbuf, rbase = read_windows[0]
+wlo, whi, wbuf, wbase = write_windows[0]
 calls = syscalls.calls
 unpack, pack = _UNPACK, _PACK
 """
 
-_W64 = {"mask": hex(MASK64), "shift": "63", "sign": hex(1 << 63)}
-_W32 = {"mask": hex(MASK32), "shift": "31", "sign": hex(1 << 31)}
+_W64 = {"mask": hex(MASK64), "wrap": hex(1 << 64), "shift": "63", "sign": hex(1 << 63)}
+_W32 = {"mask": hex(MASK32), "wrap": hex(1 << 32), "shift": "31", "sign": hex(1 << 31)}
 _M64 = hex(MASK64)
+
+
+def _address(base: str, off: int | str) -> str:
+    """The address of ``[base+off]``: at offset 0, the base register itself."""
+    return base if off == 0 else ADDRESS.format(base=base, off=off, mask64=_M64)
+
+
+def _stored(src: str, width: int) -> str:
+    """The value a ``width``-byte stx stores: the register, cut unless it is 8 bytes."""
+    return src if width == 8 else STORE_VALUE.format(src=src, wmask=hex((1 << 8 * width) - 1))
 
 
 def _indent(text: str, depth: int) -> str:
@@ -211,7 +239,7 @@ def interpreter_source() -> str:
     counters, one row per step, and return its ExecOutcome."""
     arm = 4  # the indent of an arm's body
     operands = {"a": "a", "b": "b"}
-    memory = {"mask64": _M64, "width": "sub", "off": "off", "pc": "pc"}
+    memory = {"width": "sub", "pc": "pc"}
     codes = {
         "ALU64_K": ALU64_K, "ALU64_X": ALU64_X, "JCOND_K": JCOND_K, "JCOND_X": JCOND_X, "LDX": LDX,
         "LDX_STACK": LDX_STACK, "STX": STX, "ST": ST, "STX_STACK": STX_STACK, "JA": JA,
@@ -227,10 +255,10 @@ def interpreter_source() -> str:
         cmp=_switch("sub", "taken", CMP, {**operands, **_W64}, arm),
         end=_switch("sub", "a", END_OPS, {"a": "regs[dst]", "mask": "((1 << imm) - 1)",
                                           "nbytes": "(imm >> 3)"}, arm),
-        ldx=_indent(LOAD.format(base="regs[src]", dst="regs[dst]", **memory), arm),
+        ldx=_indent(LOAD.format(addr=_address("regs[src]", "off"), dst="regs[dst]", **memory), arm),
         ldx_stack=_indent(LOAD_STACK.format(dst="regs[dst]", width="sub", off="off"), arm),
-        st=_indent(STORE.format(base="regs[dst]", value=f"{stx_value} if code == {STX} else imm",
-                                **memory), arm),
+        st=_indent(STORE.format(addr=_address("regs[dst]", "off"),
+                                value=f"{stx_value} if code == {STX} else imm", **memory), arm),
         stx_stack=_indent(STORE_STACK.format(width="sub", off="off", value=stx_value), arm),
         st_stack=_indent(STORE_STACK.format(width="sub", off="off", value="imm"), arm),
         call=_indent(CALL_HELPER.format(r0="regs[0]", pc="pc", imm="imm", args=args), arm),
@@ -291,15 +319,14 @@ def _slot_source(pc: int, row: tuple[int, ...]) -> str:
         b = str(imm) if code == ALU32_K else f"({rs} & {m})"
         return f"{rd} = {ALU[sub].format(a=f'({rd} & {m})', b=b, **_W32)}\n"
     if code == LDX:
-        return LOAD.format(base=rs, off=off, dst=rd, width=sub, pc=pc, mask64=_M64)
+        return LOAD.format(addr=_address(rs, off), dst=rd, width=sub, pc=pc)
     if code == LDX_STACK:
         return LOAD_STACK.format(dst=rd, width=sub, off=off)
     if code == STX or code == ST:
-        value = STORE_VALUE.format(src=rs, wmask=hex((1 << 8 * sub) - 1)) if code == STX else imm
-        return STORE.format(base=rd, off=off, width=sub, value=value, pc=pc, mask64=_M64)
+        value = _stored(rs, sub) if code == STX else imm
+        return STORE.format(addr=_address(rd, off), width=sub, value=value, pc=pc)
     if code == STX_STACK:
-        value = STORE_VALUE.format(src=rs, wmask=hex((1 << 8 * sub) - 1))
-        return STORE_STACK.format(width=sub, off=off, value=value)
+        return STORE_STACK.format(width=sub, off=off, value=_stored(rs, sub))
     if code == ST_STACK:
         return STORE_STACK.format(width=sub, off=off, value=imm)
     if code == CALL:
@@ -312,6 +339,30 @@ def _slot_source(pc: int, row: tuple[int, ...]) -> str:
     raise ValueError(f"slot {pc}: handler code {code} has no compiled form")
 
 
+# A block that jumps back to its own start: ``room`` whole passes fit in the
+# budget left.  Leaving in pass ``it`` (its branch not taken, or a trap) counts
+# ``it`` passes and ``it - 1`` taken branches; if all ``room`` took it, hand over.
+SELF_LOOP = """\
+room = (budget - executed) // {length}
+try:
+    for it in range(1, room + 1):
+{body}\
+        if not ({taken}):
+            break
+    else:
+        executed += room * {length}
+        branches += room
+        raise _Handover
+except _Trap:
+    executed += it * {length}
+    branches += it - 1
+    raise
+executed += it * {length}
+branches += it - 1
+pc = {next}
+"""
+
+
 def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int]) -> str:
     """One block: the budget check, its slots, and where control goes next.
 
@@ -319,7 +370,7 @@ def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int
     whose handler gives the live state to the interpreter at the block's
     first slot (``pc`` is always the running block's start), so the budget
     runs out on the exact slot.  A block that jumps back to its own start
-    loops in place.
+    loops in place (SELF_LOOP), counting its passes instead of its steps.
     """
     length = len(slots)
     last = slots[-1]
@@ -334,8 +385,7 @@ def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int
         return head + body + f"pc = {last + (2 if code == LDDW else 1)}\n"
     taken = CMP[sub].format(a=f"r{dst}", b=str(imm) if code == JCOND_K else f"r{src}", **_W64)
     if off == start:
-        loop = head + body + f"if {taken}:\n    branches += 1\nelse:\n    break\n"
-        return "while True:\n" + _indent(loop, 1) + f"pc = {last + 1}\n"
+        return SELF_LOOP.format(length=length, body=_indent(body, 2), taken=taken, next=last + 1)
     return head + body + f"if {taken}:\n    branches += 1\n    pc = {off}\nelse:\n    pc = {last + 1}\n"
 
 

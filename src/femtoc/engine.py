@@ -471,7 +471,7 @@ class Engine:
                     outcomes.append(SlotOutcome(container_id, None, container.verify_errors))
                     continue
                 if container.acl_position != position:
-                    container.acl = AccessList([hook.stacks[position], *container.views])
+                    container.acl = AccessList([*container.views, hook.stacks[position]])
                     container.acl_position = position
                 if container.helpers_source is not self.syscall_table:
                     container.helpers = self.syscall_table.restricted(container.granted.syscalls)

@@ -12,9 +12,10 @@ data.
 An access list also keeps its regions as two tuples of windows, one for
 reads and one for writes, each ``(lo, hi, buf, base)``: the region's
 address range [lo, hi), its host buffer and the buffer's base address, in
-region order.  The execution tiers check loads and stores by scanning
-these inline, and ``checked_store`` does the same for helpers; the first
-window that covers a range is the region ``region_for`` returns.
+region order.  The execution tiers check loads and stores inline, testing
+the first window before they scan them all, and ``checked_store`` scans
+them for helpers; the first window that covers a range is the region
+``region_for`` returns.
 """
 
 from __future__ import annotations

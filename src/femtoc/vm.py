@@ -20,14 +20,20 @@ registers are locals and its basic blocks are arms of one dispatch loop.
 The function is kept on the VerifiedProgram, so it lives as long as the
 installed program.  A program that runs once never compiles.
 
-What each tier checks is the same.  Every load and store scans the access
-list's read or write windows for the first one that covers the access, and
-converts the bytes straight on that window's host buffer; stack rows, the
-[r10+off] accesses the verifier proved to lie inside the stack, index the
-stack's bytes with no scan.  The compiled tier checks the budget once per
-block: a block that might not fit in what is left hands its registers and
-counters to the interpreter at its first slot.  A fault inside a block
-reports the same slot, step and branch counts as the interpreter.
+What each tier checks is the same.  Every load and store tests the access
+list's first read or write window inline and, when that misses, scans all
+its windows for the first one that covers the access; it converts the
+bytes straight on that window's host buffer.  Stack rows, the [r10+off]
+accesses the verifier proved to lie inside the stack, index the stack's
+bytes with no scan, so the engine puts the stack last.  The compiled tier
+checks the budget once per block: a block that might not fit in what is
+left hands its registers and counters to the interpreter at its first
+slot.  A block that jumps back to its own start counts passes instead: it
+computes once how many whole passes fit and hands over at its start when
+all of them took the branch.  A fault inside a block reports the same
+slot, step and branch counts as the interpreter.  Every register holds a
+value in [0, 2**64) on both tiers, so compiled 8-byte stores and
+zero-offset addresses use the register with no mask.
 
 A call runs the entry for its constant helper id in the run's SyscallTable
 directly; ``_helper_fault`` maps what it raises to the run's fault.  The

@@ -21,10 +21,18 @@ covers every shape a helper's adapter must pass on:
   inputs, which must read as a helper failure, not as a missing id.
 One more id is granted by the verifier but missing from the table.
 
+The access list holds the stack first for odd-numbered programs and last,
+as the engine orders it, for even-numbered ones.  Both tiers test a run's
+first window inline and scan all windows when it misses, so either order
+exercises both paths.
+
 Each program runs once, so the streams above stay on the interpreter. Two
 more streams run with the compile threshold at 0: every program then runs
 its compiled form, whose blocks check the budget once each and hand over to
-the interpreter when a block might not fit.
+the interpreter when a block might not fit.  These streams also count, and
+require, programs whose compiled form has a self-loop block (one that
+counts its passes), runs that hand over from such a loop, faults raised
+inside one of its passes, and first-window misses that the scan served.
 """
 
 from __future__ import annotations
@@ -35,9 +43,9 @@ from collections import Counter
 import pytest
 
 import refvm
-from femtoc import vm
+from femtoc import codegen, vm
 from femtoc.memory import GUARD_LEN, AccessList, HostMemory, checked_store, fresh_stack
-from femtoc.verifier import VerifyLimits, verify
+from femtoc.verifier import JCOND_K, JCOND_X, VerifyLimits, verify
 from femtoc.vm import SyscallError, SyscallTable
 from genprog import random_accepted_program
 
@@ -52,6 +60,40 @@ HELPER_IDS = (0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7)  # 0x4 is granted but not in th
 
 # Helper name -> calls of it that returned, by both interpreters together.
 RETURNED: Counter = Counter()
+# What the compiled streams exercised, by the probes below.
+COVERAGE: Counter = Counter()
+HANDOVERS: list[int] = []  # where the current compiled run handed over to the interpreter
+
+
+class _Scanned(tuple):
+    """A run's read or write windows, counting each scan of them: a miss of
+    the first window."""
+
+    def __iter__(self):
+        COVERAGE["first-window misses served"] += 1
+        return super().__iter__()
+
+
+def _self_loops(form) -> dict[int, int]:
+    """Slot -> the start of its block, for each slot of a self-loop block."""
+    inside = {}
+    for start, slots in codegen._basic_blocks(form).items():
+        code, off = form[slots[-1]][0], form[slots[-1]][4]
+        if (code == JCOND_K or code == JCOND_X) and off == start:
+            inside.update(dict.fromkeys(slots, start))
+    return inside
+
+
+def _probe(form, outcome) -> None:
+    """Count what one compiled run exercised; its scans are counted as they happen."""
+    inside = _self_loops(form)
+    COVERAGE["self-loop programs"] += bool(inside)
+    COVERAGE["counted-loop handovers"] += any(pc in inside.values() for pc in HANDOVERS)
+    fault = outcome.fault
+    if fault is not None and fault.note in ("read denied", "write denied"):
+        COVERAGE["first-window misses served"] -= 1  # the scan found no window
+    if not HANDOVERS and fault is not None and fault.pc in inside:
+        COVERAGE["traps inside a pass"] += 1
 
 
 def _mix(env, r1, r2):
@@ -98,16 +140,19 @@ def _helper_table() -> SyscallTable:
     return table
 
 
-def _host(init: bytes):
+def _host(init: bytes, stack_last: bool):
     memory = HostMemory()
     ro = memory.alloc(RO_LEN, "ro", readable=True, writable=False, init=init[:RO_LEN])
     rw = memory.alloc(RW_LEN, "rw", readable=True, writable=True, init=init[RO_LEN:])
     stack = fresh_stack(memory)
-    return memory, ro, AccessList([stack, ro, rw])
+    return memory, ro, AccessList([ro, rw, stack] if stack_last else [stack, ro, rw])
 
 
-def _mismatches(seed: int, allowed: tuple[int, ...], programs: int) -> tuple[list[str], list]:
-    """The mismatches of a stream of ``programs``, and the package's outcomes."""
+def _mismatches(
+    seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False
+) -> tuple[list[str], list]:
+    """The mismatches of a stream of ``programs``, and the package's
+    outcomes; with ``probe``, count into COVERAGE what each run exercised."""
     rng = random.Random(seed)
     table = _helper_table()
     found = []
@@ -120,10 +165,15 @@ def _mismatches(seed: int, allowed: tuple[int, ...], programs: int) -> tuple[lis
         init = rng.randbytes(RO_LEN + RW_LEN)
         results = []
         for interpreter in (vm.exec_program, refvm.exec_program):
-            memory, ctx, acl = _host(init)
+            memory, ctx, acl = _host(init, stack_last=index % 2 == 0)
+            if probe and interpreter is vm.exec_program:
+                acl.run_state = (_Scanned(acl.read_windows), _Scanned(acl.write_windows), *acl.run_state[2:])
+                HANDOVERS.clear()
             outcome = interpreter(vp, ctx, acl, table)
             results.append((outcome, bytes(memory.buf)))
         (got, got_buf), (want, want_buf) = results
+        if probe:
+            _probe(vp.form, got)
         outcomes.append(got)
         if got != want or got_buf != want_buf:
             found.append(f"program {index}: {program.to_bytes().hex()}\n  vm:  {got}\n  ref: {want}")
@@ -152,9 +202,20 @@ def test_interpreter_matches_reference(allowed):
 
 
 @pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
-def test_compiled_tier_matches_reference(allowed, compiled_tier):
+def test_compiled_tier_matches_reference(allowed, compiled_tier, monkeypatch):
     RETURNED.clear()
-    mismatches, outcomes = _mismatches(0xC0DE + len(allowed), allowed, COMPILED_PROGRAMS)
+    COVERAGE.clear()
+    interpret = vm._interpret
+
+    def handed_over(form, regs, pc, *rest):  # every call: the threshold is 0
+        HANDOVERS.append(pc)
+        return interpret(form, regs, pc, *rest)
+
+    monkeypatch.setattr(vm, "_interpret", handed_over)
+    mismatches, outcomes = _mismatches(0xC0DE + len(allowed), allowed, COMPILED_PROGRAMS, probe=True)
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     _check_stream(allowed, outcomes)
     assert len(compiled_tier) == COMPILED_PROGRAMS
+    for what in ("self-loop programs", "counted-loop handovers", "traps inside a pass",
+                 "first-window misses served"):
+        assert COVERAGE[what] > 0, what

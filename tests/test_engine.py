@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import femtoc
+from femtoc import vm
 from femtoc.asm import assemble
 from femtoc.engine import (
     Contract,
@@ -33,6 +34,7 @@ from femtoc.engine import (
 from femtoc.facilities import SensorFixture
 from femtoc.fixtures import FIXTURE_SYSCALLS, fixture_program
 from femtoc.isa import Program
+from femtoc.memory import AccessList, HostMemory, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import FaultKind, SyscallTable
 
@@ -1036,6 +1038,54 @@ def test_a_replaced_engine_helper_table_sees_every_fleet_call():
 def test_a_replaced_engine_helper_table_sees_every_fleet_call_in_compiled_code(compiled_tier):
     test_a_replaced_engine_helper_table_sees_every_fleet_call()
     assert len(compiled_tier) == 14  # seven containers on each of two engines
+
+
+def test_every_access_list_ends_with_its_stack_and_its_windows_are_disjoint():
+    # Both tiers test a run's first window inline, so a hook's
+    # context regions come first and the stack, which stack rows index
+    # without a check, comes last.  Every region of a hook is its own slice
+    # of the hook's buffer, so the order changes no outcome.
+    engine, hooks = fleet_engine()
+    for thread in (1, 2):
+        fleet_round(engine, hooks, thread)
+    for container in engine.containers.values():
+        acl = container.acl
+        stack = engine.hooks[container.hook_id].stacks[container.acl_position]
+        assert acl.regions == (*container.views, stack)
+        for windows in (acl.read_windows, acl.write_windows):
+            spans = sorted((lo, hi) for lo, hi, _, _ in windows)
+            assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:])), spans
+
+
+def test_a_stack_first_access_list_serves_the_context_through_the_scan(monkeypatch):
+    # With the stack first, the first window misses every context access and
+    # the scan of all windows serves it: same outcome and bytes as with the
+    # context first, on both tiers.
+    program = assemble(
+        "ldxdw r2, [r1+0]\nadd64 r2, 1\nstxdw [r1+8], r2\nldxw r0, [r1+8]\nstb [r1+16], 1\nexit"
+    )
+    results = []
+    for stack_first in (True, False):
+        for hot in (vm.HOT_STEPS_PER_SLOT, 0):
+            monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", hot)
+            mem = HostMemory()
+            ctx = mem.alloc(16, "ctx", readable=True, writable=True, init=struct.pack("<Q", 41))
+            stack = fresh_stack(mem)
+            acl = AccessList([stack, ctx] if stack_first else [ctx, stack])
+            assert (acl.read_windows[0][0] == stack.base) == stack_first
+            vp = verify(program, VerifyLimits(64, 4))
+            outcome = vm.exec_program(vp, ctx, acl)
+            assert (vp.compiled is not None) == (hot == 0)
+            results.append((outcome, bytes(mem.buf)))
+    assert results[1:] == results[:1] * 3
+    outcome, host = results[0]
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (42, 5, 0)
+    fault = outcome.fault
+    assert (fault.kind, fault.pc, fault.addr, fault.length, fault.note) == (
+        FaultKind.MEMORY_VIOLATION, 4, ctx.base + 16, 1, "write denied"
+    )
+    at = ctx.base - mem.base
+    assert host[at : at + 16] == struct.pack("<QQ", 41, 42)
 
 
 # -- the compiled tier --------------------------------------------------------

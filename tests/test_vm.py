@@ -1,11 +1,13 @@
 """Interpreter semantics: ALU, memory, jumps, budget, helpers, faults."""
 
+import struct
+
 import pytest
 
 from femtoc import vm
 from femtoc.asm import assemble
 from femtoc.facilities import FacilityContext, standard_syscall_table
-from femtoc.memory import AccessList, HostMemory, Mode, checked_store, fresh_stack
+from femtoc.memory import DEFAULT_BASE, AccessList, HostMemory, Mode, checked_store, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
@@ -503,17 +505,22 @@ ORACLE_CMP = {
 HOT_STEPS_PER_SLOT = vm.HOT_STEPS_PER_SLOT  # the threshold as shipped, before any test patches it
 
 
-def run_both_tiers(monkeypatch, src, *, ctx=b"", table=None, allowed=(), budget=None):
+def run_both_tiers(monkeypatch, src, *, ctx=b"", ctx_writable=False, stack_last=False, table=None,
+                   allowed=(), budget=None):
     """[(outcome, host bytes), ...] of an interpreted and a compiled run of
-    ``src``, and the base of its read-only context region."""
+    ``src``, and the base of its context region.  The access list holds the
+    stack, then the context; ``stack_last`` puts the context first, as the
+    engine does."""
     program = assemble(src)
     results = []
     for hot in (HOT_STEPS_PER_SLOT, 0):
         monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", hot)
         vp = verify(program, VerifyLimits(256, 16), allowed)
         mem = HostMemory()
-        ctx_region = mem.alloc(max(len(ctx), 8), "ctx", readable=True, writable=False, init=ctx)
-        outcome = exec_program(vp, ctx_region, AccessList([fresh_stack(mem), ctx_region]), table, budget)
+        ctx_region = mem.alloc(max(len(ctx), 8), "ctx", readable=True, writable=ctx_writable, init=ctx)
+        stack = fresh_stack(mem)
+        acl = AccessList([ctx_region, stack] if stack_last else [stack, ctx_region])
+        outcome = exec_program(vp, ctx_region, acl, table, budget)
         assert (vp.compiled is not None) == (hot == 0)
         results.append((outcome, bytes(mem.buf)))
     return results, ctx_region.base
@@ -659,6 +666,208 @@ def test_a_block_longer_than_the_budget_left_hands_over_to_the_interpreter(monke
         for budget in range(1, 32):
             (interpreted, compiled), _ = run_both_tiers(monkeypatch, src, budget=budget)
             assert compiled == interpreted, (src, budget)
+
+
+# -- self-loops: the compiled tier counts passes, not steps ---------------------
+#
+# Each case runs on both tiers and with the stack first or last in the access
+# list; all four runs must give the same outcome and host bytes.
+
+# A fletcher-style pointer walk: {passes} passes over 4-byte words from r1.
+WALK = """
+        mov64 r3, {passes}
+loop:   ldxw r0, [r1+0]
+        add64 r4, r0
+        add64 r5, r4
+        add64 r1, 4
+        sub64 r3, 1
+        jne r3, 0, loop
+        mov64 r0, r5
+        exit
+"""
+WORDS = struct.pack("<II", 7, 9)  # an 8-byte context: two words, so a third pass reads past it
+
+
+def self_loop_run(monkeypatch, src, **kw):
+    """The outcome and host bytes of ``src``, equal on both tiers and in
+    both region orders; the context's base; and the (slot, executed,
+    branches) of each call into the interpreter: each order's interpreted
+    run at (0, 0, 0), then its compiled run's handovers."""
+    entries = []
+    original = vm._interpret
+
+    def entered(form, regs, pc, executed, branches, *rest):
+        entries.append((pc, executed, branches))
+        return original(form, regs, pc, executed, branches, *rest)
+
+    monkeypatch.setattr(vm, "_interpret", entered)
+    (first, ctx_base), (second, _) = (
+        run_both_tiers(monkeypatch, src, stack_last=last, **kw) for last in (False, True)
+    )
+    assert first[0] == first[1] == second[0] == second[1]
+    return first[1], ctx_base, entries
+
+
+def test_a_pointer_walk_faults_on_its_third_pass_with_the_interpreters_counts(monkeypatch):
+    (outcome, _), ctx_base, entries = self_loop_run(monkeypatch, WALK.format(passes=5), ctx=WORDS)
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (9, 14, 2)
+    fault = outcome.fault
+    assert (fault.kind, fault.pc, fault.addr, fault.length, fault.note) == (
+        FaultKind.MEMORY_VIOLATION, 1, ctx_base + 8, 4, "read denied"
+    )
+    assert entries == [(0, 0, 0)] * 2  # the compiled runs trap inside a pass, never hand over
+
+
+def test_a_storing_walk_faults_on_its_third_pass_with_the_interpreters_counts(monkeypatch):
+    src = WALK.format(passes=5).replace("ldxw r0, [r1+0]\n        add64 r4, r0", "add64 r4, r3")
+    src = src.replace("add64 r1, 4", "stxw [r1+0], r5\n        add64 r1, 4")
+    (outcome, host), ctx_base, entries = self_loop_run(monkeypatch, src, ctx=bytes(8), ctx_writable=True)
+    # Passes 1 and 2 store r5 = 5 and 14; pass 3 stores past the context.
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (0, 16, 2)
+    fault = outcome.fault
+    assert (fault.kind, fault.pc, fault.addr, fault.length, fault.note) == (
+        FaultKind.MEMORY_VIOLATION, 3, ctx_base + 8, 4, "write denied"
+    )
+    at = ctx_base - DEFAULT_BASE
+    assert host[at : at + 8] == struct.pack("<II", 5, 14)
+    assert entries == [(0, 0, 0)] * 2
+
+
+@pytest.mark.parametrize(
+    "budget, r0, branches, fault_pc, handover",
+    [
+        (4, 7, 0, 4, (1, 1, 0)),  # room for no pass: hand over on entry
+        (9, 9, 1, 3, (1, 7, 1)),  # room for one pass, which takes the branch
+    ],
+)
+def test_a_self_loop_without_room_for_its_next_pass_hands_over_at_its_start(
+    monkeypatch, budget, r0, branches, fault_pc, handover
+):
+    (outcome, _), _, entries = self_loop_run(monkeypatch, WALK.format(passes=5), ctx=WORDS, budget=budget)
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (r0, budget, branches)
+    assert (outcome.fault.kind, outcome.fault.pc) == (FaultKind.BUDGET_EXCEEDED, fault_pc)
+    assert entries == [(0, 0, 0), handover] * 2
+
+
+def test_a_self_loop_that_exits_on_its_first_pass_takes_no_branch(monkeypatch):
+    (outcome, _), _, entries = self_loop_run(monkeypatch, WALK.format(passes=1), ctx=WORDS)
+    assert outcome == (7, 9, 0, None)
+    assert entries == [(0, 0, 0)] * 2
+
+
+def test_a_ja_closed_block_after_a_self_loop_checks_its_budget_per_pass(monkeypatch):
+    src = """
+        mov64 r3, 4
+inner:  add64 r0, 2
+        sub64 r3, 1
+        jne r3, 0, inner
+spin:   add64 r0, 1
+        ja spin
+        exit
+"""
+    (outcome, _), _, entries = self_loop_run(monkeypatch, src, budget=40)
+    # 1 + 4 passes of 3 with 3 taken branches, then 13 passes of the ja
+    # block; at 39 its next pass does not fit and the interpreter runs slot 4.
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (22, 40, 16)
+    assert (outcome.fault.kind, outcome.fault.pc) == (FaultKind.BUDGET_EXCEEDED, 5)
+    assert entries == [(0, 0, 0), (4, 39, 16)] * 2
+
+
+# -- wrap edges: registers stay in [0, 2**64) on both tiers ----------------------
+#
+# The compiled tier stores a register's 8 bytes and uses it as an address at
+# offset 0 without a mask, which is exact only while every register holds a
+# value in [0, 2**64).
+
+
+def test_add_and_sub_wrap_at_both_widths_on_both_tiers(monkeypatch):
+    pairs = [(M64, 1), (M64, M64), (0, 1), (0, M64), (0x1234, 0x1234), (M32, 1), (1 << 63, 1 << 63)]
+    for op in ("add", "sub"):
+        for a, b in pairs:
+            load = f"lddw r1, {a:#x}\nlddw r2, {b:#x}\n"
+            for line, expected in ((f"{op}64 r1, r2", ORACLE64[op](a, b)),
+                                   (f"{op}32 r1, r2", ORACLE32[op](a & M32, b & M32))):
+                got = compiled_result(monkeypatch, f"{load}{line}\nmov64 r0, r1\nexit")
+                assert got == expected, (line, hex(a), hex(b))
+        for a in (0, 1, M32, 1 << 63, M64):
+            for k in (-1, -(1 << 31), 1, (1 << 31) - 1):
+                for line, expected in ((f"{op}64 r1, {k}", ORACLE64[op](a, k & M64)),
+                                       (f"{op}32 r1, {k}", ORACLE32[op](a & M32, k & M32))):
+                    got = compiled_result(monkeypatch, f"lddw r1, {a:#x}\n{line}\nmov64 r0, r1\nexit")
+                    assert got == expected, (line, hex(a))
+
+
+@pytest.mark.parametrize(
+    "make, value",
+    [
+        ("lddw r2, 0xffffffffffffffff", M64),
+        ("mov64 r2, 0\nsub64 r2, 5", M64 - 4),
+        ("lddw r2, 0xffffffffffffffff\nadd64 r2, r2", M64 - 1),
+        ("mov64 r2, 0\nsub32 r2, 1", M32),
+    ],
+    ids=["M64", "sub64-wrapped", "add64-wrapped", "sub32-wrapped"],
+)
+def test_8_byte_stores_of_edge_values_on_both_tiers(monkeypatch, make, value):
+    src = f"{make}\nstxdw [r1+8], r2\nstxdw [r10+16], r2\nldxdw r0, [r10+16]\nexit"
+    (interpreted, compiled), ctx_base = run_both_tiers(
+        monkeypatch, src, ctx=bytes(16), ctx_writable=True, stack_last=True
+    )
+    assert compiled == interpreted
+    outcome, host = compiled
+    assert (outcome.return_value, outcome.fault) == (value, None)
+    at = ctx_base - DEFAULT_BASE
+    assert host[at : at + 16] == bytes(8) + struct.pack("<Q", value)
+
+
+def test_narrow_stx_cuts_the_register_on_both_tiers(monkeypatch):
+    src = """
+        lddw r2, 0x1122334455667788
+        stxb [r1+0], r2
+        stxh [r1+1], r2
+        stxw [r1+3], r2
+        stxw [r10+0], r2
+        ldxdw r0, [r10+0]
+        exit
+"""
+    (interpreted, compiled), ctx_base = run_both_tiers(monkeypatch, src, ctx=bytes(8), ctx_writable=True)
+    assert compiled == interpreted
+    outcome, host = compiled
+    assert (outcome.return_value, outcome.fault) == (0x55667788, None)
+    at = ctx_base - DEFAULT_BASE
+    assert host[at : at + 8] == bytes.fromhex("88 8877 88776655 00")
+
+
+WIDTHS = {1: "b", 2: "h", 4: "w", 8: "dw"}
+
+
+@pytest.mark.parametrize("stack_last", [False, True], ids=["stack-first", "stack-last"])
+@pytest.mark.parametrize("width", sorted(WIDTHS))
+def test_accesses_at_the_edges_of_either_first_window_on_both_tiers(monkeypatch, width, stack_last):
+    # Inside, straddling the end by one byte, and one byte below: through
+    # r1 into the 16-byte context and through a copy of r10 into the stack.
+    size = WIDTHS[width]
+    for base, end in (("r1", 16), ("r2", 512)):
+        for off in (0, end - width, end - width + 1, -1):
+            for access in (f"ldx{size} r0, [{base}{off:+d}]", f"stx{size} [{base}{off:+d}], r3"):
+                src = f"lddw r3, 0x8877665544332211\nmov64 r2, r10\n{access}\nexit"
+                (interpreted, compiled), _ = run_both_tiers(
+                    monkeypatch, src, ctx=bytes(range(1, 17)), ctx_writable=True, stack_last=stack_last
+                )
+                assert compiled == interpreted, access
+                assert (compiled[0].fault is None) == (0 <= off <= end - width), access
+
+
+def test_address_arithmetic_wraps_mod_2_64_on_both_tiers(monkeypatch):
+    # r2 = r1 - 0x2000 wraps below 0, and [r2+0x2000] wraps back to r1.
+    src = "mov64 r2, r1\nsub64 r2, 0x2000\nmov64 r3, 7\nstxb [r2+0x2000], r3\nldxw r0, [r2+0x2000]\nexit"
+    (interpreted, compiled), ctx_base = run_both_tiers(monkeypatch, src, ctx=bytes(8), ctx_writable=True)
+    assert compiled == interpreted
+    assert compiled[0] == (7, 6, 0, None)
+    # Below address 0 the fault reports the wrapped address.
+    (interpreted, compiled), _ = run_both_tiers(monkeypatch, "mov64 r2, 0\nldxb r0, [r2-1]\nexit")
+    assert compiled == interpreted
+    fault = compiled[0].fault
+    assert (fault.kind, fault.pc, fault.addr, fault.length) == (FaultKind.MEMORY_VIOLATION, 1, M64, 1)
 
 
 def test_a_program_compiles_once_it_has_run_64_steps_per_slot(monkeypatch):
