@@ -10,7 +10,7 @@ from .memory import AccessList, HostMemory, MemoryRegion, fresh_stack
 from .scenario import ScenarioReport, run_scenario
 from .update import Manifest, UpdateOutcome, apply_update, build_manifest, sign_manifest
 from .verifier import VerifyError, VerifyLimits, VerifyRejected, check_program, verify
-from .vm import ExecOutcome, Fault, FaultKind, SyscallTable, exec_program
+from .vm import ExecOutcome, Fault, FaultKind, SyscallEnv, SyscallTable, exec_program
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,7 @@ __all__ = [
     "RegionGrant",
     "ReturnPolicy",
     "ScenarioReport",
+    "SyscallEnv",
     "SyscallTable",
     "UpdateOutcome",
     "VerifyError",

@@ -107,7 +107,7 @@ CALL_HELPER = """\
 try:
     {r0} = calls[{imm}](env, {args})
 except Exception as exc:
-    raise _Trap(_helper_fault(syscalls, {pc}, {imm}, exc)) from None
+    raise _Trap(_helper_fault(env.helpers, {pc}, {imm}, exc)) from None
 """
 LOAD_WIDE = "{dst} = {imm}\n"
 
@@ -117,13 +117,14 @@ if {r10} != stack_base:
 return _new(ExecOutcome, ({r0}, executed, branches, None))
 """
 
-# What one run sets up: ``AccessList.run_state``, its first read and write
-# windows (the stack is both, so each list has one) and its helper table's callables.
+# What one run sets up from its SyscallEnv: its access list's ``run_state``, the
+# first read and write windows (the stack is both, so each list has one) and
+# its helper table's callables.
 PROLOGUE = """\
 read_windows, write_windows, stack_buf, stack_at, stack_base = env.acl.run_state
 rlo, rhi, rbuf, rbase = read_windows[0]
 wlo, whi, wbuf, wbase = write_windows[0]
-calls = syscalls.calls
+calls = env.helpers.calls
 unpack, pack = _UNPACK, _PACK
 """
 
@@ -159,7 +160,7 @@ def _switch(selector: str, target: str, exprs: tuple[str, ...], fields: dict, de
 # -- the interpreter ---------------------------------------------------------
 
 _INTERPRETER = """\
-def _interpret(form, regs, pc, executed, branches, budget, syscalls, env):
+def _interpret(form, regs, pc, executed, branches, budget, env):
 {prologue}\
     width_mask = _WIDTH_MASK
     n = len(form)
@@ -234,9 +235,9 @@ def _interpret(form, regs, pc, executed, branches, budget, syscalls, env):
 
 
 def interpreter_source() -> str:
-    """``_interpret(form, regs, pc, executed, branches, budget, syscalls,
-    env)``: run ``form`` from slot ``pc`` with the given registers and
-    counters, one row per step, and return its ExecOutcome."""
+    """``_interpret(form, regs, pc, executed, branches, budget, env)``: run
+    ``form`` from slot ``pc`` with the given registers and counters, one row
+    per step, and return its ExecOutcome."""
     arm = 4  # the indent of an arm's body
     operands = {"a": "a", "b": "b"}
     memory = {"width": "sub", "pc": "pc"}
@@ -405,7 +406,7 @@ def _dispatch(form, blocks: dict[int, list[int]], starts: list[int], depth: int)
 
 _COMPILED = """\
 def bind(form, after):
-    def run(r1, syscalls, env, budget):
+    def run(r1, env, budget):
 {prologue}\
         r0 = r2 = r3 = r4 = r5 = r6 = r7 = r8 = r9 = 0
         r10 = stack_base
@@ -415,7 +416,7 @@ def bind(form, after):
 {dispatch}\
         except _Handover:
             regs = [r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10]
-            return _interpret(form, regs, pc, executed, branches, budget, syscalls, env)
+            return _interpret(form, regs, pc, executed, branches, budget, env)
         except _Trap as trap:
             if r10 != stack_base:
                 raise RuntimeError("stack pointer register mutated during run")
@@ -428,8 +429,8 @@ def bind(form, after):
 
 def compiled_source(form: tuple[tuple[int, ...], ...]) -> tuple[str, tuple[int, ...]]:
     """The source of ``bind(form, after)``, and its ``after``: per slot, the
-    steps its block runs after it.  ``bind`` returns ``run(r1, syscalls,
-    env, budget)``, which runs the verified ``form`` block by block and
+    steps its block runs after it.  ``bind`` returns ``run(r1, env,
+    budget)``, which runs the verified ``form`` block by block and
     returns the ExecOutcome the interpreter would."""
     blocks = _basic_blocks(form)
     after = [0] * len(form)

@@ -17,11 +17,14 @@ Each hook keeps one memory layout for all its triggers: its context
 regions, then one stack per slot position, in a guard-padded buffer that
 every trigger resets from its template before it writes in the event.  The
 running slot at position j (verify-rejected slots take none) uses stack j.
-Each container keeps its access list for the position it last ran at and
-its restricted helper table, which both tiers call straight from, for the
-engine table it was cut from.  Its caller identity holds the stores its
-grant reaches and its response view, resolved when it is bound, so a helper
-call does no scope routing or region lookup.  Its VerifiedProgram also
+Each container has one capability record, its SyscallEnv, built when it is
+bound and handed whole to every run: the stores its grant reaches and its
+response view, resolved then, so a helper call does no scope routing or
+region lookup; the access list for the stack position it last ran at; and
+its restricted helper table, which both tiers call straight from.  A
+trigger puts in a new access list when the container's position changes,
+and a new table when ``Engine.syscall_table`` is another object than the
+one the table was cut from.  Its VerifiedProgram also
 carries the execution tiers' state (see ``vm``), so a hot container's
 compiled form goes when the container is removed or replaced.
 """
@@ -35,11 +38,11 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .facilities import RESPONSE_LABEL, CallerIdentity, FacilityContext, standard_syscall_table
+from .facilities import RESPONSE_LABEL, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
 from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
-from .vm import ExecOutcome, SyscallTable, _new, exec_program
+from .vm import ExecOutcome, SyscallEnv, SyscallTable, _new, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
 MAX_CONTEXT_SIZE = 1 << 16  # bytes; each hook keeps every context region in its buffer
@@ -182,17 +185,13 @@ class Container:
     granted: Contract
     views: tuple[MemoryRegion, ...]  # the granted context regions in hook-template order
     ctx: MemoryRegion | None  # r1: the first view
-    caller: CallerIdentity
+    env: SyscallEnv  # its capabilities; the access list and helper table are set by triggers
     verified: VerifiedProgram | None  # None when verification rejected the program
     verify_errors: tuple[VerifyError, ...] | None  # the rejection's violations
     stats: ContainerStats = field(default_factory=ContainerStats)
-    # Kept across triggers: the access list for the stack position this
-    # container last ran at, and its restricted helper table together with
-    # the engine table it was cut from.
+    # The stack position of env.acl and the engine table env.helpers was cut from.
     acl_position: int = -1
-    acl: AccessList | None = None
     helpers_source: SyscallTable | None = None
-    helpers: SyscallTable | None = None
 
 
 @dataclass
@@ -312,10 +311,9 @@ class Engine:
                         f"context region {spec.label!r} 'size' out of range 0..{MAX_CONTEXT_SIZE}: "
                         f"{spec.size}"
                     )
+            allowed = frozenset(_helper_id(sys_id) for sys_id in allowed_syscalls)
             hook_id = self._new_id()
-            self.hooks[hook_id] = Hook(
-                hook_id, name, frozenset(allowed_syscalls), template, return_policy, slot_limit
-            )
+            self.hooks[hook_id] = Hook(hook_id, name, allowed, template, return_policy, slot_limit)
             self._hook_names[name] = hook_id
             return hook_id
 
@@ -390,8 +388,8 @@ class Engine:
     ) -> None:
         """Give a container on ``hook`` everything it runs with: its program
         and verdict, the granted contract and region views, an empty
-        container store, its caller identity with the stores its grant
-        reaches and its response view, and fresh stats.  The program is
+        container store, its SyscallEnv with the stores its grant reaches
+        and its response view, and fresh stats.  The program is
         verified first, unless the update path passes it ``verified``; a
         rejected one is bound too, and its triggers report the violations."""
         errors = None
@@ -405,12 +403,11 @@ class Engine:
         grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
         views = tuple(hook.context[g.label].view(g.readable, g.writable) for g in grants)
         ctx = views[0] if views else None
-        stores = self.facilities.stores
-        stores.create_container_store(container_id)
+        stores = self.facilities.stores.bind_container(tenant_id, container_id, granted.syscalls)
         response = next((view for view in views if view.label == RESPONSE_LABEL), None)
-        caller = stores.bind_caller(tenant_id, container_id, granted.syscalls, response)
+        env = SyscallEnv(None, container_id=container_id, stores=stores, response=response)
         self.containers[container_id] = Container(
-            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, caller, verified, errors
+            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, env, verified, errors
         )
 
     def verify_for(self, hook: Hook, program: Program, contract: Contract) -> VerifiedProgram:
@@ -470,16 +467,15 @@ class Engine:
                 if vp is None:
                     outcomes.append(SlotOutcome(container_id, None, container.verify_errors))
                     continue
+                env = container.env
                 if container.acl_position != position:
-                    container.acl = AccessList([*container.views, hook.stacks[position]])
+                    env.acl = AccessList([*container.views, hook.stacks[position]])
                     container.acl_position = position
                 if container.helpers_source is not self.syscall_table:
-                    container.helpers = self.syscall_table.restricted(container.granted.syscalls)
+                    env.helpers = self.syscall_table.restricted(container.granted.syscalls)
                     container.helpers_source = self.syscall_table
                 position += 1
-                outcome = exec_program(
-                    vp, container.ctx, container.acl, container.helpers, vp.budget, container.caller
-                )
+                outcome = exec_program(vp, container.ctx, env)
                 container.stats.runs += 1
                 container.stats.total_executed += outcome.executed
                 if outcome.fault is not None:

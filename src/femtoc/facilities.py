@@ -1,14 +1,16 @@
 """Host facilities exposed to programs through helper calls.
 
 Three key-value store scopes exist: per-container, per-tenant, and global.
-A caller can only ever reach its own container store, its own tenant's
+A container can only ever reach its own container store, its own tenant's
 store, and the global store; which of those it may actually use is decided
 by the helper ids its contract grants.  Both are fixed when the container
-is installed or replaced, so its CallerIdentity carries the stores
-themselves and a store helper finds its store with one dict lookup; it
-carries the response helper's region the same way, and that helper writes
-through the run's write windows as the VM's stores do.  Keys are u32,
-values are i64, and reading an absent key yields 0.
+is installed or replaced, so its SyscallEnv carries the stores themselves
+and a store helper finds its store with one dict lookup; it carries the
+response helper's region the same way, and that helper writes through the
+run's write windows as the VM's stores do.  A scope the record holds no
+store for, as in a run with no container, reads 0 and refuses puts with
+KV_ERR_SCOPE.  Keys are u32, values are i64, and reading an absent key
+yields 0.
 
 Sensors are replayable fixtures (reads past the end repeat the last
 sample) and the clock is virtual: it only moves when the surrounding
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Mapping
+from typing import Collection
 from uuid import UUID
 
-from .memory import MemoryRegion, checked_store
+from .memory import checked_store
 from .vm import SyscallEnv, SyscallError, SyscallTable
 
 SCOPE_CONTAINER = "container"
@@ -120,16 +122,6 @@ class KeyValueStore:
         }
 
 
-@dataclass(frozen=True)
-class CallerIdentity:
-    """A container as its helpers see it: its id, the one store of each scope
-    its contract grants, and its first granted ``response`` view, if any."""
-
-    container_id: UUID | None
-    stores: Mapping[str, KeyValueStore]
-    response: MemoryRegion | None
-
-
 class StoreManager:
     """Owns every store and hands each container the ones it may reach.
 
@@ -141,11 +133,6 @@ class StoreManager:
         self.tenant_stores: dict[UUID, KeyValueStore] = {}
         self.container_stores: dict[UUID, KeyValueStore] = {}
 
-    def create_container_store(self, container_id: UUID) -> None:
-        self.container_stores[container_id] = KeyValueStore(
-            SCOPE_CONTAINER, container_id, CONTAINER_STORE_CAPACITY
-        )
-
     def destroy_container_store(self, container_id: UUID) -> None:
         self.container_stores.pop(container_id, None)
 
@@ -154,20 +141,20 @@ class StoreManager:
             tenant_id, KeyValueStore(SCOPE_TENANT, tenant_id, TENANT_STORE_CAPACITY)
         )
 
-    def bind_caller(
-        self, tenant_id: UUID, container_id: UUID, syscalls: Collection[int],
-        response: MemoryRegion | None = None,
-    ) -> CallerIdentity:
-        """The caller identity of a container granted helper ids ``syscalls``
-        and the ``response`` view: only the scopes those ids reach get a
-        store.  Call it once the tenant's and the container's stores exist."""
+    def bind_container(
+        self, tenant_id: UUID, container_id: UUID, syscalls: Collection[int]
+    ) -> dict[str, KeyValueStore]:
+        """Give ``container_id`` a new, empty container store, and return the
+        store of each scope its granted helper ids ``syscalls`` reach.  The
+        tenant's store must exist."""
+        container_store = KeyValueStore(SCOPE_CONTAINER, container_id, CONTAINER_STORE_CAPACITY)
+        self.container_stores[container_id] = container_store
         reachable = {
             SCOPE_GLOBAL: self.global_store,
             SCOPE_TENANT: self.tenant_stores[tenant_id],
-            SCOPE_CONTAINER: self.container_stores[container_id],
+            SCOPE_CONTAINER: container_store,
         }
-        stores = {scope: reachable[scope] for i, scope in _SCOPE_OF_SYSCALL.items() if i in syscalls}
-        return CallerIdentity(container_id, stores, response)
+        return {scope: reachable[scope] for i, scope in _SCOPE_OF_SYSCALL.items() if i in syscalls}
 
     def dump(self) -> list[dict]:
         stores = [self.global_store.to_dict()]
@@ -207,8 +194,8 @@ class FacilityContext:
     """Everything the standard helpers need, bundled per engine.
 
     Who is calling is not stored here, and neither is which stores it may
-    reach: each run hands its helpers the container's CallerIdentity in
-    their SyscallEnv, with the stores resolved when the container was bound.
+    reach: each run hands its helpers the container's SyscallEnv, with the
+    stores resolved when the container was bound.
     """
 
     stores: StoreManager = field(default_factory=StoreManager)
@@ -224,10 +211,7 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
 
     def kv_put(scope: str):
         def helper(env: SyscallEnv, key: int, value: int) -> int:
-            caller = env.caller
-            if caller is None:
-                raise SyscallError("no caller identity bound")
-            store = caller.stores.get(scope)
+            store = env.stores.get(scope)
             if store is None:
                 return KV_ERR_SCOPE
             try:
@@ -240,10 +224,7 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
 
     def kv_get(scope: str):
         def helper(env: SyscallEnv, key: int) -> int:
-            caller = env.caller
-            if caller is None:
-                raise SyscallError("no caller identity bound")
-            store = caller.stores.get(scope)
+            store = env.stores.get(scope)
             return 0 if store is None else store.get(key & 0xFFFF_FFFF)
 
         return helper
@@ -256,18 +237,14 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
         return fixture.read() if fixture is not None else 0
 
     def response_write(env: SyscallEnv, offset: int, value: int) -> int:
-        caller = env.caller
-        if caller is None:
-            raise SyscallError("no caller identity bound")
-        region = caller.response
+        region = env.response
         if region is None:
             raise SyscallError("no response region on this hook")
         checked_store(env.acl, (region.base + offset) & MASK64, 8, value)
         return 0
 
     def debug_log(env: SyscallEnv, value: int) -> int:
-        caller = env.caller
-        fac.debug_log.append((caller.container_id if caller else None, _as_i64(value)))
+        fac.debug_log.append((env.container_id, _as_i64(value)))
         return 0
 
     table = SyscallTable()

@@ -272,10 +272,14 @@ class ScenarioRuntime:
             if private is None:
                 raise UnknownReference(f"tenant {tenant_name!r} has no signing key in this scenario")
             name = _optional(action, "name", what, str, None)
+            tenant_id, hook_id = self._ref("tenant", action, what), self._ref("hook", action, what)
+            replaced = self.engine.tenant_container_on_hook(tenant_id, hook_id)  # None: installs
+            if self.container_ids.get(name, replaced) != replaced:
+                raise ParseError(f"duplicate container name {name!r}")
             payload = self._program(_field(action, "program", what, dict)).to_bytes()
             manifest = build_manifest(
-                self._ref("tenant", action, what),
-                self._ref("hook", action, what),
+                tenant_id,
+                hook_id,
                 _parse_int(_field(action, "sequence", what), "update sequence"),
                 payload,
                 _parse_contract(action.get("contract", {})),

@@ -226,13 +226,6 @@ def save_public_key(private_key: Ed25519PrivateKey, path: Path) -> None:
     )
 
 
-def load_public_key_raw(path: Path) -> bytes:
-    key = serialization.load_pem_public_key(path.read_bytes())
-    if not isinstance(key, Ed25519PublicKey):
-        raise ValueError(f"{path} does not hold an Ed25519 public key")
-    return key.public_bytes(serialization.Encoding.Raw, serialization.PublicFormat.Raw)
-
-
 # -- wire format -------------------------------------------------------
 
 

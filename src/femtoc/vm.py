@@ -35,24 +35,29 @@ slot, step and branch counts as the interpreter.  Every register holds a
 value in [0, 2**64) on both tiers, so compiled 8-byte stores and
 zero-offset addresses use the register with no mask.
 
-A call runs the entry for its constant helper id in the run's SyscallTable
-directly; ``_helper_fault`` maps what it raises to the run's fault.  The
-table and the run's SyscallEnv (its access list, with the stack, and its
-caller) are arguments of every run, never part of the compiled function.
+A run gets its container's SyscallEnv whole: the one record of what the
+container may reach (its access list with the stack, its restricted helper
+table, its stores and its response view), an argument of every run, never
+part of the compiled function.  A call runs the entry for its constant
+helper id in the record's table directly; ``_helper_fault`` maps what it
+raises to the run's fault.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .codegen import compiled_source, interpreter_source
 from .memory import AccessList, AccessViolation, MemoryRegion
 from .verifier import MASK32, MASK64, VerifiedProgram  # noqa: F401  (MASK32 is re-exported)
 
 if TYPE_CHECKING:
-    from .facilities import CallerIdentity
+    from uuid import UUID
+
+    from .facilities import KeyValueStore
 
 
 # Little-endian unsigned codecs and value masks, indexed by access width.
@@ -100,15 +105,6 @@ class _Trap(Exception):
 class _Handover(Exception):
     """Raised by compiled code when its next block might not fit in the
     budget left: the interpreter takes over at that block."""
-
-
-class SyscallEnv(NamedTuple):
-    """Host-side context of one run, handed to every helper it calls: the
-    run's access list and the identity of the container making the calls,
-    with the stores and response view it may reach (None without a caller)."""
-
-    acl: AccessList
-    caller: CallerIdentity | None
 
 
 class DuplicateId(ValueError):
@@ -167,9 +163,24 @@ class SyscallTable:
         return sub
 
 
-def _helper_fault(syscalls: SyscallTable, pc: int, sys_id: int, exc: Exception) -> Fault:
+@dataclass(slots=True, eq=False)
+class SyscallEnv:
+    """The capability record of one container, handed whole to every run
+    and to every helper it calls: its access list (with the stack), its
+    restricted helper table, its id, the store of each scope its grant
+    reaches, and its ``response`` view.  A record with no container has no
+    stores and no response view."""
+
+    acl: AccessList | None
+    helpers: SyscallTable = field(default_factory=SyscallTable)
+    container_id: UUID | None = None
+    stores: Mapping[str, KeyValueStore] = field(default_factory=dict)
+    response: MemoryRegion | None = None
+
+
+def _helper_fault(helpers: SyscallTable, pc: int, sys_id: int, exc: Exception) -> Fault:
     """The run's fault at slot ``pc`` for ``exc``, raised calling helper ``sys_id``."""
-    entry = syscalls.lookup(sys_id)
+    entry = helpers.lookup(sys_id)
     if entry is None:
         return Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {sys_id:#x} not available")
     if isinstance(exc, AccessViolation):
@@ -199,27 +210,22 @@ HOT_STEPS_PER_SLOT = 64
 
 
 def compile_form(form: tuple[tuple[int, ...], ...]) -> Callable[..., ExecOutcome]:
-    """The compiled tier of a verified form: ``run(r1, syscalls, env,
-    budget)``, which returns the ExecOutcome the interpreter would."""
+    """The compiled tier of a verified form: ``run(r1, env, budget)``, which
+    returns the ExecOutcome the interpreter would."""
     source, after = compiled_source(form)
     return _define(source, "bind", "<femtoc compiled form>")(form, after)
 
 
 def exec_program(
-    vp: VerifiedProgram,
-    ctx: MemoryRegion | None,
-    acl: AccessList,
-    syscalls: SyscallTable | None = None,
-    budget: int | None = None,
-    caller: CallerIdentity | None = None,
+    vp: VerifiedProgram, ctx: MemoryRegion | None, env: SyscallEnv, budget: int | None = None
 ) -> ExecOutcome:
-    """Run a verified program to completion.
+    """Run a verified program to completion with the capabilities in ``env``.
 
     Registers start zeroed except r1 (context base, when a context region is
-    given) and r10 (stack base).  The outcome's ``executed`` count is exact:
-    the number of instructions that started executing, capped at the budget.
-    Every helper the run calls gets the same SyscallEnv, built here from
-    ``acl`` and ``caller``.
+    given) and r10 (the base of ``env.acl``'s stack).  The outcome's
+    ``executed`` count is exact: the number of instructions that started
+    executing, capped at the budget.  Every helper the run calls gets
+    ``env`` itself.
 
     A program runs on the interpreter until it has executed
     ``HOT_STEPS_PER_SLOT`` instructions per slot over its runs; the run
@@ -227,16 +233,14 @@ def exec_program(
     the compiled function.
     """
     budget = vp.budget if budget is None else budget
-    syscalls = syscalls or SyscallTable()
     r1 = 0 if ctx is None else ctx.base
-    env = _new(SyscallEnv, (acl, caller))
     run = vp.compiled
     if run is None:
         form = vp.form
         if vp.interpreted < len(form) * HOT_STEPS_PER_SLOT:
-            regs = [0, r1, 0, 0, 0, 0, 0, 0, 0, 0, acl.stack.base]
-            outcome = _interpret(form, regs, 0, 0, 0, budget, syscalls, env)
+            regs = [0, r1, 0, 0, 0, 0, 0, 0, 0, 0, env.acl.stack.base]
+            outcome = _interpret(form, regs, 0, 0, 0, budget, env)
             vp.interpreted += outcome.executed
             return outcome
         run = vp.compiled = compile_form(form)
-    return run(r1, syscalls, env, budget)
+    return run(r1, env, budget)

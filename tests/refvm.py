@@ -10,10 +10,8 @@ host memory must agree.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from femtoc.isa import OPCODE_INFO, OpKind
-from femtoc.memory import AccessList, AccessViolation, HostMemory, MemoryRegion, Mode
+from femtoc.memory import AccessViolation, HostMemory, MemoryRegion, Mode
 from femtoc.verifier import VerifiedProgram
 from femtoc.vm import (
     MASK32,
@@ -23,11 +21,7 @@ from femtoc.vm import (
     FaultKind,
     SyscallEnv,
     SyscallError,
-    SyscallTable,
 )
-
-if TYPE_CHECKING:
-    from femtoc.facilities import CallerIdentity
 
 
 def _load(memory: HostMemory, addr: int, size: int) -> int:
@@ -95,24 +89,20 @@ _CMP = {
 
 
 def exec_program(
-    vp: VerifiedProgram,
-    ctx: MemoryRegion | None,
-    acl: AccessList,
-    syscalls: SyscallTable | None = None,
-    budget: int | None = None,
-    caller: CallerIdentity | None = None,
+    vp: VerifiedProgram, ctx: MemoryRegion | None, env: SyscallEnv, budget: int | None = None
 ) -> ExecOutcome:
-    """Run a verified program to completion.
+    """Run a verified program to completion under ``env``'s access list and
+    helper table.
 
     Registers start zeroed except r1 (context base, when a context region is
     given) and r10 (stack base).  The outcome's ``executed`` count is exact:
     the number of instructions that started executing, capped at the budget.
-    Helpers see ``caller`` in their SyscallEnv.
+    Every helper gets ``env`` itself.
     """
     slots = vp.program.slots
     n = len(slots)
     budget = vp.budget if budget is None else budget
-    syscalls = syscalls or SyscallTable()
+    acl, syscalls = env.acl, env.helpers
 
     regs = [0] * 11
     if ctx is not None:
@@ -200,7 +190,6 @@ def exec_program(
                     raise _Trap(
                         Fault(FaultKind.BAD_SYSCALL, pc, note=f"helper id {ins.imm:#x} not available")
                     )
-                env = SyscallEnv(acl=acl, caller=caller)
                 args = regs[1 : 1 + entry.argc]
                 try:
                     result = entry.fn(env, *args)

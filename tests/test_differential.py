@@ -46,7 +46,7 @@ import refvm
 from femtoc import codegen, vm
 from femtoc.memory import GUARD_LEN, AccessList, HostMemory, checked_store, fresh_stack
 from femtoc.verifier import JCOND_K, JCOND_X, VerifyLimits, verify
-from femtoc.vm import SyscallError, SyscallTable
+from femtoc.vm import SyscallEnv, SyscallError, SyscallTable
 from genprog import random_accepted_program
 
 PROGRAMS = 12_000  # per stream; two streams
@@ -169,7 +169,7 @@ def _mismatches(
             if probe and interpreter is vm.exec_program:
                 acl.run_state = (_Scanned(acl.read_windows), _Scanned(acl.write_windows), *acl.run_state[2:])
                 HANDOVERS.clear()
-            outcome = interpreter(vp, ctx, acl, table)
+            outcome = interpreter(vp, ctx, SyscallEnv(acl, table))
             results.append((outcome, bytes(memory.buf)))
         (got, got_buf), (want, want_buf) = results
         if probe:

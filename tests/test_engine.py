@@ -435,7 +435,7 @@ def test_two_response_grants_write_through_the_first_view(tier):
     assert result.context_after["response"] == bytes(8) + struct.pack("<Q", WRITTEN)
     first = container.views[0]
     assert (first.label, first.readable, first.writable) == ("response", False, True)
-    assert container.caller.response is first
+    assert container.env.response is first
 
 
 def test_fault_isolation_between_slots():
@@ -625,17 +625,17 @@ class CallSites(ast.NodeVisitor):
 
 
 def test_only_bind_builds_a_callers_capabilities():
-    # One place resolves what a container's helpers reach: the package
-    # builds CallerIdentity only in StoreManager.bind_caller, and only
-    # Engine._bind calls that.
+    # One place builds a container's capability record: the package
+    # constructs SyscallEnv only in Engine._bind, which is also the only
+    # caller of the StoreManager method that resolves the stores it reaches.
     found = []
     for path in sorted(Path(femtoc.__file__).parent.glob("*.py")):
-        sites = CallSites(path.stem, {"CallerIdentity", "bind_caller"})
+        sites = CallSites(path.stem, {"SyscallEnv", "bind_container"})
         sites.visit(ast.parse(path.read_text(), str(path)))
         found += sites.found
     assert sorted(found) == [
-        ("CallerIdentity", "facilities.StoreManager.bind_caller"),
-        ("bind_caller", "engine.Engine._bind"),
+        ("SyscallEnv", "engine.Engine._bind"),
+        ("bind_container", "engine.Engine._bind"),
     ]
 
 
@@ -1049,7 +1049,7 @@ def test_every_access_list_ends_with_its_stack_and_its_windows_are_disjoint():
     for thread in (1, 2):
         fleet_round(engine, hooks, thread)
     for container in engine.containers.values():
-        acl = container.acl
+        acl = container.env.acl
         stack = engine.hooks[container.hook_id].stacks[container.acl_position]
         assert acl.regions == (*container.views, stack)
         for windows in (acl.read_windows, acl.write_windows):
@@ -1074,7 +1074,7 @@ def test_a_stack_first_access_list_serves_the_context_through_the_scan(monkeypat
             acl = AccessList([stack, ctx] if stack_first else [ctx, stack])
             assert (acl.read_windows[0][0] == stack.base) == stack_first
             vp = verify(program, VerifyLimits(64, 4))
-            outcome = vm.exec_program(vp, ctx, acl)
+            outcome = vm.exec_program(vp, ctx, vm.SyscallEnv(acl))
             assert (vp.compiled is not None) == (hot == 0)
             results.append((outcome, bytes(mem.buf)))
     assert results[1:] == results[:1] * 3

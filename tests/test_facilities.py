@@ -24,17 +24,17 @@ STORE_HELPERS = frozenset(
 )
 PUT = {fa.SCOPE_CONTAINER: fa.SYS_CONTAINER_PUT, fa.SCOPE_TENANT: fa.SYS_TENANT_PUT, fa.SCOPE_GLOBAL: fa.SYS_GLOBAL_PUT}
 GET = {fa.SCOPE_CONTAINER: fa.SYS_CONTAINER_GET, fa.SCOPE_TENANT: fa.SYS_TENANT_GET, fa.SCOPE_GLOBAL: fa.SYS_GLOBAL_GET}
-# The store helpers reach stores only through their env's caller, so one
-# table serves every StoreManager below.
+# The store helpers reach stores only through their env, so one table
+# serves every StoreManager below.
 TABLE = standard_syscall_table(FacilityContext())
 
 
 def caller(manager, tenant, container, syscalls=STORE_HELPERS):
     """The env of a run by ``container`` of ``tenant`` granted ``syscalls``,
-    bound as the engine binds it: after the container store exists."""
+    with the stores the engine binds it."""
     manager.create_tenant_store(tenant)
-    manager.create_container_store(container)
-    return SyscallEnv(None, manager.bind_caller(tenant, container, syscalls))
+    stores = manager.bind_container(tenant, container, syscalls)
+    return SyscallEnv(None, container_id=container, stores=stores)
 
 
 def put(env, scope, key, value):
@@ -50,7 +50,7 @@ def test_put_then_get():
     who = caller(manager, uuid.uuid4(), uuid.uuid4())
     assert put(who, fa.SCOPE_CONTAINER, 7, 42) == fa.KV_OK
     assert get(who, fa.SCOPE_CONTAINER, 7) == 42
-    assert manager.container_stores[who.caller.container_id].entries == {7: 42}
+    assert manager.container_stores[who.container_id].entries == {7: 42}
 
 
 def test_absent_key_reads_zero():
@@ -88,7 +88,7 @@ def test_capacities_default_to_documented_sizes():
     manager = StoreManager()
     tenant = uuid.uuid4()
     who = caller(manager, tenant, uuid.uuid4())
-    assert manager.container_stores[who.caller.container_id].capacity == 64
+    assert manager.container_stores[who.container_id].capacity == 64
     assert manager.tenant_stores[tenant].capacity == 128
     assert manager.global_store.capacity == 256
     for key in range(64):
@@ -130,7 +130,7 @@ def test_tenant_b_never_sees_tenant_a_store():
     b = caller(manager, uuid.uuid4(), uuid.uuid4())
     assert put(a, fa.SCOPE_TENANT, 1, 555) == fa.KV_OK
     assert get(b, fa.SCOPE_TENANT, 1) == 0
-    assert a.caller.stores[fa.SCOPE_TENANT] is not b.caller.stores[fa.SCOPE_TENANT]
+    assert a.stores[fa.SCOPE_TENANT] is not b.stores[fa.SCOPE_TENANT]
 
 
 def test_scope_denied_without_grant():
@@ -149,8 +149,8 @@ def test_values_persist_across_calls_and_die_with_the_container():
     who = caller(manager, uuid.uuid4(), uuid.uuid4())
     assert put(who, fa.SCOPE_CONTAINER, 9, 99) == fa.KV_OK
     assert get(who, fa.SCOPE_CONTAINER, 9) == 99  # second invocation
-    manager.destroy_container_store(who.caller.container_id)
-    assert who.caller.container_id not in manager.container_stores
+    manager.destroy_container_store(who.container_id)
+    assert who.container_id not in manager.container_stores
 
 
 def test_scopes_derive_from_syscall_grants():
@@ -159,7 +159,7 @@ def test_scopes_derive_from_syscall_grants():
     caller(manager, tenant, container)
 
     def scopes(syscalls):
-        return manager.bind_caller(tenant, container, syscalls).stores
+        return manager.bind_container(tenant, container, syscalls)
 
     assert scopes({0x01, 0x02}) == {fa.SCOPE_CONTAINER: manager.container_stores[container]}
     assert scopes({0x03}) == {fa.SCOPE_GLOBAL: manager.global_store}
@@ -216,5 +216,5 @@ def test_debug_log_keeps_only_the_newest_entries():
         assert debug_log(env, value) == 0
     assert len(fac.debug_log) == fa.DEBUG_LOG_CAPACITY
     assert list(fac.debug_log) == [
-        (env.caller.container_id, value) for value in range(total - fa.DEBUG_LOG_CAPACITY, total)
+        (env.container_id, value) for value in range(total - fa.DEBUG_LOG_CAPACITY, total)
     ]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from femtoc.asm import assemble
 from femtoc.cli import build_parser, main
-from femtoc.engine import Contract, RegionGrant
+from femtoc.engine import Contract, Engine, RegionGrant
 from femtoc.scenario import ScenarioRuntime
 from femtoc.update import build_manifest, manifest_to_json, private_key_from_seed, public_key_raw, sign_manifest
 
@@ -238,6 +238,22 @@ def test_a_full_hook_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, extra
     where = "setup action 16" if extra else "engine.json"
     (line,) = captured.err.splitlines()
     assert line.endswith(f"error: {where}: hook 'h' is at its 16-slot limit")
+
+
+@pytest.mark.parametrize("sys_id", [-1, 1 << 32])
+def test_hook_syscalls_that_are_not_helper_ids_are_a_usage_error(tmp_path, monkeypatch, capsys, sys_id):
+    # Engine.register_hook checks its ids as --allow and contracts do, so
+    # the scenario runner reports them with exit 2 instead of running.
+    doc = {**ENGINE_DOC, "hooks": [{"name": "h", "syscalls": [1, sys_id]}]}
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["scenario", "run", "bad.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.endswith(f"hook 'h': helper id must be a u32, got {sys_id}")
+    with pytest.raises(ValueError, match="helper id must be a u32"):
+        Engine().register_hook("h", [sys_id])
 
 
 # -- argv ------------------------------------------------------------------

@@ -299,6 +299,48 @@ def test_rejected_update_is_recorded_and_harmless():
     assert rejected["accepted"] is False and rejected["reason"] == "RollbackRejected"
 
 
+def two_hook_update_scenario(update_name: str, update_tenant: str) -> dict:
+    """Container x by tenant a on h1, then an update named ``update_name``
+    by ``update_tenant`` on h2."""
+    return {
+        "schema_version": 1,
+        "name": "names",
+        "seed": 9,
+        "tenants": [{"name": "a"}, {"name": "b"}],
+        "hooks": [
+            {"name": "h1", "syscalls": [], "return_policy": "first_nonzero_wins"},
+            {"name": "h2", "syscalls": [], "return_policy": "first_nonzero_wins"},
+        ],
+        "setup": [
+            {"action": "install", "name": "x", "tenant": "a", "hook": "h1",
+             "program": {"asm": "mov64 r0, 5\nexit"}},
+            {"action": "update", "name": update_name, "tenant": update_tenant, "hook": "h2",
+             "sequence": 1, "program": {"asm": "mov64 r0, 9\nexit"}},
+            {"action": "update", "name": update_name, "tenant": update_tenant, "hook": "h2",
+             "sequence": 2, "program": {"asm": "mov64 r0, 7\nexit"}},
+        ],
+        "events": [{"at_ms": 1, "hook": "h1"}, {"at_ms": 2, "hook": "h2"}],
+        "assertions": [
+            {"after_event": 0, "check": {"kind": "return", "container": "x", "equals": 5}},
+            {"after_event": 1, "check": {"kind": "return", "container": update_name, "equals": 7}},
+        ],
+    }
+
+
+def test_an_update_may_not_take_another_containers_name():
+    with pytest.raises(ParseError, match="duplicate container name 'x'"):
+        run_scenario(two_hook_update_scenario("x", "b"))
+
+
+def test_an_update_keeps_the_name_of_the_container_it_replaced():
+    # The second update replaces the container the first one installed and
+    # named y, so it may name it y again.
+    report = run_scenario(two_hook_update_scenario("y", "b"))
+    assert report.passed, report.to_json()
+    assert [entry["accepted"] for entry in report.data["setup"][1:]] == [True, True]
+    assert report.data["setup"][1]["container_id"] == report.data["setup"][2]["container_id"]
+
+
 def test_final_assertions_see_last_event():
     doc = echo_scenario({"u64": [258, 0]})
     doc["assertions"].append({"after_event": "final", "check": {"kind": "policy", "equals": 258}})

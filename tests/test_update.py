@@ -9,6 +9,7 @@ import uuid
 from dataclasses import replace
 
 import pytest
+from cryptography.hazmat.primitives import serialization
 
 from femtoc.asm import assemble
 from femtoc.engine import (
@@ -29,7 +30,6 @@ from femtoc.update import (
     generate_private_key,
     load_manifest,
     load_private_key,
-    load_public_key_raw,
     manifest_from_json,
     manifest_to_json,
     private_key_from_seed,
@@ -395,7 +395,9 @@ def test_pem_round_trip(tmp_path):
     save_private_key(key, priv)
     save_public_key(key, pub)
     assert b"PRIVATE KEY" in priv.read_bytes()
-    assert load_public_key_raw(pub) == public_key_raw(key)
+    assert serialization.load_pem_public_key(pub.read_bytes()).public_bytes(
+        serialization.Encoding.Raw, serialization.PublicFormat.Raw
+    ) == public_key_raw(key)
 
     reloaded = load_private_key(priv)
     manifest = signed(uuid.UUID(int=1), uuid.UUID(int=2), 1, RETURN_5, reloaded)

@@ -6,10 +6,10 @@ import pytest
 
 from femtoc import vm
 from femtoc.asm import assemble
-from femtoc.facilities import FacilityContext, standard_syscall_table
+from femtoc.facilities import KV_ERR_SCOPE, SYS_RESPONSE_WRITE, FacilityContext, standard_syscall_table
 from femtoc.memory import DEFAULT_BASE, AccessList, HostMemory, Mode, checked_store, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
-from femtoc.vm import DuplicateId, FaultKind, SyscallError, SyscallTable, exec_program
+from femtoc.vm import DuplicateId, FaultKind, SyscallEnv, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
 
 M64 = (1 << 64) - 1
@@ -35,7 +35,7 @@ def run(src, *, ctx=None, ctx_writable=False, table=None, allowed=(), limits=Non
         ctx_region = mem.alloc(len(ctx), "ctx", readable=True, writable=ctx_writable, init=ctx)
         regions.append(ctx_region)
     acl = AccessList([fresh_stack(mem), *regions])
-    outcome = exec_program(vp, ctx_region, acl, table, budget)
+    outcome = exec_program(vp, ctx_region, SyscallEnv(acl, table or SyscallTable()), budget)
     return outcome, mem, ctx_region
 
 
@@ -366,7 +366,10 @@ def test_clock_helper_returns_virtual_time():
     assert outcome.return_value == 12345
 
 
-def test_store_helpers_without_a_caller_fault_before_reading_facilities():
+def test_store_helpers_without_a_container_reach_no_store_on_both_tiers(monkeypatch):
+    # A record with no container holds no store: as for a scope a grant
+    # lacks, puts return KV_ERR_SCOPE and gets 0, and no helper reads the
+    # facilities to find that out.
     reads = []
 
     class WatchedFacilities(FacilityContext):
@@ -374,13 +377,33 @@ def test_store_helpers_without_a_caller_fault_before_reading_facilities():
             reads.append(name)
             return super().__getattribute__(name)
 
-    store_ids = {0x01, 0x02, 0x03, 0x04, 0x05, 0x06}
-    table = standard_syscall_table(WatchedFacilities()).restricted(store_ids)
-    for sys_id in sorted(store_ids):
-        outcome, _, _ = run(f"mov64 r1, 1\ncall {sys_id:#x}\nexit", table=table, allowed={sys_id})
-        assert outcome.fault.kind is FaultKind.BAD_SYSCALL
-        assert outcome.fault.pc == 1
+    table = standard_syscall_table(WatchedFacilities())
+    puts, gets = (0x01, 0x03, 0x05), (0x02, 0x04, 0x06)
+    for sys_id in (*puts, *gets):
+        (interpreted, compiled), _ = run_both_tiers(
+            monkeypatch, f"mov64 r1, 1\nmov64 r2, 5\ncall {sys_id:#x}\nexit",
+            table=table.restricted({sys_id}), allowed={sys_id},
+        )
+        assert compiled == interpreted
+        outcome = compiled[0]
+        want = KV_ERR_SCOPE & M64 if sys_id in puts else 0
+        assert (outcome.return_value, outcome.executed, outcome.fault) == (want, 4, None)
     assert reads == []
+
+
+def test_response_write_without_a_container_faults_on_both_tiers(monkeypatch):
+    table = standard_syscall_table(FacilityContext()).restricted({SYS_RESPONSE_WRITE})
+    (interpreted, compiled), _ = run_both_tiers(
+        monkeypatch, "mov64 r1, 0\nmov64 r2, 5\ncall 0x20\nexit", ctx_writable=True, table=table,
+        allowed={SYS_RESPONSE_WRITE},
+    )
+    assert compiled == interpreted
+    outcome, host = compiled
+    fault = outcome.fault
+    assert (outcome.executed, fault.kind, fault.pc, fault.addr, fault.note) == (
+        3, FaultKind.BAD_SYSCALL, 2, None, "no response region on this hook"
+    )
+    assert host == run_both_tiers(monkeypatch, "exit", ctx_writable=True)[0][0][1]  # nothing written
 
 
 def test_call_costs_one_step_and_preserves_r1_to_r5():
@@ -462,7 +485,7 @@ def test_identical_inputs_identical_outcomes(rng):
             mem = HostMemory()
             ctx = mem.alloc(64, "ctx", readable=True, writable=True, init=bytes(range(64)))
             acl = AccessList([fresh_stack(mem), ctx])
-            return exec_program(vp, ctx, acl)
+            return exec_program(vp, ctx, SyscallEnv(acl))
 
         assert one() == one()
 
@@ -475,7 +498,7 @@ def test_every_random_run_terminates_inside_budget(rng):
         mem = HostMemory()
         ctx = mem.alloc(64, "ctx", readable=True, writable=True)
         acl = AccessList([fresh_stack(mem), ctx])
-        outcome = exec_program(vp, ctx, acl)
+        outcome = exec_program(vp, ctx, SyscallEnv(acl))
         assert outcome.executed <= 64 * 8
         assert outcome.fault is not None or outcome.ok
         assert mem.guards_intact()
@@ -520,7 +543,7 @@ def run_both_tiers(monkeypatch, src, *, ctx=b"", ctx_writable=False, stack_last=
         ctx_region = mem.alloc(max(len(ctx), 8), "ctx", readable=True, writable=ctx_writable, init=ctx)
         stack = fresh_stack(mem)
         acl = AccessList([ctx_region, stack] if stack_last else [stack, ctx_region])
-        outcome = exec_program(vp, ctx_region, acl, table, budget)
+        outcome = exec_program(vp, ctx_region, SyscallEnv(acl, table or SyscallTable()), budget)
         assert (vp.compiled is not None) == (hot == 0)
         results.append((outcome, bytes(mem.buf)))
     return results, ctx_region.base
@@ -876,16 +899,16 @@ def test_a_program_compiles_once_it_has_run_64_steps_per_slot(monkeypatch):
     monkeypatch.setattr(vm, "compile_form", lambda form: compiles.append(form) or original(form))
     vp = verify(assemble("mov64 r0, 1\nadd64 r0, 2\nexit"), VerifyLimits(256, 16))
     mem = HostMemory()
-    acl = AccessList([fresh_stack(mem)])
+    env = SyscallEnv(AccessList([fresh_stack(mem)]))
     threshold = HOT_STEPS_PER_SLOT * len(vp.form)
     assert threshold == 192
     outcomes = set()
     for _ in range(threshold // 3):
-        outcomes.add(exec_program(vp, None, acl))
+        outcomes.add(exec_program(vp, None, env))
         assert vp.compiled is None
     assert vp.interpreted == threshold
     for _ in range(3):
-        outcomes.add(exec_program(vp, None, acl))
+        outcomes.add(exec_program(vp, None, env))
         assert vp.compiled is not None
     assert vp.interpreted == threshold  # compiled runs are not counted
     assert compiles == [vp.form]
@@ -898,7 +921,7 @@ def test_a_single_run_of_a_1024_slot_payload_never_compiles(monkeypatch):
     body = "add64 r0, 1\n" * 1020
     vp = verify(assemble(f"mov64 r1, 70\nloop: {body}sub64 r1, 1\njne r1, 0, loop\nexit"))
     assert len(vp.form) == 1024
-    outcome = exec_program(vp, None, AccessList([fresh_stack(HostMemory())]))
+    outcome = exec_program(vp, None, SyscallEnv(AccessList([fresh_stack(HostMemory())])))
     assert (outcome.return_value, outcome.fault) == (70 * 1020, None)
     assert outcome.executed >= vm.HOT_STEPS_PER_SLOT * 1024  # hot, but it ran only once
     assert compiles == [] and vp.compiled is None
@@ -916,11 +939,11 @@ def test_a_run_enters_exec_program_once_in_either_tier(monkeypatch, compiled_tie
 
     monkeypatch.setattr(vm, "exec_program", traced)
     vp = verify(assemble("loop: add64 r0, 1\nadd64 r0, 1\nja loop\nexit"), VerifyLimits(256, 16))
-    acl = AccessList([fresh_stack(HostMemory())])
-    outcome = vm.exec_program(vp, None, acl, budget=7)
+    env = SyscallEnv(AccessList([fresh_stack(HostMemory())]))
+    outcome = vm.exec_program(vp, None, env, budget=7)
     assert compiled_tier == [vp.form]
     assert (outcome.executed, outcome.fault.kind, outcome.fault.pc) == (7, FaultKind.BUDGET_EXCEEDED, 1)
     monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", 64)
     cold = verify(vp.program, VerifyLimits(256, 16))
-    assert vm.exec_program(cold, None, acl, budget=7) == outcome
+    assert vm.exec_program(cold, None, env, budget=7) == outcome
     assert entries == [vp, cold]
