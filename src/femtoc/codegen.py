@@ -3,8 +3,10 @@
 The run-time semantics of every operation is written once, below, as a
 template of Python source over named fields.  ``interpreter_source`` fills
 the templates with the interpreter's run-time operands (``a``, ``b``,
-``regs[dst]``, ``off``, ...) and joins them into its dispatch loop over the
-verifier's rows.  ``compiled_source`` fills them with one slot's registers
+``regs[dst]``, ``off``, ...) and joins them into a dispatch loop over the
+verifier's rows, whose sub-operation chains are binary searches; one loop
+template makes both the counted loop and the stepped loop it hands over
+to near the budget.  ``compiled_source`` fills them with one slot's registers
 and constants and joins each basic block's slots into one arm of a dispatch
 loop over block starts, with registers as locals; a block that jumps back
 to its own start becomes a loop over its passes, with one budget check for
@@ -111,11 +113,7 @@ except Exception as exc:
 """
 LOAD_WIDE = "{dst} = {imm}\n"
 
-EXIT_RUN = """\
-if {r10} != stack_base:
-    raise RuntimeError("stack pointer register mutated during run")
-return _new(ExecOutcome, ({r0}, executed, branches, None))
-"""
+EXIT_RUN = "return _new(ExecOutcome, ({r0}, executed, branches, None))\n"
 
 # What one run sets up from its SyscallEnv: its access list's ``run_state``, the
 # first read and write windows (the stack is both, so each list has one) and
@@ -149,31 +147,38 @@ def _indent(text: str, depth: int) -> str:
 
 
 def _switch(selector: str, target: str, exprs: tuple[str, ...], fields: dict, depth: int) -> str:
-    """An if-chain on ``selector`` (0, 1, ...) assigning ``target`` the
-    selected template's value; the last template takes the ``else``."""
-    arms = [f"if {selector} == 0:"] + [f"elif {selector} == {i}:" for i in range(1, len(exprs) - 1)]
-    arms.append("else:")
-    body = "".join(f"{arm}\n    {target} = {expr.format(**fields)}\n" for arm, expr in zip(arms, exprs))
-    return _indent(body, depth)
+    """A binary search on ``selector`` (0, 1, ...) assigning ``target`` the
+    selected template's value."""
+
+    def arms(lo: int, hi: int) -> str:
+        if hi - lo == 1:
+            return f"{target} = {exprs[lo].format(**fields)}\n"
+        mid = (lo + hi) // 2
+        return f"if {selector} < {mid}:\n{_indent(arms(lo, mid), 1)}else:\n{_indent(arms(mid, hi), 1)}"
+
+    return _indent(arms(0, len(exprs)), depth)
 
 
 # -- the interpreter ---------------------------------------------------------
+#
+# One loop template, filled as the stepped loop (STEPPED), which tests the
+# budget and the program counter and counts every step, and as the counted
+# loop (COUNTED; see ``femtoc.vm``).  In the counted loop ``start`` is the
+# first slot of the running straight run, which adds its ``pc - start + 1``
+# steps where it ends; lddw takes one step for two slots, so it moves
+# ``start`` on by one.  A form the verifier did not make can jump before
+# slot 0 or run off the end; the counted loop hands those to the stepped
+# loop, which reports the escape with the counts it always did.
 
 _INTERPRETER = """\
-def _interpret(form, regs, pc, executed, branches, budget, env):
+def {name}(form, regs, pc, executed, branches, budget, env):
+    n = len(form)
+{entry}\
 {prologue}\
     width_mask = _WIDTH_MASK
-    n = len(form)
     try:
         while True:
-            if executed >= budget:
-                raise _Trap(Fault(FaultKind.BUDGET_EXCEEDED, pc, note="budget %d exhausted" % budget))
-            if not 0 <= pc < n:
-                # Unreachable for verified programs; kept as a hard stop.
-                raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
-            code, sub, dst, src, off, imm = form[pc]
-            executed += 1
-
+{step}\
             if code <= {ALU64_X}:
                 a = regs[dst]
                 b = imm if code == {ALU64_K} else regs[src]
@@ -185,8 +190,7 @@ def _interpret(form, regs, pc, executed, branches, budget, env):
                 b = imm if code == {JCOND_K} else regs[src]
 {cmp}\
                 if taken:
-                    branches += 1
-                    pc = off
+{taken}\
                 else:
                     pc += 1
             elif code == {LDX}:
@@ -202,8 +206,7 @@ def _interpret(form, regs, pc, executed, branches, budget, env):
 {stx_stack}\
                 pc += 1
             elif code == {JA}:
-                branches += 1
-                pc = off
+{jump}\
             elif code == {ALU32_K} or code == {ALU32_X}:
                 a = regs[dst] & {mask32}
                 b = imm if code == {ALU32_K} else regs[src] & {mask32}
@@ -217,6 +220,9 @@ def _interpret(form, regs, pc, executed, branches, budget, env):
 {call}\
                 pc += 1
             elif code == {EXIT}:
+{ended}\
+                if regs[10] != stack_base:
+                    raise RuntimeError("stack pointer register mutated during run")
 {exit}\
             elif code == {LDDW}:
 {lddw}\
@@ -228,16 +234,59 @@ def _interpret(form, regs, pc, executed, branches, budget, env):
             else:  # pragma: no cover
                 raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="unhandled handler code %d" % code))
     except _Trap as trap:
+{trapped}\
         if regs[10] != stack_base:
             raise RuntimeError("stack pointer register mutated during run")
         return _new(ExecOutcome, (regs[0], executed, branches, trap.fault))
+{escaped}\
 """
 
+_HAND_OVER = "return _stepped(form, regs, pc, executed, branches, budget, env)\n"
 
-def interpreter_source() -> str:
-    """``_interpret(form, regs, pc, executed, branches, budget, env)``: run
+STEPPED = {  # every step tests the budget and the program counter and counts itself
+    "name": "_stepped",
+    "entry": "",
+    "step": """\
+if executed >= budget:
+    raise _Trap(Fault(FaultKind.BUDGET_EXCEEDED, pc, note="budget %d exhausted" % budget))
+if not 0 <= pc < n:
+    # Unreachable for verified programs; kept as a hard stop.
+    raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
+code, sub, dst, src, off, imm = form[pc]
+executed += 1
+""",
+    "jump": "branches += 1\npc = off\n",
+    "ended": "",
+    "wide": "",
+    "escaped": "",
+}
+
+COUNTED = {  # a straight run counts its steps where it ends
+    "name": "_interpret",
+    "entry": "if pc < 0 or executed + n - pc > budget:\n    " + _HAND_OVER + "start = pc\n",
+    "step": "code, sub, dst, src, off, imm = form[pc]\n",
+    "jump": """\
+executed += pc - start + 1
+branches += 1
+pc = start = off
+if off < 0 or executed + n - off > budget:
+    break
+""",
+    "ended": "executed += pc - start + 1\n",  # at an exit or a fault
+    "wide": "start += 1\n",
+    "escaped": """\
+except IndexError:
+    if 0 <= pc < n:
+        raise
+    executed += pc - start  # ran off the end: the stepped loop reports it
+""" + _HAND_OVER,
+}
+
+
+def interpreter_source(loop: dict[str, str]) -> str:
+    """``loop["name"](form, regs, pc, executed, branches, budget, env)``: run
     ``form`` from slot ``pc`` with the given registers and counters, one row
-    per step, and return its ExecOutcome."""
+    per step, and return its ExecOutcome.  ``loop`` is STEPPED or COUNTED."""
     arm = 4  # the indent of an arm's body
     operands = {"a": "a", "b": "b"}
     memory = {"width": "sub", "pc": "pc"}
@@ -250,10 +299,15 @@ def interpreter_source() -> str:
     stx_value = STORE_VALUE.format(src="regs[src]", wmask="width_mask[sub]")
     args = ", ".join(f"regs[{i}]" for i in range(1, 6))
     return _INTERPRETER.format(
+        name=loop["name"],
+        entry=_indent(loop["entry"], 1),
         prologue=_indent(PROLOGUE, 1),
+        step=_indent(loop["step"], 3),
         alu64=_switch("sub", "a", ALU, {**operands, **_W64}, arm),
         alu32=_switch("sub", "a", ALU, {**operands, **_W32}, arm),
         cmp=_switch("sub", "taken", CMP, {**operands, **_W64}, arm),
+        taken=_indent(loop["jump"], arm + 1),
+        jump=_indent(loop["jump"], arm),
         end=_switch("sub", "a", END_OPS, {"a": "regs[dst]", "mask": "((1 << imm) - 1)",
                                           "nbytes": "(imm >> 3)"}, arm),
         ldx=_indent(LOAD.format(addr=_address("regs[src]", "off"), dst="regs[dst]", **memory), arm),
@@ -263,8 +317,11 @@ def interpreter_source() -> str:
         stx_stack=_indent(STORE_STACK.format(width="sub", off="off", value=stx_value), arm),
         st_stack=_indent(STORE_STACK.format(width="sub", off="off", value="imm"), arm),
         call=_indent(CALL_HELPER.format(r0="regs[0]", pc="pc", imm="imm", args=args), arm),
-        exit=_indent(EXIT_RUN.format(r0="regs[0]", r10="regs[10]"), arm),
-        lddw=_indent(LOAD_WIDE.format(dst="regs[dst]", imm="imm"), arm),
+        ended=_indent(loop["ended"], arm),
+        exit=_indent(EXIT_RUN.format(r0="regs[0]"), arm),
+        lddw=_indent(LOAD_WIDE.format(dst="regs[dst]", imm="imm") + loop["wide"], arm),
+        trapped=_indent(loop["ended"], 2),
+        escaped=_indent(loop["escaped"], 1),
         mask32=hex(MASK32),
         **codes,
     )
@@ -274,6 +331,7 @@ def interpreter_source() -> str:
 
 _BRANCHES = (JCOND_K, JCOND_X, JA)
 _ENDS_BLOCK = (JCOND_K, JCOND_X, JA, EXIT)
+_WRITES_DST = (ALU64_K, ALU64_X, ALU32_K, ALU32_X, LDX, LDX_STACK, LDDW, END)
 
 
 def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
@@ -311,6 +369,8 @@ def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
 def _slot_source(pc: int, row: tuple[int, ...]) -> str:
     """One non-branching slot's statements, with registers as locals."""
     code, sub, dst, src, off, imm = row
+    if dst == 10 and code in _WRITES_DST:  # the verifier refuses it; r10 stays the stack base
+        raise ValueError(f"slot {pc}: handler code {code} writes r10")
     rd, rs = f"r{dst}", f"r{src}"
     if code == ALU64_K or code == ALU64_X:
         b = str(imm) if code == ALU64_K else rs
@@ -379,7 +439,7 @@ def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int
     head = f"if executed + {length} > budget:\n    raise _Handover\nexecuted += {length}\n"
     body = "".join(_slot_source(pc, form[pc]) for pc in slots if form[pc][0] not in _ENDS_BLOCK)
     if code == EXIT:
-        return head + body + EXIT_RUN.format(r0="r0", r10="r10")
+        return head + body + EXIT_RUN.format(r0="r0")
     if code == JA:
         return head + body + f"branches += 1\npc = {off}\n"
     if code != JCOND_K and code != JCOND_X:
@@ -418,8 +478,6 @@ def bind(form, after):
             regs = [r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10]
             return _interpret(form, regs, pc, executed, branches, budget, env)
         except _Trap as trap:
-            if r10 != stack_base:
-                raise RuntimeError("stack pointer register mutated during run")
             # A block counts all its steps on entry; give back the ones
             # after the faulting slot.
             return _new(ExecOutcome, (r0, executed - after[trap.fault.pc], branches, trap.fault))

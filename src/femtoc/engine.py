@@ -38,6 +38,8 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+
 from .facilities import RESPONSE_LABEL, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
@@ -58,6 +60,10 @@ class DuplicateHookName(EngineError):
 
 class SetupPhaseClosed(EngineError):
     pass
+
+
+class BadPublicKey(EngineError):
+    """A tenant's signing key is not a raw 32-byte Ed25519 public key."""
 
 
 class UnknownHook(EngineError):
@@ -166,6 +172,7 @@ class Tenant:
     tenant_id: uuid.UUID
     display_name: str
     public_key: bytes | None  # raw 32-byte signing key, if updates are enabled
+    verify_key: Ed25519PublicKey | None = field(default=None, repr=False, compare=False)  # built from it once
 
 
 @dataclass
@@ -279,9 +286,17 @@ class Engine:
     # -- setup -------------------------------------------------------
 
     def register_tenant(self, display_name: str, public_key: bytes | None = None) -> uuid.UUID:
+        """Register a tenant, with the raw Ed25519 key that signs its
+        updates; a key that is not one raises BadPublicKey."""
+        verify_key = None
+        if public_key is not None:
+            try:
+                verify_key = Ed25519PublicKey.from_public_bytes(public_key)
+            except (TypeError, ValueError):
+                raise BadPublicKey(f"tenant {display_name!r}: public key is not 32 raw Ed25519 bytes") from None
         with self.lock:
             tenant_id = self._new_id()
-            self.tenants[tenant_id] = Tenant(tenant_id, display_name, public_key)
+            self.tenants[tenant_id] = Tenant(tenant_id, display_name, public_key, verify_key)
             self.facilities.stores.create_tenant_store(tenant_id)
             return tenant_id
 

@@ -42,7 +42,8 @@ from typing import Any, Callable
 
 from .asm import assemble
 from .engine import (
-    Contract, ContextRegionSpec, DuplicateHookName, Engine, EngineError, ReturnPolicy, TriggerResult, parse_mode,
+    BadPublicKey, Contract, ContextRegionSpec, DuplicateHookName, Engine, EngineError, ReturnPolicy, TriggerResult,
+    parse_mode,
 )
 from .facilities import SensorFixture
 from .fixtures import fixture_program
@@ -184,7 +185,10 @@ class ScenarioRuntime:
                 raise ParseError(f"duplicate tenant name {name!r}")
             private, public = self._derive_key(name, spec)
             self.tenant_keys[name] = private
-            self.tenant_ids[name] = self.engine.register_tenant(name, public)
+            try:
+                self.tenant_ids[name] = self.engine.register_tenant(name, public)
+            except BadPublicKey as exc:
+                raise ParseError(str(exc)) from None
         for spec in _entries(doc, "sensors"):
             sensor_id = _parse_int(_field(spec, "id", "sensor"), "sensor id")
             samples = [_parse_int(s, "sensor sample") for s in _field(spec, "samples", "sensor", list)]

@@ -126,14 +126,13 @@ def sign_manifest(manifest: Manifest, private_key: Ed25519PrivateKey) -> Manifes
     return replace(manifest, signature=private_key.sign(canonical_bytes(manifest)))
 
 
-def _signature_valid(manifest: Manifest, public_key_raw: bytes) -> bool:
+def _signature_valid(manifest: Manifest, key: Ed25519PublicKey) -> bool:
     if manifest.signature is None:
         return False
     try:
-        key = Ed25519PublicKey.from_public_bytes(public_key_raw)
         key.verify(manifest.signature, canonical_bytes(manifest))
         return True
-    except (InvalidSignature, ValueError):
+    except (InvalidSignature, ValueError):  # ValueError: a field with no canonical form
         return False
 
 
@@ -146,7 +145,7 @@ def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOu
             return UpdateOutcome(False, reason=UpdateReject.UNKNOWN_TENANT)
         if manifest.manifest_version != MANIFEST_VERSION:
             return UpdateOutcome(False, reason=UpdateReject.BAD_SIGNATURE)
-        if tenant.public_key is None or not _signature_valid(manifest, tenant.public_key):
+        if tenant.verify_key is None or not _signature_valid(manifest, tenant.verify_key):
             return UpdateOutcome(False, reason=UpdateReject.BAD_SIGNATURE)
         if (
             hashlib.sha256(payload).digest() != manifest.payload_digest

@@ -17,6 +17,10 @@ tuple per slot, and splits the register byte itself; it never decodes the
 program to ``Instruction`` objects.  Error mnemonics come from the opcode
 table, or from the slot's raw bytes for an unknown opcode.
 
+A plain ALU slot, one whose register byte names a dst below r10 and a src
+in r0..r10, passes every check by construction, so the scan lowers it with
+no test; every other slot takes the checks above.
+
 The scan also proves some memory accesses safe once: a load or store whose
 base register is r10 and whose [off, off+width) lies within the stack
 lowers to a stack row, which the interpreter runs with no access-list
@@ -104,6 +108,17 @@ def _row(info: OpcodeInfo) -> tuple[str, bool, int, int, int, int]:
 
 
 _ROWS = {opcode: _row(info) for opcode, info in OPCODE_INFO.items()}
+
+# The plain-slot tables (see above): by ALU opcode, (code, sub, immediate
+# mask); by register byte, (dst, src), or None unless dst < 10 and src <= 10.
+_PLAIN = {
+    opcode: (code, sub, mask)
+    for opcode, (_name, _writes, code, sub, mask, _stack) in _ROWS.items()
+    if code in (ALU64_K, ALU64_X, ALU32_K, ALU32_X)
+}
+_PLAIN_REGS = tuple(
+    (regs & 0x0F, regs >> 4) if regs & 0x0F < 10 and regs >> 4 <= 10 else None for regs in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -204,6 +219,15 @@ def _scan(
     last_real = -1
     in_wide_load = False
     for i, (opcode, regs, off, imm) in enumerate(_SLOT.iter_unpack(data)):
+        plain = _PLAIN.get(opcode)  # never a wide load's continuation: its opcode is 0
+        if plain is not None:
+            pair = _PLAIN_REGS[regs]
+            if pair is not None:
+                code, sub, imm_mask = plain
+                dst, src = pair
+                form.append((code, sub, dst, src, off, imm & imm_mask))
+                last_real = i
+                continue
         if in_wide_load:  # lowered with the wide load's first slot
             in_wide_load = False
             continue

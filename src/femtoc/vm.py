@@ -13,7 +13,15 @@ exit, a fault, or budget exhaustion — never anything else.
 
 There are two tiers, and both are generated from ``codegen``'s one table of
 per-operation templates.  A program first runs on the interpreter, which
-dispatches on the verifier's rows one slot at a time.  Once the interpreter
+dispatches on the verifier's rows one slot at a time.  It counts the budget
+per straight run, not per step: with no taken jump the program counter only
+grows, so a run from slot s takes at most n - s steps.  The interpreter
+checks that bound on entry and at each taken jump, and adds a run's steps
+when it ends, at a taken jump, an exit or a fault.  Where the bound does not
+fit in the budget left, it hands its registers and counters to the stepped
+loop, ``_stepped``, which tests the budget and the slot on every step, so
+the budget still runs out on the exact slot; that loop runs only near the
+budget, or for a hand-built form whose counter escapes.  Once the interpreter
 has executed ``HOT_STEPS_PER_SLOT`` (64) of its instructions per slot, over
 all its runs, the next run compiles the form into one Python function: its
 registers are locals and its basic blocks are arms of one dispatch loop.
@@ -33,7 +41,9 @@ computes once how many whole passes fit and hands over at its start when
 all of them took the branch.  A fault inside a block reports the same
 slot, step and branch counts as the interpreter.  Every register holds a
 value in [0, 2**64) on both tiers, so compiled 8-byte stores and
-zero-offset addresses use the register with no mask.
+zero-offset addresses use the register with no mask.  Compiled code keeps
+r10 in a local that only its prologue assigns, and ``codegen`` refuses to
+generate code for a row that writes r10, so it never tests r10 at run time.
 
 A run gets its container's SyscallEnv whole: the one record of what the
 container may reach (its access list with the stack, its restricted helper
@@ -50,7 +60,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
-from .codegen import compiled_source, interpreter_source
+from .codegen import COUNTED, STEPPED, compiled_source, interpreter_source
 from .memory import AccessList, AccessViolation, MemoryRegion
 from .verifier import MASK32, MASK64, VerifiedProgram  # noqa: F401  (MASK32 is re-exported)
 
@@ -200,12 +210,14 @@ def _define(source: str, name: str, filename: str) -> Callable:
     return namespace[name]
 
 
-_interpret = _define(interpreter_source(), "_interpret", "<femtoc interpreter>")
+_stepped = _define(interpreter_source(STEPPED), "_stepped", "<femtoc stepped interpreter>")
+_interpret = _define(interpreter_source(COUNTED), "_interpret", "<femtoc interpreter>")
 
 # A program's form is compiled once the interpreter has run this many of its
-# instructions per slot.  On a 2-core Xeon host the interpreter takes ~0.2 us
-# a step, so that is ~13 us per slot, about what compiling a large form
-# costs per slot (~17 ms for 1024 slots); small forms add a fixed ~0.4 ms.
+# instructions per slot.  On a 2-core Xeon host the interpreter takes ~0.2-0.25
+# us a step on straight ALU code, so that is ~13-16 us per slot, about what
+# compiling a large form costs per slot (~14-17 ms for 1024 slots); small
+# forms add a fixed ~0.4 ms.
 HOT_STEPS_PER_SLOT = 64
 
 

@@ -33,6 +33,13 @@ the interpreter when a block might not fit.  These streams also count, and
 require, programs whose compiled form has a self-loop block (one that
 counts its passes), runs that hand over from such a loop, faults raised
 inside one of its passes, and first-window misses that the scan served.
+
+The interpreter counts steps by straight runs and checks the budget only on
+entry and at taken jumps; where a run might not fit, it hands over to the
+stepped loop, which checks every step.  One more stream per tier runs each
+program under a budget within a few steps of its run's length or of its
+own length, and requires handovers on entry and at taken jumps, and
+handed-over runs that ran out of budget and that ended otherwise.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ RETURNED: Counter = Counter()
 # What the compiled streams exercised, by the probes below.
 COVERAGE: Counter = Counter()
 HANDOVERS: list[int] = []  # where the current compiled run handed over to the interpreter
+STEPPED: list[tuple[int, int]] = []  # (slot, steps) where the current run entered the stepped loop
 
 
 class _Scanned(tuple):
@@ -148,11 +156,29 @@ def _host(init: bytes, stack_last: bool):
     return memory, ro, AccessList([ro, rw, stack] if stack_last else [stack, ro, rw])
 
 
+def _handovers(outcome) -> None:
+    """Count where the run that gave ``outcome`` entered the stepped loop
+    (STEPPED: its slot and step count) and how that run ended."""
+    if not STEPPED:
+        return
+    COVERAGE["handovers to the stepped loop"] += 1
+    # An interpreted run enters the counted loop at step 0, so a later
+    # handover is at a taken jump; a compiled run enters it part-way.
+    COVERAGE["handovers on entry" if STEPPED[0][1] == 0 else "handovers at a taken jump"] += 1
+    exhausted = outcome.fault is not None and outcome.fault.kind is vm.FaultKind.BUDGET_EXCEEDED
+    COVERAGE["handed-over runs that ran out" if exhausted else "handed-over runs that ended otherwise"] += 1
+
+
 def _mismatches(
-    seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False
+    seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False, near_budget: bool = False
 ) -> tuple[list[str], list]:
     """The mismatches of a stream of ``programs``, and the package's
-    outcomes; with ``probe``, count into COVERAGE what each run exercised."""
+    outcomes; with ``probe``, count into COVERAGE what each run exercised.
+    With ``near_budget``, each program runs under a budget within three
+    steps of what its run takes or of its length, where the counted
+    interpreter's bound (a straight run from slot s takes at most n - s
+    steps) stops fitting, so that it hands over to the stepped loop;
+    COVERAGE counts the handovers."""
     rng = random.Random(seed)
     table = _helper_table()
     found = []
@@ -163,14 +189,22 @@ def _mismatches(
         )
         vp = verify(program, LIMITS, allowed)
         init = rng.randbytes(RO_LEN + RW_LEN)
+        budget = None
+        if near_budget:
+            _, ctx, acl = _host(init, stack_last=index % 2 == 0)
+            steps = refvm.exec_program(vp, ctx, SyscallEnv(acl, table)).executed
+            budget = max(0, rng.choice((steps, len(vp.form))) + rng.randint(-3, 3))
         results = []
         for interpreter in (vm.exec_program, refvm.exec_program):
             memory, ctx, acl = _host(init, stack_last=index % 2 == 0)
             if probe and interpreter is vm.exec_program:
                 acl.run_state = (_Scanned(acl.read_windows), _Scanned(acl.write_windows), *acl.run_state[2:])
                 HANDOVERS.clear()
-            outcome = interpreter(vp, ctx, SyscallEnv(acl, table))
+            STEPPED.clear()
+            outcome = interpreter(vp, ctx, SyscallEnv(acl, table), budget)
             results.append((outcome, bytes(memory.buf)))
+            if interpreter is vm.exec_program:
+                _handovers(outcome)
         (got, got_buf), (want, want_buf) = results
         if probe:
             _probe(vp.form, got)
@@ -218,4 +252,37 @@ def test_compiled_tier_matches_reference(allowed, compiled_tier, monkeypatch):
     assert len(compiled_tier) == COMPILED_PROGRAMS
     for what in ("self-loop programs", "counted-loop handovers", "traps inside a pass",
                  "first-window misses served"):
+        assert COVERAGE[what] > 0, what
+
+
+NEAR_BUDGET_PROGRAMS = {"interpreted": 3_000, "compiled": 1_000}  # each compiled program compiles once
+
+
+@pytest.fixture
+def stepped_entries(monkeypatch):
+    """Record in STEPPED each entry into the stepped loop."""
+    stepped = vm._stepped
+
+    def entered(form, regs, pc, executed, *rest):
+        STEPPED.append((pc, executed))
+        return stepped(form, regs, pc, executed, *rest)
+
+    monkeypatch.setattr(vm, "_stepped", entered)
+
+
+@pytest.mark.parametrize("tier", ["interpreted", "compiled"])
+def test_budgets_near_each_runs_length_match_the_reference(tier, stepped_entries, request):
+    RETURNED.clear()
+    COVERAGE.clear()
+    if tier == "compiled":
+        request.getfixturevalue("compiled_tier")
+    programs = NEAR_BUDGET_PROGRAMS[tier]
+    mismatches, outcomes = _mismatches(0xB0D6 + len(tier), HELPER_IDS, programs, near_budget=True)
+    assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
+    _check_stream((), outcomes)
+    required = ["handovers to the stepped loop", "handed-over runs that ran out",
+                "handed-over runs that ended otherwise"]
+    if tier == "interpreted":
+        required += ["handovers on entry", "handovers at a taken jump"]
+    for what in required:
         assert COVERAGE[what] > 0, what

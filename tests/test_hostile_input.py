@@ -256,6 +256,23 @@ def test_hook_syscalls_that_are_not_helper_ids_are_a_usage_error(tmp_path, monke
         Engine().register_hook("h", [sys_id])
 
 
+@pytest.mark.parametrize("argv", [["scenario", "run", "bad.json"],
+                                  ["apply", "m.json", "payload.bin", "--engine", "bad.json"]],
+                         ids=["scenario", "apply"])
+def test_a_tenant_key_that_is_not_32_bytes_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    # Engine.register_tenant builds the tenant's key once, so a malformed
+    # one fails when the engine document loads: exit 2, not BadSignature later.
+    _write_update(tmp_path)
+    doc = {**ENGINE_DOC, "tenants": [{"name": "t", "public_key": "00" * 31}]}
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.endswith("tenant 't': public key is not 32 raw Ed25519 bytes")
+
+
 # -- argv ------------------------------------------------------------------
 
 # Subcommand -> the exit codes the README documents for it.

@@ -13,6 +13,7 @@ from cryptography.hazmat.primitives import serialization
 
 from femtoc.asm import assemble
 from femtoc.engine import (
+    BadPublicKey,
     Contract,
     ContextRegionSpec,
     Engine,
@@ -227,6 +228,23 @@ def test_reject_unknown_tenant():
     ghost = uuid.uuid4()
     manifest = signed(ghost, hook, 1, RETURN_5, ALPHA_KEY)
     assert reject_reason(engine, manifest, RETURN_5) == UpdateReject.UNKNOWN_TENANT
+
+
+def test_a_tenant_key_is_built_once_at_registration():
+    engine, _, alpha, _ = fresh_engine()
+    assert engine.tenants[alpha].verify_key.public_bytes_raw() == public_key_raw(ALPHA_KEY)
+    for bad in (public_key_raw(ALPHA_KEY)[:31], public_key_raw(ALPHA_KEY) + b"\0", b""):
+        before = engine.introspection()
+        with pytest.raises(BadPublicKey, match="tenant 'gamma': public key is not 32 raw Ed25519 bytes"):
+            engine.register_tenant("gamma", bad)
+        assert engine.introspection() == before
+
+
+def test_reject_update_from_a_tenant_without_a_key():
+    engine, hook, _, _ = fresh_engine()
+    keyless = engine.register_tenant("gamma")
+    manifest = signed(keyless, hook, 1, RETURN_5, ALPHA_KEY)
+    assert reject_reason(engine, manifest, RETURN_5) == UpdateReject.BAD_SIGNATURE
 
 
 def test_reject_wrong_signing_key():

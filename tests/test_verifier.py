@@ -337,3 +337,40 @@ def test_verifier_output_matches_the_pinned_digest():
     assert sum(verified[0] == "form" for _, verified in outputs) >= 500
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == _PIN_DIGEST
+
+
+# -- the plain-slot fast path against the reference scan ------------------------
+
+SCAN_PROGRAMS = 20_000  # raw-byte programs; the genprog stream adds its own
+
+
+def _scan_stream(rng):
+    """(program, limits, allowed): accepted programs from genprog, then raw
+    bytes with truncated wide loads, bad continuations and every other rule,
+    a third of them under an instruction limit below their length."""
+    for _ in range(1_000):
+        yield random_accepted_program(rng, 48, allowed_syscalls=(0x01, 0x02, 0x30)), VerifyLimits(), _PIN_ALLOWED
+    for _ in range(SCAN_PROGRAMS):
+        program = Program.from_bytes(_raw_payload(rng))
+        slots = program.byte_len // isa.SLOT_SIZE
+        limits = VerifyLimits(rng.randint(1, slots)) if slots and rng.random() < 1 / 3 else VerifyLimits()
+        yield program, limits, _PIN_ALLOWED
+
+
+def test_the_scan_matches_the_reference_scan():
+    import refscan
+
+    kinds_seen, wide_loads, plain = set(), set(), 0
+    for index, (program, limits, allowed) in enumerate(_scan_stream(random.Random(0x5CA7))):
+        got, want = V._scan(program, limits, allowed), refscan.scan(program, limits, allowed)
+        assert got == want, f"program {index}: {program.to_bytes().hex()} under {limits}"
+        errors, form = got
+        kinds_seen.update(e.kind for e in errors)
+        wide_loads.update(e.detail for e in errors if e.detail.startswith("wide load"))
+        plain += sum(row[0] in (V.ALU64_K, V.ALU64_X, V.ALU32_K, V.ALU32_X) and row[2] < 10 for row in form)
+    assert plain >= 20_000
+    assert kinds_seen == set(K)  # TooLong included
+    assert wide_loads == {  # truncated at the end, and with a bad continuation
+        "wide load is missing its continuation slot",
+        "wide load continuation slot must have a zero opcode",
+    }

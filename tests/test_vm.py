@@ -1,10 +1,12 @@
 """Interpreter semantics: ALU, memory, jumps, budget, helpers, faults."""
 
+import ast
 import struct
 
 import pytest
 
-from femtoc import vm
+from femtoc import codegen, vm
+from femtoc import verifier as V
 from femtoc.asm import assemble
 from femtoc.facilities import KV_ERR_SCOPE, SYS_RESPONSE_WRITE, FacilityContext, standard_syscall_table
 from femtoc.memory import DEFAULT_BASE, AccessList, HostMemory, Mode, checked_store, fresh_stack
@@ -504,6 +506,121 @@ def test_every_random_run_terminates_inside_budget(rng):
         assert mem.guards_intact()
 
 
+# -- the counted interpreter -------------------------------------------------
+#
+# ``vm._interpret`` counts steps by straight runs and checks the budget on
+# entry and at taken jumps; where a run might not fit it hands over to
+# ``vm._stepped``, the loop that tests and counts every step.  Run from the
+# same state, the two loops must give the same outcome.
+
+def both_loops(form, budget=1 << 20, pc=0):
+    """The outcome of ``form`` from slot ``pc`` on the counted and on the
+    stepped loop, which must be equal."""
+    outcomes = []
+    for loop in (vm._interpret, vm._stepped):
+        acl = AccessList([fresh_stack(HostMemory())])
+        outcomes.append(loop(form, [0] * 10 + [acl.stack.base], pc, 0, 0, budget, SyscallEnv(acl)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("src, executed, branches, fault_pc", [
+    # lddw takes one step for two slots early in the run; slot 4 faults
+    ("mov64 r0, 1\nlddw r2, 0x9999999999\nadd64 r0, 1\nldxw r3, [r2+0]\nexit", 4, 0, 4),
+    # two of them in a run that a taken jump starts; slot 8 faults
+    ("mov64 r0, 1\njeq r0, 1, +1\nexit\nlddw r2, 0x9999999999\nlddw r4, 1\nadd64 r0, 1\n"
+     "stxw [r2+0], r0\nexit", 6, 1, 8),
+])
+def test_an_lddw_early_in_a_run_counts_one_step_when_a_later_slot_faults(src, executed, branches, fault_pc):
+    form = verify(assemble(src), VerifyLimits(256, 16)).form
+    outcome = both_loops(form)
+    assert (outcome.return_value, outcome.executed, outcome.branches_taken) == (2, executed, branches)
+    assert (outcome.fault.kind, outcome.fault.pc) == (FaultKind.MEMORY_VIOLATION, fault_pc)
+    for budget in range(executed + 2):
+        both_loops(form, budget)
+
+
+@pytest.mark.parametrize("src", [
+    "mov64 r0, 1\nadd64 r0, 2\nexit",  # one straight run, from entry to the last slot
+    # a taken jump, then a straight run with an lddw to the last slot
+    "mov64 r0, 1\njeq r0, 1, +1\nexit\nadd64 r0, 1\nlddw r2, 5\nadd64 r0, 1\nexit",
+    # a loop, then a straight run to the last slot
+    "mov64 r1, 3\nloop: add64 r0, 1\nsub64 r1, 1\njne r1, 0, loop\nadd64 r0, 1\nexit",
+    # a loop closed by ja, left by a conditional jump forward
+    "loop: add64 r0, 1\njgt r0, 4, +1\nja loop\nlddw r3, 1\nexit",
+])
+def test_every_budget_runs_out_on_the_stepped_loops_slot(src):
+    form = verify(assemble(src), VerifyLimits(256, 16)).form
+    steps = both_loops(form).executed
+    for budget in range(steps + 3):
+        outcome = both_loops(form, budget)
+        assert (outcome.fault is None) == (budget >= steps)
+
+
+MOV7 = (V.ALU64_K, V.MOV, 0, 0, 0, 7)
+ESCAPED = "program counter escaped"
+
+
+@pytest.mark.parametrize("form, pc, r0, executed, branches, escaped_at", [
+    ((MOV7, (V.ALU64_K, V.ADD, 0, 0, 0, 1)), 0, 8, 2, 0, 2),  # falls off the end
+    (((V.LDDW, 8, 0, 0, 0, 5), V._NOT_RUNNABLE), 0, 5, 1, 0, 2),  # off the end past an lddw
+    ((MOV7, (V.JA, 0, 0, 0, -3, 0), (V.EXIT, 0, 0, 0, 0, 0)), 0, 7, 2, 1, -3),  # jumps before slot 0
+    ((MOV7, (V.JCOND_K, V.JEQ, 0, 0, -1, 7), (V.EXIT, 0, 0, 0, 0, 0)), 0, 7, 2, 1, -1),
+    ((MOV7, (V.JA, 0, 0, 0, 9, 0), (V.EXIT, 0, 0, 0, 0, 0)), 0, 7, 2, 1, 9),  # jumps past the end
+    ((MOV7, (V.EXIT, 0, 0, 0, 0, 0)), -1, 0, 0, 0, -1),  # entered before slot 0
+])
+def test_a_hand_built_form_whose_pc_escapes_gets_the_old_fault(form, pc, r0, executed, branches, escaped_at):
+    outcome = both_loops(form, pc=pc)
+    assert outcome == (r0, executed, branches, vm.Fault(FaultKind.BAD_SYSCALL, escaped_at, note=ESCAPED))
+    # With the budget spent on the way, the budget runs out first.
+    if executed:
+        fault = both_loops(form, budget=executed, pc=pc).fault
+        assert (fault.kind, fault.pc) == (FaultKind.BUDGET_EXCEEDED, escaped_at)
+
+
+def _per_step_counting(source: str) -> list[str]:
+    """The lines of ``source``'s dispatch loop that touch the step count, the
+    budget or ``start``, or compare ``pc``, outside taken jumps and the
+    exit, ja and lddw arms."""
+    counters = {"executed", "start", "budget", "n"}
+    (function,) = ast.parse(source).body
+    (loop,) = [node for node in ast.walk(function) if isinstance(node, ast.While)]
+    own_arms = {f"code == {code}" for code in (V.JA, V.EXIT, V.LDDW)}
+    per_step = list(loop.body)  # the row unpack and the dispatch chain, arm by arm
+    found = []
+    while per_step:
+        node = per_step.pop()
+        if isinstance(node, ast.If) and ast.unparse(node.test) in own_arms:
+            per_step += node.orelse
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "taken":
+            per_step += node.orelse
+            continue
+        if isinstance(node, ast.If):
+            per_step += [node.test, *node.body, *node.orelse]
+            continue
+        if isinstance(node, ast.Try):
+            per_step += [*node.body, *(h for handler in node.handlers for h in handler.body)]
+            continue
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        compares_pc = any(
+            isinstance(n, ast.Compare) and "pc" in {m.id for m in ast.walk(n) if isinstance(m, ast.Name)}
+            for n in ast.walk(node)
+        )
+        if names & counters or compares_pc:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_the_counted_loop_does_no_per_step_counting():
+    assert _per_step_counting(codegen.interpreter_source(codegen.COUNTED)) == []
+    # The stepped loop does all three, and the check sees them.
+    found = _per_step_counting(codegen.interpreter_source(codegen.STEPPED))
+    assert "executed += 1" in found
+    assert any("executed >= budget" in line for line in found)
+    assert any("0 <= pc < n" in line for line in found)
+
+
 # -- the compiled tier --------------------------------------------------------
 #
 # Each test runs a program on a fresh VerifiedProgram per tier: once
@@ -553,6 +670,28 @@ def compiled_result(monkeypatch, src, **kw):
     (interpreted, compiled), _ = run_both_tiers(monkeypatch, src, **kw)
     assert compiled == interpreted
     return compiled[0].return_value
+
+
+EXIT_ROW = (V.EXIT, 0, 0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("row", [
+    (V.ALU64_K, V.MOV, 10, 0, 0, 5),
+    (V.ALU32_X, V.ADD, 10, 1, 0, 0),
+    (V.LDX, 8, 10, 1, 0, 0),
+    (V.LDX_STACK, 8, 10, 10, 0, 0),
+    (V.LDDW, 8, 10, 0, 0, 5),
+    (V.END, V.BE, 10, 0, 0, 16),
+])
+def test_a_form_that_writes_r10_is_refused_when_its_source_is_generated(row):
+    # Compiled code keeps r10 in a local that only the prologue assigns, and
+    # tests it nowhere; a row that writes it must not get that far.
+    form = (row, V._NOT_RUNNABLE, EXIT_ROW) if row[0] == V.LDDW else (row, EXIT_ROW)
+    with pytest.raises(ValueError, match=f"slot 0: handler code {row[0]} writes r10"):
+        codegen.compiled_source(form)
+    # Stores and comparisons only read their dst field: r10 there compiles.
+    for reads in ((V.STX_STACK, 8, 10, 1, 0, 0), (V.ST, 4, 10, 0, -4, 1), (V.JCOND_X, V.JEQ, 10, 1, 2, 0)):
+        codegen.compiled_source((reads, EXIT_ROW, EXIT_ROW))
 
 
 def test_compiled_alu_rows_match_the_oracles(rng, monkeypatch):
