@@ -15,18 +15,17 @@ isolation between slots.
 
 Each hook keeps one memory layout for all its triggers: its context
 regions, then one stack per slot position, in a guard-padded buffer that
-every trigger resets from its template before it writes in the event.  The
-running slot at position j (verify-rejected slots take none) uses stack j.
-Each container has one capability record, its SyscallEnv, built when it is
-bound and handed whole to every run: the stores its grant reaches and its
-response view, resolved then, so a helper call does no scope routing or
-region lookup; the access list for the stack position it last ran at; and
-its restricted helper table, which both tiers call straight from.  A
-trigger puts in a new access list when the container's position changes,
-and a new table when ``Engine.syscall_table`` is another object than the
-one the table was cut from.  Its VerifiedProgram also
-carries the execution tiers' state (see ``vm``), so a hot container's
-compiled form goes when the container is removed or replaced.
+every trigger resets from its template before it writes in the event.  A
+hook's slots are its Container objects in slot order; the running slot at
+position j (verify-rejected slots take none) uses stack j.  Each container
+has one capability record, its SyscallEnv, handed whole to every run: the
+stores its grant reaches and its response view, resolved at bind, so a
+helper call does no scope routing or region lookup; its helper table, cut
+from ``Engine.syscall_table`` at bind and whenever that table is replaced;
+and the access list of its running position, which ``Engine._link`` sets
+whenever the hook's slots change.  A trigger only reads them.  Its
+VerifiedProgram also carries the execution tiers' state (see ``vm``), so a
+hot container's compiled form goes when it is removed or replaced.
 """
 
 from __future__ import annotations
@@ -192,13 +191,10 @@ class Container:
     granted: Contract
     views: tuple[MemoryRegion, ...]  # the granted context regions in hook-template order
     ctx: MemoryRegion | None  # r1: the first view
-    env: SyscallEnv  # its capabilities; the access list and helper table are set by triggers
+    env: SyscallEnv  # its capabilities; Engine._link sets the access list
     verified: VerifiedProgram | None  # None when verification rejected the program
     verify_errors: tuple[VerifyError, ...] | None  # the rejection's violations
     stats: ContainerStats = field(default_factory=ContainerStats)
-    # The stack position of env.acl and the engine table env.helpers was cut from.
-    acl_position: int = -1
-    helpers_source: SyscallTable | None = None
 
 
 @dataclass
@@ -209,7 +205,7 @@ class Hook:
     context_template: tuple[ContextRegionSpec, ...]
     return_policy: str
     slot_limit: int = DEFAULT_SLOT_LIMIT
-    slots: list[uuid.UUID] = field(default_factory=list)
+    slots: tuple[Container, ...] = ()  # replaced whole on every change, never mutated
     # One layout for every trigger: the context regions by label, in
     # template order, then stack j for the running slot at position j.
     memory: HostMemory = field(default_factory=HostMemory)
@@ -266,7 +262,7 @@ class Engine:
     def __init__(self, limits: VerifyLimits | None = None, rng: random.Random | None = None):
         self.limits = limits or VerifyLimits()
         self.facilities = FacilityContext()
-        self.syscall_table = standard_syscall_table(self.facilities)
+        self._syscall_table = standard_syscall_table(self.facilities)
         self.lock = threading.RLock()
         self._rng = rng
         self._setup_open = True
@@ -275,6 +271,18 @@ class Engine:
         self.containers: dict[uuid.UUID, Container] = {}
         self._hook_names: dict[str, uuid.UUID] = {}
         self._update_seqs: dict[tuple[uuid.UUID, uuid.UUID], int] = {}
+
+    @property
+    def syscall_table(self) -> SyscallTable:
+        return self._syscall_table
+
+    @syscall_table.setter
+    def syscall_table(self, table: SyscallTable) -> None:
+        """Replace the engine's helpers: every container's table is cut anew."""
+        with self.lock:
+            self._syscall_table = table
+            for container in self.containers.values():
+                container.env.helpers = table.restricted(container.granted.syscalls)
 
     # -- identifiers -------------------------------------------------
 
@@ -360,9 +368,6 @@ class Engine:
             self._setup_open = False
             container_id = self._new_id()
             self._bind(hook, tenant_id, container_id, program, contract, verified)
-            hook.slots.append(container_id)
-            if len(hook.stacks) < len(hook.slots):
-                hook.stacks.append(fresh_stack(hook.memory))
             return container_id
 
     def remove_container(self, container_id: uuid.UUID) -> None:
@@ -370,7 +375,9 @@ class Engine:
             container = self.containers.pop(container_id, None)
             if container is None:
                 raise UnknownContainer(str(container_id))
-            self.hooks[container.hook_id].slots.remove(container_id)
+            hook = self.hooks[container.hook_id]
+            hook.slots = tuple(c for c in hook.slots if c is not container)
+            self._link(hook)
             self.facilities.stores.destroy_container_store(container_id)
 
     def replace_container(
@@ -403,10 +410,11 @@ class Engine:
     ) -> None:
         """Give a container on ``hook`` everything it runs with: its program
         and verdict, the granted contract and region views, an empty
-        container store, its SyscallEnv with the stores its grant reaches
-        and its response view, and fresh stats.  The program is
-        verified first, unless the update path passes it ``verified``; a
-        rejected one is bound too, and its triggers report the violations."""
+        container store, its SyscallEnv with the stores its grant reaches,
+        its response view and its helper table, fresh stats, and its slot:
+        a new last one, or the one it replaces.  The program is verified
+        first, unless the update path passes it ``verified``; a rejected
+        one is bound too, and its triggers report the violations."""
         errors = None
         if verified is None:
             try:
@@ -420,10 +428,25 @@ class Engine:
         ctx = views[0] if views else None
         stores = self.facilities.stores.bind_container(tenant_id, container_id, granted.syscalls)
         response = next((view for view in views if view.label == RESPONSE_LABEL), None)
-        env = SyscallEnv(None, container_id=container_id, stores=stores, response=response)
-        self.containers[container_id] = Container(
+        env = SyscallEnv(None, self.syscall_table.restricted(granted.syscalls), container_id, stores, response)
+        old = self.containers.get(container_id)
+        container = self.containers[container_id] = Container(
             container_id, tenant_id, hook.hook_id, program, granted, views, ctx, env, verified, errors
         )
+        slots = hook.slots
+        hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)
+        self._link(hook)
+
+    def _link(self, hook: Hook) -> None:
+        """Give the j-th running container on ``hook`` (verify-rejected ones
+        take no stack) the access list of its views and stack j, allocating
+        the stack on first use; a list whose stack is unchanged stays."""
+        for j, container in enumerate(c for c in hook.slots if c.verified is not None):
+            if j == len(hook.stacks):
+                hook.stacks.append(fresh_stack(hook.memory))
+            acl = container.env.acl
+            if acl is None or acl.stack is not hook.stacks[j]:
+                container.env.acl = AccessList([*container.views, hook.stacks[j]])
 
     def verify_for(self, hook: Hook, program: Program, contract: Contract) -> VerifiedProgram:
         """Verify under the engine's limits and the helper ids ``hook`` grants
@@ -432,10 +455,8 @@ class Engine:
 
     def tenant_container_on_hook(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> uuid.UUID | None:
         with self.lock:
-            for cid in self.hooks[hook_id].slots:
-                if self.containers[cid].tenant_id == tenant_id:
-                    return cid
-            return None
+            slots = self.hooks[hook_id].slots
+            return next((c.container_id for c in slots if c.tenant_id == tenant_id), None)
 
     # -- update bookkeeping (used by the signed-update path) ----------
 
@@ -475,27 +496,16 @@ class Engine:
                 memory.buf[start : start + region.length] = data
 
             outcomes: list[SlotOutcome] = []
-            position = 0
-            for container_id in list(hook.slots):
-                container = self.containers[container_id]
+            for container in hook.slots:
                 vp = container.verified
                 if vp is None:
-                    outcomes.append(SlotOutcome(container_id, None, container.verify_errors))
+                    outcomes.append(SlotOutcome(container.container_id, None, container.verify_errors))
                     continue
-                env = container.env
-                if container.acl_position != position:
-                    env.acl = AccessList([*container.views, hook.stacks[position]])
-                    container.acl_position = position
-                if container.helpers_source is not self.syscall_table:
-                    env.helpers = self.syscall_table.restricted(container.granted.syscalls)
-                    container.helpers_source = self.syscall_table
-                position += 1
-                outcome = exec_program(vp, container.ctx, env)
+                outcome = exec_program(vp, container.ctx, container.env)
                 container.stats.runs += 1
                 container.stats.total_executed += outcome.executed
-                if outcome.fault is not None:
-                    container.stats.faults += 1
-                outcomes.append(_new(SlotOutcome, (container_id, outcome, ())))
+                container.stats.faults += outcome.fault is not None
+                outcomes.append(_new(SlotOutcome, (container.container_id, outcome, ())))
 
             policy_value = None
             if hook.return_policy == ReturnPolicy.FIRST_NONZERO_WINS:
@@ -529,7 +539,7 @@ class Engine:
                         for s in h.context_template
                     ],
                     "return_policy": h.return_policy,
-                    "slots": [str(cid) for cid in h.slots],
+                    "slots": [str(c.container_id) for c in h.slots],
                 }
                 for h in sorted(self.hooks.values(), key=lambda h: h.name)
             ]

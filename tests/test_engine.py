@@ -639,6 +639,22 @@ def test_only_bind_builds_a_callers_capabilities():
     ]
 
 
+def test_only_link_builds_access_lists_and_only_bind_and_the_table_setter_cut_helper_tables():
+    # A trigger only reads a container's capabilities: Engine._link fixes
+    # its access list whenever its hook's slots change, and its helper table
+    # is cut when it is bound and when Engine.syscall_table is replaced.
+    found = []
+    for path in sorted(Path(femtoc.__file__).parent.glob("*.py")):
+        sites = CallSites(path.stem, {"AccessList", "restricted"})
+        sites.visit(ast.parse(path.read_text(), str(path)))
+        found += sites.found
+    assert sorted(found) == [
+        ("AccessList", "engine.Engine._link"),
+        ("restricted", "engine.Engine._bind"),
+        ("restricted", "engine.Engine.syscall_table"),  # its setter
+    ]
+
+
 def test_only_bind_and_the_update_path_verify_through_verify_for():
     # One method verifies a container: Engine.verify_for, which joins the
     # engine's limits with the helper ids the hook grants. Engine._bind
@@ -911,6 +927,58 @@ def test_running_slots_take_stacks_in_order_and_keep_their_addresses():
     assert returns() == {rejected: None, third: STACK_0, fourth: STACK_1}
 
 
+STACK_2 = STACK_1 + (STACK_1 - STACK_0)
+
+
+def test_a_replaced_first_slot_moves_the_later_running_slots_stacks_both_ways():
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook(
+        "h", (), [ContextRegionSpec("a", 8, True, True), ContextRegionSpec("b", 16, True, False)]
+    )
+    contract = Contract.of(regions=[RegionGrant("a", True, True), RegionGrant("b")])
+    first, second, third = (engine.install_container(tenant, R10_PROBE, contract, hook) for _ in range(3))
+
+    def returns():
+        result = engine.trigger_hook(hook)
+        return {s.container_id: s.outcome and s.outcome.return_value for s in result.outcomes}
+
+    def fault_addrs():
+        result = engine.trigger_hook(hook, {"a": struct.pack("<Q", 512), "b": bytes(16)})
+        return {s.container_id: s.outcome and s.outcome.fault.addr for s in result.outcomes}
+
+    assert returns() == {first: STACK_0, second: STACK_1, third: STACK_2}
+    engine.replace_container(first, NOT_GRANTED, contract)
+    assert returns() == {first: None, second: STACK_0, third: STACK_1}
+    assert fault_addrs() == {first: None, second: STACK_0 + 512, third: STACK_1 + 512}
+    engine.replace_container(first, R10_PROBE, contract)
+    assert returns() == {first: STACK_0, second: STACK_1, third: STACK_2}
+    assert fault_addrs() == {first: STACK_0 + 512, second: STACK_1 + 512, third: STACK_2 + 512}
+    assert len(engine.hooks[hook].stacks) == 3
+
+
+def test_a_replaced_engine_helper_table_is_cut_at_install_and_replace_and_only_for_live_containers():
+    engine, tenant, hook = engine_with_hook(syscalls=(0x30,))
+    contract = Contract.of(syscalls={0x30})
+    logs = [assemble(f"mov64 r1, {value}\ncall 0x30\nexit") for value in range(3)]
+    kept, removed = (engine.install_container(tenant, logs[0], contract, hook) for _ in range(2))
+    gone = engine.containers[removed]
+    gone_table = gone.env.helpers
+    engine.remove_container(removed)
+
+    calls = []
+    table = SyscallTable()
+    table.register(0x30, lambda env, value: calls.append((env.container_id, value)), 1, "debug_log")
+    engine.syscall_table = table
+    assert gone.env.helpers is gone_table
+    added = engine.install_container(tenant, logs[1], contract, hook)
+    engine.replace_container(kept, logs[2], contract)
+    for cid in (kept, added):  # cut when bound, before any trigger
+        assert engine.containers[cid].env.helpers.lookup(0x30) is table.lookup(0x30)
+    assert all(slot.outcome.ok for slot in engine.trigger_hook(hook).outcomes)
+    assert calls == [(kept, 2), (added, 1)]
+
+
 def test_a_replaced_engine_helper_table_takes_effect_at_the_next_trigger():
     engine, tenant, hook = engine_with_hook(syscalls=(0x10,))
     program = assemble("call 0x10\ncall 0x30\nexit")
@@ -1048,13 +1116,15 @@ def test_every_access_list_ends_with_its_stack_and_its_windows_are_disjoint():
     engine, hooks = fleet_engine()
     for thread in (1, 2):
         fleet_round(engine, hooks, thread)
-    for container in engine.containers.values():
-        acl = container.env.acl
-        stack = engine.hooks[container.hook_id].stacks[container.acl_position]
-        assert acl.regions == (*container.views, stack)
-        for windows in (acl.read_windows, acl.write_windows):
-            spans = sorted((lo, hi) for lo, hi, _, _ in windows)
-            assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:])), spans
+    for hook in engine.hooks.values():
+        running = [container for container in hook.slots if container.verified is not None]
+        for j, container in enumerate(running):
+            acl = container.env.acl
+            assert acl.stack is hook.stacks[j]
+            assert acl.regions == (*container.views, acl.stack)
+            for windows in (acl.read_windows, acl.write_windows):
+                spans = sorted((lo, hi) for lo, hi, _, _ in windows)
+                assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:])), spans
 
 
 def test_a_stack_first_access_list_serves_the_context_through_the_scan(monkeypatch):

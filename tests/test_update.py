@@ -156,7 +156,7 @@ def test_update_replaces_same_tenant_container_in_place():
         assert outcome.container_id == first.container_id  # id survives the swap
 
     assert len(engine.containers) == 1
-    assert list(engine.hooks[hook].slots) == [first.container_id]
+    assert engine.introspection()["hooks"][0]["slots"] == [str(first.container_id)]
     assert engine.trigger_hook(hook).policy_value == 9
 
 
@@ -192,7 +192,7 @@ def test_distinct_tenants_occupy_distinct_slots():
     b = apply_update(engine, signed(beta, hook, 1, RETURN_9, BETA_KEY), RETURN_9)
     assert a.accepted and b.accepted
     assert a.container_id != b.container_id
-    assert list(engine.hooks[hook].slots) == [a.container_id, b.container_id]
+    assert engine.introspection()["hooks"][0]["slots"] == [str(a.container_id), str(b.container_id)]
     # beta updating its own container must not disturb alpha's
     b2 = apply_update(engine, signed(beta, hook, 2, RETURN_5, BETA_KEY), RETURN_5)
     assert b2.container_id == b.container_id
