@@ -5,13 +5,14 @@ template of Python source over named fields.  ``interpreter_source`` fills
 the templates with the interpreter's run-time operands (``a``, ``b``,
 ``regs[dst]``, ``off``, ...) and joins them into a dispatch loop over the
 verifier's rows, whose sub-operation chains are binary searches; one loop
-template makes both the counted loop and the stepped loop it hands over
-to near the budget.  ``compiled_source`` fills them with one slot's registers
-and constants and joins each basic block's slots into one arm of a dispatch
-loop over block starts, with registers as locals; a block that jumps back
-to its own start becomes a loop over its passes, with one budget check for
-all of them.  ``femtoc.vm`` executes both sources in its own namespace, so
-the names they use (``_Trap``, ``Fault``, ``ExecOutcome``,
+body makes both the counted loop and the stepped loop, which adds a budget
+test before each step and takes every run near its budget, from the counted
+loop and from compiled code.  ``compiled_source`` fills them with one slot's
+registers and constants and joins each basic block's slots into one arm of
+a dispatch loop over block starts, with registers as locals; a block that
+jumps back to its own start becomes a loop over its passes, with one budget
+check for all of them.  ``femtoc.vm`` executes both sources in its own
+namespace, so the names they use (``_Trap``, ``Fault``, ``ExecOutcome``,
 ``_helper_fault``, ...) are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
@@ -161,24 +162,26 @@ def _switch(selector: str, target: str, exprs: tuple[str, ...], fields: dict, de
 
 # -- the interpreter ---------------------------------------------------------
 #
-# One loop template, filled as the stepped loop (STEPPED), which tests the
-# budget and the program counter and counts every step, and as the counted
-# loop (COUNTED; see ``femtoc.vm``).  In the counted loop ``start`` is the
-# first slot of the running straight run, which adds its ``pc - start + 1``
-# steps where it ends; lddw takes one step for two slots, so it moves
-# ``start`` on by one.  A form the verifier did not make can jump before
-# slot 0 or run off the end; the counted loop hands those to the stepped
-# loop, which reports the escape with the counts it always did.
+# One loop body, filled as the counted loop (COUNTED; see ``femtoc.vm``) and
+# as the stepped loop (STEPPED), which also tests the budget before each step.
+# ``start`` is the first slot of the running straight run, which adds its
+# ``pc - start + 1`` steps where it ends; lddw takes one step for two slots,
+# so it moves ``start`` on by one.  A loop that cannot go on (a run that might
+# not fit, a spent budget, a pc that escaped a form the verifier did not make)
+# counts its steps so far and enters the stepped loop at ``pc``, whose entry
+# reports the budget fault or the escape.
 
 _INTERPRETER = """\
 def {name}(form, regs, pc, executed, branches, budget, env):
     n = len(form)
-{entry}\
 {prologue}\
     width_mask = _WIDTH_MASK
+    start = pc
     try:
+{entry}\
         while True:
 {step}\
+            code, sub, dst, src, off, imm = form[pc]
             if code <= {ALU64_X}:
                 a = regs[dst]
                 b = imm if code == {ALU64_K} else regs[src]
@@ -220,12 +223,13 @@ def {name}(form, regs, pc, executed, branches, budget, env):
 {call}\
                 pc += 1
             elif code == {EXIT}:
-{ended}\
+                executed += pc - start + 1
                 if regs[10] != stack_base:
                     raise RuntimeError("stack pointer register mutated during run")
 {exit}\
             elif code == {LDDW}:
 {lddw}\
+                start += 1
                 pc += 2
             elif code == {END}:
 {end}\
@@ -234,52 +238,49 @@ def {name}(form, regs, pc, executed, branches, budget, env):
             else:  # pragma: no cover
                 raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="unhandled handler code %d" % code))
     except _Trap as trap:
-{trapped}\
+        executed += pc - start + 1
         if regs[10] != stack_base:
             raise RuntimeError("stack pointer register mutated during run")
         return _new(ExecOutcome, (regs[0], executed, branches, trap.fault))
-{escaped}\
+    except IndexError:  # ran off the end of a form the verifier did not make
+        if 0 <= pc < n:
+            raise
+    executed += pc - start
+    return _stepped(form, regs, pc, executed, branches, budget, env)
 """
 
-_HAND_OVER = "return _stepped(form, regs, pc, executed, branches, budget, env)\n"
-
-STEPPED = {  # every step tests the budget and the program counter and counts itself
-    "name": "_stepped",
-    "entry": "",
-    "step": """\
-if executed >= budget:
-    raise _Trap(Fault(FaultKind.BUDGET_EXCEEDED, pc, note="budget %d exhausted" % budget))
-if not 0 <= pc < n:
-    # Unreachable for verified programs; kept as a hard stop.
-    raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
-code, sub, dst, src, off, imm = form[pc]
-executed += 1
-""",
-    "jump": "branches += 1\npc = off\n",
-    "ended": "",
-    "wide": "",
-    "escaped": "",
-}
-
-COUNTED = {  # a straight run counts its steps where it ends
-    "name": "_interpret",
-    "entry": "if pc < 0 or executed + n - pc > budget:\n    " + _HAND_OVER + "start = pc\n",
-    "step": "code, sub, dst, src, off, imm = form[pc]\n",
-    "jump": """\
+# A taken jump ends the running straight run; ``{handover}`` tests whether the
+# run it starts goes on in this loop.
+_JUMP = """\
 executed += pc - start + 1
 branches += 1
 pc = start = off
-if off < 0 or executed + n - off > budget:
+if {handover}:
     break
+"""
+
+STEPPED = {  # its entry reports through the trap path, which adds pc - start + 1 steps
+    "name": "_stepped",
+    "entry": """\
+if executed >= budget:
+    start += 1  # the slot at pc does not start
+    raise _Trap(Fault(FaultKind.BUDGET_EXCEEDED, pc, note="budget %d exhausted" % budget))
+if not 0 <= pc < n:  # unreachable for verified programs; kept as a hard stop
+    start += 1
+    raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
 """,
-    "ended": "executed += pc - start + 1\n",  # at an exit or a fault
-    "wide": "start += 1\n",
-    "escaped": """\
-except IndexError:
-    if 0 <= pc < n:
-        raise
-    executed += pc - start  # ran off the end: the stepped loop reports it
-""" + _HAND_OVER,
+    "step": "if executed + pc - start >= budget:\n    break\n",
+    "handover": "off < 0",  # form[pc] would read a negative pc from the end
+}
+
+COUNTED = {  # a straight run from slot s takes at most n - s steps
+    "name": "_interpret",
+    "entry": """\
+if pc < 0 or executed + n - pc > budget:
+    return _stepped(form, regs, pc, executed, branches, budget, env)
+""",
+    "step": "",
+    "handover": "off < 0 or executed + n - off > budget",
 }
 
 
@@ -298,16 +299,17 @@ def interpreter_source(loop: dict[str, str]) -> str:
     }
     stx_value = STORE_VALUE.format(src="regs[src]", wmask="width_mask[sub]")
     args = ", ".join(f"regs[{i}]" for i in range(1, 6))
+    jump = _JUMP.format(handover=loop["handover"])
     return _INTERPRETER.format(
         name=loop["name"],
-        entry=_indent(loop["entry"], 1),
         prologue=_indent(PROLOGUE, 1),
+        entry=_indent(loop["entry"], 2),
         step=_indent(loop["step"], 3),
         alu64=_switch("sub", "a", ALU, {**operands, **_W64}, arm),
         alu32=_switch("sub", "a", ALU, {**operands, **_W32}, arm),
         cmp=_switch("sub", "taken", CMP, {**operands, **_W64}, arm),
-        taken=_indent(loop["jump"], arm + 1),
-        jump=_indent(loop["jump"], arm),
+        taken=_indent(jump, arm + 1),
+        jump=_indent(jump, arm),
         end=_switch("sub", "a", END_OPS, {"a": "regs[dst]", "mask": "((1 << imm) - 1)",
                                           "nbytes": "(imm >> 3)"}, arm),
         ldx=_indent(LOAD.format(addr=_address("regs[src]", "off"), dst="regs[dst]", **memory), arm),
@@ -317,11 +319,8 @@ def interpreter_source(loop: dict[str, str]) -> str:
         stx_stack=_indent(STORE_STACK.format(width="sub", off="off", value=stx_value), arm),
         st_stack=_indent(STORE_STACK.format(width="sub", off="off", value="imm"), arm),
         call=_indent(CALL_HELPER.format(r0="regs[0]", pc="pc", imm="imm", args=args), arm),
-        ended=_indent(loop["ended"], arm),
         exit=_indent(EXIT_RUN.format(r0="regs[0]"), arm),
-        lddw=_indent(LOAD_WIDE.format(dst="regs[dst]", imm="imm") + loop["wide"], arm),
-        trapped=_indent(loop["ended"], 2),
-        escaped=_indent(loop["escaped"], 1),
+        lddw=_indent(LOAD_WIDE.format(dst="regs[dst]", imm="imm"), arm),
         mask32=hex(MASK32),
         **codes,
     )
@@ -428,7 +427,7 @@ def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int
     """One block: the budget check, its slots, and where control goes next.
 
     A block that might not fit in the remaining budget raises _Handover,
-    whose handler gives the live state to the interpreter at the block's
+    whose handler gives the live state to the stepped loop at the block's
     first slot (``pc`` is always the running block's start), so the budget
     runs out on the exact slot.  A block that jumps back to its own start
     loops in place (SELF_LOOP), counting its passes instead of its steps.
@@ -476,7 +475,7 @@ def bind(form, after):
 {dispatch}\
         except _Handover:
             regs = [r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10]
-            return _interpret(form, regs, pc, executed, branches, budget, env)
+            return _stepped(form, regs, pc, executed, branches, budget, env)
         except _Trap as trap:
             # A block counts all its steps on entry; give back the ones
             # after the faulting slot.

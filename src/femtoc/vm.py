@@ -19,9 +19,9 @@ grows, so a run from slot s takes at most n - s steps.  The interpreter
 checks that bound on entry and at each taken jump, and adds a run's steps
 when it ends, at a taken jump, an exit or a fault.  Where the bound does not
 fit in the budget left, it hands its registers and counters to the stepped
-loop, ``_stepped``, which tests the budget and the slot on every step, so
-the budget still runs out on the exact slot; that loop runs only near the
-budget, or for a hand-built form whose counter escapes.  Once the interpreter
+loop, ``_stepped``: the same loop body with a budget test before each step,
+so the budget runs out on the exact slot.  Its entry reports the spent
+budget, or a counter that escaped a hand-built form.  Once the interpreter
 has executed ``HOT_STEPS_PER_SLOT`` (64) of its instructions per slot, over
 all its runs, the next run compiles the form into one Python function: its
 registers are locals and its basic blocks are arms of one dispatch loop.
@@ -35,7 +35,7 @@ bytes straight on that window's host buffer.  Stack rows, the [r10+off]
 accesses the verifier proved to lie inside the stack, index the stack's
 bytes with no scan, so the engine puts the stack last.  The compiled tier
 checks the budget once per block: a block that might not fit in what is
-left hands its registers and counters to the interpreter at its first
+left hands its registers and counters to the stepped loop at its first
 slot.  A block that jumps back to its own start counts passes instead: it
 computes once how many whole passes fit and hands over at its start when
 all of them took the branch.  A fault inside a block reports the same
@@ -114,7 +114,7 @@ class _Trap(Exception):
 
 class _Handover(Exception):
     """Raised by compiled code when its next block might not fit in the
-    budget left: the interpreter takes over at that block."""
+    budget left: the stepped loop takes over at that block."""
 
 
 class DuplicateId(ValueError):

@@ -69,7 +69,7 @@ HELPER_IDS = (0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7)  # 0x4 is granted but not in th
 RETURNED: Counter = Counter()
 # What the compiled streams exercised, by the probes below.
 COVERAGE: Counter = Counter()
-HANDOVERS: list[int] = []  # where the current compiled run handed over to the interpreter
+HANDOVERS: list[int] = []  # where the current compiled run handed over to the stepped loop
 STEPPED: list[tuple[int, int]] = []  # (slot, steps) where the current run entered the stepped loop
 
 
@@ -163,7 +163,7 @@ def _handovers(outcome) -> None:
         return
     COVERAGE["handovers to the stepped loop"] += 1
     # An interpreted run enters the counted loop at step 0, so a later
-    # handover is at a taken jump; a compiled run enters it part-way.
+    # handover is at a taken jump; a compiled run hands over part-way.
     COVERAGE["handovers on entry" if STEPPED[0][1] == 0 else "handovers at a taken jump"] += 1
     exhausted = outcome.fault is not None and outcome.fault.kind is vm.FaultKind.BUDGET_EXCEEDED
     COVERAGE["handed-over runs that ran out" if exhausted else "handed-over runs that ended otherwise"] += 1
@@ -239,13 +239,18 @@ def test_interpreter_matches_reference(allowed):
 def test_compiled_tier_matches_reference(allowed, compiled_tier, monkeypatch):
     RETURNED.clear()
     COVERAGE.clear()
-    interpret = vm._interpret
+    stepped, inside = vm._stepped, []
 
-    def handed_over(form, regs, pc, *rest):  # every call: the threshold is 0
-        HANDOVERS.append(pc)
-        return interpret(form, regs, pc, *rest)
+    def handed_over(form, regs, pc, *rest):  # the threshold is 0: every outer call is compiled code's
+        if not inside:
+            HANDOVERS.append(pc)
+        inside.append(pc)
+        try:
+            return stepped(form, regs, pc, *rest)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(vm, "_interpret", handed_over)
+    monkeypatch.setattr(vm, "_stepped", handed_over)
     mismatches, outcomes = _mismatches(0xC0DE + len(allowed), allowed, COMPILED_PROGRAMS, probe=True)
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     _check_stream(allowed, outcomes)

@@ -1,7 +1,9 @@
 """Interpreter semantics: ALU, memory, jumps, budget, helpers, faults."""
 
 import ast
+import difflib
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from femtoc.memory import DEFAULT_BASE, AccessList, HostMemory, Mode, checked_st
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallEnv, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
+from test_engine import CallSites
 
 M64 = (1 << 64) - 1
 M32 = (1 << 32) - 1
@@ -510,8 +513,10 @@ def test_every_random_run_terminates_inside_budget(rng):
 #
 # ``vm._interpret`` counts steps by straight runs and checks the budget on
 # entry and at taken jumps; where a run might not fit it hands over to
-# ``vm._stepped``, the loop that tests and counts every step.  Run from the
-# same state, the two loops must give the same outcome.
+# ``vm._stepped``, the same loop body with a budget test before every step,
+# whose entry reports a spent budget or an escaped pc.  Compiled code hands
+# over to ``vm._stepped`` too.  Run from the same state, the two loops must
+# give the same outcome.
 
 def both_loops(form, budget=1 << 20, pc=0):
     """The outcome of ``form`` from slot ``pc`` on the counted and on the
@@ -614,11 +619,52 @@ def _per_step_counting(source: str) -> list[str]:
 
 def test_the_counted_loop_does_no_per_step_counting():
     assert _per_step_counting(codegen.interpreter_source(codegen.COUNTED)) == []
-    # The stepped loop does all three, and the check sees them.
+    # The stepped loop tests its budget on every step, and the check sees it.
     found = _per_step_counting(codegen.interpreter_source(codegen.STEPPED))
-    assert "executed += 1" in found
-    assert any("executed >= budget" in line for line in found)
-    assert any("0 <= pc < n" in line for line in found)
+    assert found == ["executed + pc - start >= budget"]
+
+
+def test_the_two_loops_differ_only_in_their_entry_per_step_test_and_jump_hand_over():
+    loops = (codegen.STEPPED, codegen.COUNTED)
+    stepped, counted = (codegen.interpreter_source(loop).splitlines() for loop in loops)
+    matcher = difflib.SequenceMatcher(None, stepped, counted, autojunk=False)
+    hunks = [
+        ([line.strip() for line in stepped[i1:i2]], [line.strip() for line in counted[j1:j2]])
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes() if tag != "equal"
+    ]
+    jump = (["if off < 0:"], ["if off < 0 or executed + n - off > budget:"])  # at jcond and at ja
+    assert hunks == [
+        (["def _stepped(form, regs, pc, executed, branches, budget, env):"],
+         ["def _interpret(form, regs, pc, executed, branches, budget, env):"]),
+        tuple([line.strip() for line in loop["entry"].splitlines()] for loop in loops),
+        (["if executed + pc - start >= budget:", "break"], []),
+        jump,
+        jump,
+    ]
+
+
+def test_only_exec_program_calls_the_counted_loop():
+    # Everything that cannot finish a run in the counted loop, itself and
+    # compiled code included, goes straight to the stepped loop.
+    form = verify(assemble("mov64 r0, 1\nexit"), VerifyLimits(256, 16)).form
+    sources = {
+        "stepped": codegen.interpreter_source(codegen.STEPPED),
+        "counted": codegen.interpreter_source(codegen.COUNTED),
+        "compiled": codegen.compiled_source(form)[0],
+    }
+    sources.update((path.stem, path.read_text()) for path in Path(vm.__file__).parent.glob("*.py"))
+    found = []
+    for module, source in sorted(sources.items()):
+        sites = CallSites(module, {"_interpret", "_stepped"})
+        sites.visit(ast.parse(source))
+        found += sites.found
+    assert sorted(found) == [
+        ("_interpret", "vm.exec_program"),
+        ("_stepped", "compiled.bind.run"),  # the hand-over of a block that might not fit
+        ("_stepped", "counted._interpret"),  # on entry
+        ("_stepped", "counted._interpret"),  # after the loop
+        ("_stepped", "stepped._stepped"),  # after the loop: its entry reports why
+    ]
 
 
 # -- the compiled tier --------------------------------------------------------
@@ -853,16 +899,27 @@ WORDS = struct.pack("<II", 7, 9)  # an 8-byte context: two words, so a third pas
 def self_loop_run(monkeypatch, src, **kw):
     """The outcome and host bytes of ``src``, equal on both tiers and in
     both region orders; the context's base; and the (slot, executed,
-    branches) of each call into the interpreter: each order's interpreted
-    run at (0, 0, 0), then its compiled run's handovers."""
-    entries = []
-    original = vm._interpret
+    branches) of each entry into either interpreter loop from outside
+    them: each order's interpreted run at (0, 0, 0), then its compiled
+    run's handovers to the stepped loop."""
+    entries, inside = [], []
 
-    def entered(form, regs, pc, executed, branches, *rest):
-        entries.append((pc, executed, branches))
-        return original(form, regs, pc, executed, branches, *rest)
+    def watch(name):
+        original = getattr(vm, name)
 
-    monkeypatch.setattr(vm, "_interpret", entered)
+        def entered(form, regs, pc, executed, branches, *rest):
+            if not inside:
+                entries.append((pc, executed, branches))
+            inside.append(name)
+            try:
+                return original(form, regs, pc, executed, branches, *rest)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(vm, name, entered)
+
+    watch("_interpret")
+    watch("_stepped")
     (first, ctx_base), (second, _) = (
         run_both_tiers(monkeypatch, src, stack_last=last, **kw) for last in (False, True)
     )
