@@ -37,7 +37,7 @@ from .update import (
     save_public_key,
     sign_manifest,
 )
-from .verifier import VerifyLimits, check_program, verification_report, verify
+from .verifier import VerifyLimits, check_program, verification_report
 
 EXIT_OK = 0
 EXIT_VERIFY_REJECTED = 1
@@ -308,7 +308,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         instructions = slot.outcome.executed
 
         t0 = time.perf_counter_ns()
-        verify(program, limits, allowed)
+        engine.verify_for(engine.hooks[hook], program, Contract.of(allowed))
         verify_ns.append(time.perf_counter_ns() - t0)
 
     warm = int(statistics.median(warm_ns))

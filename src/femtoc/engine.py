@@ -6,12 +6,13 @@ bytecode + granted contract) to one hook slot.  The grant is the
 intersection of what the container requested with what the hook allows,
 both for helper ids and for the hook's context regions, read by label.
 
-A container is verified once, when it is installed or replaced, under
-the engine's limits and the helper ids its hook grants; the signed-update
-path verifies through the same method first.  A trigger only reads the
-verdict, and runs the hook's containers in slot order with context regions
-holding only the event's bytes, a zeroed stack each, and full fault
-isolation between slots.
+A container is verified once, when it is bound (installed, replaced or
+updated), under the engine's limits and the helper ids its hook grants, by
+``Engine.verify_for``, the package's one call of ``verifier.verify``; a
+signed update is verified before it changes anything.  A trigger only
+reads the verdict, and runs the hook's containers in slot order with
+context regions holding only the event's bytes, a zeroed stack each, and
+full fault isolation between slots.
 
 Each hook keeps one memory layout for all its triggers: its context
 regions, then one stack per slot position, in a guard-padded buffer that
@@ -349,26 +350,35 @@ class Engine:
     # -- container lifecycle -----------------------------------------
 
     def install_container(
-        self,
-        tenant_id: uuid.UUID,
-        program: Program,
-        contract: Contract,
-        hook_id: uuid.UUID,
-        verified: VerifiedProgram | None = None,
+        self, tenant_id: uuid.UUID, program: Program, contract: Contract, hook_id: uuid.UUID
     ) -> uuid.UUID:
-        """Attach bytecode to a hook slot and verify it (see _bind)."""
+        """Attach bytecode to a new last slot of a hook and verify it (see _bind)."""
         with self.lock:
-            if tenant_id not in self.tenants:
-                raise UnknownTenant(str(tenant_id))
-            hook = self.hooks.get(hook_id)
-            if hook is None:
-                raise UnknownHook(str(hook_id))
-            if len(hook.slots) >= hook.slot_limit:
-                raise SlotLimitReached(f"hook {hook.name!r} is at its {hook.slot_limit}-slot limit")
-            self._setup_open = False
-            container_id = self._new_id()
-            self._bind(hook, tenant_id, container_id, program, contract, verified)
+            return self._bind(self._hook_of(tenant_id, hook_id), tenant_id, None, program, contract)
+
+    def update_container(
+        self, tenant_id: uuid.UUID, hook_id: uuid.UUID, sequence: int, program: Program, contract: Contract
+    ) -> uuid.UUID:
+        """The engine's half of a signed update (``update.apply_update``
+        authenticates it first).  Verify ``program``; a rejection raises
+        VerifyRejected and changes nothing.  Then replace the tenant's
+        container on the hook in place, or install one in a new last slot
+        (see _bind), and record ``sequence`` as the pair's last update."""
+        with self.lock:
+            hook = self._hook_of(tenant_id, hook_id)
+            verified = self.verify_for(hook, program, contract)
+            replaced = self.tenant_container_on_hook(tenant_id, hook_id)
+            container_id = self._bind(hook, tenant_id, replaced, program, contract, verified)
+            self._update_seqs[(tenant_id, hook_id)] = sequence
             return container_id
+
+    def _hook_of(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> Hook:
+        if tenant_id not in self.tenants:
+            raise UnknownTenant(str(tenant_id))
+        hook = self.hooks.get(hook_id)
+        if hook is None:
+            raise UnknownHook(str(hook_id))
+        return hook
 
     def remove_container(self, container_id: uuid.UUID) -> None:
         with self.lock:
@@ -380,13 +390,7 @@ class Engine:
             self._link(hook)
             self.facilities.stores.destroy_container_store(container_id)
 
-    def replace_container(
-        self,
-        container_id: uuid.UUID,
-        program: Program,
-        contract: Contract,
-        verified: VerifiedProgram | None = None,
-    ) -> None:
+    def replace_container(self, container_id: uuid.UUID, program: Program, contract: Contract) -> None:
         """Atomically swap a container's bytecode and contract in place.
 
         The slot position and id survive; the program is verified (see
@@ -397,24 +401,32 @@ class Engine:
             if container is None:
                 raise UnknownContainer(str(container_id))
             hook = self.hooks[container.hook_id]
-            self._bind(hook, container.tenant_id, container_id, program, contract, verified)
+            self._bind(hook, container.tenant_id, container_id, program, contract)
 
     def _bind(
         self,
         hook: Hook,
         tenant_id: uuid.UUID,
-        container_id: uuid.UUID,
+        container_id: uuid.UUID | None,
         program: Program,
         contract: Contract,
-        verified: VerifiedProgram | None,
-    ) -> None:
+        verified: VerifiedProgram | None = None,
+    ) -> uuid.UUID:
         """Give a container on ``hook`` everything it runs with: its program
         and verdict, the granted contract and region views, an empty
         container store, its SyscallEnv with the stores its grant reaches,
         its response view and its helper table, fresh stats, and its slot:
-        a new last one, or the one it replaces.  The program is verified
-        first, unless the update path passes it ``verified``; a rejected
-        one is bound too, and its triggers report the violations."""
+        the one ``container_id`` holds, or, when that is None, a new last
+        one under a new id, which closes the setup phase (a full hook raises
+        SlotLimitReached and changes nothing).  The program is verified here
+        unless update_container passes the verdict it made; a rejected one
+        is bound too, and its triggers report the violations.  Returns the
+        container's id."""
+        if container_id is None:
+            if len(hook.slots) >= hook.slot_limit:
+                raise SlotLimitReached(f"hook {hook.name!r} is at its {hook.slot_limit}-slot limit")
+            self._setup_open = False
+            container_id = self._new_id()
         errors = None
         if verified is None:
             try:
@@ -436,6 +448,7 @@ class Engine:
         slots = hook.slots
         hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)
         self._link(hook)
+        return container_id
 
     def _link(self, hook: Hook) -> None:
         """Give the j-th running container on ``hook`` (verify-rejected ones
@@ -462,9 +475,6 @@ class Engine:
 
     def last_update_sequence(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> int | None:
         return self._update_seqs.get((tenant_id, hook_id))
-
-    def record_update_sequence(self, tenant_id: uuid.UUID, hook_id: uuid.UUID, seq: int) -> None:
-        self._update_seqs[(tenant_id, hook_id)] = seq
 
     # -- execution -----------------------------------------------------
 

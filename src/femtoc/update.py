@@ -6,10 +6,9 @@ number, and the requested contract.  The tenant signs the manifest's
 canonical byte form with Ed25519; JSON is transport only and never signed.
 
 Applying an update authenticates the signature against the registered
-tenant key, checks payload integrity, refuses sequence rollback, decodes
-the payload, verifies it with ``Engine.verify_for``, and only then swaps
-(or installs) the tenant's container on that hook atomically, handing over
-the verified program so that the engine does not verify it again.
+tenant key, checks payload integrity, refuses sequence rollback and decodes
+the payload; only then does ``Engine.update_container`` verify it and swap
+(or install) the tenant's container on that hook atomically.
 A rejected update changes no engine state at all.
 """
 
@@ -137,8 +136,8 @@ def _signature_valid(manifest: Manifest, key: Ed25519PublicKey) -> bool:
 
 
 def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOutcome:
-    """Authenticate, check integrity and freshness, decode and verify, then
-    swap atomically."""
+    """Authenticate, check integrity and freshness and decode, then hand the
+    program to the engine, which verifies it and swaps atomically."""
     with engine.lock:
         tenant = engine.tenants.get(manifest.tenant_id)
         if tenant is None:
@@ -152,8 +151,7 @@ def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOu
             or len(payload) != manifest.payload_size
         ):
             return UpdateOutcome(False, reason=UpdateReject.DIGEST_MISMATCH)
-        hook = engine.hooks.get(manifest.storage_location)
-        if hook is None:
+        if manifest.storage_location not in engine.hooks:
             return UpdateOutcome(False, reason=UpdateReject.UNKNOWN_HOOK)
         last = engine.last_update_sequence(manifest.tenant_id, manifest.storage_location)
         if last is not None and manifest.sequence_number <= last:
@@ -163,20 +161,11 @@ def apply_update(engine: Engine, manifest: Manifest, payload: bytes) -> UpdateOu
         except ValueError:
             return UpdateOutcome(False, reason=UpdateReject.MALFORMED_PAYLOAD)
         try:
-            verified = engine.verify_for(hook, program, manifest.contract)
+            container_id = engine.update_container(
+                manifest.tenant_id, manifest.storage_location, manifest.sequence_number, program, manifest.contract
+            )
         except VerifyRejected:
             return UpdateOutcome(False, reason=UpdateReject.VERIFY_REJECTED)
-
-        container_id = engine.tenant_container_on_hook(manifest.tenant_id, manifest.storage_location)
-        if container_id is not None:
-            engine.replace_container(container_id, program, manifest.contract, verified)
-        else:
-            container_id = engine.install_container(
-                manifest.tenant_id, program, manifest.contract, manifest.storage_location, verified
-            )
-        engine.record_update_sequence(
-            manifest.tenant_id, manifest.storage_location, manifest.sequence_number
-        )
         return UpdateOutcome(True, container_id=container_id)
 
 

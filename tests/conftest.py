@@ -10,6 +10,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile(
     "repo", deadline=None, suppress_health_check=[HealthCheck.too_slow], max_examples=100
 )
+# The engine model's sweep, which a CI step selects with
+# `--hypothesis-profile model-sweep`: ten times tier-1's examples per tier.
+settings.register_profile(
+    "model-sweep", settings.get_profile("repo"), max_examples=600, stateful_step_count=30
+)
 settings.load_profile("repo")
 
 

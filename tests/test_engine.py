@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import inspect
 import json
 import random
 import struct
@@ -656,24 +657,35 @@ def test_only_link_builds_access_lists_and_only_bind_and_the_table_setter_cut_he
 
 
 def test_only_bind_and_the_update_path_verify_through_verify_for():
-    # One method verifies a container: Engine.verify_for, which joins the
-    # engine's limits with the helper ids the hook grants. Engine._bind
-    # calls it unless the update path, the only other caller, hands over
-    # what it verified.
-    package = Path(femtoc.__file__).parent
+    # The package calls verifier.verify at one site: Engine.verify_for, which
+    # joins the engine's limits with the helper ids the hook grants.
+    # Engine._bind calls it unless Engine.update_container, which must
+    # refuse a rejected update before it changes anything, passes the
+    # verdict it made; update.py calls no verification at all.
     found = []
-    for stem in ("engine", "update"):
-        sites = CallSites(stem, {"verify", "intersect_contract", "verify_for"})
-        sites.visit(ast.parse((package / f"{stem}.py").read_text()))
+    for path in sorted(Path(femtoc.__file__).parent.glob("*.py")):
+        sites = CallSites(path.stem, {"verify", "intersect_contract", "verify_for"})
+        sites.visit(ast.parse(path.read_text(), str(path)))
         found += sites.found
     assert sorted(found) == [
         ("intersect_contract", "engine.Engine._bind"),
         ("verify", "engine.Engine.verify_for"),
         ("verify", "update._signature_valid"),  # Ed25519PublicKey.verify, the signature check
+        ("verify_for", "cli.cmd_bench"),  # times a verification on its own engine
         ("verify_for", "engine.Engine._bind"),
-        ("verify_for", "update.apply_update"),
+        ("verify_for", "engine.Engine.update_container"),
     ]
     assert not hasattr(femtoc.update, "verify") and not hasattr(femtoc.update, "intersect_contract")
+
+
+def test_no_public_engine_method_takes_a_verdict():
+    # A caller hands the engine a program, never a verdict: one made under
+    # other limits, or for another program, would run under its budget.
+    public = [name for name in dir(Engine) if not name.startswith("_") and callable(getattr(Engine, name))]
+    assert {"install_container", "replace_container", "update_container"} <= set(public)
+    for name in public:
+        params = inspect.signature(getattr(Engine, name)).parameters.values()
+        assert not any(p.name == "verified" or "VerifiedProgram" in str(p.annotation) for p in params), name
 
 
 def test_a_container_is_verified_when_bound_and_never_under_a_trigger(monkeypatch):
@@ -731,6 +743,31 @@ def test_a_container_is_verified_when_bound_and_never_under_a_trigger(monkeypatc
     returns = [slot.outcome.return_value for slot in engine.trigger_hook(hook).outcomes]
     assert returns == [9, 2, 9] and verifies == [False] * 5
     assert all(c["stats"]["verify_count"] == 1 for c in engine.introspection()["containers"])
+
+
+@pytest.mark.parametrize("entry", ["install", "replace", "update_installs", "update_replaces"])
+def test_a_spin_loop_ends_at_the_engines_budget_however_it_was_bound(entry):
+    # VerifyLimits(8, 2) gives every run 16 steps, whichever way the program
+    # reached its slot: the engine verifies it under its own limits.
+    from femtoc.update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
+
+    key = private_key_from_seed(b"alpha")
+    engine = Engine(VerifyLimits(8, 2))
+    tenant = engine.register_tenant("alpha", public_key_raw(key))
+    hook = engine.register_hook("h", ())
+    spin = assemble("ja -1\nexit")
+    old = engine.install_container(tenant, EXIT_ONLY, Contract.of(), hook) if "replace" in entry else None
+    if entry == "install":
+        engine.install_container(tenant, spin, Contract.of(), hook)
+    elif entry == "replace":
+        engine.replace_container(old, spin, Contract.of())
+    else:
+        payload = spin.to_bytes()
+        manifest = sign_manifest(build_manifest(tenant, hook, 1, payload, Contract.of()), key)
+        outcome = apply_update(engine, manifest, payload)
+        assert outcome.accepted and outcome.container_id == (old or outcome.container_id)
+    (slot,) = engine.trigger_hook(hook).outcomes  # one slot: replaced in place, or installed
+    assert (slot.outcome.fault.kind, slot.outcome.executed) == (FaultKind.BUDGET_EXCEEDED, 16)
 
 
 def test_context_after_snapshots_shared_buffer():
@@ -980,21 +1017,20 @@ def test_a_replaced_engine_helper_table_is_cut_at_install_and_replace_and_only_f
 
 
 def test_a_replaced_engine_helper_table_takes_effect_at_the_next_trigger():
+    # A swapped table reaches the container at its next trigger, cut to the
+    # grant: the hook narrows {0x10, 0x30} to {0x10}.  That a cut table
+    # refuses an id the verdict allows is shown in tests/test_vm.py by
+    # test_a_restricted_table_refuses_an_id_the_verdict_allows_on_both_tiers.
     engine, tenant, hook = engine_with_hook(syscalls=(0x10,))
-    program = assemble("call 0x10\ncall 0x30\nexit")
-    # Verified as if 0x30 were granted, so only the helper table stands
-    # between the program and 0x30 at run time.
-    verified = verify(program, engine.limits, frozenset({0x10, 0x30}))
-    cid = engine.install_container(
-        tenant, program, Contract.of(syscalls={0x10, 0x30}), hook, verified=verified
-    )
+    program = assemble("call 0x10\ncall 0x10\nexit")
+    cid = engine.install_container(tenant, program, Contract.of(syscalls={0x10, 0x30}), hook)
     assert engine.containers[cid].granted.syscalls == frozenset({0x10})
 
-    def fault_of_one_trigger():
+    def one_trigger():
         (slot,) = engine.trigger_hook(hook).outcomes
-        return slot.outcome.fault.kind, slot.outcome.fault.pc
+        return slot.outcome.ok, engine.containers[cid].env.helpers.ids()
 
-    assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
+    assert one_trigger() == (True, {0x10})
     calls = []
     original = engine.syscall_table
     wrapped = SyscallTable()
@@ -1007,11 +1043,12 @@ def test_a_replaced_engine_helper_table_takes_effect_at_the_next_trigger():
 
         wrapped.register(sys_id, recording, entry.argc, entry.name)
     engine.syscall_table = wrapped
-    assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
-    assert calls == [0x10]
+    assert 0x30 in wrapped.ids() and calls == []
+    assert one_trigger() == (True, {0x10})
+    assert calls == [0x10, 0x10]
     engine.syscall_table = original
-    assert fault_of_one_trigger() == (FaultKind.BAD_SYSCALL, 1)
-    assert calls == [0x10]
+    assert one_trigger() == (True, {0x10})
+    assert calls == [0x10, 0x10]
 
 
 SAMPLES = [10, 20, 30]

@@ -1,18 +1,18 @@
-"""A stateful model of one hook's slots: the stack each running slot takes,
-the helper table each container calls and what each container store holds,
-across installs, replaces, signed updates, removes and swaps of
-``Engine.syscall_table``, on both tiers."""
+"""A stateful model of one hook's slots, shared by two tenants: the stack
+each running slot takes, the helper table each container calls and what
+each container store holds, across installs, replaces, signed updates,
+removes and swaps of ``Engine.syscall_table``, on both tiers."""
 
 import json
 import struct
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
-    Bundle, RuleBasedStateMachine, consumes, invariant, precondition, rule, run_state_machine_as_test
+    Bundle, RuleBasedStateMachine, consumes, invariant, multiple, precondition, rule, run_state_machine_as_test
 )
 
 from femtoc.asm import assemble
-from femtoc.engine import DEFAULT_SLOT_LIMIT, Contract, ContextRegionSpec, Engine, RegionGrant
+from femtoc.engine import Contract, ContextRegionSpec, Engine, RegionGrant, SlotLimitReached
 from femtoc.facilities import SYS_CONTAINER_PUT, SYS_DEBUG_LOG
 from femtoc.update import (
     UpdateReject, apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
@@ -29,7 +29,9 @@ PROGRAMS = {
 }
 HELPERS = (SYS_DEBUG_LOG, SYS_CONTAINER_PUT)
 CONTRACT = Contract.of(HELPERS, [RegionGrant("a", True, True), RegionGrant("b")])
-KEY, FORGER = private_key_from_seed(b"alpha"), private_key_from_seed(b"mallory")
+KEYS = {name: private_key_from_seed(name.encode()) for name in ("alpha", "beta")}
+FORGER = private_key_from_seed(b"mallory")
+SLOT_LIMIT = 4  # small, so that runs reach a full hook
 
 
 def predicted(kinds, has_log, past_stack):
@@ -57,9 +59,10 @@ class HookSlots(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.engine = Engine()
-        self.tenant = self.engine.register_tenant("alpha", public_key_raw(KEY))
+        self.tenants = {name: self.engine.register_tenant(name, public_key_raw(key)) for name, key in KEYS.items()}
         self.hook = self.engine.register_hook(
-            "h", HELPERS, [ContextRegionSpec("a", 8, True, True), ContextRegionSpec("b", 16, True, False)]
+            "h", HELPERS, [ContextRegionSpec("a", 8, True, True), ContextRegionSpec("b", 16, True, False)],
+            slot_limit=SLOT_LIMIT,
         )
         standard = self.engine.syscall_table
         self.tables = {True: standard, False: SyscallTable()}
@@ -67,48 +70,71 @@ class HookSlots(RuleBasedStateMachine):
             entry = standard.lookup(sys_id)
             self.tables[False].register(sys_id, entry.fn, entry.argc, entry.name)
         self.kinds = {}  # container id -> program kind, in slot order
+        self.owners = {}  # container id -> its tenant's name, in slot order
         self.stored = {}  # container id -> the value at key 7 of its store, or None
         self.has_log = True
-        self.sequence = None  # of the last accepted update
+        self.sequences = dict.fromkeys(KEYS)  # tenant name -> its last accepted update's, or None
 
-    @precondition(lambda self: len(self.kinds) < DEFAULT_SLOT_LIMIT)
-    @rule(target=containers, kind=st.sampled_from(sorted(PROGRAMS)))
-    def install(self, kind):
-        cid = self.engine.install_container(self.tenant, PROGRAMS[kind], CONTRACT, self.hook)
-        self.kinds[cid], self.stored[cid] = kind, None
-        return cid
+    @precondition(lambda self: len(self.kinds) < SLOT_LIMIT)
+    @rule(
+        target=containers, tenant=st.sampled_from(sorted(KEYS)),
+        kinds=st.lists(st.sampled_from(sorted(PROGRAMS)), min_size=1, max_size=SLOT_LIMIT),
+    )
+    def install(self, tenant, kinds):
+        """Install ``tenant``'s containers of ``kinds``, as many as the hook has room for."""
+        cids = []
+        for kind in kinds[: SLOT_LIMIT - len(self.kinds)]:
+            cid = self.engine.install_container(self.tenants[tenant], PROGRAMS[kind], CONTRACT, self.hook)
+            self.kinds[cid], self.owners[cid], self.stored[cid] = kind, tenant, None
+            cids.append(cid)
+        return multiple(*cids)
 
     @rule(cid=containers, kind=st.sampled_from(sorted(PROGRAMS)))
     def replace(self, cid, kind):
         self.engine.replace_container(cid, PROGRAMS[kind], CONTRACT)
         self.kinds[cid], self.stored[cid] = kind, None
 
-    @precondition(lambda self: self.kinds)
-    @rule(kind=st.sampled_from(sorted(PROGRAMS)), forged=st.booleans(), rollback=st.booleans())
-    def update(self, kind, forged, rollback):
-        """A signed update of the tenant's container on the hook, its first
-        slot: signed by another key when ``forged``, and at the last accepted
-        sequence number when ``rollback``.  A rejected one changes no byte."""
-        rollback = rollback and self.sequence is not None
-        sequence = self.sequence if rollback else (self.sequence or 0) + 1
+    @rule(
+        target=containers, tenant=st.sampled_from(sorted(KEYS)), kind=st.sampled_from(sorted(PROGRAMS)),
+        forged=st.booleans(), rollback=st.booleans(),
+    )
+    def update(self, tenant, kind, forged, rollback):
+        """A signed update of ``tenant``'s first container on the hook, or of
+        a new last slot when it has none: signed by another key when
+        ``forged``, and at the tenant's last accepted sequence number when
+        ``rollback``.  A rejected one changes no byte, and neither does one
+        that verifies but finds the hook full: that raises SlotLimitReached."""
+        last = self.sequences[tenant]
+        rollback = rollback and last is not None
+        sequence = last if rollback else (last or 0) + 1
         payload = PROGRAMS[kind].to_bytes()
-        manifest = build_manifest(self.tenant, self.hook, sequence, payload, CONTRACT)
+        manifest = build_manifest(self.tenants[tenant], self.hook, sequence, payload, CONTRACT)
+        manifest = sign_manifest(manifest, FORGER if forged else KEYS[tenant])
+        target = next((cid for cid, owner in self.owners.items() if owner == tenant), None)
+        full = target is None and len(self.kinds) == SLOT_LIMIT
+        reason = (
+            "BadSignature" if forged else "RollbackRejected" if rollback
+            else "VerifyRejected" if kind == "rejected" else None
+        )
         before = self.engine.introspection_json(), json.dumps(self.engine.store_dump())
-        outcome = apply_update(self.engine, sign_manifest(manifest, FORGER if forged else KEY), payload)
-        if forged or rollback or kind == "rejected":
-            reason = "BadSignature" if forged else "RollbackRejected" if rollback else "VerifyRejected"
-            assert outcome.reason is UpdateReject(reason)
+        try:
+            outcome = apply_update(self.engine, manifest, payload)
+        except SlotLimitReached:
+            outcome = None
+        if reason or full:
+            assert (outcome is None) if reason is None else (outcome.reason is UpdateReject(reason))
             assert (self.engine.introspection_json(), json.dumps(self.engine.store_dump())) == before
-            return
-        first = next(iter(self.kinds))
-        assert outcome.accepted and outcome.container_id == first
-        self.kinds[first], self.stored[first] = kind, None
-        self.sequence = sequence
+            return multiple()
+        cid = outcome.container_id
+        assert outcome.accepted and (cid == target if target else cid not in self.kinds)
+        self.kinds[cid], self.owners[cid], self.stored[cid] = kind, tenant, None
+        self.sequences[tenant] = sequence
+        return multiple() if target else multiple(cid)
 
     @rule(cid=consumes(containers))
     def remove(self, cid):
         self.engine.remove_container(cid)
-        del self.kinds[cid], self.stored[cid]
+        del self.kinds[cid], self.owners[cid], self.stored[cid]
 
     @rule(has_log=st.booleans())
     def swap_table(self, has_log):
@@ -143,7 +169,10 @@ class HookSlots(RuleBasedStateMachine):
         }
 
 
-SETTINGS = settings(max_examples=60, stateful_step_count=25, deadline=None)
+# Tier-1 runs 60 examples of up to 25 steps per tier; under the model-sweep
+# profile (conftest.py) the model runs at that profile's counts.
+SWEEP = settings.get_current_profile_name() == "model-sweep"
+SETTINGS = settings() if SWEEP else settings(max_examples=60, stateful_step_count=25, deadline=None)
 
 
 def test_hook_slots_match_the_model():

@@ -392,8 +392,12 @@ def test_update_to_full_hook_raises_slot_limit():
     beta = engine.register_tenant("beta", public_key_raw(BETA_KEY))
     hook = engine.register_hook("tight", set(), slot_limit=1)
     assert apply_update(engine, signed(alpha, hook, 1, RETURN_5, ALPHA_KEY), RETURN_5).accepted
+    before = engine.introspection_json(), engine.store_dump()
     with pytest.raises(SlotLimitReached):
         apply_update(engine, signed(beta, hook, 1, RETURN_9, BETA_KEY), RETURN_9)
+    # Verification comes first: a payload it rejects is refused as such.
+    assert reject_reason(engine, signed(beta, hook, 1, NO_EXIT, BETA_KEY), NO_EXIT) == UpdateReject.VERIFY_REJECTED
+    assert (engine.introspection_json(), engine.store_dump()) == before
 
 
 # -- keys and wire format ----------------------------------------------

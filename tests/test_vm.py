@@ -411,6 +411,18 @@ def test_response_write_without_a_container_faults_on_both_tiers(monkeypatch):
     assert host == run_both_tiers(monkeypatch, "exit", ctx_writable=True)[0][0][1]  # nothing written
 
 
+def test_a_restricted_table_refuses_an_id_the_verdict_allows_on_both_tiers(monkeypatch):
+    # The verdict allows 0x10 and 0x30, but the run's table is cut to 0x10:
+    # the table, not the verdict, decides what a run may call.
+    table = standard_syscall_table(FacilityContext()).restricted({0x10})
+    (interpreted, compiled), _ = run_both_tiers(
+        monkeypatch, "call 0x10\ncall 0x30\nexit", table=table, allowed={0x10, 0x30}
+    )
+    assert compiled == interpreted
+    outcome = compiled[0]
+    assert (outcome.executed, outcome.fault.kind, outcome.fault.pc) == (2, FaultKind.BAD_SYSCALL, 1)
+
+
 def test_call_costs_one_step_and_preserves_r1_to_r5():
     table = SyscallTable()
     table.register(0x42, lambda env: 7, argc=0, name="seven")
