@@ -37,7 +37,7 @@ from .update import (
     save_public_key,
     sign_manifest,
 )
-from .verifier import VerifyLimits, check_program, verification_report
+from .verifier import VerifyLimits, VerifyRejected, check_program, verification_report
 
 EXIT_OK = 0
 EXIT_VERIFY_REJECTED = 1
@@ -241,13 +241,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             sensors[int(head, 0)] = tuple(int(s, 0) for s in tail.split(",") if s)
         except ValueError:
             raise CliError(f"--sensor wants id=v1,v2,..., got {spec!r}") from None
-    engine, hook, event = _host(program, limits, allowed, regions, sensors)
+    try:
+        engine, hook, event = _host(program, limits, allowed, regions, sensors)
+    except VerifyRejected as exc:
+        return _report_rejection(args, exc.errors)
     result = engine.trigger_hook(hook, event)
 
-    (slot,) = result.outcomes
-    if slot.outcome is None:
-        return _report_rejection(args, list(slot.verify_errors))
-    outcome = slot.outcome
+    outcome = result.outcomes[0].outcome  # the engine's one container
     data = {
         "return": outcome.return_value,
         "executed": outcome.executed,
@@ -297,8 +297,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         engine, hook, event = _host(program, limits, allowed, regions, sensors)
         (slot,) = engine.trigger_hook(hook, event).outcomes
         first_ns.append(time.perf_counter_ns() - t0)
-        if slot.outcome is None:
-            raise CliError(f"fixture {args.fixture} no longer verifies: {slot.verify_errors[0]}")
         if not slot.outcome.ok:
             raise CliError(f"fixture {args.fixture} faulted: {slot.outcome.fault}")
 

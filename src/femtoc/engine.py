@@ -8,22 +8,23 @@ both for helper ids and for the hook's context regions, read by label.
 
 A container is verified once, when it is bound (installed, replaced or
 updated), under the engine's limits and the helper ids its hook grants, by
-``Engine.verify_for``, the package's one call of ``verifier.verify``; a
-signed update is verified before it changes anything.  A trigger only
-reads the verdict, and runs the hook's containers in slot order with
-context regions holding only the event's bytes, a zeroed stack each, and
-full fault isolation between slots.
+``Engine.verify_for``, the package's one call of ``verifier.verify``.  It
+is verified before anything changes: a program that fails raises
+VerifyRejected and leaves the engine as it was, whichever way it came in,
+so every bound container runs.  A trigger only reads the verdict, and runs
+the hook's containers in slot order with context regions holding only the
+event's bytes, a zeroed stack each, and full fault isolation between slots.
 
 Each hook keeps one memory layout for all its triggers: its context
 regions, then one stack per slot position, in a guard-padded buffer that
 every trigger resets from its template before it writes in the event.  A
-hook's slots are its Container objects in slot order; the running slot at
-position j (verify-rejected slots take none) uses stack j.  Each container
-has one capability record, its SyscallEnv, handed whole to every run: the
-stores its grant reaches and its response view, resolved at bind, so a
-helper call does no scope routing or region lookup; its helper table, cut
-from ``Engine.syscall_table`` at bind and whenever that table is replaced;
-and the access list of its running position, which ``Engine._link`` sets
+hook's slots are its Container objects in slot order; the slot at
+position j uses stack j.  Each container has one capability record, its
+SyscallEnv, handed whole to every run: the stores its grant reaches and
+its response view, resolved at bind, so a helper call does no scope
+routing or region lookup; its helper table, cut from
+``Engine.syscall_table`` at bind and whenever that table is replaced; and
+the access list of its slot position, which ``Engine._link`` sets
 whenever the hook's slots change.  A trigger only reads them.  Its
 VerifiedProgram also carries the execution tiers' state (see ``vm``), so a
 hot container's compiled form goes when it is removed or replaced.
@@ -43,7 +44,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from .facilities import RESPONSE_LABEL, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
-from .verifier import VerifiedProgram, VerifyError, VerifyLimits, VerifyRejected, verify
+from .verifier import VerifiedProgram, VerifyLimits, verify
 from .vm import ExecOutcome, SyscallEnv, SyscallTable, _new, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
@@ -193,8 +194,7 @@ class Container:
     views: tuple[MemoryRegion, ...]  # the granted context regions in hook-template order
     ctx: MemoryRegion | None  # r1: the first view
     env: SyscallEnv  # its capabilities; Engine._link sets the access list
-    verified: VerifiedProgram | None  # None when verification rejected the program
-    verify_errors: tuple[VerifyError, ...] | None  # the rejection's violations
+    verified: VerifiedProgram
     stats: ContainerStats = field(default_factory=ContainerStats)
 
 
@@ -208,7 +208,7 @@ class Hook:
     slot_limit: int = DEFAULT_SLOT_LIMIT
     slots: tuple[Container, ...] = ()  # replaced whole on every change, never mutated
     # One layout for every trigger: the context regions by label, in
-    # template order, then stack j for the running slot at position j.
+    # template order, then stack j for the slot at position j.
     memory: HostMemory = field(default_factory=HostMemory)
     context: dict[str, MemoryRegion] = field(default_factory=dict)
     stacks: list[MemoryRegion] = field(default_factory=list)
@@ -221,15 +221,10 @@ class Hook:
 
 
 class SlotOutcome(NamedTuple):
-    """Per-container result of one trigger.
-
-    ``outcome`` is None when the bytecode failed its one-time verification;
-    the collected violations are then in ``verify_errors``.
-    """
+    """Per-container result of one trigger."""
 
     container_id: uuid.UUID
-    outcome: ExecOutcome | None
-    verify_errors: tuple[VerifyError, ...] = ()
+    outcome: ExecOutcome
 
 
 class TriggerResult(NamedTuple):
@@ -352,7 +347,7 @@ class Engine:
     def install_container(
         self, tenant_id: uuid.UUID, program: Program, contract: Contract, hook_id: uuid.UUID
     ) -> uuid.UUID:
-        """Attach bytecode to a new last slot of a hook and verify it (see _bind)."""
+        """Verify bytecode and attach it to a new last slot of a hook (see _bind)."""
         with self.lock:
             return self._bind(self._hook_of(tenant_id, hook_id), tenant_id, None, program, contract)
 
@@ -360,21 +355,23 @@ class Engine:
         self, tenant_id: uuid.UUID, hook_id: uuid.UUID, sequence: int, program: Program, contract: Contract
     ) -> uuid.UUID:
         """The engine's half of a signed update (``update.apply_update``
-        authenticates it first).  Verify ``program``; a rejection raises
-        VerifyRejected and changes nothing.  Then replace the tenant's
-        container on the hook in place, or install one in a new last slot
-        (see _bind), and record ``sequence`` as the pair's last update."""
+        authenticates it first).  Replace the tenant's container on the
+        hook in place, or install one in a new last slot (see _bind), and
+        record ``sequence`` as the pair's last update; a rejection records
+        nothing."""
         with self.lock:
             hook = self._hook_of(tenant_id, hook_id)
-            verified = self.verify_for(hook, program, contract)
             replaced = self.tenant_container_on_hook(tenant_id, hook_id)
-            container_id = self._bind(hook, tenant_id, replaced, program, contract, verified)
+            container_id = self._bind(hook, tenant_id, replaced, program, contract)
             self._update_seqs[(tenant_id, hook_id)] = sequence
             return container_id
 
     def _hook_of(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> Hook:
         if tenant_id not in self.tenants:
             raise UnknownTenant(str(tenant_id))
+        return self._hook(hook_id)
+
+    def _hook(self, hook_id: uuid.UUID) -> Hook:
         hook = self.hooks.get(hook_id)
         if hook is None:
             raise UnknownHook(str(hook_id))
@@ -393,8 +390,8 @@ class Engine:
     def replace_container(self, container_id: uuid.UUID, program: Program, contract: Contract) -> None:
         """Atomically swap a container's bytecode and contract in place.
 
-        The slot position and id survive; the program is verified (see
-        _bind), and stats and the container store start over.
+        The slot position and id survive; the program is verified first
+        (see _bind), and stats and the container store start over.
         """
         with self.lock:
             container = self.containers.get(container_id)
@@ -410,29 +407,22 @@ class Engine:
         container_id: uuid.UUID | None,
         program: Program,
         contract: Contract,
-        verified: VerifiedProgram | None = None,
     ) -> uuid.UUID:
-        """Give a container on ``hook`` everything it runs with: its program
-        and verdict, the granted contract and region views, an empty
-        container store, its SyscallEnv with the stores its grant reaches,
-        its response view and its helper table, fresh stats, and its slot:
-        the one ``container_id`` holds, or, when that is None, a new last
-        one under a new id, which closes the setup phase (a full hook raises
-        SlotLimitReached and changes nothing).  The program is verified here
-        unless update_container passes the verdict it made; a rejected one
-        is bound too, and its triggers report the violations.  Returns the
-        container's id."""
+        """Verify ``program`` (see verify_for), then give a container on
+        ``hook`` everything it runs with: its program and verdict, the
+        granted contract and region views, an empty container store, its
+        SyscallEnv with the stores its grant reaches, its response view and
+        its helper table, fresh stats, and its slot: the one
+        ``container_id`` holds, or, when that is None, a new last one under
+        a new id, which closes the setup phase.  VerifyRejected, then
+        SlotLimitReached for a full hook, leave before anything changes (no
+        id drawn, setup left open).  Returns the container's id."""
+        verified = self.verify_for(hook, program, contract)
         if container_id is None:
             if len(hook.slots) >= hook.slot_limit:
                 raise SlotLimitReached(f"hook {hook.name!r} is at its {hook.slot_limit}-slot limit")
             self._setup_open = False
             container_id = self._new_id()
-        errors = None
-        if verified is None:
-            try:
-                verified = self.verify_for(hook, program, contract)
-            except VerifyRejected as exc:
-                errors = tuple(exc.errors)
         granted = intersect_contract(hook, contract)
         rank = {spec.label: i for i, spec in enumerate(hook.context_template)}
         grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
@@ -443,7 +433,7 @@ class Engine:
         env = SyscallEnv(None, self.syscall_table.restricted(granted.syscalls), container_id, stores, response)
         old = self.containers.get(container_id)
         container = self.containers[container_id] = Container(
-            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, env, verified, errors
+            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, env, verified
         )
         slots = hook.slots
         hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)
@@ -451,10 +441,10 @@ class Engine:
         return container_id
 
     def _link(self, hook: Hook) -> None:
-        """Give the j-th running container on ``hook`` (verify-rejected ones
-        take no stack) the access list of its views and stack j, allocating
-        the stack on first use; a list whose stack is unchanged stays."""
-        for j, container in enumerate(c for c in hook.slots if c.verified is not None):
+        """Give the container in slot j of ``hook`` the access list of its
+        views and stack j, allocating the stack on first use; a list whose
+        stack is unchanged stays."""
+        for j, container in enumerate(hook.slots):
             if j == len(hook.stacks):
                 hook.stacks.append(fresh_stack(hook.memory))
             acl = container.env.acl
@@ -468,7 +458,7 @@ class Engine:
 
     def tenant_container_on_hook(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> uuid.UUID | None:
         with self.lock:
-            slots = self.hooks[hook_id].slots
+            slots = self._hook(hook_id).slots
             return next((c.container_id for c in slots if c.tenant_id == tenant_id), None)
 
     # -- update bookkeeping (used by the signed-update path) ----------
@@ -489,9 +479,7 @@ class Engine:
         running container.
         """
         with self.lock:
-            hook = self.hooks.get(hook_id)
-            if hook is None:
-                raise UnknownHook(str(hook_id))
+            hook = self._hook(hook_id)
             memory = hook.memory
             memory.reset()
             for label, data in (event or {}).items():
@@ -507,20 +495,16 @@ class Engine:
 
             outcomes: list[SlotOutcome] = []
             for container in hook.slots:
-                vp = container.verified
-                if vp is None:
-                    outcomes.append(SlotOutcome(container.container_id, None, container.verify_errors))
-                    continue
-                outcome = exec_program(vp, container.ctx, container.env)
+                outcome = exec_program(container.verified, container.ctx, container.env)
                 container.stats.runs += 1
                 container.stats.total_executed += outcome.executed
                 container.stats.faults += outcome.fault is not None
-                outcomes.append(_new(SlotOutcome, (container.container_id, outcome, ())))
+                outcomes.append(_new(SlotOutcome, (container.container_id, outcome)))
 
             policy_value = None
             if hook.return_policy == ReturnPolicy.FIRST_NONZERO_WINS:
                 for slot in outcomes:
-                    if slot.outcome is not None and slot.outcome.ok and slot.outcome.return_value:
+                    if slot.outcome.ok and slot.outcome.return_value:
                         policy_value = slot.outcome.return_value
                         break
             context_after = {label: region.snapshot() for label, region in hook.context.items()}
@@ -559,8 +543,8 @@ class Engine:
                     "tenant_id": str(c.tenant_id),
                     "hook_id": str(c.hook_id),
                     "bytecode_len": c.program.byte_len,
-                    "verified": c.verified is not None,
-                    "rejected": c.verify_errors is not None,
+                    "verified": True,  # every bound container verified: these two and
+                    "rejected": False,  # verify_count are fixed, kept for the report schema
                     "granted": c.granted.to_json(),
                     "stats": {
                         "runs": c.stats.runs,

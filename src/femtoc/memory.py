@@ -1,13 +1,14 @@
 """Flat byte-addressed memory with a region whitelist.
 
-Programs see real addresses into one shared byte buffer per run.  Safety
-comes entirely from the access list: a load or store is allowed only when
-the whole accessed range [addr, addr+len) lies inside a single region that
+Programs see real addresses into one shared byte buffer: the engine keeps
+one per hook, for its context regions and its slots' stacks.  Safety comes
+entirely from the access list: a load or store is allowed only when the
+whole accessed range [addr, addr+len) lies inside a single region that
 grants the required mode.  The allocator leaves guard gaps filled with a
 canary byte between regions, so any access that slipped past the checks is
-detectable after the fact.  A buffer is reused across runs by ``reset``,
-which puts back every byte the allocations wrote: guards, zeros and init
-data.
+detectable after the fact.  A buffer is reused across runs by ``reset``
+(the engine's, at every trigger), which puts back every byte the
+allocations wrote: guards, zeros and init data.
 
 An access list also keeps its regions as two tuples of windows, one for
 reads and one for writes, each ``(lo, hi, buf, base)``: the region's
@@ -48,7 +49,7 @@ class AccessViolation(Exception):
 
 
 class HostMemory:
-    """One growable buffer that backs all regions of a single run."""
+    """One growable buffer that backs a set of regions: in the engine, a hook's."""
 
     def __init__(self, base: int = DEFAULT_BASE):
         self.base = base

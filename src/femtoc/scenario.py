@@ -49,7 +49,7 @@ from .facilities import SensorFixture
 from .fixtures import fixture_program
 from .isa import Program
 from .update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
-from .verifier import VerifyLimits
+from .verifier import VerifyLimits, VerifyRejected
 
 SCHEMA_VERSION = 1
 MASK64 = (1 << 64) - 1
@@ -216,7 +216,7 @@ class ScenarioRuntime:
         for index, action in enumerate(_entries(doc, "setup")):
             try:
                 self._run_setup_action(index, action)
-            except EngineError as exc:  # a full hook, say
+            except (EngineError, VerifyRejected) as exc:  # a full hook or an unverifiable program, say
                 raise ParseError(f"setup action {index}: {exc}") from None
 
     def _ref(self, kind: str, spec: dict, what: str):
@@ -358,18 +358,17 @@ def _event_report(runtime: ScenarioRuntime, index: int, event: dict, result: Tri
     names = {cid: name for name, cid in runtime.container_ids.items()}
     containers = []
     for slot in result.outcomes:
-        entry: dict[str, Any] = {
-            "name": names.get(slot.container_id, str(slot.container_id)),
-            "container_id": str(slot.container_id),
-        }
-        if slot.outcome is None:
-            entry["verify_rejected"] = [e.kind.value for e in slot.verify_errors]
-        else:
-            entry["return_value"] = slot.outcome.return_value
-            entry["executed"] = slot.outcome.executed
-            entry["branches_taken"] = slot.outcome.branches_taken
-            entry["fault"] = slot.outcome.fault.kind.value if slot.outcome.fault else None
-        containers.append(entry)
+        outcome = slot.outcome
+        containers.append(
+            {
+                "name": names.get(slot.container_id, str(slot.container_id)),
+                "container_id": str(slot.container_id),
+                "return_value": outcome.return_value,
+                "executed": outcome.executed,
+                "branches_taken": outcome.branches_taken,
+                "fault": outcome.fault.kind.value if outcome.fault else None,
+            }
+        )
     return {
         "index": index,
         "at_ms": _parse_int(event.get("at_ms", 0), "at_ms"),
@@ -444,14 +443,11 @@ def _parse_check(
             if slot is None:
                 return False, f"container {check['container']!r} did not run in that event"
             if kind == "return":
-                if slot.outcome is None:
-                    return False, "container was rejected at verification"
                 actual = slot.outcome.return_value
                 return actual == expected, f"return value: expected {expected}, got {actual}"
-            fault = slot.outcome.fault if slot.outcome is not None else None
+            fault = slot.outcome.fault
             if kind == "no_fault":
-                ok = slot.outcome is not None and fault is None
-                return ok, "no fault" if ok else f"faulted with {fault.kind.value if fault else 'verify reject'}"
+                return fault is None, "no fault" if fault is None else f"faulted with {fault.kind.value}"
             if fault is None:
                 return False, "expected a fault, run was clean"
             if expected_kind and fault.kind.value != expected_kind:

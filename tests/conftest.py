@@ -15,6 +15,9 @@ settings.register_profile(
 settings.register_profile(
     "model-sweep", settings.get_profile("repo"), max_examples=600, stateful_step_count=30
 )
+# The hostile-input sweep, which a CI step selects with
+# `--hypothesis-profile hostile-sweep`: ten times tier-1's examples per property.
+settings.register_profile("hostile-sweep", settings.get_profile("repo"), max_examples=2000)
 settings.load_profile("repo")
 
 

@@ -36,7 +36,7 @@ from femtoc.facilities import SensorFixture
 from femtoc.fixtures import FIXTURE_SYSCALLS, fixture_program
 from femtoc.isa import Program
 from femtoc.memory import AccessList, HostMemory, fresh_stack
-from femtoc.verifier import VerifyLimits, verify
+from femtoc.verifier import VerifyLimits, VerifyRejected, verify
 from femtoc.vm import FaultKind, SyscallTable
 
 EXIT_ONLY = assemble("mov64 r0, 0\nexit")
@@ -202,8 +202,10 @@ def test_verify_once_across_many_triggers():
 def test_first_trigger_scans_each_container_once(check_program_scans):
     engine, tenant, hook = engine_with_hook(syscalls=())
     programs = [EXIT_ONLY, assemble("mov64 r0, 7\nexit"), assemble("mov64 r10, 1\nexit")]
-    for program in programs:
+    for program in programs[:2]:
         engine.install_container(tenant, program, Contract.of(), hook)
+    with pytest.raises(VerifyRejected):
+        engine.install_container(tenant, programs[2], Contract.of(), hook)
     engine.trigger_hook(hook)
     assert check_program_scans == programs  # the rejected one included
     for _ in range(3):
@@ -211,28 +213,22 @@ def test_first_trigger_scans_each_container_once(check_program_scans):
     assert check_program_scans == programs
 
 
-def test_rejected_container_reports_errors_and_caches_the_verdict():
+def test_a_rejected_install_raises_every_violation_and_binds_nothing():
     engine, tenant, hook = engine_with_hook(syscalls=())
-    bad = assemble("mov64 r10, 1\nexit")
-    cid = engine.install_container(tenant, bad, Contract.of(), hook)
-    for _ in range(3):
-        result = engine.trigger_hook(hook)
-        slot = result.outcomes[0]
-        assert slot.outcome is None
-        assert slot.verify_errors
-    stats = engine.containers[cid].stats
-    assert stats.verify_count == 1
-    assert stats.runs == 0
+    bad = assemble("mov64 r10, 1\nmov64 r10, 2\nexit")
+    with pytest.raises(VerifyRejected) as err:
+        engine.install_container(tenant, bad, Contract.of(), hook)
+    assert [(e.slot_index, e.mnemonic) for e in err.value.errors] == [(0, "mov64"), (1, "mov64")]
+    assert engine.containers == {} and engine.trigger_hook(hook).outcomes == ()
 
 
 def test_unallowed_syscall_is_caught_at_verify_not_runtime():
     engine, tenant, hook = engine_with_hook(syscalls={0x10})
     # Contract requests nothing, so granted = {} and the call must be rejected.
     program = assemble("call 0x10\nexit")
-    engine.install_container(tenant, program, Contract.of(), hook)
-    slot = engine.trigger_hook(hook).outcomes[0]
-    assert slot.outcome is None
-    assert any(e.kind.value == "UnknownSyscall" for e in slot.verify_errors)
+    with pytest.raises(VerifyRejected) as err:
+        engine.install_container(tenant, program, Contract.of(), hook)
+    assert any(e.kind.value == "UnknownSyscall" for e in err.value.errors)
 
 
 def test_thread_counter_three_switches_to_thread_two():
@@ -268,10 +264,11 @@ def test_install_and_first_trigger_of_decoded_bytes_build_no_instruction(forbid_
     contract = Contract.of(syscalls=FIXTURE_SYSCALLS["thread_counter"], regions=[RegionGrant("ctx")])
     forbid_instructions()
     cid = engine.install_container(tenant, Program.from_bytes(counter), contract, hook)
-    engine.install_container(tenant, Program.from_bytes(writes_r10), contract, hook)
-    ran, rejected = engine.trigger_hook(hook, {"ctx": struct.pack("<QQ", 3, 2)}).outcomes
+    with pytest.raises(VerifyRejected) as err:
+        engine.install_container(tenant, Program.from_bytes(writes_r10), contract, hook)
+    assert err.value.errors[0].mnemonic == "mov64"
+    (ran,) = engine.trigger_hook(hook, {"ctx": struct.pack("<QQ", 3, 2)}).outcomes
     assert ran.outcome.ok
-    assert rejected.verify_errors[0].mnemonic == "mov64"
     assert engine.facilities.stores.container_stores[cid].get(2) == 1
 
 
@@ -659,9 +656,8 @@ def test_only_link_builds_access_lists_and_only_bind_and_the_table_setter_cut_he
 def test_only_bind_and_the_update_path_verify_through_verify_for():
     # The package calls verifier.verify at one site: Engine.verify_for, which
     # joins the engine's limits with the helper ids the hook grants.
-    # Engine._bind calls it unless Engine.update_container, which must
-    # refuse a rejected update before it changes anything, passes the
-    # verdict it made; update.py calls no verification at all.
+    # Engine._bind calls it before it changes anything, for installs,
+    # replaces and signed updates alike; update.py calls no verification.
     found = []
     for path in sorted(Path(femtoc.__file__).parent.glob("*.py")):
         sites = CallSites(path.stem, {"verify", "intersect_contract", "verify_for"})
@@ -673,7 +669,6 @@ def test_only_bind_and_the_update_path_verify_through_verify_for():
         ("verify", "update._signature_valid"),  # Ed25519PublicKey.verify, the signature check
         ("verify_for", "cli.cmd_bench"),  # times a verification on its own engine
         ("verify_for", "engine.Engine._bind"),
-        ("verify_for", "engine.Engine.update_container"),
     ]
     assert not hasattr(femtoc.update, "verify") and not hasattr(femtoc.update, "intersect_contract")
 
@@ -723,10 +718,11 @@ def test_a_container_is_verified_when_bound_and_never_under_a_trigger(monkeypatc
 
     good = engine.install_container(tenants["alpha"], EXIT_ONLY, Contract.of(), hook)
     assert verifies == [False] and states() == {good: (True, False, 1)}
-    bad = engine.install_container(tenants["alpha"], assemble("mov64 r10, 1\nexit"), Contract.of(), hook)
-    assert verifies == [False] * 2 and states()[bad] == (False, True, 1)
-    engine.replace_container(bad, assemble("mov64 r0, 2\nexit"), Contract.of())
-    assert verifies == [False] * 3 and states()[bad] == (True, False, 1)
+    with pytest.raises(VerifyRejected):
+        engine.install_container(tenants["alpha"], assemble("mov64 r10, 1\nexit"), Contract.of(), hook)
+    assert verifies == [False] * 2 and states() == {good: (True, False, 1)}
+    second = engine.install_container(tenants["alpha"], assemble("mov64 r0, 2\nexit"), Contract.of(), hook)
+    assert verifies == [False] * 3 and states()[second] == (True, False, 1)
     for _ in range(3):
         engine.trigger_hook(hook)
     assert verifies == [False] * 3
@@ -768,6 +764,50 @@ def test_a_spin_loop_ends_at_the_engines_budget_however_it_was_bound(entry):
         assert outcome.accepted and outcome.container_id == (old or outcome.container_id)
     (slot,) = engine.trigger_hook(hook).outcomes  # one slot: replaced in place, or installed
     assert (slot.outcome.fault.kind, slot.outcome.executed) == (FaultKind.BUDGET_EXCEEDED, 16)
+
+
+@pytest.mark.parametrize("entry", ["install", "install_on_full_hook", "replace", "update_installs", "update_replaces"])
+def test_a_rejected_program_changes_nothing_whichever_way_it_arrives(entry):
+    # Every entry verifies before it changes anything, so a program that
+    # fails is refused with every byte of engine state as it was: no slot,
+    # no store, no id drawn from a seeded engine, and an engine that had no
+    # container stays in its setup phase.  On a full hook it is the
+    # verification that refuses it, not the slot limit.
+    from femtoc.update import (
+        UpdateReject, apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
+    )
+
+    key = private_key_from_seed(b"alpha")
+    rng = random.Random(11)
+    engine = Engine(rng=rng)
+    tenant = engine.register_tenant("alpha", public_key_raw(key))
+    hook = engine.register_hook("h", (), slot_limit=1)
+    bad = assemble("mov64 r10, 1\nexit")
+    bound = None if entry in ("install", "update_installs") else engine.install_container(
+        tenant, EXIT_ONLY, Contract.of(), hook
+    )
+    before = engine.introspection_json(), json.dumps(engine.store_dump()), rng.getstate()
+    if entry.startswith("update"):
+        manifest = sign_manifest(build_manifest(tenant, hook, 1, bad.to_bytes(), Contract.of()), key)
+        assert apply_update(engine, manifest, bad.to_bytes()).reason is UpdateReject.VERIFY_REJECTED
+    else:
+        with pytest.raises(VerifyRejected):
+            if entry == "replace":
+                engine.replace_container(bound, bad, Contract.of())
+            else:
+                engine.install_container(tenant, bad, Contract.of(), hook)
+    assert (engine.introspection_json(), json.dumps(engine.store_dump()), rng.getstate()) == before
+    if bound is None:
+        engine.register_hook("later", ())  # the setup phase is still open
+    assert [slot.outcome.ok for slot in engine.trigger_hook(hook).outcomes] == [True] * (bound is not None)
+
+
+def test_tenant_container_on_hook_raises_unknown_hook():
+    engine, tenant, hook = engine_with_hook()
+    assert engine.tenant_container_on_hook(tenant, hook) is None
+    for tenant_id in (tenant, uuid.uuid4()):
+        with pytest.raises(UnknownHook):
+            engine.tenant_container_on_hook(tenant_id, uuid.uuid4())
 
 
 def test_context_after_snapshots_shared_buffer():
@@ -927,7 +967,7 @@ R10_PROBE = assemble(
 )
 NOT_GRANTED = assemble("call 0x30\nexit")  # fails verification: 0x30 is not granted
 # Addresses the allocation order gives: regions a (8 bytes) and b (16 bytes),
-# then one 512-byte stack per running slot, each region fenced by 16-byte guards.
+# then one 512-byte stack per slot, each region fenced by 16-byte guards.
 STACK_0, STACK_1 = 0x1068, 0x1288
 
 
@@ -938,36 +978,33 @@ def test_running_slots_take_stacks_in_order_and_keep_their_addresses():
         "h", (), [ContextRegionSpec("a", 8, True, True), ContextRegionSpec("b", 16, True, False)]
     )
     contract = Contract.of(regions=[RegionGrant("a", True, True), RegionGrant("b")])
-    first, rejected, third = (
-        engine.install_container(tenant, program, contract, hook)
-        for program in (R10_PROBE, NOT_GRANTED, R10_PROBE)
-    )
+    first, second = (engine.install_container(tenant, R10_PROBE, contract, hook) for _ in range(2))
 
     def returns(event=None):
         result = engine.trigger_hook(hook, event)
-        return {s.container_id: s.outcome and s.outcome.return_value for s in result.outcomes}
+        return {s.container_id: s.outcome.return_value for s in result.outcomes}
 
     def faults():
         result = engine.trigger_hook(hook, {"a": struct.pack("<Q", 512), "b": bytes(16)})
-        return {s.container_id: s.outcome and s.outcome.fault for s in result.outcomes}
+        return {s.container_id: s.outcome.fault for s in result.outcomes}
 
-    assert returns() == {first: STACK_0, rejected: None, third: STACK_1}
-    fault = faults()[third]
+    assert returns() == {first: STACK_0, second: STACK_1}
+    fault = faults()[second]
     assert (fault.kind, fault.pc, fault.addr, fault.length) == (
         FaultKind.MEMORY_VIOLATION, 5, STACK_1 + 512, 1
     )
 
     engine.remove_container(first)
-    assert returns() == {rejected: None, third: STACK_0}
-    assert faults()[third].addr == STACK_0 + 512
-    fourth = engine.install_container(tenant, R10_PROBE, contract, hook)
-    assert returns() == {rejected: None, third: STACK_0, fourth: STACK_1}
+    assert returns() == {second: STACK_0}
+    assert faults()[second].addr == STACK_0 + 512
+    third = engine.install_container(tenant, R10_PROBE, contract, hook)
+    assert returns() == {second: STACK_0, third: STACK_1}
 
 
 STACK_2 = STACK_1 + (STACK_1 - STACK_0)
 
 
-def test_a_replaced_first_slot_moves_the_later_running_slots_stacks_both_ways():
+def test_a_replaced_first_slot_keeps_every_slots_stack():
     engine = Engine()
     tenant = engine.register_tenant("alpha")
     hook = engine.register_hook(
@@ -978,17 +1015,18 @@ def test_a_replaced_first_slot_moves_the_later_running_slots_stacks_both_ways():
 
     def returns():
         result = engine.trigger_hook(hook)
-        return {s.container_id: s.outcome and s.outcome.return_value for s in result.outcomes}
+        return {s.container_id: s.outcome.return_value for s in result.outcomes}
 
     def fault_addrs():
         result = engine.trigger_hook(hook, {"a": struct.pack("<Q", 512), "b": bytes(16)})
-        return {s.container_id: s.outcome and s.outcome.fault.addr for s in result.outcomes}
+        return {s.container_id: s.outcome.fault.addr for s in result.outcomes}
 
     assert returns() == {first: STACK_0, second: STACK_1, third: STACK_2}
-    engine.replace_container(first, NOT_GRANTED, contract)
-    assert returns() == {first: None, second: STACK_0, third: STACK_1}
-    assert fault_addrs() == {first: None, second: STACK_0 + 512, third: STACK_1 + 512}
+    acls = [engine.containers[cid].env.acl for cid in (second, third)]
+    with pytest.raises(VerifyRejected):
+        engine.replace_container(first, NOT_GRANTED, contract)
     engine.replace_container(first, R10_PROBE, contract)
+    assert all(engine.containers[cid].env.acl is acl for cid, acl in zip((second, third), acls))
     assert returns() == {first: STACK_0, second: STACK_1, third: STACK_2}
     assert fault_addrs() == {first: STACK_0 + 512, second: STACK_1 + 512, third: STACK_2 + 512}
     assert len(engine.hooks[hook].stacks) == 3
@@ -1154,8 +1192,7 @@ def test_every_access_list_ends_with_its_stack_and_its_windows_are_disjoint():
     for thread in (1, 2):
         fleet_round(engine, hooks, thread)
     for hook in engine.hooks.values():
-        running = [container for container in hook.slots if container.verified is not None]
-        for j, container in enumerate(running):
+        for j, container in enumerate(hook.slots):
             acl = container.env.acl
             assert acl.stack is hook.stacks[j]
             assert acl.regions == (*container.views, acl.stack)
@@ -1200,10 +1237,10 @@ def test_a_stack_first_access_list_serves_the_context_through_the_scan(monkeypat
 
 def test_compiled_slots_take_stacks_in_order_and_keep_their_addresses(compiled_tier):
     # The stack and the access list are arguments of every run, never part
-    # of the compiled function: the third container keeps the form it
+    # of the compiled function: the second container keeps the form it
     # compiled at stack 1 and runs it on stack 0 after the first is removed.
     test_running_slots_take_stacks_in_order_and_keep_their_addresses()
-    assert len(compiled_tier) == 3  # first, third and fourth
+    assert len(compiled_tier) == 3  # first, second and third
 
 
 def test_a_replaced_engine_helper_table_reaches_compiled_code_at_the_next_trigger(compiled_tier):

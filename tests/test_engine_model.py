@@ -1,11 +1,13 @@
 """A stateful model of one hook's slots, shared by two tenants: the stack
-each running slot takes, the helper table each container calls and what
-each container store holds, across installs, replaces, signed updates,
-removes and swaps of ``Engine.syscall_table``, on both tiers."""
+each slot takes, the helper table each container calls and what each
+container store holds, across installs, replaces, signed updates, removes
+and swaps of ``Engine.syscall_table``, on both tiers.  A program that fails
+verification is refused whichever way it comes, and changes no byte."""
 
 import json
 import struct
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     Bundle, RuleBasedStateMachine, consumes, invariant, multiple, precondition, rule, run_state_machine_as_test
@@ -17,6 +19,7 @@ from femtoc.facilities import SYS_CONTAINER_PUT, SYS_DEBUG_LOG
 from femtoc.update import (
     UpdateReject, apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
 )
+from femtoc.verifier import VerifyRejected
 from femtoc.vm import FaultKind, SyscallTable
 from test_engine import R10_PROBE, STACK_0, STACK_1
 
@@ -35,15 +38,11 @@ SLOT_LIMIT = 4  # small, so that runs reach a full hook
 
 
 def predicted(kinds, has_log, past_stack):
-    """Per slot, (return value,) or (fault kind, fault addr), or None for a
-    rejected one; the running slot at position j has stack j."""
-    outcomes, j = [], 0
-    for kind in kinds:
-        if kind == "rejected":
-            outcomes.append(None)
-            continue
+    """Per slot, (return value,) or (fault kind, fault addr); the slot at
+    position j has stack j."""
+    outcomes = []
+    for j, kind in enumerate(kinds):
         stack = STACK_0 + j * STRIDE
-        j += 1
         if kind == "caller" and not has_log:
             outcomes.append((FaultKind.BAD_SYSCALL, None))
         elif kind == "probe" and past_stack:
@@ -81,16 +80,26 @@ class HookSlots(RuleBasedStateMachine):
         kinds=st.lists(st.sampled_from(sorted(PROGRAMS)), min_size=1, max_size=SLOT_LIMIT),
     )
     def install(self, tenant, kinds):
-        """Install ``tenant``'s containers of ``kinds``, as many as the hook has room for."""
+        """Install ``tenant``'s containers of ``kinds`` in turn.  A rejected
+        program raises VerifyRejected, even on a full hook, and any other
+        raises SlotLimitReached there; neither changes a byte."""
         cids = []
-        for kind in kinds[: SLOT_LIMIT - len(self.kinds)]:
-            cid = self.engine.install_container(self.tenants[tenant], PROGRAMS[kind], CONTRACT, self.hook)
+        for kind in kinds:
+            args = self.tenants[tenant], PROGRAMS[kind], CONTRACT, self.hook
+            if kind == "rejected" or len(self.kinds) == SLOT_LIMIT:
+                error = VerifyRejected if kind == "rejected" else SlotLimitReached
+                self.refused(error, self.engine.install_container, *args)
+                continue
+            cid = self.engine.install_container(*args)
             self.kinds[cid], self.owners[cid], self.stored[cid] = kind, tenant, None
             cids.append(cid)
         return multiple(*cids)
 
     @rule(cid=containers, kind=st.sampled_from(sorted(PROGRAMS)))
     def replace(self, cid, kind):
+        if kind == "rejected":
+            self.refused(VerifyRejected, self.engine.replace_container, cid, PROGRAMS[kind], CONTRACT)
+            return
         self.engine.replace_container(cid, PROGRAMS[kind], CONTRACT)
         self.kinds[cid], self.stored[cid] = kind, None
 
@@ -116,14 +125,14 @@ class HookSlots(RuleBasedStateMachine):
             "BadSignature" if forged else "RollbackRejected" if rollback
             else "VerifyRejected" if kind == "rejected" else None
         )
-        before = self.engine.introspection_json(), json.dumps(self.engine.store_dump())
+        before = self.state()
         try:
             outcome = apply_update(self.engine, manifest, payload)
         except SlotLimitReached:
             outcome = None
         if reason or full:
             assert (outcome is None) if reason is None else (outcome.reason is UpdateReject(reason))
-            assert (self.engine.introspection_json(), json.dumps(self.engine.store_dump())) == before
+            assert self.state() == before
             return multiple()
         cid = outcome.container_id
         assert outcome.accepted and (cid == target if target else cid not in self.kinds)
@@ -147,13 +156,23 @@ class HookSlots(RuleBasedStateMachine):
         result = self.engine.trigger_hook(self.hook, event)
         assert [slot.container_id for slot in result.outcomes] == list(self.kinds)
         seen = [
-            None if o is None else (o.return_value,) if o.ok else (o.fault.kind, o.fault.addr)
+            (o.return_value,) if o.ok else (o.fault.kind, o.fault.addr)
             for o in (slot.outcome for slot in result.outcomes)
         ]
         assert seen == predicted(self.kinds.values(), self.has_log, past_stack)
         for (cid, kind), outcome in zip(self.kinds.items(), seen):
             if kind == "storer":
                 self.stored[cid] = outcome[0]
+
+    def state(self):
+        return self.engine.introspection_json(), json.dumps(self.engine.store_dump())
+
+    def refused(self, error, call, *args):
+        """``call(*args)`` raises ``error`` and changes no byte."""
+        before = self.state()
+        with pytest.raises(error):
+            call(*args)
+        assert self.state() == before
 
     @invariant()
     def slots_are_listed_in_order(self):

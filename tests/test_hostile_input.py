@@ -18,7 +18,9 @@ from femtoc.engine import Contract, Engine, RegionGrant
 from femtoc.scenario import ScenarioRuntime
 from femtoc.update import build_manifest, manifest_to_json, private_key_from_seed, public_key_raw, sign_manifest
 
-EXAMPLES = 200
+# Tier-1 runs 200 examples per property; under the hostile-sweep profile
+# (conftest.py) each runs at that profile's count.
+EXAMPLES = settings().max_examples if settings.get_current_profile_name() == "hostile-sweep" else 200
 DELETE = object()  # a mutation that removes the value instead of replacing it
 
 INTEGERS = st.integers() | st.sampled_from([-1, 1 << 16, 1 << 32, 1 << 64, 1 << 70, -(1 << 63)])
@@ -238,6 +240,25 @@ def test_a_full_hook_is_a_usage_error(tmp_path, monkeypatch, capsys, argv, extra
     where = "setup action 16" if extra else "engine.json"
     (line,) = captured.err.splitlines()
     assert line.endswith(f"error: {where}: hook 'h' is at its 16-slot limit")
+
+
+@pytest.mark.parametrize("action", ["install", "update"])
+def test_an_unverifiable_setup_program_is_a_usage_error(tmp_path, monkeypatch, capsys, action):
+    # The engine refuses a program that fails verification, so a setup
+    # install of one stops the scenario with exit 2, as a full hook does,
+    # and names the violation; a signed update of one is refused and recorded.
+    doc = copy.deepcopy(ENGINE_DOC)
+    doc["setup"] = [{**ONE_MORE[action], "program": {"asm": "mov64 r10, 1\nexit"}}]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert main(["--format", "json", "scenario", "run", "bad.json"]) == (2 if action == "install" else 0)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if action == "install":
+        (line,) = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("scenario error: setup action 0: slot 0: mov64:")
+    else:
+        assert json.loads(captured.out)["setup"][0]["reason"] == "VerifyRejected"
 
 
 @pytest.mark.parametrize("sys_id", [-1, 1 << 32])

@@ -100,6 +100,13 @@ def test_json_report_matches_the_golden_copy(name, capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("name", BUNDLED)
+def test_json_report_matches_the_golden_copy_in_compiled_code(name, capsys, compiled_tier):
+    # Every container compiles at its first run: the same bytes.
+    test_json_report_matches_the_golden_copy(name, capsys)
+    assert compiled_tier
+
+
 def test_report_does_not_depend_on_the_hash_seed(tmp_path):
     # Two grants on one label ('r' and 'w') live in a frozenset, whose
     # iteration order changes with PYTHONHASHSEED; the report must not.
