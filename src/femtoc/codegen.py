@@ -11,14 +11,20 @@ loop and from compiled code.  ``compiled_source`` fills them with one slot's
 registers and constants and joins each basic block's slots into one arm of
 a dispatch loop over block starts, with registers as locals; a block that
 jumps back to its own start becomes a loop over its passes, with one budget
-check for all of them.  ``femtoc.vm`` executes both sources in its own
-namespace, so the names they use (``_Trap``, ``Fault``, ``ExecOutcome``,
-``_helper_fault``, ...) are ``vm``'s.
+check for all of them.  Such a loop is versioned: a guard on each entry
+finds how many of its passes cannot wrap an add or sub whose operands it
+can bound, nor leave the first window with an access whose address steps
+by a constant, and runs those passes through a copy of the body filled
+without those checks, then the rest through the checked body.
+``femtoc.vm`` executes both sources in its own namespace, so the names
+they use (``_Trap``, ``Fault``, ``ExecOutcome``, ``_helper_fault``, ...)
+are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
-width; ``{mask}``, ``{wrap}``, ``{shift}`` and ``{sign}`` are the width's
-value mask, modulus, shift-amount mask and sign bit (for a byte swap,
-``{mask}`` covers the swapped bits and ``{nbytes}`` counts their bytes).
+width; ``{mask}``, ``{wrap}`` and ``{sign}`` are the width's value mask,
+modulus and sign bit, and ``{count}`` is a shift's amount, cut by the
+width's ``shift`` mask (for a byte swap, ``{mask}`` covers the swapped bits
+and ``{nbytes}`` counts their bytes).
 Signed operations map two's complement onto unsigned order by flipping the
 sign bit.  Every result lies in [0, {wrap}), so every register holds a
 value in [0, 2**64); ``add`` and ``sub`` wrap by a comparison, which is
@@ -28,27 +34,31 @@ cheaper than a mask for the usual small values.
 from __future__ import annotations
 
 from .verifier import (
-    ALU32_K, ALU32_X, ALU64_K, ALU64_X, CALL, END, EXIT, JA, JCOND_K, JCOND_X, LDDW, LDX, LDX_STACK,
-    MASK32, MASK64, ST, ST_STACK, STX, STX_STACK,
+    ALU32_K, ALU32_X, ALU64_K, ALU64_X, ALU_OPS, CALL, END, EXIT, JA, JCOND_K, JCOND_X, LDDW, LDX,
+    LDX_STACK, MASK32, MASK64, ST, ST_STACK, STX, STX_STACK,
 )
 
 # -- the semantics table --------------------------------------------------
 
+SUM = ("{a} + {b}", "{a} - {b}")  # add, sub, before their wrap test
+QUOTIENT = ("{a} % {b}", "{a} // {b}")  # mod, div, by a divisor that is not 0
+
 ALU = (  # by verifier.ALU_OPS
-    "t - {wrap} if (t := {a} + {b}) > {mask} else t",  # add
-    "t + {wrap} if (t := {a} - {b}) < 0 else t",  # sub
+    "t - {wrap} if (t := " + SUM[0] + ") > {mask} else t",  # add
+    "t + {wrap} if (t := " + SUM[1] + ") < 0 else t",  # sub
     "{b}",  # mov
     "{a} ^ {b}",  # xor
     "({a} * {b}) & {mask}",  # mul
     "{a} & {b}",  # and
     "{a} | {b}",  # or
-    "({a} << ({b} & {shift})) & {mask}",  # lsh
-    "{a} >> ({b} & {shift})",  # rsh
-    "{a} % {b} if {b} else 0",  # mod: unsigned, 0 on a zero divisor
-    "{a} // {b} if {b} else 0",  # div: unsigned, 0 on a zero divisor
-    "((({a} ^ {sign}) - {sign}) >> ({b} & {shift})) & {mask}",  # arsh
+    "({a} << {count}) & {mask}",  # lsh
+    "{a} >> {count}",  # rsh
+    QUOTIENT[0] + " if {b} else 0",  # mod: unsigned, 0 on a zero divisor
+    QUOTIENT[1] + " if {b} else 0",  # div: unsigned, 0 on a zero divisor
+    "((({a} ^ {sign}) - {sign}) >> {count}) & {mask}",  # arsh
     "-{a} & {mask}",  # neg
 )
+_ADD, _SUB, _MOD, _DIV = (ALU_OPS.index(op) for op in ("add", "sub", "mod", "div"))
 
 CMP = (  # by verifier.CMP_OPS; a true value takes the jump
     "{a} != {b}",  # jne
@@ -69,16 +79,18 @@ END_OPS = (  # by verifier.BYTE_ORDERS
     "int.from_bytes(({a} & {mask}).to_bytes({nbytes}, 'little'), 'big')",  # be
 )
 
-# Loads and stores test the first window of the access list inline, then
-# scan all its windows for the first one that covers the access; a stack row
-# indexes the stack's bytes with no scan.  ``{addr}`` is the access's
-# address: ADDRESS, or the base register itself at offset 0 (registers hold
-# values in [0, 2**64) on both tiers).
+# Loads and stores test the first window of the access list inline (READ and
+# WRITE at ``addr``), then scan all its windows for the first one that covers
+# the access; a stack row indexes the stack's bytes with no scan.  ``{addr}``
+# is the access's address: ADDRESS, or the base register itself at offset 0
+# (registers hold values in [0, 2**64) on both tiers).
 ADDRESS = "({base} + {off}) & {mask64}"
+READ = "{dst} = unpack[{width}](rbuf, {addr} - rbase)[0]\n"
+WRITE = "pack[{width}](wbuf, {addr} - wbase, {value})\n"
 LOAD = """\
 addr = {addr}
 if rlo <= addr and addr + {width} <= rhi:
-    {dst} = unpack[{width}](rbuf, addr - rbase)[0]
+    %s\
 else:
     end = addr + {width}
     for lo, hi, buf, buf_base in read_windows:
@@ -87,12 +99,12 @@ else:
             break
     else:
         raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "read denied"))
-"""
+""" % READ.replace("{addr}", "addr")
 
 STORE = """\
 addr = {addr}
 if wlo <= addr and addr + {width} <= whi:
-    pack[{width}](wbuf, addr - wbase, {value})
+    %s\
 else:
     end = addr + {width}
     for lo, hi, buf, buf_base in write_windows:
@@ -101,7 +113,7 @@ else:
             break
     else:
         raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "write denied"))
-"""
+""" % WRITE.replace("{addr}", "addr")
 
 LOAD_STACK = "{dst} = unpack[{width}](stack_buf, stack_at + {off})[0]\n"
 STORE_STACK = "pack[{width}](stack_buf, stack_at + {off}, {value})\n"
@@ -305,8 +317,8 @@ def interpreter_source(loop: dict[str, str]) -> str:
         prologue=_indent(PROLOGUE, 1),
         entry=_indent(loop["entry"], 2),
         step=_indent(loop["step"], 3),
-        alu64=_switch("sub", "a", ALU, {**operands, **_W64}, arm),
-        alu32=_switch("sub", "a", ALU, {**operands, **_W32}, arm),
+        alu64=_switch("sub", "a", ALU, {**operands, **_W64, "count": "(b & 63)"}, arm),
+        alu32=_switch("sub", "a", ALU, {**operands, **_W32, "count": "(b & 31)"}, arm),
         cmp=_switch("sub", "taken", CMP, {**operands, **_W64}, arm),
         taken=_indent(jump, arm + 1),
         jump=_indent(jump, arm),
@@ -331,6 +343,7 @@ def interpreter_source(loop: dict[str, str]) -> str:
 _BRANCHES = (JCOND_K, JCOND_X, JA)
 _ENDS_BLOCK = (JCOND_K, JCOND_X, JA, EXIT)
 _WRITES_DST = (ALU64_K, ALU64_X, ALU32_K, ALU32_X, LDX, LDX_STACK, LDDW, END)
+_TRAPS = (LDX, STX, ST, CALL)  # slots whose checked form can raise _Trap
 
 
 def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
@@ -365,25 +378,51 @@ def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
     return blocks
 
 
-def _slot_source(pc: int, row: tuple[int, ...]) -> str:
-    """One non-branching slot's statements, with registers as locals."""
+def _plus(expr: str, n: int) -> str:
+    """``expr + n``, folded."""
+    return expr if n == 0 else f"{expr} + {n}" if n > 0 else f"{expr} - {-n}"
+
+
+def _alu(sub: int, a: str, b: str, k: int | None, width: dict) -> str:
+    """ALU[sub] of ``a`` and ``b``.  With a constant operand ``k``, a shift's
+    amount is cut here and a divisor's zero test is decided here."""
+    if k is not None and (sub == _MOD or sub == _DIV):
+        return QUOTIENT[sub - _MOD].format(a=a, b=b) if k else "0"
+    count = f"({b} & {width['shift']})" if k is None else str(k & int(width["shift"]))
+    return ALU[sub].format(a=a, b=b, count=count, **width)
+
+
+def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozenset()) -> str:
+    """One non-branching slot's statements, with registers as locals.  A slot
+    in ``proven`` runs without its check: a loop guard proved that its add or
+    sub does not wrap, or that its access lies inside the first window."""
     code, sub, dst, src, off, imm = row
     if dst == 10 and code in _WRITES_DST:  # the verifier refuses it; r10 stays the stack base
         raise ValueError(f"slot {pc}: handler code {code} writes r10")
     rd, rs = f"r{dst}", f"r{src}"
     if code == ALU64_K or code == ALU64_X:
-        b = str(imm) if code == ALU64_K else rs
-        return f"{rd} = {ALU[sub].format(a=rd, b=b, **_W64)}\n"
+        k = imm if code == ALU64_K else None
+        b = rs if k is None else str(k)
+        if pc in proven:  # an add or sub; a constant of 2**63 or more steps the other way
+            if k is not None and k >> 63:
+                sub, b = 1 - sub, str((1 << 64) - k)
+            return f"{rd} = {SUM[sub].format(a=rd, b=b)}\n"
+        return f"{rd} = {_alu(sub, rd, b, k, _W64)}\n"
     if code == ALU32_K or code == ALU32_X:
         m = _W32["mask"]
-        b = str(imm) if code == ALU32_K else f"({rs} & {m})"
-        return f"{rd} = {ALU[sub].format(a=f'({rd} & {m})', b=b, **_W32)}\n"
+        k = imm if code == ALU32_K else None
+        b = f"({rs} & {m})" if k is None else str(k)
+        return f"{rd} = {_alu(sub, f'({rd} & {m})', b, k, _W32)}\n"
     if code == LDX:
+        if pc in proven:
+            return READ.format(dst=rd, width=sub, addr=_plus(rs, off))
         return LOAD.format(addr=_address(rs, off), dst=rd, width=sub, pc=pc)
     if code == LDX_STACK:
         return LOAD_STACK.format(dst=rd, width=sub, off=off)
     if code == STX or code == ST:
         value = _stored(rs, sub) if code == STX else imm
+        if pc in proven:
+            return WRITE.format(width=sub, addr=_plus(rd, off), value=value)
         return STORE.format(addr=_address(rd, off), width=sub, value=value, pc=pc)
     if code == STX_STACK:
         return STORE_STACK.format(width=sub, off=off, value=_stored(rs, sub))
@@ -399,28 +438,158 @@ def _slot_source(pc: int, row: tuple[int, ...]) -> str:
     raise ValueError(f"slot {pc}: handler code {code} has no compiled form")
 
 
+# -- self-loops ------------------------------------------------------------------
+#
 # A block that jumps back to its own start: ``room`` whole passes fit in the
-# budget left.  Leaving in pass ``it`` (its branch not taken, or a trap) counts
-# ``it`` passes and ``it - 1`` taken branches; if all ``room`` took it, hand over.
-SELF_LOOP = """\
-room = (budget - executed) // {length}
-try:
-    for it in range(1, room + 1):
+# budget left.  Its guard (see ``_loop_guard``) finds how many of them, ``safe``,
+# cannot fail the checks it proved; those passes run first, through the body
+# filled without those checks, and the rest through the checked body, so the
+# first pass that could fail one runs checked.  Leaving in pass ``it`` (its
+# branch not taken, or a trap) counts ``it`` passes and ``it - 1`` taken
+# branches; if all ``room`` took it, hand over.  Only a body with a slot that
+# can trap (``_TRAPS``) counts a trap's pass (TRAPPED).  A loop whose guard
+# proves nothing has no guard and runs every pass checked.
+PASSES = """\
+for it in range({first}, {last} + 1):
 {body}\
-        if not ({taken}):
-            break
-    else:
-        executed += room * {length}
-        branches += room
-        raise _Handover
+    if not ({taken}):
+        break
+else:
+{then}\
+"""
+ALL_TAKEN = "executed += room * {length}\nbranches += room\nraise _Handover\n"
+TRAPPED = """\
+try:
+{passes}\
 except _Trap:
     executed += it * {length}
     branches += it - 1
     raise
-executed += it * {length}
-branches += it - 1
-pc = {next}
 """
+LOOP_EXIT = "executed += it * {length}\nbranches += it - 1\npc = {next}\n"
+
+# The guard classifies each register the body writes by the slots that write it:
+# - induction: only ``r += K`` and ``r -= K`` (a K of 2**63 or more steps down),
+#   so in pass k it is its entry value plus k - 1 passes' steps plus the steps
+#   before the slot; a register the body never writes steps by 0;
+# - load-bounded: only loads, so it stays below 2**(8 * width);
+# - accumulator: only ``r += x``, with x load-bounded or an accumulator resolved
+#   before it, so each pass adds at most x's bound;
+# - anything else keeps every check that depends on it.
+# An induction register's add or sub, and a load or store based on one, gives
+# linear bounds in the pass number, tested at the first pass and solved for
+# the last.  Each accumulator caps ``safe`` where its bound would pass 2**64.
+GROWS = """\
+if {reg} + safe * {inc} > {mask}:
+    safe = ({mask} - {reg}) // {per_pass}
+"""
+
+
+def _linear_guard(reg: str, q: int, d: int, lo: tuple[str | None, int], hi: tuple[str | None, int],
+                  terms: list[str], conds: list[str]) -> None:
+    """Bound ``lo <= reg + q + (k - 1) * d <= hi`` for passes k = 1 .. safe:
+    a cap on ``safe`` in ``terms`` where the value moves towards a bound, and a
+    first-pass test in ``conds`` for each bound that the first pass could miss.
+    ``lo`` and ``hi`` are (a run-time name or None, a constant)."""
+    (lo_name, lo_c), (hi_name, hi_c) = lo, hi
+    one = abs(d) == 1  # (hi - reg - q) // d + 1 passes stay at or below hi, and likewise above lo
+    if d > 0:
+        c = hi_c - q + one
+        left = f"{hex(c)} - {reg}" if hi_name is None else _plus(f"{hi_name} - {reg}", c)
+    elif d < 0:
+        left = _plus(reg if lo_name is None else f"{reg} - {lo_name}", q - lo_c + one)
+    if d:
+        terms.append(left if one else f"({left}) // {abs(d)} + 1")
+    if d <= 0 and (hi_name is not None or q > hi_c - MASK64):
+        conds.append(f"{reg} <= {hex(hi_c - q)}" if hi_name is None else f"{_plus(reg, q - hi_c)} <= {hi_name}")
+    if d >= 0 and (lo_name is not None or q < lo_c):
+        conds.append(f"{lo_c - q} <= {reg}" if lo_name is None else f"{lo_name} <= {_plus(reg, q - lo_c)}")
+
+
+def _loop_guard(form: tuple[tuple[int, ...], ...], body: list[int]) -> tuple[str, frozenset[int]]:
+    """The guard of a self-loop whose non-branching slots are ``body``: source
+    that sets ``safe``, and the slots whose checks cannot fail in its passes."""
+    writes: dict[int, list[tuple[int, str | None, int]]] = {}  # register -> (slot, kind, arg)
+    for pc in body:
+        code, sub, dst, src, off, imm = form[pc]
+        if code == CALL:
+            writes.setdefault(0, []).append((pc, None, 0))
+        elif code in _WRITES_DST:
+            if code == ALU64_K and (sub == _ADD or sub == _SUB):
+                step = imm - (imm >> 63 << 64)
+                kind, arg = "step", step if sub == _ADD else -step
+            elif code == ALU64_X and sub == _ADD and src != dst:
+                kind, arg = "add", src
+            elif code == LDX or code == LDX_STACK:
+                kind, arg = "load", sub
+            else:
+                kind, arg = None, 0
+            writes.setdefault(dst, []).append((pc, kind, arg))
+    kinds = {reg: {kind for _, kind, _ in ws} for reg, ws in writes.items()}
+    steps = {reg: [(pc, s) for pc, _, s in writes.get(reg, ())]
+             for reg in range(11) if kinds.get(reg, {"step"}) == {"step"}}
+    loads = {reg: ((1 << 8 * max(w for _, _, w in writes[reg])) - 1, writes[reg][0][0])
+             for reg in writes if kinds[reg] == {"load"}}
+    adds = {reg: ws for reg, ws in writes.items() if kinds[reg] == {"add"}}
+    terms: list[str] = ["room"]
+    conds: list[str] = []
+    proven: set[int] = set()
+    for reg, ss in steps.items():
+        d = sum(s for _, s in ss)
+        q = 0
+        for pc, s in ss:
+            q += s
+            _linear_guard(f"r{reg}", q, d, (None, 0), (None, MASK64), terms, conds)
+            proven.add(pc)
+    for pc in body:
+        code, sub, dst, src, off, imm = form[pc]
+        base, window = (src, "r") if code == LDX else (dst, "w") if code == STX or code == ST else (None, "")
+        if base in steps:
+            ss = steps[base]
+            q = sum(s for at, s in ss if at < pc) + off
+            _linear_guard(f"r{base}", q, sum(s for _, s in ss), (f"{window}lo", 0), (f"{window}hi", -sub),
+                          terms, conds)
+            proven.add(pc)
+    guard = f"safe = max(0, min({', '.join(terms)}))" if len(terms) > 1 else "safe = room"
+    guard += f" if {' and '.join(conds)} else 0\n" if conds else "\n"
+    bound: dict[int, str] = {}  # accumulator -> its bound over the passes so far
+    while True:
+        ready = [reg for reg in adds if reg not in bound
+                 and all(x in loads or x in bound for _, _, x in adds[reg])]
+        if not ready:
+            break
+        for reg in ready:
+            const, parts = 0, []
+            for pc, _, x in adds[reg]:
+                if x in bound:
+                    parts.append(f"r{x} + safe * {bound[x]}")
+                elif loads[x][1] < pc:  # loaded earlier in every pass
+                    const += loads[x][0]
+                else:
+                    parts.append(f"max(r{x}, {hex(loads[x][0])})")
+                proven.add(pc)
+            inc = " + ".join(parts + [hex(const)] * bool(const))
+            bound[reg] = f"inc{reg}" if parts else inc  # a name for a bound known only at run time
+            grows = f"({bound[reg]} := {inc})" if parts else inc
+            guard += GROWS.format(reg=f"r{reg}", inc=grows, per_pass=bound[reg], mask=_M64)
+    return guard, frozenset(proven)
+
+
+def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) -> str:
+    """A self-loop block: its guard, its proven and checked passes, its exit."""
+    length, body = len(slots), slots[:-1]
+    guard, proven = _loop_guard(form, body)
+    checked = "".join(_slot_source(pc, form[pc]) for pc in body)
+    passes = PASSES.format(first="safe + 1" if proven else 1, last="room", body=_indent(checked, 1),
+                           taken=taken, then=_indent(ALL_TAKEN.format(length=length), 1))
+    if proven:
+        unchecked = "".join(_slot_source(pc, form[pc], proven) for pc in body)
+        passes = PASSES.format(first=1, last="safe", body=_indent(unchecked, 1), taken=taken,
+                               then=_indent(passes, 1))
+    if any(form[pc][0] in _TRAPS for pc in body):
+        passes = TRAPPED.format(passes=_indent(passes, 1), length=length)
+    room = f"room = (budget - executed) // {length}\n"
+    return room + (guard if proven else "") + passes + LOOP_EXIT.format(length=length, next=slots[-1] + 1)
 
 
 def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int]) -> str:
@@ -430,7 +599,7 @@ def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int
     whose handler gives the live state to the stepped loop at the block's
     first slot (``pc`` is always the running block's start), so the budget
     runs out on the exact slot.  A block that jumps back to its own start
-    loops in place (SELF_LOOP), counting its passes instead of its steps.
+    loops in place (``_self_loop``), counting its passes instead of its steps.
     """
     length = len(slots)
     last = slots[-1]
@@ -445,7 +614,7 @@ def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int
         return head + body + f"pc = {last + (2 if code == LDDW else 1)}\n"
     taken = CMP[sub].format(a=f"r{dst}", b=str(imm) if code == JCOND_K else f"r{src}", **_W64)
     if off == start:
-        return SELF_LOOP.format(length=length, body=_indent(body, 2), taken=taken, next=last + 1)
+        return _self_loop(form, slots, taken)
     return head + body + f"if {taken}:\n    branches += 1\n    pc = {off}\nelse:\n    pc = {last + 1}\n"
 
 

@@ -13,6 +13,7 @@ import random
 from dataclasses import replace
 
 from femtoc import isa
+from femtoc.asm import assemble
 from femtoc.isa import Instruction, Program
 
 _INFO = isa.OPCODE_INFO
@@ -132,3 +133,78 @@ def random_accepted_program(
         target = rng.choice(targets)
         slots[site] = replace(slots[site], offset=target - site - 1)
     return Program(tuple(slots))
+
+
+# -- self-loops -------------------------------------------------------------------
+#
+# Compiled code runs a block that jumps back to its own start as a loop whose
+# guard proves, once per entry, how many passes cannot wrap an add or sub or
+# leave the first window; it tells apart the registers the body writes:
+# induction (r += K, r -= K), load-bounded (loads only), accumulator (r += x,
+# x load-bounded or an accumulator) and unknown (anything else).
+
+MASK64 = (1 << 64) - 1
+_SUFFIX = {1: "b", 2: "h", 4: "w", 8: "dw"}
+
+
+def _step(rng: random.Random, reg: int, step: int) -> str:
+    """``reg`` moves by ``step`` per pass: an add or a sub of either sign."""
+    return rng.choice((f"add64 r{reg}, {step}", f"sub64 r{reg}, {-step}"))
+
+
+def random_self_loop(rng: random.Random, ctx_span: int, allowed_syscalls: tuple[int, ...] = ()) -> Program:
+    """A program that passes the pre-flight checks and whose one self-loop
+    mixes the four register classes, entered with values near the wrap edges
+    and near the context's and the stack's edges, so that a pass past the
+    guard's count wraps or leaves the first window.
+
+    r2 counts the passes, r3 walks from r1 or r10 in steps of a few bytes, r4
+    steps near a wrap edge, r5 and r9 are loaded, r6 and r7 accumulate (r7
+    from r6), and r8 is unknown; one loop in eight writes only unknown
+    registers and so gets no guard."""
+    unguarded = rng.random() < 0.125
+    pointer = rng.choice((1, 10))
+    span = ctx_span if pointer == 1 else 512
+    lines = [
+        f"mov64 r3, r{pointer}",
+        f"add64 r3, {rng.choice((0, span, rng.randint(0, span))) + rng.randint(-4, 4)}",
+        f"lddw r4, {rng.choice((rng.randint(0, 40), MASK64 - rng.randint(0, 40))):#x}",
+        f"mov64 r8, r{rng.choice((1, 10))}",
+    ]
+    for reg in (6, 7):  # below the wrap by ~60 loaded values or fewer, by ~2**40 or less, or by anything
+        headroom = rng.choice((rng.randint(0, 60) * rng.choice((0xFF, 0xFFFF, MASK64 >> 32)),
+                               rng.randint(0, 1 << 40), rng.randint(0, MASK64)))
+        lines.append(f"lddw r{reg}, {MASK64 - headroom:#x}")
+    if unguarded:
+        lines.append(f"mov64 r2, {rng.randint(1, 60)}")
+        counter = rng.choice(("add32 r2, -1", "sub32 r2, 1"))
+    elif rng.random() < 0.25:  # a counter that wraps to 0 on its way up
+        lines.append(f"lddw r2, {MASK64 - rng.randint(0, 30):#x}")
+        counter = _step(rng, 2, 1)
+    else:
+        lines.append(f"mov64 r2, {rng.randint(1, 60)}")
+        counter = _step(rng, 2, -1)
+    width, other = rng.choice(sorted(_SUFFIX)), rng.choice(sorted(_SUFFIX))
+    kinds = {
+        "walk": _step(rng, 3, rng.choice((1, 2, 4, 8, -1, -2, -4, -8))),
+        "wrap": _step(rng, 4, rng.choice((1, 2, 5, -1, -3))),
+        "load": f"ldx{_SUFFIX[width]} r5, [r3{rng.randint(-2, 6):+d}]",
+        "load from r1": f"ldx{_SUFFIX[other]} r9, [r1+{rng.randint(0, rng.choice((8, ctx_span)))}]",
+        "store": f"stx{_SUFFIX[width]} [r3{rng.randint(-2, 6):+d}], r{rng.choice((4, 5, 6))}",
+        "accumulate": f"add64 r6, r{rng.choice((5, 9))}",
+        "chain": "add64 r7, r6",
+        "unknown": rng.choice(("mul64 r8, 3", "add32 r8, 1", "mov64 r8, r5")),
+        "load from r8": f"ldxb r9, [r8+{rng.randint(0, 2)}]",
+    }
+    if allowed_syscalls:
+        kinds["call"] = f"call {rng.choice(allowed_syscalls)}"
+    if unguarded:
+        body = [kinds["unknown"], kinds["load from r8"], "mul64 r5, 5"]
+    else:
+        body = [text for kind, text in kinds.items() if kind != "unknown" and rng.random() < 0.5]
+        body += [rng.choice((kinds["unknown"], "add64 r6, r8"))] * (rng.random() < 0.2)
+    body.append(counter)
+    rng.shuffle(body)
+    branch = rng.choice(("jne r2, 0", "jne r2, 0", "jne r2, 0", "jgt r2, 3", "jsgt r2, 0"))
+    lines += [f"loop: {body[0]}", *body[1:], f"{branch}, loop", f"mov64 r0, r{rng.randint(2, 9)}", "exit"]
+    return assemble("\n".join(lines))

@@ -1,0 +1,277 @@
+"""Mutation runner: each seeded bug must make its tests fail.
+
+Run from the repository root:
+
+    python3 tests/mutants.py            # every mutant
+    python3 tests/mutants.py NAME ...   # the named ones
+    python3 tests/mutants.py --list
+
+For each mutant the runner copies ``src/``, ``tests/`` and ``pyproject.toml``
+to a temporary directory, replaces the mutant's old text, which must occur
+exactly once in its file, with its new text, and runs ``pytest -x`` on the
+mutant's test files there.  A mutant whose tests pass survives.  The runner
+exits 1 if any old text is stale or any mutant survives, and 0 when every
+mutant is killed.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # must occur exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # pytest arguments: test files, and -k expressions
+
+
+VM_TESTS = ("tests/test_vm.py",)
+LOOP_TESTS = ("tests/test_vm.py", "tests/test_differential.py")
+MODEL_TESTS = ("tests/test_engine_model.py",)
+BIND_TESTS = ("tests/test_engine.py", "tests/test_engine_model.py", "tests/test_update.py")
+
+MUTANTS = (
+    # Versioned self-loops: the guard of a compiled self-loop.
+    Mutant(
+        "guard off by one pass",
+        "src/femtoc/codegen.py",
+        'terms.append(left if one else f"({left}) // {abs(d)} + 1")',
+        'terms.append(_plus(left, 1) if one else f"({left}) // {abs(d)} + 2")',
+        LOOP_TESTS,
+    ),
+    Mutant(
+        "guard ignores the accumulators",
+        "src/femtoc/codegen.py",
+        '            guard += GROWS.format(reg=f"r{reg}", inc=grows, per_pass=bound[reg], mask=_M64)\n',
+        "",
+        LOOP_TESTS,
+    ),
+    # The interpreter's budget per straight run.
+    Mutant(
+        "lddw does not move start on",
+        "src/femtoc/codegen.py",
+        "                start += 1\n                pc += 2\n",
+        "                pc += 2\n",
+        VM_TESTS,
+    ),
+    Mutant(
+        "the stepped loop never hands a taken jump over",
+        "src/femtoc/codegen.py",
+        '"handover": "off < 0",',
+        '"handover": "False",',
+        VM_TESTS,
+    ),
+    Mutant(
+        "the counted loop's entry bound is one step loose",
+        "src/femtoc/codegen.py",
+        "if pc < 0 or executed + n - pc > budget:",
+        "if pc < 0 or executed + n - pc > budget + 1:",
+        VM_TESTS,
+    ),
+    Mutant(
+        "the counted loop's jump bound is one step loose",
+        "src/femtoc/codegen.py",
+        '"handover": "off < 0 or executed + n - off > budget",',
+        '"handover": "off < 0 or executed + n - off - 1 > budget",',
+        VM_TESTS,
+    ),
+    Mutant(
+        "a run that exits counts pc - start",
+        "src/femtoc/codegen.py",
+        "            elif code == {EXIT}:\n                executed += pc - start + 1\n",
+        "            elif code == {EXIT}:\n                executed += pc - start\n",
+        VM_TESTS,
+    ),
+    Mutant(
+        "a run that faults counts pc - start",
+        "src/femtoc/codegen.py",
+        "    except _Trap as trap:\n        executed += pc - start + 1\n",
+        "    except _Trap as trap:\n        executed += pc - start\n",
+        VM_TESTS,
+    ),
+    Mutant(
+        "the verifier's plain-ALU fast path also takes dst r10",
+        "src/femtoc/verifier.py",
+        "if regs & 0x0F < 10 and regs >> 4 <= 10",
+        "if regs & 0x0F <= 10 and regs >> 4 <= 10",
+        ("tests/test_verifier.py", "tests/test_vm.py"),
+    ),
+    # Warnings raised compiling generated source fail the tests.
+    Mutant(
+        "an invalid escape in the xor template",
+        "src/femtoc/codegen.py",
+        '    "{a} ^ {b}",  # xor',
+        "    \"{a} ^ {b} ^ len('\\\\d') * 0\",  # xor",
+        VM_TESTS,
+    ),
+    Mutant(
+        "an invalid escape in a self-loop's passes",
+        "src/femtoc/codegen.py",
+        "    if not ({taken}):\n        break\n",
+        "    if not ({taken}) and '\\\\d':\n        break\n",
+        VM_TESTS,
+    ),
+    # A hook's slots carry their capabilities.
+    Mutant(
+        "remove does not relink the hook",
+        "src/femtoc/engine.py",
+        "            hook.slots = tuple(c for c in hook.slots if c is not container)\n            self._link(hook)\n",
+        "            hook.slots = tuple(c for c in hook.slots if c is not container)\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "replace does not link its container",
+        "src/femtoc/engine.py",
+        "        self._link(hook)\n        return container_id\n",
+        "        if old is None:\n            self._link(hook)\n        return container_id\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "replace keeps the old container's access list",
+        "src/femtoc/engine.py",
+        "        env = SyscallEnv(None, self.syscall_table",
+        "        env = SyscallEnv(old.env.acl if (old := self.containers.get(container_id)) else None,"
+        " self.syscall_table",
+        MODEL_TESTS + ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "remove keeps the removed container in the hook's slots",
+        "src/femtoc/engine.py",
+        "            hook.slots = tuple(c for c in hook.slots if c is not container)\n",
+        "",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "a trigger does not reset the hook's buffer",
+        "src/femtoc/engine.py",
+        "            memory.reset()\n",
+        "",
+        MODEL_TESTS + ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "the helper table setter does not re-cut the containers' tables",
+        "src/femtoc/engine.py",
+        "            for container in self.containers.values():\n"
+        "                container.env.helpers = table.restricted(container.granted.syscalls)\n",
+        "",
+        MODEL_TESTS,
+    ),
+    # Signed updates and binds.
+    Mutant(
+        "an update records its sequence before it binds",
+        "src/femtoc/engine.py",
+        "            container_id = self._bind(hook, tenant_id, replaced, program, contract)\n"
+        "            self._update_seqs[(tenant_id, hook_id)] = sequence\n",
+        "            self._update_seqs[(tenant_id, hook_id)] = sequence\n"
+        "            container_id = self._bind(hook, tenant_id, replaced, program, contract)\n",
+        MODEL_TESTS + ("tests/test_update.py",),
+    ),
+    Mutant(
+        "an update always installs at a new slot",
+        "src/femtoc/engine.py",
+        "            replaced = self.tenant_container_on_hook(tenant_id, hook_id)\n",
+        "            replaced = None\n",
+        MODEL_TESTS + ("tests/test_update.py",),
+    ),
+    Mutant(
+        "a rejected replace or update empties the container store",
+        "src/femtoc/engine.py",
+        "        verified = self.verify_for(hook, program, contract)\n",
+        "        if container_id is not None:\n"
+        "            self.facilities.stores.bind_container(tenant_id, container_id, ())\n"
+        "        verified = self.verify_for(hook, program, contract)\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "a replace keeps the old container store",
+        "src/femtoc/engine.py",
+        "        stores = self.facilities.stores.bind_container(tenant_id, container_id, granted.syscalls)\n",
+        "        stores = (self.containers[container_id].env.stores if container_id in self.containers\n"
+        "                  else self.facilities.stores.bind_container(tenant_id, container_id, granted.syscalls))\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "every container shares one container store",
+        "src/femtoc/facilities.py",
+        "        container_store = KeyValueStore(SCOPE_CONTAINER, container_id, CONTAINER_STORE_CAPACITY)\n",
+        "        container_store = (next(iter(self.container_stores.values())) if self.container_stores\n"
+        "                           else KeyValueStore(SCOPE_CONTAINER, container_id, CONTAINER_STORE_CAPACITY))\n",
+        MODEL_TESTS,
+    ),
+    Mutant(
+        "a bind checks the slot limit before it verifies",
+        "src/femtoc/engine.py",
+        "        verified = self.verify_for(hook, program, contract)\n        if container_id is None:\n",
+        "        if container_id is None and len(hook.slots) >= hook.slot_limit:\n"
+        "            raise SlotLimitReached(hook.name)\n"
+        "        verified = self.verify_for(hook, program, contract)\n        if container_id is None:\n",
+        BIND_TESTS,
+    ),
+    Mutant(
+        "a bind draws an id before it verifies",
+        "src/femtoc/engine.py",
+        "        verified = self.verify_for(hook, program, contract)\n        if container_id is None:\n",
+        "        drawn = self._new_id() if container_id is None else None\n"
+        "        verified = self.verify_for(hook, program, contract)\n        if container_id is None:\n",
+        BIND_TESTS,
+    ),
+    Mutant(
+        "a bind closes the setup phase before it verifies",
+        "src/femtoc/engine.py",
+        "        verified = self.verify_for(hook, program, contract)\n        if container_id is None:\n",
+        "        self._setup_open = container_id is not None and self._setup_open\n"
+        "        verified = self.verify_for(hook, program, contract)\n        if container_id is None:\n",
+        BIND_TESTS,
+    ),
+)
+
+
+def run(mutant: Mutant) -> str:
+    """'killed', 'survived' or 'stale' for one mutant."""
+    text = (ROOT / mutant.path).read_text()
+    if text.count(mutant.old) != 1:
+        return "stale"
+    with tempfile.TemporaryDirectory(prefix="femtoc-mutant-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work)
+        (work / mutant.path).write_text(text.replace(mutant.old, mutant.new))
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        result = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+    return "survived" if result.returncode == 0 else "killed"
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for mutant in MUTANTS:
+            print(f"{mutant.name}: {mutant.path} ({' '.join(mutant.tests)})")
+        return 0
+    unknown = set(argv) - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    failed = 0
+    for mutant in MUTANTS:
+        if argv and mutant.name not in argv:
+            continue
+        verdict = run(mutant)
+        failed += verdict != "killed"
+        print(f"{verdict:8} {mutant.name}", flush=True)
+    print(f"{failed} of {len(argv) or len(MUTANTS)} mutants not killed" if failed else "every mutant killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,6 +10,8 @@ host memory must agree.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from femtoc.isa import OPCODE_INFO, OpKind
 from femtoc.memory import AccessViolation, HostMemory, MemoryRegion, Mode
 from femtoc.verifier import VerifiedProgram
@@ -89,7 +91,11 @@ _CMP = {
 
 
 def exec_program(
-    vp: VerifiedProgram, ctx: MemoryRegion | None, env: SyscallEnv, budget: int | None = None
+    vp: VerifiedProgram,
+    ctx: MemoryRegion | None,
+    env: SyscallEnv,
+    budget: int | None = None,
+    on_step: Callable[[int, list[int], int], None] | None = None,
 ) -> ExecOutcome:
     """Run a verified program to completion under ``env``'s access list and
     helper table.
@@ -97,7 +103,8 @@ def exec_program(
     Registers start zeroed except r1 (context base, when a context region is
     given) and r10 (stack base).  The outcome's ``executed`` count is exact:
     the number of instructions that started executing, capped at the budget.
-    Every helper gets ``env`` itself.
+    Every helper gets ``env`` itself.  ``on_step(pc, regs, executed)``, when
+    given, sees each instruction before it runs.
     """
     slots = vp.program.slots
     n = len(slots)
@@ -135,6 +142,8 @@ def exec_program(
                 # Unreachable for verified programs; kept as a hard stop.
                 raise _Trap(Fault(FaultKind.BAD_SYSCALL, pc, note="program counter escaped"))
             ins = slots[pc]
+            if on_step is not None:
+                on_step(pc, regs, executed)
             executed += 1
             info = OPCODE_INFO[ins.opcode]
             kind = info.kind

@@ -34,6 +34,15 @@ require, programs whose compiled form has a self-loop block (one that
 counts its passes), runs that hand over from such a loop, faults raised
 inside one of its passes, and first-window misses that the scan served.
 
+One more compiled stream per helper table runs self-loops from
+``genprog.random_self_loop``.  Compiled code versions each self-loop: a
+guard finds on entry how many passes cannot fail the checks it proved, and
+those passes run without them.  A LoopProbe follows the reference run,
+finds each entry's guard, and requires loops that ran versioned passes,
+guards that fell short of a wrap or a window's edge that a later, checked
+pass then reached, and loops with no guard; a proven check that fails in a
+versioned pass fails the stream.
+
 The interpreter counts steps by straight runs and checks the budget only on
 entry and at taken jumps; where a run might not fit, it hands over to the
 stepped loop, which checks every step.  One more stream per tier runs each
@@ -52,9 +61,9 @@ import pytest
 import refvm
 from femtoc import codegen, vm
 from femtoc.memory import GUARD_LEN, AccessList, HostMemory, checked_store, fresh_stack
-from femtoc.verifier import JCOND_K, JCOND_X, VerifyLimits, verify
+from femtoc.verifier import ALU64_K, ALU64_X, JCOND_K, JCOND_X, LDX, MASK64, VerifyLimits, verify
 from femtoc.vm import SyscallEnv, SyscallError, SyscallTable
-from genprog import random_accepted_program
+from genprog import random_accepted_program, random_self_loop
 
 PROGRAMS = 12_000  # per stream; two streams
 COMPILED_PROGRAMS = 4_000  # per stream with the compiled tier forced on; each compiles once
@@ -70,6 +79,7 @@ RETURNED: Counter = Counter()
 # What the compiled streams exercised, by the probes below.
 COVERAGE: Counter = Counter()
 HANDOVERS: list[int] = []  # where the current compiled run handed over to the stepped loop
+HANDOVER_STEPS: list[int] = []  # and its step count there, where a test records it
 STEPPED: list[tuple[int, int]] = []  # (slot, steps) where the current run entered the stepped loop
 
 
@@ -102,6 +112,73 @@ def _probe(form, outcome) -> None:
         COVERAGE["first-window misses served"] -= 1  # the scan found no window
     if not HANDOVERS and fault is not None and fault.pc in inside:
         COVERAGE["traps inside a pass"] += 1
+
+
+def loop_guards(form) -> dict[int, tuple[list[int], str, frozenset[int]]]:
+    """Start -> (slots, guard source, proven slots) of each self-loop block."""
+    blocks = codegen._basic_blocks(form)
+    return {start: (blocks[start], *codegen._loop_guard(form, blocks[start][:-1]))
+            for start in set(_self_loops(form).values())}
+
+
+def guard_safe(guard: str, regs: list[int], room: int, acl: AccessList) -> int:
+    """The ``safe`` that a compiled self-loop's ``guard`` finds on entry with
+    ``regs``, ``room`` whole passes left and ``acl``'s first windows."""
+    (rlo, rhi, *_), (wlo, whi, *_) = acl.read_windows[0], acl.write_windows[0]
+    names = {f"r{i}": value for i, value in enumerate(regs)}
+    names.update(room=room, rlo=rlo, rhi=rhi, wlo=wlo, whi=whi)
+    exec(guard, {}, names)
+    return names["safe"]
+
+
+def proven_check_fails(row, regs: list[int], acl: AccessList) -> bool:
+    """Whether the check that a guard proved for ``row`` fails with ``regs``:
+    its add or sub wraps, or its access leaves the first window."""
+    code, sub, dst, src, off, imm = row
+    if code == ALU64_K or code == ALU64_X:
+        b = regs[src] if code == ALU64_X else imm - (imm >> 63 << 64)
+        return not 0 <= (regs[dst] + b if sub == 0 else regs[dst] - b) <= MASK64
+    windows, base = (acl.read_windows, src) if code == LDX else (acl.write_windows, dst)
+    lo, hi, *_ = windows[0]
+    return not lo <= regs[base] + off <= hi - sub
+
+
+class LoopProbe:
+    """An ``on_step`` for ``refvm.exec_program`` that follows a run through
+    the self-loops of ``form`` up to step ``until`` (where the compiled run
+    handed over, if it did).  On each entry it finds the loop's guard's
+    ``safe``; it counts into COVERAGE the loops with no guard, the loops that
+    ran versioned passes, the loops whose proven checks fail in a pass after
+    ``safe`` (the checked remainder), and any that fail in a pass before it."""
+
+    def __init__(self, form, acl: AccessList, budget: int, until: float):
+        self.form, self.acl, self.budget, self.until = form, acl, budget, until
+        self.loops = loop_guards(form)
+        self.entry = None  # (slots, executed at entry, safe, proven) of the loop running
+        self.short = False  # whether that entry's guard has fallen short yet
+
+    def __call__(self, pc: int, regs: list[int], executed: int) -> None:
+        if executed >= self.until:
+            return
+        if self.entry is not None and pc not in self.entry[0]:
+            self.entry = None
+        if self.entry is None and pc in self.loops:
+            slots, guard, proven = self.loops[pc]
+            room = (self.budget - executed) // len(slots)
+            if room:
+                safe = guard_safe(guard, regs, room, self.acl) if proven else room
+                COVERAGE["versioned loop entries" if safe and proven else
+                         "loop entries with no guard" if not proven else "loop entries with no safe pass"] += 1
+                self.entry, self.short = (slots, executed, safe, proven), False
+        if self.entry is None or pc not in self.entry[3]:
+            return
+        slots, entered, safe, proven = self.entry
+        if proven_check_fails(self.form[pc], regs, self.acl):
+            if (executed - entered) // len(slots) < safe:
+                COVERAGE["proven checks that failed"] += 1
+            elif not self.short:
+                self.short = True
+                COVERAGE["guards that fell short, then wrapped or left the window"] += 1
 
 
 def _mix(env, r1, r2):
@@ -170,7 +247,8 @@ def _handovers(outcome) -> None:
 
 
 def _mismatches(
-    seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False, near_budget: bool = False
+    seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False, near_budget: bool = False,
+    loops: bool = False,
 ) -> tuple[list[str], list]:
     """The mismatches of a stream of ``programs``, and the package's
     outcomes; with ``probe``, count into COVERAGE what each run exercised.
@@ -178,15 +256,20 @@ def _mismatches(
     steps of what its run takes or of its length, where the counted
     interpreter's bound (a straight run from slot s takes at most n - s
     steps) stops fitting, so that it hands over to the stepped loop;
-    COVERAGE counts the handovers."""
+    COVERAGE counts the handovers.  With ``loops``, each program is a
+    self-loop from ``random_self_loop``, and a LoopProbe follows the
+    reference run (``probe`` must be on)."""
     rng = random.Random(seed)
     table = _helper_table()
     found = []
     outcomes = []
     for index in range(programs):
-        program = random_accepted_program(
-            rng, max_slots=48, allowed_syscalls=allowed, ctx_span=CTX_SPAN
-        )
+        if loops:
+            program = random_self_loop(rng, CTX_SPAN, allowed)
+        else:
+            program = random_accepted_program(
+                rng, max_slots=48, allowed_syscalls=allowed, ctx_span=CTX_SPAN
+            )
         vp = verify(program, LIMITS, allowed)
         init = rng.randbytes(RO_LEN + RW_LEN)
         budget = None
@@ -200,8 +283,14 @@ def _mismatches(
             if probe and interpreter is vm.exec_program:
                 acl.run_state = (_Scanned(acl.read_windows), _Scanned(acl.write_windows), *acl.run_state[2:])
                 HANDOVERS.clear()
+                HANDOVER_STEPS.clear()
             STEPPED.clear()
-            outcome = interpreter(vp, ctx, SyscallEnv(acl, table), budget)
+            if loops and interpreter is refvm.exec_program:
+                until = HANDOVER_STEPS[0] if HANDOVER_STEPS else float("inf")
+                on_step = LoopProbe(vp.form, acl, vp.budget if budget is None else budget, until)
+                outcome = interpreter(vp, ctx, SyscallEnv(acl, table), budget, on_step)
+            else:
+                outcome = interpreter(vp, ctx, SyscallEnv(acl, table), budget)
             results.append((outcome, bytes(memory.buf)))
             if interpreter is vm.exec_program:
                 _handovers(outcome)
@@ -290,4 +379,34 @@ def test_budgets_near_each_runs_length_match_the_reference(tier, stepped_entries
     if tier == "interpreted":
         required += ["handovers on entry", "handovers at a taken jump"]
     for what in required:
+        assert COVERAGE[what] > 0, what
+
+
+LOOP_PROGRAMS = 1_000  # per stream, with the compiled tier forced on
+
+
+@pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
+def test_compiled_self_loops_match_the_reference(allowed, compiled_tier, monkeypatch):
+    """Self-loops from ``random_self_loop``: each loop's guard is found on
+    every entry from the reference run's registers, and the stream must
+    run versioned passes, fall short of a wrap or a window's edge and then
+    reach it in the checked remainder, and run loops with no guard.  No
+    check that a guard proved may fail before its ``safe`` passes are over."""
+    RETURNED.clear()
+    COVERAGE.clear()
+    stepped = vm._stepped
+
+    def handed_over(form, regs, pc, executed, *rest):  # the threshold is 0: only compiled code calls it
+        HANDOVERS.append(pc)
+        HANDOVER_STEPS.append(executed)
+        return stepped(form, regs, pc, executed, *rest)
+
+    monkeypatch.setattr(vm, "_stepped", handed_over)
+    mismatches, outcomes = _mismatches(0x100B + len(allowed), allowed, LOOP_PROGRAMS, probe=True, loops=True)
+    assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
+    assert len(compiled_tier) == LOOP_PROGRAMS
+    assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
+    assert COVERAGE["proven checks that failed"] == 0
+    for what in ("versioned loop entries", "guards that fell short, then wrapped or left the window",
+                 "loop entries with no guard", "traps inside a pass", "first-window misses served"):
         assert COVERAGE[what] > 0, what

@@ -312,6 +312,20 @@ def test_container_without_region_grant_cannot_touch_context():
     assert slot.outcome.fault.kind is FaultKind.MEMORY_VIOLATION
 
 
+def test_a_replace_takes_the_access_list_of_its_new_grant():
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook("h", (), [ContextRegionSpec("ctx", 8, readable=True, writable=False)])
+    granted = Contract.of(regions=[RegionGrant("ctx")])
+    container = engine.install_container(tenant, assemble("mov64 r0, r1\nexit"), granted, hook)
+    ctx_base = engine.trigger_hook(hook).outcomes[0].outcome.return_value
+    reader = assemble(f"lddw r2, {ctx_base:#x}\nldxdw r0, [r2+0]\nexit")
+    for contract, fault in ((Contract.of(), FaultKind.MEMORY_VIOLATION), (granted, None)):
+        engine.replace_container(container, reader, contract)
+        outcome = engine.trigger_hook(hook).outcomes[0].outcome
+        assert (outcome.fault and outcome.fault.kind) == fault
+
+
 def test_read_only_response_grant_blocks_the_write_helper():
     # A read-only grant denies the write; no response region at all fails
     # the helper itself.

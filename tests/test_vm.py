@@ -7,14 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import refvm
 from femtoc import codegen, vm
 from femtoc import verifier as V
 from femtoc.asm import assemble
+from femtoc.fixtures import fixture_program
 from femtoc.facilities import KV_ERR_SCOPE, SYS_RESPONSE_WRITE, FacilityContext, standard_syscall_table
 from femtoc.memory import DEFAULT_BASE, AccessList, HostMemory, Mode, checked_store, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallEnv, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
+from test_differential import guard_safe, loop_guards, proven_check_fails
 from test_engine import CallSites
 
 M64 = (1 << 64) - 1
@@ -1155,3 +1158,122 @@ def test_a_run_enters_exec_program_once_in_either_tier(monkeypatch, compiled_tie
     cold = verify(vp.program, VerifyLimits(256, 16))
     assert vm.exec_program(cold, None, env, budget=7) == outcome
     assert entries == [vp, cold]
+
+
+# -- versioned self-loops ---------------------------------------------------------
+#
+# On each entry, a compiled self-loop's guard finds how many of the ``room``
+# passes left can run with no wrap test on its induction and accumulator adds
+# and subs and no window test on its accesses based on an induction register:
+# ``safe``.  Each loop below is entered where the guard falls short by exactly
+# one pass: pass safe + 1, the first checked pass, wraps or leaves the first
+# window, unless the budget ends first.  The context is first in the access
+# list, as the engine puts it.
+
+A40 = 1 << 40
+WALK_WORDS = """
+        mov64 r2, r1
+        mov64 r3, {passes}
+loop:   ldxw r0, [r2+0]
+        add64 r4, r0
+        {step}
+        sub64 r3, 1
+        jne r3, 0, loop
+        mov64 r0, r4
+        exit
+"""
+COUNTED = """
+        {entry}
+        mov64 r3, {passes}
+loop:   {body}
+        sub64 r3, 1
+        jne r3, 0, loop
+        mov64 r0, {result}
+        exit
+"""
+FF = b"\xff" * 8
+DENIED = (FaultKind.MEMORY_VIOLATION, 2)  # the walk's load, in its third pass
+
+
+@pytest.mark.parametrize("src, ctx, budget, safe, room, fault, short", [
+    pytest.param(WALK_WORDS.format(passes=5, step="add64 r2, 4"), bytes(8), None, 2, 818, DENIED, True,
+                 id="induction-leaves-the-window-in-the-first-checked-pass"),
+    pytest.param(WALK_WORDS.format(passes=10, step="add64 r2, 4"), bytes(40), 19, 3, 3,
+                 (FaultKind.BUDGET_EXCEEDED, 4), False, id="induction-budget-ends-inside-the-versioned-passes"),
+    pytest.param(WALK_WORDS.format(passes=5, step="sub64 r2, -4"), bytes(8), None, 2, 818, DENIED, True,
+                 id="induction-negative-sub-constant"),
+    pytest.param(WALK_WORDS.format(passes=5, step="add32 r2, 4"), bytes(8), None, 5, 818, DENIED, False,
+                 id="unknown-pointer-keeps-its-check-and-traps-in-a-versioned-pass"),
+    pytest.param(COUNTED.format(entry="lddw r2, 0xfffffffffffffffe", passes=4, body="add64 r2, 1", result="r2"),
+                 b"", None, 1, 1364, None, True, id="induction-wraps-up"),
+    pytest.param(COUNTED.format(entry="mov64 r2, 2", passes=4, body="add64 r2, -1", result="r2"),
+                 b"", None, 2, 1364, None, True, id="induction-negative-add-constant-wraps-down"),
+    pytest.param(COUNTED.format(entry=f"lddw r4, {M64 - 2 * 0xFF:#x}", passes=4, result="r4",
+                                body="ldxb r0, [r1+0]\n        add64 r4, r0"),
+                 FF, None, 2, 1023, None, True, id="load-bounded-loaded-before-the-add"),
+    pytest.param(COUNTED.format(entry=f"lddw r0, {A40:#x}\n        lddw r4, {M64 - A40:#x}", passes=4,
+                                result="r4", body="add64 r4, r0\n        ldxb r0, [r1+0]"),
+                 FF, None, 1, 1023, None, True, id="load-bounded-loaded-after-the-add"),
+    pytest.param(COUNTED.format(entry=f"lddw r4, {A40:#x}\n        lddw r5, {M64 - 5 * (A40 + 10 * 0xFF):#x}",
+                                passes=10, result="r5",
+                                body="ldxb r0, [r1+0]\n        add64 r4, r0\n        add64 r5, r4"),
+                 FF, None, 5, 818, None, True, id="accumulator-chain"),
+])
+def test_a_versioned_loop_short_by_one_pass_matches_the_reference_on_both_tiers(
+    monkeypatch, src, ctx, budget, safe, room, fault, short
+):
+    (interpreted, compiled), _ = run_both_tiers(monkeypatch, src, ctx=ctx, stack_last=True, budget=budget)
+    vp = verify(assemble(src), VerifyLimits(256, 16))
+    mem = HostMemory()
+    ctx_region = mem.alloc(max(len(ctx), 8), "ctx", readable=True, writable=False, init=ctx)
+    acl = AccessList([ctx_region, fresh_stack(mem)])
+    ((start, (slots, guard, proven)),) = loop_guards(vp.form).items()
+    entries, failed = [], []  # (safe, room) on entry; the passes where a proven check fails
+
+    def step(pc, regs, executed):
+        if pc == start and not entries:
+            passes = ((vp.budget if budget is None else budget) - executed) // len(slots)
+            entries.append((executed, guard_safe(guard, regs, passes, acl), passes))
+        if pc in proven and proven_check_fails(vp.form[pc], regs, acl):
+            failed.append((executed - entries[0][0]) // len(slots) + 1)
+
+    reference = refvm.exec_program(vp, ctx_region, SyscallEnv(acl, SyscallTable()), budget, step)
+    assert interpreted == compiled == (reference, bytes(mem.buf))
+    assert [entry[1:] for entry in entries] == [(safe, room)]
+    assert (reference.fault and (reference.fault.kind, reference.fault.pc)) == fault
+    # Short by one pass: pass safe + 1 wraps or leaves the window.  Otherwise
+    # the budget ends, or a check the guard did not prove traps, first.
+    assert failed[:1] == ([safe + 1] if short else [])
+
+
+def test_fletchers_versioned_passes_test_no_wrap_and_no_window_and_its_constants_fold():
+    form = verify(fixture_program("fletcher32_360")).form
+    source, _ = codegen.compiled_source(form)
+    lines = source.splitlines()
+    loops = {ast.unparse(node.iter): node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For)}
+
+    def body(loop):  # its source text, as generated
+        return [line.strip() for line in lines[loop.body[0].lineno - 1 : loop.body[-1].end_lineno]]
+
+    versioned, checked = body(loops["range(1, safe + 1)"]), body(loops["range(safe + 1, room + 1)"])
+    for check in ("_Trap(", "0x10000000000000000", "read_windows"):
+        assert not any(check in line for line in versioned) and any(check in line for line in checked), check
+    assert versioned == [
+        "r0 = unpack[2](rbuf, r1 - rbase)[0]",
+        "r4 = r4 + r0", "r5 = r5 + r4", "r1 = r1 + 2", "r2 = r2 - 1", "r3 = r3 - 1",
+        "if not (r3 != 0):", "break",
+    ]
+    # The constant operands of mod and lsh fold: no zero test, no amount mask.
+    assert {"r0 = r0 % 65535", "r6 = r6 % 65535", "r0 = (r0 << 16) & 0xffffffffffffffff"} <= {
+        line.strip() for line in lines
+    }
+    assert " if 65535 else " not in source and "16 & 63" not in source
+
+
+@pytest.mark.parametrize("op", ["mod", "div", "lsh", "rsh", "arsh"])
+def test_constant_divisors_and_shift_amounts_fold_to_the_oracles_result(monkeypatch, op):
+    a = 0xF123_4567_89AB_CDEF
+    for k in (0, 1, 7, 31, 32, 63, 64, 70, -1):
+        for line, expected in ((f"{op}64 r1, {k}", ORACLE64[op](a, k & M64)),
+                               (f"{op}32 r1, {k}", ORACLE32[op](a & M32, k & M32))):
+            assert compiled_result(monkeypatch, f"lddw r1, {a:#x}\n{line}\nmov64 r0, r1\nexit") == expected, line
