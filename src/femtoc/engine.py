@@ -11,7 +11,10 @@ updated), under the engine's limits and the helper ids its hook grants, by
 ``Engine.verify_for``, the package's one call of ``verifier.verify``.  It
 is verified before anything changes: a program that fails raises
 VerifyRejected and leaves the engine as it was, whichever way it came in,
-so every bound container runs.  A trigger only reads the verdict, and runs
+so every bound container runs.  The engine holds each verdict weakly, by
+program bytes, limits and granted helper ids, so a container bound with
+the same three as a live one shares its verdict instead of verifying
+again.  A trigger only reads the verdict, and runs
 the hook's containers in slot order with context regions holding only the
 event's bytes, a zeroed stack each, and full fault isolation between slots.
 
@@ -26,8 +29,9 @@ routing or region lookup; its helper table, cut from
 ``Engine.syscall_table`` at bind and whenever that table is replaced; and
 the access list of its slot position, which ``Engine._link`` sets
 whenever the hook's slots change.  A trigger only reads them.  Its
-VerifiedProgram also carries the execution tiers' state (see ``vm``), so a
-hot container's compiled form goes when it is removed or replaced.
+VerifiedProgram counts its own interpreted steps toward compiling, and
+its shared verdict keeps the compiled form (see ``vm``), which goes when
+the last container holding that verdict is removed or replaced.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import json
 import random
 import threading
 import uuid
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -44,7 +49,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from .facilities import RESPONSE_LABEL, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
-from .verifier import VerifiedProgram, VerifyLimits, verify
+from .verifier import Verdict, VerifiedProgram, VerifyLimits, verify
 from .vm import ExecOutcome, SyscallEnv, SyscallTable, _new, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
@@ -267,6 +272,9 @@ class Engine:
         self.containers: dict[uuid.UUID, Container] = {}
         self._hook_names: dict[str, uuid.UUID] = {}
         self._update_seqs: dict[tuple[uuid.UUID, uuid.UUID], int] = {}
+        # (program bytes, limits, granted helper ids) -> the verdict the
+        # containers bound with them share; they hold it, the engine does not.
+        self._verdicts: weakref.WeakValueDictionary[tuple, Verdict] = weakref.WeakValueDictionary()
 
     @property
     def syscall_table(self) -> SyscallTable:
@@ -453,8 +461,18 @@ class Engine:
 
     def verify_for(self, hook: Hook, program: Program, contract: Contract) -> VerifiedProgram:
         """Verify under the engine's limits and the helper ids ``hook`` grants
-        ``contract`` (those of intersect_contract, without its regions)."""
-        return verify(program, self.limits, contract.syscalls & hook.allowed_syscalls)
+        ``contract`` (those of intersect_contract, without its regions).  A
+        live container's verdict for the same bytes, limits and granted ids
+        answers without a second verification; the VerifiedProgram, and its
+        count of steps toward compiling, is always new."""
+        granted = contract.syscalls & hook.allowed_syscalls
+        key = (program.to_bytes(), self.limits, granted)
+        verdict = self._verdicts.get(key)
+        if verdict is not None:
+            return VerifiedProgram(program, self.limits, verdict)
+        verified = verify(program, self.limits, granted)
+        self._verdicts[key] = verified.verdict
+        return verified
 
     def tenant_container_on_hook(self, tenant_id: uuid.UUID, hook_id: uuid.UUID) -> uuid.UUID | None:
         with self.lock:

@@ -155,22 +155,46 @@ class VerifyError:
         return f"slot {self.slot_index}: {self.mnemonic}: {self.detail}"
 
 
+@dataclass(eq=False)
+class Verdict:
+    """What verification found for one program's bytes under one set of
+    limits and granted helper ids: the executable form, one row per slot as
+    described above, and the run-time budget.  ``compiled`` is where the
+    execution tiers keep the compiled form once a run has made it hot (see
+    ``femtoc.vm``).  An engine hands one Verdict to every container bound
+    with the same bytes, limits and granted ids (see ``Engine.verify_for``),
+    so they share one form and one compiled function."""
+
+    form: tuple[tuple[int, ...], ...]
+    budget: int  # the run-time step cap: max_instructions x max_branches
+    compiled: Callable | None = None
+
+
 @dataclass
 class VerifiedProgram:
-    """A program that passed all checks, with its derived run-time budget
-    and its executable form: one row per slot, as described above.
+    """A program that passed all checks, with its verdict.
 
-    The execution tiers keep their state for this program here, so it lives
-    and dies with it: ``interpreted`` counts the instructions the
-    interpreter has executed over all runs, and ``compiled`` is the compiled
-    form once that count made it hot (see ``femtoc.vm``)."""
+    ``interpreted`` counts the instructions the interpreter has executed for
+    this VerifiedProgram over all its runs, its own steps toward compiling
+    the verdict's form; once any holder of the verdict has compiled it,
+    every holder runs the compiled function."""
 
     program: Program
     limits: VerifyLimits
-    form: tuple[tuple[int, ...], ...]
-    budget: int  # the run-time step cap: max_instructions x max_branches
+    verdict: Verdict
     interpreted: int = field(default=0, compare=False, repr=False)
-    compiled: Callable | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def form(self) -> tuple[tuple[int, ...], ...]:
+        return self.verdict.form
+
+    @property
+    def budget(self) -> int:
+        return self.verdict.budget
+
+    @property
+    def compiled(self) -> Callable | None:
+        return self.verdict.compiled
 
 
 class VerifyRejected(ValueError):
@@ -322,7 +346,7 @@ def verify(
     errors, form = _scan(program, limits, allowed_syscalls)
     if errors:
         raise VerifyRejected(errors)
-    return VerifiedProgram(program, limits, form, limits.max_instructions * limits.max_branches)
+    return VerifiedProgram(program, limits, Verdict(form, limits.max_instructions * limits.max_branches))
 
 
 def verification_report(errors: list[VerifyError]) -> str:

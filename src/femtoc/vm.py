@@ -21,12 +21,15 @@ when it ends, at a taken jump, an exit or a fault.  Where the bound does not
 fit in the budget left, it hands its registers and counters to the stepped
 loop, ``_stepped``: the same loop body with a budget test before each step,
 so the budget runs out on the exact slot.  Its entry reports the spent
-budget, or a counter that escaped a hand-built form.  Once the interpreter
-has executed ``HOT_STEPS_PER_SLOT`` (64) of its instructions per slot, over
-all its runs, the next run compiles the form into one Python function: its
-registers are locals and its basic blocks are arms of one dispatch loop.
-The function is kept on the VerifiedProgram, so it lives as long as the
-installed program.  A program that runs once never compiles.
+budget, or a counter that escaped a hand-built form.  Each VerifiedProgram
+counts the instructions the interpreter has executed for it over all its
+runs; once that reaches ``HOT_STEPS_PER_SLOT`` (64) per slot, its next run
+compiles the form into one Python function: its registers are locals and
+its basic blocks are arms of one dispatch loop.  The function is kept on
+the program's ``Verdict``, which an engine shares among the containers
+bound with the same bytes, limits and granted helper ids: once one of them
+has compiled it, all of them run it, and it lives as long as any of them
+is installed.  A program that runs once never compiles.
 
 What each tier checks is the same.  Every load and store tests the access
 list's first read or write window inline and, when that misses, scans all
@@ -239,20 +242,22 @@ def exec_program(
     executing, capped at the budget.  Every helper the run calls gets
     ``env`` itself.
 
-    A program runs on the interpreter until it has executed
+    A program runs on the interpreter until ``vp`` has executed
     ``HOT_STEPS_PER_SLOT`` instructions per slot over its runs; the run
-    that finds it there compiles its form, and it and every later run call
-    the compiled function.
+    that finds it there compiles its form into the verdict, and it and
+    every later run of any holder of that verdict call the compiled
+    function.
     """
-    budget = vp.budget if budget is None else budget
+    verdict = vp.verdict
+    budget = verdict.budget if budget is None else budget
     r1 = 0 if ctx is None else ctx.base
-    run = vp.compiled
+    run = verdict.compiled
     if run is None:
-        form = vp.form
+        form = verdict.form
         if vp.interpreted < len(form) * HOT_STEPS_PER_SLOT:
             regs = [0, r1, 0, 0, 0, 0, 0, 0, 0, 0, env.acl.stack.base]
             outcome = _interpret(form, regs, 0, 0, 0, budget, env)
             vp.interpreted += outcome.executed
             return outcome
-        run = vp.compiled = compile_form(form)
+        run = verdict.compiled = compile_form(form)
     return run(r1, env, budget)

@@ -6,10 +6,10 @@ Run from the repository root:
     python3 tests/mutants.py NAME ...   # the named ones
     python3 tests/mutants.py --list
 
-For each mutant the runner copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, replaces the mutant's old text, which must occur
-exactly once in its file, with its new text, and runs ``pytest -x`` on the
-mutant's test files there.  A mutant whose tests pass survives.  The runner
+For each mutant the runner copies ``src/``, ``tests/``, ``perfbench/`` (some
+tests drive its workloads) and ``pyproject.toml`` to a temporary directory,
+replaces the mutant's old text, which must occur exactly once in its file,
+with its new text, and runs ``pytest -x`` on the mutant's test files there.  A mutant whose tests pass survives.  The runner
 exits 1 if any old text is stale or any mutant survives, and 0 when every
 mutant is killed.  pytest does not collect this file.
 """
@@ -39,6 +39,7 @@ VM_TESTS = ("tests/test_vm.py",)
 LOOP_TESTS = ("tests/test_vm.py", "tests/test_differential.py")
 MODEL_TESTS = ("tests/test_engine_model.py",)
 BIND_TESTS = ("tests/test_engine.py", "tests/test_engine_model.py", "tests/test_update.py")
+SHARING_TESTS = ("tests/test_engine.py", "-k", "shar or benchmark_workload or frees")
 
 MUTANTS = (
     # Versioned self-loops: the guard of a compiled self-loop.
@@ -233,6 +234,43 @@ MUTANTS = (
         "        verified = self.verify_for(hook, program, contract)\n        if container_id is None:\n",
         BIND_TESTS,
     ),
+    # One verdict per distinct program, weakly held.
+    Mutant(
+        "the verdict cache ignores the granted helper ids",
+        "src/femtoc/engine.py",
+        "key = (program.to_bytes(), self.limits, granted)",
+        "key = (program.to_bytes(), self.limits)",
+        SHARING_TESTS,
+    ),
+    Mutant(
+        "the verdict cache ignores the limits",
+        "src/femtoc/engine.py",
+        "key = (program.to_bytes(), self.limits, granted)",
+        "key = (program.to_bytes(), granted)",
+        SHARING_TESTS,
+    ),
+    Mutant(
+        "containers that share a verdict share one count toward compiling",
+        "src/femtoc/engine.py",
+        "        verdict = self._verdicts.get(key)\n"
+        "        if verdict is not None:\n"
+        "            return VerifiedProgram(program, self.limits, verdict)\n"
+        "        verified = verify(program, self.limits, granted)\n"
+        "        self._verdicts[key] = verified.verdict\n"
+        "        return verified\n",
+        "        verified = self._verdicts.get(key)\n"
+        "        if verified is None:\n"
+        "            verified = self._verdicts[key] = verify(program, self.limits, granted)\n"
+        "        return verified\n",
+        SHARING_TESTS,
+    ),
+    Mutant(
+        "the verdict cache holds its verdicts strongly",
+        "src/femtoc/engine.py",
+        "= weakref.WeakValueDictionary()",
+        "= {}",
+        SHARING_TESTS,
+    ),
 )
 
 
@@ -243,7 +281,7 @@ def run(mutant: Mutant) -> str:
         return "stale"
     with tempfile.TemporaryDirectory(prefix="femtoc-mutant-") as tmp:
         work = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, work / part, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work)
         (work / mutant.path).write_text(text.replace(mutant.old, mutant.new))

@@ -329,6 +329,21 @@ def test_bench_reports_all_fields(capsys):
     )
 
 
+def test_bench_times_a_real_verification(monkeypatch, capsys):
+    # An engine shares the verdict of a live container with the same bytes,
+    # so timing verify_for on the engine that already holds the fixture
+    # would time a lookup.  Each pair verifies twice: the install on its
+    # fresh host, and the timed verification on an engine that holds none.
+    from femtoc import engine as engine_module
+
+    calls = []
+    original = engine_module.verify
+    monkeypatch.setattr(engine_module, "verify", lambda *args: calls.append(args) or original(*args))
+    rc, _ = run_json(capsys, ["bench", "fletcher32_360", "--repeat", "2"])
+    assert rc == 0
+    assert len(calls) == 2 * 2 * PAIRS_PER_REPEAT
+
+
 @pytest.mark.parametrize("fixture", BENCH_FIXTURES)
 def test_bench_times_no_compilation(fixture, monkeypatch, capsys):
     # Each pair builds a fresh host and triggers it twice; a program compiles

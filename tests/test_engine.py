@@ -1,6 +1,7 @@
 """Hosting engine: contracts, lifecycle, triggering, isolation, stats."""
 
 import ast
+import collections
 import gc
 import inspect
 import json
@@ -36,7 +37,7 @@ from femtoc.facilities import SensorFixture
 from femtoc.fixtures import FIXTURE_SYSCALLS, fixture_program
 from femtoc.isa import Program
 from femtoc.memory import AccessList, HostMemory, fresh_stack
-from femtoc.verifier import VerifyLimits, VerifyRejected, verify
+from femtoc.verifier import VerifyErrorKind, VerifyLimits, VerifyRejected, verify
 from femtoc.vm import FaultKind, SyscallTable
 
 EXIT_ONLY = assemble("mov64 r0, 0\nexit")
@@ -743,15 +744,17 @@ def test_a_container_is_verified_when_bound_and_never_under_a_trigger(monkeypatc
 
     # An accepted update verifies once, through the engine, and binds what
     # it verified: beta's installs a container, alpha's replaces one.
+    # Alpha's has the bytes and grant of beta's live container, so it shares
+    # that verdict and verifies nothing more; its verify_count is still 1.
     payload = assemble("mov64 r0, 9\nexit").to_bytes()
-    for name in ("beta", "alpha"):
+    for name, verified in (("beta", [False]), ("alpha", [])):
         manifest = sign_manifest(build_manifest(tenants[name], hook, 1, payload, Contract.of()), keys[name])
         before = len(verifies)
         outcome = apply_update(engine, manifest, payload)
-        assert outcome.accepted and verifies[before:] == [False]
+        assert outcome.accepted and verifies[before:] == verified
         assert states()[outcome.container_id] == (True, False, 1)
     returns = [slot.outcome.return_value for slot in engine.trigger_hook(hook).outcomes]
-    assert returns == [9, 2, 9] and verifies == [False] * 5
+    assert returns == [9, 2, 9] and verifies == [False] * 4
     assert all(c["stats"]["verify_count"] == 1 for c in engine.introspection()["containers"])
 
 
@@ -1194,7 +1197,7 @@ def test_a_replaced_engine_helper_table_sees_every_fleet_call():
 
 def test_a_replaced_engine_helper_table_sees_every_fleet_call_in_compiled_code(compiled_tier):
     test_a_replaced_engine_helper_table_sees_every_fleet_call()
-    assert len(compiled_tier) == 14  # seven containers on each of two engines
+    assert len(compiled_tier) == 8  # seven containers of four programs on each of two engines
 
 
 def test_every_access_list_ends_with_its_stack_and_its_windows_are_disjoint():
@@ -1251,10 +1254,11 @@ def test_a_stack_first_access_list_serves_the_context_through_the_scan(monkeypat
 
 def test_compiled_slots_take_stacks_in_order_and_keep_their_addresses(compiled_tier):
     # The stack and the access list are arguments of every run, never part
-    # of the compiled function: the second container keeps the form it
-    # compiled at stack 1 and runs it on stack 0 after the first is removed.
+    # of the compiled function: the three containers share one verdict, so
+    # the function the first compiled at stack 0 runs the second at stack 1,
+    # then at stack 0 after the first is removed, and the third at stack 1.
     test_running_slots_take_stacks_in_order_and_keep_their_addresses()
-    assert len(compiled_tier) == 3  # first, second and third
+    assert len(compiled_tier) == 1
 
 
 def test_a_replaced_engine_helper_table_reaches_compiled_code_at_the_next_trigger(compiled_tier):
@@ -1274,3 +1278,193 @@ def test_a_removed_container_frees_its_compiled_form(compiled_tier):
     engine.remove_container(cid)
     gc.collect()
     assert program_ref() is None and function_ref() is None
+
+
+# -- one verdict per distinct program -----------------------------------------
+
+
+@pytest.fixture
+def verifies_and_compiles(monkeypatch):
+    """Counts of ``verify`` calls through the engine and of compiled forms."""
+    from femtoc import engine as engine_module
+
+    counts = collections.Counter(verify=0, compile=0)
+    original_verify, original_compile = engine_module.verify, vm.compile_form
+
+    def counted_verify(*args):
+        counts["verify"] += 1
+        return original_verify(*args)
+
+    def counted_compile(form):
+        counts["compile"] += 1
+        return original_compile(form)
+
+    monkeypatch.setattr(engine_module, "verify", counted_verify)
+    monkeypatch.setattr(vm, "compile_form", counted_compile)
+    return counts
+
+
+COUNTDOWN = assemble("mov64 r2, 20\nsub64 r2, 1\njne r2, 0, -2\nmov64 r0, 7\nexit")  # 43 steps a run
+
+
+def test_the_same_bytes_and_grant_share_one_verdict_and_once_hot_one_compiled_function(
+    verifies_and_compiles,
+):
+    # Each container counts its own steps toward compiling, so no run of
+    # one container makes another hot; once either has compiled, both run
+    # that one function.
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hooks = [engine.register_hook(name, ()) for name in ("a", "b")]
+    twin = Program.from_bytes(COUNTDOWN.to_bytes())  # another object, the same bytes
+    a, b = (engine.install_container(tenant, p, Contract.of(), h) for p, h in zip((COUNTDOWN, twin), hooks))
+    va, vb = engine.containers[a].verified, engine.containers[b].verified
+    assert va is not vb and va.verdict is vb.verdict
+    assert verifies_and_compiles == {"verify": 1, "compile": 0}
+
+    steps = 43
+    hot_after = -(-vm.HOT_STEPS_PER_SLOT * len(va.form) // steps)  # interpreted runs before a compile
+    assert hot_after >= 2
+
+    def trigger(hook, times):
+        for _ in range(times):
+            (slot,) = engine.trigger_hook(hook).outcomes
+            assert (slot.outcome.return_value, slot.outcome.executed, slot.outcome.fault) == (7, steps, None)
+
+    half = hot_after // 2
+    trigger(hooks[0], half)
+    trigger(hooks[1], hot_after)  # together more than enough, each alone just enough
+    assert (va.interpreted, vb.interpreted) == (half * steps, hot_after * steps)
+    assert verifies_and_compiles["compile"] == 0 and va.compiled is None
+    trigger(hooks[1], 1)  # b compiles
+    assert verifies_and_compiles["compile"] == 1 and vb.compiled is not None
+    trigger(hooks[0], hot_after)  # a, short of its own threshold, runs b's function
+    assert va.compiled is vb.compiled and va.interpreted == half * steps
+    assert verifies_and_compiles == {"verify": 1, "compile": 1}
+
+
+def test_a_shared_verdict_and_its_compiled_form_go_only_after_both_containers_are_removed(
+    compiled_tier, verifies_and_compiles
+):
+    engine, tenant, hook = engine_with_hook()
+    program = assemble("mov64 r0, 3\nexit")
+    first, second = (engine.install_container(tenant, program, Contract.of(), hook) for _ in range(2))
+    assert [slot.outcome.return_value for slot in engine.trigger_hook(hook).outcomes] == [3, 3]
+    verdict = engine.containers[first].verified.verdict
+    assert engine.containers[second].verified.verdict is verdict and verdict.compiled is not None
+    assert verifies_and_compiles == {"verify": 1, "compile": 1}
+    verdict_ref, function_ref = weakref.ref(verdict), weakref.ref(verdict.compiled)
+    del verdict
+    engine.remove_container(first)
+    gc.collect()
+    assert verdict_ref() is not None and function_ref() is not None
+    engine.remove_container(second)
+    gc.collect()
+    assert verdict_ref() is None and function_ref() is None
+    engine.install_container(tenant, program, Contract.of(), hook)  # nothing left to share
+    assert verifies_and_compiles["verify"] == 2
+
+
+def test_a_shared_verdict_never_crosses_a_grant():
+    # The key is the granted helper ids, the hook's allowance cut by the
+    # contract: bytes that call a helper their grant lacks are rejected
+    # while a container that may call it holds their verdict.
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    full, narrow = engine.register_hook("full", (1, 2)), engine.register_hook("narrow", (2,))
+    caller = assemble("mov64 r1, 1\nmov64 r2, 5\ncall 0x01\nexit")
+    engine.install_container(tenant, caller, Contract.of({1, 2}), full)
+    for hook, contract in ((full, Contract.of({2})), (narrow, Contract.of({1, 2}))):
+        with pytest.raises(VerifyRejected) as rejected:
+            engine.install_container(tenant, caller, contract, hook)
+        assert [e.kind for e in rejected.value.errors] == [VerifyErrorKind.UNKNOWN_SYSCALL]
+
+    both, two, cut = (
+        engine.install_container(tenant, EXIT_ONLY, contract, hook)
+        for contract, hook in ((Contract.of({1, 2}), full), (Contract.of({2}), full), (Contract.of({1, 2}), narrow))
+    )
+    verdicts = [engine.containers[cid].verified.verdict for cid in (both, two, cut)]
+    assert verdicts[0] is not verdicts[1] and verdicts[1] is verdicts[2]
+
+
+def test_a_shared_verdict_never_crosses_limits():
+    engine, tenant, hook = engine_with_hook(syscalls=())
+    program = assemble("mov64 r0, 1\nmov64 r0, 2\nexit")
+    first = engine.containers[engine.install_container(tenant, program, Contract.of(), hook)].verified
+    engine.limits = VerifyLimits(2, 4)
+    with pytest.raises(VerifyRejected) as rejected:
+        engine.install_container(tenant, program, Contract.of(), hook)
+    assert [e.kind for e in rejected.value.errors] == [VerifyErrorKind.TOO_LONG]
+    engine.limits = VerifyLimits(8, 2)
+    second = engine.containers[engine.install_container(tenant, program, Contract.of(), hook)].verified
+    assert second.verdict is not first.verdict and (first.budget, second.budget) == (4096 * 256, 16)
+    engine.limits = VerifyLimits()  # equal to the first limits, not the same object
+    third = engine.containers[engine.install_container(tenant, program, Contract.of(), hook)].verified
+    assert third.verdict is first.verdict
+
+
+def test_a_replace_and_an_update_with_the_same_bytes_share_the_verdict_and_keep_stores_isolated(
+    tier, verifies_and_compiles
+):
+    from femtoc.update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
+
+    keys = {name: private_key_from_seed(name.encode()) for name in ("A", "B")}
+    engine = Engine()
+    tenants = {name: engine.register_tenant(name, public_key_raw(key)) for name, key in keys.items()}
+    hook = engine.register_hook("h", (0x01, 0x02, 0x05))
+    contract = Contract.of({0x01, 0x02, 0x05})
+    program = counting_program(1, 7)
+    payload = program.to_bytes()
+
+    def update(name, sequence):
+        manifest = build_manifest(tenants[name], hook, sequence, payload, contract)
+        outcome = apply_update(engine, sign_manifest(manifest, keys[name]), payload)
+        assert outcome.accepted
+        return outcome.container_id
+
+    def trigger(times):
+        for _ in range(times):
+            outcomes = engine.trigger_hook(hook).outcomes
+        return [slot.outcome.return_value for slot in outcomes]
+
+    a = engine.install_container(tenants["A"], program, contract, hook)
+    b = update("B", 1)  # a new slot, sharing A's verdict
+    assert trigger(3) == [3, 3]
+    engine.replace_container(a, Program.from_bytes(payload), contract)
+    assert trigger(2) == [2, 5]
+    assert update("A", 1) == a  # in place: the store starts over again
+    assert trigger(1) == [1, 6]
+    assert engine.containers[a].verified.verdict is engine.containers[b].verified.verdict
+    assert verifies_and_compiles["verify"] == 1
+    assert tier is None or len(tier) == 1
+    stores = engine.facilities.stores
+    assert [stores.container_stores[cid].entries for cid in (a, b)] == [{1: 1}, {1: 6}]
+    assert [stores.tenant_stores[tenants[name]].entries for name in ("A", "B")] == [{7: 1}, {7: 6}]
+
+
+@pytest.fixture
+def perfbench_workloads(monkeypatch):
+    """The benchmark's workload module, ``perfbench/workloads.py``."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return workloads
+
+
+@pytest.mark.parametrize("name, distinct, warm_up", [("fleet", 4, 800), ("compute", 2, 10)])
+def test_a_benchmark_workload_verifies_and_compiles_each_distinct_program_once(
+    name, distinct, warm_up, perfbench_workloads, verifies_and_compiles
+):
+    # fleet installs 100 containers of 4 programs, compute 5 of 2.  Set-up
+    # fires every hook once and pays for no compile: compute's four
+    # fletcher32_360 containers each stay short of their own threshold.
+    workload = {"fleet": perfbench_workloads.Fleet, "compute": perfbench_workloads.Compute}[name](1)
+    workload.prepare()
+    for op, result in workload.setup():
+        assert workload.check(op, result) is None
+    assert verifies_and_compiles == {"verify": distinct, "compile": 0}
+    for _ in range(warm_up):
+        op = workload.next_op()
+        assert workload.check(op, workload.run(op)) is None
+    assert verifies_and_compiles == {"verify": distinct, "compile": distinct}
+    assert all(c.verified.compiled is not None for c in workload.engine.containers.values())
