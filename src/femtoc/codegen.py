@@ -16,6 +16,8 @@ finds how many of its passes cannot wrap an add or sub whose operands it
 can bound, nor leave the first window with an access whose address steps
 by a constant, and runs those passes through a copy of the body filled
 without those checks, then the rest through the checked body.
+On both tiers a load or store is one check against the access list's
+windows, then one conversion on its one buffer.
 ``femtoc.vm`` executes both sources in its own namespace, so the names
 they use (``_Trap``, ``Fault``, ``ExecOutcome``, ``_helper_fault``, ...)
 are ``vm``'s.
@@ -79,44 +81,31 @@ END_OPS = (  # by verifier.BYTE_ORDERS
     "int.from_bytes(({a} & {mask}).to_bytes({nbytes}, 'little'), 'big')",  # be
 )
 
-# Loads and stores test the first window of the access list inline (READ and
-# WRITE at ``addr``), then scan all its windows for the first one that covers
-# the access; a stack row indexes the stack's bytes with no scan.  ``{addr}``
-# is the access's address: ADDRESS, or the base register itself at offset 0
-# (registers hold values in [0, 2**64) on both tiers).
+# A load or store is one CHECK, then one READ or WRITE at ``addr`` on the buffer.
+# The check tests the first window (``rlo``/``rhi`` or ``wlo``/``whi``) inline
+# and, when that misses, scans all the windows only to fault when none covers
+# the access.  A proven access (see ``_self_loop``) is the READ or WRITE alone;
+# a stack row indexes the stack's bytes.  ``{address}`` is ADDRESS, or the base
+# register itself at offset 0 (registers hold values in [0, 2**64) on both tiers).
 ADDRESS = "({base} + {off}) & {mask64}"
-READ = "{dst} = unpack[{width}](rbuf, {addr} - rbase)[0]\n"
-WRITE = "pack[{width}](wbuf, {addr} - wbase, {value})\n"
-LOAD = """\
-addr = {addr}
-if rlo <= addr and addr + {width} <= rhi:
-    %s\
-else:
+READ = "{dst} = unpack[{width}](buf, {addr} - base)[0]\n"
+WRITE = "pack[{width}](buf, {addr} - base, {value})\n"
+CHECK = """\
+addr = {address}
+if addr < {mode[0]}lo or addr + {width} > {mode[0]}hi:
     end = addr + {width}
-    for lo, hi, buf, buf_base in read_windows:
+    for lo, hi in {mode}_windows:
         if lo <= addr and end <= hi:
-            {dst} = unpack[{width}](buf, addr - buf_base)[0]
             break
     else:
-        raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "read denied"))
-""" % READ.replace("{addr}", "addr")
+        raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "{mode} denied"))
+"""
+LOAD, STORE = CHECK + READ, CHECK + WRITE
+# The fields LOAD and STORE take besides the access's own.
+READS, WRITES = {"addr": "addr", "mode": "read"}, {"addr": "addr", "mode": "write"}
 
-STORE = """\
-addr = {addr}
-if wlo <= addr and addr + {width} <= whi:
-    %s\
-else:
-    end = addr + {width}
-    for lo, hi, buf, buf_base in write_windows:
-        if lo <= addr and end <= hi:
-            pack[{width}](buf, addr - buf_base, {value})
-            break
-    else:
-        raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "write denied"))
-""" % WRITE.replace("{addr}", "addr")
-
-LOAD_STACK = "{dst} = unpack[{width}](stack_buf, stack_at + {off})[0]\n"
-STORE_STACK = "pack[{width}](stack_buf, stack_at + {off}, {value})\n"
+LOAD_STACK = "{dst} = unpack[{width}](buf, stack_at + {off})[0]\n"
+STORE_STACK = "pack[{width}](buf, stack_at + {off}, {value})\n"
 STORE_VALUE = "{src} & {wmask}"  # stx cuts the register to the access width
 CALL_HELPER = """\
 try:
@@ -132,9 +121,9 @@ EXIT_RUN = "return _new(ExecOutcome, ({r0}, executed, branches, None))\n"
 # first read and write windows (the stack is both, so each list has one) and
 # its helper table's callables.
 PROLOGUE = """\
-read_windows, write_windows, stack_buf, stack_at, stack_base = env.acl.run_state
-rlo, rhi, rbuf, rbase = read_windows[0]
-wlo, whi, wbuf, wbase = write_windows[0]
+read_windows, write_windows, buf, base, stack_at, stack_base = env.acl.run_state
+rlo, rhi = read_windows[0]
+wlo, whi = write_windows[0]
 calls = env.helpers.calls
 unpack, pack = _UNPACK, _PACK
 """
@@ -324,10 +313,10 @@ def interpreter_source(loop: dict[str, str]) -> str:
         jump=_indent(jump, arm),
         end=_switch("sub", "a", END_OPS, {"a": "regs[dst]", "mask": "((1 << imm) - 1)",
                                           "nbytes": "(imm >> 3)"}, arm),
-        ldx=_indent(LOAD.format(addr=_address("regs[src]", "off"), dst="regs[dst]", **memory), arm),
+        ldx=_indent(LOAD.format(address=_address("regs[src]", "off"), dst="regs[dst]", **memory, **READS), arm),
         ldx_stack=_indent(LOAD_STACK.format(dst="regs[dst]", width="sub", off="off"), arm),
-        st=_indent(STORE.format(addr=_address("regs[dst]", "off"),
-                                value=f"{stx_value} if code == {STX} else imm", **memory), arm),
+        st=_indent(STORE.format(address=_address("regs[dst]", "off"),
+                                value=f"{stx_value} if code == {STX} else imm", **memory, **WRITES), arm),
         stx_stack=_indent(STORE_STACK.format(width="sub", off="off", value=stx_value), arm),
         st_stack=_indent(STORE_STACK.format(width="sub", off="off", value="imm"), arm),
         call=_indent(CALL_HELPER.format(r0="regs[0]", pc="pc", imm="imm", args=args), arm),
@@ -416,14 +405,14 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
     if code == LDX:
         if pc in proven:
             return READ.format(dst=rd, width=sub, addr=_plus(rs, off))
-        return LOAD.format(addr=_address(rs, off), dst=rd, width=sub, pc=pc)
+        return LOAD.format(address=_address(rs, off), dst=rd, width=sub, pc=pc, **READS)
     if code == LDX_STACK:
         return LOAD_STACK.format(dst=rd, width=sub, off=off)
     if code == STX or code == ST:
         value = _stored(rs, sub) if code == STX else imm
         if pc in proven:
             return WRITE.format(width=sub, addr=_plus(rd, off), value=value)
-        return STORE.format(addr=_address(rd, off), width=sub, value=value, pc=pc)
+        return STORE.format(address=_address(rd, off), width=sub, value=value, pc=pc, **WRITES)
     if code == STX_STACK:
         return STORE_STACK.format(width=sub, off=off, value=_stored(rs, sub))
     if code == ST_STACK:

@@ -10,13 +10,13 @@ detectable after the fact.  A buffer is reused across runs by ``reset``
 (the engine's, at every trigger), which puts back every byte the
 allocations wrote: guards, zeros and init data.
 
-An access list also keeps its regions as two tuples of windows, one for
-reads and one for writes, each ``(lo, hi, buf, base)``: the region's
-address range [lo, hi), its host buffer and the buffer's base address, in
-region order.  The execution tiers check loads and stores inline, testing
-the first window before they scan them all, and ``checked_store`` scans
-them for helpers; the first window that covers a range is the region
-``region_for`` returns.
+Every region of an access list lies in one ``HostMemory``, so an address
+names one byte.  The list keeps its regions as two tuples of windows, one
+for reads and one for writes, each a region's address range ``(lo, hi)``,
+in region order.  The execution tiers check loads and stores inline,
+testing the first window before they scan them all, and ``checked_store``
+scans them for helpers; the first window that covers a range is the region
+``region_for`` returns.  An access that passes converts the bytes once.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class AccessViolation(Exception):
 class HostMemory:
     """One growable buffer that backs a set of regions: in the engine, a hook's."""
 
-    def __init__(self, base: int = DEFAULT_BASE):
-        self.base = base
+    def __init__(self) -> None:
+        self.base = DEFAULT_BASE  # the address of buf[0]
         self.buf = bytearray()
         self._fresh = bytearray()  # buf as the allocations left it
         self._guards: list[tuple[int, int]] = []  # [start, end) offsets into buf
@@ -126,9 +126,8 @@ class MemoryRegion:
         return self.memory.read(self.base, self.length)
 
 
-# (lo, hi, buf, base): a region's address range [lo, hi), its host buffer and
-# the buffer's base address.
-Window = tuple[int, int, bytearray, int]
+# (lo, hi): a region's address range [lo, hi).
+Window = tuple[int, int]
 
 
 class AccessList:
@@ -142,10 +141,13 @@ class AccessList:
         stacks: list[MemoryRegion] = []
         read: list[Window] = []
         write: list[Window] = []
+        memory = self.regions[0].memory if self.regions else None
         for r in self.regions:
+            if r.memory is not memory:
+                raise ValueError("access list regions must lie in one host buffer")
             if r.label == STACK_LABEL:
                 stacks.append(r)
-            window = (r.base, r.base + r.length, r.memory.buf, r.memory.base)
+            window = (r.base, r.base + r.length)
             if r.readable:
                 read.append(window)
             if r.writable:
@@ -158,9 +160,9 @@ class AccessList:
         self.stack = stack
         self.read_windows: tuple[Window, ...] = tuple(read)
         self.write_windows: tuple[Window, ...] = tuple(write)
-        # What a run unpacks first: the windows, the stack's bytes, its offset in them and its base.
-        self.run_state = (self.read_windows, self.write_windows, stack.memory.buf,
-                          stack.base - stack.memory.base, stack.base)
+        # What a run unpacks first: the windows, the buffer, its base, the stack's offset and its address.
+        self.run_state = (self.read_windows, self.write_windows, memory.buf, memory.base,
+                          stack.base - memory.base, stack.base)
 
     def region_for(self, addr: int, length: int, mode: Mode) -> MemoryRegion | None:
         """First region that fully contains the range and grants the mode."""
@@ -171,15 +173,18 @@ class AccessList:
 
 
 def checked_store(acl: AccessList, addr: int, size: int, value: int) -> None:
-    """Store ``value``, cut to ``size`` bytes, at [addr, addr+size) through
-    the first write window that covers it, as the VM's stores do; raises
-    AccessViolation when none does. For host helpers."""
+    """Store ``value``, cut to ``size`` bytes, at [addr, addr+size) when a
+    write window covers it, as the VM's stores do; raises AccessViolation
+    when none does. For host helpers."""
     end = addr + size
-    for lo, hi, buf, base in acl.write_windows:
+    for lo, hi in acl.write_windows:
         if lo <= addr and end <= hi:
-            buf[addr - base : end - base] = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-            return
-    raise AccessViolation(addr, size, Mode.WRITE)
+            break
+    else:
+        raise AccessViolation(addr, size, Mode.WRITE)
+    memory = acl.stack.memory
+    at = addr - memory.base
+    memory.buf[at : at + size] = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
 
 
 def fresh_stack(memory: HostMemory) -> MemoryRegion:

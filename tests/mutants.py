@@ -57,6 +57,22 @@ MUTANTS = (
         "",
         LOOP_TESTS,
     ),
+    # One buffer per access list, and one check per access.
+    Mutant(
+        "an access list takes regions from two buffers",
+        "src/femtoc/memory.py",
+        "            if r.memory is not memory:\n"
+        '                raise ValueError("access list regions must lie in one host buffer")\n',
+        "",
+        VM_TESTS,
+    ),
+    Mutant(
+        "the check's first-window bound is one byte loose",
+        "src/femtoc/codegen.py",
+        "if addr < {mode[0]}lo or addr + {width} > {mode[0]}hi:",
+        "if addr < {mode[0]}lo or addr + {width} > {mode[0]}hi + 1:",
+        VM_TESTS,
+    ),
     # The interpreter's budget per straight run.
     Mutant(
         "lddw does not move start on",

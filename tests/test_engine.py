@@ -1213,8 +1213,9 @@ def test_every_access_list_ends_with_its_stack_and_its_windows_are_disjoint():
             acl = container.env.acl
             assert acl.stack is hook.stacks[j]
             assert acl.regions == (*container.views, acl.stack)
+            assert all(region.memory is hook.memory for region in acl.regions)
             for windows in (acl.read_windows, acl.write_windows):
-                spans = sorted((lo, hi) for lo, hi, _, _ in windows)
+                spans = sorted(windows)
                 assert all(hi <= lo for (_, hi), (lo, _) in zip(spans, spans[1:])), spans
 
 

@@ -11,7 +11,7 @@ import refvm
 from femtoc import codegen, vm
 from femtoc import verifier as V
 from femtoc.asm import assemble
-from femtoc.fixtures import fixture_program
+from femtoc.fixtures import FIXTURE_SOURCES, FIXTURE_SYSCALLS, fixture_program
 from femtoc.facilities import KV_ERR_SCOPE, SYS_RESPONSE_WRITE, FacilityContext, standard_syscall_table
 from femtoc.memory import DEFAULT_BASE, AccessList, HostMemory, Mode, checked_store, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
@@ -281,8 +281,19 @@ def test_windows_agree_with_region_for(rng):
         if region is None:
             assert window is None, (addr, length, mode)
         else:
-            assert window[:2] == (region.base, region.end)
-            assert window[2] is region.memory.buf and window[3] == region.memory.base
+            assert window == (region.base, region.end)
+
+
+def test_an_access_list_refuses_regions_from_two_buffers():
+    # Every HostMemory starts at the same address, so regions of two buffers
+    # would give one address two meanings.
+    mem, other = HostMemory(), HostMemory()
+    ctx, foreign = mem.alloc(16, "ctx", True, True), other.alloc(16, "ctx", True, True)
+    assert ctx.base == foreign.base
+    for regions in ([foreign, fresh_stack(mem)], [ctx, fresh_stack(other)], [fresh_stack(mem), ctx, foreign]):
+        with pytest.raises(ValueError, match="one host buffer"):
+            AccessList(regions)
+    assert AccessList([ctx, fresh_stack(mem)]).run_state[2:4] == (mem.buf, mem.base)
 
 
 # -- jumps and budget ------------------------------------------------------
@@ -1259,7 +1270,7 @@ def test_fletchers_versioned_passes_test_no_wrap_and_no_window_and_its_constants
     for check in ("_Trap(", "0x10000000000000000", "read_windows"):
         assert not any(check in line for line in versioned) and any(check in line for line in checked), check
     assert versioned == [
-        "r0 = unpack[2](rbuf, r1 - rbase)[0]",
+        "r0 = unpack[2](buf, r1 - base)[0]",
         "r4 = r4 + r0", "r5 = r5 + r4", "r1 = r1 + 2", "r2 = r2 - 1", "r3 = r3 - 1",
         "if not (r3 != 0):", "break",
     ]
@@ -1277,3 +1288,57 @@ def test_constant_divisors_and_shift_amounts_fold_to_the_oracles_result(monkeypa
         for line, expected in ((f"{op}64 r1, {k}", ORACLE64[op](a, k & M64)),
                                (f"{op}32 r1, {k}", ORACLE32[op](a & M32, k & M32))):
             assert compiled_result(monkeypatch, f"lddw r1, {a:#x}\n{line}\nmov64 r0, r1\nexit") == expected, line
+
+
+GENERATED = ("interpreter", "stepped", *FIXTURE_SOURCES)  # the loops, and each bundled fixture compiled
+
+
+def _generated_source(name: str) -> str:
+    if name in ("interpreter", "stepped"):
+        return codegen.interpreter_source(codegen.COUNTED if name == "interpreter" else codegen.STEPPED)
+    form = verify(fixture_program(name), VerifyLimits(), FIXTURE_SYSCALLS[name]).form
+    return codegen.compiled_source(form)[0]
+
+
+def _memory_calls(node: ast.AST) -> list[ast.Call]:
+    """The ``unpack[...]`` and ``pack[...]`` calls under ``node``."""
+    return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Subscript) and isinstance(call.func.value, ast.Name)
+            and call.func.value.id in ("unpack", "pack")]
+
+
+def _scans(node: ast.AST) -> list[ast.For]:
+    """The loops over an access list's read or write windows under ``node``."""
+    return [loop for loop in ast.walk(node) if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Name)
+            and loop.iter.id in ("read_windows", "write_windows")]
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_each_checked_access_touches_memory_once_after_a_check_that_only_decides(name):
+    # A checked load or store is one check, an ``if`` on the first window
+    # whose body scans the windows and faults, then the statement after it:
+    # one unpack or pack at ``addr``.  No scan converts bytes, and no
+    # statement converts twice.
+    tree = ast.parse(_generated_source(name))
+    scans = _scans(tree)
+    assert all(_memory_calls(scan) == [] for scan in scans)
+    checked = []  # (the check's scan, the conversion after it)
+    for node in ast.walk(tree):
+        for block in (getattr(node, "body", None), getattr(node, "orelse", None)):
+            if not isinstance(block, list):
+                continue
+            for stmt, after in zip(block, [*block[1:], ast.Pass()]):
+                if isinstance(stmt, (ast.Assign, ast.Expr)):
+                    assert len(_memory_calls(stmt)) <= 1, stmt.lineno
+                scan = [s for s in stmt.body if s in scans] if isinstance(stmt, ast.If) else []
+                if scan:
+                    assert _memory_calls(stmt) == [] and len(_memory_calls(after)) == 1, stmt.lineno
+                    checked.append((scan[0], _memory_calls(after)[0]))
+    assert sorted(map(id, scans)) == sorted(id(scan) for scan, _ in checked)
+    for scan, call in checked:
+        kind = "unpack" if scan.iter.id == "read_windows" else "pack"
+        assert (call.func.value.id, ast.unparse(call.args[1])) == (kind, "addr - base"), call.lineno
+    at_addr = [call for call in _memory_calls(tree) if ast.unparse(call.args[1]) == "addr - base"]
+    assert len(at_addr) == len(checked)
+    if name in ("interpreter", "stepped"):  # ldx, stx or st, and the three stack rows: one each
+        assert (len(checked), len(_memory_calls(tree))) == (2, 5)
