@@ -15,7 +15,11 @@ check for all of them.  Such a loop is versioned: a guard on each entry
 finds how many of its passes cannot wrap an add or sub whose operands it
 can bound, nor leave the first window with an access whose address steps
 by a constant, and runs those passes through a copy of the body filled
-without those checks, then the rest through the checked body.
+without those checks, then the rest through the checked body.  A
+self-loop with no load or store through a pointer and no helper call can
+reach the stack only through its stack rows: it holds each row that
+overlaps no other in a local, loaded once on entry, and writes the stored
+ones back on its two ways out.
 On both tiers a load or store is one check against the access list's
 windows, then one conversion on its one buffer.
 ``femtoc.vm`` executes both sources in its own namespace, so the names
@@ -333,6 +337,7 @@ _BRANCHES = (JCOND_K, JCOND_X, JA)
 _ENDS_BLOCK = (JCOND_K, JCOND_X, JA, EXIT)
 _WRITES_DST = (ALU64_K, ALU64_X, ALU32_K, ALU32_X, LDX, LDX_STACK, LDDW, END)
 _TRAPS = (LDX, STX, ST, CALL)  # slots whose checked form can raise _Trap
+_STACK_ROWS = (LDX_STACK, STX_STACK, ST_STACK)
 
 
 def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
@@ -381,10 +386,12 @@ def _alu(sub: int, a: str, b: str, k: int | None, width: dict) -> str:
     return ALU[sub].format(a=a, b=b, count=count, **width)
 
 
-def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozenset()) -> str:
+def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozenset(),
+                 rows: dict[tuple[int, int], str] = {}) -> str:
     """One non-branching slot's statements, with registers as locals.  A slot
     in ``proven`` runs without its check: a loop guard proved that its add or
-    sub does not wrap, or that its access lies inside the first window."""
+    sub does not wrap, or that its access lies inside the first window.  A
+    stack row in ``rows`` (offset, width -> local) reads or assigns its local."""
     code, sub, dst, src, off, imm = row
     if dst == 10 and code in _WRITES_DST:  # the verifier refuses it; r10 stays the stack base
         raise ValueError(f"slot {pc}: handler code {code} writes r10")
@@ -406,17 +413,17 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
         if pc in proven:
             return READ.format(dst=rd, width=sub, addr=_plus(rs, off))
         return LOAD.format(address=_address(rs, off), dst=rd, width=sub, pc=pc, **READS)
-    if code == LDX_STACK:
-        return LOAD_STACK.format(dst=rd, width=sub, off=off)
     if code == STX or code == ST:
         value = _stored(rs, sub) if code == STX else imm
         if pc in proven:
             return WRITE.format(width=sub, addr=_plus(rd, off), value=value)
         return STORE.format(address=_address(rd, off), width=sub, value=value, pc=pc, **WRITES)
-    if code == STX_STACK:
-        return STORE_STACK.format(width=sub, off=off, value=_stored(rs, sub))
-    if code == ST_STACK:
-        return STORE_STACK.format(width=sub, off=off, value=imm)
+    if code in _STACK_ROWS:
+        local = rows.get((off, sub))
+        if code == LDX_STACK:
+            return f"{rd} = {local}\n" if local else LOAD_STACK.format(dst=rd, width=sub, off=off)
+        value = _stored(rs, sub) if code == STX_STACK else imm
+        return f"{local} = {value}\n" if local else STORE_STACK.format(width=sub, off=off, value=value)
     if code == CALL:
         return CALL_HELPER.format(r0="r0", pc=pc, imm=imm, args="r1, r2, r3, r4, r5")
     if code == LDDW:
@@ -437,7 +444,12 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
 # branch not taken, or a trap) counts ``it`` passes and ``it - 1`` taken
 # branches; if all ``room`` took it, hand over.  Only a body with a slot that
 # can trap (``_TRAPS``) counts a trap's pass (TRAPPED).  A loop whose guard
-# proves nothing has no guard and runs every pass checked.
+# proves nothing has no guard and runs every pass checked.  A body with no
+# such slot reaches the stack only through its stack rows, and holds each row
+# that overlaps no other in a local (``_stack_locals``): loaded on entry, even
+# with no room; read and assigned by both copies of the body; and, if stored,
+# written back ({spill}) before ALL_TAKEN's handover, so the stepped loop
+# resumes from current bytes, and before LOOP_EXIT.
 PASSES = """\
 for it in range({first}, {last} + 1):
 {body}\
@@ -446,7 +458,7 @@ for it in range({first}, {last} + 1):
 else:
 {then}\
 """
-ALL_TAKEN = "executed += room * {length}\nbranches += room\nraise _Handover\n"
+ALL_TAKEN = "executed += room * {length}\nbranches += room\n{spill}raise _Handover\n"
 TRAPPED = """\
 try:
 {passes}\
@@ -455,7 +467,7 @@ except _Trap:
     branches += it - 1
     raise
 """
-LOOP_EXIT = "executed += it * {length}\nbranches += it - 1\npc = {next}\n"
+LOOP_EXIT = "{spill}executed += it * {length}\nbranches += it - 1\npc = {next}\n"
 
 # The guard classifies each register the body writes by the slots that write it:
 # - induction: only ``r += K`` and ``r -= K`` (a K of 2**63 or more steps down),
@@ -564,21 +576,39 @@ def _loop_guard(form: tuple[tuple[int, ...], ...], body: list[int]) -> tuple[str
     return guard, frozenset(proven)
 
 
+def _stack_locals(form: tuple[tuple[int, ...], ...], body: list[int]) -> dict[tuple[int, int], str]:
+    """The stack rows of a self-loop body held in locals: (offset, width) ->
+    local.  Empty when a slot could reach the stack through a pointer or a
+    helper (``_TRAPS``), else each row that overlaps no other distinct row."""
+    if any(form[pc][0] in _TRAPS for pc in body):
+        return {}
+    rows = sorted({(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in _STACK_ROWS})
+    return {(off, width): f"s{off}_{width}" for off, width in rows
+            if not any(o < off + width and off < o + w and (o, w) != (off, width) for o, w in rows)}
+
+
 def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) -> str:
-    """A self-loop block: its guard, its proven and checked passes, its exit."""
+    """A self-loop block: its guard, its stack locals' loads, its proven and
+    checked passes, and its exits, each of which writes the stored locals back."""
     length, body = len(slots), slots[:-1]
     guard, proven = _loop_guard(form, body)
-    checked = "".join(_slot_source(pc, form[pc]) for pc in body)
+    rows = _stack_locals(form, body)
+    stored = {(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in (STX_STACK, ST_STACK)}
+    fill = "".join(LOAD_STACK.format(dst=local, width=width, off=off) for (off, width), local in rows.items())
+    spill = "".join(STORE_STACK.format(width=width, off=off, value=local)
+                    for (off, width), local in rows.items() if (off, width) in stored)
+    checked = "".join(_slot_source(pc, form[pc], rows=rows) for pc in body)
     passes = PASSES.format(first="safe + 1" if proven else 1, last="room", body=_indent(checked, 1),
-                           taken=taken, then=_indent(ALL_TAKEN.format(length=length), 1))
+                           taken=taken, then=_indent(ALL_TAKEN.format(length=length, spill=spill), 1))
     if proven:
-        unchecked = "".join(_slot_source(pc, form[pc], proven) for pc in body)
+        unchecked = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body)
         passes = PASSES.format(first=1, last="safe", body=_indent(unchecked, 1), taken=taken,
                                then=_indent(passes, 1))
     if any(form[pc][0] in _TRAPS for pc in body):
         passes = TRAPPED.format(passes=_indent(passes, 1), length=length)
     room = f"room = (budget - executed) // {length}\n"
-    return room + (guard if proven else "") + passes + LOOP_EXIT.format(length=length, next=slots[-1] + 1)
+    leave = LOOP_EXIT.format(spill=spill, length=length, next=slots[-1] + 1)
+    return room + (guard if proven else "") + fill + passes + leave
 
 
 def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int]) -> str:

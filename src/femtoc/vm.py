@@ -35,19 +35,19 @@ What each tier checks is the same.  Every load and store tests the access
 list's first read or write window inline and, when that misses, scans all
 its windows for one that covers the access, faulting when none does; then
 it converts the bytes once, on the access list's one buffer.  Stack rows,
-the [r10+off] accesses the verifier proved to lie inside the stack, index
-the stack's bytes in that buffer with no check, so the engine puts the
-stack last.  The compiled tier checks the budget once per block: a block
-that might not fit in what is left hands its registers and counters to the
-stepped loop at its first slot.  A block that jumps back to its own start
-counts passes instead: it computes once how many whole passes fit and hands
-over at its start when all of them took the branch.  A fault inside a block
-reports the same slot, step and branch counts as the interpreter.  Every
-register holds a value in [0, 2**64) on both tiers, so compiled 8-byte
-stores and zero-offset addresses use the register with no mask.  Compiled
-code keeps r10 in a local that only its prologue assigns, and ``codegen``
-refuses to generate code for a row that writes r10, so it never tests r10
-at run time.
+the [r10+off] accesses the verifier proved to lie inside the stack, take
+no check, so the engine puts the stack last; a compiled self-loop with no
+other access and no call converts each row once per entry, not per pass.
+The compiled tier checks the budget once per block: a block that might not
+fit in what is left hands its registers and counters to the stepped loop
+at its first slot.  A block that jumps back to its own start counts passes
+instead: it computes once how many whole passes fit and hands over at its
+start when all of them took the branch.  A fault inside a block reports the
+same slot, step and branch counts as the interpreter.  Every register holds
+a value in [0, 2**64) on both tiers, so compiled 8-byte stores and
+zero-offset addresses use the register with no mask.  Compiled code keeps
+r10 in a local that only its prologue assigns, and ``codegen`` refuses to
+generate code for a row that writes r10, so it never tests r10 at run time.
 
 A run gets its container's SyscallEnv whole: the one record of what the
 container may reach (its access list with the stack, its restricted helper

@@ -208,3 +208,61 @@ def random_self_loop(rng: random.Random, ctx_span: int, allowed_syscalls: tuple[
     branch = rng.choice(("jne r2, 0", "jne r2, 0", "jne r2, 0", "jgt r2, 3", "jsgt r2, 0"))
     lines += [f"loop: {body[0]}", *body[1:], f"{branch}, loop", f"mov64 r0, r{rng.randint(2, 9)}", "exit"]
     return assemble("\n".join(lines))
+
+
+# -- stack-row loops ----------------------------------------------------------------
+#
+# Compiled code holds the stack rows of a self-loop in locals when nothing in
+# its body can reach the stack another way: no load or store through a
+# pointer, no helper call.  Each row that overlaps no other distinct row is
+# loaded once per entry and written back on the way out.
+
+
+def random_stack_loop(rng: random.Random, allowed_syscalls: tuple[int, ...] = ()) -> Program:
+    """A program that passes the pre-flight checks and whose one self-loop
+    mixes ALU steps with loads and stores at [r10+off] of all four widths.
+
+    r9 counts the passes, by a 32-bit step in half the bodies, so that
+    those loops get no guard unless an accumulator gives them one; r0, r2
+    and r4..r8 carry data.  Rows lie in distinct 8-byte cells, half the
+    time all in the stack's first 64 bytes, so they do not overlap, except
+    that one body in three adds a row of another width inside a cell
+    already used.  One body in three also loads or stores at a row's offset
+    through r3, a copy of r10 that compiled code cannot tell from any other
+    pointer, or, with helpers, calls one with r1 = r10 (a helper that
+    writes at r1 then writes the stack)."""
+    rows = []
+    for cell in rng.sample(range(rng.choice((8, 64))), rng.randint(1, 4)):
+        width = rng.choice(sorted(_SUFFIX))
+        rows.append((cell * 8 + rng.randrange(9 - width), width))
+    if rng.random() < 1 / 3:
+        off, width = rng.choice(rows)
+        other = rng.choice([w for w in _SUFFIX if w != width])
+        rows.append((min(off + rng.randrange(width), 512 - other), other))
+    data = (0, 2, 4, 5, 6, 7, 8)
+    lines = [f"lddw r{reg}, {rng.getrandbits(64):#x}" for reg in rng.sample(data, 3)]
+    lines += [f"mov64 r9, {rng.randint(1, 24)}", "mov64 r3, r10"]
+    body = []
+    for _ in range(rng.randint(2, 8)):
+        off, width = rng.choice(rows)
+        a, b = rng.choice(data), rng.choice(data)
+        body.append(rng.choice((
+            f"ldx{_SUFFIX[width]} r{a}, [r10+{off}]",
+            f"stx{_SUFFIX[width]} [r10+{off}], r{a}",
+            f"st{_SUFFIX[width]} [r10+{off}], {rng.randint(*IMM32)}",
+            f"{rng.choice(('add64', 'xor64', 'sub64', 'add32'))} r{a}, r{b}",
+            f"mul64 r{a}, {rng.randrange(1, 1 << 20) | 1}",
+        )))
+    if rng.random() < 1 / 3:
+        off, width = rng.choice(rows)
+        width = rng.choice((width, rng.choice(sorted(_SUFFIX))))
+        reach = rng.choice((f"ldx{_SUFFIX[width]} r{rng.choice(data)}, [r3+{off}]",
+                            f"stx{_SUFFIX[width]} [r3+{off}], r{rng.choice(data)}"))
+        if allowed_syscalls and rng.random() < 0.5:
+            lines.append("mov64 r1, r10")
+            reach = f"call {rng.choice(allowed_syscalls)}"
+        body.append(reach)
+    body.append(rng.choice(("sub64 r9, 1", "sub32 r9, 1")))
+    rng.shuffle(body)
+    lines += [f"loop: {body[0]}", *body[1:], "jne r9, 0, loop", f"mov64 r0, r{rng.choice(data)}", "exit"]
+    return assemble("\n".join(lines))

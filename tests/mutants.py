@@ -57,6 +57,35 @@ MUTANTS = (
         "",
         LOOP_TESTS,
     ),
+    # Stack rows held in locals across a self-loop's passes.
+    Mutant(
+        "no write-back before a promoted loop's all-taken handover",
+        "src/femtoc/codegen.py",
+        'branches += room\\n{spill}raise _Handover\\n"',
+        'branches += room\\nraise _Handover\\n"',
+        LOOP_TESTS,
+    ),
+    Mutant(
+        "no write-back when a promoted loop exits",
+        "src/femtoc/codegen.py",
+        'LOOP_EXIT = "{spill}executed',
+        'LOOP_EXIT = "executed',
+        LOOP_TESTS,
+    ),
+    Mutant(
+        "rows are promoted in a body with a checked access or a call",
+        "src/femtoc/codegen.py",
+        "    if any(form[pc][0] in _TRAPS for pc in body):\n        return {}\n",
+        "",
+        LOOP_TESTS,
+    ),
+    Mutant(
+        "overlapping rows are promoted",
+        "src/femtoc/codegen.py",
+        "if not any(o < off + width and off < o + w and (o, w) != (off, width) for o, w in rows)",
+        "",
+        LOOP_TESTS,
+    ),
     # One buffer per access list, and one check per access.
     Mutant(
         "an access list takes regions from two buffers",

@@ -43,6 +43,16 @@ guards that fell short of a wrap or a window's edge that a later, checked
 pass then reached, and loops with no guard; a proven check that fails in a
 versioned pass fails the stream.
 
+One more compiled stream per helper table runs self-loops from
+``genprog.random_stack_loop``, whose bodies load and store stack rows
+([r10+off]).  Compiled code holds a loop's rows in locals when its body
+can reach the stack no other way, and writes the stored ones back on its
+way out.  These streams require promoted loop entries, handovers out of
+a promoted loop, loops left unpromoted for an access through a copy of
+r10 or a helper call, and rows left unpromoted because they overlap
+another row; every third program runs under a budget near its run's
+length.
+
 The interpreter counts steps by straight runs and checks the budget only on
 entry and at taken jumps; where a run might not fit, it hands over to the
 stepped loop, which checks every step.  One more stream per tier runs each
@@ -63,7 +73,7 @@ from femtoc import codegen, vm
 from femtoc.memory import GUARD_LEN, AccessList, HostMemory, checked_store, fresh_stack
 from femtoc.verifier import ALU64_K, ALU64_X, JCOND_K, JCOND_X, LDX, MASK64, VerifyLimits, verify
 from femtoc.vm import SyscallEnv, SyscallError, SyscallTable
-from genprog import random_accepted_program, random_self_loop
+from genprog import random_accepted_program, random_self_loop, random_stack_loop
 
 PROGRAMS = 12_000  # per stream; two streams
 COMPILED_PROGRAMS = 4_000  # per stream with the compiled tier forced on; each compiles once
@@ -106,7 +116,11 @@ def _probe(form, outcome) -> None:
     """Count what one compiled run exercised; its scans are counted as they happen."""
     inside = _self_loops(form)
     COVERAGE["self-loop programs"] += bool(inside)
-    COVERAGE["counted-loop handovers"] += any(pc in inside.values() for pc in HANDOVERS)
+    handed = {pc for pc in HANDOVERS if pc in inside.values()}
+    COVERAGE["counted-loop handovers"] += bool(handed)
+    blocks = codegen._basic_blocks(form) if handed else {}
+    promoted = [pc for pc in handed if codegen._stack_locals(form, blocks[pc][:-1])]
+    COVERAGE["handovers out of a promoted loop"] += bool(promoted)
     fault = outcome.fault
     if fault is not None and fault.note in ("read denied", "write denied"):
         COVERAGE["first-window misses served"] -= 1  # the scan found no window
@@ -124,7 +138,7 @@ def loop_guards(form) -> dict[int, tuple[list[int], str, frozenset[int]]]:
 def guard_safe(guard: str, regs: list[int], room: int, acl: AccessList) -> int:
     """The ``safe`` that a compiled self-loop's ``guard`` finds on entry with
     ``regs``, ``room`` whole passes left and ``acl``'s first windows."""
-    (rlo, rhi, *_), (wlo, whi, *_) = acl.read_windows[0], acl.write_windows[0]
+    (rlo, rhi), (wlo, whi) = acl.read_windows[0], acl.write_windows[0]
     names = {f"r{i}": value for i, value in enumerate(regs)}
     names.update(room=room, rlo=rlo, rhi=rhi, wlo=wlo, whi=whi)
     exec(guard, {}, names)
@@ -139,8 +153,21 @@ def proven_check_fails(row, regs: list[int], acl: AccessList) -> bool:
         b = regs[src] if code == ALU64_X else imm - (imm >> 63 << 64)
         return not 0 <= (regs[dst] + b if sub == 0 else regs[dst] - b) <= MASK64
     windows, base = (acl.read_windows, src) if code == LDX else (acl.write_windows, dst)
-    lo, hi, *_ = windows[0]
+    lo, hi = windows[0]
     return not lo <= regs[base] + off <= hi - sub
+
+
+def stack_coverage(form, body: list[int]) -> Counter:
+    """What an entry of a self-loop whose non-branching slots are ``body``
+    counts of its stack rows: whether compiled code holds any in locals,
+    whether it holds none because a slot could reach the stack through a
+    pointer or a helper, and how many it leaves in memory for an overlap."""
+    rows = {(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in codegen._STACK_ROWS}
+    promoted = codegen._stack_locals(form, body)
+    reaches = any(form[pc][0] in codegen._TRAPS for pc in body)
+    return Counter({"promoted loop entries": bool(promoted),
+                    "loops left unpromoted for an alias or a call": bool(rows) and reaches and not promoted,
+                    "rows left unpromoted for an overlap": 0 if reaches else len(rows - promoted.keys())})
 
 
 class LoopProbe:
@@ -149,7 +176,8 @@ class LoopProbe:
     handed over, if it did).  On each entry it finds the loop's guard's
     ``safe``; it counts into COVERAGE the loops with no guard, the loops that
     ran versioned passes, the loops whose proven checks fail in a pass after
-    ``safe`` (the checked remainder), and any that fail in a pass before it."""
+    ``safe`` (the checked remainder), and any that fail in a pass before it,
+    and each entry's ``stack_coverage``."""
 
     def __init__(self, form, acl: AccessList, budget: int, until: float):
         self.form, self.acl, self.budget, self.until = form, acl, budget, until
@@ -169,6 +197,7 @@ class LoopProbe:
                 safe = guard_safe(guard, regs, room, self.acl) if proven else room
                 COVERAGE["versioned loop entries" if safe and proven else
                          "loop entries with no guard" if not proven else "loop entries with no safe pass"] += 1
+                COVERAGE.update(stack_coverage(self.form, slots[:-1]))
                 self.entry, self.short = (slots, executed, safe, proven), False
         if self.entry is None or pc not in self.entry[3]:
             return
@@ -247,24 +276,27 @@ def _handovers(outcome) -> None:
 
 
 def _mismatches(
-    seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False, near_budget: bool = False,
-    loops: bool = False,
+    seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False, near_budget: int = 0,
+    loops: bool = False, stack_rows: bool = False,
 ) -> tuple[list[str], list]:
     """The mismatches of a stream of ``programs``, and the package's
     outcomes; with ``probe``, count into COVERAGE what each run exercised.
-    With ``near_budget``, each program runs under a budget within three
-    steps of what its run takes or of its length, where the counted
+    With ``near_budget`` k, every k-th program runs under a budget within
+    three steps of what its run takes or of its length, where the counted
     interpreter's bound (a straight run from slot s takes at most n - s
     steps) stops fitting, so that it hands over to the stepped loop;
     COVERAGE counts the handovers.  With ``loops``, each program is a
-    self-loop from ``random_self_loop``, and a LoopProbe follows the
-    reference run (``probe`` must be on)."""
+    self-loop from ``random_self_loop``, or with ``stack_rows`` too from
+    ``random_stack_loop``, and a LoopProbe follows the reference run
+    (``probe`` must be on)."""
     rng = random.Random(seed)
     table = _helper_table()
     found = []
     outcomes = []
     for index in range(programs):
-        if loops:
+        if stack_rows:
+            program = random_stack_loop(rng, allowed)
+        elif loops:
             program = random_self_loop(rng, CTX_SPAN, allowed)
         else:
             program = random_accepted_program(
@@ -273,7 +305,7 @@ def _mismatches(
         vp = verify(program, LIMITS, allowed)
         init = rng.randbytes(RO_LEN + RW_LEN)
         budget = None
-        if near_budget:
+        if near_budget and index % near_budget == 0:
             _, ctx, acl = _host(init, stack_last=index % 2 == 0)
             steps = refvm.exec_program(vp, ctx, SyscallEnv(acl, table)).executed
             budget = max(0, rng.choice((steps, len(vp.form))) + rng.randint(-3, 3))
@@ -371,7 +403,7 @@ def test_budgets_near_each_runs_length_match_the_reference(tier, stepped_entries
     if tier == "compiled":
         request.getfixturevalue("compiled_tier")
     programs = NEAR_BUDGET_PROGRAMS[tier]
-    mismatches, outcomes = _mismatches(0xB0D6 + len(tier), HELPER_IDS, programs, near_budget=True)
+    mismatches, outcomes = _mismatches(0xB0D6 + len(tier), HELPER_IDS, programs, near_budget=1)
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     _check_stream((), outcomes)
     required = ["handovers to the stepped loop", "handed-over runs that ran out",
@@ -409,4 +441,31 @@ def test_compiled_self_loops_match_the_reference(allowed, compiled_tier, monkeyp
     assert COVERAGE["proven checks that failed"] == 0
     for what in ("versioned loop entries", "guards that fell short, then wrapped or left the window",
                  "loop entries with no guard", "traps inside a pass", "first-window misses served"):
+        assert COVERAGE[what] > 0, what
+
+
+@pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
+def test_compiled_stack_row_loops_match_the_reference(allowed, compiled_tier, monkeypatch):
+    """Self-loops from ``random_stack_loop``, every third under a budget near
+    its run's length: the stream must enter loops whose rows compiled code
+    holds in locals, hand over out of one, and leave loops and rows in
+    memory where a pointer, a helper or an overlap could reach them."""
+    RETURNED.clear()
+    COVERAGE.clear()
+    stepped = vm._stepped
+
+    def handed_over(form, regs, pc, executed, *rest):  # the threshold is 0: only compiled code calls it
+        HANDOVERS.append(pc)
+        HANDOVER_STEPS.append(executed)
+        return stepped(form, regs, pc, executed, *rest)
+
+    monkeypatch.setattr(vm, "_stepped", handed_over)
+    mismatches, _ = _mismatches(0x57AC + len(allowed), allowed, LOOP_PROGRAMS, probe=True, near_budget=3,
+                                loops=True, stack_rows=True)
+    assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
+    assert len(compiled_tier) == LOOP_PROGRAMS
+    assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
+    assert COVERAGE["proven checks that failed"] == 0
+    for what in ("promoted loop entries", "handovers out of a promoted loop",
+                 "loops left unpromoted for an alias or a call", "rows left unpromoted for an overlap"):
         assert COVERAGE[what] > 0, what

@@ -2,6 +2,7 @@
 
 import ast
 import difflib
+from collections import Counter
 import struct
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallEnv, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
 from test_differential import guard_safe, loop_guards, proven_check_fails
-from test_engine import CallSites
+from test_engine import CallSites, perfbench_workloads  # noqa: F401 (a fixture)
 
 M64 = (1 << 64) - 1
 M32 = (1 << 32) - 1
@@ -1342,3 +1343,36 @@ def test_each_checked_access_touches_memory_once_after_a_check_that_only_decides
     assert len(at_addr) == len(checked)
     if name in ("interpreter", "stepped"):  # ldx, stx or st, and the three stack rows: one each
         assert (len(checked), len(_memory_calls(tree))) == (2, 5)
+
+
+def test_a_stack_row_loop_converts_each_row_at_entry_and_on_each_way_out(perfbench_workloads):
+    # The compute workload's kernel: a self-loop whose only memory traffic is
+    # 8-byte stack rows, none of which overlaps another.  Its passes read and
+    # assign locals; each row is loaded once on entry, and each stored row is
+    # written back right before the all-taken handover and right before the
+    # loop's exit.
+    form = verify(perfbench_workloads.Compute(1).kernel).form
+    tree = ast.parse(codegen.compiled_source(form)[0])
+    passes = {ast.unparse(node.iter): node for node in ast.walk(tree) if isinstance(node, ast.For)
+              and ast.unparse(node.iter).startswith("range(")}
+    assert sorted(passes) == ["range(1, safe + 1)", "range(safe + 1, room + 1)"]
+    assert all(_memory_calls(stmt) == [] for loop in passes.values() for stmt in loop.body)
+    rows = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in codegen._STACK_ROWS}
+    stored = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in (V.STX_STACK, V.ST_STACK)}
+    assert len(stored) > 1
+
+    def at(call):
+        return call.func.value.id, ast.unparse(call.func.slice), ast.unparse(call.args[1])
+
+    expected = Counter({("unpack", str(width), f"stack_at + {off}"): 1 for off, width in rows})
+    expected.update({("pack", str(width), f"stack_at + {off}"): 2 for off, width in stored})
+    assert Counter(at(call) for call in _memory_calls(tree) if "stack_at" in at(call)[2]) == expected
+    ways_out = []  # the statement after each run of write-backs
+    for node in ast.walk(tree):
+        for block in (getattr(node, "body", None), getattr(node, "orelse", None)):
+            if isinstance(block, list):
+                spills = [i for i, stmt in enumerate(block) if isinstance(stmt, ast.Expr) and _memory_calls(stmt)]
+                if spills:
+                    assert spills == list(range(spills[0], spills[-1] + 1)) and len(spills) == len(stored)
+                    ways_out.append(ast.unparse(block[spills[-1] + 1]))
+    assert sorted(ways_out) == ["executed += it * 27", "raise _Handover"]
