@@ -28,7 +28,8 @@ its response view, resolved at bind, so a helper call does no scope
 routing or region lookup; its helper table, cut from
 ``Engine.syscall_table`` at bind and whenever that table is replaced; and
 the access list of its slot position, which ``Engine._link`` sets
-whenever the hook's slots change.  A trigger only reads them.  Its
+whenever the hook's slots change.  A trigger only reads them, and runs
+every slot through ``exec_program``, which picks the tier.  Its
 VerifiedProgram counts its own interpreted steps toward compiling, and
 its shared verdict keeps the compiled form (see ``vm``), which goes when
 the last container holding that verdict is removed or replaced.
@@ -514,9 +515,11 @@ class Engine:
             outcomes: list[SlotOutcome] = []
             for container in hook.slots:
                 outcome = exec_program(container.verified, container.ctx, container.env)
-                container.stats.runs += 1
-                container.stats.total_executed += outcome.executed
-                container.stats.faults += outcome.fault is not None
+                stats = container.stats
+                stats.runs += 1
+                stats.total_executed += outcome.executed
+                if outcome.fault is not None:
+                    stats.faults += 1
                 outcomes.append(_new(SlotOutcome, (container.container_id, outcome)))
 
             policy_value = None

@@ -101,6 +101,10 @@ class KeyValueStore:
         self.entries: dict[int, int] = {}
 
     def put(self, key: int, value: int) -> None:
+        """The checked put, for direct callers.  The store helpers of
+        ``standard_syscall_table`` do it inline and must follow its capacity
+        rule: a full store refuses a new key and still takes a held one.
+        The tests compare the helpers against it."""
         if not 0 <= key < (1 << 32):
             raise ValueError(f"key {key} is not a u32")
         if not -(1 << 63) <= value < (1 << 63):
@@ -209,15 +213,18 @@ class FacilityContext:
 def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
     """Register the full documented helper set against one facility context."""
 
+    # The store helpers do KeyValueStore.put and get inline, with no nested
+    # call: the key is masked to a u32 and the value cut to an i64 here.
     def kv_put(scope: str):
         def helper(env: SyscallEnv, key: int, value: int) -> int:
             store = env.stores.get(scope)
             if store is None:
                 return KV_ERR_SCOPE
-            try:
-                store.put(key & 0xFFFF_FFFF, _as_i64(value))
-            except StoreFull:
+            entries, key = store.entries, key & 0xFFFF_FFFF
+            if key not in entries and len(entries) >= store.capacity:
                 return KV_ERR_FULL
+            value &= MASK64
+            entries[key] = value - (1 << 64) if value & (1 << 63) else value
             return KV_OK
 
         return helper
@@ -225,7 +232,7 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
     def kv_get(scope: str):
         def helper(env: SyscallEnv, key: int) -> int:
             store = env.stores.get(scope)
-            return 0 if store is None else store.get(key & 0xFFFF_FFFF)
+            return 0 if store is None else store.entries.get(key & 0xFFFF_FFFF, 0)
 
         return helper
 

@@ -40,6 +40,8 @@ LOOP_TESTS = ("tests/test_vm.py", "tests/test_differential.py")
 MODEL_TESTS = ("tests/test_engine_model.py",)
 BIND_TESTS = ("tests/test_engine.py", "tests/test_engine_model.py", "tests/test_update.py")
 SHARING_TESTS = ("tests/test_engine.py", "-k", "shar or benchmark_workload or frees")
+TRIGGER_TESTS = ("tests/test_engine.py", "-k", "every_change or compile_through or restart_at_a_replace")
+STORE_TESTS = ("tests/test_facilities.py",)
 
 MUTANTS = (
     # Versioned self-loops: the guard of a compiled self-loop.
@@ -211,6 +213,36 @@ MUTANTS = (
         "                container.env.helpers = table.restricted(container.granted.syscalls)\n",
         "",
         MODEL_TESTS,
+    ),
+    # The trigger loop's stats.
+    Mutant(
+        "a compiled run's fault is not counted",
+        "src/femtoc/engine.py",
+        "                if outcome.fault is not None:\n",
+        "                if outcome.fault is not None and container.verified.compiled is None:\n",
+        TRIGGER_TESTS,
+    ),
+    Mutant(
+        "a replace leaves the old container in its slot",
+        "src/femtoc/engine.py",
+        "        hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)\n",
+        "        hook.slots = slots if old else (*slots, container)\n",
+        TRIGGER_TESTS,
+    ),
+    # The store helpers, which do KeyValueStore.put and get inline.
+    Mutant(
+        "a store helper refuses an existing key when the store is full",
+        "src/femtoc/facilities.py",
+        "            if key not in entries and len(entries) >= store.capacity:\n",
+        "            if len(entries) >= store.capacity:\n",
+        STORE_TESTS,
+    ),
+    Mutant(
+        "a store helper keeps the value uncut",
+        "src/femtoc/facilities.py",
+        "            value &= MASK64\n            entries[key] = value - (1 << 64) if value & (1 << 63) else value\n",
+        "            entries[key] = value\n",
+        STORE_TESTS,
     ),
     # Signed updates and binds.
     Mutant(

@@ -1469,3 +1469,138 @@ def test_a_benchmark_workload_verifies_and_compiles_each_distinct_program_once(
         assert workload.check(op, workload.run(op)) is None
     assert verifies_and_compiles == {"verify": distinct, "compile": distinct}
     assert all(c.verified.compiled is not None for c in workload.engine.containers.values())
+
+
+# -- what a trigger runs --------------------------------------------------------------
+
+
+def test_a_trigger_runs_each_slots_current_program_after_every_change(tier):
+    # Install, replace, remove, signed updates that install and replace, and
+    # a helper-table swap: after each, a trigger of every hook runs its slots
+    # in order, each slot's current program with its current table.
+    from femtoc.update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
+
+    keys = {name: private_key_from_seed(name.encode()) for name in ("A", "B")}
+    engine = Engine()
+    tenants = {name: engine.register_tenant(name, public_key_raw(key)) for name, key in keys.items()}
+    hooks = [
+        engine.register_hook("ctx", (0x10,), [ContextRegionSpec("ctx", 16)]),
+        engine.register_hook("bare", (0x10,)),
+    ]
+    contract = Contract.of({0x10}, [RegionGrant("ctx")])
+    returns = {}  # container id -> now_ms() + its mark
+    clock = [0]  # what now_ms answers
+
+    def program(mark):
+        return assemble(f"call 0x10\nadd64 r0, {mark}\nexit")
+
+    def bound(cid, mark):
+        returns[cid] = mark
+        for hook_id in hooks:
+            outcomes = engine.trigger_hook(hook_id).outcomes
+            assert [(slot.container_id, slot.outcome.return_value) for slot in outcomes] == [
+                (c.container_id, returns[c.container_id] + clock[0]) for c in engine.hooks[hook_id].slots
+            ]
+        return cid
+
+    def update(name, hook, sequence, mark):
+        payload = program(mark).to_bytes()
+        manifest = build_manifest(tenants[name], hooks[hook], sequence, payload, contract)
+        outcome = apply_update(engine, sign_manifest(manifest, keys[name]), payload)
+        assert outcome.accepted
+        return bound(outcome.container_id, mark)
+
+    a = bound(engine.install_container(tenants["A"], program(1), contract, hooks[0]), 1)
+    b = bound(engine.install_container(tenants["B"], program(2), contract, hooks[0]), 2)
+    bound(engine.install_container(tenants["A"], program(3), contract, hooks[1]), 3)
+    engine.replace_container(a, program(4), contract)
+    bound(a, 4)
+    update("B", 1, 1, 5)  # installs on the second hook
+    assert update("A", 0, 1, 6) == a  # replaces in place
+    engine.remove_container(b)
+    del returns[b]
+    bound(a, 6)
+    table = SyscallTable()
+    for sys_id in sorted(engine.syscall_table.ids()):
+        entry = engine.syscall_table.lookup(sys_id)
+        table.register(sys_id, (lambda env: 100) if sys_id == 0x10 else entry.fn, entry.argc, entry.name)
+    engine.syscall_table = table
+    clock[0] = 100
+    bound(a, 6)
+    assert [len(engine.hooks[h].slots) for h in hooks] == [1, 2]
+
+
+def test_a_compile_through_one_hook_makes_the_other_hooks_next_trigger_run_compiled(monkeypatch):
+    # Two hooks' containers share one verdict, whose compiled form every run
+    # reads anew: once a trigger of one hook has compiled it, the other
+    # hook's next trigger runs it compiled, with no interpreted step. Every
+    # run still goes through exec_program, where a tracer counts it.
+    from femtoc import engine as engine_module
+
+    through_exec = []
+    original = engine_module.exec_program
+
+    def counted(verified, *args):
+        through_exec.append(verified)
+        return original(verified, *args)
+
+    monkeypatch.setattr(engine_module, "exec_program", counted)
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hooks = [engine.register_hook(name, ()) for name in ("a", "b")]
+    a, b = (engine.install_container(tenant, COUNTDOWN, Contract.of(), hook) for hook in hooks)
+    va, vb = engine.containers[a].verified, engine.containers[b].verified
+    assert va.verdict is vb.verdict
+
+    def trigger(hook):
+        (slot,) = engine.trigger_hook(hook).outcomes
+        assert (slot.outcome.return_value, slot.outcome.executed, slot.outcome.fault) == (7, 43, None)
+
+    trigger(hooks[1])
+    assert through_exec == [vb] and vb.interpreted == 43
+    while va.compiled is None:
+        trigger(hooks[0])
+    assert through_exec[-1] is va  # the run that compiled
+    del through_exec[:]
+    for _ in range(2):
+        trigger(hooks[1])
+        trigger(hooks[0])
+    assert through_exec == [vb, va, vb, va] and vb.interpreted == 43
+
+
+@pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "interpreted"])
+def test_stats_are_the_sums_of_the_returned_outcomes_and_restart_at_a_replace(monkeypatch, compiled):
+    monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", 0 if compiled else 1 << 62)
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook("sched", FIXTURE_SYSCALLS["thread_counter"], [ContextRegionSpec("ctx", 16)])
+    hostile = (fixture_program("hostile_writer"), Contract.of())
+    grant = Contract.of(FIXTURE_SYSCALLS["thread_counter"], [RegionGrant("ctx")])
+    counter = (fixture_program("thread_counter"), grant)
+    ids = [engine.install_container(tenant, *bound, hook) for bound in (hostile, counter, hostile, counter)]
+    sums = collections.defaultdict(lambda: [0, 0, 0])  # container id -> runs, faults, executed
+
+    def fire(times):
+        for n in range(times):
+            for slot in engine.trigger_hook(hook, {"ctx": struct.pack("<QQ", 0, n % 3)}).outcomes:
+                counted = sums[slot.container_id]
+                counted[0] += 1
+                counted[1] += slot.outcome.fault is not None
+                counted[2] += slot.outcome.executed
+
+    def stats():
+        return {
+            uuid.UUID(c["container_id"]): [c["stats"][k] for k in ("runs", "faults", "total_executed")]
+            for c in engine.introspection()["containers"]
+        }
+
+    fire(5)
+    assert stats() == sums and [sums[cid][1] for cid in ids] == [5, 0, 5, 0]
+    engine.replace_container(ids[0], *counter)
+    engine.replace_container(ids[1], *hostile)
+    sums[ids[0]] = [0, 0, 0]
+    sums[ids[1]] = [0, 0, 0]
+    assert stats() == sums
+    fire(4)
+    assert stats() == sums and [sums[cid][1] for cid in ids] == [0, 4, 5 + 4, 0]
+    assert all((c.verified.compiled is not None) == compiled for c in engine.containers.values())

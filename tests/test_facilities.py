@@ -1,10 +1,13 @@
 """Scoped stores, isolation matrix, sensors, clock, and the helper table."""
 
+import struct
 import uuid
 
 import pytest
 
 from femtoc import facilities as fa
+from femtoc import vm
+from femtoc.asm import assemble
 from femtoc.facilities import (
     FacilityContext,
     KeyValueStore,
@@ -14,6 +17,8 @@ from femtoc.facilities import (
     VirtualClock,
     standard_syscall_table,
 )
+from femtoc.memory import AccessList, HostMemory, fresh_stack
+from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import SyscallEnv
 
 STORE_HELPERS = frozenset(
@@ -27,6 +32,7 @@ GET = {fa.SCOPE_CONTAINER: fa.SYS_CONTAINER_GET, fa.SCOPE_TENANT: fa.SYS_TENANT_
 # The store helpers reach stores only through their env, so one table
 # serves every StoreManager below.
 TABLE = standard_syscall_table(FacilityContext())
+MASK64 = (1 << 64) - 1  # a helper's result reaches r0 cut to 64 bits
 
 
 def caller(manager, tenant, container, syscalls=STORE_HELPERS):
@@ -140,8 +146,90 @@ def test_scope_denied_without_grant():
     assert put(who, fa.SCOPE_TENANT, 1, 1) == fa.KV_ERR_SCOPE
     assert get(who, fa.SCOPE_TENANT, 1) == 0
     assert get(who, fa.SCOPE_GLOBAL, 1) == 0
+    # Through the table, as a run calls them: r0 is the error cut to 64 bits.
+    nobody = caller(manager, uuid.uuid4(), uuid.uuid4(), syscalls=())
+    for scope in (fa.SCOPE_CONTAINER, fa.SCOPE_TENANT, fa.SCOPE_GLOBAL):
+        assert TABLE.calls[PUT[scope]](nobody, 1, 1, 0, 0, 0) == fa.KV_ERR_SCOPE & MASK64
+        assert TABLE.calls[GET[scope]](nobody, 1, 0, 0, 0, 0) == 0
+    assert manager.container_stores[nobody.container_id].entries == {}
     assert manager.global_store.entries == {}
     assert all(store.entries == {} for store in manager.tenant_stores.values())
+
+
+# Keys and values at the edges of u32 and i64, as registers hold them.
+EDGES = (0, 1, 1 << 31, (1 << 32) - 1, 1 << 32, (1 << 63) - 1, 1 << 63, (1 << 64) - 1)
+
+
+def i64(value):
+    return struct.unpack("<q", struct.pack("<Q", value & MASK64))[0]
+
+
+# A thread_counter-style container: put(ctx[0], ctx[8]), its r0 to ctx[16],
+# then return get(ctx[0]).
+PUT_THEN_GET = assemble(
+    "mov64 r9, r1\nldxdw r6, [r9+0]\nldxdw r2, [r9+8]\nmov64 r1, r6\ncall 0x01\n"
+    "stxdw [r9+16], r0\nmov64 r1, r6\ncall 0x02\nexit"
+)
+
+
+def compiled_put_then_get(monkeypatch, who):
+    """(key, value) -> (put's r0, get's r0), each through one compiled run
+    of PUT_THEN_GET with ``who``'s stores."""
+    monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", 0)
+    memory = HostMemory()
+    ctx = memory.alloc(24, "ctx", True, True)
+    env = SyscallEnv(AccessList([ctx, fresh_stack(memory)]), TABLE.restricted(STORE_HELPERS),
+                     who.container_id, who.stores)
+    vp = verify(PUT_THEN_GET, VerifyLimits(), STORE_HELPERS)
+
+    def run(key, value):
+        memory.reset()
+        at = ctx.base - memory.base
+        memory.buf[at : at + 16] = struct.pack("<QQ", key, value)
+        outcome = vm.exec_program(vp, ctx, env)
+        assert outcome.ok and vp.compiled is not None
+        return struct.unpack_from("<Q", memory.buf, at + 16)[0], outcome.return_value
+
+    return run
+
+
+def test_store_helpers_match_the_checked_put_and_get_at_the_edges(monkeypatch):
+    # Through the table's calls and through a compiled run, a put then a get
+    # leave the entries and give the r0 of KeyValueStore.put on the key cut
+    # to a u32 and the value cut to an i64.
+    manager = StoreManager()
+    table_caller, run_caller = (caller(manager, uuid.uuid4(), uuid.uuid4()) for _ in range(2))
+    calls = TABLE.calls
+    compiled = compiled_put_then_get(monkeypatch, run_caller)
+    checked = KeyValueStore(fa.SCOPE_CONTAINER, None, fa.CONTAINER_STORE_CAPACITY)
+    for key in EDGES:
+        for value in EDGES:
+            checked.put(key & 0xFFFF_FFFF, i64(value))
+            expected = (fa.KV_OK, checked.get(key & 0xFFFF_FFFF) & MASK64)
+            put_r0 = calls[fa.SYS_CONTAINER_PUT](table_caller, key, value, 0, 0, 0)
+            assert (put_r0, calls[fa.SYS_CONTAINER_GET](table_caller, key, 0, 0, 0, 0)) == expected
+            assert compiled(key, value) == expected
+            for who in (table_caller, run_caller):
+                assert manager.container_stores[who.container_id].entries == checked.entries
+
+
+def test_a_full_store_refuses_a_new_key_and_takes_an_existing_one_through_the_helpers(monkeypatch):
+    manager = StoreManager()
+    table_caller, run_caller = (caller(manager, uuid.uuid4(), uuid.uuid4()) for _ in range(2))
+    compiled = compiled_put_then_get(monkeypatch, run_caller)
+    calls = TABLE.calls
+    for key in range(fa.CONTAINER_STORE_CAPACITY):
+        assert calls[fa.SYS_CONTAINER_PUT](table_caller, key, key, 0, 0, 0) == fa.KV_OK
+        assert compiled(key, key) == (fa.KV_OK, key)
+    full = {key: key for key in range(fa.CONTAINER_STORE_CAPACITY)}
+    new_key = (1 << 32) + fa.CONTAINER_STORE_CAPACITY  # a u32 key not yet held, once masked
+    assert calls[fa.SYS_CONTAINER_PUT](table_caller, new_key, 7, 0, 0, 0) == fa.KV_ERR_FULL & MASK64
+    assert compiled(new_key, 7) == (fa.KV_ERR_FULL & MASK64, 0)
+    existing = (1 << 32) + 3
+    assert calls[fa.SYS_CONTAINER_PUT](table_caller, existing, MASK64, 0, 0, 0) == fa.KV_OK
+    assert compiled(existing, MASK64) == (fa.KV_OK, MASK64)
+    for who in (table_caller, run_caller):
+        assert manager.container_stores[who.container_id].entries == {**full, 3: -1}
 
 
 def test_values_persist_across_calls_and_die_with_the_container():
