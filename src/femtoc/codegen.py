@@ -20,10 +20,10 @@ self-loop with no load or store through a pointer and no helper call can
 reach the stack only through its stack rows: it holds each row that
 overlaps no other in a local, loaded once on entry, and writes the stored
 ones back on its two ways out.
-On both tiers a load or store is one check against the access list's
-windows, then one conversion on its one buffer.
+On both tiers a load or store tests the first window, calls ``in_windows``
+only on a miss, and converts once on the access list's one buffer.
 ``femtoc.vm`` executes both sources in its own namespace, so the names
-they use (``_Trap``, ``Fault``, ``ExecOutcome``, ``_helper_fault``, ...)
+they use (``_Trap``, ``Fault``, ``in_windows``, ``_helper_fault``, ...)
 are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
@@ -87,8 +87,8 @@ END_OPS = (  # by verifier.BYTE_ORDERS
 
 # A load or store is one CHECK, then one READ or WRITE at ``addr`` on the buffer.
 # The check tests the first window (``rlo``/``rhi`` or ``wlo``/``whi``) inline
-# and, when that misses, scans all the windows only to fault when none covers
-# the access.  A proven access (see ``_self_loop``) is the READ or WRITE alone;
+# and, only on a miss, faults unless ``in_windows`` finds one that covers the
+# access.  A proven access (see ``_self_loop``) is the READ or WRITE alone;
 # a stack row indexes the stack's bytes.  ``{address}`` is ADDRESS, or the base
 # register itself at offset 0 (registers hold values in [0, 2**64) on both tiers).
 ADDRESS = "({base} + {off}) & {mask64}"
@@ -97,11 +97,7 @@ WRITE = "pack[{width}](buf, {addr} - base, {value})\n"
 CHECK = """\
 addr = {address}
 if addr < {mode[0]}lo or addr + {width} > {mode[0]}hi:
-    end = addr + {width}
-    for lo, hi in {mode}_windows:
-        if lo <= addr and end <= hi:
-            break
-    else:
+    if not in_windows({mode}_windows, addr, {width}):
         raise _Trap(Fault(FaultKind.MEMORY_VIOLATION, {pc}, addr, {width}, "{mode} denied"))
 """
 LOAD, STORE = CHECK + READ, CHECK + WRITE

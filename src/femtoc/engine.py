@@ -470,7 +470,7 @@ class Engine:
         key = (program.to_bytes(), self.limits, granted)
         verdict = self._verdicts.get(key)
         if verdict is not None:
-            return VerifiedProgram(program, self.limits, verdict)
+            return VerifiedProgram(program, verdict)
         verified = verify(program, self.limits, granted)
         self._verdicts[key] = verified.verdict
         return verified

@@ -25,6 +25,7 @@ from typing import Collection
 from uuid import UUID
 
 from .memory import checked_store
+from .verifier import MASK64
 from .vm import SyscallEnv, SyscallError, SyscallTable
 
 SCOPE_CONTAINER = "container"
@@ -78,8 +79,6 @@ _SCOPE_OF_SYSCALL = {
     SYS_TENANT_PUT: SCOPE_TENANT,
     SYS_TENANT_GET: SCOPE_TENANT,
 }
-
-MASK64 = (1 << 64) - 1
 
 
 def _as_i64(value: int) -> int:

@@ -13,10 +13,10 @@ allocations wrote: guards, zeros and init data.
 Every region of an access list lies in one ``HostMemory``, so an address
 names one byte.  The list keeps its regions as two tuples of windows, one
 for reads and one for writes, each a region's address range ``(lo, hi)``,
-in region order.  The execution tiers check loads and stores inline,
-testing the first window before they scan them all, and ``checked_store``
-scans them for helpers; the first window that covers a range is the region
-``region_for`` returns.  An access that passes converts the bytes once.
+in region order.  ``in_windows`` is their one scan: the execution tiers
+call it when a load or store misses the first window, which they test
+inline, and ``checked_store`` calls it for helpers.  It finds a range
+covered exactly when ``region_for`` does.  An access that passes converts once.
 """
 
 from __future__ import annotations
@@ -172,15 +172,20 @@ class AccessList:
         return None
 
 
+def in_windows(windows: tuple[Window, ...], addr: int, size: int) -> bool:
+    """Whether one of ``windows`` holds all of [addr, addr+size)."""
+    end = addr + size
+    for lo, hi in windows:
+        if lo <= addr and end <= hi:
+            return True
+    return False
+
+
 def checked_store(acl: AccessList, addr: int, size: int, value: int) -> None:
     """Store ``value``, cut to ``size`` bytes, at [addr, addr+size) when a
     write window covers it, as the VM's stores do; raises AccessViolation
     when none does. For host helpers."""
-    end = addr + size
-    for lo, hi in acl.write_windows:
-        if lo <= addr and end <= hi:
-            break
-    else:
+    if not in_windows(acl.write_windows, addr, size):
         raise AccessViolation(addr, size, Mode.WRITE)
     memory = acl.stack.memory
     at = addr - memory.base

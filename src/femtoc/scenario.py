@@ -49,10 +49,9 @@ from .facilities import SensorFixture
 from .fixtures import fixture_program
 from .isa import Program
 from .update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
-from .verifier import VerifyLimits, VerifyRejected
+from .verifier import DEFAULT_MAX_BRANCHES, DEFAULT_MAX_INSTRUCTIONS, MASK64, VerifyLimits, VerifyRejected
 
 SCHEMA_VERSION = 1
-MASK64 = (1 << 64) - 1
 
 
 class ScenarioError(Exception):
@@ -151,8 +150,8 @@ class ScenarioRuntime:
             raise ParseError(f"'limits' must be an object, got {limits!r}")
         try:
             self.limits = VerifyLimits(
-                _parse_int(limits.get("max_instructions", 4096), "max_instructions"),
-                _parse_int(limits.get("max_branches", 256), "max_branches"),
+                _parse_int(limits.get("max_instructions", DEFAULT_MAX_INSTRUCTIONS), "max_instructions"),
+                _parse_int(limits.get("max_branches", DEFAULT_MAX_BRANCHES), "max_branches"),
             )
         except ValueError as exc:
             raise ParseError(f"'limits': {exc}") from None

@@ -180,7 +180,6 @@ class VerifiedProgram:
     every holder runs the compiled function."""
 
     program: Program
-    limits: VerifyLimits
     verdict: Verdict
     interpreted: int = field(default=0, compare=False, repr=False)
 
@@ -346,7 +345,7 @@ def verify(
     errors, form = _scan(program, limits, allowed_syscalls)
     if errors:
         raise VerifyRejected(errors)
-    return VerifiedProgram(program, limits, Verdict(form, limits.max_instructions * limits.max_branches))
+    return VerifiedProgram(program, Verdict(form, limits.max_instructions * limits.max_branches))
 
 
 def verification_report(errors: list[VerifyError]) -> str:

@@ -32,9 +32,9 @@ has compiled it, all of them run it, and it lives as long as any of them
 is installed.  A program that runs once never compiles.
 
 What each tier checks is the same.  Every load and store tests the access
-list's first read or write window inline and, when that misses, scans all
-its windows for one that covers the access, faulting when none does; then
-it converts the bytes once, on the access list's one buffer.  Stack rows,
+list's first read or write window inline and, on a miss, asks
+``memory.in_windows`` whether any window covers it, faulting when none does;
+then it converts the bytes once, on the access list's one buffer.  Stack rows,
 the [r10+off] accesses the verifier proved to lie inside the stack, take
 no check, so the engine puts the stack last; a compiled self-loop with no
 other access and no call converts each row once per entry, not per pass.
@@ -65,7 +65,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .codegen import COUNTED, STEPPED, compiled_source, interpreter_source
-from .memory import AccessList, AccessViolation, MemoryRegion
+from .memory import AccessList, AccessViolation, MemoryRegion, in_windows  # noqa: F401  (generated code's)
 from .verifier import MASK32, MASK64, VerifiedProgram  # noqa: F401  (MASK32 is re-exported)
 
 if TYPE_CHECKING:

@@ -104,6 +104,28 @@ MUTANTS = (
         "if addr < {mode[0]}lo or addr + {width} > {mode[0]}hi + 1:",
         VM_TESTS,
     ),
+    # The one scan of an access list's windows, behind every first-window miss.
+    Mutant(
+        "the scan's end bound is one byte loose",
+        "src/femtoc/memory.py",
+        "        if lo <= addr and end <= hi:\n",
+        "        if lo <= addr and end <= hi + 1:\n",
+        VM_TESTS,
+    ),
+    Mutant(
+        "the scan's start bound is one byte loose",
+        "src/femtoc/memory.py",
+        "        if lo <= addr and end <= hi:\n",
+        "        if lo - 1 <= addr and end <= hi:\n",
+        VM_TESTS,
+    ),
+    Mutant(
+        "the scan tests only the first window",
+        "src/femtoc/memory.py",
+        "    for lo, hi in windows:\n",
+        "    for lo, hi in windows[:1]:\n",
+        VM_TESTS,
+    ),
     # The interpreter's budget per straight run.
     Mutant(
         "lddw does not move start on",
@@ -331,7 +353,7 @@ MUTANTS = (
         "src/femtoc/engine.py",
         "        verdict = self._verdicts.get(key)\n"
         "        if verdict is not None:\n"
-        "            return VerifiedProgram(program, self.limits, verdict)\n"
+        "            return VerifiedProgram(program, verdict)\n"
         "        verified = verify(program, self.limits, granted)\n"
         "        self._verdicts[key] = verified.verdict\n"
         "        return verified\n",

@@ -100,6 +100,9 @@ def test_call_and_negative_imm():
     assert program.slots[0].opcode == isa.OP_CALL
     assert program.slots[0].imm == 0x10
     assert program.slots[1].imm == -1
+    # A u32 spelling of a 32-bit immediate is its two's complement.
+    program = assemble("mov32 r1, 0xffffffff\nmov64 r2, 0x80000000\nmov32 r0, 0x7fffffff\nexit")
+    assert [slot.imm for slot in program.slots[:3]] == [-1, -(1 << 31), (1 << 31) - 1]
 
 
 def test_unknown_mnemonic_reports_line_number():

@@ -294,12 +294,22 @@ def test_run_bounds_region_size_before_allocating(tmp_path, capsys, monkeypatch)
     assert 65536 in allocated
 
 
-def test_run_bad_region_spec_is_usage_error(tmp_path):
+def test_run_bad_region_spec_is_usage_error(tmp_path, capsys):
     bin_path = write_bin(tmp_path, "p.bin", RETURN_5_SRC)
-    assert main(["run", str(bin_path), "--region", "oops"]) == 2
-    assert main(["run", str(bin_path), "--region", "x:0:rw"]) == 2
-    assert main(["run", str(bin_path), "--ctx", "zz"]) == 2
-    assert main(["run", str(bin_path), "--sensor", "notanumber"]) == 2
+    for args, reason in (
+        (["--region", "oops"], "wants label:len:mode"),
+        (["--region", "x:0:rw"], "length must be positive"),
+        (["--region", "x:four:rw"], "invalid literal"),
+        (["--region", "x:4:rw@zz"], "non-hexadecimal"),
+        (["--region", "x:4:q"], "mode must be"),
+        (["--region", "x:2:rw@000000"], "init bytes longer than the region"),
+        (["--ctx", "zz"], "must be hex"),
+        (["--sensor", "notanumber"], "--sensor wants"),
+    ):
+        assert main(["run", str(bin_path), *args]) == 2, args
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("error: ") and reason in line, line
 
 
 def test_missing_input_file_is_usage_error(tmp_path):
@@ -485,6 +495,20 @@ MALFORMED_SCENARIOS = {
     "store check key missing": (
         "key",
         {"assertions": [{"check": {"kind": "store", "scope": "global", "equals": 1}}]},
+    ),
+    "store check key past u32": (
+        "key",
+        {"assertions": [{"check": {"kind": "store", "scope": "global", "key": 2**32, "equals": 1}}]},
+    ),
+    "store check scope unknown": (
+        "moon",
+        {"assertions": [{"check": {"kind": "store", "scope": "moon", "key": 1, "equals": 1}}]},
+    ),
+    "context check offset negative": (
+        "offset",
+        {"hooks": [CTX_HOOK], "events": [{"hook": "h"}],
+         "assertions": [{"after_event": 0, "check": {"kind": "context", "label": "ctx", "offset": -8,
+                                                      "u64_equals": 0}}]},
     ),
     "return check container missing": (
         "container",

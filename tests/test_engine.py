@@ -518,6 +518,9 @@ def test_remove_container():
     assert cid not in engine.facilities.stores.container_stores
     with pytest.raises(UnknownContainer):
         engine.remove_container(cid)
+    with pytest.raises(UnknownContainer):
+        engine.replace_container(cid, EXIT_ONLY, Contract.of())
+    assert engine.trigger_hook(hook).outcomes == () and cid not in engine.containers
 
 
 def test_remove_frees_a_slot():

@@ -78,6 +78,9 @@ def test_key_and_value_widths():
         store.put(-1, 0)
     with pytest.raises(ValueError):
         store.put(0, 1 << 63)
+    for key in (1 << 32, -1):
+        with pytest.raises(ValueError, match="not a u32"):
+            store.get(key)
 
 
 def test_store_full_only_for_new_keys():

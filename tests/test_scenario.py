@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import femtoc
+from femtoc.asm import assemble
 from femtoc.cli import main
 from femtoc.scenario import (
     ParseError,
@@ -237,6 +238,41 @@ def test_asm_program_accepts_line_list_and_file(tmp_path):
     source.write_text(ECHO_FIRST_U64 + "\n")
     doc["setup"][0]["program"] = {"file": "echo.asm"}
     assert run_scenario(doc, base_dir=tmp_path).passed
+
+
+def test_program_accepts_hex_and_binary_file(tmp_path):
+    code = assemble(ECHO_FIRST_U64).to_bytes()
+    doc = echo_scenario({"u64": [258, 0]})
+    doc["setup"][0]["program"] = {"hex": code.hex()}
+    assert run_scenario(doc).passed
+
+    (tmp_path / "echo.bin").write_bytes(code)
+    doc["setup"][0]["program"] = {"file": "echo.bin"}
+    assert run_scenario(doc, base_dir=tmp_path).passed
+
+    doc["setup"][0]["program"] = {"hex": "zz"}
+    with pytest.raises(ParseError, match="program 'hex' must be hex"):
+        run_scenario(doc)
+
+
+# case -> (the final check, the text its ParseError must hold)
+BAD_CHECKS = {
+    "store scope unknown": ({"kind": "store", "scope": "moon", "key": 1, "equals": 0}, "unknown store scope 'moon'"),
+    "store key past u32": ({"kind": "store", "scope": "global", "key": 1 << 32, "equals": 0}, "'key' must be a u32"),
+    "store key negative": ({"kind": "store", "scope": "global", "key": -1, "equals": 0}, "'key' must be a u32"),
+    "context offset negative": (
+        {"kind": "context", "label": "ctx", "offset": -8, "u64_equals": 0}, "'offset' must not be negative"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKS))
+def test_a_malformed_check_is_a_parse_error(case):
+    check, message = BAD_CHECKS[case]
+    doc = echo_scenario({"u64": [258, 0]})
+    doc["assertions"].append({"after_event": "final", "check": check})
+    with pytest.raises(ParseError, match=message):
+        run_scenario(doc)
 
 
 def test_failed_assertion_reports_detail_without_raising():

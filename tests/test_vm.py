@@ -3,6 +3,7 @@
 import ast
 import difflib
 from collections import Counter
+import re
 import struct
 from pathlib import Path
 
@@ -297,6 +298,19 @@ def test_an_access_list_refuses_regions_from_two_buffers():
     assert AccessList([ctx, fresh_stack(mem)]).run_state[2:4] == (mem.buf, mem.base)
 
 
+def test_an_access_list_needs_one_512_byte_read_write_stack():
+    mem = HostMemory()
+    ctx = mem.alloc(16, "ctx", True, True)
+    for regions in ([], [ctx], [fresh_stack(mem), fresh_stack(mem)]):
+        with pytest.raises(ValueError, match="exactly one stack region"):
+            AccessList(regions)
+    stack = fresh_stack(mem)
+    for bad in (mem.alloc(256, "stack", True, True), stack.view(True, False), stack.view(False, True)):
+        with pytest.raises(ValueError, match="readable\\+writable 512-byte"):
+            AccessList([ctx, bad])
+    assert AccessList([ctx, stack]).stack is stack
+
+
 # -- jumps and budget ------------------------------------------------------
 
 def test_conditional_jump_taken_and_not_taken():
@@ -495,6 +509,16 @@ def test_duplicate_helper_registration_rejected():
     table.register(0x10, lambda env: 0, argc=0)
     with pytest.raises(DuplicateId):
         table.register(0x10, lambda env: 1, argc=0)
+
+
+def test_a_helper_takes_at_most_five_arguments():
+    table = SyscallTable()
+    for argc in (6, -1):
+        with pytest.raises(ValueError, match="at most five"):
+            table.register(0x11, lambda env, *args: 0, argc=argc)
+    assert table.ids() == frozenset() and table.calls == {}
+    table.register(0x11, lambda env, a, b, c, d, e: a + e, argc=5)
+    assert table.calls[0x11](None, 1, 2, 3, 4, 5) == 6
 
 
 # -- whole-run properties ---------------------------------------------------
@@ -1308,22 +1332,41 @@ def _memory_calls(node: ast.AST) -> list[ast.Call]:
             and call.func.value.id in ("unpack", "pack")]
 
 
-def _scans(node: ast.AST) -> list[ast.For]:
-    """The loops over an access list's read or write windows under ``node``."""
-    return [loop for loop in ast.walk(node) if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Name)
-            and loop.iter.id in ("read_windows", "write_windows")]
+def _window_loops(node: ast.AST) -> list[ast.AST]:
+    """The loops and comprehensions under ``node`` over something named ``*windows``."""
+    return [loop for loop in ast.walk(node) if isinstance(loop, (ast.For, ast.comprehension))
+            and ast.unparse(loop.iter).endswith("windows")]
+
+
+def _check_mode(stmt: ast.stmt) -> str | None:
+    """"read" or "write" when ``stmt`` is a check: the first window's ``if``,
+    whose body only asks ``in_windows`` about that mode's windows, at the
+    same address and width, and raises when none covers the access."""
+    if not (isinstance(stmt, ast.If) and not stmt.orelse and len(stmt.body) == 1):
+        return None
+    inner = stmt.body[0]
+    if not (isinstance(inner, ast.If) and not inner.orelse and len(inner.body) == 1
+            and isinstance(inner.body[0], ast.Raise)):
+        return None
+    ask = re.fullmatch(r"not in_windows\((read|write)_windows, addr, (\w+)\)", ast.unparse(inner.test))
+    if ask is None:
+        return None
+    mode, width = ask.groups()
+    return mode if ast.unparse(stmt.test) == f"addr < {mode[0]}lo or addr + {width} > {mode[0]}hi" else None
 
 
 @pytest.mark.parametrize("name", GENERATED)
 def test_each_checked_access_touches_memory_once_after_a_check_that_only_decides(name):
     # A checked load or store is one check, an ``if`` on the first window
-    # whose body scans the windows and faults, then the statement after it:
-    # one unpack or pack at ``addr``.  No scan converts bytes, and no
-    # statement converts twice.
+    # whose body asks ``in_windows`` about that mode's windows and faults,
+    # then the statement after it: one unpack or pack at ``addr``.  No
+    # generated code scans the windows itself, and no statement converts
+    # twice.
     tree = ast.parse(_generated_source(name))
-    scans = _scans(tree)
-    assert all(_memory_calls(scan) == [] for scan in scans)
-    checked = []  # (the check's scan, the conversion after it)
+    assert _window_loops(tree) == []
+    asks = [call for call in ast.walk(tree) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "in_windows"]
+    checked = []  # (the check's mode, the conversion after it)
     for node in ast.walk(tree):
         for block in (getattr(node, "body", None), getattr(node, "orelse", None)):
             if not isinstance(block, list):
@@ -1331,18 +1374,30 @@ def test_each_checked_access_touches_memory_once_after_a_check_that_only_decides
             for stmt, after in zip(block, [*block[1:], ast.Pass()]):
                 if isinstance(stmt, (ast.Assign, ast.Expr)):
                     assert len(_memory_calls(stmt)) <= 1, stmt.lineno
-                scan = [s for s in stmt.body if s in scans] if isinstance(stmt, ast.If) else []
-                if scan:
+                mode = _check_mode(stmt)
+                if mode:
                     assert _memory_calls(stmt) == [] and len(_memory_calls(after)) == 1, stmt.lineno
-                    checked.append((scan[0], _memory_calls(after)[0]))
-    assert sorted(map(id, scans)) == sorted(id(scan) for scan, _ in checked)
-    for scan, call in checked:
-        kind = "unpack" if scan.iter.id == "read_windows" else "pack"
+                    checked.append((mode, _memory_calls(after)[0]))
+    assert len(asks) == len(checked)
+    for mode, call in checked:
+        kind = "unpack" if mode == "read" else "pack"
         assert (call.func.value.id, ast.unparse(call.args[1])) == (kind, "addr - base"), call.lineno
     at_addr = [call for call in _memory_calls(tree) if ast.unparse(call.args[1]) == "addr - base"]
     assert len(at_addr) == len(checked)
     if name in ("interpreter", "stepped"):  # ldx, stx or st, and the three stack rows: one each
         assert (len(checked), len(_memory_calls(tree))) == (2, 5)
+
+
+def test_in_windows_is_the_packages_one_scan_of_an_access_lists_windows():
+    # Both tiers and checked_store decide a first-window miss through it.
+    package = Path(vm.__file__).parent
+    scans = {}  # file -> the functions that loop over windows
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and _window_loops(fn):
+                scans.setdefault(path.name, []).append(fn.name)
+    assert scans == {"memory.py": ["in_windows"]}
 
 
 def test_a_stack_row_loop_converts_each_row_at_entry_and_on_each_way_out(perfbench_workloads):
