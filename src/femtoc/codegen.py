@@ -20,11 +20,12 @@ self-loop with no load or store through a pointer and no helper call can
 reach the stack only through its stack rows: it holds each row that
 overlaps no other in a local, loaded once on entry, and writes the stored
 ones back on its two ways out.
-On both tiers a load or store tests the first window, calls ``in_windows``
-only on a miss, and converts once on the access list's one buffer.
-``femtoc.vm`` executes both sources in its own namespace, so the names
-they use (``_Trap``, ``Fault``, ``in_windows``, ``_helper_fault``, ...)
-are ``vm``'s.
+On both tiers a load or store tests the first window, whose bounds the
+prologue unpacks from the access list's ``run_state`` with the rest of it,
+calls ``in_windows`` only on a miss, and converts once on the access list's
+one buffer, through ``memory``'s codec.  ``femtoc.vm`` executes both
+sources in its own namespace, so the names they use (``_Trap``, ``Fault``,
+``in_windows``, ``_PACK``, ``_helper_fault``, ...) are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
 width; ``{mask}``, ``{wrap}`` and ``{sign}`` are the width's value mask,
@@ -117,13 +118,10 @@ LOAD_WIDE = "{dst} = {imm}\n"
 
 EXIT_RUN = "return _new(ExecOutcome, ({r0}, executed, branches, None))\n"
 
-# What one run sets up from its SyscallEnv: its access list's ``run_state``, the
-# first read and write windows (the stack is both, so each list has one) and
-# its helper table's callables.
+# What one run sets up from its SyscallEnv: its access list's ``run_state``,
+# which ends with the first read and write windows, and its helper table's callables.
 PROLOGUE = """\
-read_windows, write_windows, buf, base, stack_at, stack_base = env.acl.run_state
-rlo, rhi = read_windows[0]
-wlo, whi = write_windows[0]
+read_windows, write_windows, buf, base, stack_at, stack_base, rlo, rhi, wlo, whi = env.acl.run_state
 calls = env.helpers.calls
 unpack, pack = _UNPACK, _PACK
 """

@@ -42,7 +42,7 @@ import random
 import threading
 import uuid
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
@@ -195,12 +195,11 @@ class Container:
     container_id: uuid.UUID
     tenant_id: uuid.UUID
     hook_id: uuid.UUID
-    program: Program
     granted: Contract
     views: tuple[MemoryRegion, ...]  # the granted context regions in hook-template order
     ctx: MemoryRegion | None  # r1: the first view
     env: SyscallEnv  # its capabilities; Engine._link sets the access list
-    verified: VerifiedProgram
+    verified: VerifiedProgram  # its program, and the verdict it may share
     stats: ContainerStats = field(default_factory=ContainerStats)
 
 
@@ -209,18 +208,19 @@ class Hook:
     hook_id: uuid.UUID
     name: str
     allowed_syscalls: frozenset[int]
-    context_template: tuple[ContextRegionSpec, ...]
+    context_template: InitVar[tuple[ContextRegionSpec, ...]]
     return_policy: str
     slot_limit: int = DEFAULT_SLOT_LIMIT
     slots: tuple[Container, ...] = ()  # replaced whole on every change, never mutated
     # One layout for every trigger: the context regions by label, in
-    # template order, then stack j for the slot at position j.
+    # template order (the hook's one record of its template), then stack j
+    # for the slot at position j.
     memory: HostMemory = field(default_factory=HostMemory)
     context: dict[str, MemoryRegion] = field(default_factory=dict)
     stacks: list[MemoryRegion] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        for spec in self.context_template:
+    def __post_init__(self, context_template: tuple[ContextRegionSpec, ...]) -> None:
+        for spec in context_template:
             self.context[spec.label] = self.memory.alloc(
                 spec.size, spec.label, spec.readable, spec.writable
             )
@@ -418,7 +418,7 @@ class Engine:
         contract: Contract,
     ) -> uuid.UUID:
         """Verify ``program`` (see verify_for), then give a container on
-        ``hook`` everything it runs with: its program and verdict, the
+        ``hook`` everything it runs with: its verified program, the
         granted contract and region views, an empty container store, its
         SyscallEnv with the stores its grant reaches, its response view and
         its helper table, fresh stats, and its slot: the one
@@ -433,7 +433,7 @@ class Engine:
             self._setup_open = False
             container_id = self._new_id()
         granted = intersect_contract(hook, contract)
-        rank = {spec.label: i for i, spec in enumerate(hook.context_template)}
+        rank = {label: i for i, label in enumerate(hook.context)}
         grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
         views = tuple(hook.context[g.label].view(g.readable, g.writable) for g in grants)
         ctx = views[0] if views else None
@@ -442,7 +442,7 @@ class Engine:
         env = SyscallEnv(None, self.syscall_table.restricted(granted.syscalls), container_id, stores, response)
         old = self.containers.get(container_id)
         container = self.containers[container_id] = Container(
-            container_id, tenant_id, hook.hook_id, program, granted, views, ctx, env, verified
+            container_id, tenant_id, hook.hook_id, granted, views, ctx, env, verified
         )
         slots = hook.slots
         hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)
@@ -550,8 +550,8 @@ class Engine:
                     "name": h.name,
                     "allowed_syscalls": sorted(h.allowed_syscalls),
                     "context": [
-                        {"label": s.label, "size": s.size, "mode": format_mode(s.readable, s.writable)}
-                        for s in h.context_template
+                        {"label": r.label, "size": r.length, "mode": format_mode(r.readable, r.writable)}
+                        for r in h.context.values()
                     ],
                     "return_policy": h.return_policy,
                     "slots": [str(c.container_id) for c in h.slots],
@@ -563,7 +563,7 @@ class Engine:
                     "container_id": str(c.container_id),
                     "tenant_id": str(c.tenant_id),
                     "hook_id": str(c.hook_id),
-                    "bytecode_len": c.program.byte_len,
+                    "bytecode_len": c.verified.program.byte_len,
                     "verified": True,  # every bound container verified: these two and
                     "rejected": False,  # verify_count are fixed, kept for the report schema
                     "granted": c.granted.to_json(),

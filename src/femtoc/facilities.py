@@ -52,21 +52,6 @@ SYS_SENSOR_READ = 0x11
 SYS_RESPONSE_WRITE = 0x20
 SYS_DEBUG_LOG = 0x30
 
-STANDARD_SYSCALL_IDS = frozenset(
-    {
-        SYS_CONTAINER_PUT,
-        SYS_CONTAINER_GET,
-        SYS_GLOBAL_PUT,
-        SYS_GLOBAL_GET,
-        SYS_TENANT_PUT,
-        SYS_TENANT_GET,
-        SYS_NOW_MS,
-        SYS_SENSOR_READ,
-        SYS_RESPONSE_WRITE,
-        SYS_DEBUG_LOG,
-    }
-)
-
 KV_OK = 0
 KV_ERR_FULL = -1
 KV_ERR_SCOPE = -2
@@ -265,3 +250,7 @@ def standard_syscall_table(fac: FacilityContext) -> SyscallTable:
     table.register(SYS_RESPONSE_WRITE, response_write, 2, "response_write")
     table.register(SYS_DEBUG_LOG, debug_log, 1, "debug_log")
     return table
+
+
+# The documented helper set: the ids standard_syscall_table registers.
+STANDARD_SYSCALL_IDS = standard_syscall_table(FacilityContext()).ids()

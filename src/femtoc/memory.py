@@ -16,11 +16,16 @@ for reads and one for writes, each a region's address range ``(lo, hi)``,
 in region order.  ``in_windows`` is their one scan: the execution tiers
 call it when a load or store misses the first window, which they test
 inline, and ``checked_store`` calls it for helpers.  It finds a range
-covered exactly when ``region_for`` does.  An access that passes converts once.
+covered exactly when ``region_for`` does.  The list's ``run_state`` holds
+what a run unpacks once, the first windows' bounds included, so no run
+indexes the windows.  An access that passes converts once, through this
+module's codec (``_PACK``, ``_UNPACK`` and ``_WIDTH_MASK``, by access
+width), which ``checked_store`` and the code both tiers generate share.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -31,6 +36,13 @@ DEFAULT_BASE = 0x1000
 
 STACK_LABEL = "stack"
 STACK_SIZE = 512
+
+# The buffer's codec: little-endian unsigned packers, unpackers and value
+# masks, indexed by access width.
+_FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
+_UNPACK = tuple(struct.Struct(_FORMATS[w]).unpack_from if w in _FORMATS else None for w in range(9))
+_PACK = tuple(struct.Struct(_FORMATS[w]).pack_into if w in _FORMATS else None for w in range(9))
+_WIDTH_MASK = tuple((1 << 8 * w) - 1 for w in range(9))
 
 
 class Mode(Enum):
@@ -160,9 +172,12 @@ class AccessList:
         self.stack = stack
         self.read_windows: tuple[Window, ...] = tuple(read)
         self.write_windows: tuple[Window, ...] = tuple(write)
-        # What a run unpacks first: the windows, the buffer, its base, the stack's offset and its address.
+        # What a run unpacks first: the windows, the buffer, its base, the stack's
+        # offset and its address, then the first read and the first write window's
+        # (lo, hi), which every checked access tests inline.  The stack is both, so
+        # each list has a first window.
         self.run_state = (self.read_windows, self.write_windows, memory.buf, memory.base,
-                          stack.base - memory.base, stack.base)
+                          stack.base - memory.base, stack.base, *read[0], *write[0])
 
     def region_for(self, addr: int, length: int, mode: Mode) -> MemoryRegion | None:
         """First region that fully contains the range and grants the mode."""
@@ -182,14 +197,13 @@ def in_windows(windows: tuple[Window, ...], addr: int, size: int) -> bool:
 
 
 def checked_store(acl: AccessList, addr: int, size: int, value: int) -> None:
-    """Store ``value``, cut to ``size`` bytes, at [addr, addr+size) when a
-    write window covers it, as the VM's stores do; raises AccessViolation
-    when none does. For host helpers."""
+    """Store ``value``, cut to ``size`` (1, 2, 4 or 8) bytes, at [addr,
+    addr+size) when a write window covers it, through the codec the VM's
+    stores use; raises AccessViolation when none does. For host helpers."""
     if not in_windows(acl.write_windows, addr, size):
         raise AccessViolation(addr, size, Mode.WRITE)
     memory = acl.stack.memory
-    at = addr - memory.base
-    memory.buf[at : at + size] = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    _PACK[size](memory.buf, addr - memory.base, value & _WIDTH_MASK[size])
 
 
 def fresh_stack(memory: HostMemory) -> MemoryRegion:

@@ -160,6 +160,7 @@ class ScenarioRuntime:
         self.tenant_keys: dict[str, Any] = {}
         self.hook_ids: dict[str, Any] = {}
         self.container_ids: dict[str, Any] = {}
+        self._ids = {"tenant": self.tenant_ids, "hook": self.hook_ids, "container": self.container_ids}
         self.setup_results: list[dict] = []
         self._build()
 
@@ -221,9 +222,8 @@ class ScenarioRuntime:
     def _ref(self, kind: str, spec: dict, what: str):
         """The id of the tenant, hook or container (``kind``) that ``spec[kind]`` names."""
         name = _field(spec, kind, what, str)
-        names = {"tenant": self.tenant_ids, "hook": self.hook_ids, "container": self.container_ids}
         try:
-            return names[kind][name]
+            return self._ids[kind][name]
         except KeyError:
             raise UnknownReference(f"unknown {kind} {name!r}") from None
 
@@ -517,7 +517,8 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
         evaluate(index, result)
     evaluate("final", last_result)
 
-    stats = [c["stats"] for c in runtime.engine.introspection()["containers"]]
+    engine = runtime.engine.introspection()
+    stats = [c["stats"] for c in engine["containers"]]
     report = {
         "schema_version": SCHEMA_VERSION,
         "name": name,
@@ -526,7 +527,7 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
         "events": event_reports,
         "assertions": assertion_reports,
         "passed": all(a["ok"] for a in assertion_reports),
-        "engine": runtime.engine.introspection(),
+        "engine": engine,
         "stores": runtime.engine.store_dump(),
         "totals": {
             "runs": sum(s["runs"] for s in stats),

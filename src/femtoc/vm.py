@@ -59,26 +59,19 @@ raises to the run's fault.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .codegen import COUNTED, STEPPED, compiled_source, interpreter_source
-from .memory import AccessList, AccessViolation, MemoryRegion, in_windows  # noqa: F401  (generated code's)
+# The buffer's codec and in_windows are generated code's.
+from .memory import _PACK, _UNPACK, _WIDTH_MASK, AccessList, AccessViolation, MemoryRegion, in_windows  # noqa: F401
 from .verifier import MASK32, MASK64, VerifiedProgram  # noqa: F401  (MASK32 is re-exported)
 
 if TYPE_CHECKING:
     from uuid import UUID
 
     from .facilities import KeyValueStore
-
-
-# Little-endian unsigned codecs and value masks, indexed by access width.
-_FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
-_UNPACK = tuple(struct.Struct(_FORMATS[w]).unpack_from if w in _FORMATS else None for w in range(9))
-_PACK = tuple(struct.Struct(_FORMATS[w]).pack_into if w in _FORMATS else None for w in range(9))
-_WIDTH_MASK = tuple((1 << 8 * w) - 1 for w in range(9))
 
 
 class FaultKind(Enum):

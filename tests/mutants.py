@@ -126,6 +126,66 @@ MUTANTS = (
         "    for lo, hi in windows[:1]:\n",
         VM_TESTS,
     ),
+    # Each fact in one home: an access list's first windows, the buffer's codec,
+    # a hook's layout, the standard helper set and a scenario's names.
+    Mutant(
+        "run_state's first read window is the first write window",
+        "src/femtoc/memory.py",
+        "stack.base - memory.base, stack.base, *read[0], *write[0])",
+        "stack.base - memory.base, stack.base, *write[0], *write[0])",
+        VM_TESTS,
+    ),
+    Mutant(
+        "checked_store cuts the value to 4 bytes",
+        "src/femtoc/memory.py",
+        "value & _WIDTH_MASK[size])",
+        "value & _WIDTH_MASK[4])",
+        VM_TESTS,
+    ),
+    Mutant(
+        "introspection reads every context entry's size from the first region",
+        "src/femtoc/engine.py",
+        '"size": r.length,',
+        '"size": next(iter(h.context.values())).length,',
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "a bind ranks a container's views by label, not by the hook's layout",
+        "src/femtoc/engine.py",
+        "rank = {label: i for i, label in enumerate(hook.context)}",
+        "rank = {label: i for i, label in enumerate(sorted(hook.context))}",
+        ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "the standard helper set leaves out debug_log",
+        "src/femtoc/facilities.py",
+        '    table.register(SYS_DEBUG_LOG, debug_log, 1, "debug_log")\n',
+        "",
+        STORE_TESTS,
+    ),
+    Mutant(
+        "a scenario resolves container names against a copy taken before set-up",
+        "src/femtoc/scenario.py",
+        '"container": self.container_ids}',
+        '"container": dict(self.container_ids)}',
+        ("tests/test_scenario.py",),
+    ),
+    # The boundary matrix.
+    Mutant(
+        "a compiled 32-bit shift by a constant cuts the count to 6 bits",
+        "src/femtoc/codegen.py",
+        'count = f"({b} & {width[\'shift\']})" if k is None else str(k & int(width["shift"]))',
+        'count = f"({b} & {width[\'shift\']})" if k is None else str(k & 63)',
+        ("tests/test_boundary_matrix.py",),
+    ),
+    Mutant(
+        "the interpreter's exit does not check r10",
+        "src/femtoc/codegen.py",
+        "                if regs[10] != stack_base:\n"
+        '                    raise RuntimeError("stack pointer register mutated during run")\n{exit}',
+        "{exit}",
+        VM_TESTS,
+    ),
     # The interpreter's budget per straight run.
     Mutant(
         "lddw does not move start on",

@@ -8,6 +8,7 @@ import json
 import random
 import struct
 import threading
+import tracemalloc
 import uuid
 import weakref
 from pathlib import Path
@@ -105,9 +106,31 @@ def test_grant_dropped_when_no_mode_survives():
     assert granted.regions == frozenset()
 
 
-def _intersect_by_template(hook, requested):
-    """The grant as the hook's context template defines it, built afresh."""
-    specs = {spec.label: spec for spec in hook.context_template}
+def test_introspection_lists_a_hooks_context_as_registered():
+    engine = Engine()
+    template = [ContextRegionSpec("zeta", 24), ContextRegionSpec("alpha", 8, readable=True, writable=True),
+                ContextRegionSpec("mid", 0, readable=False, writable=True)]
+    engine.register_hook("h", (), template)
+    (hook,) = engine.introspection()["hooks"]
+    assert hook["context"] == [{"label": "zeta", "size": 24, "mode": "r"}, {"label": "alpha", "size": 8, "mode": "rw"},
+                               {"label": "mid", "size": 0, "mode": "w"}]
+
+
+def test_a_containers_views_follow_the_hooks_layout_not_its_labels():
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook("h", (), [ContextRegionSpec("zeta", 8), ContextRegionSpec("alpha", 8)])
+    grant = Contract.of(regions=[RegionGrant("alpha"), RegionGrant("zeta")])
+    container = engine.containers[engine.install_container(tenant, assemble("ldxdw r0, [r1+0]\nexit"), grant, hook)]
+    assert [view.label for view in container.views] == ["zeta", "alpha"] and container.ctx.label == "zeta"
+    event = {"zeta": struct.pack("<Q", 7), "alpha": struct.pack("<Q", 9)}
+    (slot,) = engine.trigger_hook(hook, event).outcomes
+    assert slot.outcome.return_value == 7  # r1 is the first region of the layout
+
+
+def _intersect_by_template(hook, template, requested):
+    """The grant as the context template ``hook`` was registered with defines it, built afresh."""
+    specs = {spec.label: spec for spec in template}
     regions = set()
     for grant in requested.regions:
         spec = specs.get(grant.label)
@@ -118,14 +141,13 @@ def _intersect_by_template(hook, requested):
 
 def test_intersect_contract_equals_the_templates_grant_and_keeps_an_unnarrowed_request():
     engine = Engine()
-    hook = engine.hooks[engine.register_hook(
-        "h", (1, 2), [ContextRegionSpec("in", 8), ContextRegionSpec("out", 8, readable=True, writable=True)]
-    )]
+    template = [ContextRegionSpec("in", 8), ContextRegionSpec("out", 8, readable=True, writable=True)]
+    hook = engine.hooks[engine.register_hook("h", (1, 2), template)]
     grants = [RegionGrant(label, r, w) for label in ("in", "out", "ghost") for r in (False, True) for w in (False, True)]
     rng = random.Random(7)
     for _ in range(300):
         requested = Contract.of(rng.sample((1, 2, 3), rng.randrange(4)), rng.sample(grants, rng.randrange(4)))
-        granted, expected = intersect_contract(hook, requested), _intersect_by_template(hook, requested)
+        granted, expected = intersect_contract(hook, requested), _intersect_by_template(hook, template, requested)
         assert granted == expected and hash(granted) == hash(expected)
         assert granted.to_json() == expected.to_json()
         assert (granted is requested) == (expected == requested)
@@ -1607,3 +1629,70 @@ def test_stats_are_the_sums_of_the_returned_outcomes_and_restart_at_a_replace(mo
     fire(4)
     assert stats() == sums and [sums[cid][1] for cid in ids] == [0, 4, 5 + 4, 0]
     assert all((c.verified.compiled is not None) == compiled for c in engine.containers.values())
+
+
+# The benchmark's fleet layout, restated: (hook kind, hooks, fixture mix per
+# hook), each kind's hook spec, and each fixture's contract; 100 containers.
+FLEET_LAYOUT = (
+    ("sched", 4, {"thread_counter": 10, "hostile_writer": 2}),
+    ("timer", 2, {"sensor_reader": 12}),
+    ("coap", 2, {"coap_handler": 14}),
+)
+FLEET_HOOKS = {
+    "sched": {"syscalls": [1, 2], "context": [{"label": "ctx", "size": 16, "mode": "r"}]},
+    "timer": {"syscalls": [17, 1, 2, 5], "context": []},
+    "coap": {"syscalls": [6, 32], "return_policy": "first_nonzero_wins", "context": [
+        {"label": "request", "size": 16, "mode": "r"}, {"label": "response", "size": 16, "mode": "rw"}]},
+}
+FLEET_CONTRACTS = {
+    "thread_counter": {"syscalls": [1, 2], "regions": [{"label": "ctx", "mode": "r"}]},
+    "hostile_writer": {"syscalls": [], "regions": [{"label": "ctx", "mode": "r"}]},
+    "sensor_reader": {"syscalls": [17, 1, 2, 5]},
+    "coap_handler": {"syscalls": [6, 32], "regions": [{"label": "request", "mode": "r"},
+                                                       {"label": "response", "mode": "rw"}]},
+}
+# Bytes a fleet container retains at set-up, by tracemalloc: 5060-5110 on
+# Python 3.11 and 3.13 (seeds 1 to 3), with about 25% slack for other versions.
+RETAINED_PER_CONTAINER = 6400
+
+
+def fleet_scenario(seed: int) -> dict:
+    """A scenario of the fleet layout: six tenants, each container's tenant
+    and each hook's slot order drawn from ``seed``."""
+    rng = random.Random(seed)
+    tenants = [f"tenant{i}" for i in range(6)]
+    hooks, setup = [], []
+    for kind, count, mix in FLEET_LAYOUT:
+        for h in range(count):
+            hooks.append({"name": f"{kind}.{h}", **FLEET_HOOKS[kind]})
+            fixtures = [name for name, n in mix.items() for _ in range(n)]
+            rng.shuffle(fixtures)
+            setup += [{"action": "install", "name": f"c{len(setup) + i:03d}", "tenant": rng.choice(tenants),
+                       "hook": f"{kind}.{h}", "program": {"fixture": name}, "contract": FLEET_CONTRACTS[name]}
+                      for i, name in enumerate(fixtures)]
+    return {"schema_version": 1, "name": "fleet", "seed": seed, "tenants": [{"name": t} for t in tenants],
+            "hooks": hooks, "setup": setup}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_what_a_fleet_container_retains_at_set_up_is_bounded(seed):
+    from femtoc.scenario import ScenarioRuntime
+
+    doc = fleet_scenario(seed)
+    assert len(doc["setup"]) == 100 and len(doc["hooks"]) == 8
+    for name in FLEET_CONTRACTS:
+        fixture_program(name)  # assembled once, outside the measurement
+    # A first set-up in a process also fills caches the next one reuses
+    # (~27 KB on Python 3.11, ~320 KB on 3.13); measure the second.
+    ScenarioRuntime(doc)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        runtime = ScenarioRuntime(doc)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(runtime.engine.containers) == 100
+    assert 0 < retained / 100 <= RETAINED_PER_CONTAINER

@@ -201,3 +201,22 @@ def test_hook_slots_match_the_model():
 def test_hook_slots_match_the_model_in_compiled_code(compiled_tier):
     run_state_machine_as_test(HookSlots, settings=SETTINGS)
     assert compiled_tier
+
+
+def test_a_rejected_replace_or_update_keeps_the_container_store():
+    # The model refuses a bind over a stored container only when its draws
+    # store first; this case always does.
+    engine = Engine()
+    tenant = engine.register_tenant("alpha", public_key_raw(KEYS["alpha"]))
+    hook = engine.register_hook("h", HELPERS, [ContextRegionSpec("a", 8, True, True), ContextRegionSpec("b", 16)])
+    cid = engine.install_container(tenant, PROGRAMS["storer"], CONTRACT, hook)
+    engine.trigger_hook(hook)
+    before = (engine.introspection_json(), engine.store_dump())
+    assert any(store["entries"] for store in before[1] if store["scope"] == "container")
+    with pytest.raises(VerifyRejected):
+        engine.replace_container(cid, PROGRAMS["rejected"], CONTRACT)
+    assert (engine.introspection_json(), engine.store_dump()) == before
+    payload = PROGRAMS["rejected"].to_bytes()
+    manifest = sign_manifest(build_manifest(tenant, hook, 1, payload, CONTRACT), KEYS["alpha"])
+    assert apply_update(engine, manifest, payload).reason is UpdateReject.VERIFY_REJECTED
+    assert (engine.introspection_json(), engine.store_dump()) == before

@@ -196,7 +196,7 @@ def test_distinct_tenants_occupy_distinct_slots():
     # beta updating its own container must not disturb alpha's
     b2 = apply_update(engine, signed(beta, hook, 2, RETURN_5, BETA_KEY), RETURN_5)
     assert b2.container_id == b.container_id
-    assert engine.containers[a.container_id].program.to_bytes() == RETURN_5
+    assert engine.containers[a.container_id].verified.program.to_bytes() == RETURN_5
 
 
 def test_sequence_numbers_tracked_per_tenant_and_hook():

@@ -15,7 +15,7 @@ from femtoc import verifier as V
 from femtoc.asm import assemble
 from femtoc.fixtures import FIXTURE_SOURCES, FIXTURE_SYSCALLS, fixture_program
 from femtoc.facilities import KV_ERR_SCOPE, SYS_RESPONSE_WRITE, FacilityContext, standard_syscall_table
-from femtoc.memory import DEFAULT_BASE, AccessList, HostMemory, Mode, checked_store, fresh_stack
+from femtoc.memory import DEFAULT_BASE, GUARD_LEN, AccessList, HostMemory, Mode, checked_store, fresh_stack
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallEnv, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
@@ -296,6 +296,47 @@ def test_an_access_list_refuses_regions_from_two_buffers():
         with pytest.raises(ValueError, match="one host buffer"):
             AccessList(regions)
     assert AccessList([ctx, fresh_stack(mem)]).run_state[2:4] == (mem.buf, mem.base)
+
+
+def test_run_state_ends_with_the_first_read_and_the_first_write_window():
+    mem = HostMemory()
+    wo = mem.alloc(16, "wo", readable=False, writable=True)
+    ro = mem.alloc(24, "ro", readable=True, writable=False)
+    acl = AccessList([wo, ro, fresh_stack(mem)])
+    assert acl.run_state[6:] == (*acl.read_windows[0], *acl.write_windows[0]) == (ro.base, ro.end, wo.base, wo.end)
+
+
+@pytest.mark.parametrize("access, note", [("ldxdw r0, [r1+0]", "read denied"), ("stxdw [r2+0], r0", "write denied")])
+def test_a_first_write_only_region_is_not_readable_nor_a_first_read_only_one_writable_on_both_tiers(
+    monkeypatch, access, note
+):
+    # The write-only region is the first write window and the read-only one
+    # the first read window: each access misses the first window of its mode.
+    program = assemble(f"mov64 r2, r1\nadd64 r2, {16 + 2 * GUARD_LEN}\n{access}\nexit")
+    for hot in (HOT_STEPS_PER_SLOT, 0):
+        monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", hot)
+        mem = HostMemory()
+        wo = mem.alloc(16, "wo", readable=False, writable=True)
+        ro = mem.alloc(16, "ro", readable=True, writable=False)
+        assert ro.base == wo.base + 16 + 2 * GUARD_LEN  # a guard after wo, one before ro
+        vp = verify(program, VerifyLimits(256, 16))
+        outcome = exec_program(vp, wo, SyscallEnv(AccessList([wo, ro, fresh_stack(mem)])))
+        assert (vp.compiled is not None) == (hot == 0)
+        assert outcome.fault == vm.Fault(FaultKind.MEMORY_VIOLATION, 2, (ro if note == "write denied" else wo).base,
+                                         8, note)
+
+
+def test_checked_store_cuts_the_value_to_its_width():
+    mem = HostMemory()
+    out = mem.alloc(16, "out", readable=True, writable=True)
+    acl = AccessList([out, fresh_stack(mem)])
+    at = out.base - mem.base
+    for size in (1, 2, 4, 8):
+        for value in (0x1122334455667788, M64, -2, (1 << 64) + 0x99):
+            mem.buf[at : at + 16] = b"\xee" * 16
+            checked_store(acl, out.base + 3, size, value)
+            cut = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+            assert mem.read(out.base, 16) == b"\xee" * 3 + cut + b"\xee" * (13 - size), (size, value)
 
 
 def test_an_access_list_needs_one_512_byte_read_write_stack():
@@ -632,6 +673,20 @@ def test_a_hand_built_form_whose_pc_escapes_gets_the_old_fault(form, pc, r0, exe
     if executed:
         fault = both_loops(form, budget=executed, pc=pc).fault
         assert (fault.kind, fault.pc) == (FaultKind.BUDGET_EXCEEDED, escaped_at)
+
+
+@pytest.mark.parametrize("loop", ["_interpret", "_stepped"])
+@pytest.mark.parametrize("end", [
+    (V.EXIT, 0, 0, 0, 0, 0),
+    (V.LDX, 8, 0, 1, 0, 0),  # a load at address 0, outside every window: the trap path
+], ids=["exit", "trap"])
+def test_a_hand_built_form_that_moves_r10_is_a_hard_stop_on_both_loops(loop, end):
+    # The verifier refuses a write to r10; a form built by hand reaches the
+    # interpreter's check of it, where a run exits and where it traps.
+    form = ((V.ALU64_K, V.MOV, 10, 0, 0, 5), end)
+    acl = AccessList([fresh_stack(HostMemory())])
+    with pytest.raises(RuntimeError, match="^stack pointer register mutated during run$"):
+        getattr(vm, loop)(form, [0] * 10 + [acl.stack.base], 0, 0, 0, 1 << 20, SyscallEnv(acl))
 
 
 def _per_step_counting(source: str) -> list[str]:
@@ -1386,6 +1441,18 @@ def test_each_checked_access_touches_memory_once_after_a_check_that_only_decides
     assert len(at_addr) == len(checked)
     if name in ("interpreter", "stepped"):  # ldx, stx or st, and the three stack rows: one each
         assert (len(checked), len(_memory_calls(tree))) == (2, 5)
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated_code_uses_the_windows_only_as_in_windows_arguments(name):
+    # The first windows' bounds come with the rest of the access list's
+    # run_state; a run reads its windows only to pass them to in_windows.
+    tree = ast.parse(_generated_source(name))
+    passed = {id(arg) for call in ast.walk(tree) if isinstance(call, ast.Call)
+              and isinstance(call.func, ast.Name) and call.func.id == "in_windows" for arg in call.args}
+    uses = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Name)
+            and node.id in ("read_windows", "write_windows") and isinstance(node.ctx, ast.Load) and id(node) not in passed]
+    assert uses == []
 
 
 def test_in_windows_is_the_packages_one_scan_of_an_access_lists_windows():
