@@ -197,7 +197,6 @@ class Container:
     hook_id: uuid.UUID
     granted: Contract
     views: tuple[MemoryRegion, ...]  # the granted context regions in hook-template order
-    ctx: MemoryRegion | None  # r1: the first view
     env: SyscallEnv  # its capabilities; Engine._link sets the access list
     verified: VerifiedProgram  # its program, and the verdict it may share
     stats: ContainerStats = field(default_factory=ContainerStats)
@@ -436,13 +435,12 @@ class Engine:
         rank = {label: i for i, label in enumerate(hook.context)}
         grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
         views = tuple(hook.context[g.label].view(g.readable, g.writable) for g in grants)
-        ctx = views[0] if views else None
         stores = self.facilities.stores.bind_container(tenant_id, container_id, granted.syscalls)
         response = next((view for view in views if view.label == RESPONSE_LABEL), None)
         env = SyscallEnv(None, self.syscall_table.restricted(granted.syscalls), container_id, stores, response)
         old = self.containers.get(container_id)
         container = self.containers[container_id] = Container(
-            container_id, tenant_id, hook.hook_id, granted, views, ctx, env, verified
+            container_id, tenant_id, hook.hook_id, granted, views, env, verified
         )
         slots = hook.slots
         hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)
@@ -451,8 +449,8 @@ class Engine:
 
     def _link(self, hook: Hook) -> None:
         """Give the container in slot j of ``hook`` the access list of its
-        views and stack j, allocating the stack on first use; a list whose
-        stack is unchanged stays."""
+        views, then stack j, so r1 is its first view's base; the stack is
+        allocated on first use, and a list whose stack is unchanged stays."""
         for j, container in enumerate(hook.slots):
             if j == len(hook.stacks):
                 hook.stacks.append(fresh_stack(hook.memory))
@@ -514,7 +512,7 @@ class Engine:
 
             outcomes: list[SlotOutcome] = []
             for container in hook.slots:
-                outcome = exec_program(container.verified, container.ctx, container.env)
+                outcome = exec_program(container.verified, container.env)
                 stats = container.stats
                 stats.runs += 1
                 stats.total_executed += outcome.executed

@@ -151,14 +151,14 @@ class AccessList:
     def __init__(self, regions: Sequence[MemoryRegion]):
         self.regions: tuple[MemoryRegion, ...] = tuple(regions)
         stacks: list[MemoryRegion] = []
+        context: list[MemoryRegion] = []  # every other region, in order
         read: list[Window] = []
         write: list[Window] = []
         memory = self.regions[0].memory if self.regions else None
         for r in self.regions:
             if r.memory is not memory:
                 raise ValueError("access list regions must lie in one host buffer")
-            if r.label == STACK_LABEL:
-                stacks.append(r)
+            (stacks if r.label == STACK_LABEL else context).append(r)
             window = (r.base, r.base + r.length)
             if r.readable:
                 read.append(window)
@@ -170,6 +170,7 @@ class AccessList:
         if stack.length != STACK_SIZE or not (stack.readable and stack.writable):
             raise ValueError(f"stack region must be a readable+writable {STACK_SIZE}-byte region")
         self.stack = stack
+        self.r1 = context[0].base if context else 0  # what a run's r1 starts as
         self.read_windows: tuple[Window, ...] = tuple(read)
         self.write_windows: tuple[Window, ...] = tuple(write)
         # What a run unpacks first: the windows, the buffer, its base, the stack's

@@ -50,6 +50,7 @@ from .fixtures import fixture_program
 from .isa import Program
 from .update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
 from .verifier import DEFAULT_MAX_BRANCHES, DEFAULT_MAX_INSTRUCTIONS, MASK64, VerifyLimits, VerifyRejected
+from .vm import FaultKind
 
 SCHEMA_VERSION = 1
 
@@ -123,11 +124,11 @@ def _parse_payload_value(value: Any, what: str) -> bytes:
     if isinstance(value, dict):
         words, data = value.get("u64"), value.get("bytes")
         try:
-            if isinstance(words, list) and all(isinstance(word, int) for word in words):
+            if isinstance(words, list) and all(type(word) is int for word in words):  # not bool
                 return struct.pack(f"<{len(words)}Q", *[word & MASK64 for word in words])
             if "hex" in value:
                 return bytes.fromhex(value["hex"])
-            if isinstance(data, list):
+            if isinstance(data, list) and all(type(byte) is int for byte in data):
                 return bytes(data)
         except (TypeError, ValueError):
             pass
@@ -436,6 +437,8 @@ def _parse_check(
         if kind == "return":
             expected = _parse_int(_field(check, "equals", what), "return value") & MASK64
         expected_kind = check.get("fault_kind")
+        if kind == "fault" and expected_kind not in (None, *(k.value for k in FaultKind)):
+            raise ParseError(f"{what} 'fault_kind' must name a vm.FaultKind value, got {expected_kind!r}")
 
         def evaluate(result: TriggerResult) -> tuple[bool, str]:
             slot = next((s for s in result.outcomes if s.container_id == target), None)
@@ -492,7 +495,7 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
 
     event_reports: list[dict] = []
     assertion_reports: list[dict] = []
-    last_result: TriggerResult | None = None
+    result: TriggerResult | None = None
 
     def evaluate(slot_key: Any, result: TriggerResult | None) -> None:
         for assertion, evaluator in by_index.get(slot_key, ()):
@@ -512,10 +515,9 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
 
     for index, event in enumerate(events):
         result = runtime.fire(event)
-        last_result = result
         event_reports.append(_event_report(runtime, index, event, result))
         evaluate(index, result)
-    evaluate("final", last_result)
+    evaluate("final", result)
 
     engine = runtime.engine.introspection()
     stats = [c["stats"] for c in engine["containers"]]

@@ -50,11 +50,11 @@ r10 in a local that only its prologue assigns, and ``codegen`` refuses to
 generate code for a row that writes r10, so it never tests r10 at run time.
 
 A run gets its container's SyscallEnv whole: the one record of what the
-container may reach (its access list with the stack, its restricted helper
-table, its stores and its response view), an argument of every run, never
-part of the compiled function.  A call runs the entry for its constant
-helper id in the record's table directly; ``_helper_fault`` maps what it
-raises to the run's fault.
+container may reach (its access list, which gives r1 and r10, its
+restricted helper table, its stores and its response view), an argument of
+every run, never part of the compiled function.  A call runs the entry for
+its constant helper id in the record's table directly; ``_helper_fault``
+maps what it raises to the run's fault.
 """
 
 from __future__ import annotations
@@ -225,13 +225,11 @@ def compile_form(form: tuple[tuple[int, ...], ...]) -> Callable[..., ExecOutcome
     return _define(source, "bind", "<femtoc compiled form>")(form, after)
 
 
-def exec_program(
-    vp: VerifiedProgram, ctx: MemoryRegion | None, env: SyscallEnv, budget: int | None = None
-) -> ExecOutcome:
+def exec_program(vp: VerifiedProgram, env: SyscallEnv, budget: int | None = None) -> ExecOutcome:
     """Run a verified program to completion with the capabilities in ``env``.
 
-    Registers start zeroed except r1 (context base, when a context region is
-    given) and r10 (the base of ``env.acl``'s stack).  The outcome's
+    Registers start zeroed except r1 (``env.acl.r1``, its context's base)
+    and r10 (the base of ``env.acl``'s stack).  The outcome's
     ``executed`` count is exact: the number of instructions that started
     executing, capped at the budget.  Every helper the run calls gets
     ``env`` itself.
@@ -244,14 +242,13 @@ def exec_program(
     """
     verdict = vp.verdict
     budget = verdict.budget if budget is None else budget
-    r1 = 0 if ctx is None else ctx.base
     run = verdict.compiled
     if run is None:
         form = verdict.form
         if vp.interpreted < len(form) * HOT_STEPS_PER_SLOT:
-            regs = [0, r1, 0, 0, 0, 0, 0, 0, 0, 0, env.acl.stack.base]
+            regs = [0, env.acl.r1, 0, 0, 0, 0, 0, 0, 0, 0, env.acl.stack.base]
             outcome = _interpret(form, regs, 0, 0, 0, budget, env)
             vp.interpreted += outcome.executed
             return outcome
         run = verdict.compiled = compile_form(form)
-    return run(r1, env, budget)
+    return run(env.acl.r1, env, budget)

@@ -11,7 +11,10 @@ tests drive its workloads) and ``pyproject.toml`` to a temporary directory,
 replaces the mutant's old text, which must occur exactly once in its file,
 with its new text, and runs ``pytest -x`` on the mutant's test files there.  A mutant whose tests pass survives.  The runner
 exits 1 if any old text is stale or any mutant survives, and 0 when every
-mutant is killed.  pytest does not collect this file.
+mutant is killed.  pytest runs with a fixed ``--hypothesis-seed``, so the
+Hypothesis tests (the engine model's state machine among them) draw the
+same examples in every run and a mutant's verdict does not depend on the
+draws.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+HYPOTHESIS_SEED = 0
 
 
 class Mutant(NamedTuple):
@@ -251,6 +255,21 @@ MUTANTS = (
         "    if not ({taken}) and '\\\\d':\n        break\n",
         VM_TESTS,
     ),
+    # An access list's r1: the base of its first region that is not the stack.
+    Mutant(
+        "r1 is the first region even when it is the stack",
+        "src/femtoc/memory.py",
+        "self.r1 = context[0].base if context else 0",
+        "self.r1 = self.regions[0].base",
+        VM_TESTS,
+    ),
+    Mutant(
+        "r1 is the last non-stack region",
+        "src/femtoc/memory.py",
+        "self.r1 = context[0].base if context else 0",
+        "self.r1 = context[-1].base if context else 0",
+        VM_TESTS,
+    ),
     # A hook's slots carry their capabilities.
     Mutant(
         "remove does not relink the hook",
@@ -294,7 +313,7 @@ MUTANTS = (
         "            for container in self.containers.values():\n"
         "                container.env.helpers = table.restricted(container.granted.syscalls)\n",
         "",
-        MODEL_TESTS,
+        MODEL_TESTS + ("tests/test_engine.py",),
     ),
     # The trigger loop's stats.
     Mutant(
@@ -445,7 +464,8 @@ def run(mutant: Mutant) -> str:
         shutil.copy(ROOT / "pyproject.toml", work)
         (work / mutant.path).write_text(text.replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   f"--hypothesis-seed={HYPOTHESIS_SEED}", *mutant.tests]
         result = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
     return "survived" if result.returncode == 0 else "killed"
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable
 
 from femtoc.isa import OPCODE_INFO, OpKind
-from femtoc.memory import AccessViolation, HostMemory, MemoryRegion, Mode
+from femtoc.memory import AccessViolation, HostMemory, Mode
 from femtoc.verifier import VerifiedProgram
 from femtoc.vm import (
     MASK32,
@@ -92,7 +92,6 @@ _CMP = {
 
 def exec_program(
     vp: VerifiedProgram,
-    ctx: MemoryRegion | None,
     env: SyscallEnv,
     budget: int | None = None,
     on_step: Callable[[int, list[int], int], None] | None = None,
@@ -100,10 +99,11 @@ def exec_program(
     """Run a verified program to completion under ``env``'s access list and
     helper table.
 
-    Registers start zeroed except r1 (context base, when a context region is
-    given) and r10 (stack base).  The outcome's ``executed`` count is exact:
-    the number of instructions that started executing, capped at the budget.
-    Every helper gets ``env`` itself.  ``on_step(pc, regs, executed)``, when
+    Registers start zeroed except r1 (the base of the access list's first
+    region other than its stack, or 0 when it has none) and r10 (stack
+    base).  The outcome's ``executed`` count is exact: the number of
+    instructions that started executing, capped at the budget.  Every
+    helper gets ``env`` itself.  ``on_step(pc, regs, executed)``, when
     given, sees each instruction before it runs.
     """
     slots = vp.program.slots
@@ -112,8 +112,7 @@ def exec_program(
     acl, syscalls = env.acl, env.helpers
 
     regs = [0] * 11
-    if ctx is not None:
-        regs[1] = ctx.base
+    regs[1] = next((region.base for region in acl.regions if region is not acl.stack), 0)
     stack_base = acl.stack.base
     regs[10] = stack_base
 

@@ -166,7 +166,7 @@ def test_criterion_2_sandbox_fuzz():
         memory = HostMemory()
         stack = fresh_stack(memory)
         scratch = memory.alloc(64, "scratch", readable=True, writable=True)
-        outcome = exec_program(vp, scratch, SyscallEnv(AccessList([stack, scratch]), table))
+        outcome = exec_program(vp, SyscallEnv(AccessList([stack, scratch]), table))
         if outcome.fault is not None:
             faults += 1
         if outcome.executed > budget:
@@ -200,7 +200,7 @@ def run_fletcher(data: bytes) -> int:
     memory = HostMemory()
     stack = fresh_stack(memory)
     ctx = memory.alloc(len(data), "ctx", readable=True, writable=False, init=data)
-    outcome = exec_program(vp, ctx, SyscallEnv(AccessList([stack, ctx])))
+    outcome = exec_program(vp, SyscallEnv(AccessList([stack, ctx])))
     assert outcome.ok, outcome.fault
     return outcome.return_value
 

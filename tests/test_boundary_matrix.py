@@ -140,7 +140,7 @@ def _run(exec_program, vp, cases: int):
     memory = HostMemory()
     out = memory.alloc(8 * cases, "out", readable=True, writable=True)
     acl = AccessList([out, fresh_stack(memory)])
-    return exec_program(vp, out, SyscallEnv(acl, SyscallTable())), bytes(memory.buf), out.base - memory.base
+    return exec_program(vp, SyscallEnv(acl, SyscallTable())), bytes(memory.buf), out.base - memory.base
 
 
 def _key(row: tuple[int, ...]) -> tuple[int, int, int]:

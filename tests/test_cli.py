@@ -460,6 +460,15 @@ def test_scenario_malformed_file_exits_2(tmp_path, capsys):
 
 CTX_HOOK = {"name": "h", "context": [{"label": "ctx", "size": 8}]}
 
+
+def fault_check_scenario(fault_kind):
+    """A scenario whose one container, c, faults, and whose fault check expects ``fault_kind``."""
+    return {"setup": [{"action": "install", "tenant": "t", "hook": "h", "name": "c",
+                       "program": {"fixture": "hostile_writer"}}],
+            "events": [{"hook": "h"}],
+            "assertions": [{"after_event": 0, "check": {"kind": "fault", "container": "c", "fault_kind": fault_kind}}]}
+
+
 # case -> (the field the error must name, the part of the document that is wrong)
 MALFORMED_SCENARIOS = {
     "tenant name missing": ("name", {"tenants": [{}]}),
@@ -535,6 +544,18 @@ MALFORMED_SCENARIOS = {
         "ctx",
         {"hooks": [CTX_HOOK], "events": [{"hook": "h", "payload": {"ctx": {"u64": [1, 2]}}}]},
     ),
+    "payload u64 booleans": (
+        "ctx",
+        {"hooks": [{"name": "h", "context": [{"label": "ctx", "size": 16}]}],
+         "events": [{"hook": "h", "payload": {"ctx": {"u64": [True, False]}}}]},
+    ),
+    "payload bytes boolean": (
+        "ctx",
+        {"hooks": [{"name": "h", "context": [{"label": "ctx", "size": 1}]}],
+         "events": [{"hook": "h", "payload": {"ctx": {"bytes": [True]}}}]},
+    ),
+    "fault check kind misspelled": ("fault_kind", fault_check_scenario("MemoryViolaton")),
+    "fault check kind not a string": ("fault_kind", fault_check_scenario(["MemoryViolation"])),
     "update sequence negative": (
         "sequence_number",
         {"setup": [{"action": "update", "tenant": "t", "hook": "h", "sequence": -1,

@@ -259,7 +259,7 @@ def _host(init: bytes, stack_last: bool):
     ro = memory.alloc(RO_LEN, "ro", readable=True, writable=False, init=init[:RO_LEN])
     rw = memory.alloc(RW_LEN, "rw", readable=True, writable=True, init=init[RO_LEN:])
     stack = fresh_stack(memory)
-    return memory, ro, AccessList([ro, rw, stack] if stack_last else [stack, ro, rw])
+    return memory, AccessList([ro, rw, stack] if stack_last else [stack, ro, rw])
 
 
 def _handovers(outcome) -> None:
@@ -306,12 +306,12 @@ def _mismatches(
         init = rng.randbytes(RO_LEN + RW_LEN)
         budget = None
         if near_budget and index % near_budget == 0:
-            _, ctx, acl = _host(init, stack_last=index % 2 == 0)
-            steps = refvm.exec_program(vp, ctx, SyscallEnv(acl, table)).executed
+            _, acl = _host(init, stack_last=index % 2 == 0)
+            steps = refvm.exec_program(vp, SyscallEnv(acl, table)).executed
             budget = max(0, rng.choice((steps, len(vp.form))) + rng.randint(-3, 3))
         results = []
         for interpreter in (vm.exec_program, refvm.exec_program):
-            memory, ctx, acl = _host(init, stack_last=index % 2 == 0)
+            memory, acl = _host(init, stack_last=index % 2 == 0)
             if probe and interpreter is vm.exec_program:
                 acl.run_state = (_Scanned(acl.read_windows), _Scanned(acl.write_windows), *acl.run_state[2:])
                 HANDOVERS.clear()
@@ -320,9 +320,9 @@ def _mismatches(
             if loops and interpreter is refvm.exec_program:
                 until = HANDOVER_STEPS[0] if HANDOVER_STEPS else float("inf")
                 on_step = LoopProbe(vp.form, acl, vp.budget if budget is None else budget, until)
-                outcome = interpreter(vp, ctx, SyscallEnv(acl, table), budget, on_step)
+                outcome = interpreter(vp, SyscallEnv(acl, table), budget, on_step)
             else:
-                outcome = interpreter(vp, ctx, SyscallEnv(acl, table), budget)
+                outcome = interpreter(vp, SyscallEnv(acl, table), budget)
             results.append((outcome, bytes(memory.buf)))
             if interpreter is vm.exec_program:
                 _handovers(outcome)

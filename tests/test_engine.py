@@ -122,7 +122,8 @@ def test_a_containers_views_follow_the_hooks_layout_not_its_labels():
     hook = engine.register_hook("h", (), [ContextRegionSpec("zeta", 8), ContextRegionSpec("alpha", 8)])
     grant = Contract.of(regions=[RegionGrant("alpha"), RegionGrant("zeta")])
     container = engine.containers[engine.install_container(tenant, assemble("ldxdw r0, [r1+0]\nexit"), grant, hook)]
-    assert [view.label for view in container.views] == ["zeta", "alpha"] and container.ctx.label == "zeta"
+    assert [view.label for view in container.views] == ["zeta", "alpha"]
+    assert container.env.acl.r1 == container.views[0].base
     event = {"zeta": struct.pack("<Q", 7), "alpha": struct.pack("<Q", 9)}
     (slot,) = engine.trigger_hook(hook, event).outcomes
     assert slot.outcome.return_value == 7  # r1 is the first region of the layout
@@ -1261,7 +1262,7 @@ def test_a_stack_first_access_list_serves_the_context_through_the_scan(monkeypat
             acl = AccessList([stack, ctx] if stack_first else [ctx, stack])
             assert (acl.read_windows[0][0] == stack.base) == stack_first
             vp = verify(program, VerifyLimits(64, 4))
-            outcome = vm.exec_program(vp, ctx, vm.SyscallEnv(acl))
+            outcome = vm.exec_program(vp, vm.SyscallEnv(acl))
             assert (vp.compiled is not None) == (hot == 0)
             results.append((outcome, bytes(mem.buf)))
     assert results[1:] == results[:1] * 3

@@ -189,7 +189,7 @@ def compiled_put_then_get(monkeypatch, who):
         memory.reset()
         at = ctx.base - memory.base
         memory.buf[at : at + 16] = struct.pack("<QQ", key, value)
-        outcome = vm.exec_program(vp, ctx, env)
+        outcome = vm.exec_program(vp, env)
         assert outcome.ok and vp.compiled is not None
         return struct.unpack_from("<Q", memory.buf, at + 16)[0], outcome.return_value
 

@@ -45,7 +45,7 @@ def run(src, *, ctx=None, ctx_writable=False, table=None, allowed=(), limits=Non
         ctx_region = mem.alloc(len(ctx), "ctx", readable=True, writable=ctx_writable, init=ctx)
         regions.append(ctx_region)
     acl = AccessList([fresh_stack(mem), *regions])
-    outcome = exec_program(vp, ctx_region, SyscallEnv(acl, table or SyscallTable()), budget)
+    outcome = exec_program(vp, SyscallEnv(acl, table or SyscallTable()), budget)
     return outcome, mem, ctx_region
 
 
@@ -306,6 +306,25 @@ def test_run_state_ends_with_the_first_read_and_the_first_write_window():
     assert acl.run_state[6:] == (*acl.read_windows[0], *acl.write_windows[0]) == (ro.base, ro.end, wo.base, wo.end)
 
 
+@pytest.mark.parametrize("layout", [("stack",), ("ctx", "stack"), ("stack", "ctx"), ("ro", "rw", "stack"),
+                                    ("stack", "ro", "rw")], ids="-".join)
+def test_r1_is_the_first_region_that_is_not_the_stack_on_both_tiers_and_the_reference(monkeypatch, layout):
+    # The regions are allocated in the reverse of their list order, so the
+    # first one listed is not the one at the lowest address.
+    program = assemble("mov64 r0, r1\nexit")
+    for run in ("interpreted", "compiled", "reference"):
+        monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", 0 if run == "compiled" else HOT_STEPS_PER_SLOT)
+        mem = HostMemory()
+        regions = {label: fresh_stack(mem) if label == "stack" else mem.alloc(8, label, True, label != "ro")
+                   for label in reversed(layout)}
+        context = [regions[label].base for label in layout if label != "stack"]
+        vp = verify(program, VerifyLimits(256, 16))
+        env = SyscallEnv(AccessList([regions[label] for label in layout]))
+        outcome = (refvm if run == "reference" else vm).exec_program(vp, env)
+        assert (vp.compiled is not None) == (run == "compiled")
+        assert outcome == (context[0] if context else 0, 2, 0, None)
+
+
 @pytest.mark.parametrize("access, note", [("ldxdw r0, [r1+0]", "read denied"), ("stxdw [r2+0], r0", "write denied")])
 def test_a_first_write_only_region_is_not_readable_nor_a_first_read_only_one_writable_on_both_tiers(
     monkeypatch, access, note
@@ -320,7 +339,7 @@ def test_a_first_write_only_region_is_not_readable_nor_a_first_read_only_one_wri
         ro = mem.alloc(16, "ro", readable=True, writable=False)
         assert ro.base == wo.base + 16 + 2 * GUARD_LEN  # a guard after wo, one before ro
         vp = verify(program, VerifyLimits(256, 16))
-        outcome = exec_program(vp, wo, SyscallEnv(AccessList([wo, ro, fresh_stack(mem)])))
+        outcome = exec_program(vp, SyscallEnv(AccessList([wo, ro, fresh_stack(mem)])))
         assert (vp.compiled is not None) == (hot == 0)
         assert outcome.fault == vm.Fault(FaultKind.MEMORY_VIOLATION, 2, (ro if note == "write denied" else wo).base,
                                          8, note)
@@ -582,7 +601,7 @@ def test_identical_inputs_identical_outcomes(rng):
             mem = HostMemory()
             ctx = mem.alloc(64, "ctx", readable=True, writable=True, init=bytes(range(64)))
             acl = AccessList([fresh_stack(mem), ctx])
-            return exec_program(vp, ctx, SyscallEnv(acl))
+            return exec_program(vp, SyscallEnv(acl))
 
         assert one() == one()
 
@@ -595,7 +614,7 @@ def test_every_random_run_terminates_inside_budget(rng):
         mem = HostMemory()
         ctx = mem.alloc(64, "ctx", readable=True, writable=True)
         acl = AccessList([fresh_stack(mem), ctx])
-        outcome = exec_program(vp, ctx, SyscallEnv(acl))
+        outcome = exec_program(vp, SyscallEnv(acl))
         assert outcome.executed <= 64 * 8
         assert outcome.fault is not None or outcome.ok
         assert mem.guards_intact()
@@ -812,7 +831,7 @@ def run_both_tiers(monkeypatch, src, *, ctx=b"", ctx_writable=False, stack_last=
         ctx_region = mem.alloc(max(len(ctx), 8), "ctx", readable=True, writable=ctx_writable, init=ctx)
         stack = fresh_stack(mem)
         acl = AccessList([ctx_region, stack] if stack_last else [stack, ctx_region])
-        outcome = exec_program(vp, ctx_region, SyscallEnv(acl, table or SyscallTable()), budget)
+        outcome = exec_program(vp, SyscallEnv(acl, table or SyscallTable()), budget)
         assert (vp.compiled is not None) == (hot == 0)
         results.append((outcome, bytes(mem.buf)))
     return results, ctx_region.base
@@ -1206,11 +1225,11 @@ def test_a_program_compiles_once_it_has_run_64_steps_per_slot(monkeypatch):
     assert threshold == 192
     outcomes = set()
     for _ in range(threshold // 3):
-        outcomes.add(exec_program(vp, None, env))
+        outcomes.add(exec_program(vp, env))
         assert vp.compiled is None
     assert vp.interpreted == threshold
     for _ in range(3):
-        outcomes.add(exec_program(vp, None, env))
+        outcomes.add(exec_program(vp, env))
         assert vp.compiled is not None
     assert vp.interpreted == threshold  # compiled runs are not counted
     assert compiles == [vp.form]
@@ -1223,7 +1242,7 @@ def test_a_single_run_of_a_1024_slot_payload_never_compiles(monkeypatch):
     body = "add64 r0, 1\n" * 1020
     vp = verify(assemble(f"mov64 r1, 70\nloop: {body}sub64 r1, 1\njne r1, 0, loop\nexit"))
     assert len(vp.form) == 1024
-    outcome = exec_program(vp, None, SyscallEnv(AccessList([fresh_stack(HostMemory())])))
+    outcome = exec_program(vp, SyscallEnv(AccessList([fresh_stack(HostMemory())])))
     assert (outcome.return_value, outcome.fault) == (70 * 1020, None)
     assert outcome.executed >= vm.HOT_STEPS_PER_SLOT * 1024  # hot, but it ran only once
     assert compiles == [] and vp.compiled is None
@@ -1242,12 +1261,12 @@ def test_a_run_enters_exec_program_once_in_either_tier(monkeypatch, compiled_tie
     monkeypatch.setattr(vm, "exec_program", traced)
     vp = verify(assemble("loop: add64 r0, 1\nadd64 r0, 1\nja loop\nexit"), VerifyLimits(256, 16))
     env = SyscallEnv(AccessList([fresh_stack(HostMemory())]))
-    outcome = vm.exec_program(vp, None, env, budget=7)
+    outcome = vm.exec_program(vp, env, budget=7)
     assert compiled_tier == [vp.form]
     assert (outcome.executed, outcome.fault.kind, outcome.fault.pc) == (7, FaultKind.BUDGET_EXCEEDED, 1)
     monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", 64)
     cold = verify(vp.program, VerifyLimits(256, 16))
-    assert vm.exec_program(cold, None, env, budget=7) == outcome
+    assert vm.exec_program(cold, env, budget=7) == outcome
     assert entries == [vp, cold]
 
 
@@ -1328,7 +1347,7 @@ def test_a_versioned_loop_short_by_one_pass_matches_the_reference_on_both_tiers(
         if pc in proven and proven_check_fails(vp.form[pc], regs, acl):
             failed.append((executed - entries[0][0]) // len(slots) + 1)
 
-    reference = refvm.exec_program(vp, ctx_region, SyscallEnv(acl, SyscallTable()), budget, step)
+    reference = refvm.exec_program(vp, SyscallEnv(acl, SyscallTable()), budget, step)
     assert interpreted == compiled == (reference, bytes(mem.buf))
     assert [entry[1:] for entry in entries] == [(safe, room)]
     assert (reference.fault and (reference.fault.kind, reference.fault.pc)) == fault
