@@ -15,17 +15,21 @@ check for all of them.  Such a loop is versioned: a guard on each entry
 finds how many of its passes cannot wrap an add or sub whose operands it
 can bound, nor leave the first window with an access whose address steps
 by a constant, and runs those passes through a copy of the body filled
-without those checks, then the rest through the checked body.  A
-self-loop with no load or store through a pointer and no helper call can
-reach the stack only through its stack rows: it holds each row that
-overlaps no other in a local, loaded once on entry, and writes the stored
-ones back on its two ways out.
+without those checks, then the rest through the checked body.  When the
+body writes no memory and calls no helper, the proven passes after the
+first 16 read each load whose base steps by the load's width per pass as one
+lazy stream (``memory``'s ``_ITER_UNPACK``), and drop the steps of each
+induction register but r0 that nothing else in the loop reads, setting it
+once where those passes end.  A self-loop with no load or store
+through a pointer and no helper call can reach the stack only through its
+stack rows: it holds each row that overlaps no other in a local, loaded
+once on entry, and writes the stored ones back on its two ways out.
 On both tiers a load or store tests the first window, whose bounds the
 prologue unpacks from the access list's ``run_state`` with the rest of it,
 calls ``in_windows`` only on a miss, and converts once on the access list's
 one buffer, through ``memory``'s codec.  ``femtoc.vm`` executes both
 sources in its own namespace, so the names they use (``_Trap``, ``Fault``,
-``in_windows``, ``_PACK``, ``_helper_fault``, ...) are ``vm``'s.
+``in_windows``, ``_PACK``, ``_ITER_UNPACK``, ``_helper_fault``, ...) are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
 width; ``{mask}``, ``{wrap}`` and ``{sign}`` are the width's value mask,
@@ -89,8 +93,8 @@ END_OPS = (  # by verifier.BYTE_ORDERS
 # A load or store is one CHECK, then one READ or WRITE at ``addr`` on the buffer.
 # The check tests the first window (``rlo``/``rhi`` or ``wlo``/``whi``) inline
 # and, only on a miss, faults unless ``in_windows`` finds one that covers the
-# access.  A proven access (see ``_self_loop``) is the READ or WRITE alone;
-# a stack row indexes the stack's bytes.  ``{address}`` is ADDRESS, or the base
+# access.  A proven access (see ``_self_loop``) is the READ or WRITE alone, or
+# a stream's next value; a stack row indexes the stack's bytes.  ``{address}`` is ADDRESS, or the base
 # register itself at offset 0 (registers hold values in [0, 2**64) on both tiers).
 ADDRESS = "({base} + {off}) & {mask64}"
 READ = "{dst} = unpack[{width}](buf, {addr} - base)[0]\n"
@@ -332,6 +336,7 @@ _ENDS_BLOCK = (JCOND_K, JCOND_X, JA, EXIT)
 _WRITES_DST = (ALU64_K, ALU64_X, ALU32_K, ALU32_X, LDX, LDX_STACK, LDDW, END)
 _TRAPS = (LDX, STX, ST, CALL)  # slots whose checked form can raise _Trap
 _STACK_ROWS = (LDX_STACK, STX_STACK, ST_STACK)
+_NO_STREAMS = (STX, ST, STX_STACK, ST_STACK, CALL)  # a body with one reads no stream, sinks no register
 
 
 def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
@@ -444,10 +449,29 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
 # with no room; read and assigned by both copies of the body; and, if stored,
 # written back ({spill}) before ALL_TAKEN's handover, so the stepped loop
 # resumes from current bytes, and before LOOP_EXIT.
+#
+# A body that writes no memory and calls no helper (none of ``_NO_STREAMS``)
+# runs its first PLAIN_PASSES proven passes as above, then the rest of them
+# through a streamed copy (``_streams``), which has two more forms:
+# - a load whose base steps by the load's width per pass reads pass k's value
+#   as the next of one STREAM, opened over the remaining proven passes' bytes
+#   (none if there are none) and iterated with ``it``; nothing in such a body
+#   writes the bytes it reads, and the stream unpacks only the passes that run;
+# - an induction register but r0 that nothing reads but its own steps and
+#   streams, nor the branch, keeps its value from the plain passes: it is
+#   stepped by the streamed passes run where they break, and by all of them
+#   before the checked passes; the guard bounds it for ``safe`` passes, so no
+#   mask, and a trap returns only r0, so a trap sets nothing.
+# Opening the streams costs about what a dozen plain passes would save, so a
+# loop that leaves within PLAIN_PASSES opens none and runs as fast as it would
+# without them.  Each way out of the streamed passes drops the streams
+# ({release}): a stream exports the hook's buffer, which ``HostMemory.alloc``
+# could not then grow.
 PASSES = """\
-for it in range({first}, {last} + 1):
+for {target} in {passes}:
 {body}\
     if not ({taken}):
+{leave}\
         break
 else:
 {then}\
@@ -457,11 +481,15 @@ TRAPPED = """\
 try:
 {passes}\
 except _Trap:
+{release}\
     executed += it * {length}
     branches += it - 1
     raise
 """
 LOOP_EXIT = "{spill}executed += it * {length}\nbranches += it - 1\npc = {next}\n"
+STREAM = ("s{pc} = _ITER_UNPACK[{width}](memoryview(buf)[{start}:{start} + (safe - {plain}) * {width}])"
+          " if safe > {plain} else ()\n")
+PLAIN_PASSES = 16  # proven passes run before any stream opens
 
 # The guard classifies each register the body writes by the slots that write it:
 # - induction: only ``r += K`` and ``r -= K`` (a K of 2**63 or more steps down),
@@ -474,6 +502,8 @@ LOOP_EXIT = "{spill}executed += it * {length}\nbranches += it - 1\npc = {next}\n
 # An induction register's add or sub, and a load or store based on one, gives
 # linear bounds in the pass number, tested at the first pass and solved for
 # the last.  Each accumulator caps ``safe`` where its bound would pass 2**64.
+Steps = dict[int, list[tuple[int, int]]]  # induction register -> (slot, step) of each of its steps
+
 GROWS = """\
 if {reg} + safe * {inc} > {mask}:
     safe = ({mask} - {reg}) // {per_pass}
@@ -501,9 +531,10 @@ def _linear_guard(reg: str, q: int, d: int, lo: tuple[str | None, int], hi: tupl
         conds.append(f"{lo_c - q} <= {reg}" if lo_name is None else f"{lo_name} <= {_plus(reg, q - lo_c)}")
 
 
-def _loop_guard(form: tuple[tuple[int, ...], ...], body: list[int]) -> tuple[str, frozenset[int]]:
+def _loop_guard(form: tuple[tuple[int, ...], ...], body: list[int]) -> tuple[str, frozenset[int], Steps]:
     """The guard of a self-loop whose non-branching slots are ``body``: source
-    that sets ``safe``, and the slots whose checks cannot fail in its passes."""
+    that sets ``safe``, the slots whose checks cannot fail in its passes, and
+    the induction registers' steps."""
     writes: dict[int, list[tuple[int, str | None, int]]] = {}  # register -> (slot, kind, arg)
     for pc in body:
         code, sub, dst, src, off, imm = form[pc]
@@ -567,7 +598,27 @@ def _loop_guard(form: tuple[tuple[int, ...], ...], body: list[int]) -> tuple[str
             bound[reg] = f"inc{reg}" if parts else inc  # a name for a bound known only at run time
             grows = f"({bound[reg]} := {inc})" if parts else inc
             guard += GROWS.format(reg=f"r{reg}", inc=grows, per_pass=bound[reg], mask=_M64)
-    return guard, frozenset(proven)
+    return guard, frozenset(proven), steps
+
+
+def _streams(form: tuple[tuple[int, ...], ...], slots: list[int],
+             steps: Steps) -> tuple[dict[int, int], dict[int, int]]:
+    """What the proven copy of a self-loop block ``slots`` reads as streams
+    and which registers it sinks, when its body writes no memory and calls
+    no helper: each load whose base steps by its width per pass, slot -> its
+    first pass's address less the base's entry value; and each induction
+    register but r0 that no other slot reads, nor the branch, register -> its
+    step per pass."""
+    body = slots[:-1]
+    if any(form[pc][0] in _NO_STREAMS for pc in body):
+        return {}, {}
+    per_pass = {reg: sum(s for _, s in ss) for reg, ss in steps.items()}
+    streams = {pc: off + sum(s for at, s in steps[src] if at < pc)
+               for pc in body for code, sub, _dst, src, off, _imm in [form[pc]]
+               if code == LDX and per_pass.get(src) == sub}
+    stepping = {pc for ss in steps.values() for pc, _ in ss}
+    read = {reg for pc in slots if pc not in streams and pc not in stepping for reg in form[pc][2:4]}
+    return streams, {reg: d for reg, d in per_pass.items() if reg and d and reg not in read}
 
 
 def _stack_locals(form: tuple[tuple[int, ...], ...], body: list[int]) -> dict[tuple[int, int], str]:
@@ -582,24 +633,59 @@ def _stack_locals(form: tuple[tuple[int, ...], ...], body: list[int]) -> dict[tu
 
 
 def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) -> str:
-    """A self-loop block: its guard, its stack locals' loads, its proven and
-    checked passes, and its exits, each of which writes the stored locals back."""
+    """A self-loop block: its guard, its stack locals' loads and its streams,
+    its proven and checked passes, and its exits, each of which writes the
+    stored locals back."""
     length, body = len(slots), slots[:-1]
-    guard, proven = _loop_guard(form, body)
+    guard, proven, steps = _loop_guard(form, body)
     rows = _stack_locals(form, body)
     stored = {(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in (STX_STACK, ST_STACK)}
     fill = "".join(LOAD_STACK.format(dst=local, width=width, off=off) for (off, width), local in rows.items())
     spill = "".join(STORE_STACK.format(width=width, off=off, value=local)
                     for (off, width), local in rows.items() if (off, width) in stored)
     checked = "".join(_slot_source(pc, form[pc], rows=rows) for pc in body)
-    passes = PASSES.format(first="safe + 1" if proven else 1, last="room", body=_indent(checked, 1),
-                           taken=taken, then=_indent(ALL_TAKEN.format(length=length, spill=spill), 1))
+    passes = PASSES.format(target="it", passes=f"range({'safe + 1' if proven else 1}, room + 1)",
+                           body=_indent(checked, 1), taken=taken, leave="",
+                           then=_indent(ALL_TAKEN.format(length=length, spill=spill), 1))
+    release, plain = "", "safe"  # the streams' drops; how many proven passes run plain
     if proven:
+        streams, sunk = _streams(form, slots, steps)
+        if streams or sunk:
+            dropped = {pc for reg in sunk for pc, _ in steps[reg]}
+            names, streamed, opens = ["it"], "", ""  # what each pass binds; the streamed body; its streams
+            seen, trapping = set(), False  # what the pass's slots so far name, and whether one can trap
+            for pc in body:
+                code, width, dst, src, _off, _imm = form[pc]
+                if pc in streams:
+                    opens += STREAM.format(pc=pc, width=width, start=_plus(f"r{src} - base", streams[pc]),
+                                           plain=PLAIN_PASSES)
+                    # Its value binds straight to dst at the pass's start, unless an
+                    # earlier slot of the pass names dst, or can trap (a trap returns r0).
+                    if dst in seen or (dst == 0 and trapping):
+                        names.append(f"(v{pc},)")
+                        streamed += f"r{dst} = v{pc}\n"
+                    else:
+                        names.append(f"(r{dst},)")
+                elif pc not in dropped:
+                    streamed += _slot_source(pc, form[pc], proven, rows)
+                seen |= {dst, src}
+                trapping |= code in _TRAPS and pc not in proven
+            release = "".join(f"s{pc} = None\n" for pc in streams)
+
+            def sink(passes: str) -> str:
+                return release + "".join(f"r{reg} = r{reg} + {passes} * {d}\n" for reg, d in sunk.items())
+
+            series = ", ".join([f"range({PLAIN_PASSES + 1}, safe + 1)", *(f"s{pc}" for pc in streams)])
+            passes = opens + PASSES.format(
+                target=", ".join(names), passes=f"zip({series})" if streams else series,
+                body=_indent(streamed, 1), taken=taken, leave=_indent(sink(f"(it - {PLAIN_PASSES})"), 2),
+                then=_indent(sink(f"max(safe - {PLAIN_PASSES}, 0)") + passes, 1))
+            plain = f"(safe if safe < {PLAIN_PASSES} else {PLAIN_PASSES})"
         unchecked = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body)
-        passes = PASSES.format(first=1, last="safe", body=_indent(unchecked, 1), taken=taken,
-                               then=_indent(passes, 1))
+        passes = PASSES.format(target="it", passes=f"range(1, {plain} + 1)", body=_indent(unchecked, 1),
+                               taken=taken, leave="", then=_indent(passes, 1))
     if any(form[pc][0] in _TRAPS for pc in body):
-        passes = TRAPPED.format(passes=_indent(passes, 1), length=length)
+        passes = TRAPPED.format(passes=_indent(passes, 1), release=_indent(release, 1), length=length)
     room = f"room = (budget - executed) // {length}\n"
     leave = LOOP_EXIT.format(spill=spill, length=length, next=slots[-1] + 1)
     return room + (guard if proven else "") + fill + passes + leave

@@ -379,24 +379,46 @@ def _event_report(runtime: ScenarioRuntime, index: int, event: dict, result: Tri
     }
 
 
+# check kind -> the fields its reader reads besides "kind"; a store check
+# also reads the owner its scope names, "container" or "tenant"
+_CHECK_FIELDS = {
+    "store": ("scope", "key", "equals"),
+    "context": ("label", "offset", "u64_equals"),
+    "policy": ("equals",),
+    "fault": ("container", "fault_kind"),
+    "no_fault": ("container",),
+    "return": ("container", "equals"),
+}
+
+
 def _parse_check(
     runtime: ScenarioRuntime, check: dict, what: str
 ) -> Callable[[TriggerResult | None], tuple[bool, str]]:
-    """Check an assertion's fields before any event fires. Returns the
-    function that evaluates it on the result of the event it follows, which
-    only a store check can do without an event."""
+    """Check an assertion's fields before any event fires, refusing any
+    field its kind does not read. Returns the function that evaluates it on
+    the result of the event it follows, which only a store check can do
+    without an event."""
     kind = _field(check, "kind", what, str)
+    if kind not in _CHECK_FIELDS:
+        raise ParseError(f"unknown check kind {kind!r}")
+    reads = {"kind", *_CHECK_FIELDS[kind]}
     if kind == "store":
         scope = _optional(check, "scope", what, str, "container")
+        if scope not in ("container", "tenant", "global"):
+            raise ParseError(f"{what} 'scope': unknown store scope {scope!r}")
+        if scope != "global":
+            reads.add(scope)
+    for key in check:
+        if key not in reads:
+            raise ParseError(f"{what}: a {kind!r} check has no field {key!r}")
+    if kind == "store":
         stores = runtime.engine.facilities.stores
         if scope == "container":
             owners, owner = stores.container_stores, runtime._ref("container", check, what)
         elif scope == "tenant":
             owners, owner = stores.tenant_stores, runtime._ref("tenant", check, what)
-        elif scope == "global":
-            owners, owner = {None: stores.global_store}, None
         else:
-            raise ParseError(f"unknown store scope {scope!r}")
+            owners, owner = {None: stores.global_store}, None
         key = _parse_int(_field(check, "key", what), "store key")
         expected = _parse_int(_field(check, "equals", what), "store value")
         if not 0 <= key < 1 << 32:
@@ -432,7 +454,7 @@ def _parse_check(
             actual = result.policy_value
             return actual == expected, f"policy value: expected {expected}, got {actual}"
 
-    elif kind in ("fault", "no_fault", "return"):
+    else:  # fault, no_fault or return
         target = runtime._ref("container", check, what)
         if kind == "return":
             expected = _parse_int(_field(check, "equals", what), "return value") & MASK64
@@ -456,8 +478,6 @@ def _parse_check(
                 return False, f"expected fault {expected_kind}, got {fault.kind.value}"
             return True, f"faulted with {fault.kind.value} as expected"
 
-    else:
-        raise ParseError(f"unknown check kind {kind!r}")
     return evaluate
 
 

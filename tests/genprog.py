@@ -266,3 +266,74 @@ def random_stack_loop(rng: random.Random, allowed_syscalls: tuple[int, ...] = ()
     rng.shuffle(body)
     lines += [f"loop: {body[0]}", *body[1:], "jne r9, 0, loop", f"mov64 r0, r{rng.choice(data)}", "exit"]
     return assemble("\n".join(lines))
+
+
+# -- streamed loops ------------------------------------------------------------------
+#
+# When a self-loop's body writes no memory and calls no helper, compiled code
+# reads each proven load whose base steps by the load's width per pass as one
+# stream over the proven passes after the first few, and drops the steps of
+# each induction register but r0 that only its steps and streams read there,
+# setting it once on the way out of those passes.
+
+
+def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
+    """A program that passes the pre-flight checks and whose one self-loop
+    walks r3 from r1 or, twice as often, r10 by a load's width per pass
+    (all four widths, either sign, in one step or two) for up to 80 passes,
+    and loads through it at that width.
+
+    r4 steps near a wrap edge and r2 counts the passes; r5, r0 and r9 are
+    loaded, r6 and r7 accumulate.  Loops that stream less or sink less mix
+    in: a load through r3 of another width, a branch on r3, an add that
+    reads r4, a step of r0, a load through r8, an unknown pointer that
+    leaves its window in some pass, and, in one loop in four, a store at a
+    streamed load's address before it.  The exit folds r2..r9 into r0."""
+    pointer = rng.choice((1, 10, 10))  # the stack is long enough to stream at any width
+    span = ctx_span if pointer == 1 else 512
+    width = rng.choice(sorted(_SUFFIX))
+    d = width * rng.choice((1, -1))
+    edge = 0 if d > 0 else span - width  # where the walk starts into its window
+    start = edge + rng.choice((0, 0, rng.randint(-4, 4), rng.randint(-span, span)))
+    lines = [
+        f"mov64 r3, r{pointer}",
+        f"add64 r3, {start}",
+        f"lddw r4, {rng.choice((rng.randint(0, 40), MASK64 - rng.randint(0, 40))):#x}",
+        f"mov64 r8, r{pointer}",
+        f"lddw r6, {rng.getrandbits(64):#x}",
+    ]
+    first = rng.randint(-8, 8) if rng.random() < 0.3 else d
+    body = [_step(rng, 3, first)] + [_step(rng, 3, d - first)] * (first != d)
+    offsets = [rng.choice((0, 0, rng.randint(-2, 6))) for _ in range(2)]
+    loads = [f"ldx{_SUFFIX[width]} r5, [r3{offsets[0]:+d}]"]
+    other = rng.choice([w for w in _SUFFIX if w != width])
+    extra = {
+        "second stream": f"ldx{_SUFFIX[width]} r{rng.choice((0, 5, 9))}, [r3{offsets[1]:+d}]",
+        "other width": f"ldx{_SUFFIX[other]} r9, [r3{offsets[1]:+d}]",
+        "accumulate": "add64 r6, r5",
+        "chain": "add64 r7, r6",
+        "wrap": _step(rng, 4, rng.choice((1, 3, -1, -5))),
+        "read r4": "add64 r7, r4",
+        "step r0": _step(rng, 0, rng.choice((1, 2))),
+        "unknown pointer": "ldxb r9, [r8+0]\nadd32 r8, 1",
+    }
+    rare = ("other width", "read r4")  # each blocks r3's or r4's sink
+    chosen = [text for kind, text in extra.items() if rng.random() < (0.25 if kind in rare else 0.5)]
+    loads += [text for text in chosen if text.startswith("ldx")]
+    body += [text for text in chosen if not text.startswith("ldx")]
+    if rng.random() < 0.2:  # a branch on the walk itself
+        lines += ["mov64 r2, r3", f"add64 r2, {rng.randint(1, 80) * d}"]
+        branch = "jne r3, r2"
+    else:
+        lines.append(f"mov64 r2, {rng.randint(1, 80)}")
+        body.append(_step(rng, 2, -1))
+        branch = rng.choice(("jne r2, 0", "jne r2, 0", "jgt r2, 3"))
+    body += loads
+    rng.shuffle(body)
+    if rng.random() < 0.25:  # the value a streamed load reads is stored earlier in its pass
+        at = body.index(loads[0])
+        body.insert(at, f"stx{_SUFFIX[width]} [r3{offsets[0]:+d}], r6")
+    body = "\n".join(body).splitlines()
+    lines += [f"loop: {body[0]}", *body[1:], f"{branch}, loop"]
+    lines += [f"xor64 r0, r{reg}" for reg in range(2, 10)] + ["exit"]
+    return assemble("\n".join(lines))

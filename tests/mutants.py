@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 VM_TESTS = ("tests/test_vm.py",)
 LOOP_TESTS = ("tests/test_vm.py", "tests/test_differential.py")
+STREAM_TESTS = ("tests/test_differential.py", "-k", "stream")
 MODEL_TESTS = ("tests/test_engine_model.py",)
 BIND_TESTS = ("tests/test_engine.py", "tests/test_engine_model.py", "tests/test_update.py")
 SHARING_TESTS = ("tests/test_engine.py", "-k", "shar or benchmark_workload or frees")
@@ -62,6 +63,28 @@ MUTANTS = (
         '            guard += GROWS.format(reg=f"r{reg}", inc=grows, per_pass=bound[reg], mask=_M64)\n',
         "",
         LOOP_TESTS,
+    ),
+    # Streamed loads and sunk induction registers in a proven self-loop's passes.
+    Mutant(
+        "a stream starts one width late",
+        "src/femtoc/codegen.py",
+        'start=_plus(f"r{src} - base", streams[pc])',
+        'start=_plus(f"r{src} - base", streams[pc] + width)',
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "a sunk register leaves the proven passes one pass behind",
+        "src/femtoc/codegen.py",
+        'leave=_indent(sink(f"(it - {PLAIN_PASSES})"), 2)',
+        'leave=_indent(sink(f"(it - 1 - {PLAIN_PASSES})"), 2)',
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "streams are read in a body that stores",
+        "src/femtoc/codegen.py",
+        "_NO_STREAMS = (STX, ST, STX_STACK, ST_STACK, CALL)",
+        "_NO_STREAMS = (CALL,)",
+        STREAM_TESTS,
     ),
     # Stack rows held in locals across a self-loop's passes.
     Mutant(
@@ -251,8 +274,8 @@ MUTANTS = (
     Mutant(
         "an invalid escape in a self-loop's passes",
         "src/femtoc/codegen.py",
-        "    if not ({taken}):\n        break\n",
-        "    if not ({taken}) and '\\\\d':\n        break\n",
+        "    if not ({taken}):\n{leave}\\\n        break\n",
+        "    if not ({taken}) and '\\\\d':\n{leave}\\\n        break\n",
         VM_TESTS,
     ),
     # An access list's r1: the base of its first region that is not the stack.

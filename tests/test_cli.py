@@ -461,12 +461,17 @@ def test_scenario_malformed_file_exits_2(tmp_path, capsys):
 CTX_HOOK = {"name": "h", "context": [{"label": "ctx", "size": 8}]}
 
 
-def fault_check_scenario(fault_kind):
-    """A scenario whose one container, c, faults, and whose fault check expects ``fault_kind``."""
+def check_scenario(**check):
+    """A scenario whose one container, c, faults, with one assertion: ``check``."""
     return {"setup": [{"action": "install", "tenant": "t", "hook": "h", "name": "c",
                        "program": {"fixture": "hostile_writer"}}],
             "events": [{"hook": "h"}],
-            "assertions": [{"after_event": 0, "check": {"kind": "fault", "container": "c", "fault_kind": fault_kind}}]}
+            "assertions": [{"after_event": 0, "check": check}]}
+
+
+def fault_check_scenario(fault_kind):
+    """A scenario whose one container, c, faults, and whose fault check expects ``fault_kind``."""
+    return check_scenario(kind="fault", container="c", fault_kind=fault_kind)
 
 
 # case -> (the field the error must name, the part of the document that is wrong)
@@ -556,6 +561,19 @@ MALFORMED_SCENARIOS = {
     ),
     "fault check kind misspelled": ("fault_kind", fault_check_scenario("MemoryViolaton")),
     "fault check kind not a string": ("fault_kind", fault_check_scenario(["MemoryViolation"])),
+    "policy check field misspelled": ("equal", check_scenario(kind="policy", equal=7)),
+    "no_fault check with a fault kind": (
+        "fault_kind", check_scenario(kind="no_fault", container="c", fault_kind="MemoryViolation")),
+    "return check with a fault kind": (
+        "fault_kind", check_scenario(kind="return", container="c", equals=0, fault_kind="MemoryViolation")),
+    "global store check naming a tenant": (
+        "tenant", check_scenario(kind="store", scope="global", tenant="t", key=1, equals=0)),
+    "store check scope unknown": (
+        "scope", check_scenario(kind="store", scope="bogus", container="c", key=1, equals=0)),
+    "store check scope not a string": (
+        "scope", check_scenario(kind="store", scope=5, container="c", key=1, equals=0)),
+    "context check field misspelled": (
+        "offest", check_scenario(kind="context", label="ctx", offest=8, u64_equals=0)),
     "update sequence negative": (
         "sequence_number",
         {"setup": [{"action": "update", "tenant": "t", "hook": "h", "sequence": -1,
@@ -572,7 +590,7 @@ def test_scenario_missing_or_mistyped_field_exits_2(tmp_path, capsys, case):
     path.write_text(json.dumps(doc))
     assert main(["scenario", "run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("scenario error:") and "Traceback" not in err
+    assert err.startswith("scenario error:") and "Traceback" not in err and err.count("\n") == 1
     assert repr(field) in err
 
 

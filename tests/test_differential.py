@@ -53,6 +53,20 @@ r10 or a helper call, and rows left unpromoted because they overlap
 another row; every third program runs under a budget near its run's
 length.
 
+One more compiled stream runs self-loops from
+``genprog.random_stream_loop``, whose walks step by a load's width per
+pass, over the context or over a stack filled with random bytes.  After
+``codegen.PLAIN_PASSES`` versioned passes, compiled code reads such a load
+as a stream, and drops the steps of an induction register that nothing
+else in the loop reads, setting it once on the way out.  Its LoopProbe
+also counts the streamed loads and sunk registers of each entry that
+reaches a streamed pass, and the stream requires both, with traps inside
+a pass and handovers out of a loop; every third program runs under a
+budget near its run's length, and one loop in four stores at a load's
+address before it in a pass, which keeps that loop from streaming.  Most
+loops leave within the plain passes, so the stream runs twice: with the
+package's ``PLAIN_PASSES`` and with none.
+
 The interpreter counts steps by straight runs and checks the budget only on
 entry and at taken jumps; where a run might not fit, it hands over to the
 stepped loop, which checks every step.  One more stream per tier runs each
@@ -70,10 +84,10 @@ import pytest
 
 import refvm
 from femtoc import codegen, vm
-from femtoc.memory import GUARD_LEN, AccessList, HostMemory, checked_store, fresh_stack
+from femtoc.memory import GUARD_LEN, STACK_LABEL, STACK_SIZE, AccessList, HostMemory, checked_store
 from femtoc.verifier import ALU64_K, ALU64_X, JCOND_K, JCOND_X, LDX, MASK64, VerifyLimits, verify
 from femtoc.vm import SyscallEnv, SyscallError, SyscallTable
-from genprog import random_accepted_program, random_self_loop, random_stack_loop
+from genprog import random_accepted_program, random_self_loop, random_stack_loop, random_stream_loop
 
 PROGRAMS = 12_000  # per stream; two streams
 COMPILED_PROGRAMS = 4_000  # per stream with the compiled tier forced on; each compiles once
@@ -131,8 +145,15 @@ def _probe(form, outcome) -> None:
 def loop_guards(form) -> dict[int, tuple[list[int], str, frozenset[int]]]:
     """Start -> (slots, guard source, proven slots) of each self-loop block."""
     blocks = codegen._basic_blocks(form)
-    return {start: (blocks[start], *codegen._loop_guard(form, blocks[start][:-1]))
+    return {start: (blocks[start], *codegen._loop_guard(form, blocks[start][:-1])[:2])
             for start in set(_self_loops(form).values())}
+
+
+def stream_coverage(form, slots: list[int]) -> Counter:
+    """What the self-loop block ``slots`` runs in its streamed passes: its
+    streamed loads and its sunk induction registers."""
+    streams, sunk = codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2])
+    return Counter({"streamed loads": len(streams), "sunk induction registers": len(sunk)})
 
 
 def guard_safe(guard: str, regs: list[int], room: int, acl: AccessList) -> int:
@@ -177,7 +198,8 @@ class LoopProbe:
     ``safe``; it counts into COVERAGE the loops with no guard, the loops that
     ran versioned passes, the loops whose proven checks fail in a pass after
     ``safe`` (the checked remainder), and any that fail in a pass before it,
-    and each entry's ``stack_coverage``."""
+    each entry's ``stack_coverage``, and the ``stream_coverage`` of each
+    entry that begins a proven pass after ``codegen.PLAIN_PASSES``."""
 
     def __init__(self, form, acl: AccessList, budget: int, until: float):
         self.form, self.acl, self.budget, self.until = form, acl, budget, until
@@ -199,9 +221,13 @@ class LoopProbe:
                          "loop entries with no guard" if not proven else "loop entries with no safe pass"] += 1
                 COVERAGE.update(stack_coverage(self.form, slots[:-1]))
                 self.entry, self.short = (slots, executed, safe, proven), False
-        if self.entry is None or pc not in self.entry[3]:
+        if self.entry is None:
             return
         slots, entered, safe, proven = self.entry
+        if pc == slots[0] and executed - entered == codegen.PLAIN_PASSES * len(slots) < safe * len(slots):
+            COVERAGE.update(stream_coverage(self.form, slots))  # the first streamed pass begins
+        if pc not in proven:
+            return
         if proven_check_fails(self.form[pc], regs, self.acl):
             if (executed - entered) // len(slots) < safe:
                 COVERAGE["proven checks that failed"] += 1
@@ -255,11 +281,20 @@ def _helper_table() -> SyscallTable:
 
 
 def _host(init: bytes, stack_last: bool):
+    """The host of one run: ``init`` fills the context's two regions, and the
+    stack with what is left of it, if anything."""
     memory = HostMemory()
     ro = memory.alloc(RO_LEN, "ro", readable=True, writable=False, init=init[:RO_LEN])
-    rw = memory.alloc(RW_LEN, "rw", readable=True, writable=True, init=init[RO_LEN:])
-    stack = fresh_stack(memory)
+    rw = memory.alloc(RW_LEN, "rw", readable=True, writable=True, init=init[RO_LEN:RO_LEN + RW_LEN])
+    stack = memory.alloc(STACK_SIZE, STACK_LABEL, readable=True, writable=True, init=init[RO_LEN + RW_LEN:])
     return memory, AccessList([ro, rw, stack] if stack_last else [stack, ro, rw])
+
+
+LOOPS = {  # the self-loop streams' generators: (rng, allowed helper ids) -> program
+    "self": lambda rng, allowed: random_self_loop(rng, CTX_SPAN, allowed),
+    "stack rows": random_stack_loop,
+    "streams": lambda rng, allowed: random_stream_loop(rng, CTX_SPAN),
+}
 
 
 def _handovers(outcome) -> None:
@@ -277,7 +312,7 @@ def _handovers(outcome) -> None:
 
 def _mismatches(
     seed: int, allowed: tuple[int, ...], programs: int, probe: bool = False, near_budget: int = 0,
-    loops: bool = False, stack_rows: bool = False,
+    loops: str = "",
 ) -> tuple[list[str], list]:
     """The mismatches of a stream of ``programs``, and the package's
     outcomes; with ``probe``, count into COVERAGE what each run exercised.
@@ -285,25 +320,22 @@ def _mismatches(
     three steps of what its run takes or of its length, where the counted
     interpreter's bound (a straight run from slot s takes at most n - s
     steps) stops fitting, so that it hands over to the stepped loop;
-    COVERAGE counts the handovers.  With ``loops``, each program is a
-    self-loop from ``random_self_loop``, or with ``stack_rows`` too from
-    ``random_stack_loop``, and a LoopProbe follows the reference run
-    (``probe`` must be on)."""
+    COVERAGE counts the handovers.  With ``loops``, a key of LOOPS, each
+    program is a self-loop from that generator, and a LoopProbe follows the
+    reference run (``probe`` must be on)."""
     rng = random.Random(seed)
     table = _helper_table()
     found = []
     outcomes = []
     for index in range(programs):
-        if stack_rows:
-            program = random_stack_loop(rng, allowed)
-        elif loops:
-            program = random_self_loop(rng, CTX_SPAN, allowed)
+        if loops:
+            program = LOOPS[loops](rng, allowed)
         else:
             program = random_accepted_program(
                 rng, max_slots=48, allowed_syscalls=allowed, ctx_span=CTX_SPAN
             )
         vp = verify(program, LIMITS, allowed)
-        init = rng.randbytes(RO_LEN + RW_LEN)
+        init = rng.randbytes(RO_LEN + RW_LEN + (STACK_SIZE if loops == "streams" else 0))  # streams walk the stack
         budget = None
         if near_budget and index % near_budget == 0:
             _, acl = _host(init, stack_last=index % 2 == 0)
@@ -434,7 +466,7 @@ def test_compiled_self_loops_match_the_reference(allowed, compiled_tier, monkeyp
         return stepped(form, regs, pc, executed, *rest)
 
     monkeypatch.setattr(vm, "_stepped", handed_over)
-    mismatches, outcomes = _mismatches(0x100B + len(allowed), allowed, LOOP_PROGRAMS, probe=True, loops=True)
+    mismatches, outcomes = _mismatches(0x100B + len(allowed), allowed, LOOP_PROGRAMS, probe=True, loops="self")
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     assert len(compiled_tier) == LOOP_PROGRAMS
     assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
@@ -461,11 +493,41 @@ def test_compiled_stack_row_loops_match_the_reference(allowed, compiled_tier, mo
 
     monkeypatch.setattr(vm, "_stepped", handed_over)
     mismatches, _ = _mismatches(0x57AC + len(allowed), allowed, LOOP_PROGRAMS, probe=True, near_budget=3,
-                                loops=True, stack_rows=True)
+                                loops="stack rows")
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     assert len(compiled_tier) == LOOP_PROGRAMS
     assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
     assert COVERAGE["proven checks that failed"] == 0
     for what in ("promoted loop entries", "handovers out of a promoted loop",
                  "loops left unpromoted for an alias or a call", "rows left unpromoted for an overlap"):
+        assert COVERAGE[what] > 0, what
+
+
+@pytest.mark.parametrize("plain", [codegen.PLAIN_PASSES, 0], ids=["plain-passes-first", "streamed-from-pass-1"])
+def test_compiled_stream_loops_match_the_reference(compiled_tier, monkeypatch, plain):
+    """Self-loops from ``random_stream_loop``, every third under a budget near
+    its run's length: the stream must read loads as streams and sink
+    induction registers in versioned passes, fall short of a window's edge
+    or a wrap and reach it in the checked remainder, trap inside a pass and
+    hand over out of a loop.  No check that a guard proved may fail before
+    its ``safe`` passes are over.  Most loops leave within the plain passes
+    that come before any stream, so the stream runs once more with none."""
+    monkeypatch.setattr(codegen, "PLAIN_PASSES", plain)
+    COVERAGE.clear()
+    stepped = vm._stepped
+
+    def handed_over(form, regs, pc, executed, *rest):  # the threshold is 0: only compiled code calls it
+        HANDOVERS.append(pc)
+        HANDOVER_STEPS.append(executed)
+        return stepped(form, regs, pc, executed, *rest)
+
+    monkeypatch.setattr(vm, "_stepped", handed_over)
+    mismatches, _ = _mismatches(0x57E4, (), LOOP_PROGRAMS, probe=True, near_budget=3, loops="streams")
+    assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
+    assert len(compiled_tier) == LOOP_PROGRAMS
+    assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
+    assert COVERAGE["proven checks that failed"] == 0
+    for what in ("streamed loads", "sunk induction registers", "versioned loop entries",
+                 "guards that fell short, then wrapped or left the window", "traps inside a pass",
+                 "counted-loop handovers"):
         assert COVERAGE[what] > 0, what

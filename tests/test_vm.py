@@ -1365,13 +1365,16 @@ def test_fletchers_versioned_passes_test_no_wrap_and_no_window_and_its_constants
     def body(loop):  # its source text, as generated
         return [line.strip() for line in lines[loop.body[0].lineno - 1 : loop.body[-1].end_lineno]]
 
-    versioned, checked = body(loops["range(1, safe + 1)"]), body(loops["range(safe + 1, room + 1)"])
+    plain, streamed = body(loops["range(1, (safe if safe < 16 else 16) + 1)"]), body(loops["zip(range(17, safe + 1), s7)"])
+    checked = body(loops["range(safe + 1, room + 1)"])
     for check in ("_Trap(", "0x10000000000000000", "read_windows"):
-        assert not any(check in line for line in versioned) and any(check in line for line in checked), check
-    assert versioned == [
-        "r0 = unpack[2](buf, r1 - base)[0]",
-        "r4 = r4 + r0", "r5 = r5 + r4", "r1 = r1 + 2", "r2 = r2 - 1", "r3 = r3 - 1",
-        "if not (r3 != 0):", "break",
+        assert not any(check in line for line in plain + streamed) and any(check in line for line in checked), check
+    assert plain[:6] == [
+        "r0 = unpack[2](buf, r1 - base)[0]", "r4 = r4 + r0", "r5 = r5 + r4", "r1 = r1 + 2", "r2 = r2 - 1", "r3 = r3 - 1",
+    ]
+    assert streamed == [
+        "r4 = r4 + r0", "r5 = r5 + r4", "r3 = r3 - 1",
+        "if not (r3 != 0):", "s7 = None", "r1 = r1 + (it - 16) * 2", "r2 = r2 + (it - 16) * -1", "break",
     ]
     # The constant operands of mod and lsh fold: no zero test, no amount mask.
     assert {"r0 = r0 % 65535", "r6 = r6 % 65535", "r0 = (r0 << 16) & 0xffffffffffffffff"} <= {
@@ -1387,6 +1390,118 @@ def test_constant_divisors_and_shift_amounts_fold_to_the_oracles_result(monkeypa
         for line, expected in ((f"{op}64 r1, {k}", ORACLE64[op](a, k & M64)),
                                (f"{op}32 r1, {k}", ORACLE32[op](a & M32, k & M32))):
             assert compiled_result(monkeypatch, f"lddw r1, {a:#x}\n{line}\nmov64 r0, r1\nexit") == expected, line
+
+
+def test_fletchers_proven_passes_stream_its_ldxh_and_sink_r1_and_r2():
+    form = verify(fixture_program("fletcher32_360")).form
+    ((start, (slots, _, _)),) = loop_guards(form).items()
+    assert codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2]) == ({start: 0}, {1: 2, 2: -1})
+    lines = [line.strip() for line in codegen.compiled_source(form)[0].splitlines()]
+    # The first 16 proven passes run plain; if all take the branch, one
+    # stream over the other proven passes' words from r1 feeds r0.
+    opened = lines.index(f"s{start} = _ITER_UNPACK[2](memoryview(buf)[r1 - base:r1 - base + (safe - 16) * 2])"
+                         " if safe > 16 else ()")
+    assert lines[opened - 2 : opened] == ["break", "else:"]
+    assert [line for line in lines if "_ITER_UNPACK" in line] == [lines[opened]]
+    assert lines[opened + 1] == f"for it, (r0,) in zip(range(17, safe + 1), s{start}):"
+    # Each way out of the streamed passes drops the stream; the two that go on
+    # set r1 and r2 to what their dropped steps would have made them.
+    broke = lines.index("r1 = r1 + (it - 16) * 2")
+    assert lines[broke - 1 : broke + 3] == [f"s{start} = None", "r1 = r1 + (it - 16) * 2", "r2 = r2 + (it - 16) * -1",
+                                            "break"]
+    checked = lines.index("for it in range(safe + 1, room + 1):")
+    assert lines[checked - 3 : checked] == [f"s{start} = None", "r1 = r1 + max(safe - 16, 0) * 2",
+                                            "r2 = r2 + max(safe - 16, 0) * -1"]
+    trapped = lines.index("except _Trap:")
+    assert lines[trapped + 1] == f"s{start} = None"
+
+
+def _grow(env):
+    """A helper that allocates a region on its hook's buffer, which resizes it."""
+    env.acl.stack.memory.alloc(8, "grown", True, False)
+    return 1
+
+
+STREAMED = """
+        mov64 r2, {passes}
+        lddw r4, {r4:#x}
+loop:   ldxh r0, [r1+0]
+        add64 r6, r0
+        add64 r4, 1
+        add64 r1, 2
+        sub64 r2, 1
+        jne r2, 0, loop
+        call 1
+        add64 r0, r6
+        exit
+"""
+
+
+@pytest.mark.parametrize("passes, r4, words, note", [  # the first 16 proven passes run plain
+    pytest.param(20, 0, 32, None, id="leaves-by-its-branch-in-a-streamed-pass"),
+    pytest.param(21, M64 - 18, 32, None, id="takes-every-proven-pass-then-leaves-a-checked-one"),
+    pytest.param(24, 0, 20, "read denied", id="traps-in-its-first-checked-pass"),
+])
+def test_a_streamed_loop_leaves_its_buffer_resizable_on_each_way_out(monkeypatch, passes, r4, words, note):
+    # A stream exports the hook's buffer, and a buffer with an export cannot
+    # grow: a helper that allocates after the loop, or the host after the
+    # run, would raise BufferError.
+    table = SyscallTable()
+    table.register(1, _grow, 0)
+    src = STREAMED.format(passes=passes, r4=r4)
+    outcomes = []
+    for hot in (HOT_STEPS_PER_SLOT, 0):
+        monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", hot)
+        vp = verify(assemble(src), VerifyLimits(256, 16), (1,))
+        mem = HostMemory()
+        ctx = mem.alloc(2 * words, "ctx", readable=True, writable=False, init=bytes(range(1, 2 * words + 1)))
+        outcomes.append(exec_program(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), table)))
+        mem.alloc(8, "after", readable=True, writable=False)
+    ((start, (slots, _, _)),) = loop_guards(vp.form).items()
+    assert codegen._streams(vp.form, slots, codegen._loop_guard(vp.form, slots[:-1])[2])[0] == {start: 0}
+    interpreted, compiled = outcomes
+    assert interpreted == compiled
+    assert (compiled.fault and compiled.fault.note) == note
+
+
+@pytest.mark.parametrize("leaves", [1, 16, 17])
+def test_a_stream_over_a_64_kib_window_unpacks_only_the_passes_that_run(monkeypatch, compiled_tier, leaves):
+    # Each entry's guard proves all 32768 words of the window, and each entry
+    # leaves in pass ``leaves``: after the plain passes, in the first streamed one.
+    unpacked = Counter()
+
+    def counted(values):
+        for value in values:
+            unpacked["values"] += 1
+            yield value
+
+    def opening(stream):
+        def opened(view):
+            unpacked["streams"] += 1
+            return counted(stream(view))
+        return opened
+
+    monkeypatch.setattr(vm, "_ITER_UNPACK", tuple(stream and opening(stream) for stream in vm._ITER_UNPACK))
+    src = """
+        mov64 r6, 100
+outer:  mov64 r3, r1
+inner:  ldxh r0, [r3+0]
+        add64 r3, 2
+        jeq r0, 0, inner
+        sub64 r6, 1
+        jne r6, 0, outer
+        mov64 r0, r3
+        exit
+"""
+    vp = verify(assemble(src), VerifyLimits(256, 8192))
+    outcomes = []
+    for execute in (exec_program, refvm.exec_program):
+        mem = HostMemory()
+        init = bytes(2 * leaves - 2) + b"\x01"
+        ctx = mem.alloc(1 << 16, "ctx", readable=True, writable=False, init=init + bytes((1 << 16) - len(init)))
+        outcomes.append(execute(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), SyscallTable())))
+    assert outcomes[0] == outcomes[1] == (ctx.base + 2 * leaves, 3 + 100 * (3 * leaves + 3), 100 * leaves - 1, None)
+    assert unpacked["streams"] == (100 if leaves > 16 else 0) and unpacked["values"] <= 2 * 100
 
 
 GENERATED = ("interpreter", "stepped", *FIXTURE_SOURCES)  # the loops, and each bundled fixture compiled
