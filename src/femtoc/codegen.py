@@ -15,12 +15,15 @@ check for all of them.  Such a loop is versioned: a guard on each entry
 finds how many of its passes cannot wrap an add or sub whose operands it
 can bound, nor leave the first window with an access whose address steps
 by a constant, and runs those passes through a copy of the body filled
-without those checks, then the rest through the checked body.  When the
-body writes no memory and calls no helper, the proven passes after the
-first 16 read each load whose base steps by the load's width per pass as one
-lazy stream (``memory``'s ``_ITER_UNPACK``), and drop the steps of each
-induction register but r0 that nothing else in the loop reads, setting it
-once where those passes end.  A self-loop with no load or store
+without those checks, then the rest through the checked body; a counted
+self-loop, whose branch compares an induction register with a fixed bound,
+also finds the pass where it leaves, and its proven passes test no branch.
+When the body writes no memory and calls no helper, proven passes (all of a
+counted self-loop's if over 16, else those after the first 16) read each load
+whose base steps by the load's width per pass as one lazy stream
+(``memory``'s ``_ITER_UNPACK``), and drop the steps of each induction
+register but r0 that nothing else in them reads, setting it once where they
+end.  A self-loop with no load or store
 through a pointer and no helper call can reach the stack only through its
 stack rows: it holds each row that overlaps no other in a local, loaded
 once on entry, and writes the stored ones back on its two ways out.
@@ -450,23 +453,28 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
 # written back ({spill}) before ALL_TAKEN's handover, so the stepped loop
 # resumes from current bytes, and before LOOP_EXIT.
 #
+# A counted self-loop (``_trip``) runs ``proven``, the lesser of ``trip`` and
+# ``safe``, proven passes with no branch test, leaves in pass ``trip`` if it
+# is the last of them (LEAVE_AT_TRIP), and else runs checked passes after it.
+#
 # A body that writes no memory and calls no helper (none of ``_NO_STREAMS``)
-# runs its first PLAIN_PASSES proven passes as above, then the rest of them
-# through a streamed copy (``_streams``), which has two more forms:
+# runs proven passes after a plain prefix through a streamed copy
+# (``_streams``), which has two more forms:
 # - a load whose base steps by the load's width per pass reads pass k's value
 #   as the next of one STREAM, opened over the remaining proven passes' bytes
-#   (none if there are none) and iterated with ``it``; nothing in such a body
-#   writes the bytes it reads, and the stream unpacks only the passes that run;
+#   (none if there are none); nothing in such a body writes the bytes it
+#   reads, and the stream unpacks only the passes that run;
 # - an induction register but r0 that nothing reads but its own steps and
-#   streams, nor the branch, keeps its value from the plain passes: it is
+#   streams, nor a branch test, keeps its value from the prefix: it is
 #   stepped by the streamed passes run where they break, and by all of them
 #   before the checked passes; the guard bounds it for ``safe`` passes, so no
 #   mask, and a trap returns only r0, so a trap sets nothing.
 # Opening the streams costs about what a dozen plain passes would save, so a
-# loop that leaves within PLAIN_PASSES opens none and runs as fast as it would
-# without them.  Each way out of the streamed passes drops the streams
-# ({release}): a stream exports the hook's buffer, which ``HostMemory.alloc``
-# could not then grow.
+# counted self-loop streams all its proven passes if there are more than
+# PLAIN_PASSES, else none, and any other loop streams after PLAIN_PASSES plain
+# ones, so one that leaves within them opens none.  Each way out of the
+# streamed passes drops the streams ({release}): a stream exports the hook's
+# buffer, which ``HostMemory.alloc`` could not then grow.
 PASSES = """\
 for {target} in {passes}:
 {body}\
@@ -487,9 +495,10 @@ except _Trap:
     raise
 """
 LOOP_EXIT = "{spill}executed += it * {length}\nbranches += it - 1\npc = {next}\n"
-STREAM = ("s{pc} = _ITER_UNPACK[{width}](memoryview(buf)[{start}:{start} + (safe - {plain}) * {width}])"
-          " if safe > {plain} else ()\n")
+STREAM = "s{pc} = _ITER_UNPACK[{width}](memoryview(buf)[{start}:{start} + {passes} * {width}]){empty}\n"
 PLAIN_PASSES = 16  # proven passes run before any stream opens
+TRIP = "trip = {trip}\nproven = trip if trip < safe else safe\n"
+LEAVE_AT_TRIP = "if proven == trip:\n    it = trip\nelse:\n{checked}"
 
 # The guard classifies each register the body writes by the slots that write it:
 # - induction: only ``r += K`` and ``r -= K`` (a K of 2**63 or more steps down),
@@ -601,14 +610,42 @@ def _loop_guard(form: tuple[tuple[int, ...], ...], body: list[int]) -> tuple[str
     return guard, frozenset(proven), steps
 
 
+_TRIPS = {0: 0, 2: 0, 3: -1, 4: 0, 5: 1}  # jne, jgt, jge, jlt, jle (CMP index) -> where x leaves, less b
+
+
+def _trip(form: tuple[tuple[int, ...], ...], slots: list[int], steps: Steps) -> str | None:
+    """Source for the pass in which the self-loop block ``slots`` leaves, over
+    the registers on entry (``safe + 1`` for none before a wrap), or None
+    unless its branch tests an induction register x, stepped by d per pass,
+    by jne or an unsigned compare with a constant or a register the body never
+    writes, b.  While no step wraps, pass k sees x + k * d, and ``gap`` is how
+    far x has to go to leave."""
+    code, sub, dst, src, _off, imm = form[slots[-1]]
+    d = sum(s for _, s in steps.get(dst, ()))
+    if not d or sub not in _TRIPS or (code == JCOND_X and steps.get(src) != []):
+        return None
+    adj, e = _TRIPS[sub], abs(d)
+    if code == JCOND_K:
+        gap = f"{imm + adj} - r{dst}" if d > 0 else _plus(f"r{dst}", -imm - adj)
+    else:
+        gap = _plus(f"r{src} - r{dst}", adj) if d > 0 else _plus(f"r{dst} - r{src}", -adj)
+    if sub == 0:  # jne: x meets b in a whole number of passes, or not before a wrap
+        if e == 1:
+            return f"gap if (gap := {gap}) > 0 else safe + 1"
+        return f"gap // {e} if (gap := {gap}) > 0 and gap % {e} == 0 else safe + 1"
+    if (sub >= 4) == (d > 0):  # x moves towards the bound
+        return f"max(1, {gap})" if e == 1 else f"max(1, ({gap} + {e - 1}) // {e})"
+    return f"1 if {gap} >= {e} else safe + 1"
+
+
 def _streams(form: tuple[tuple[int, ...], ...], slots: list[int],
              steps: Steps) -> tuple[dict[int, int], dict[int, int]]:
     """What the proven copy of a self-loop block ``slots`` reads as streams
     and which registers it sinks, when its body writes no memory and calls
     no helper: each load whose base steps by its width per pass, slot -> its
     first pass's address less the base's entry value; and each induction
-    register but r0 that no other slot reads, nor the branch, register -> its
-    step per pass."""
+    register but r0 that no other slot reads, nor the branch unless the loop
+    is counted, register -> its step per pass."""
     body = slots[:-1]
     if any(form[pc][0] in _NO_STREAMS for pc in body):
         return {}, {}
@@ -617,7 +654,8 @@ def _streams(form: tuple[tuple[int, ...], ...], slots: list[int],
                for pc in body for code, sub, _dst, src, off, _imm in [form[pc]]
                if code == LDX and per_pass.get(src) == sub}
     stepping = {pc for ss in steps.values() for pc, _ in ss}
-    read = {reg for pc in slots if pc not in streams and pc not in stepping for reg in form[pc][2:4]}
+    tested = slots if _trip(form, slots, steps) is None else body  # a counted self-loop's passes test nothing
+    read = {reg for pc in tested if pc not in streams and pc not in stepping for reg in form[pc][2:4]}
     return streams, {reg: d for reg, d in per_pass.items() if reg and d and reg not in read}
 
 
@@ -633,32 +671,40 @@ def _stack_locals(form: tuple[tuple[int, ...], ...], body: list[int]) -> dict[tu
 
 
 def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) -> str:
-    """A self-loop block: its guard, its stack locals' loads and its streams,
-    its proven and checked passes, and its exits, each of which writes the
-    stored locals back."""
+    """A self-loop block: its guard, its trip if it is counted, its stack
+    locals' loads and its streams, its proven and checked passes, and its
+    exits, each of which writes the stored locals back."""
     length, body = len(slots), slots[:-1]
     guard, proven, steps = _loop_guard(form, body)
+    trip = _trip(form, slots, steps) if proven else None
+    last = "safe" if trip is None else "proven"  # the last pass that runs unchecked
     rows = _stack_locals(form, body)
     stored = {(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in (STX_STACK, ST_STACK)}
     fill = "".join(LOAD_STACK.format(dst=local, width=width, off=off) for (off, width), local in rows.items())
     spill = "".join(STORE_STACK.format(width=width, off=off, value=local)
                     for (off, width), local in rows.items() if (off, width) in stored)
     checked = "".join(_slot_source(pc, form[pc], rows=rows) for pc in body)
-    passes = PASSES.format(target="it", passes=f"range({'safe + 1' if proven else 1}, room + 1)",
+    passes = PASSES.format(target="it", passes=f"range({last + ' + 1' if proven else 1}, room + 1)",
                            body=_indent(checked, 1), taken=taken, leave="",
                            then=_indent(ALL_TAKEN.format(length=length, spill=spill), 1))
-    release, plain = "", "safe"  # the streams' drops; how many proven passes run plain
+    release, copy = "", ""  # the streams' drops; a counted self-loop's streamed copy
+    if trip is not None:
+        guard += TRIP.format(trip=trip)
+        passes = LEAVE_AT_TRIP.format(checked=_indent(passes, 1))
     if proven:
+        plain = "range(1, safe + 1)"  # the passes that run the proven body, unless it is counted
         streams, sunk = _streams(form, slots, steps)
         if streams or sunk:
+            first = PLAIN_PASSES if trip is None else 0  # the proven passes before the streamed ones
+            more, empty = (f"(safe - {first})", f" if safe > {first} else ()") if trip is None else ("proven", "")
             dropped = {pc for reg in sunk for pc, _ in steps[reg]}
-            names, streamed, opens = ["it"], "", ""  # what each pass binds; the streamed body; its streams
+            names, streamed, opens = [], "", ""  # what each pass binds; the streamed body; its streams
             seen, trapping = set(), False  # what the pass's slots so far name, and whether one can trap
             for pc in body:
                 code, width, dst, src, _off, _imm = form[pc]
                 if pc in streams:
                     opens += STREAM.format(pc=pc, width=width, start=_plus(f"r{src} - base", streams[pc]),
-                                           plain=PLAIN_PASSES)
+                                           passes=more, empty=empty)
                     # Its value binds straight to dst at the pass's start, unless an
                     # earlier slot of the pass names dst, or can trap (a trap returns r0).
                     if dst in seen or (dst == 0 and trapping):
@@ -675,15 +721,26 @@ def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) 
             def sink(passes: str) -> str:
                 return release + "".join(f"r{reg} = r{reg} + {passes} * {d}\n" for reg, d in sunk.items())
 
-            series = ", ".join([f"range({PLAIN_PASSES + 1}, safe + 1)", *(f"s{pc}" for pc in streams)])
-            passes = opens + PASSES.format(
-                target=", ".join(names), passes=f"zip({series})" if streams else series,
-                body=_indent(streamed, 1), taken=taken, leave=_indent(sink(f"(it - {PLAIN_PASSES})"), 2),
-                then=_indent(sink(f"max(safe - {PLAIN_PASSES}, 0)") + passes, 1))
-            plain = f"(safe if safe < {PLAIN_PASSES} else {PLAIN_PASSES})"
+            counts = trip is None or trapping or not streams
+            series = [f"range({first + 1}, {last} + 1)"] * counts + [f"s{pc}" for pc in streams]
+            target, over = ", ".join(["it"] * counts + names), ", ".join(series)
+            over = f"zip({over})" if len(series) > 1 else over
+            if trip is None:
+                passes = opens + PASSES.format(
+                    target=target, passes=over, body=_indent(streamed, 1), taken=taken,
+                    leave=_indent(sink(f"(it - {PLAIN_PASSES})"), 2),
+                    then=_indent(sink(f"max(safe - {PLAIN_PASSES}, 0)") + passes, 1))
+                plain = f"range(1, (safe if safe < {PLAIN_PASSES} else {PLAIN_PASSES}) + 1)"
+            else:
+                copy = opens + f"for {target} in {over}:\n{_indent(streamed or 'pass', 1)}" + sink("proven")
         unchecked = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body)
-        passes = PASSES.format(target="it", passes=f"range(1, {plain} + 1)", body=_indent(unchecked, 1),
-                               taken=taken, leave="", then=_indent(passes, 1))
+        if trip is not None:  # no proven pass tests the branch; if one streams, all do
+            loop = f"for it in range(1, proven + 1):\n{_indent(unchecked, 1)}"
+            passes = (f"if proven > {PLAIN_PASSES}:\n{_indent(copy, 1)}else:\n{_indent(loop, 1)}"
+                      if copy else loop) + passes
+        else:
+            passes = PASSES.format(target="it", passes=plain, body=_indent(unchecked, 1),
+                                   taken=taken, leave="", then=_indent(passes, 1))
     if any(form[pc][0] in _TRAPS for pc in body):
         passes = TRAPPED.format(passes=_indent(passes, 1), release=_indent(release, 1), length=length)
     room = f"room = (budget - executed) // {length}\n"

@@ -38,12 +38,13 @@ then it converts the bytes once, on the access list's one buffer.  Stack rows,
 the [r10+off] accesses the verifier proved to lie inside the stack, take
 no check, so the engine puts the stack last; a compiled self-loop with no
 other access and no call converts each row once per entry, not per pass.
-A compiled self-loop whose body writes no memory and calls no helper reads
-each load whose base steps by its width per pass, in the passes its guard
-proved after the first 16, as one lazy stream through the same codec, and
-drops the steps of a register that only they and such loads read there,
-setting it once where those passes end; the checked passes after them are
-unchanged.
+A counted compiled self-loop finds on entry the pass where it leaves, and
+its proven passes up to it test no branch.  One whose body writes no memory
+and calls no helper reads each load whose base steps by its width per pass,
+in proven passes (all of a counted self-loop's if over 16, else those after the
+first 16), as one lazy stream through the same codec, and drops the steps
+of a register that only they and such loads read there, setting it once
+where those passes end; the checked passes after them are unchanged.
 The compiled tier checks the budget once per block: a block that might not
 fit in what is left hands its registers and counters to the stepped loop
 at its first slot.  A block that jumps back to its own start counts passes

@@ -152,16 +152,41 @@ def _step(rng: random.Random, reg: int, step: int) -> str:
     return rng.choice((f"add64 r{reg}, {step}", f"sub64 r{reg}, {-step}"))
 
 
+def _counted_exit(rng: random.Random, reg: int, bound: int,
+                  trips: tuple[int, ...]) -> tuple[list[str], str, str]:
+    """The set-up, the step and the branch (without its target) of a counter
+    ``reg`` that steps up or down by 1 to 3 per pass and leaves by an
+    unsigned jne, jgt, jge, jlt or jle against a constant or against register
+    ``bound``, which the body must not write: compiled code counts such a
+    loop, finding on entry the pass in which it leaves.  The counter is set to meet its
+    bound in a pass drawn from ``trips``, or one time in four a step to
+    either side of it; a bound near 0 or 2**64 makes many counters wrap first,
+    and a branch that the counter moves away from leaves in pass 1 or not
+    before a wrap."""
+    op = rng.choice(("jne", "jgt", "jge", "jlt", "jle"))
+    d = rng.choice((1, -1, 1, -1, 2, -3))
+    b = rng.choice((rng.randint(0, 40), rng.randint(0, 1 << 20), MASK64 - rng.randint(0, 40)))
+    r = rng.randrange(abs(d))  # how far short of the edge of the leaving values the counter lands
+    leaves = {"jne": b, "jgt": b - r, "jge": b - 1 - r, "jlt": b + r, "jle": b + 1 + r}[op]
+    leaves += rng.choice((-d, d)) * (rng.random() < 0.25)
+    setup = [f"lddw r{reg}, {(leaves - rng.choice(trips) * d) & MASK64:#x}"]
+    if rng.random() < 0.5:
+        setup.append(f"lddw r{bound}, {b:#x}")
+        return setup, _step(rng, reg, d), f"{op} r{reg}, r{bound}"
+    return setup, _step(rng, reg, d), f"{op} r{reg}, {b if b < 1 << 31 else b - (1 << 64)}"
+
+
 def random_self_loop(rng: random.Random, ctx_span: int, allowed_syscalls: tuple[int, ...] = ()) -> Program:
     """A program that passes the pre-flight checks and whose one self-loop
     mixes the four register classes, entered with values near the wrap edges
     and near the context's and the stack's edges, so that a pass past the
     guard's count wraps or leaves the first window.
 
-    r2 counts the passes, r3 walks from r1 or r10 in steps of a few bytes, r4
-    steps near a wrap edge, r5 and r9 are loaded, r6 and r7 accumulate (r7
-    from r6), and r8 is unknown; one loop in eight writes only unknown
-    registers and so gets no guard."""
+    r2 counts the passes, in about half the guarded loops as a
+    ``_counted_exit`` against r0; r3 walks from r1 or r10 in steps of a few
+    bytes, r4 steps near a wrap edge, r5 and r9 are loaded, r6 and r7
+    accumulate (r7 from r6), and r8 is unknown; one loop in eight writes only
+    unknown registers and so gets no guard."""
     unguarded = rng.random() < 0.125
     pointer = rng.choice((1, 10))
     span = ctx_span if pointer == 1 else 512
@@ -175,9 +200,13 @@ def random_self_loop(rng: random.Random, ctx_span: int, allowed_syscalls: tuple[
         headroom = rng.choice((rng.randint(0, 60) * rng.choice((0xFF, 0xFFFF, MASK64 >> 32)),
                                rng.randint(0, 1 << 40), rng.randint(0, MASK64)))
         lines.append(f"lddw r{reg}, {MASK64 - headroom:#x}")
+    branch = rng.choice(("jne r2, 0", "jne r2, 0", "jne r2, 0", "jgt r2, 3", "jsgt r2, 0"))
     if unguarded:
         lines.append(f"mov64 r2, {rng.randint(1, 60)}")
         counter = rng.choice(("add32 r2, -1", "sub32 r2, 1"))
+    elif rng.random() < 0.5:  # against r0, which only a call writes
+        setup, counter, branch = _counted_exit(rng, 2, 0, (1, 16, 17, rng.randint(1, 60)))
+        lines += setup
     elif rng.random() < 0.25:  # a counter that wraps to 0 on its way up
         lines.append(f"lddw r2, {MASK64 - rng.randint(0, 30):#x}")
         counter = _step(rng, 2, 1)
@@ -205,7 +234,6 @@ def random_self_loop(rng: random.Random, ctx_span: int, allowed_syscalls: tuple[
         body += [rng.choice((kinds["unknown"], "add64 r6, r8"))] * (rng.random() < 0.2)
     body.append(counter)
     rng.shuffle(body)
-    branch = rng.choice(("jne r2, 0", "jne r2, 0", "jne r2, 0", "jgt r2, 3", "jsgt r2, 0"))
     lines += [f"loop: {body[0]}", *body[1:], f"{branch}, loop", f"mov64 r0, r{rng.randint(2, 9)}", "exit"]
     return assemble("\n".join(lines))
 
@@ -283,12 +311,14 @@ def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
     (all four widths, either sign, in one step or two) for up to 80 passes,
     and loads through it at that width.
 
-    r4 steps near a wrap edge and r2 counts the passes; r5, r0 and r9 are
-    loaded, r6 and r7 accumulate.  Loops that stream less or sink less mix
-    in: a load through r3 of another width, a branch on r3, an add that
-    reads r4, a step of r0, a load through r8, an unknown pointer that
-    leaves its window in some pass, and, in one loop in four, a store at a
-    streamed load's address before it.  The exit folds r2..r9 into r0."""
+    r4 steps near a wrap edge and r2 counts the passes, in two loops in
+    five as a ``_counted_exit`` against r1, else by jne or by a signed
+    compare, which is not counted; r5, r0 and r9 are loaded, r6 and r7
+    accumulate.  Loops that stream less or sink less mix in: a load
+    through r3 of another width, a branch on r3, an add that reads r4, a
+    step of r0, a load through r8, an unknown pointer that leaves its window
+    in some pass, and, in one loop in four, a store at a streamed load's
+    address before it.  The exit folds r2..r9 into r0."""
     pointer = rng.choice((1, 10, 10))  # the stack is long enough to stream at any width
     span = ctx_span if pointer == 1 else 512
     width = rng.choice(sorted(_SUFFIX))
@@ -324,10 +354,14 @@ def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
     if rng.random() < 0.2:  # a branch on the walk itself
         lines += ["mov64 r2, r3", f"add64 r2, {rng.randint(1, 80) * d}"]
         branch = "jne r3, r2"
+    elif rng.random() < 0.5:  # against r1, which the loop does not read
+        setup, counter, branch = _counted_exit(rng, 2, 1, (1, 16, 17, rng.randint(1, 80)))
+        lines += setup
+        body.append(counter)
     else:
         lines.append(f"mov64 r2, {rng.randint(1, 80)}")
         body.append(_step(rng, 2, -1))
-        branch = rng.choice(("jne r2, 0", "jne r2, 0", "jgt r2, 3"))
+        branch = rng.choice(("jne r2, 0", "jsgt r2, 0", "jsgt r2, 3"))  # a signed compare is not counted
     body += loads
     rng.shuffle(body)
     if rng.random() < 0.25:  # the value a streamed load reads is stored earlier in its pass

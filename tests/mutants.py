@@ -42,6 +42,7 @@ class Mutant(NamedTuple):
 VM_TESTS = ("tests/test_vm.py",)
 LOOP_TESTS = ("tests/test_vm.py", "tests/test_differential.py")
 STREAM_TESTS = ("tests/test_differential.py", "-k", "stream")
+COUNTED_TESTS = ("tests/test_differential.py", "-k", "self_loops or stream")
 MODEL_TESTS = ("tests/test_engine_model.py",)
 BIND_TESTS = ("tests/test_engine.py", "tests/test_engine_model.py", "tests/test_update.py")
 SHARING_TESTS = ("tests/test_engine.py", "-k", "shar or benchmark_workload or frees")
@@ -85,6 +86,28 @@ MUTANTS = (
         "_NO_STREAMS = (STX, ST, STX_STACK, ST_STACK, CALL)",
         "_NO_STREAMS = (CALL,)",
         STREAM_TESTS,
+    ),
+    # Counted self-loops: the pass in which the branch first falls through, found on entry.
+    Mutant(
+        "a counted loop's trip is one pass late",
+        "src/femtoc/codegen.py",
+        'return f"gap if (gap := {gap}) > 0 else safe + 1"',
+        'return f"gap + 1 if (gap := {gap}) > 0 else safe + 1"',
+        COUNTED_TESTS,
+    ),
+    Mutant(
+        "a signed compare is counted as its unsigned one",
+        "src/femtoc/codegen.py",
+        "    if not d or sub not in _TRIPS or",
+        "    sub = sub - 5 if sub > 6 else sub\n    if not d or sub not in _TRIPS or",
+        COUNTED_TESTS,
+    ),
+    Mutant(
+        "a bound register the body writes is taken as fixed",
+        "src/femtoc/codegen.py",
+        "(code == JCOND_X and steps.get(src) != [])",
+        "(code == JCOND_X and src == dst)",
+        COUNTED_TESTS,
     ),
     # Stack rows held in locals across a self-loop's passes.
     Mutant(

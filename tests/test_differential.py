@@ -41,7 +41,13 @@ those passes run without them.  A LoopProbe follows the reference run,
 finds each entry's guard, and requires loops that ran versioned passes,
 guards that fell short of a wrap or a window's edge that a later, checked
 pass then reached, and loops with no guard; a proven check that fails in a
-versioned pass fails the stream.
+versioned pass fails the stream.  Half the guarded loops, and two in five
+of the streamed loops below, leave by ``genprog._counted_exit``: compiled
+code finds on entry the pass in which such a counted loop leaves, and its
+versioned passes test no branch.  These streams require counted entries,
+entries that leave in the pass found, and entries whose pass lies beyond
+the versioned ones; an entry that leaves in another pass than the one
+found, before the versioned passes end, fails the stream.
 
 One more compiled stream per helper table runs self-loops from
 ``genprog.random_stack_loop``, whose bodies load and store stack rows
@@ -55,10 +61,12 @@ length.
 
 One more compiled stream runs self-loops from
 ``genprog.random_stream_loop``, whose walks step by a load's width per
-pass, over the context or over a stack filled with random bytes.  After
-``codegen.PLAIN_PASSES`` versioned passes, compiled code reads such a load
-as a stream, and drops the steps of an induction register that nothing
-else in the loop reads, setting it once on the way out.  Its LoopProbe
+pass, over the context or over a stack filled with random bytes.  In the
+versioned passes of a counted loop with more than ``codegen.PLAIN_PASSES``
+of them, and after ``codegen.PLAIN_PASSES`` versioned passes of any other
+loop, compiled code reads such a load as a stream, and drops the steps of
+an induction register that nothing else in those passes reads, setting it
+once on the way out.  Its LoopProbe
 also counts the streamed loads and sunk registers of each entry that
 reaches a streamed pass, and the stream requires both, with traps inside
 a pass and handovers out of a loop; every third program runs under a
@@ -156,6 +164,11 @@ def stream_coverage(form, slots: list[int]) -> Counter:
     return Counter({"streamed loads": len(streams), "sunk induction registers": len(sunk)})
 
 
+def loop_trip(form, slots: list[int]) -> str | None:
+    """The source of the self-loop block ``slots``'s trip, or None if it is not counted."""
+    return codegen._trip(form, slots, codegen._loop_guard(form, slots[:-1])[2])
+
+
 def guard_safe(guard: str, regs: list[int], room: int, acl: AccessList) -> int:
     """The ``safe`` that a compiled self-loop's ``guard`` finds on entry with
     ``regs``, ``room`` whole passes left and ``acl``'s first windows."""
@@ -164,6 +177,12 @@ def guard_safe(guard: str, regs: list[int], room: int, acl: AccessList) -> int:
     names.update(room=room, rlo=rlo, rhi=rhi, wlo=wlo, whi=whi)
     exec(guard, {}, names)
     return names["safe"]
+
+
+def counted_trip(trip: str, regs: list[int], safe: int) -> int:
+    """The pass in which a counted loop whose trip's source is ``trip``
+    leaves, as compiled code finds it on entry with ``regs`` and ``safe``."""
+    return eval(trip, {}, {**{f"r{i}": value for i, value in enumerate(regs)}, "safe": safe})
 
 
 def proven_check_fails(row, regs: list[int], acl: AccessList) -> bool:
@@ -198,19 +217,29 @@ class LoopProbe:
     ``safe``; it counts into COVERAGE the loops with no guard, the loops that
     ran versioned passes, the loops whose proven checks fail in a pass after
     ``safe`` (the checked remainder), and any that fail in a pass before it,
-    each entry's ``stack_coverage``, and the ``stream_coverage`` of each
-    entry that begins a proven pass after ``codegen.PLAIN_PASSES``."""
+    and each entry's ``stack_coverage``.  Of a counted loop's entries, it
+    counts those whose trip lies beyond ``safe`` (or that have none), and
+    those that leave in the pass the trip names.  It counts the
+    ``stream_coverage`` of each entry that begins a streamed pass: a counted
+    one with more than ``codegen.PLAIN_PASSES`` proven passes in pass 1, any
+    other one in the pass after ``codegen.PLAIN_PASSES``."""
 
     def __init__(self, form, acl: AccessList, budget: int, until: float):
         self.form, self.acl, self.budget, self.until = form, acl, budget, until
         self.loops = loop_guards(form)
-        self.entry = None  # (slots, executed at entry, safe, proven) of the loop running
+        self.trips = {start: loop_trip(form, slots) if proven else None
+                      for start, (slots, _, proven) in self.loops.items()}
+        self.entry = None  # (slots, executed at entry, safe, proven, trip or None) of the loop running
         self.short = False  # whether that entry's guard has fallen short yet
 
     def __call__(self, pc: int, regs: list[int], executed: int) -> None:
         if executed >= self.until:
             return
         if self.entry is not None and pc not in self.entry[0]:
+            slots, entered, _, _, trip = self.entry
+            if trip is not None:  # it leaves by its branch, in a pass the trip must name
+                left = (executed - entered) // len(slots) == trip
+                COVERAGE["left at the counted pass" if left else "counted trips that missed"] += 1
             self.entry = None
         if self.entry is None and pc in self.loops:
             slots, guard, proven = self.loops[pc]
@@ -220,11 +249,19 @@ class LoopProbe:
                 COVERAGE["versioned loop entries" if safe and proven else
                          "loop entries with no guard" if not proven else "loop entries with no safe pass"] += 1
                 COVERAGE.update(stack_coverage(self.form, slots[:-1]))
-                self.entry, self.short = (slots, executed, safe, proven), False
+                trip = self.trips[pc] and counted_trip(self.trips[pc], regs, safe)
+                if trip:
+                    COVERAGE["counted entries"] += 1
+                    COVERAGE["counted trip beyond safe"] += trip > safe
+                    if min(trip, safe) > codegen.PLAIN_PASSES:
+                        COVERAGE.update(stream_coverage(self.form, slots))  # it streams from pass 1
+                known = trip if trip and trip <= safe else None  # where it leaves, if its proven passes end there
+                self.entry, self.short = (slots, executed, safe, proven, known), False
         if self.entry is None:
             return
-        slots, entered, safe, proven = self.entry
-        if pc == slots[0] and executed - entered == codegen.PLAIN_PASSES * len(slots) < safe * len(slots):
+        slots, entered, safe, proven, _ = self.entry
+        if (self.trips[slots[0]] is None and pc == slots[0]
+                and executed - entered == codegen.PLAIN_PASSES * len(slots) < safe * len(slots)):
             COVERAGE.update(stream_coverage(self.form, slots))  # the first streamed pass begins
         if pc not in proven:
             return
@@ -447,6 +484,7 @@ def test_budgets_near_each_runs_length_match_the_reference(tier, stepped_entries
 
 
 LOOP_PROGRAMS = 1_000  # per stream, with the compiled tier forced on
+COUNTED = ("counted entries", "left at the counted pass", "counted trip beyond safe")  # see LoopProbe
 
 
 @pytest.mark.parametrize("allowed", [(), HELPER_IDS], ids=["no-helpers", "helpers"])
@@ -470,9 +508,10 @@ def test_compiled_self_loops_match_the_reference(allowed, compiled_tier, monkeyp
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     assert len(compiled_tier) == LOOP_PROGRAMS
     assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
-    assert COVERAGE["proven checks that failed"] == 0
+    assert COVERAGE["proven checks that failed"] == COVERAGE["counted trips that missed"] == 0
     for what in ("versioned loop entries", "guards that fell short, then wrapped or left the window",
-                 "loop entries with no guard", "traps inside a pass", "first-window misses served"):
+                 "loop entries with no guard", "traps inside a pass", "first-window misses served",
+                 *COUNTED):
         assert COVERAGE[what] > 0, what
 
 
@@ -526,8 +565,8 @@ def test_compiled_stream_loops_match_the_reference(compiled_tier, monkeypatch, p
     assert mismatches == [], f"{len(mismatches)} mismatches, first:\n{mismatches[0]}"
     assert len(compiled_tier) == LOOP_PROGRAMS
     assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
-    assert COVERAGE["proven checks that failed"] == 0
+    assert COVERAGE["proven checks that failed"] == COVERAGE["counted trips that missed"] == 0
     for what in ("streamed loads", "sunk induction registers", "versioned loop entries",
                  "guards that fell short, then wrapped or left the window", "traps inside a pass",
-                 "counted-loop handovers"):
+                 "counted-loop handovers", *COUNTED):
         assert COVERAGE[what] > 0, what

@@ -19,7 +19,7 @@ from femtoc.memory import DEFAULT_BASE, GUARD_LEN, AccessList, HostMemory, Mode,
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallEnv, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
-from test_differential import guard_safe, loop_guards, proven_check_fails
+from test_differential import guard_safe, loop_guards, loop_trip, proven_check_fails
 from test_engine import CallSites, perfbench_workloads  # noqa: F401 (a fixture)
 
 M64 = (1 << 64) - 1
@@ -1365,17 +1365,15 @@ def test_fletchers_versioned_passes_test_no_wrap_and_no_window_and_its_constants
     def body(loop):  # its source text, as generated
         return [line.strip() for line in lines[loop.body[0].lineno - 1 : loop.body[-1].end_lineno]]
 
-    plain, streamed = body(loops["range(1, (safe if safe < 16 else 16) + 1)"]), body(loops["zip(range(17, safe + 1), s7)"])
-    checked = body(loops["range(safe + 1, room + 1)"])
+    plain, streamed = body(loops["range(1, proven + 1)"]), body(loops["s7"])
+    checked = body(loops["range(proven + 1, room + 1)"])
     for check in ("_Trap(", "0x10000000000000000", "read_windows"):
         assert not any(check in line for line in plain + streamed) and any(check in line for line in checked), check
-    assert plain[:6] == [
+    # The loop is counted, so neither proven copy tests its branch.
+    assert plain == [
         "r0 = unpack[2](buf, r1 - base)[0]", "r4 = r4 + r0", "r5 = r5 + r4", "r1 = r1 + 2", "r2 = r2 - 1", "r3 = r3 - 1",
     ]
-    assert streamed == [
-        "r4 = r4 + r0", "r5 = r5 + r4", "r3 = r3 - 1",
-        "if not (r3 != 0):", "s7 = None", "r1 = r1 + (it - 16) * 2", "r2 = r2 + (it - 16) * -1", "break",
-    ]
+    assert streamed == ["r4 = r4 + r0", "r5 = r5 + r4"]
     # The constant operands of mod and lsh fold: no zero test, no amount mask.
     assert {"r0 = r0 % 65535", "r6 = r6 % 65535", "r0 = (r0 << 16) & 0xffffffffffffffff"} <= {
         line.strip() for line in lines
@@ -1392,26 +1390,32 @@ def test_constant_divisors_and_shift_amounts_fold_to_the_oracles_result(monkeypa
             assert compiled_result(monkeypatch, f"lddw r1, {a:#x}\n{line}\nmov64 r0, r1\nexit") == expected, line
 
 
-def test_fletchers_proven_passes_stream_its_ldxh_and_sink_r1_and_r2():
+def test_fletchers_counted_loop_streams_its_ldxh_from_pass_1_and_sinks_r1_r2_and_r3():
     form = verify(fixture_program("fletcher32_360")).form
     ((start, (slots, _, _)),) = loop_guards(form).items()
-    assert codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2]) == ({start: 0}, {1: 2, 2: -1})
+    # ``sub64 r3, 1; jne r3, 0``: its branch first falls through in pass r3.
+    assert loop_trip(form, slots) == "gap if (gap := r3) > 0 else safe + 1"
+    assert codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2]) == (
+        {start: 0}, {1: 2, 2: -1, 3: -1})
     lines = [line.strip() for line in codegen.compiled_source(form)[0].splitlines()]
-    # The first 16 proven passes run plain; if all take the branch, one
-    # stream over the other proven passes' words from r1 feeds r0.
-    opened = lines.index(f"s{start} = _ITER_UNPACK[2](memoryview(buf)[r1 - base:r1 - base + (safe - 16) * 2])"
-                         " if safe > 16 else ()")
-    assert lines[opened - 2 : opened] == ["break", "else:"]
-    assert [line for line in lines if "_ITER_UNPACK" in line] == [lines[opened]]
-    assert lines[opened + 1] == f"for it, (r0,) in zip(range(17, safe + 1), s{start}):"
-    # Each way out of the streamed passes drops the stream; the two that go on
-    # set r1 and r2 to what their dropped steps would have made them.
-    broke = lines.index("r1 = r1 + (it - 16) * 2")
-    assert lines[broke - 1 : broke + 3] == [f"s{start} = None", "r1 = r1 + (it - 16) * 2", "r2 = r2 + (it - 16) * -1",
-                                            "break"]
-    checked = lines.index("for it in range(safe + 1, room + 1):")
-    assert lines[checked - 3 : checked] == [f"s{start} = None", "r1 = r1 + max(safe - 16, 0) * 2",
-                                            "r2 = r2 + max(safe - 16, 0) * -1"]
+    entry = lines.index("trip = gap if (gap := r3) > 0 else safe + 1")
+    assert lines[entry + 1 : entry + 5] == [
+        "proven = trip if trip < safe else safe", "try:", "if proven > 16:",
+        f"s{start} = _ITER_UNPACK[2](memoryview(buf)[r1 - base:r1 - base + proven * 2])",
+    ]
+    # More than 16 proven passes stream from pass 1 with nothing but the
+    # stream to iterate, and set r1, r2 and r3 once; 16 or fewer open nothing.
+    assert lines[entry + 5 : entry + 15] == [
+        f"for (r0,) in s{start}:", "r4 = r4 + r0", "r5 = r5 + r4", f"s{start} = None",
+        "r1 = r1 + proven * 2", "r2 = r2 + proven * -1", "r3 = r3 + proven * -1",
+        "else:", "for it in range(1, proven + 1):", "r0 = unpack[2](buf, r1 - base)[0]",
+    ]
+    assert [line for line in lines if "_ITER_UNPACK" in line] == [lines[entry + 4]]
+    assert [line for line in lines if "r3 != 0" in line] == ["if not (r3 != 0):"]  # the checked passes' test
+    leaves = lines.index("if proven == trip:")
+    assert lines[leaves : leaves + 4] == [
+        "if proven == trip:", "it = trip", "else:", "for it in range(proven + 1, room + 1):",
+    ]
     trapped = lines.index("except _Trap:")
     assert lines[trapped + 1] == f"s{start} = None"
 
@@ -1430,25 +1434,30 @@ loop:   ldxh r0, [r1+0]
         add64 r4, 1
         add64 r1, 2
         sub64 r2, 1
-        jne r2, 0, loop
+        {branch} r2, 0, loop
         call 1
         add64 r0, r6
         exit
 """
 
 
-@pytest.mark.parametrize("passes, r4, words, note", [  # the first 16 proven passes run plain
-    pytest.param(20, 0, 32, None, id="leaves-by-its-branch-in-a-streamed-pass"),
-    pytest.param(21, M64 - 18, 32, None, id="takes-every-proven-pass-then-leaves-a-checked-one"),
-    pytest.param(24, 0, 20, "read denied", id="traps-in-its-first-checked-pass"),
+# A counted loop (jne) streams its proven passes from pass 1; one that is not
+# (jsgt, which r2 leaves at the same pass) streams after 16 plain ones.
+@pytest.mark.parametrize("branch, passes, r4, words, note", [
+    pytest.param("jne", 20, 0, 32, None, id="leaves-by-its-branch-in-a-streamed-pass"),
+    pytest.param("jne", 21, M64 - 18, 32, None, id="takes-every-proven-pass-then-leaves-a-checked-one"),
+    pytest.param("jne", 24, 0, 20, "read denied", id="traps-in-its-first-checked-pass"),
+    pytest.param("jsgt", 20, 0, 32, None, id="not-counted-leaves-by-its-branch-in-a-streamed-pass"),
+    pytest.param("jsgt", 21, M64 - 18, 32, None, id="not-counted-takes-every-proven-pass-then-leaves-a-checked-one"),
+    pytest.param("jsgt", 24, 0, 20, "read denied", id="not-counted-traps-in-its-first-checked-pass"),
 ])
-def test_a_streamed_loop_leaves_its_buffer_resizable_on_each_way_out(monkeypatch, passes, r4, words, note):
+def test_a_streamed_loop_leaves_its_buffer_resizable_on_each_way_out(monkeypatch, branch, passes, r4, words, note):
     # A stream exports the hook's buffer, and a buffer with an export cannot
     # grow: a helper that allocates after the loop, or the host after the
     # run, would raise BufferError.
     table = SyscallTable()
     table.register(1, _grow, 0)
-    src = STREAMED.format(passes=passes, r4=r4)
+    src = STREAMED.format(branch=branch, passes=passes, r4=r4)
     outcomes = []
     for hot in (HOT_STEPS_PER_SLOT, 0):
         monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", hot)
@@ -1459,15 +1468,15 @@ def test_a_streamed_loop_leaves_its_buffer_resizable_on_each_way_out(monkeypatch
         mem.alloc(8, "after", readable=True, writable=False)
     ((start, (slots, _, _)),) = loop_guards(vp.form).items()
     assert codegen._streams(vp.form, slots, codegen._loop_guard(vp.form, slots[:-1])[2])[0] == {start: 0}
+    assert (loop_trip(vp.form, slots) is not None) == (branch == "jne")
     interpreted, compiled = outcomes
     assert interpreted == compiled
     assert (compiled.fault and compiled.fault.note) == note
 
 
-@pytest.mark.parametrize("leaves", [1, 16, 17])
-def test_a_stream_over_a_64_kib_window_unpacks_only_the_passes_that_run(monkeypatch, compiled_tier, leaves):
-    # Each entry's guard proves all 32768 words of the window, and each entry
-    # leaves in pass ``leaves``: after the plain passes, in the first streamed one.
+def _counting_streams(monkeypatch) -> Counter:
+    """Count the streams compiled code opens through ``vm._ITER_UNPACK``, and
+    the values they unpack, into the Counter returned."""
     unpacked = Counter()
 
     def counted(values):
@@ -1482,6 +1491,14 @@ def test_a_stream_over_a_64_kib_window_unpacks_only_the_passes_that_run(monkeypa
         return opened
 
     monkeypatch.setattr(vm, "_ITER_UNPACK", tuple(stream and opening(stream) for stream in vm._ITER_UNPACK))
+    return unpacked
+
+
+@pytest.mark.parametrize("leaves", [1, 16, 17])
+def test_a_stream_over_a_64_kib_window_unpacks_only_the_passes_that_run(monkeypatch, compiled_tier, leaves):
+    # Each entry's guard proves all 32768 words of the window, and each entry
+    # leaves in pass ``leaves``: after the plain passes, in the first streamed one.
+    unpacked = _counting_streams(monkeypatch)
     src = """
         mov64 r6, 100
 outer:  mov64 r3, r1
@@ -1502,6 +1519,38 @@ inner:  ldxh r0, [r3+0]
         outcomes.append(execute(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), SyscallTable())))
     assert outcomes[0] == outcomes[1] == (ctx.base + 2 * leaves, 3 + 100 * (3 * leaves + 3), 100 * leaves - 1, None)
     assert unpacked["streams"] == (100 if leaves > 16 else 0) and unpacked["values"] <= 2 * 100
+
+
+@pytest.mark.parametrize("passes", [1, 16, 17, 40])
+def test_a_counted_loop_streams_only_when_it_runs_more_than_16_passes(monkeypatch, compiled_tier, passes):
+    # Each of 100 entries knows on entry that it leaves in pass ``passes``: a
+    # loop of 16 passes or fewer opens no stream, a longer one streams them all.
+    unpacked = _counting_streams(monkeypatch)
+    src = f"""
+        mov64 r6, 100
+outer:  mov64 r3, r1
+        mov64 r2, {passes}
+inner:  ldxh r0, [r3+0]
+        add64 r4, r0
+        add64 r3, 2
+        sub64 r2, 1
+        jne r2, 0, inner
+        sub64 r6, 1
+        jne r6, 0, outer
+        mov64 r0, r4
+        exit
+"""
+    vp = verify(assemble(src), VerifyLimits(256, 8192))
+    (inner,) = (slots for slots, _, _ in loop_guards(vp.form).values())
+    assert loop_trip(vp.form, inner) is not None
+    outcomes = []
+    for execute in (exec_program, refvm.exec_program):
+        mem = HostMemory()
+        ctx = mem.alloc(128, "ctx", readable=True, writable=False, init=bytes(range(128)))
+        outcomes.append(execute(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), SyscallTable())))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0].fault is None and outcomes[0].executed == 3 + 100 * (5 * passes + 4)
+    assert unpacked == (Counter(streams=100, values=100 * passes) if passes > 16 else Counter())
 
 
 GENERATED = ("interpreter", "stepped", *FIXTURE_SOURCES)  # the loops, and each bundled fixture compiled
@@ -1611,7 +1660,7 @@ def test_a_stack_row_loop_converts_each_row_at_entry_and_on_each_way_out(perfben
     tree = ast.parse(codegen.compiled_source(form)[0])
     passes = {ast.unparse(node.iter): node for node in ast.walk(tree) if isinstance(node, ast.For)
               and ast.unparse(node.iter).startswith("range(")}
-    assert sorted(passes) == ["range(1, safe + 1)", "range(safe + 1, room + 1)"]
+    assert sorted(passes) == ["range(1, proven + 1)", "range(proven + 1, room + 1)"]  # a counted loop
     assert all(_memory_calls(stmt) == [] for loop in passes.values() for stmt in loop.body)
     rows = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in codegen._STACK_ROWS}
     stored = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in (V.STX_STACK, V.ST_STACK)}
