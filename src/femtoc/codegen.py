@@ -18,12 +18,17 @@ by a constant, and runs those passes through a copy of the body filled
 without those checks, then the rest through the checked body; a counted
 self-loop, whose branch compares an induction register with a fixed bound,
 also finds the pass where it leaves, and its proven passes test no branch.
-When the body writes no memory and calls no helper, proven passes (all of a
-counted self-loop's if over 16, else those after the first 16) read each load
-whose base steps by the load's width per pass as one lazy stream
-(``memory``'s ``_ITER_UNPACK``), and drop the steps of each induction
-register but r0 that nothing else in them reads, setting it once where they
-end.  A self-loop with no load or store
+When the body calls no helper and, unless the loop is counted, writes no
+memory, proven passes drop the steps of each induction register but r0
+that nothing else in them reads, setting it once where they end; in a body
+that writes no memory, they read each load whose base steps by the load's
+width per pass as one lazy stream (``memory``'s ``_ITER_UNPACK``).  Those
+are all of a counted self-loop's proven passes (if it reads a stream, only
+when there are over 16), else those after the first 16.  A counted
+self-loop whose other slots only add such loads, or such adds, into
+registers runs those passes in closed form: one ``unpack_from`` per stream,
+then sums (``accumulate`` for a chain) from the registers' entry values.
+A self-loop with no load or store
 through a pointer and no helper call can reach the stack only through its
 stack rows: it holds each row that overlaps no other in a local, loaded
 once on entry, and writes the stored ones back on its two ways out.
@@ -32,7 +37,8 @@ prologue unpacks from the access list's ``run_state`` with the rest of it,
 calls ``in_windows`` only on a miss, and converts once on the access list's
 one buffer, through ``memory``'s codec.  ``femtoc.vm`` executes both
 sources in its own namespace, so the names they use (``_Trap``, ``Fault``,
-``in_windows``, ``_PACK``, ``_ITER_UNPACK``, ``_helper_fault``, ...) are ``vm``'s.
+``in_windows``, ``_PACK``, ``_ITER_UNPACK``, ``_RUN_FORMATS``, ``_helper_fault``,
+...) are ``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
 width; ``{mask}``, ``{wrap}`` and ``{sign}`` are the width's value mask,
@@ -339,7 +345,7 @@ _ENDS_BLOCK = (JCOND_K, JCOND_X, JA, EXIT)
 _WRITES_DST = (ALU64_K, ALU64_X, ALU32_K, ALU32_X, LDX, LDX_STACK, LDDW, END)
 _TRAPS = (LDX, STX, ST, CALL)  # slots whose checked form can raise _Trap
 _STACK_ROWS = (LDX_STACK, STX_STACK, ST_STACK)
-_NO_STREAMS = (STX, ST, STX_STACK, ST_STACK, CALL)  # a body with one reads no stream, sinks no register
+_STORES = (STX, ST, STX_STACK, ST_STACK)  # a body with one reads no stream (see ``_streams``)
 
 
 def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
@@ -457,24 +463,37 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
 # ``safe``, proven passes with no branch test, leaves in pass ``trip`` if it
 # is the last of them (LEAVE_AT_TRIP), and else runs checked passes after it.
 #
-# A body that writes no memory and calls no helper (none of ``_NO_STREAMS``)
-# runs proven passes after a plain prefix through a streamed copy
+# A body that calls no helper and, unless the loop is counted, writes no
+# memory, runs proven passes after a plain prefix through a streamed copy
 # (``_streams``), which has two more forms:
-# - a load whose base steps by the load's width per pass reads pass k's value
-#   as the next of one STREAM, opened over the remaining proven passes' bytes
-#   (none if there are none); nothing in such a body writes the bytes it
-#   reads, and the stream unpacks only the passes that run;
+# - in a body that writes no memory (none of ``_STORES``), a load whose base
+#   steps by the load's width per pass reads pass k's value as the next of
+#   one STREAM, opened over the remaining proven passes' bytes (none if there
+#   are none); nothing in such a body writes the bytes it reads, and the
+#   stream unpacks only the passes that run;
 # - an induction register but r0 that nothing reads but its own steps and
 #   streams, nor a branch test, keeps its value from the prefix: it is
 #   stepped by the streamed passes run where they break, and by all of them
 #   before the checked passes; the guard bounds it for ``safe`` passes, so no
-#   mask, and a trap returns only r0, so a trap sets nothing.
+#   mask, and a trap returns only r0, so a trap sets nothing.  A helper reads
+#   r1-r5, so a body that calls one sinks nothing.
 # Opening the streams costs about what a dozen plain passes would save, so a
 # counted self-loop streams all its proven passes if there are more than
 # PLAIN_PASSES, else none, and any other loop streams after PLAIN_PASSES plain
-# ones, so one that leaves within them opens none.  Each way out of the
-# streamed passes drops the streams ({release}): a stream exports the hook's
-# buffer, which ``HostMemory.alloc`` could not then grow.
+# ones, so one that leaves within them opens none; a counted copy with no
+# stream, which only sinks, runs all of them.  Each way out of the streamed
+# passes drops the streams ({release}): a stream exports the hook's buffer,
+# which ``HostMemory.alloc`` could not then grow.
+#
+# A counted copy whose every slot is a stream, a dropped step, or a proven
+# ``add64 rA, rB`` whose rB a stream or such an add wrote earlier in the pass,
+# with no register written twice, runs no pass at all (``_reduced``): each
+# stream is one UNPACK_RUN of ``proven`` values, decoded little-endian as
+# ``memory``'s codec does, into a tuple, and each register is set once, from
+# the entry values, to its last loaded value or to its entry value plus the
+# sum of rB's values, prefix sums (``accumulate``) for an rB that an add
+# wrote.  The guard's GROWS caps make every such sum exact in the proven
+# passes.  A tuple holds no export of the buffer, so nothing is dropped.
 PASSES = """\
 for {target} in {passes}:
 {body}\
@@ -497,6 +516,7 @@ except _Trap:
 LOOP_EXIT = "{spill}executed += it * {length}\nbranches += it - 1\npc = {next}\n"
 STREAM = "s{pc} = _ITER_UNPACK[{width}](memoryview(buf)[{start}:{start} + {passes} * {width}]){empty}\n"
 PLAIN_PASSES = 16  # proven passes run before any stream opens
+UNPACK_RUN = "v{pc} = unpack_from(_RUN_FORMATS[{width}] % proven, buf, {start})\n"
 TRIP = "trip = {trip}\nproven = trip if trip < safe else safe\n"
 LEAVE_AT_TRIP = "if proven == trip:\n    it = trip\nelse:\n{checked}"
 
@@ -641,22 +661,62 @@ def _trip(form: tuple[tuple[int, ...], ...], slots: list[int], steps: Steps) -> 
 def _streams(form: tuple[tuple[int, ...], ...], slots: list[int],
              steps: Steps) -> tuple[dict[int, int], dict[int, int]]:
     """What the proven copy of a self-loop block ``slots`` reads as streams
-    and which registers it sinks, when its body writes no memory and calls
-    no helper: each load whose base steps by its width per pass, slot -> its
-    first pass's address less the base's entry value; and each induction
-    register but r0 that no other slot reads, nor the branch unless the loop
-    is counted, register -> its step per pass."""
+    and which registers it sinks: each load whose base steps by its width per
+    pass, when the body writes no memory, slot -> its first pass's address
+    less the base's entry value; and each induction register but r0 that no
+    other slot reads, nor the branch unless the loop is counted, register ->
+    its step per pass.  A body that calls a helper (which reads r1-r5) has
+    neither, nor has an uncounted loop's body that writes memory."""
     body = slots[:-1]
-    if any(form[pc][0] in _NO_STREAMS for pc in body):
+    counted = _trip(form, slots, steps) is not None
+    stores = any(form[pc][0] in _STORES for pc in body)
+    if any(form[pc][0] == CALL for pc in body) or stores and not counted:
         return {}, {}
     per_pass = {reg: sum(s for _, s in ss) for reg, ss in steps.items()}
     streams = {pc: off + sum(s for at, s in steps[src] if at < pc)
                for pc in body for code, sub, _dst, src, off, _imm in [form[pc]]
-               if code == LDX and per_pass.get(src) == sub}
+               if code == LDX and per_pass.get(src) == sub and not stores}
     stepping = {pc for ss in steps.values() for pc, _ in ss}
-    tested = slots if _trip(form, slots, steps) is None else body  # a counted self-loop's passes test nothing
+    tested = body if counted else slots  # a counted self-loop's passes test nothing
     read = {reg for pc in tested if pc not in streams and pc not in stepping for reg in form[pc][2:4]}
     return streams, {reg: d for reg, d in per_pass.items() if reg and d and reg not in read}
+
+
+def _reduced(form: tuple[tuple[int, ...], ...], body: list[int], streams: dict[int, int],
+             dropped: set[int], proven: frozenset[int]) -> str | None:
+    """The closed form of a counted self-loop's streamed copy, over ``proven``
+    passes, or None: source that sets each register the body writes from the
+    registers' entry values, when each slot of ``body`` is a stream, a dropped
+    step or a proven ``add64 rA, rB`` whose rB a stream or such an add wrote
+    earlier in the pass, and no register is written twice.  Each stream is one
+    tuple ``v{pc}`` of its values; each register is then set, in reverse body
+    order so that what it reads has not been set yet, to its last value (a
+    load) or to its entry value plus the sum of rB's values (an add)."""
+    writer: dict[int, int] = {}  # register -> the one slot that writes it
+    for pc in body:
+        if pc not in dropped:
+            if form[pc][2] in writer:
+                return None
+            writer[form[pc][2]] = pc
+    for pc in writer.values():
+        code, sub, dst, src, _off, _imm = form[pc]
+        if pc not in streams and not (code == ALU64_X and sub == _ADD and dst != src and pc in proven
+                                      and writer.get(src, pc) < pc):
+            return None
+
+    def values(reg: int) -> str:  # an iterable of reg's value after its slot, pass by pass
+        pc = writer[reg]
+        return f"v{pc}" if pc in streams else f"islice(accumulate({values(form[pc][3])}, initial=r{reg}), 1, None)"
+
+    def total(reg: int) -> str:  # the sum of those values
+        pc = writer[reg]
+        return f"sum(v{pc})" if pc in streams else f"sum(accumulate({values(form[pc][3])}, initial=r{reg})) - r{reg}"
+
+    decode = "".join(UNPACK_RUN.format(pc=pc, width=form[pc][1], start=_plus(f"r{form[pc][3]} - base", off))
+                     for pc, off in streams.items())
+    finals = [f"r{reg} = v{pc}[-1]\n" if pc in streams else f"r{reg} = r{reg} + {total(form[pc][3])}\n"
+              for reg, pc in writer.items()]
+    return decode + "".join(reversed(finals))
 
 
 def _stack_locals(form: tuple[tuple[int, ...], ...], body: list[int]) -> dict[tuple[int, int], str]:
@@ -698,6 +758,7 @@ def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) 
             first = PLAIN_PASSES if trip is None else 0  # the proven passes before the streamed ones
             more, empty = (f"(safe - {first})", f" if safe > {first} else ()") if trip is None else ("proven", "")
             dropped = {pc for reg in sunk for pc, _ in steps[reg]}
+            reduced = None if trip is None else _reduced(form, body, streams, dropped, proven)
             names, streamed, opens = [], "", ""  # what each pass binds; the streamed body; its streams
             seen, trapping = set(), False  # what the pass's slots so far name, and whether one can trap
             for pc in body:
@@ -716,7 +777,7 @@ def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) 
                     streamed += _slot_source(pc, form[pc], proven, rows)
                 seen |= {dst, src}
                 trapping |= code in _TRAPS and pc not in proven
-            release = "".join(f"s{pc} = None\n" for pc in streams)
+            release = "".join(f"s{pc} = None\n" for pc in streams) if reduced is None else ""
 
             def sink(passes: str) -> str:
                 return release + "".join(f"r{reg} = r{reg} + {passes} * {d}\n" for reg, d in sunk.items())
@@ -732,12 +793,14 @@ def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) 
                     then=_indent(sink(f"max(safe - {PLAIN_PASSES}, 0)") + passes, 1))
                 plain = f"range(1, (safe if safe < {PLAIN_PASSES} else {PLAIN_PASSES}) + 1)"
             else:
-                copy = opens + f"for {target} in {over}:\n{_indent(streamed or 'pass', 1)}" + sink("proven")
+                if reduced is None:
+                    reduced = opens + f"for {target} in {over}:\n{_indent(streamed or 'pass', 1)}"
+                copy = reduced + sink("proven")
         unchecked = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body)
         if trip is not None:  # no proven pass tests the branch; if one streams, all do
             loop = f"for it in range(1, proven + 1):\n{_indent(unchecked, 1)}"
             passes = (f"if proven > {PLAIN_PASSES}:\n{_indent(copy, 1)}else:\n{_indent(loop, 1)}"
-                      if copy else loop) + passes
+                      if streams else copy or loop) + passes
         else:
             passes = PASSES.format(target="it", passes=plain, body=_indent(unchecked, 1),
                                    taken=taken, leave="", then=_indent(passes, 1))

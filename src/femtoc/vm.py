@@ -44,7 +44,13 @@ and calls no helper reads each load whose base steps by its width per pass,
 in proven passes (all of a counted self-loop's if over 16, else those after the
 first 16), as one lazy stream through the same codec, and drops the steps
 of a register that only they and such loads read there, setting it once
-where those passes end; the checked passes after them are unchanged.
+where those passes end; a counted one that reads no stream drops them in
+all its proven passes, also in a body that stores.  A counted self-loop
+whose other slots only add streamed values, or such sums, into registers
+runs no pass in Python: it decodes each stream's values at once
+(``struct.unpack_from``, little-endian like the codec) and sets each
+register from sums over them.  The checked passes after the proven ones
+are unchanged.
 The compiled tier checks the budget once per block: a block that might not
 fit in what is left hands its registers and counters to the stepped loop
 at its first slot.  A block that jumps back to its own start counts passes
@@ -68,11 +74,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, islice  # noqa: F401  (generated code's, with unpack_from)
+from struct import unpack_from  # noqa: F401
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 from .codegen import COUNTED, STEPPED, compiled_source, interpreter_source
 # The buffer's codec and in_windows are generated code's.
-from .memory import _ITER_UNPACK, _PACK, _UNPACK, _WIDTH_MASK, AccessList, AccessViolation, MemoryRegion, in_windows  # noqa: F401
+from .memory import (  # noqa: F401
+    _ITER_UNPACK, _PACK, _RUN_FORMATS, _UNPACK, _WIDTH_MASK, AccessList, AccessViolation, MemoryRegion, in_windows,
+)
 from .verifier import MASK32, MASK64, VerifiedProgram  # noqa: F401  (MASK32 is re-exported)
 
 if TYPE_CHECKING:

@@ -302,23 +302,40 @@ def random_stack_loop(rng: random.Random, allowed_syscalls: tuple[int, ...] = ()
 # reads each proven load whose base steps by the load's width per pass as one
 # stream over the proven passes after the first few, and drops the steps of
 # each induction register but r0 that only its steps and streams read there,
-# setting it once on the way out of those passes.
+# setting it once on the way out of those passes.  A counted loop whose other
+# slots are all adds along chains from a streamed load runs its proven passes
+# in closed form, with sums over the stream's values; one that stores sinks
+# its induction registers all the same, and streams nothing.
+
+
+def _accumulator_start(rng: random.Random, unit: int) -> int:
+    """A small value, one below 2**64 by a few dozen ``unit``s (at most 2**56
+    each), or any."""
+    return rng.choice((rng.randint(0, 1 << 20), rng.randint(0, 1 << 20),
+                       MASK64 - rng.randint(0, 80) * min(unit, 1 << 56), rng.getrandbits(64)))
 
 
 def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
     """A program that passes the pre-flight checks and whose one self-loop
     walks r3 from r1 or, twice as often, r10 by a load's width per pass
     (all four widths, either sign, in one step or two) for up to 80 passes,
-    and loads through it at that width.
+    and loads r5 through it at that width.
 
     r4 steps near a wrap edge and r2 counts the passes, in two loops in
     five as a ``_counted_exit`` against r1, else by jne or by a signed
-    compare, which is not counted; r5, r0 and r9 are loaded, r6 and r7
-    accumulate.  Loops that stream less or sink less mix in: a load
-    through r3 of another width, a branch on r3, an add that reads r4, a
-    step of r0, a load through r8, an unknown pointer that leaves its window
-    in some pass, and, in one loop in four, a store at a streamed load's
-    address before it.  The exit folds r2..r9 into r0."""
+    compare, which is not counted; r0 and r9 may be loaded too.  An
+    accumulator chain of depth 0 to 3 (r6 += r5, r7 += r6, r0 += r7), its
+    links in order after the load in half the loops and anywhere in the
+    others, and in one loop in four an add of r5 or r6 to r9 (a second
+    reader of a sum's values, or a second write of r9), start small, a few
+    dozen loaded values below 2**64, or anywhere, so that the guard's caps
+    cut the passes short.  Loops that stream less, sink less or sum no
+    closed form mix in, each kind in one loop in four but none in one loop
+    in three: a load through r3 of another width, an add that reads r4, a
+    step of r0, an unknown pointer that leaves its window in some pass, and
+    an op on a chain register that is not an add; also a branch on r3, a
+    second load through r3, and, in one loop in four, a store at a streamed
+    load's address before it.  The exit folds r2..r9 into r0."""
     pointer = rng.choice((1, 10, 10))  # the stack is long enough to stream at any width
     span = ctx_span if pointer == 1 else 512
     width = rng.choice(sorted(_SUFFIX))
@@ -330,8 +347,8 @@ def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
         f"add64 r3, {start}",
         f"lddw r4, {rng.choice((rng.randint(0, 40), MASK64 - rng.randint(0, 40))):#x}",
         f"mov64 r8, r{pointer}",
-        f"lddw r6, {rng.getrandbits(64):#x}",
     ]
+    lines += [f"lddw r{reg}, {_accumulator_start(rng, (1 << 8 * width) - 1):#x}" for reg in (6, 7, 0)]
     first = rng.randint(-8, 8) if rng.random() < 0.3 else d
     body = [_step(rng, 3, first)] + [_step(rng, 3, d - first)] * (first != d)
     offsets = [rng.choice((0, 0, rng.randint(-2, 6))) for _ in range(2)]
@@ -340,15 +357,16 @@ def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
     extra = {
         "second stream": f"ldx{_SUFFIX[width]} r{rng.choice((0, 5, 9))}, [r3{offsets[1]:+d}]",
         "other width": f"ldx{_SUFFIX[other]} r9, [r3{offsets[1]:+d}]",
-        "accumulate": "add64 r6, r5",
-        "chain": "add64 r7, r6",
         "wrap": _step(rng, 4, rng.choice((1, 3, -1, -5))),
+        "fan": f"add64 r9, r{rng.choice((5, 6))}",
         "read r4": "add64 r7, r4",
         "step r0": _step(rng, 0, rng.choice((1, 2))),
         "unknown pointer": "ldxb r9, [r8+0]\nadd32 r8, 1",
+        "not an add": rng.choice(("xor64 r7, r5", "mul64 r6, 3", "add32 r6, r5", "sub64 r7, r6")),
     }
-    rare = ("other width", "read r4")  # each blocks r3's or r4's sink
-    chosen = [text for kind, text in extra.items() if rng.random() < (0.25 if kind in rare else 0.5)]
+    rare = 0 if rng.random() < 1 / 3 else 0.25  # the odds of each kind that keeps a counted loop from a closed form
+    odds = {"fan": 0.25, **dict.fromkeys(("other width", "read r4", "step r0", "unknown pointer", "not an add"), rare)}
+    chosen = [text for kind, text in extra.items() if rng.random() < odds.get(kind, 0.5)]
     loads += [text for text in chosen if text.startswith("ldx")]
     body += [text for text in chosen if not text.startswith("ldx")]
     if rng.random() < 0.2:  # a branch on the walk itself
@@ -364,6 +382,10 @@ def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
         branch = rng.choice(("jne r2, 0", "jsgt r2, 0", "jsgt r2, 3"))  # a signed compare is not counted
     body += loads
     rng.shuffle(body)
+    ordered, at = rng.random() < 0.5, body.index(loads[0])
+    for link in ("add64 r6, r5", "add64 r7, r6", "add64 r0, r7")[:rng.randint(0, 3)]:
+        at = rng.randint(at + 1, len(body)) if ordered else rng.randint(0, len(body))
+        body.insert(at, link)
     if rng.random() < 0.25:  # the value a streamed load reads is stored earlier in its pass
         at = body.index(loads[0])
         body.insert(at, f"stx{_SUFFIX[width]} [r3{offsets[0]:+d}], r6")

@@ -83,8 +83,30 @@ MUTANTS = (
     Mutant(
         "streams are read in a body that stores",
         "src/femtoc/codegen.py",
-        "_NO_STREAMS = (STX, ST, STX_STACK, ST_STACK, CALL)",
-        "_NO_STREAMS = (CALL,)",
+        "_STORES = (STX, ST, STX_STACK, ST_STACK)",
+        "_STORES = ()",
+        STREAM_TESTS,
+    ),
+    # A counted streamed loop's closed form: sums over its streams' values.
+    Mutant(
+        "an accumulator of an accumulator keeps its source's entry value",
+        "src/femtoc/codegen.py",
+        'initial=r{reg})) - r{reg}"',
+        'initial=r{reg}))"',
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "a closed form sets its registers in body order",
+        "src/femtoc/codegen.py",
+        '"".join(reversed(finals))',
+        '"".join(finals)',
+        STREAM_TESTS,
+    ),
+    Mutant(
+        "a closed form sums a source written later in the pass",
+        "src/femtoc/codegen.py",
+        "and writer.get(src, pc) < pc",
+        "and src in writer",
         STREAM_TESTS,
     ),
     # Counted self-loops: the pass in which the branch first falls through, found on entry.

@@ -47,7 +47,9 @@ code finds on entry the pass in which such a counted loop leaves, and its
 versioned passes test no branch.  These streams require counted entries,
 entries that leave in the pass found, and entries whose pass lies beyond
 the versioned ones; an entry that leaves in another pass than the one
-found, before the versioned passes end, fails the stream.
+found, before the versioned passes end, fails the stream.  Counted loops
+that store sink their induction registers all the same, and the streams
+require entries that do.
 
 One more compiled stream per helper table runs self-loops from
 ``genprog.random_stack_loop``, whose bodies load and store stack rows
@@ -66,14 +68,17 @@ versioned passes of a counted loop with more than ``codegen.PLAIN_PASSES``
 of them, and after ``codegen.PLAIN_PASSES`` versioned passes of any other
 loop, compiled code reads such a load as a stream, and drops the steps of
 an induction register that nothing else in those passes reads, setting it
-once on the way out.  Its LoopProbe
-also counts the streamed loads and sunk registers of each entry that
-reaches a streamed pass, and the stream requires both, with traps inside
-a pass and handovers out of a loop; every third program runs under a
-budget near its run's length, and one loop in four stores at a load's
-address before it in a pass, which keeps that loop from streaming.  Most
-loops leave within the plain passes, so the stream runs twice: with the
-package's ``PLAIN_PASSES`` and with none.
+once on the way out.  A counted loop whose other slots only add along
+chains from its streamed loads (``genprog`` draws chains of depth 0 to
+3, some of them near a wrap) runs those passes in closed form.  Its
+LoopProbe also counts the streamed loads and sunk registers of each entry
+that reaches a streamed pass, the entries that sink in a body that
+stores, and the entries that run in closed form, and the stream requires
+all four, with traps inside a pass and handovers out of a loop; every
+third program runs under a budget near its run's length, and one loop in
+four stores at a load's address before it in a pass, which keeps that
+loop from streaming.  Most loops leave within the plain passes, so the
+stream runs twice: with the package's ``PLAIN_PASSES`` and with none.
 
 The interpreter counts steps by straight runs and checks the budget only on
 entry and at taken jumps; where a run might not fit, it hands over to the
@@ -159,9 +164,18 @@ def loop_guards(form) -> dict[int, tuple[list[int], str, frozenset[int]]]:
 
 def stream_coverage(form, slots: list[int]) -> Counter:
     """What the self-loop block ``slots`` runs in its streamed passes: its
-    streamed loads and its sunk induction registers."""
-    streams, sunk = codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2])
-    return Counter({"streamed loads": len(streams), "sunk induction registers": len(sunk)})
+    streamed loads and its sunk induction registers; whether it sinks them in
+    a body that stores; and whether, counted, it reads its streams in closed
+    form (``codegen._reduced``)."""
+    body = slots[:-1]
+    _, proven, steps = codegen._loop_guard(form, body)
+    streams, sunk = codegen._streams(form, slots, steps)
+    dropped = {pc for reg in sunk for pc, _ in steps[reg]}
+    reduced = (bool(streams) and codegen._trip(form, slots, steps) is not None
+               and codegen._reduced(form, body, streams, dropped, proven) is not None)
+    return Counter({"streamed loads": len(streams), "sunk induction registers": len(sunk),
+                    "sunk in a storing body": bool(sunk) and any(form[pc][0] in codegen._STORES for pc in body),
+                    "reduced entries": reduced})
 
 
 def loop_trip(form, slots: list[int]) -> str | None:
@@ -492,7 +506,8 @@ def test_compiled_self_loops_match_the_reference(allowed, compiled_tier, monkeyp
     """Self-loops from ``random_self_loop``: each loop's guard is found on
     every entry from the reference run's registers, and the stream must
     run versioned passes, fall short of a wrap or a window's edge and then
-    reach it in the checked remainder, and run loops with no guard.  No
+    reach it in the checked remainder, run loops with no guard, and sink
+    induction registers in counted loops that store.  No
     check that a guard proved may fail before its ``safe`` passes are over."""
     RETURNED.clear()
     COVERAGE.clear()
@@ -511,7 +526,7 @@ def test_compiled_self_loops_match_the_reference(allowed, compiled_tier, monkeyp
     assert COVERAGE["proven checks that failed"] == COVERAGE["counted trips that missed"] == 0
     for what in ("versioned loop entries", "guards that fell short, then wrapped or left the window",
                  "loop entries with no guard", "traps inside a pass", "first-window misses served",
-                 *COUNTED):
+                 "sunk in a storing body", *COUNTED):
         assert COVERAGE[what] > 0, what
 
 
@@ -546,7 +561,8 @@ def test_compiled_stack_row_loops_match_the_reference(allowed, compiled_tier, mo
 def test_compiled_stream_loops_match_the_reference(compiled_tier, monkeypatch, plain):
     """Self-loops from ``random_stream_loop``, every third under a budget near
     its run's length: the stream must read loads as streams and sink
-    induction registers in versioned passes, fall short of a window's edge
+    induction registers in versioned passes, sink them in counted loops that
+    store, run counted loops in closed form, fall short of a window's edge
     or a wrap and reach it in the checked remainder, trap inside a pass and
     hand over out of a loop.  No check that a guard proved may fail before
     its ``safe`` passes are over.  Most loops leave within the plain passes
@@ -566,7 +582,8 @@ def test_compiled_stream_loops_match_the_reference(compiled_tier, monkeypatch, p
     assert len(compiled_tier) == LOOP_PROGRAMS
     assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
     assert COVERAGE["proven checks that failed"] == COVERAGE["counted trips that missed"] == 0
-    for what in ("streamed loads", "sunk induction registers", "versioned loop entries",
+    for what in ("streamed loads", "sunk induction registers", "sunk in a storing body", "reduced entries",
+                 "versioned loop entries",
                  "guards that fell short, then wrapped or left the window", "traps inside a pass",
                  "counted-loop handovers", *COUNTED):
         assert COVERAGE[what] > 0, what

@@ -1365,15 +1365,18 @@ def test_fletchers_versioned_passes_test_no_wrap_and_no_window_and_its_constants
     def body(loop):  # its source text, as generated
         return [line.strip() for line in lines[loop.body[0].lineno - 1 : loop.body[-1].end_lineno]]
 
-    plain, streamed = body(loops["range(1, proven + 1)"]), body(loops["s7"])
+    (gate,) = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "proven > 16"]
+    plain, reduced = body(loops["range(1, proven + 1)"]), body(gate)
     checked = body(loops["range(proven + 1, room + 1)"])
     for check in ("_Trap(", "0x10000000000000000", "read_windows"):
-        assert not any(check in line for line in plain + streamed) and any(check in line for line in checked), check
-    # The loop is counted, so neither proven copy tests its branch.
+        assert not any(check in line for line in plain + reduced) and any(check in line for line in checked), check
+    # The loop is counted, so neither proven copy tests its branch, and the
+    # closed form runs no loop at all.
     assert plain == [
         "r0 = unpack[2](buf, r1 - base)[0]", "r4 = r4 + r0", "r5 = r5 + r4", "r1 = r1 + 2", "r2 = r2 - 1", "r3 = r3 - 1",
     ]
-    assert streamed == ["r4 = r4 + r0", "r5 = r5 + r4"]
+    assert not any(isinstance(node, ast.For) for stmt in gate.body for node in ast.walk(stmt)) and len(reduced) == 7
     # The constant operands of mod and lsh fold: no zero test, no amount mask.
     assert {"r0 = r0 % 65535", "r6 = r6 % 65535", "r0 = (r0 << 16) & 0xffffffffffffffff"} <= {
         line.strip() for line in lines
@@ -1390,34 +1393,78 @@ def test_constant_divisors_and_shift_amounts_fold_to_the_oracles_result(monkeypa
             assert compiled_result(monkeypatch, f"lddw r1, {a:#x}\n{line}\nmov64 r0, r1\nexit") == expected, line
 
 
-def test_fletchers_counted_loop_streams_its_ldxh_from_pass_1_and_sinks_r1_r2_and_r3():
+def test_fletchers_counted_loop_sums_its_ldxh_words_in_closed_form_and_sinks_r1_r2_and_r3():
     form = verify(fixture_program("fletcher32_360")).form
     ((start, (slots, _, _)),) = loop_guards(form).items()
     # ``sub64 r3, 1; jne r3, 0``: its branch first falls through in pass r3.
     assert loop_trip(form, slots) == "gap if (gap := r3) > 0 else safe + 1"
-    assert codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2]) == (
-        {start: 0}, {1: 2, 2: -1, 3: -1})
+    _, proven, steps = codegen._loop_guard(form, slots[:-1])
+    assert codegen._streams(form, slots, steps) == ({start: 0}, {1: 2, 2: -1, 3: -1})
     lines = [line.strip() for line in codegen.compiled_source(form)[0].splitlines()]
     entry = lines.index("trip = gap if (gap := r3) > 0 else safe + 1")
-    assert lines[entry + 1 : entry + 5] == [
+    # More than 16 proven passes decode their words at once, as one tuple,
+    # and set each register from the entry values: r5 before r4, whose entry
+    # value r5's prefix sums start from, and r0 last, to the last word.  Then
+    # r1, r2 and r3 move on by their steps.  16 or fewer run pass by pass.
+    assert lines[entry + 1 : entry + 15] == [
         "proven = trip if trip < safe else safe", "try:", "if proven > 16:",
-        f"s{start} = _ITER_UNPACK[2](memoryview(buf)[r1 - base:r1 - base + proven * 2])",
-    ]
-    # More than 16 proven passes stream from pass 1 with nothing but the
-    # stream to iterate, and set r1, r2 and r3 once; 16 or fewer open nothing.
-    assert lines[entry + 5 : entry + 15] == [
-        f"for (r0,) in s{start}:", "r4 = r4 + r0", "r5 = r5 + r4", f"s{start} = None",
+        f"v{start} = unpack_from(_RUN_FORMATS[2] % proven, buf, r1 - base)",
+        f"r5 = r5 + sum(accumulate(v{start}, initial=r4)) - r4", f"r4 = r4 + sum(v{start})", f"r0 = v{start}[-1]",
         "r1 = r1 + proven * 2", "r2 = r2 + proven * -1", "r3 = r3 + proven * -1",
-        "else:", "for it in range(1, proven + 1):", "r0 = unpack[2](buf, r1 - base)[0]",
+        "else:", "for it in range(1, proven + 1):", "r0 = unpack[2](buf, r1 - base)[0]", "r4 = r4 + r0",
     ]
-    assert [line for line in lines if "_ITER_UNPACK" in line] == [lines[entry + 4]]
+    assert codegen._reduced(form, slots[:-1], {start: 0}, {start + 3, start + 4, start + 5}, proven) == "".join(
+        line + "\n" for line in lines[entry + 4 : entry + 8])
+    # Nothing holds the buffer: no stream opens, so none is dropped on a trap.
+    assert not any("_ITER_UNPACK" in line or "= None" in line for line in lines)
     assert [line for line in lines if "r3 != 0" in line] == ["if not (r3 != 0):"]  # the checked passes' test
     leaves = lines.index("if proven == trip:")
     assert lines[leaves : leaves + 4] == [
         "if proven == trip:", "it = trip", "else:", "for it in range(proven + 1, room + 1):",
     ]
     trapped = lines.index("except _Trap:")
-    assert lines[trapped + 1] == f"s{start} = None"
+    assert lines[trapped + 1] == "executed += it * 7"
+
+
+def test_a_closed_form_sums_chains_of_any_depth_and_falls_back_on_other_bodies(monkeypatch):
+    # r6 += r5, r7 += r6, r0 += r7 over a byte stream: each add sums its
+    # source's values pass by pass, from the source's entry value.  A body
+    # that breaks any rule of ``codegen._reduced`` streams pass by pass.
+    chain = ["ldxb r5, [r1+0]", "add64 r6, r5", "add64 r7, r6", "add64 r0, r7"]
+    src = """
+        mov64 r2, 40
+        lddw r6, {r6:#x}
+        mov64 r7, 3
+        mov64 r0, 5
+loop:   {body}
+        add64 r1, 1
+        sub64 r2, 1
+        jne r2, 0, loop
+        xor64 r0, r5
+        xor64 r0, r6
+        xor64 r0, r7
+        exit
+"""
+    bodies = {  # body -> whether its proven passes run in closed form
+        "\n".join(chain): True,
+        "\n".join([chain[0], chain[2], chain[1]]): False,  # r7 adds r6 before this pass's add
+        "\n".join(chain + ["add64 r6, r5"]): False,  # r6 is written twice
+        "\n".join(chain[:2] + ["add64 r7, r5"]): True,  # r5's values are summed twice
+        "\n".join(chain[:2] + ["xor64 r7, r6"]): False,
+        "\n".join(chain[:2] + ["add32 r7, r6"]): False,
+    }
+    ctx = bytes(range(200, 240))
+    for body, reduced in bodies.items():
+        for r6 in (1, M64 - 255 * 30):  # the guard caps the second at 30 passes
+            (interpreted, compiled), _ = run_both_tiers(monkeypatch, src.format(body=body, r6=r6), ctx=ctx,
+                                                        stack_last=True)
+            assert interpreted == compiled, (body, r6)
+            assert compiled[0].fault is None
+        form = verify(assemble(src.format(body=body, r6=1))).form
+        ((_, (slots, _, proven)),) = loop_guards(form).items()
+        streams, sunk = codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2])
+        dropped = {pc for pc in slots[:-1] if form[pc][2] in sunk}
+        assert (codegen._reduced(form, slots[:-1], streams, dropped, proven) is not None) == reduced, body
 
 
 def _grow(env):
@@ -1521,11 +1568,27 @@ inner:  ldxh r0, [r3+0]
     assert unpacked["streams"] == (100 if leaves > 16 else 0) and unpacked["values"] <= 2 * 100
 
 
+def _counting_runs(monkeypatch) -> Counter:
+    """Count the runs of values that compiled code decodes at once through
+    ``vm.unpack_from``, and the values in them, into the Counter returned."""
+    decoded = Counter()
+
+    def counted(fmt, buf, offset):
+        values = struct.unpack_from(fmt, buf, offset)
+        decoded["runs"] += 1
+        decoded["values"] += len(values)
+        return values
+
+    monkeypatch.setattr(vm, "unpack_from", counted)
+    return decoded
+
+
 @pytest.mark.parametrize("passes", [1, 16, 17, 40])
 def test_a_counted_loop_streams_only_when_it_runs_more_than_16_passes(monkeypatch, compiled_tier, passes):
     # Each of 100 entries knows on entry that it leaves in pass ``passes``: a
-    # loop of 16 passes or fewer opens no stream, a longer one streams them all.
-    unpacked = _counting_streams(monkeypatch)
+    # loop of 16 passes or fewer decodes each word in its pass, a longer one
+    # decodes them all at once, in its closed form, and opens no stream.
+    unpacked, decoded = _counting_streams(monkeypatch), _counting_runs(monkeypatch)
     src = f"""
         mov64 r6, 100
 outer:  mov64 r3, r1
@@ -1550,7 +1613,41 @@ inner:  ldxh r0, [r3+0]
         outcomes.append(execute(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), SyscallTable())))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0].fault is None and outcomes[0].executed == 3 + 100 * (5 * passes + 4)
-    assert unpacked == (Counter(streams=100, values=100 * passes) if passes > 16 else Counter())
+    assert unpacked == Counter()
+    assert decoded == (Counter(runs=100, values=100 * passes) if passes > 16 else Counter())
+
+
+def test_a_closed_form_over_a_64_kib_window_leaves_its_buffer_resizable(monkeypatch):
+    # A counted loop sums all 32768 words of its window in closed form, then
+    # a helper allocates on the hook's buffer, which must still be able to
+    # grow; the host allocates again after the run.
+    table = SyscallTable()
+    table.register(1, _grow, 0)
+    src = """
+        lddw r2, 32768
+loop:   ldxh r0, [r1+0]
+        add64 r4, r0
+        add64 r5, r4
+        add64 r1, 2
+        sub64 r2, 1
+        jne r2, 0, loop
+        call 1
+        xor64 r0, r4
+        xor64 r0, r5
+        exit
+"""
+    decoded = _counting_runs(monkeypatch)
+    vp = verify(assemble(src), VerifyLimits(256, 8192), (1,))
+    outcomes = []
+    for hot, execute in ((HOT_STEPS_PER_SLOT, exec_program), (0, exec_program), (0, refvm.exec_program)):
+        monkeypatch.setattr(vm, "HOT_STEPS_PER_SLOT", hot)
+        mem = HostMemory()
+        words = bytes(range(256)) * 256
+        ctx = mem.alloc(1 << 16, "ctx", readable=True, writable=False, init=words)
+        outcomes.append(execute(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), table)))
+        mem.alloc(8, "after", readable=True, writable=False)
+    assert vp.compiled is not None and decoded == Counter(runs=1, values=32768)
+    assert outcomes[0] == outcomes[1] == outcomes[2] and outcomes[0].fault is None
 
 
 GENERATED = ("interpreter", "stepped", *FIXTURE_SOURCES)  # the loops, and each bundled fixture compiled
@@ -1662,6 +1759,14 @@ def test_a_stack_row_loop_converts_each_row_at_entry_and_on_each_way_out(perfben
               and ast.unparse(node.iter).startswith("range(")}
     assert sorted(passes) == ["range(1, proven + 1)", "range(proven + 1, room + 1)"]  # a counted loop
     assert all(_memory_calls(stmt) == [] for loop in passes.values() for stmt in loop.body)
+    # Its counter r5 is read only by its step and its branch, which proven
+    # passes do not test: it is set once after them, before the checked ones.
+    proven_passes = passes["range(1, proven + 1)"]
+    (after,) = [block[i + 1] for node in ast.walk(tree) if isinstance(block := getattr(node, "body", None), list)
+                for i, stmt in enumerate(block) if stmt is proven_passes]
+    assert not [stmt for stmt in ast.walk(proven_passes) if isinstance(stmt, ast.Assign)
+                and ast.unparse(stmt.targets[0]) == "r5"]
+    assert ast.unparse(after) == "r5 = r5 + proven * -1"
     rows = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in codegen._STACK_ROWS}
     stored = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in (V.STX_STACK, V.ST_STACK)}
     assert len(stored) > 1
