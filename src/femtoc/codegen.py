@@ -17,28 +17,23 @@ can bound, nor leave the first window with an access whose address steps
 by a constant, and runs those passes through a copy of the body filled
 without those checks, then the rest through the checked body; a counted
 self-loop, whose branch compares an induction register with a fixed bound,
-also finds the pass where it leaves, and its proven passes test no branch.
-When the body calls no helper and, unless the loop is counted, writes no
-memory, proven passes drop the steps of each induction register but r0
-that nothing else in them reads, setting it once where they end; in a body
-that writes no memory, they read each load whose base steps by the load's
-width per pass as one lazy stream (``memory``'s ``_ITER_UNPACK``).  Those
-are all of a counted self-loop's proven passes (if it reads a stream, only
-when there are over 16), else those after the first 16.  A counted
-self-loop whose other slots only add such loads, or such adds, into
-registers runs those passes in closed form: one ``unpack_from`` per stream,
-then sums (``accumulate`` for a chain) from the registers' entry values.
-A self-loop with no load or store
-through a pointer and no helper call can reach the stack only through its
-stack rows: it holds each row that overlaps no other in a local, loaded
-once on entry, and writes the stored ones back on its two ways out.
+also finds the pass where it leaves, and its proven passes test no branch
+and drop the steps of each induction register but r0 that nothing else in
+them reads, setting it once where they end.  A counted self-loop whose
+other slots only add loads whose base steps by their width per pass, or
+such adds, into registers runs more than 16 proven passes in closed form:
+one ``unpack_from`` per load, then sums (``accumulate`` for a chain) from
+the registers' entry values.  A self-loop with no load or store through a
+pointer and no helper call can reach the stack only through its stack
+rows: it holds each row that overlaps no other in a local, loaded once on
+entry, and writes the stored ones back on its two ways out.
 On both tiers a load or store tests the first window, whose bounds the
 prologue unpacks from the access list's ``run_state`` with the rest of it,
 calls ``in_windows`` only on a miss, and converts once on the access list's
 one buffer, through ``memory``'s codec.  ``femtoc.vm`` executes both
 sources in its own namespace, so the names they use (``_Trap``, ``Fault``,
-``in_windows``, ``_PACK``, ``_ITER_UNPACK``, ``_RUN_FORMATS``, ``_helper_fault``,
-...) are ``vm``'s.
+``in_windows``, ``_PACK``, ``_RUN_FORMATS``, ``_helper_fault``, ...) are
+``vm``'s.
 
 Fields: ``{a}`` and ``{b}`` are an operation's operands, already cut to its
 width; ``{mask}``, ``{wrap}`` and ``{sign}`` are the width's value mask,
@@ -102,8 +97,8 @@ END_OPS = (  # by verifier.BYTE_ORDERS
 # A load or store is one CHECK, then one READ or WRITE at ``addr`` on the buffer.
 # The check tests the first window (``rlo``/``rhi`` or ``wlo``/``whi``) inline
 # and, only on a miss, faults unless ``in_windows`` finds one that covers the
-# access.  A proven access (see ``_self_loop``) is the READ or WRITE alone, or
-# a stream's next value; a stack row indexes the stack's bytes.  ``{address}`` is ADDRESS, or the base
+# access.  A proven access (see ``_self_loop``) is the READ or WRITE alone;
+# a stack row indexes the stack's bytes.  ``{address}`` is ADDRESS, or the base
 # register itself at offset 0 (registers hold values in [0, 2**64) on both tiers).
 ADDRESS = "({base} + {off}) & {mask64}"
 READ = "{dst} = unpack[{width}](buf, {addr} - base)[0]\n"
@@ -345,7 +340,6 @@ _ENDS_BLOCK = (JCOND_K, JCOND_X, JA, EXIT)
 _WRITES_DST = (ALU64_K, ALU64_X, ALU32_K, ALU32_X, LDX, LDX_STACK, LDDW, END)
 _TRAPS = (LDX, STX, ST, CALL)  # slots whose checked form can raise _Trap
 _STACK_ROWS = (LDX_STACK, STX_STACK, ST_STACK)
-_STORES = (STX, ST, STX_STACK, ST_STACK)  # a body with one reads no stream (see ``_streams``)
 
 
 def _basic_blocks(form: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
@@ -462,43 +456,32 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
 # A counted self-loop (``_trip``) runs ``proven``, the lesser of ``trip`` and
 # ``safe``, proven passes with no branch test, leaves in pass ``trip`` if it
 # is the last of them (LEAVE_AT_TRIP), and else runs checked passes after it.
+# Its proven passes drop the steps of each induction register but r0 that
+# nothing else in them reads (``_sinks``), and step it once by all of them
+# where they end; the guard bounds it for ``safe`` passes, so no mask, and a
+# trap returns only r0, so a trap sets nothing.  A helper reads r1-r5, so a
+# body that calls one sinks nothing.  An uncounted self-loop's proven passes
+# test its branch and drop nothing.
 #
-# A body that calls no helper and, unless the loop is counted, writes no
-# memory, runs proven passes after a plain prefix through a streamed copy
-# (``_streams``), which has two more forms:
-# - in a body that writes no memory (none of ``_STORES``), a load whose base
-#   steps by the load's width per pass reads pass k's value as the next of
-#   one STREAM, opened over the remaining proven passes' bytes (none if there
-#   are none); nothing in such a body writes the bytes it reads, and the
-#   stream unpacks only the passes that run;
-# - an induction register but r0 that nothing reads but its own steps and
-#   streams, nor a branch test, keeps its value from the prefix: it is
-#   stepped by the streamed passes run where they break, and by all of them
-#   before the checked passes; the guard bounds it for ``safe`` passes, so no
-#   mask, and a trap returns only r0, so a trap sets nothing.  A helper reads
-#   r1-r5, so a body that calls one sinks nothing.
-# Opening the streams costs about what a dozen plain passes would save, so a
-# counted self-loop streams all its proven passes if there are more than
-# PLAIN_PASSES, else none, and any other loop streams after PLAIN_PASSES plain
-# ones, so one that leaves within them opens none; a counted copy with no
-# stream, which only sinks, runs all of them.  Each way out of the streamed
-# passes drops the streams ({release}): a stream exports the hook's buffer,
-# which ``HostMemory.alloc`` could not then grow.
-#
-# A counted copy whose every slot is a stream, a dropped step, or a proven
-# ``add64 rA, rB`` whose rB a stream or such an add wrote earlier in the pass,
-# with no register written twice, runs no pass at all (``_reduced``): each
-# stream is one UNPACK_RUN of ``proven`` values, decoded little-endian as
-# ``memory``'s codec does, into a tuple, and each register is set once, from
-# the entry values, to its last loaded value or to its entry value plus the
-# sum of rB's values, prefix sums (``accumulate``) for an rB that an add
-# wrote.  The guard's GROWS caps make every such sum exact in the proven
-# passes.  A tuple holds no export of the buffer, so nothing is dropped.
+# A counted self-loop whose every slot is a load whose base steps by its
+# width per pass (``_streams``), a dropped step, or a proven ``add64 rA, rB``
+# whose rB such a load or such an add wrote earlier in the pass, with no
+# register written twice, runs its proven passes in closed form when there
+# are more than PLAIN_PASSES of them (``_reduced``): each such load is one
+# UNPACK_RUN of ``proven`` values, decoded little-endian as ``memory``'s codec
+# does, into a tuple, and each register is set once, from the entry values,
+# to its last loaded value or to its entry value plus the sum of rB's values,
+# prefix sums (``accumulate``) for an rB that an add wrote.  The guard's GROWS
+# caps make every such sum exact in the proven passes.  A tuple holds no
+# export of the buffer, so ``HostMemory.alloc`` can still grow it.  Fewer
+# proven passes, PLAIN_PASSES at most, run one by one through the proven body
+# and drop nothing.  A body that the closed form refuses runs its proven
+# passes one by one; its loads read their base registers there, so it keeps
+# their steps.
 PASSES = """\
-for {target} in {passes}:
+for it in range({first}, {last} + 1):
 {body}\
     if not ({taken}):
-{leave}\
         break
 else:
 {then}\
@@ -508,14 +491,12 @@ TRAPPED = """\
 try:
 {passes}\
 except _Trap:
-{release}\
     executed += it * {length}
     branches += it - 1
     raise
 """
 LOOP_EXIT = "{spill}executed += it * {length}\nbranches += it - 1\npc = {next}\n"
-STREAM = "s{pc} = _ITER_UNPACK[{width}](memoryview(buf)[{start}:{start} + {passes} * {width}]){empty}\n"
-PLAIN_PASSES = 16  # proven passes run before any stream opens
+PLAIN_PASSES = 16  # the most proven passes a counted self-loop runs one by one when it has a closed form
 UNPACK_RUN = "v{pc} = unpack_from(_RUN_FORMATS[{width}] % proven, buf, {start})\n"
 TRIP = "trip = {trip}\nproven = trip if trip < safe else safe\n"
 LEAVE_AT_TRIP = "if proven == trip:\n    it = trip\nelse:\n{checked}"
@@ -658,40 +639,40 @@ def _trip(form: tuple[tuple[int, ...], ...], slots: list[int], steps: Steps) -> 
     return f"1 if {gap} >= {e} else safe + 1"
 
 
-def _streams(form: tuple[tuple[int, ...], ...], slots: list[int],
-             steps: Steps) -> tuple[dict[int, int], dict[int, int]]:
-    """What the proven copy of a self-loop block ``slots`` reads as streams
-    and which registers it sinks: each load whose base steps by its width per
-    pass, when the body writes no memory, slot -> its first pass's address
-    less the base's entry value; and each induction register but r0 that no
-    other slot reads, nor the branch unless the loop is counted, register ->
-    its step per pass.  A body that calls a helper (which reads r1-r5) has
-    neither, nor has an uncounted loop's body that writes memory."""
-    body = slots[:-1]
-    counted = _trip(form, slots, steps) is not None
-    stores = any(form[pc][0] in _STORES for pc in body)
-    if any(form[pc][0] == CALL for pc in body) or stores and not counted:
-        return {}, {}
+def _streams(form: tuple[tuple[int, ...], ...], body: list[int], steps: Steps) -> dict[int, int]:
+    """The loads a closed form of the self-loop body ``body`` may read as
+    streams: each load whose base steps by its width per pass, slot -> its
+    first pass's address less the base's entry value."""
     per_pass = {reg: sum(s for _, s in ss) for reg, ss in steps.items()}
-    streams = {pc: off + sum(s for at, s in steps[src] if at < pc)
-               for pc in body for code, sub, _dst, src, off, _imm in [form[pc]]
-               if code == LDX and per_pass.get(src) == sub and not stores}
+    return {pc: off + sum(s for at, s in steps[src] if at < pc)
+            for pc in body for code, sub, _dst, src, off, _imm in [form[pc]]
+            if code == LDX and per_pass.get(src) == sub}
+
+
+def _sinks(form: tuple[tuple[int, ...], ...], body: list[int], steps: Steps,
+           streams: dict[int, int]) -> dict[int, int]:
+    """The induction registers whose steps the proven passes of a counted
+    self-loop body drop: each but r0 that no slot of ``body`` reads but its
+    own steps and ``streams``, register -> its step per pass.  A body that
+    calls a helper (which reads r1-r5) sinks none."""
+    if any(form[pc][0] == CALL for pc in body):
+        return {}
     stepping = {pc for ss in steps.values() for pc, _ in ss}
-    tested = body if counted else slots  # a counted self-loop's passes test nothing
-    read = {reg for pc in tested if pc not in streams and pc not in stepping for reg in form[pc][2:4]}
-    return streams, {reg: d for reg, d in per_pass.items() if reg and d and reg not in read}
+    read = {reg for pc in body if pc not in streams and pc not in stepping for reg in form[pc][2:4]}
+    return {reg: d for reg, ss in steps.items() if reg and reg not in read and (d := sum(s for _, s in ss))}
 
 
 def _reduced(form: tuple[tuple[int, ...], ...], body: list[int], streams: dict[int, int],
              dropped: set[int], proven: frozenset[int]) -> str | None:
-    """The closed form of a counted self-loop's streamed copy, over ``proven``
-    passes, or None: source that sets each register the body writes from the
-    registers' entry values, when each slot of ``body`` is a stream, a dropped
-    step or a proven ``add64 rA, rB`` whose rB a stream or such an add wrote
-    earlier in the pass, and no register is written twice.  Each stream is one
-    tuple ``v{pc}`` of its values; each register is then set, in reverse body
-    order so that what it reads has not been set yet, to its last value (a
-    load) or to its entry value plus the sum of rB's values (an add)."""
+    """The closed form of a counted self-loop's ``proven`` passes, or None:
+    source that sets each register the body writes from the registers' entry
+    values, when each slot of ``body`` is a stream, a dropped step or a proven
+    ``add64 rA, rB`` whose rB a stream or such an add wrote earlier in the
+    pass, and no register is written twice (so no slot stores or calls).
+    Each stream is one tuple ``v{pc}`` of its values; each register is then
+    set, in reverse body order so that what it reads has not been set yet,
+    to its last value (a load) or to its entry value plus the sum of rB's
+    values (an add)."""
     writer: dict[int, int] = {}  # register -> the one slot that writes it
     for pc in body:
         if pc not in dropped:
@@ -730,10 +711,29 @@ def _stack_locals(form: tuple[tuple[int, ...], ...], body: list[int]) -> dict[tu
             if not any(o < off + width and off < o + w and (o, w) != (off, width) for o, w in rows)}
 
 
+def _counted_passes(form: tuple[tuple[int, ...], ...], body: list[int], steps: Steps, proven: frozenset[int],
+                    rows: dict[tuple[int, int], str]) -> str:
+    """A counted self-loop's ``proven`` passes: in closed form if it has one
+    and they are over PLAIN_PASSES, else one by one; either way, its sunk
+    induction registers step once at the end."""
+    streams = _streams(form, body, steps)
+    sunk = _sinks(form, body, steps, streams)
+    reduced = _reduced(form, body, streams, {pc for reg in sunk for pc, _ in steps[reg]}, proven) if streams else None
+    if reduced is None:  # each load runs, and reads its base register
+        sunk = _sinks(form, body, steps, {})
+    sink = "".join(f"r{reg} = r{reg} + proven * {d}\n" for reg, d in sunk.items())
+    dropped = {pc for reg in sunk for pc, _ in steps[reg]} if reduced is None else set()
+    kept = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body if pc not in dropped)
+    loop = f"for it in range(1, proven + 1):\n{_indent(kept or 'pass', 1)}"
+    if reduced is None:
+        return loop + sink
+    return f"if proven > {PLAIN_PASSES}:\n{_indent(reduced + sink, 1)}else:\n{_indent(loop, 1)}"
+
+
 def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) -> str:
     """A self-loop block: its guard, its trip if it is counted, its stack
-    locals' loads and its streams, its proven and checked passes, and its
-    exits, each of which writes the stored locals back."""
+    locals' loads, its proven and checked passes, and its exits, each of
+    which writes the stored locals back."""
     length, body = len(slots), slots[:-1]
     guard, proven, steps = _loop_guard(form, body)
     trip = _trip(form, slots, steps) if proven else None
@@ -744,68 +744,17 @@ def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) 
     spill = "".join(STORE_STACK.format(width=width, off=off, value=local)
                     for (off, width), local in rows.items() if (off, width) in stored)
     checked = "".join(_slot_source(pc, form[pc], rows=rows) for pc in body)
-    passes = PASSES.format(target="it", passes=f"range({last + ' + 1' if proven else 1}, room + 1)",
-                           body=_indent(checked, 1), taken=taken, leave="",
-                           then=_indent(ALL_TAKEN.format(length=length, spill=spill), 1))
-    release, copy = "", ""  # the streams' drops; a counted self-loop's streamed copy
+    passes = PASSES.format(first=f"{last} + 1" if proven else 1, last="room", body=_indent(checked, 1),
+                           taken=taken, then=_indent(ALL_TAKEN.format(length=length, spill=spill), 1))
     if trip is not None:
         guard += TRIP.format(trip=trip)
-        passes = LEAVE_AT_TRIP.format(checked=_indent(passes, 1))
-    if proven:
-        plain = "range(1, safe + 1)"  # the passes that run the proven body, unless it is counted
-        streams, sunk = _streams(form, slots, steps)
-        if streams or sunk:
-            first = PLAIN_PASSES if trip is None else 0  # the proven passes before the streamed ones
-            more, empty = (f"(safe - {first})", f" if safe > {first} else ()") if trip is None else ("proven", "")
-            dropped = {pc for reg in sunk for pc, _ in steps[reg]}
-            reduced = None if trip is None else _reduced(form, body, streams, dropped, proven)
-            names, streamed, opens = [], "", ""  # what each pass binds; the streamed body; its streams
-            seen, trapping = set(), False  # what the pass's slots so far name, and whether one can trap
-            for pc in body:
-                code, width, dst, src, _off, _imm = form[pc]
-                if pc in streams:
-                    opens += STREAM.format(pc=pc, width=width, start=_plus(f"r{src} - base", streams[pc]),
-                                           passes=more, empty=empty)
-                    # Its value binds straight to dst at the pass's start, unless an
-                    # earlier slot of the pass names dst, or can trap (a trap returns r0).
-                    if dst in seen or (dst == 0 and trapping):
-                        names.append(f"(v{pc},)")
-                        streamed += f"r{dst} = v{pc}\n"
-                    else:
-                        names.append(f"(r{dst},)")
-                elif pc not in dropped:
-                    streamed += _slot_source(pc, form[pc], proven, rows)
-                seen |= {dst, src}
-                trapping |= code in _TRAPS and pc not in proven
-            release = "".join(f"s{pc} = None\n" for pc in streams) if reduced is None else ""
-
-            def sink(passes: str) -> str:
-                return release + "".join(f"r{reg} = r{reg} + {passes} * {d}\n" for reg, d in sunk.items())
-
-            counts = trip is None or trapping or not streams
-            series = [f"range({first + 1}, {last} + 1)"] * counts + [f"s{pc}" for pc in streams]
-            target, over = ", ".join(["it"] * counts + names), ", ".join(series)
-            over = f"zip({over})" if len(series) > 1 else over
-            if trip is None:
-                passes = opens + PASSES.format(
-                    target=target, passes=over, body=_indent(streamed, 1), taken=taken,
-                    leave=_indent(sink(f"(it - {PLAIN_PASSES})"), 2),
-                    then=_indent(sink(f"max(safe - {PLAIN_PASSES}, 0)") + passes, 1))
-                plain = f"range(1, (safe if safe < {PLAIN_PASSES} else {PLAIN_PASSES}) + 1)"
-            else:
-                if reduced is None:
-                    reduced = opens + f"for {target} in {over}:\n{_indent(streamed or 'pass', 1)}"
-                copy = reduced + sink("proven")
+        passes = _counted_passes(form, body, steps, proven, rows) + LEAVE_AT_TRIP.format(checked=_indent(passes, 1))
+    elif proven:
         unchecked = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body)
-        if trip is not None:  # no proven pass tests the branch; if one streams, all do
-            loop = f"for it in range(1, proven + 1):\n{_indent(unchecked, 1)}"
-            passes = (f"if proven > {PLAIN_PASSES}:\n{_indent(copy, 1)}else:\n{_indent(loop, 1)}"
-                      if streams else copy or loop) + passes
-        else:
-            passes = PASSES.format(target="it", passes=plain, body=_indent(unchecked, 1),
-                                   taken=taken, leave="", then=_indent(passes, 1))
+        passes = PASSES.format(first=1, last="safe", body=_indent(unchecked, 1), taken=taken,
+                               then=_indent(passes, 1))
     if any(form[pc][0] in _TRAPS for pc in body):
-        passes = TRAPPED.format(passes=_indent(passes, 1), release=_indent(release, 1), length=length)
+        passes = TRAPPED.format(passes=_indent(passes, 1), length=length)
     room = f"room = (budget - executed) // {length}\n"
     leave = LOOP_EXIT.format(spill=spill, length=length, next=slots[-1] + 1)
     return room + (guard if proven else "") + fill + passes + leave

@@ -21,10 +21,8 @@ what a run unpacks once, the first windows' bounds included, so no run
 indexes the windows.  An access that passes converts once, through this
 module's codec (``_PACK``, ``_UNPACK`` and ``_WIDTH_MASK``, by access
 width), which ``checked_store`` and the code both tiers generate share; a
-compiled loop whose guard proved a run of same-width loads reads them
-through its ``_ITER_UNPACK``, one lazy stream per loop entry, or, in a
-counted loop that only sums them, decodes them at once in its
-``_RUN_FORMATS``.
+counted compiled loop that only sums a run of same-width loads its guard
+proved decodes them at once in one of its ``_RUN_FORMATS``.
 """
 
 from __future__ import annotations
@@ -41,13 +39,11 @@ DEFAULT_BASE = 0x1000
 STACK_LABEL = "stack"
 STACK_SIZE = 512
 
-# The buffer's codec: little-endian unsigned packers, unpackers, stream
-# unpackers, formats of a run of values and value masks, indexed by access
-# width.
+# The buffer's codec: little-endian unsigned packers, unpackers, formats of
+# a run of values and value masks, indexed by access width.
 _FORMATS = {1: "<B", 2: "<H", 4: "<I", 8: "<Q"}
 _UNPACK = tuple(struct.Struct(_FORMATS[w]).unpack_from if w in _FORMATS else None for w in range(9))
 _PACK = tuple(struct.Struct(_FORMATS[w]).pack_into if w in _FORMATS else None for w in range(9))
-_ITER_UNPACK = tuple(struct.Struct(_FORMATS[w]).iter_unpack if w in _FORMATS else None for w in range(9))
 # A run's format takes its count of values: _RUN_FORMATS[2] % 180 is "<180H".
 _RUN_FORMATS = tuple(f"<%d{_FORMATS[w][1]}" if w in _FORMATS else None for w in range(9))
 _WIDTH_MASK = tuple((1 << 8 * w) - 1 for w in range(9))

@@ -39,18 +39,14 @@ the [r10+off] accesses the verifier proved to lie inside the stack, take
 no check, so the engine puts the stack last; a compiled self-loop with no
 other access and no call converts each row once per entry, not per pass.
 A counted compiled self-loop finds on entry the pass where it leaves, and
-its proven passes up to it test no branch.  One whose body writes no memory
-and calls no helper reads each load whose base steps by its width per pass,
-in proven passes (all of a counted self-loop's if over 16, else those after the
-first 16), as one lazy stream through the same codec, and drops the steps
-of a register that only they and such loads read there, setting it once
-where those passes end; a counted one that reads no stream drops them in
-all its proven passes, also in a body that stores.  A counted self-loop
-whose other slots only add streamed values, or such sums, into registers
-runs no pass in Python: it decodes each stream's values at once
-(``struct.unpack_from``, little-endian like the codec) and sets each
-register from sums over them.  The checked passes after the proven ones
-are unchanged.
+its proven passes up to it test no branch and drop the steps of a
+register that nothing else in them reads, setting it once where those
+passes end.  A counted self-loop whose other slots only add the values of
+loads whose base steps by their width per pass, or such sums, into
+registers runs no pass in Python when it has more than 16 proven passes:
+it decodes each load's values at once (``struct.unpack_from``,
+little-endian like the codec) and sets each register from sums over them.  The checked passes
+after the proven ones are unchanged.
 The compiled tier checks the budget once per block: a block that might not
 fit in what is left hands its registers and counters to the stepped loop
 at its first slot.  A block that jumps back to its own start counts passes
@@ -81,7 +77,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 from .codegen import COUNTED, STEPPED, compiled_source, interpreter_source
 # The buffer's codec and in_windows are generated code's.
 from .memory import (  # noqa: F401
-    _ITER_UNPACK, _PACK, _RUN_FORMATS, _UNPACK, _WIDTH_MASK, AccessList, AccessViolation, MemoryRegion, in_windows,
+    _PACK, _RUN_FORMATS, _UNPACK, _WIDTH_MASK, AccessList, AccessViolation, MemoryRegion, in_windows,
 )
 from .verifier import MASK32, MASK64, VerifiedProgram  # noqa: F401  (MASK32 is re-exported)
 

@@ -298,64 +298,73 @@ def random_stack_loop(rng: random.Random, allowed_syscalls: tuple[int, ...] = ()
 
 # -- streamed loops ------------------------------------------------------------------
 #
-# When a self-loop's body writes no memory and calls no helper, compiled code
-# reads each proven load whose base steps by the load's width per pass as one
-# stream over the proven passes after the first few, and drops the steps of
-# each induction register but r0 that only its steps and streams read there,
-# setting it once on the way out of those passes.  A counted loop whose other
-# slots are all adds along chains from a streamed load runs its proven passes
-# in closed form, with sums over the stream's values; one that stores sinks
-# its induction registers all the same, and streams nothing.
+# The proven passes of a counted self-loop drop the steps of each induction
+# register but r0 that nothing else in them reads, setting it once where they
+# end.  When there are more than 16 of them, and the loop's other slots only
+# add along chains from loads whose base steps up by the load's width per
+# pass, compiled code runs them in closed form: it reads each such load as
+# one stream of values and sums over them.  A body that breaks that rule runs
+# its proven passes one by one, stepping the loads' bases.
 
 
-def _accumulator_start(rng: random.Random, unit: int) -> int:
-    """A small value, one below 2**64 by a few dozen ``unit``s (at most 2**56
-    each), or any."""
+def _accumulator_start(rng: random.Random, unit: int, small: bool) -> int:
+    """A small value, or, unless ``small``, one below 2**64 by a few dozen
+    ``unit``s (at most 2**56 each) or any."""
+    if small:
+        return rng.randint(0, 1 << 20)
     return rng.choice((rng.randint(0, 1 << 20), rng.randint(0, 1 << 20),
                        MASK64 - rng.randint(0, 80) * min(unit, 1 << 56), rng.getrandbits(64)))
 
 
-def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
+def random_stream_loop(rng: random.Random, ctx_span: int, window: tuple[int, int]) -> Program:
     """A program that passes the pre-flight checks and whose one self-loop
-    walks r3 from r1 or, twice as often, r10 by a load's width per pass
-    (all four widths, either sign, in one step or two) for up to 80 passes,
-    and loads r5 through it at that width.
+    walks r3 by a load's width per pass (all four widths, in one step or
+    two) for up to 80 passes, and loads r5 through it at that width.
 
-    r4 steps near a wrap edge and r2 counts the passes, in two loops in
-    five as a ``_counted_exit`` against r1, else by jne or by a signed
-    compare, which is not counted; r0 and r9 may be loaded too.  An
-    accumulator chain of depth 0 to 3 (r6 += r5, r7 += r6, r0 += r7), its
-    links in order after the load in half the loops and anywhere in the
+    Half the loops are drawn for a closed form: r3 walks up the first read
+    window, ``window`` (its base register and its length), from where every
+    access of pass 1 lies inside it at its lower edge; r2 counts 17 to 80
+    passes down to 0, and the accumulators start small.  The others walk
+    r1's context or, twice as often, r10's stack either way, from the edge
+    they leave, from a few bytes off it, or from anywhere; r2 counts the
+    passes, in two loops in five as a ``_counted_exit`` against r1, else by
+    jne or by a signed compare, which is not counted, or the branch tests r3.
+
+    r4 steps near a wrap edge; r0 and r9 may be loaded too.  An accumulator
+    chain of depth 0 to 3 (r6 += r5, r7 += r6, r0 += r7), its links in order
+    after the load in the loops drawn for a closed form and in half the
     others, and in one loop in four an add of r5 or r6 to r9 (a second
     reader of a sum's values, or a second write of r9), start small, a few
     dozen loaded values below 2**64, or anywhere, so that the guard's caps
-    cut the passes short.  Loops that stream less, sink less or sum no
-    closed form mix in, each kind in one loop in four but none in one loop
-    in three: a load through r3 of another width, an add that reads r4, a
-    step of r0, an unknown pointer that leaves its window in some pass, and
-    an op on a chain register that is not an add; also a branch on r3, a
-    second load through r3, and, in one loop in four, a store at a streamed
-    load's address before it.  The exit folds r2..r9 into r0."""
-    pointer = rng.choice((1, 10, 10))  # the stack is long enough to stream at any width
-    span = ctx_span if pointer == 1 else 512
+    cut the passes short.  Loops that sum no closed form or sink less mix
+    in, each kind in one loop in four but none in one loop in three nor in a
+    loop drawn for a closed form: a load through r3 of another width, an add
+    that reads r4, a step of r0, an unknown pointer that leaves its window in
+    some pass, and an op on a chain register that is not an add; also a
+    second load through r3, and, in one loop in four not drawn for a closed
+    form, a store at a streamed load's address before it.  The exit folds
+    r2..r9 into r0."""
+    closed = rng.random() < 0.5  # drawn for a closed form, which the accumulators' caps may still cut short
+    pointer, span = window if closed else rng.choice(((1, ctx_span), (10, 512), (10, 512)))
     width = rng.choice(sorted(_SUFFIX))
-    d = width * rng.choice((1, -1))
-    edge = 0 if d > 0 else span - width  # where the walk starts into its window
-    start = edge + rng.choice((0, 0, rng.randint(-4, 4), rng.randint(-span, span)))
+    d = width * (1 if closed else rng.choice((1, -1)))  # a closed form reads its values upwards
     lines = [
         f"mov64 r3, r{pointer}",
-        f"add64 r3, {start}",
+        "",  # r3's start, once the body is known
         f"lddw r4, {rng.choice((rng.randint(0, 40), MASK64 - rng.randint(0, 40))):#x}",
         f"mov64 r8, r{pointer}",
     ]
-    lines += [f"lddw r{reg}, {_accumulator_start(rng, (1 << 8 * width) - 1):#x}" for reg in (6, 7, 0)]
+    lines += [f"lddw r{reg}, {_accumulator_start(rng, (1 << 8 * width) - 1, closed):#x}" for reg in (6, 7, 0)]
     first = rng.randint(-8, 8) if rng.random() < 0.3 else d
     body = [_step(rng, 3, first)] + [_step(rng, 3, d - first)] * (first != d)
+    walk = dict(zip(body, (first, d - first)))  # r3's steps -> their amounts
     offsets = [rng.choice((0, 0, rng.randint(-2, 6))) for _ in range(2)]
     loads = [f"ldx{_SUFFIX[width]} r5, [r3{offsets[0]:+d}]"]
     other = rng.choice([w for w in _SUFFIX if w != width])
+    second = f"ldx{_SUFFIX[width]} r{rng.choice((0, 5, 9))}, [r3{offsets[1]:+d}]"
+    store = f"stx{_SUFFIX[width]} [r3{offsets[0]:+d}], r6"
     extra = {
-        "second stream": f"ldx{_SUFFIX[width]} r{rng.choice((0, 5, 9))}, [r3{offsets[1]:+d}]",
+        "second stream": second,
         "other width": f"ldx{_SUFFIX[other]} r9, [r3{offsets[1]:+d}]",
         "wrap": _step(rng, 4, rng.choice((1, 3, -1, -5))),
         "fan": f"add64 r9, r{rng.choice((5, 6))}",
@@ -364,12 +373,19 @@ def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
         "unknown pointer": "ldxb r9, [r8+0]\nadd32 r8, 1",
         "not an add": rng.choice(("xor64 r7, r5", "mul64 r6, 3", "add32 r6, r5", "sub64 r7, r6")),
     }
-    rare = 0 if rng.random() < 1 / 3 else 0.25  # the odds of each kind that keeps a counted loop from a closed form
+    # The odds of each kind that keeps a counted loop from a closed form:
+    rare = 0 if closed or rng.random() < 1 / 3 else 0.25
     odds = {"fan": 0.25, **dict.fromkeys(("other width", "read r4", "step r0", "unknown pointer", "not an add"), rare)}
     chosen = [text for kind, text in extra.items() if rng.random() < odds.get(kind, 0.5)]
     loads += [text for text in chosen if text.startswith("ldx")]
     body += [text for text in chosen if not text.startswith("ldx")]
-    if rng.random() < 0.2:  # a branch on the walk itself
+    reach = {loads[0]: (offsets[0], width), second: (offsets[1], width), store: (offsets[0], width),
+             extra["other width"]: (offsets[1], other)}  # accesses through r3 -> their offsets and widths
+    if closed:  # counted down from past the 16 passes that a closed form needs
+        lines.append(f"mov64 r2, {rng.randint(17, 80)}")
+        body.append(_step(rng, 2, -1))
+        branch = "jne r2, 0"
+    elif rng.random() < 0.2:  # a branch on the walk itself
         lines += ["mov64 r2, r3", f"add64 r2, {rng.randint(1, 80) * d}"]
         branch = "jne r3, r2"
     elif rng.random() < 0.5:  # against r1, which the loop does not read
@@ -382,14 +398,20 @@ def random_stream_loop(rng: random.Random, ctx_span: int) -> Program:
         branch = rng.choice(("jne r2, 0", "jsgt r2, 0", "jsgt r2, 3"))  # a signed compare is not counted
     body += loads
     rng.shuffle(body)
-    ordered, at = rng.random() < 0.5, body.index(loads[0])
+    ordered, at = closed or rng.random() < 0.5, body.index(loads[0])
     for link in ("add64 r6, r5", "add64 r7, r6", "add64 r0, r7")[:rng.randint(0, 3)]:
         at = rng.randint(at + 1, len(body)) if ordered else rng.randint(0, len(body))
         body.insert(at, link)
-    if rng.random() < 0.25:  # the value a streamed load reads is stored earlier in its pass
-        at = body.index(loads[0])
-        body.insert(at, f"stx{_SUFFIX[width]} [r3{offsets[0]:+d}], r6")
+    if not closed and rng.random() < 0.25:  # the value a streamed load reads is stored earlier in its pass
+        body.insert(body.index(loads[0]), store)
     body = "\n".join(body).splitlines()
+    moved, ends = 0, []  # r3's steps so far in pass 1; where each access through r3 begins and ends
+    for line in body:
+        moved += walk.get(line, 0)
+        if line in reach:
+            ends += [moved + reach[line][0], moved + sum(reach[line])]
+    inside = -min(ends) if d > 0 else span - max(ends)  # pass 1's accesses lie in the window, at its edge
+    lines[1] = f"add64 r3, {inside + (0 if closed else rng.choice((0, rng.randint(-4, 4), rng.randint(-span, span))))}"
     lines += [f"loop: {body[0]}", *body[1:], f"{branch}, loop"]
     lines += [f"xor64 r0, r{reg}" for reg in range(2, 10)] + ["exit"]
     return assemble("\n".join(lines))

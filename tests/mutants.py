@@ -65,29 +65,29 @@ MUTANTS = (
         "",
         LOOP_TESTS,
     ),
-    # Streamed loads and sunk induction registers in a proven self-loop's passes.
+    # A counted self-loop's closed form: sums over its streams' values, and
+    # its sunk induction registers.
     Mutant(
         "a stream starts one width late",
         "src/femtoc/codegen.py",
-        'start=_plus(f"r{src} - base", streams[pc])',
-        'start=_plus(f"r{src} - base", streams[pc] + width)',
+        'start=_plus(f"r{form[pc][3]} - base", off))',
+        'start=_plus(f"r{form[pc][3]} - base", off + form[pc][1]))',
         STREAM_TESTS,
     ),
     Mutant(
-        "a sunk register leaves the proven passes one pass behind",
+        "a closed form drops a store",
         "src/femtoc/codegen.py",
-        'leave=_indent(sink(f"(it - {PLAIN_PASSES})"), 2)',
-        'leave=_indent(sink(f"(it - 1 - {PLAIN_PASSES})"), 2)',
-        STREAM_TESTS,
+        "        if pc not in dropped:\n",
+        "        if pc not in dropped and form[pc][0] in _WRITES_DST:\n",
+        VM_TESTS,
     ),
     Mutant(
-        "streams are read in a body that stores",
+        "a refused closed form still sinks a stream's base register",
         "src/femtoc/codegen.py",
-        "_STORES = (STX, ST, STX_STACK, ST_STACK)",
-        "_STORES = ()",
+        "        sunk = _sinks(form, body, steps, {})\n",
+        "        sunk = _sinks(form, body, steps, streams)\n",
         STREAM_TESTS,
     ),
-    # A counted streamed loop's closed form: sums over its streams' values.
     Mutant(
         "an accumulator of an accumulator keeps its source's entry value",
         "src/femtoc/codegen.py",
@@ -319,8 +319,8 @@ MUTANTS = (
     Mutant(
         "an invalid escape in a self-loop's passes",
         "src/femtoc/codegen.py",
-        "    if not ({taken}):\n{leave}\\\n        break\n",
-        "    if not ({taken}) and '\\\\d':\n{leave}\\\n        break\n",
+        "    if not ({taken}):\n        break\n",
+        "    if not ({taken}) and '\\\\d':\n        break\n",
         VM_TESTS,
     ),
     # An access list's r1: the base of its first region that is not the stack.

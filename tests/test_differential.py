@@ -41,7 +41,7 @@ those passes run without them.  A LoopProbe follows the reference run,
 finds each entry's guard, and requires loops that ran versioned passes,
 guards that fell short of a wrap or a window's edge that a later, checked
 pass then reached, and loops with no guard; a proven check that fails in a
-versioned pass fails the stream.  Half the guarded loops, and two in five
+versioned pass fails the stream.  Half the guarded loops, and one in five
 of the streamed loops below, leave by ``genprog._counted_exit``: compiled
 code finds on entry the pass in which such a counted loop leaves, and its
 versioned passes test no branch.  These streams require counted entries,
@@ -63,22 +63,24 @@ length.
 
 One more compiled stream runs self-loops from
 ``genprog.random_stream_loop``, whose walks step by a load's width per
-pass, over the context or over a stack filled with random bytes.  In the
-versioned passes of a counted loop with more than ``codegen.PLAIN_PASSES``
-of them, and after ``codegen.PLAIN_PASSES`` versioned passes of any other
-loop, compiled code reads such a load as a stream, and drops the steps of
-an induction register that nothing else in those passes reads, setting it
-once on the way out.  A counted loop whose other slots only add along
-chains from its streamed loads (``genprog`` draws chains of depth 0 to
-3, some of them near a wrap) runs those passes in closed form.  Its
-LoopProbe also counts the streamed loads and sunk registers of each entry
-that reaches a streamed pass, the entries that sink in a body that
-stores, and the entries that run in closed form, and the stream requires
-all four, with traps inside a pass and handovers out of a loop; every
-third program runs under a budget near its run's length, and one loop in
-four stores at a load's address before it in a pass, which keeps that
-loop from streaming.  Most loops leave within the plain passes, so the
-stream runs twice: with the package's ``PLAIN_PASSES`` and with none.
+pass, over the context or over a stack filled with random bytes, most of
+them from the edge of the first read window.  The versioned passes of a
+counted loop drop the steps of an induction register that nothing else in
+them reads, setting it once on the way out.  When there are more than
+``codegen.PLAIN_PASSES`` of them and the loop's other slots only add along
+chains from loads whose base steps up by their width (``genprog`` draws
+chains of depth 0 to 3, some of them near a wrap), compiled code runs
+them in closed form, reading those loads as streams; a body that breaks
+that rule runs its passes one by one and steps the loads' bases.  Its
+LoopProbe counts, of each counted entry with more than
+``codegen.PLAIN_PASSES`` versioned passes, the closed forms and their
+streamed loads, the sunk registers, the entries that sink in a body that
+stores, and the refused closed forms that step a stream's base.  The
+stream requires all of them, at least 100 closed-form entries, traps
+inside a pass and handovers out of a loop; every third program runs under
+a budget near its run's length, and one loop in eight stores at a load's
+address before it in a pass, which keeps that loop from a closed form.
+The stream runs twice: with the package's ``PLAIN_PASSES`` and with none.
 
 The interpreter counts steps by straight runs and checks the budget only on
 entry and at taken jumps; where a run might not fit, it hands over to the
@@ -98,7 +100,9 @@ import pytest
 import refvm
 from femtoc import codegen, vm
 from femtoc.memory import GUARD_LEN, STACK_LABEL, STACK_SIZE, AccessList, HostMemory, checked_store
-from femtoc.verifier import ALU64_K, ALU64_X, JCOND_K, JCOND_X, LDX, MASK64, VerifyLimits, verify
+from femtoc.verifier import (
+    ALU64_K, ALU64_X, JCOND_K, JCOND_X, LDX, MASK64, ST, ST_STACK, STX, STX_STACK, VerifyLimits, verify,
+)
 from femtoc.vm import SyscallEnv, SyscallError, SyscallTable
 from genprog import random_accepted_program, random_self_loop, random_stack_loop, random_stream_loop
 
@@ -109,6 +113,7 @@ RO_LEN = 32
 RW_LEN = 32
 CTX_SPAN = RO_LEN + GUARD_LEN + RW_LEN
 HELPER_IDS = (0x1, 0x2, 0x3, 0x4, 0x5, 0x6, 0x7)  # 0x4 is granted but not in the table
+STORES = (STX, ST, STX_STACK, ST_STACK)
 
 
 # Helper name -> calls of it that returned, by both interpreters together.
@@ -163,19 +168,22 @@ def loop_guards(form) -> dict[int, tuple[list[int], str, frozenset[int]]]:
 
 
 def stream_coverage(form, slots: list[int]) -> Counter:
-    """What the self-loop block ``slots`` runs in its streamed passes: its
-    streamed loads and its sunk induction registers; whether it sinks them in
-    a body that stores; and whether, counted, it reads its streams in closed
-    form (``codegen._reduced``)."""
+    """What the counted self-loop block ``slots`` runs in its proven passes,
+    when they are over ``codegen.PLAIN_PASSES``: whether it runs them in
+    closed form (``codegen._reduced``), and the loads it reads there as
+    streams; its sunk induction registers, and whether it sinks them in a
+    body that stores; and whether the closed form refused a body whose
+    streams' bases it would have sunk, which must then step them."""
     body = slots[:-1]
     _, proven, steps = codegen._loop_guard(form, body)
-    streams, sunk = codegen._streams(form, slots, steps)
+    streams = codegen._streams(form, body, steps)
+    sunk = codegen._sinks(form, body, steps, streams)
     dropped = {pc for reg in sunk for pc, _ in steps[reg]}
-    reduced = (bool(streams) and codegen._trip(form, slots, steps) is not None
-               and codegen._reduced(form, body, streams, dropped, proven) is not None)
-    return Counter({"streamed loads": len(streams), "sunk induction registers": len(sunk),
-                    "sunk in a storing body": bool(sunk) and any(form[pc][0] in codegen._STORES for pc in body),
-                    "reduced entries": reduced})
+    reduced = bool(streams) and codegen._reduced(form, body, streams, dropped, proven) is not None
+    kept = sunk if reduced else codegen._sinks(form, body, steps, {})
+    return Counter({"streamed loads": len(streams) * reduced, "sunk induction registers": len(kept),
+                    "sunk in a storing body": bool(kept) and any(form[pc][0] in STORES for pc in body),
+                    "reduced entries": reduced, "refused closed forms that step a stream's base": kept != sunk})
 
 
 def loop_trip(form, slots: list[int]) -> str | None:
@@ -233,10 +241,8 @@ class LoopProbe:
     ``safe`` (the checked remainder), and any that fail in a pass before it,
     and each entry's ``stack_coverage``.  Of a counted loop's entries, it
     counts those whose trip lies beyond ``safe`` (or that have none), and
-    those that leave in the pass the trip names.  It counts the
-    ``stream_coverage`` of each entry that begins a streamed pass: a counted
-    one with more than ``codegen.PLAIN_PASSES`` proven passes in pass 1, any
-    other one in the pass after ``codegen.PLAIN_PASSES``."""
+    those that leave in the pass the trip names, and the ``stream_coverage``
+    of those with more than ``codegen.PLAIN_PASSES`` proven passes."""
 
     def __init__(self, form, acl: AccessList, budget: int, until: float):
         self.form, self.acl, self.budget, self.until = form, acl, budget, until
@@ -268,15 +274,12 @@ class LoopProbe:
                     COVERAGE["counted entries"] += 1
                     COVERAGE["counted trip beyond safe"] += trip > safe
                     if min(trip, safe) > codegen.PLAIN_PASSES:
-                        COVERAGE.update(stream_coverage(self.form, slots))  # it streams from pass 1
+                        COVERAGE.update(stream_coverage(self.form, slots))
                 known = trip if trip and trip <= safe else None  # where it leaves, if its proven passes end there
                 self.entry, self.short = (slots, executed, safe, proven, known), False
         if self.entry is None:
             return
         slots, entered, safe, proven, _ = self.entry
-        if (self.trips[slots[0]] is None and pc == slots[0]
-                and executed - entered == codegen.PLAIN_PASSES * len(slots) < safe * len(slots)):
-            COVERAGE.update(stream_coverage(self.form, slots))  # the first streamed pass begins
         if pc not in proven:
             return
         if proven_check_fails(self.form[pc], regs, self.acl):
@@ -341,10 +344,12 @@ def _host(init: bytes, stack_last: bool):
     return memory, AccessList([ro, rw, stack] if stack_last else [stack, ro, rw])
 
 
-LOOPS = {  # the self-loop streams' generators: (rng, allowed helper ids) -> program
-    "self": lambda rng, allowed: random_self_loop(rng, CTX_SPAN, allowed),
-    "stack rows": random_stack_loop,
-    "streams": lambda rng, allowed: random_stream_loop(rng, CTX_SPAN),
+LOOPS = {  # the self-loop streams' generators: (rng, allowed helper ids, stack last) -> program
+    "self": lambda rng, allowed, _: random_self_loop(rng, CTX_SPAN, allowed),
+    "stack rows": lambda rng, allowed, _: random_stack_loop(rng, allowed),
+    # (the first read window's base register, its length): the context's read-only region, or the stack
+    "streams": lambda rng, allowed, stack_last: random_stream_loop(
+        rng, CTX_SPAN, (1, RO_LEN) if stack_last else (10, STACK_SIZE)),
 }
 
 
@@ -379,8 +384,9 @@ def _mismatches(
     found = []
     outcomes = []
     for index in range(programs):
+        stack_last = index % 2 == 0
         if loops:
-            program = LOOPS[loops](rng, allowed)
+            program = LOOPS[loops](rng, allowed, stack_last)
         else:
             program = random_accepted_program(
                 rng, max_slots=48, allowed_syscalls=allowed, ctx_span=CTX_SPAN
@@ -389,12 +395,12 @@ def _mismatches(
         init = rng.randbytes(RO_LEN + RW_LEN + (STACK_SIZE if loops == "streams" else 0))  # streams walk the stack
         budget = None
         if near_budget and index % near_budget == 0:
-            _, acl = _host(init, stack_last=index % 2 == 0)
+            _, acl = _host(init, stack_last)
             steps = refvm.exec_program(vp, SyscallEnv(acl, table)).executed
             budget = max(0, rng.choice((steps, len(vp.form))) + rng.randint(-3, 3))
         results = []
         for interpreter in (vm.exec_program, refvm.exec_program):
-            memory, acl = _host(init, stack_last=index % 2 == 0)
+            memory, acl = _host(init, stack_last)
             if probe and interpreter is vm.exec_program:
                 acl.run_state = (_Scanned(acl.read_windows), _Scanned(acl.write_windows), *acl.run_state[2:])
                 HANDOVERS.clear()
@@ -560,13 +566,15 @@ def test_compiled_stack_row_loops_match_the_reference(allowed, compiled_tier, mo
 @pytest.mark.parametrize("plain", [codegen.PLAIN_PASSES, 0], ids=["plain-passes-first", "streamed-from-pass-1"])
 def test_compiled_stream_loops_match_the_reference(compiled_tier, monkeypatch, plain):
     """Self-loops from ``random_stream_loop``, every third under a budget near
-    its run's length: the stream must read loads as streams and sink
-    induction registers in versioned passes, sink them in counted loops that
-    store, run counted loops in closed form, fall short of a window's edge
-    or a wrap and reach it in the checked remainder, trap inside a pass and
-    hand over out of a loop.  No check that a guard proved may fail before
-    its ``safe`` passes are over.  Most loops leave within the plain passes
-    that come before any stream, so the stream runs once more with none."""
+    its run's length: the stream must run at least 100 counted loop entries
+    in closed form, reading loads as streams there; sink induction
+    registers, also in counted loops that store; step the base of a stream
+    in a counted loop whose closed form was refused; fall short of a
+    window's edge or a wrap and reach it in the checked remainder; trap
+    inside a pass and hand over out of a loop.  No check that a guard proved
+    may fail before its ``safe`` passes are over.  Counted loops of up to
+    ``codegen.PLAIN_PASSES`` proven passes run no closed form, so the
+    stream runs once more with none."""
     monkeypatch.setattr(codegen, "PLAIN_PASSES", plain)
     COVERAGE.clear()
     stepped = vm._stepped
@@ -582,8 +590,9 @@ def test_compiled_stream_loops_match_the_reference(compiled_tier, monkeypatch, p
     assert len(compiled_tier) == LOOP_PROGRAMS
     assert COVERAGE["self-loop programs"] == LOOP_PROGRAMS
     assert COVERAGE["proven checks that failed"] == COVERAGE["counted trips that missed"] == 0
-    for what in ("streamed loads", "sunk induction registers", "sunk in a storing body", "reduced entries",
-                 "versioned loop entries",
+    assert COVERAGE["reduced entries"] >= 100
+    for what in ("streamed loads", "sunk induction registers", "sunk in a storing body",
+                 "refused closed forms that step a stream's base", "versioned loop entries",
                  "guards that fell short, then wrapped or left the window", "traps inside a pass",
                  "counted-loop handovers", *COUNTED):
         assert COVERAGE[what] > 0, what

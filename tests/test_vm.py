@@ -1399,7 +1399,8 @@ def test_fletchers_counted_loop_sums_its_ldxh_words_in_closed_form_and_sinks_r1_
     # ``sub64 r3, 1; jne r3, 0``: its branch first falls through in pass r3.
     assert loop_trip(form, slots) == "gap if (gap := r3) > 0 else safe + 1"
     _, proven, steps = codegen._loop_guard(form, slots[:-1])
-    assert codegen._streams(form, slots, steps) == ({start: 0}, {1: 2, 2: -1, 3: -1})
+    assert codegen._streams(form, slots[:-1], steps) == {start: 0}
+    assert codegen._sinks(form, slots[:-1], steps, {start: 0}) == {1: 2, 2: -1, 3: -1}
     lines = [line.strip() for line in codegen.compiled_source(form)[0].splitlines()]
     entry = lines.index("trip = gap if (gap := r3) > 0 else safe + 1")
     # More than 16 proven passes decode their words at once, as one tuple,
@@ -1415,8 +1416,6 @@ def test_fletchers_counted_loop_sums_its_ldxh_words_in_closed_form_and_sinks_r1_
     ]
     assert codegen._reduced(form, slots[:-1], {start: 0}, {start + 3, start + 4, start + 5}, proven) == "".join(
         line + "\n" for line in lines[entry + 4 : entry + 8])
-    # Nothing holds the buffer: no stream opens, so none is dropped on a trap.
-    assert not any("_ITER_UNPACK" in line or "= None" in line for line in lines)
     assert [line for line in lines if "r3 != 0" in line] == ["if not (r3 != 0):"]  # the checked passes' test
     leaves = lines.index("if proven == trip:")
     assert lines[leaves : leaves + 4] == [
@@ -1429,7 +1428,7 @@ def test_fletchers_counted_loop_sums_its_ldxh_words_in_closed_form_and_sinks_r1_
 def test_a_closed_form_sums_chains_of_any_depth_and_falls_back_on_other_bodies(monkeypatch):
     # r6 += r5, r7 += r6, r0 += r7 over a byte stream: each add sums its
     # source's values pass by pass, from the source's entry value.  A body
-    # that breaks any rule of ``codegen._reduced`` streams pass by pass.
+    # that breaks any rule of ``codegen._reduced`` runs pass by pass.
     chain = ["ldxb r5, [r1+0]", "add64 r6, r5", "add64 r7, r6", "add64 r0, r7"]
     src = """
         mov64 r2, 40
@@ -1452,6 +1451,7 @@ loop:   {body}
         "\n".join(chain[:2] + ["add64 r7, r5"]): True,  # r5's values are summed twice
         "\n".join(chain[:2] + ["xor64 r7, r6"]): False,
         "\n".join(chain[:2] + ["add32 r7, r6"]): False,
+        "\n".join(chain + ["stxdw [r10+0], r6"]): False,  # the closed form would not store
     }
     ctx = bytes(range(200, 240))
     for body, reduced in bodies.items():
@@ -1462,9 +1462,45 @@ loop:   {body}
             assert compiled[0].fault is None
         form = verify(assemble(src.format(body=body, r6=1))).form
         ((_, (slots, _, proven)),) = loop_guards(form).items()
-        streams, sunk = codegen._streams(form, slots, codegen._loop_guard(form, slots[:-1])[2])
+        steps = codegen._loop_guard(form, slots[:-1])[2]
+        streams = codegen._streams(form, slots[:-1], steps)
+        sunk = codegen._sinks(form, slots[:-1], steps, streams)
         dropped = {pc for pc in slots[:-1] if form[pc][2] in sunk}
         assert (codegen._reduced(form, slots[:-1], streams, dropped, proven) is not None) == reduced, body
+
+
+def test_a_counted_walk_with_no_closed_form_sinks_its_counter_but_not_its_loads_base(monkeypatch):
+    # xor64 is not an add, so ``codegen._reduced`` refuses the body, and its
+    # proven passes run one by one.  The load reads r1 in each of them, so r1
+    # steps there; only the counter r2 steps once, where they end.
+    src = """
+        mov64 r2, {passes}
+loop:   ldxh r5, [r1+0]
+        xor64 r0, r5
+        add64 r1, 2
+        sub64 r2, 1
+        jne r2, 0, loop
+        xor64 r0, r1
+        xor64 r0, r2
+        exit
+"""
+    form = verify(assemble(src.format(passes=40))).form
+    ((start, (slots, _, proven)),) = loop_guards(form).items()
+    body, steps = slots[:-1], codegen._loop_guard(form, slots[:-1])[2]
+    streams = codegen._streams(form, body, steps)
+    assert streams == {start: 0} and codegen._sinks(form, body, steps, streams) == {1: 2, 2: -1}
+    assert codegen._reduced(form, body, streams, {start + 2, start + 3}, proven) is None
+    assert codegen._sinks(form, body, steps, {}) == {2: -1}
+    lines = [line.strip() for line in codegen.compiled_source(form)[0].splitlines()]
+    at = lines.index("for it in range(1, proven + 1):")
+    assert lines[at + 1 : at + 5] == [
+        "r5 = unpack[2](buf, r1 - base)[0]", "r0 = r0 ^ r5", "r1 = r1 + 2", "r2 = r2 + proven * -1",
+    ]
+    for passes in (1, 16, 17, 32, 40):  # the 64-byte window holds 32 words: pass 33 traps
+        (interpreted, compiled), _ = run_both_tiers(monkeypatch, src.format(passes=passes), ctx=bytes(range(7, 71)),
+                                                    stack_last=True)
+        assert interpreted == compiled, passes
+        assert (compiled[0].fault and compiled[0].fault.note) == ("read denied" if passes > 32 else None)
 
 
 def _grow(env):
@@ -1488,8 +1524,8 @@ loop:   ldxh r0, [r1+0]
 """
 
 
-# A counted loop (jne) streams its proven passes from pass 1; one that is not
-# (jsgt, which r2 leaves at the same pass) streams after 16 plain ones.
+# A counted loop (jne) runs its proven passes in closed form; one that is not
+# (jsgt, which r2 leaves at the same pass) runs them one by one.
 @pytest.mark.parametrize("branch, passes, r4, words, note", [
     pytest.param("jne", 20, 0, 32, None, id="leaves-by-its-branch-in-a-streamed-pass"),
     pytest.param("jne", 21, M64 - 18, 32, None, id="takes-every-proven-pass-then-leaves-a-checked-one"),
@@ -1499,9 +1535,9 @@ loop:   ldxh r0, [r1+0]
     pytest.param("jsgt", 24, 0, 20, "read denied", id="not-counted-traps-in-its-first-checked-pass"),
 ])
 def test_a_streamed_loop_leaves_its_buffer_resizable_on_each_way_out(monkeypatch, branch, passes, r4, words, note):
-    # A stream exports the hook's buffer, and a buffer with an export cannot
-    # grow: a helper that allocates after the loop, or the host after the
-    # run, would raise BufferError.
+    # A loop over the hook's words must hold no export of its buffer on any
+    # way out, or a helper that allocates after the loop, or the host after
+    # the run, would raise BufferError: a buffer with an export cannot grow.
     table = SyscallTable()
     table.register(1, _grow, 0)
     src = STREAMED.format(branch=branch, passes=passes, r4=r4)
@@ -1513,39 +1549,19 @@ def test_a_streamed_loop_leaves_its_buffer_resizable_on_each_way_out(monkeypatch
         ctx = mem.alloc(2 * words, "ctx", readable=True, writable=False, init=bytes(range(1, 2 * words + 1)))
         outcomes.append(exec_program(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), table)))
         mem.alloc(8, "after", readable=True, writable=False)
-    ((start, (slots, _, _)),) = loop_guards(vp.form).items()
-    assert codegen._streams(vp.form, slots, codegen._loop_guard(vp.form, slots[:-1])[2])[0] == {start: 0}
+    ((_, (slots, _, _)),) = loop_guards(vp.form).items()
     assert (loop_trip(vp.form, slots) is not None) == (branch == "jne")
     interpreted, compiled = outcomes
     assert interpreted == compiled
     assert (compiled.fault and compiled.fault.note) == note
 
 
-def _counting_streams(monkeypatch) -> Counter:
-    """Count the streams compiled code opens through ``vm._ITER_UNPACK``, and
-    the values they unpack, into the Counter returned."""
-    unpacked = Counter()
-
-    def counted(values):
-        for value in values:
-            unpacked["values"] += 1
-            yield value
-
-    def opening(stream):
-        def opened(view):
-            unpacked["streams"] += 1
-            return counted(stream(view))
-        return opened
-
-    monkeypatch.setattr(vm, "_ITER_UNPACK", tuple(stream and opening(stream) for stream in vm._ITER_UNPACK))
-    return unpacked
-
-
 @pytest.mark.parametrize("leaves", [1, 16, 17])
 def test_a_stream_over_a_64_kib_window_unpacks_only_the_passes_that_run(monkeypatch, compiled_tier, leaves):
     # Each entry's guard proves all 32768 words of the window, and each entry
-    # leaves in pass ``leaves``: after the plain passes, in the first streamed one.
-    unpacked = _counting_streams(monkeypatch)
+    # leaves in pass ``leaves``.  The loop is not counted, so it reads each
+    # word in its pass and decodes no run of them at once.
+    decoded = _counting_runs(monkeypatch)
     src = """
         mov64 r6, 100
 outer:  mov64 r3, r1
@@ -1565,7 +1581,7 @@ inner:  ldxh r0, [r3+0]
         ctx = mem.alloc(1 << 16, "ctx", readable=True, writable=False, init=init + bytes((1 << 16) - len(init)))
         outcomes.append(execute(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), SyscallTable())))
     assert outcomes[0] == outcomes[1] == (ctx.base + 2 * leaves, 3 + 100 * (3 * leaves + 3), 100 * leaves - 1, None)
-    assert unpacked["streams"] == (100 if leaves > 16 else 0) and unpacked["values"] <= 2 * 100
+    assert decoded == Counter()
 
 
 def _counting_runs(monkeypatch) -> Counter:
@@ -1587,8 +1603,8 @@ def _counting_runs(monkeypatch) -> Counter:
 def test_a_counted_loop_streams_only_when_it_runs_more_than_16_passes(monkeypatch, compiled_tier, passes):
     # Each of 100 entries knows on entry that it leaves in pass ``passes``: a
     # loop of 16 passes or fewer decodes each word in its pass, a longer one
-    # decodes them all at once, in its closed form, and opens no stream.
-    unpacked, decoded = _counting_streams(monkeypatch), _counting_runs(monkeypatch)
+    # decodes them all at once, in its closed form.
+    decoded = _counting_runs(monkeypatch)
     src = f"""
         mov64 r6, 100
 outer:  mov64 r3, r1
@@ -1613,7 +1629,6 @@ inner:  ldxh r0, [r3+0]
         outcomes.append(execute(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), SyscallTable())))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0].fault is None and outcomes[0].executed == 3 + 100 * (5 * passes + 4)
-    assert unpacked == Counter()
     assert decoded == (Counter(runs=100, values=100 * passes) if passes > 16 else Counter())
 
 
