@@ -26,9 +26,12 @@ position j uses stack j.  Each container has one capability record, its
 SyscallEnv, handed whole to every run: the stores its grant reaches and
 its response view, resolved at bind, so a helper call does no scope
 routing or region lookup; its helper table, cut from
-``Engine.syscall_table`` at bind and whenever that table is replaced; and
-the access list of its slot position, which ``Engine._link`` sets
-whenever the hook's slots change.  A trigger only reads them, and runs
+``Engine.syscall_table`` once per granted set of helper ids and shared by
+the containers granted that set, and cut anew when that table is
+replaced; and the access list of its slot position, which ``Engine._link``
+sets for the slots that change.  Containers granted the same contract
+share one Contract, and those granted the same region on a hook share
+one view of it.  A trigger only reads them, and runs
 every slot through ``exec_program``, which picks the tier.  Its
 VerifiedProgram counts its own interpreted steps toward compiling, and
 its shared verdict keeps the compiled form (see ``vm``), which goes when
@@ -43,6 +46,7 @@ import threading
 import uuid
 import weakref
 from dataclasses import InitVar, dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
@@ -55,6 +59,7 @@ from .vm import ExecOutcome, SyscallEnv, SyscallTable, _new, exec_program
 
 DEFAULT_SLOT_LIMIT = 16
 MAX_CONTEXT_SIZE = 1 << 16  # bytes; each hook keeps every context region in its buffer
+_TEMPLATE_ORDER = attrgetter("base", "readable", "writable")  # of a hook's views
 
 
 class EngineError(Exception):
@@ -217,12 +222,21 @@ class Hook:
     memory: HostMemory = field(default_factory=HostMemory)
     context: dict[str, MemoryRegion] = field(default_factory=dict)
     stacks: list[MemoryRegion] = field(default_factory=list)
+    # The views its containers share: one per granted (label, mode), built on first use.
+    views: dict[RegionGrant, MemoryRegion] = field(default_factory=dict)
 
     def __post_init__(self, context_template: tuple[ContextRegionSpec, ...]) -> None:
         for spec in context_template:
             self.context[spec.label] = self.memory.alloc(
                 spec.size, spec.label, spec.readable, spec.writable
             )
+
+    def view(self, grant: RegionGrant) -> MemoryRegion:
+        """The view of a granted context region that every container granted it shares."""
+        view = self.views.get(grant)
+        if view is None:
+            view = self.views[grant] = self.context[grant.label].view(grant.readable, grant.writable)
+        return view
 
 
 class SlotOutcome(NamedTuple):
@@ -275,6 +289,10 @@ class Engine:
         # (program bytes, limits, granted helper ids) -> the verdict the
         # containers bound with them share; they hold it, the engine does not.
         self._verdicts: weakref.WeakValueDictionary[tuple, Verdict] = weakref.WeakValueDictionary()
+        # Granted contracts, and the engine table restricted to each granted
+        # set of helper ids: one of each, held by the containers bound with it.
+        self._contracts: weakref.WeakValueDictionary[Contract, Contract] = weakref.WeakValueDictionary()
+        self._tables: weakref.WeakValueDictionary[frozenset[int], SyscallTable] = weakref.WeakValueDictionary()
 
     @property
     def syscall_table(self) -> SyscallTable:
@@ -282,11 +300,19 @@ class Engine:
 
     @syscall_table.setter
     def syscall_table(self, table: SyscallTable) -> None:
-        """Replace the engine's helpers: every container's table is cut anew."""
+        """Replace the engine's helpers: each granted set's table is cut anew."""
         with self.lock:
             self._syscall_table = table
+            self._tables.clear()
             for container in self.containers.values():
-                container.env.helpers = table.restricted(container.granted.syscalls)
+                container.env.helpers = self._helpers(container.granted.syscalls)
+
+    def _helpers(self, syscalls: frozenset[int]) -> SyscallTable:
+        """The engine table restricted to ``syscalls``, cut once per set."""
+        table = self._tables.get(syscalls)
+        if table is None:
+            table = self._tables[syscalls] = self._syscall_table.restricted(syscalls)
+        return table
 
     # -- identifiers -------------------------------------------------
 
@@ -391,8 +417,9 @@ class Engine:
             if container is None:
                 raise UnknownContainer(str(container_id))
             hook = self.hooks[container.hook_id]
-            hook.slots = tuple(c for c in hook.slots if c is not container)
-            self._link(hook)
+            start = hook.slots.index(container)
+            hook.slots = hook.slots[:start] + hook.slots[start + 1 :]
+            self._link(hook, start)
             self.facilities.stores.destroy_container_store(container_id)
 
     def replace_container(self, container_id: uuid.UUID, program: Program, contract: Contract) -> None:
@@ -432,26 +459,28 @@ class Engine:
             self._setup_open = False
             container_id = self._new_id()
         granted = intersect_contract(hook, contract)
-        rank = {label: i for i, label in enumerate(hook.context)}
-        grants = sorted(granted.regions, key=lambda g: (rank[g.label], g.readable, g.writable))
-        views = tuple(hook.context[g.label].view(g.readable, g.writable) for g in grants)
+        granted = self._contracts.setdefault(granted, granted)
+        # The hook's context regions lie in template order, so a view's base is its rank.
+        views = tuple(sorted(map(hook.view, granted.regions), key=_TEMPLATE_ORDER))
         stores = self.facilities.stores.bind_container(tenant_id, container_id, granted.syscalls)
         response = next((view for view in views if view.label == RESPONSE_LABEL), None)
-        env = SyscallEnv(None, self.syscall_table.restricted(granted.syscalls), container_id, stores, response)
+        env = SyscallEnv(None, self._helpers(granted.syscalls), container_id, stores, response)
         old = self.containers.get(container_id)
         container = self.containers[container_id] = Container(
             container_id, tenant_id, hook.hook_id, granted, views, env, verified
         )
         slots = hook.slots
-        hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)
-        self._link(hook)
+        start = slots.index(old) if old else len(slots)
+        hook.slots = (*slots[:start], container, *slots[start + 1 :])
+        self._link(hook, start)
         return container_id
 
-    def _link(self, hook: Hook) -> None:
-        """Give the container in slot j of ``hook`` the access list of its
-        views, then stack j, so r1 is its first view's base; the stack is
-        allocated on first use, and a list whose stack is unchanged stays."""
-        for j, container in enumerate(hook.slots):
+    def _link(self, hook: Hook, start: int) -> None:
+        """Give the container in each slot j of ``hook`` from ``start`` on
+        the access list of its views, then stack j, so r1 is its first
+        view's base; the stack is allocated on first use, and a list whose
+        stack is unchanged stays.  The slots before ``start`` are unchanged."""
+        for j, container in enumerate(hook.slots[start:], start):
             if j == len(hook.stacks):
                 hook.stacks.append(fresh_stack(hook.memory))
             acl = container.env.acl

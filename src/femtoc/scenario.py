@@ -192,7 +192,11 @@ class ScenarioRuntime:
                 raise ParseError(str(exc)) from None
         for spec in _entries(doc, "sensors"):
             sensor_id = _parse_int(_field(spec, "id", "sensor"), "sensor id")
-            samples = [_parse_int(s, "sensor sample") for s in _field(spec, "samples", "sensor", list)]
+            samples = _field(spec, "samples", "sensor", list)
+            if set(map(type, samples)) <= {int}:  # plain ints: read in one pass
+                samples = samples.copy()
+            else:
+                samples = [_parse_int(s, "sensor sample") for s in samples]
             self.engine.facilities.sensors[sensor_id] = SensorFixture(sensor_id, samples)
         for spec in _entries(doc, "hooks"):
             name = _field(spec, "name", "hook", str)

@@ -224,8 +224,8 @@ MUTANTS = (
     Mutant(
         "a bind ranks a container's views by label, not by the hook's layout",
         "src/femtoc/engine.py",
-        "rank = {label: i for i, label in enumerate(hook.context)}",
-        "rank = {label: i for i, label in enumerate(sorted(hook.context))}",
+        "key=_TEMPLATE_ORDER))",
+        'key=attrgetter("label", "readable", "writable")))',
         ("tests/test_engine.py",),
     ),
     Mutant(
@@ -342,29 +342,29 @@ MUTANTS = (
     Mutant(
         "remove does not relink the hook",
         "src/femtoc/engine.py",
-        "            hook.slots = tuple(c for c in hook.slots if c is not container)\n            self._link(hook)\n",
-        "            hook.slots = tuple(c for c in hook.slots if c is not container)\n",
+        "            hook.slots = hook.slots[:start] + hook.slots[start + 1 :]\n            self._link(hook, start)\n",
+        "            hook.slots = hook.slots[:start] + hook.slots[start + 1 :]\n",
         MODEL_TESTS,
     ),
     Mutant(
         "replace does not link its container",
         "src/femtoc/engine.py",
-        "        self._link(hook)\n        return container_id\n",
-        "        if old is None:\n            self._link(hook)\n        return container_id\n",
+        "        self._link(hook, start)\n        return container_id\n",
+        "        if old is None:\n            self._link(hook, start)\n        return container_id\n",
         MODEL_TESTS,
     ),
     Mutant(
         "replace keeps the old container's access list",
         "src/femtoc/engine.py",
-        "        env = SyscallEnv(None, self.syscall_table",
+        "        env = SyscallEnv(None, self._helpers(",
         "        env = SyscallEnv(old.env.acl if (old := self.containers.get(container_id)) else None,"
-        " self.syscall_table",
+        " self._helpers(",
         MODEL_TESTS + ("tests/test_engine.py",),
     ),
     Mutant(
         "remove keeps the removed container in the hook's slots",
         "src/femtoc/engine.py",
-        "            hook.slots = tuple(c for c in hook.slots if c is not container)\n",
+        "            hook.slots = hook.slots[:start] + hook.slots[start + 1 :]\n",
         "",
         MODEL_TESTS,
     ),
@@ -379,9 +379,28 @@ MUTANTS = (
         "the helper table setter does not re-cut the containers' tables",
         "src/femtoc/engine.py",
         "            for container in self.containers.values():\n"
-        "                container.env.helpers = table.restricted(container.granted.syscalls)\n",
+        "                container.env.helpers = self._helpers(container.granted.syscalls)\n",
         "",
         MODEL_TESTS + ("tests/test_engine.py",),
+    ),
+    Mutant(
+        "an append does not link its slot",
+        "src/femtoc/engine.py",
+        "        start = slots.index(old) if old else len(slots)\n",
+        "        start = slots.index(old) if old else len(slots) + 1\n",
+        ("tests/test_engine.py", "-k", "access_list"),
+    ),
+    # What depends only on the grant is shared.
+    Mutant(
+        "a shared helper table crosses a grant",
+        "src/femtoc/engine.py",
+        "        table = self._tables.get(syscalls)\n"
+        "        if table is None:\n"
+        "            table = self._tables[syscalls] =",
+        "        table = self._tables.get(())\n"
+        "        if table is None:\n"
+        "            table = self._tables[()] =",
+        ("tests/test_engine.py", "-k", "table"),
     ),
     # The trigger loop's stats.
     Mutant(
@@ -394,7 +413,7 @@ MUTANTS = (
     Mutant(
         "a replace leaves the old container in its slot",
         "src/femtoc/engine.py",
-        "        hook.slots = tuple(container if c is old else c for c in slots) if old else (*slots, container)\n",
+        "        hook.slots = (*slots[:start], container, *slots[start + 1 :])\n",
         "        hook.slots = slots if old else (*slots, container)\n",
         TRIGGER_TESTS,
     ),
@@ -513,8 +532,8 @@ MUTANTS = (
     Mutant(
         "the verdict cache holds its verdicts strongly",
         "src/femtoc/engine.py",
-        "= weakref.WeakValueDictionary()",
-        "= {}",
+        "Verdict] = weakref.WeakValueDictionary()",
+        "Verdict] = {}",
         SHARING_TESTS,
     ),
 )

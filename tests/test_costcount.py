@@ -1,5 +1,5 @@
-"""``tools/costcount.py`` counts the same bytecodes and C calls per op in
-every run and under every hash seed."""
+"""``tools/costcount.py`` counts the same bytecodes and C calls per op, and
+per set-up, in every run and under every hash seed."""
 
 import json
 import os
@@ -14,8 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNT = "import json, costcount; print(json.dumps(costcount.report({'compute': costcount.count('compute', 1, 4, 2)})))"
 
 
-def _counts(hash_seed: str) -> dict:
-    command = [sys.executable, "-c", COUNT]
+def _counts(hash_seed: str, script: str = COUNT) -> dict:
+    command = [sys.executable, "-c", script]
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(ROOT / "tools")}
     return json.loads(subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout)
 
@@ -29,3 +29,19 @@ def test_two_runs_under_two_hash_seeds_count_the_same():
     # fletcher32_360's compiled loop decodes its words at once, in closed
     # form, and opens no stream: four containers, four decodes per op.
     assert compute["c_calls"]["unpack_from"] == 4 and "Struct.iter_unpack" not in compute["c_calls"]
+
+
+# fleet's counts for its second set-up in the process
+COUNT_SETUP = (
+    "import json, costcount; print(json.dumps(costcount.report({'fleet': costcount.count_setup('fleet', 1)})))"
+)
+
+
+def test_a_set_up_counts_the_same_in_two_runs_under_two_hash_seeds():
+    first, second = _counts("0", COUNT_SETUP), _counts("1", COUNT_SETUP)
+    assert first == second
+    fleet = first["workloads"]["fleet"]
+    assert fleet["setups_before"] == 1 and fleet["bytecodes_per_setup"] > 0 and fleet["c_calls_per_setup"] > 0
+    # Its 4096 sensor samples are plain ints, read in one pass, not one
+    # _parse_int call each.
+    assert fleet["bytecodes"]["src/femtoc/scenario.py:_parse_int"] < 4096

@@ -681,16 +681,18 @@ def test_only_bind_builds_a_callers_capabilities():
 def test_only_link_builds_access_lists_and_only_bind_and_the_table_setter_cut_helper_tables():
     # A trigger only reads a container's capabilities: Engine._link fixes
     # its access list whenever its hook's slots change, and its helper table
-    # is cut when it is bound and when Engine.syscall_table is replaced.
+    # comes from Engine._helpers, the one method that cuts tables, once per
+    # granted set, when it is bound and when Engine.syscall_table is replaced.
     found = []
     for path in sorted(Path(femtoc.__file__).parent.glob("*.py")):
-        sites = CallSites(path.stem, {"AccessList", "restricted"})
+        sites = CallSites(path.stem, {"AccessList", "restricted", "_helpers"})
         sites.visit(ast.parse(path.read_text(), str(path)))
         found += sites.found
     assert sorted(found) == [
         ("AccessList", "engine.Engine._link"),
-        ("restricted", "engine.Engine._bind"),
-        ("restricted", "engine.Engine.syscall_table"),  # its setter
+        ("_helpers", "engine.Engine._bind"),
+        ("_helpers", "engine.Engine.syscall_table"),  # its setter
+        ("restricted", "engine.Engine._helpers"),
     ]
 
 
@@ -1652,9 +1654,10 @@ FLEET_CONTRACTS = {
     "coap_handler": {"syscalls": [6, 32], "regions": [{"label": "request", "mode": "r"},
                                                        {"label": "response", "mode": "rw"}]},
 }
-# Bytes a fleet container retains at set-up, by tracemalloc: 5060-5110 on
-# Python 3.11 and 3.13 (seeds 1 to 3), with about 25% slack for other versions.
-RETAINED_PER_CONTAINER = 6400
+# Bytes a fleet container retains at set-up, by tracemalloc: 3910-3965 on
+# Python 3.11 (seeds 1 to 3) once containers share their grant's helper
+# table, contract and views (5080-5125 before), with about 10% slack.
+RETAINED_PER_CONTAINER = 4350
 
 
 def fleet_scenario(seed: int) -> dict:
@@ -1697,3 +1700,137 @@ def test_what_a_fleet_container_retains_at_set_up_is_bounded(seed):
         tracemalloc.stop()
     assert len(runtime.engine.containers) == 100
     assert 0 < retained / 100 <= RETAINED_PER_CONTAINER
+
+
+# What depends only on the grant is shared: one restricted helper table per
+# granted set of helper ids, one Contract per grant, one view per granted
+# (label, mode) of a hook.  The engine holds the tables and contracts
+# weakly; the containers bound with them hold them.
+SHARED_HOOK = {"allowed_syscalls": (1, 2, 0x10), "context_template": [
+    ContextRegionSpec("in", 8), ContextRegionSpec("out", 8, readable=True, writable=True)]}
+
+
+def test_two_grants_on_one_hook_get_distinct_tables_and_equal_grants_share_one():
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook("h", **SHARED_HOOK)
+    contracts = (
+        Contract.of({1, 2}, [RegionGrant("out", True, True)]),
+        Contract.of({1, 2}, [RegionGrant("out", True, True)]),  # equal, another object
+        Contract.of({1, 2, 0x30}, [RegionGrant("out", True, True), RegionGrant("gone")]),  # narrowed to it
+        Contract.of({2}, [RegionGrant("out"), RegionGrant("in")]),
+    )
+    a, b, narrowed, other = (
+        engine.containers[engine.install_container(tenant, EXIT_ONLY, contract, hook)] for contract in contracts
+    )
+    assert a.env.helpers is b.env.helpers is narrowed.env.helpers
+    assert a.granted is b.granted is narrowed.granted is contracts[0]
+    assert a.views == b.views == narrowed.views and a.views[0] is b.views[0] is narrowed.views[0]
+    assert other.env.helpers is not a.env.helpers and other.granted is not a.granted
+    assert a.env.helpers.ids() == {1, 2} and other.env.helpers.ids() == {2}
+    assert [(v.label, v.readable, v.writable) for v in other.views] == [("in", True, False), ("out", True, False)]
+    assert other.views[1] is not a.views[0]  # the same region under another mode
+    assert len({id(c.env.acl) for c in (a, b, narrowed, other)}) == 4  # each slot its own stack
+
+    table = weakref.ref(a.env.helpers)
+    for cid in (a.container_id, b.container_id, narrowed.container_id):
+        engine.remove_container(cid)
+    del a, b, narrowed
+    gc.collect()
+    assert table() is None and frozenset({1, 2}) not in engine._tables
+    assert list(engine._tables) == [frozenset({2})]
+
+
+def test_a_swapped_engine_table_gives_each_container_its_sets_new_table():
+    engine = Engine()
+    tenant = engine.register_tenant("alpha")
+    hook = engine.register_hook("h", **SHARED_HOOK)
+    grants = [{1, 2}, {2}, {1, 2}, set(), {2, 0x10}, {2}]
+    ids = [engine.install_container(tenant, EXIT_ONLY, Contract.of(g), hook) for g in grants]
+    before = {cid: engine.containers[cid].env.helpers for cid in ids}
+    for _ in range(2):  # a swap, then a swap back
+        table = SyscallTable()
+        for sys_id in (1, 2, 0x10):
+            table.register(sys_id, lambda env, *args: 0, 1, f"helper{sys_id}")
+        engine.syscall_table = table
+        by_set = {}
+        for cid, granted in zip(ids, grants):
+            helpers = engine.containers[cid].env.helpers
+            assert helpers is not before[cid] and helpers.ids() == granted
+            assert all(helpers.calls[i] is table.lookup(i).call for i in granted)
+            assert by_set.setdefault(frozenset(granted), helpers) is helpers
+        assert len(by_set) == 4 and set(engine._tables) == set(by_set)
+        before = {cid: engine.containers[cid].env.helpers for cid in ids}
+
+
+@pytest.mark.parametrize("entry", [
+    "install", "install_on_full_hook", "valid_on_full_hook", "replace", "update_installs", "update_replaces"])
+def test_a_rejected_install_replace_or_update_fills_no_cache(entry):
+    # Every shared table, contract and view is filled after the program has
+    # verified and the slot limit has passed.  The rejected contract asks
+    # for a helper set, a grant and a view no live container has.
+    from femtoc.update import (
+        UpdateReject, apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
+    )
+
+    key = private_key_from_seed(b"alpha")
+    engine = Engine()
+    tenant = engine.register_tenant("alpha", public_key_raw(key))
+    hook = engine.register_hook("h", slot_limit=1, **SHARED_HOOK)
+    bound = None if entry in ("install", "update_installs") else engine.install_container(
+        tenant, EXIT_ONLY, Contract.of({2}, [RegionGrant("in")]), hook
+    )
+    program = EXIT_ONLY if entry == "valid_on_full_hook" else assemble("mov64 r10, 1\nexit")
+    contract = Contract.of({1, 0x10}, [RegionGrant("out", True, True)])
+
+    def caches():
+        gc.collect()
+        shared = engine.hooks[hook]
+        return dict(engine._tables), dict(engine._contracts), dict(shared.views), dict(engine._verdicts)
+
+    before = caches()
+    if entry.startswith("update"):
+        manifest = sign_manifest(build_manifest(tenant, hook, 1, program.to_bytes(), contract), key)
+        assert apply_update(engine, manifest, program.to_bytes()).reason is UpdateReject.VERIFY_REJECTED
+    else:
+        with pytest.raises(SlotLimitReached if entry == "valid_on_full_hook" else VerifyRejected):
+            if entry == "replace":
+                engine.replace_container(bound, program, contract)
+            else:
+                engine.install_container(tenant, program, contract, hook)
+    assert caches() == before
+
+
+def test_an_append_or_a_replace_builds_one_access_list_and_a_remove_rebuilds_only_the_tail(monkeypatch):
+    built = []
+
+    class Counted(AccessList):
+        def __init__(self, regions):
+            super().__init__(regions)
+            built.append(self)
+
+    monkeypatch.setattr(femtoc.engine, "AccessList", Counted)
+    engine, tenant, hook = engine_with_hook(context_template=[ContextRegionSpec("ctx", 8)])
+    contract = Contract.of(regions=[RegionGrant("ctx")])
+
+    def acls():
+        slots = engine.hooks[hook].slots
+        assert [c.env.acl.stack for c in slots] == engine.hooks[hook].stacks[: len(slots)]
+        return [c.env.acl for c in slots]
+
+    ids = []
+    for _ in range(5):
+        ids.append(engine.install_container(tenant, EXIT_ONLY, contract, hook))
+        assert built == acls()[-1:]
+        built.clear()
+    kept = acls()
+    engine.replace_container(ids[2], EXIT_ONLY, Contract.of())
+    after = acls()
+    assert built == [after[2]] and after[:2] + after[3:] == kept[:2] + kept[3:]
+    built.clear()
+    engine.remove_container(ids[1])
+    after = acls()
+    assert built == after[1:] and after[0] is kept[0] and len(after) == 4
+    built.clear()
+    engine.remove_container(ids[4])  # the last slot: nothing after it to relink
+    assert built == [] and acls() == after[:3]

@@ -497,3 +497,30 @@ def test_malformed_json_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         run_scenario(path)
+
+
+@pytest.mark.parametrize("samples, loaded", [
+    ([3, 1 << 70, -2], [3, 1 << 70, -2]),
+    ([], []),
+    (["0x10"], [16]),
+    ([7, "0x10", "12"], [7, 16, 12]),
+    ([True], "sensor sample must be an integer$"),
+    ([1, False], "sensor sample must be an integer$"),
+    ([1.5], r"sensor sample must be an integer, got 1\.5$"),
+    ([1, [1]], r"sensor sample must be an integer, got \[1\]$"),
+    ([2, "zz"], "sensor sample must be an integer, got 'zz'$"),
+])
+def test_sensor_samples_load_or_fail_one_by_one(samples, loaded):
+    # Plain ints are read in one pass; any other sample sends the whole list
+    # through the per-sample parse, which takes a numeric string and refuses
+    # a bool, a float or a list with the first one's error.
+    from femtoc.scenario import ScenarioRuntime
+
+    doc = {"schema_version": 1, "sensors": [{"id": 1, "samples": samples}]}
+    if isinstance(loaded, str):
+        with pytest.raises(ParseError, match=loaded):
+            ScenarioRuntime(doc)
+        return
+    fixture = ScenarioRuntime(doc).engine.facilities.sensors[1]
+    assert fixture.samples == loaded and all(type(s) is int for s in fixture.samples)
+    assert fixture.samples is not samples  # the document's list stays the caller's

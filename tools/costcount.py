@@ -4,6 +4,7 @@
 Usage, from the repository root:
 
     python3 tools/costcount.py --workload compute|fleet|churn|all > counts.json
+    python3 tools/costcount.py --workload fleet --setup > setup-counts.json
 
 Each workload is built through ``perfbench/workloads.py`` (no perfbench file
 is written) with seed 1, set up once and warmed with 2000 ops, so every hot
@@ -14,6 +15,10 @@ op's ``run`` is counted, not drawing it nor checking its result:
   ``sys.monitoring`` INSTRUCTION events on Python 3.12 and later, and
   ``sys.settrace`` with ``frame.f_trace_opcodes`` on 3.11;
 - calls of C functions, by callee, through ``sys.setprofile``.
+
+With ``--setup`` it counts one set-up instead (the workload's ``setup``,
+its set-up ops included): the second in the process, since the first
+fills caches that every later one reuses.
 
 Garbage collection is off while counting, so its callbacks add nothing.
 The counts repeat exactly, across runs and hash seeds, which wall time does
@@ -119,22 +124,41 @@ def count(name: str, seed: int, warm: int, ops: int) -> dict:
         with counts:
             result = workload.run(op)
         checked.append((op, result))
+    _check(name, workload, checked)
+    return {"seed": seed, "warm_ops": warm, "ops": ops, **_per(counts, ops, "op")}
+
+
+def count_setup(name: str, seed: int) -> dict:
+    """One workload's counts for its second set-up in the process."""
+    workload = WORKLOADS[name](seed)
+    workload.prepare()
+    checked = [*workload.setup()]
+    workload.prepare()
+    counts = Counts()
+    with counts:
+        checked += workload.setup()
+    _check(name, workload, checked)
+    return {"seed": seed, "setups_before": 1, **_per(counts, 1, "setup")}
+
+
+def _check(name: str, workload, checked: list) -> None:
     problems = [problem for op, result in checked if (problem := workload.check(op, result))]
     if problems:
         raise SystemExit(f"costcount: {name}: {len(problems)} mismatched ops, first: {problems[0]}")
+
+
+def _per(counts: Counts, n: int, unit: str) -> dict:
+    """Totals and counts by code object and by callee, each divided by ``n``."""
     functions = counts.by_function()
 
-    def per_op(counter: Counter) -> dict:
-        return {key: n / ops for key, n in sorted(counter.items(), key=lambda item: (-item[1], item[0]))}
+    def per(counter: Counter) -> dict:
+        return {key: v / n for key, v in sorted(counter.items(), key=lambda item: (-item[1], item[0]))}
 
     return {
-        "seed": seed,
-        "warm_ops": warm,
-        "ops": ops,
-        "bytecodes_per_op": sum(functions.values()) / ops,
-        "c_calls_per_op": sum(counts.c_calls.values()) / ops,
-        "bytecodes": per_op(functions),
-        "c_calls": per_op(counts.c_calls),
+        f"bytecodes_per_{unit}": sum(functions.values()) / n,
+        f"c_calls_per_{unit}": sum(counts.c_calls.values()) / n,
+        "bytecodes": per(functions),
+        "c_calls": per(counts.c_calls),
     }
 
 
@@ -151,9 +175,11 @@ def report(workloads: dict) -> dict:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=(*WORKLOADS, "all"))
-    workload = parser.parse_args(argv).workload
-    names = list(WORKLOADS) if workload == "all" else [workload]
-    sys.stdout.write(json.dumps(report({name: count(name, SEED, WARM, OPS) for name in names}), indent=1) + "\n")
+    parser.add_argument("--setup", action="store_true", help="count one set-up instead of the ops")
+    args = parser.parse_args(argv)
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    counted = {name: count_setup(name, SEED) if args.setup else count(name, SEED, WARM, OPS) for name in names}
+    sys.stdout.write(json.dumps(report(counted), indent=1) + "\n")
     return 0
 
 
