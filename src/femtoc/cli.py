@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import scenario as scenario_mod
 from .asm import AsmError, assemble, disassemble
-from .engine import Contract, ContextRegionSpec, Engine, EngineError, RegionGrant, _helper_id, parse_mode
+from .doc import load, parse_mode, u32s
+from .engine import Contract, ContextRegionSpec, Engine, EngineError, RegionGrant
 from .facilities import STANDARD_SYSCALL_IDS, SensorFixture
 from .fixtures import BENCH_FIXTURES, BENCH_INPUTS, FIXTURE_SYSCALLS, fixture_program
 from .isa import Program
@@ -76,11 +77,8 @@ def _limits(args: argparse.Namespace) -> VerifyLimits:
 def _parse_ids(text: str | None) -> frozenset[int]:
     if text is None:
         return STANDARD_SYSCALL_IDS
-    text = text.strip()
-    if not text:
-        return frozenset()
     try:
-        return frozenset(map(_helper_id, text.replace(",", " ").split()))
+        return u32s(text.replace(",", " ").split(), "helper id")
     except ValueError as exc:
         raise CliError(f"--allow {text!r}: {exc}") from None
 
@@ -415,10 +413,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
 
 def cmd_apply(args: argparse.Namespace) -> int:
     try:
-        doc = json.loads(Path(args.engine).read_text())
-        runtime = scenario_mod.ScenarioRuntime(doc, Path(args.engine).parent)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError(f"{args.engine}: {exc}") from None
+        runtime = scenario_mod.ScenarioRuntime(load(Path(args.engine)), Path(args.engine).parent)
     except (scenario_mod.ParseError, scenario_mod.UnknownReference) as exc:
         raise CliError(str(exc)) from None
     manifest = load_manifest(Path(args.manifest))

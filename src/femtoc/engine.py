@@ -51,6 +51,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from . import doc
 from .facilities import RESPONSE_LABEL, FacilityContext, standard_syscall_table
 from .isa import Program
 from .memory import STACK_LABEL, AccessList, HostMemory, MemoryRegion, fresh_stack
@@ -98,12 +99,8 @@ class ContextShapeMismatch(EngineError):
     pass
 
 
-def parse_mode(text: object) -> tuple[bool, bool]:
-    """A region mode, 'r', 'w' or 'rw', as (readable, writable); anything
-    else raises ValueError."""
-    if text not in ("r", "w", "rw"):
-        raise ValueError(f"mode must be 'r', 'w', or 'rw', got {text!r}")
-    return "r" in text, "w" in text
+_CONTRACT_KEYS = frozenset(("syscalls", "regions"))
+_GRANT_KEYS = frozenset(("label", "mode"))
 
 
 def format_mode(readable: bool, writable: bool) -> str:
@@ -115,16 +112,6 @@ class RegionGrant:
     label: str
     readable: bool = True
     writable: bool = False
-
-
-def _helper_id(value: object) -> int:
-    try:
-        number = int(value, 0) if isinstance(value, str) else value
-    except ValueError:
-        number = None
-    if type(number) is not int or not 0 <= number < 1 << 32:
-        raise ValueError(f"helper id must be a u32, got {value!r}")
-    return number
 
 
 @dataclass(frozen=True)
@@ -148,18 +135,18 @@ class Contract:
     @classmethod
     def from_json(cls, data: object) -> "Contract":
         """Inverse of to_json, where a grant's mode defaults to 'r'. Malformed
-        data raises ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"contract must be an object, got {data!r}")
-        syscalls, grants = data.get("syscalls", []), data.get("regions", [])
-        if not isinstance(syscalls, list) or not isinstance(grants, list):
-            raise ValueError(f"contract syscalls and regions must be lists, got {data!r}")
-        regions = set()
-        for grant in grants:
-            if not isinstance(grant, dict) or not isinstance(grant.get("label"), str):
-                raise ValueError(f"region grant needs a string label, got {grant!r}")
-            regions.add(RegionGrant(grant["label"], *parse_mode(grant.get("mode", "r"))))
-        return cls(frozenset(_helper_id(s) for s in syscalls), frozenset(regions))
+        data raises ValueError (a doc.ParseError)."""
+        return read_contract(data, "contract")
+
+
+def read_contract(data: object, path: str) -> Contract:
+    """The contract ``data`` at ``path`` of its document."""
+    regions = set()
+    for at, grant in doc.items(doc.obj(data, path, _CONTRACT_KEYS), "regions", path):
+        readable, writable = doc.mode(doc.obj(grant, at, _GRANT_KEYS), at)
+        regions.add(RegionGrant(doc.field(grant, "label", at, str), readable, writable))
+    syscalls = doc.u32s(doc.optional(data, "syscalls", path, list, []), f"{path}: helper id")
+    return Contract(syscalls, frozenset(regions))
 
 
 @dataclass(frozen=True)
@@ -364,7 +351,7 @@ class Engine:
                         f"context region {spec.label!r} 'size' out of range 0..{MAX_CONTEXT_SIZE}: "
                         f"{spec.size}"
                     )
-            allowed = frozenset(_helper_id(sys_id) for sys_id in allowed_syscalls)
+            allowed = doc.u32s(allowed_syscalls, "helper id")
             hook_id = self._new_id()
             self.hooks[hook_id] = Hook(hook_id, name, allowed, template, return_policy, slot_limit)
             self._hook_names[name] = hook_id

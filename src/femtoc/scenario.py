@@ -7,26 +7,30 @@ clock and fire hooks, and assertions pinned to event indices.  Running the
 same file twice produces byte-identical reports; all randomness (ids, keys)
 derives from the scenario seed.
 
-Schema sketch (all names are scenario-local references):
+Schema sketch (all names are scenario-local references; ``?`` marks an
+optional key):
 
     {
       "schema_version": 1,
-      "name": "...", "seed": 101,
-      "limits": {"max_instructions": 4096, "max_branches": 256},
-      "tenants": [{"name": "alpha", "key_seed": "<hex>"?, "public_key": "<hex>"?}],
-      "sensors": [{"id": 1, "samples": [10, 20, 30]}],
-      "hooks": [{"name": "...", "syscalls": [..], "return_policy": "...",
-                 "context": [{"label": "...", "size": 16, "mode": "rw"}]}],
-      "setup": [{"action": "install", "name": "...", "tenant": "...", "hook": "...",
-                 "program": {"fixture"|"asm"|"hex"|"file": ...}, "contract": {...}},
-                {"action": "update", "tenant": "...", "hook": "...", "sequence": 2,
-                 "program": {...}, "contract": {...}}],
-      "events": [{"at_ms": 10, "kind": "trigger", "hook": "...",
-                  "payload": {"ctx": {"u64": [1, 2]}}}],
-      "assertions": [{"after_event": 0 | "final", "check": {...}}]
+      "name": "..."?, "seed": 101?,
+      "limits": {"max_instructions": 4096?, "max_branches": 256?}?,
+      "tenants": [{"name": "alpha", "key_seed": "<hex>"?, "public_key": "<hex>"?}]?,
+      "sensors": [{"id": 1, "samples": [10, 20, 30]}]?,
+      "hooks": [{"name": "...", "syscalls": [..]?, "return_policy": "..."?,
+                 "context": [{"label": "...", "size": 16, "mode": "rw"?}]?}]?,
+      "setup": [{"action": "install", "name": "..."?, "tenant": "...", "hook": "...",
+                 "program": {"fixture"|"asm"|"hex"|"file": ...}, "contract": {...}?},
+                {"action": "update", "name": "..."?, "tenant": "...", "hook": "...",
+                 "sequence": 2, "program": {...}, "contract": {...}?}]?,
+      "events": [{"at_ms": 10?, "kind": "trigger"?, "hook": "...",
+                  "payload": {"<label>": {"u64"|"hex"|"bytes": ...}}?}]?,
+      "assertions": [{"after_event": 0 | "final"?, "check": {"kind": "...", ...}}]?
     }
 
-Check kinds: store / context / policy / fault / no_fault / return.
+A program names one source, a payload value one encoding, a tenant at most
+one key, and a contract is {"syscalls": [..]?, "regions": [{"label": "...",
+"mode": "r"?}]?}. Each check kind reads the keys ``_CHECK_FIELDS`` gives.
+Any other key is a ParseError that names it and its path.
 """
 
 from __future__ import annotations
@@ -41,119 +45,64 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .asm import assemble
+from .doc import ParseError, decoded, field, items, literal, literals, load, mode, obj, optional
 from .engine import (
-    BadPublicKey, Contract, ContextRegionSpec, DuplicateHookName, Engine, EngineError, ReturnPolicy, TriggerResult,
-    parse_mode,
+    BadPublicKey, ContextRegionSpec, DuplicateHookName, Engine, EngineError, ReturnPolicy, TriggerResult,
+    read_contract,
 )
 from .facilities import SensorFixture
 from .fixtures import fixture_program
 from .isa import Program
 from .update import apply_update, build_manifest, private_key_from_seed, public_key_raw, sign_manifest
-from .verifier import DEFAULT_MAX_BRANCHES, DEFAULT_MAX_INSTRUCTIONS, MASK64, VerifyLimits, VerifyRejected
+from .verifier import MASK64, VerifyLimits, VerifyRejected
 from .vm import FaultKind
 
 SCHEMA_VERSION = 1
 
+# the keys of the objects read often; the others are named where they are read
+_INSTALL_KEYS = frozenset(("action", "name", "tenant", "hook", "program", "contract"))
+_SETUP_KEYS = {"install": _INSTALL_KEYS, "update": _INSTALL_KEYS | {"sequence"}}
+_PROGRAM_KEYS = frozenset(("fixture", "asm", "hex", "file"))
+_EVENT_KEYS = frozenset(("at_ms", "kind", "hook", "payload"))
+_ENCODINGS = frozenset(("u64", "hex", "bytes"))
+_SCENARIO_KEYS = frozenset(
+    ("schema_version", "name", "seed", "limits", "tenants", "sensors", "hooks", "setup", "events", "assertions")
+)
+_INT = {int}
 
-class ScenarioError(Exception):
+
+class UnknownReference(Exception):
     pass
-
-
-class ParseError(ScenarioError):
-    pass
-
-
-class UnknownReference(ScenarioError):
-    pass
-
-
-def _parse_int(value: Any, what: str) -> int:
-    if isinstance(value, bool):
-        raise ParseError(f"{what} must be an integer")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 0)
-        except ValueError:
-            pass
-    raise ParseError(f"{what} must be an integer, got {value!r}")
-
-
-def _field(spec: Any, key: str, what: str, kind: type = object) -> Any:
-    """The required field ``spec[key]``, which must be of type ``kind``."""
-    if not isinstance(spec, dict):
-        raise ParseError(f"{what} must be an object, got {spec!r}")
-    if key not in spec:
-        raise ParseError(f"{what} is missing {key!r}")
-    value = spec[key]
-    if not isinstance(value, kind):
-        raise ParseError(f"{what} {key!r} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
-def _optional(spec: dict, key: str, what: str, kind: type, default: Any) -> Any:
-    """The optional field ``spec[key]``, which must be of type ``kind``."""
-    return _field(spec, key, what, kind) if key in spec else default
-
-
-def _parse_hex(spec: dict, key: str, what: str) -> bytes:
-    """The hex string field ``spec[key]`` as bytes."""
-    try:
-        return bytes.fromhex(_field(spec, key, what, str))
-    except ValueError:
-        raise ParseError(f"{what} {key!r} must be hex, got {spec[key]!r}") from None
-
-
-def _entries(spec: dict, key: str) -> list:
-    """The optional list ``spec[key]``, empty when absent."""
-    value = spec.get(key, [])
-    if not isinstance(value, list):
-        raise ParseError(f"{key!r} must be a list, got {value!r}")
-    return value
-
-
-def _parse_contract(data: Any) -> Contract:
-    try:
-        return Contract.from_json(data)
-    except ValueError as exc:
-        raise ParseError(f"contract: {exc}") from None
 
 
 def _parse_payload_value(value: Any, what: str) -> bytes:
-    if isinstance(value, dict):
-        words, data = value.get("u64"), value.get("bytes")
-        try:
-            if isinstance(words, list) and all(type(word) is int for word in words):  # not bool
-                return struct.pack(f"<{len(words)}Q", *[word & MASK64 for word in words])
-            if "hex" in value:
-                return bytes.fromhex(value["hex"])
-            if isinstance(data, list) and all(type(byte) is int for byte in data):
-                return bytes(data)
-        except (TypeError, ValueError):
-            pass
-    raise ParseError(f"{what}: expected one of u64/hex/bytes, got {value!r}")
+    encodings = obj(value, what, _ENCODINGS).items()
+    try:
+        [(encoding, data)] = encodings  # exactly one
+        if encoding == "hex":
+            return bytes.fromhex(data)
+        if type(data) is list and set(map(type, data)) <= _INT:  # not bool
+            return struct.pack(f"<{len(data)}Q", *map(MASK64.__and__, data)) if encoding == "u64" else bytes(data)
+    except (TypeError, ValueError):
+        pass
+    raise ParseError(f"{what}: expected exactly one of u64/hex/bytes, got {value!r}")
 
 
 class ScenarioRuntime:
     """A scenario's engine plus the name->id maps the file's references use."""
 
     def __init__(self, doc: dict, base_dir: Path | None = None):
-        if not isinstance(doc, dict):
-            raise ParseError("scenario must be a JSON object")
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ParseError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        obj(doc, "scenario", _SCENARIO_KEYS)
+        version = optional(doc, "schema_version", "", object, None)
+        if type(version) is not int or version != SCHEMA_VERSION:  # JSON true == 1
+            raise ParseError(f"unsupported schema_version {version!r}")
         self.doc = doc
         self.base_dir = base_dir or Path.cwd()
-        self.seed = _parse_int(doc.get("seed", 0), "seed")
-        limits = doc.get("limits") or {}
-        if not isinstance(limits, dict):
-            raise ParseError(f"'limits' must be an object, got {limits!r}")
+        self.seed = literal(doc, "seed", "") if "seed" in doc else 0
+        limits = obj(optional(doc, "limits", "", dict, {}), "limits", {"max_instructions", "max_branches"})
+        limits = {key: literal(limits, key, "limits") for key in limits}
         try:
-            self.limits = VerifyLimits(
-                _parse_int(limits.get("max_instructions", DEFAULT_MAX_INSTRUCTIONS), "max_instructions"),
-                _parse_int(limits.get("max_branches", DEFAULT_MAX_BRANCHES), "max_branches"),
-            )
+            self.limits = VerifyLimits(**limits)
         except ValueError as exc:
             raise ParseError(f"'limits': {exc}") from None
         self.engine = Engine(limits=self.limits, rng=random.Random(self.seed))
@@ -167,135 +116,124 @@ class ScenarioRuntime:
 
     # -- construction -------------------------------------------------
 
-    def _derive_key(self, name: str, spec: dict):
-        if "public_key" in spec:
-            return None, _parse_hex(spec, "public_key", f"tenant {name!r}")
-        if "key_seed" in spec:
-            private = private_key_from_seed(_parse_hex(spec, "key_seed", f"tenant {name!r}"))
-        else:
-            private = private_key_from_seed(
-                hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
-            )
-        return private, public_key_raw(private)
-
     def _build(self) -> None:
         doc = self.doc
-        for spec in _entries(doc, "tenants"):
-            name = _field(spec, "name", "tenant", str)
+        for path, spec in items(doc, "tenants", ""):
+            name = field(obj(spec, path, {"name", "key_seed", "public_key"}), "name", path, str)
             if name in self.tenant_ids:
                 raise ParseError(f"duplicate tenant name {name!r}")
-            private, public = self._derive_key(name, spec)
+            if "public_key" in spec and "key_seed" in spec:
+                raise ParseError(f"{path} needs at most one of public_key/key_seed, got both")
+            if "public_key" in spec:
+                private, public = None, decoded(spec, "public_key", path, bytes.fromhex, "hex")
+            else:
+                seed = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()  # unless the tenant names one
+                seed = decoded(spec, "key_seed", path, bytes.fromhex, "hex") if "key_seed" in spec else seed
+                private = private_key_from_seed(seed)
+                public = public_key_raw(private)
             self.tenant_keys[name] = private
             try:
                 self.tenant_ids[name] = self.engine.register_tenant(name, public)
             except BadPublicKey as exc:
                 raise ParseError(str(exc)) from None
-        for spec in _entries(doc, "sensors"):
-            sensor_id = _parse_int(_field(spec, "id", "sensor"), "sensor id")
-            samples = _field(spec, "samples", "sensor", list)
-            if set(map(type, samples)) <= {int}:  # plain ints: read in one pass
-                samples = samples.copy()
-            else:
-                samples = [_parse_int(s, "sensor sample") for s in samples]
+        for path, spec in items(doc, "sensors", ""):
+            sensor_id = literal(obj(spec, path, {"id", "samples"}), "id", path)
+            samples = literals(field(spec, "samples", path, list), "sensor sample")
             self.engine.facilities.sensors[sensor_id] = SensorFixture(sensor_id, samples)
-        for spec in _entries(doc, "hooks"):
-            name = _field(spec, "name", "hook", str)
-            template = []
-            for region in _entries(spec, "context"):
-                label = _field(region, "label", "context region", str)
-                size = _parse_int(_field(region, "size", "context region"), "region size")
-                try:
-                    readable, writable = parse_mode(region.get("mode", "r"))
-                except ValueError as exc:
-                    raise ParseError(f"context region {label!r}: {exc}") from None
-                template.append(ContextRegionSpec(label, size, readable, writable))
-            syscalls = [_parse_int(s, "hook syscall") for s in _entries(spec, "syscalls")]
+        for path, spec in items(doc, "hooks", ""):
+            name = field(obj(spec, path, {"name", "syscalls", "return_policy", "context"}), "name", path, str)
+            template = [
+                ContextRegionSpec(field(obj(region, at, {"label", "size", "mode"}), "label", at, str),
+                                  literal(region, "size", at), *mode(region, at))
+                for at, region in items(spec, "context", path)
+            ]
+            syscalls = optional(spec, "syscalls", path, list, [])
+            policy = optional(spec, "return_policy", path, object, ReturnPolicy.IGNORE_ALL)
             try:
-                self.hook_ids[name] = self.engine.register_hook(
-                    name, syscalls, template, spec.get("return_policy", ReturnPolicy.IGNORE_ALL)
-                )
+                self.hook_ids[name] = self.engine.register_hook(name, syscalls, template, policy)
             except DuplicateHookName:
                 raise ParseError(f"duplicate hook name {name!r}") from None
             except ValueError as exc:
                 raise ParseError(f"hook {name!r}: {exc}") from None
-        for index, action in enumerate(_entries(doc, "setup")):
+        for index, (path, action) in enumerate(items(doc, "setup", "")):
             try:
-                self._run_setup_action(index, action)
+                self._run_setup_action(index, path, action)
             except (EngineError, VerifyRejected) as exc:  # a full hook or an unverifiable program, say
                 raise ParseError(f"setup action {index}: {exc}") from None
 
-    def _ref(self, kind: str, spec: dict, what: str):
+    def _ref(self, kind: str, spec: dict, path: str):
         """The id of the tenant, hook or container (``kind``) that ``spec[kind]`` names."""
-        name = _field(spec, kind, what, str)
         try:
-            return self._ids[kind][name]
-        except KeyError:
-            raise UnknownReference(f"unknown {kind} {name!r}") from None
+            return self._ids[kind][spec[kind]]  # every key is a str: field reads what misses
+        except (KeyError, TypeError):
+            raise UnknownReference(f"unknown {kind} {field(spec, kind, path, str)!r}") from None
 
-    def _program(self, spec: dict) -> Program:
-        if not isinstance(spec, dict):
-            raise ParseError(f"program must be an object, got {spec!r}")
+    def _program(self, spec: Any, path: str) -> Program:
+        if len(obj(spec, path, _PROGRAM_KEYS)) != 1:
+            raise ParseError(f"{path} needs exactly one of fixture/asm/hex/file, got {spec!r}")
         if "fixture" in spec:
-            name = _field(spec, "fixture", "program", str)
+            name = field(spec, "fixture", path, str)
             try:
                 return fixture_program(name)
             except KeyError:
                 raise UnknownReference(f"unknown fixture {name!r}") from None
         if "asm" in spec:
-            text = spec["asm"]
+            text = field(spec, "asm", path)
             if isinstance(text, list) and all(isinstance(line, str) for line in text):
                 text = "\n".join(text)
             if not isinstance(text, str):
-                raise ParseError(f"program 'asm' must be a string or a list of strings, got {text!r}")
+                raise ParseError(f"{path} 'asm' must be a string or a list of strings, got {text!r}")
             return assemble(text)
         if "hex" in spec:
-            return Program.from_bytes(_parse_hex(spec, "hex", "program"))
-        if "file" in spec:
-            path = (self.base_dir / _field(spec, "file", "program", str)).resolve()
-            if path.suffix == ".asm":
-                return assemble(path.read_text())
-            return Program.from_bytes(path.read_bytes())
-        raise ParseError(f"program needs one of fixture/asm/hex/file: {spec!r}")
+            return Program.from_bytes(decoded(spec, "hex", path, bytes.fromhex, "hex"))
+        file = (self.base_dir / field(spec, "file", path, str)).resolve()
+        if file.suffix == ".asm":
+            return assemble(file.read_text())
+        return Program.from_bytes(file.read_bytes())
 
-    def _run_setup_action(self, index: int, action: dict) -> None:
-        what = f"setup action {index}"
-        kind = _field(action, "action", what)
+    def _run_setup_action(self, index: int, path: str, action: Any) -> None:
+        kind = field(action, "action", path, str)
+        if kind not in _SETUP_KEYS:
+            raise ParseError(f"setup action must be install or update, got {kind!r}")
+        obj(action, path, _SETUP_KEYS[kind])
+        program = self._program(field(action, "program", path), f"{path}.program")
+        contract = read_contract(optional(action, "contract", path, object, {}), f"{path}.contract")
         if kind == "install":
             container_id = self.engine.install_container(
-                self._ref("tenant", action, what),
-                self._program(_field(action, "program", what, dict)),
-                _parse_contract(action.get("contract", {})),
-                self._ref("hook", action, what),
+                self._ref("tenant", action, path),
+                program,
+                contract,
+                self._ref("hook", action, path),
             )
-            name = _optional(action, "name", what, str, f"container{index}")
+            name = optional(action, "name", path, str, f"container{index}")
             if name in self.container_ids:
                 raise ParseError(f"duplicate container name {name!r}")
             self.container_ids[name] = container_id
             self.setup_results.append(
                 {"action": "install", "name": name, "container_id": str(container_id)}
             )
-        elif kind == "update":
-            tenant_name = _field(action, "tenant", what, str)
+        else:  # an update
+            tenant_name = field(action, "tenant", path, str)
             private = self.tenant_keys.get(tenant_name)
             if private is None:
                 raise UnknownReference(f"tenant {tenant_name!r} has no signing key in this scenario")
-            name = _optional(action, "name", what, str, None)
-            tenant_id, hook_id = self._ref("tenant", action, what), self._ref("hook", action, what)
+            name = optional(action, "name", path, str, None)
+            tenant_id, hook_id = self._ref("tenant", action, path), self._ref("hook", action, path)
             replaced = self.engine.tenant_container_on_hook(tenant_id, hook_id)  # None: installs
             if self.container_ids.get(name, replaced) != replaced:
                 raise ParseError(f"duplicate container name {name!r}")
-            payload = self._program(_field(action, "program", what, dict)).to_bytes()
+            payload = program.to_bytes()
             manifest = build_manifest(
                 tenant_id,
                 hook_id,
-                _parse_int(_field(action, "sequence", what), "update sequence"),
+                literal(action, "sequence", path),
                 payload,
-                _parse_contract(action.get("contract", {})),
+                contract,
             )
             try:
                 manifest = sign_manifest(manifest, private)
             except ValueError as exc:
-                raise ParseError(f"{what}: {exc}") from None
+                raise ParseError(f"{path}: {exc}") from None
             outcome = apply_update(self.engine, manifest, payload)
             entry = {
                 "action": "update",
@@ -309,39 +247,40 @@ class ScenarioRuntime:
                 if name:
                     self.container_ids[name] = outcome.container_id
             self.setup_results.append(entry)
-        else:
-            raise ParseError(f"setup action must be install or update, got {kind!r}")
 
     # -- events ---------------------------------------------------------
 
-    def _event(self, event: dict, what: str) -> tuple[int, Any, dict[str, bytes]]:
+    def _event(self, event: Any, path: str) -> tuple[int, Any, dict[str, bytes]]:
         """``event`` as (at_ms, hook id, payload bytes by label), checked against its hook."""
-        hook_id = self._ref("hook", event, what)
+        obj(event, path, _EVENT_KEYS)
+        if optional(event, "kind", path, object, "trigger") != "trigger":
+            raise ParseError(f"unknown event kind {event['kind']!r}")
+        at_ms = literal(event, "at_ms", path) if "at_ms" in event else 0
+        if at_ms < 0:
+            raise ParseError(f"{path} 'at_ms' must not be negative, got {at_ms}")
+        hook_id = self._ref("hook", event, path)
         context = self.engine.hooks[hook_id].context
         payload = {}
-        for label, value in _optional(event, "payload", what, dict, {}).items():
-            payload[label] = data = _parse_payload_value(value, f"{what} payload {label!r}")
+        for label, value in optional(event, "payload", path, dict, {}).items():
+            payload[label] = data = _parse_payload_value(value, f"{path}.payload {label!r}")
             region = context.get(label)
             if region is None or len(data) != region.length:
                 sizes = {name: known.length for name, known in context.items()}
-                raise ParseError(f"{what} payload {label!r} does not fit the context {sizes} of its hook")
-        return _parse_int(event.get("at_ms", 0), "at_ms"), hook_id, payload
+                raise ParseError(f"{path}.payload {label!r} does not fit the context {sizes} of its hook")
+        return at_ms, hook_id, payload
 
-    def parse_events(self) -> list[dict]:
-        """The events, each checked against its hook before any fires."""
-        events = _entries(self.doc, "events")
-        last_at = None
-        for index, event in enumerate(events):
-            at_ms, _, _ = self._event(event, f"event {index}")
-            if last_at is not None and at_ms < last_at:
-                raise ParseError("events must be sorted by at_ms")
-            last_at = at_ms
-            if event.get("kind", "trigger") != "trigger":
-                raise ParseError(f"unknown event kind {event.get('kind')!r}")
+    def parse_events(self) -> list[tuple[int, Any, dict[str, bytes]]]:
+        """The events as (at_ms, hook id, payload), each checked against its hook before any fires."""
+        events = [self._event(event, path) for path, event in items(self.doc, "events", "")]
+        if any(later[0] < earlier[0] for earlier, later in zip(events, events[1:])):
+            raise ParseError("events must be sorted by at_ms")
         return events
 
     def fire(self, event: dict) -> TriggerResult:
-        at_ms, hook_id, payload = self._event(event, "event")
+        """Parse ``event`` as ``parse_events`` does, then trigger it."""
+        return self._trigger(*self._event(event, "event"))
+
+    def _trigger(self, at_ms: int, hook_id: Any, payload: dict[str, bytes]) -> TriggerResult:
         self.engine.facilities.clock.advance_to(at_ms)
         return self.engine.trigger_hook(hook_id, payload)
 
@@ -358,7 +297,7 @@ class ScenarioReport:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _event_report(runtime: ScenarioRuntime, index: int, event: dict, result: TriggerResult) -> dict:
+def _event_report(runtime: ScenarioRuntime, index: int, event: tuple, result: TriggerResult) -> dict:
     names = {cid: name for name, cid in runtime.container_ids.items()}
     containers = []
     for slot in result.outcomes:
@@ -375,58 +314,52 @@ def _event_report(runtime: ScenarioRuntime, index: int, event: dict, result: Tri
         )
     return {
         "index": index,
-        "at_ms": _parse_int(event.get("at_ms", 0), "at_ms"),
-        "hook": event["hook"],
+        "at_ms": event[0],
+        "hook": runtime.engine.hooks[event[1]].name,
         "policy_value": result.policy_value,
         "containers": containers,
         "context_after": {label: data.hex() for label, data in result.context_after.items()},
     }
 
 
-# check kind -> the fields its reader reads besides "kind"; a store check
+# check kind -> the keys its reader reads, "kind" among them; a store check
 # also reads the owner its scope names, "container" or "tenant"
 _CHECK_FIELDS = {
-    "store": ("scope", "key", "equals"),
-    "context": ("label", "offset", "u64_equals"),
-    "policy": ("equals",),
-    "fault": ("container", "fault_kind"),
-    "no_fault": ("container",),
-    "return": ("container", "equals"),
+    "store": frozenset(("kind", "scope", "key", "equals")),
+    "context": frozenset(("kind", "label", "offset", "u64_equals")),
+    "policy": frozenset(("kind", "equals")),
+    "fault": frozenset(("kind", "container", "fault_kind")),
+    "no_fault": frozenset(("kind", "container")),
+    "return": frozenset(("kind", "container", "equals")),
 }
 
 
 def _parse_check(
-    runtime: ScenarioRuntime, check: dict, what: str
+    runtime: ScenarioRuntime, check: dict, path: str
 ) -> Callable[[TriggerResult | None], tuple[bool, str]]:
     """Check an assertion's fields before any event fires, refusing any
     field its kind does not read. Returns the function that evaluates it on
     the result of the event it follows, which only a store check can do
     without an event."""
-    kind = _field(check, "kind", what, str)
+    kind = field(check, "kind", path, str)
     if kind not in _CHECK_FIELDS:
         raise ParseError(f"unknown check kind {kind!r}")
-    reads = {"kind", *_CHECK_FIELDS[kind]}
+    reads = _CHECK_FIELDS[kind]
     if kind == "store":
-        scope = _optional(check, "scope", what, str, "container")
+        scope = optional(check, "scope", path, str, "container")
         if scope not in ("container", "tenant", "global"):
-            raise ParseError(f"{what} 'scope': unknown store scope {scope!r}")
+            raise ParseError(f"{path} 'scope': unknown store scope {scope!r}")
         if scope != "global":
-            reads.add(scope)
-    for key in check:
-        if key not in reads:
-            raise ParseError(f"{what}: a {kind!r} check has no field {key!r}")
+            reads |= {scope}
+    obj(check, path, reads)
     if kind == "store":
         stores = runtime.engine.facilities.stores
-        if scope == "container":
-            owners, owner = stores.container_stores, runtime._ref("container", check, what)
-        elif scope == "tenant":
-            owners, owner = stores.tenant_stores, runtime._ref("tenant", check, what)
-        else:
-            owners, owner = {None: stores.global_store}, None
-        key = _parse_int(_field(check, "key", what), "store key")
-        expected = _parse_int(_field(check, "equals", what), "store value")
+        owner = None if scope == "global" else runtime._ref(scope, check, path)
+        scopes = {"container": stores.container_stores, "tenant": stores.tenant_stores}
+        owners = scopes.get(scope, {None: stores.global_store})
+        key, expected = literal(check, "key", path), literal(check, "equals", path)
         if not 0 <= key < 1 << 32:
-            raise ParseError(f"{what} 'key' must be a u32, got {key}")
+            raise ParseError(f"{path} 'key' must be a u32, got {key}")
 
         def evaluate(result: TriggerResult | None) -> tuple[bool, str]:
             found = owners.get(owner)
@@ -434,11 +367,11 @@ def _parse_check(
             return actual == expected, f"{scope} store key {key}: expected {expected}, got {actual}"
 
     elif kind == "context":
-        label = _field(check, "label", what, str)
-        offset = _parse_int(check.get("offset", 0), "context offset")
+        label = field(check, "label", path, str)
+        offset = literal(check, "offset", path) if "offset" in check else 0
         if offset < 0:
-            raise ParseError(f"{what} 'offset' must not be negative, got {offset}")
-        expected = _parse_int(_field(check, "u64_equals", what), "context value") & MASK64
+            raise ParseError(f"{path} 'offset' must not be negative, got {offset}")
+        expected = literal(check, "u64_equals", path) & MASK64
 
         def evaluate(result: TriggerResult) -> tuple[bool, str]:
             data = result.context_after.get(label)
@@ -450,21 +383,19 @@ def _parse_check(
             return actual == expected, f"context {label!r}@{offset}: expected {expected}, got {actual}"
 
     elif kind == "policy":
-        expected = check.get("equals")
-        if expected is not None:
-            expected = _parse_int(expected, "policy value")
+        expected = None if optional(check, "equals", path, object, None) is None else literal(check, "equals", path)
 
         def evaluate(result: TriggerResult) -> tuple[bool, str]:
             actual = result.policy_value
             return actual == expected, f"policy value: expected {expected}, got {actual}"
 
     else:  # fault, no_fault or return
-        target = runtime._ref("container", check, what)
+        target = runtime._ref("container", check, path)
         if kind == "return":
-            expected = _parse_int(_field(check, "equals", what), "return value") & MASK64
-        expected_kind = check.get("fault_kind")
-        if kind == "fault" and expected_kind not in (None, *(k.value for k in FaultKind)):
-            raise ParseError(f"{what} 'fault_kind' must name a vm.FaultKind value, got {expected_kind!r}")
+            expected = literal(check, "equals", path) & MASK64
+        expected_kind = optional(check, "fault_kind", path, object, None)
+        if expected_kind not in (None, *(k.value for k in FaultKind)):
+            raise ParseError(f"{path} 'fault_kind' must name a vm.FaultKind value, got {expected_kind!r}")
 
         def evaluate(result: TriggerResult) -> tuple[bool, str]:
             slot = next((s for s in result.outcomes if s.container_id == target), None)
@@ -496,49 +427,45 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
         path = Path(source)
         if base_dir is None:
             base_dir = path.parent
-        try:
-            doc = json.loads(path.read_text())
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"{path}: {exc}") from None
-        name = doc.get("name", path.stem) if isinstance(doc, dict) else path.stem
+        doc = load(path)
+        name = path.stem
     else:
         doc = source
-        name = doc.get("name", "scenario")
+        name = "scenario"
 
     runtime = ScenarioRuntime(doc, base_dir)
+    name = optional(doc, "name", "", str, name)
     events = runtime.parse_events()
 
-    by_index: dict[Any, list[tuple[dict, Callable]]] = {}
-    for index, assertion in enumerate(_entries(doc, "assertions")):
-        check = _field(assertion, "check", f"assertion {index}", dict)
-        after = assertion.get("after_event", "final")
+    by_index: dict[Any, list[tuple[Any, dict, Callable]]] = {}
+    for path, assertion in items(doc, "assertions", ""):
+        check = field(obj(assertion, path, {"after_event", "check"}), "check", path, dict)
+        after = optional(assertion, "after_event", path, object, "final")
         if after != "final" and (type(after) is not int or not 0 <= after < len(events)):
-            raise ParseError(f"assertion {index} 'after_event' must be 'final' or an event index: {after!r}")
-        evaluator = _parse_check(runtime, check, f"assertion {index} check")
-        by_index.setdefault(after, []).append((assertion, evaluator))
+            raise ParseError(f"{path} 'after_event' must be 'final' or an event index: {after!r}")
+        by_index.setdefault(after, []).append((after, check, _parse_check(runtime, check, f"{path}.check")))
 
     event_reports: list[dict] = []
     assertion_reports: list[dict] = []
     result: TriggerResult | None = None
 
     def evaluate(slot_key: Any, result: TriggerResult | None) -> None:
-        for assertion, evaluator in by_index.get(slot_key, ()):
-            kind = assertion["check"]["kind"]
-            if result is None and kind != "store":
-                ok, detail = False, f"check {kind!r} needs a preceding event"
+        for after, check, evaluator in by_index.get(slot_key, ()):
+            if result is None and check["kind"] != "store":
+                ok, detail = False, f"check {check['kind']!r} needs a preceding event"
             else:
                 ok, detail = evaluator(result)
             assertion_reports.append(
                 {
-                    "after_event": assertion.get("after_event", "final"),
-                    "check": assertion["check"],
+                    "after_event": after,
+                    "check": check,
                     "ok": ok,
                     "detail": detail,
                 }
             )
 
     for index, event in enumerate(events):
-        result = runtime.fire(event)
+        result = runtime._trigger(*event)
         event_reports.append(_event_report(runtime, index, event, result))
         evaluate(index, result)
     evaluate("final", result)

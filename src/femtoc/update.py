@@ -19,7 +19,7 @@ import hashlib
 import json
 import struct
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -30,7 +30,8 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .engine import Contract, Engine
+from . import doc
+from .engine import Contract, Engine, read_contract
 from .isa import Program
 from .verifier import VerifyRejected
 
@@ -236,34 +237,21 @@ def manifest_to_json(manifest: Manifest) -> dict:
 
 
 def manifest_from_json(data: object) -> Manifest:
-    """Inverse of manifest_to_json. Malformed data raises ValueError naming
-    the field."""
-    body = data.get("manifest") if isinstance(data, dict) else None
-    if not isinstance(body, dict):
-        raise ValueError("manifest envelope needs a 'manifest' object")
-
-    def field(key: str, convert, source: dict = body):
-        try:
-            return convert(source[key])
-        except KeyError:
-            raise ValueError(f"manifest is missing {key!r}") from None
-        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
-            raise ValueError(f"manifest {key!r}: {exc}") from None
-
-    def integer(value: object) -> int:
-        if type(value) is not int:  # not isinstance: JSON true loads as a bool, an int
-            raise ValueError(f"expected a JSON integer, got {value!r}")
-        return value
-
+    """Inverse of manifest_to_json. Malformed data raises ValueError (a
+    doc.ParseError) naming the field."""
+    envelope = doc.obj(data, "manifest envelope", {"manifest", "signature"})
+    body = doc.field(envelope, "manifest", "manifest envelope")
+    doc.obj(body, "manifest", {f.name for f in fields(Manifest)} - {"signature"})
     manifest = Manifest(
-        manifest_version=field("manifest_version", integer),
-        sequence_number=field("sequence_number", integer),
-        storage_location=field("storage_location", uuid.UUID),
-        tenant_id=field("tenant_id", uuid.UUID),
-        payload_digest=field("payload_digest", bytes.fromhex),
-        payload_size=field("payload_size", integer),
-        contract=Contract.from_json(body.get("contract", {})),
-        signature=field("signature", base64.b64decode, data) if data.get("signature") else None,
+        manifest_version=doc.integer(body, "manifest_version", "manifest"),
+        sequence_number=doc.integer(body, "sequence_number", "manifest"),
+        storage_location=doc.decoded(body, "storage_location", "manifest", uuid.UUID, "a UUID"),
+        tenant_id=doc.decoded(body, "tenant_id", "manifest", uuid.UUID, "a UUID"),
+        payload_digest=doc.decoded(body, "payload_digest", "manifest", bytes.fromhex, "hex"),
+        payload_size=doc.integer(body, "payload_size", "manifest"),
+        contract=read_contract(doc.optional(body, "contract", "manifest", object, {}), "manifest.contract"),
+        signature=doc.decoded(envelope, "signature", "manifest envelope", base64.b64decode, "base64")
+        if doc.optional(envelope, "signature", "manifest envelope", object, None) else None,
     )
     canonical_bytes(manifest)  # a manifest without a canonical form does not load
     return manifest
@@ -274,8 +262,4 @@ def save_manifest(manifest: Manifest, path: Path) -> None:
 
 
 def load_manifest(path: Path) -> Manifest:
-    try:
-        doc = json.loads(path.read_text())
-    except RecursionError as exc:  # malformed JSON raises JSONDecodeError, a ValueError
-        raise ValueError(f"{path}: {exc}") from None
-    return manifest_from_json(doc)
+    return manifest_from_json(doc.load(path))

@@ -242,6 +242,21 @@ MUTANTS = (
         '"container": dict(self.container_ids)}',
         ("tests/test_scenario.py",),
     ),
+    # Strict documents: the readers every scenario, contract and manifest goes through.
+    Mutant(
+        "the object reader stops refusing unread keys",
+        "src/femtoc/doc.py",
+        "if spec.keys() <= keys:",
+        "if spec.keys() or True:",
+        ("tests/test_doc.py", "tests/test_cli.py", "-k", "key or misspelt or malformed"),
+    ),
+    Mutant(
+        "the integer reader accepts true",
+        "src/femtoc/doc.py",
+        "    if type(value) is int:  # not isinstance",
+        "    if isinstance(value, int):  # not isinstance",
+        ("tests/test_doc.py", "tests/test_scenario.py"),
+    ),
     # The boundary matrix.
     Mutant(
         "a compiled 32-bit shift by a constant cuts the count to 6 bits",

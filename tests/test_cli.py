@@ -594,6 +594,42 @@ def test_scenario_missing_or_mistyped_field_exits_2(tmp_path, capsys, case):
     assert repr(field) in err
 
 
+def _rename_assertions(doc: dict) -> None:
+    doc["asserts"] = doc.pop("assertions")
+
+
+def _misspell_a_grant_mode(doc: dict) -> None:
+    doc["setup"][0]["contract"] = {"regions": [{"label": "ctx", "mdoe": "rw"}]}
+
+
+def _misspell_syscalls(doc: dict) -> None:
+    doc["setup"][0]["contract"] = {"sycalls": [1]}
+
+
+# edit of malicious_tenant.json -> the one stderr line femtoc scenario run prints
+MISSPELT_KEYS = {
+    "assertions renamed": (_rename_assertions, "scenario error: scenario: unknown key 'asserts'"),
+    "grant mode misspelt": (
+        _misspell_a_grant_mode, "scenario error: setup[0].contract.regions[0]: unknown key 'mdoe'"
+    ),
+    "syscalls misspelt": (_misspell_syscalls, "scenario error: setup[0].contract: unknown key 'sycalls'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSPELT_KEYS))
+def test_a_misspelt_key_exits_2_naming_it(tmp_path, capsys, case):
+    # Each edit once ran: asserts checked nothing and passed, mdoe granted
+    # read-only, and sycalls granted no helper.
+    edit, line = MISSPELT_KEYS[case]
+    doc = json.loads(bundled_scenario_path("malicious_tenant").read_text())
+    edit(doc)
+    path = tmp_path / "misspelt.json"
+    path.write_text(json.dumps(doc))
+    assert main(["scenario", "run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == line + "\n"
+
+
 # -- keygen / sign / apply -----------------------------------------------
 
 

@@ -42,6 +42,9 @@ def test_a_set_up_counts_the_same_in_two_runs_under_two_hash_seeds():
     assert first == second
     fleet = first["workloads"]["fleet"]
     assert fleet["setups_before"] == 1 and fleet["bytecodes_per_setup"] > 0 and fleet["c_calls_per_setup"] > 0
-    # Its 4096 sensor samples are plain ints, read in one pass, not one
-    # _parse_int call each.
-    assert fleet["bytecodes"]["src/femtoc/scenario.py:_parse_int"] < 4096
+    # Its 4096 sensor samples are plain ints, which doc.literals reads in one
+    # pass, not with one integer parse each.
+    counts = fleet["bytecodes"]
+    assert "src/femtoc/doc.py:literals" in counts
+    per_value = ("src/femtoc/doc.py:literals", "src/femtoc/doc.py:_literal")  # and their comprehensions
+    assert sum(n for key, n in counts.items() if key.startswith(per_value)) < 4096

@@ -398,6 +398,12 @@ def test_unsupported_schema_version():
         run_scenario({"schema_version": 2})
 
 
+def test_a_boolean_schema_version_is_a_parse_error():
+    # JSON true loads as a bool, which equals 1.
+    with pytest.raises(ParseError, match="unsupported schema_version True"):
+        run_scenario({"schema_version": True})
+
+
 def test_deeply_nested_file_is_a_parse_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -431,8 +437,11 @@ def test_unknown_setup_action():
 
 def test_program_spec_needs_a_source():
     doc = echo_scenario({"u64": [258, 0]})
-    doc["setup"][0]["program"] = {"nope": 1}
+    doc["setup"][0]["program"] = {}
     with pytest.raises(ParseError, match="fixture/asm/hex/file"):
+        run_scenario(doc)
+    doc["setup"][0]["program"] = {"nope": 1}
+    with pytest.raises(ParseError, match=r"setup\[0\]\.program: unknown key 'nope'"):
         run_scenario(doc)
 
 
@@ -440,6 +449,15 @@ def test_duplicate_tenant_name():
     doc = echo_scenario({"u64": [258, 0]})
     doc["tenants"].append({"name": "t"})
     with pytest.raises(ParseError, match="duplicate tenant"):
+        run_scenario(doc)
+
+
+def test_a_tenant_with_both_a_public_key_and_a_key_seed_is_a_parse_error():
+    # It once took the public key and dropped the seed, so the tenant had no
+    # signing key for a later update.
+    doc = echo_scenario({"u64": [258, 0]})
+    doc["tenants"][0].update(public_key="00" * 32, key_seed="aa")
+    with pytest.raises(ParseError, match=r"tenants\[0\] needs at most one of public_key/key_seed, got both"):
         run_scenario(doc)
 
 
@@ -524,3 +542,70 @@ def test_sensor_samples_load_or_fail_one_by_one(samples, loaded):
     fixture = ScenarioRuntime(doc).engine.facilities.sensors[1]
     assert fixture.samples == loaded and all(type(s) is int for s in fixture.samples)
     assert fixture.samples is not samples  # the document's list stays the caller's
+
+
+# -- strict documents: every field read once, every other key refused -------
+
+
+@pytest.mark.parametrize("name", [5, {"x": 1}, None])
+def test_a_scenario_name_that_is_not_a_string_is_a_parse_error(name):
+    doc = echo_scenario({"u64": [258, 0]})
+    doc["name"] = name
+    with pytest.raises(ParseError, match="'name' must be a str"):
+        run_scenario(doc)
+
+
+def test_a_negative_at_ms_is_a_parse_error():
+    from femtoc.scenario import ScenarioRuntime
+
+    doc = echo_scenario({"u64": [258, 0]})
+    doc["events"][0]["at_ms"] = -5
+    with pytest.raises(ParseError, match=r"events\[0\] 'at_ms' must not be negative, got -5"):
+        run_scenario(doc)
+    runtime = ScenarioRuntime(echo_scenario({"u64": [258, 0]}))
+    with pytest.raises(ParseError, match="'at_ms' must not be negative"):
+        runtime.fire({"at_ms": "-0x5", "hook": "h"})
+    assert runtime.engine.facilities.clock.now_ms == 0
+
+
+@pytest.mark.parametrize("value", [
+    {"u64": [1, 2], "hex": "00" * 16},
+    {"u64": [1, 2], "bytes": [0] * 16},
+    {"hex": "00" * 16, "bytes": [0] * 16},
+    {},
+    {"u64": ""},  # u64 and bytes take a list, not another empty container
+    {"u64": {}},
+    {"bytes": {}},
+])
+def test_a_payload_value_needs_exactly_one_encoding(value):
+    doc = echo_scenario(value)
+    with pytest.raises(ParseError, match=r"events\[0\]\.payload 'ctx': expected exactly one of u64/hex/bytes"):
+        run_scenario(doc)
+
+
+def test_run_scenario_parses_each_event_once(monkeypatch):
+    # parse_events reads each event into (at_ms, hook id, payload); the run
+    # fires those and the report reads them, so no event is read again.
+    from femtoc import doc as doc_module
+    from femtoc.scenario import ScenarioRuntime
+
+    parsed, reads = Counter(), Counter()
+    event = ScenarioRuntime._event
+    literal = doc_module.literal
+
+    def counted_event(self, spec, path):
+        parsed[id(spec)] += 1
+        return event(self, spec, path)
+
+    def counted_literal(spec, key, path):
+        reads[key] += 1
+        return literal(spec, key, path)
+
+    monkeypatch.setattr(ScenarioRuntime, "_event", counted_event)
+    monkeypatch.setattr("femtoc.scenario.literal", counted_literal)
+    doc = load_bundled("sensor_coap")
+    report = run_scenario(doc)
+    assert report.passed
+    assert sorted(parsed) == sorted(map(id, doc["events"])) and set(parsed.values()) == {1}
+    assert reads["at_ms"] == sum("at_ms" in event for event in doc["events"]) > 0
+    assert [e["at_ms"] for e in report.data["events"]] == [e.get("at_ms", 0) for e in doc["events"]]
