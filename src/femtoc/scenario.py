@@ -297,8 +297,7 @@ class ScenarioReport:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _event_report(runtime: ScenarioRuntime, index: int, event: tuple, result: TriggerResult) -> dict:
-    names = {cid: name for name, cid in runtime.container_ids.items()}
+def _event_report(runtime: ScenarioRuntime, names: dict, index: int, event: tuple, result: TriggerResult) -> dict:
     containers = []
     for slot in result.outcomes:
         outcome = slot.outcome
@@ -464,9 +463,11 @@ def run_scenario(source: str | Path | dict, base_dir: Path | None = None) -> Sce
                 }
             )
 
+    # Events only trigger hooks, so set-up has fixed every container's name.
+    names = {cid: name for name, cid in runtime.container_ids.items()}
     for index, event in enumerate(events):
         result = runtime._trigger(*event)
-        event_reports.append(_event_report(runtime, index, event, result))
+        event_reports.append(_event_report(runtime, names, index, event, result))
         evaluate(index, result)
     evaluate("final", result)
 

@@ -12,14 +12,17 @@ exit or an unconditional jump).
 All violations are collected and reported together rather than stopping at
 the first one.
 
-The scan reads the program's encoded bytes, one ``(opcode, regs, off, imm)``
-tuple per slot, and splits the register byte itself; it never decodes the
-program to ``Instruction`` objects.  Error mnemonics come from the opcode
-table, or from the slot's raw bytes for an unknown opcode.
-
-A plain ALU slot, one whose register byte names a dst below r10 and a src
-in r0..r10, passes every check by construction, so the scan lowers it with
-no test; every other slot takes the checks above.
+The scan reads the program's encoded bytes and never decodes it to
+``Instruction`` objects.  Its first step is a column pass: byte tables
+indexed by opcode and by register byte (``bytes.translate`` over the
+slots' first and second bytes), immediates and offsets widened in C and
+read with explicit little-endian ``struct`` formats, and ``zip`` over
+the columns lower every slot as if it were plain.  A plain slot, an ALU
+operation or an exit whose register byte names a dst below r10 and a src
+in r0..r10, passes every check by construction, so its row is final.  Only
+the other slots take the per-slot checks above, which replace their rows
+and report their errors.  Error mnemonics come from the opcode table, or
+from the slot's raw bytes for an unknown opcode.
 
 The scan also proves some memory accesses safe once: a load or store whose
 base register is r10 and whose [off, off+width) lies within the stack
@@ -30,12 +33,15 @@ write it.
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
 
 from .isa import (
-    _SLOT,
+    OP_EXIT,
+    OP_LDDW,
     OPCODE_INFO,
     SLOT_SIZE,
     OpcodeInfo,
@@ -109,16 +115,27 @@ def _row(info: OpcodeInfo) -> tuple[str, bool, int, int, int, int]:
 
 _ROWS = {opcode: _row(info) for opcode, info in OPCODE_INFO.items()}
 
-# The plain-slot tables (see above): by ALU opcode, (code, sub, immediate
-# mask); by register byte, (dst, src), or None unless dst < 10 and src <= 10.
-_PLAIN = {
-    opcode: (code, sub, mask)
-    for opcode, (_name, _writes, code, sub, mask, _stack) in _ROWS.items()
-    if code in (ALU64_K, ALU64_X, ALU32_K, ALU32_X)
-}
-_PLAIN_REGS = tuple(
-    (regs & 0x0F, regs >> 4) if regs & 0x0F < 10 and regs >> 4 <= 10 else None for regs in range(256)
-)
+# The column tables (see above), each indexed by one byte of a slot.  By
+# opcode: the row's code and sub (the opcode table's, so they are right for
+# every known opcode), whether the slot can be plain, and whether its
+# immediate is read as 64 bits, sign-extended; by register byte: dst, src,
+# and whether it names a dst below r10 and a src in r0..r10; by the
+# immediate's top byte: the byte that sign-extends it.
+_ALL = range(256)
+_CODES = bytes(_ROWS[b][2] if b in _ROWS else NOT_RUNNABLE for b in _ALL)
+_SUBS = bytes(_ROWS[b][3] if b in _ROWS else 0 for b in _ALL)
+_PLAIN_OPS = bytes(0xFF * (b in _ROWS and _ROWS[b][2] in (ALU64_K, ALU64_X, ALU32_K, ALU32_X, EXIT)) for b in _ALL)
+_WIDE_OPS = bytes(0xFF * (b in _ROWS and _ROWS[b][4] == MASK64) for b in _ALL)
+_DSTS = bytes(b & 0x0F for b in _ALL)
+_SRCS = bytes(b >> 4 for b in _ALL)
+_PLAIN_REG_BYTES = bytes(0xFF * (b & 0x0F < 10 and b >> 4 <= 10) for b in _ALL)
+_SIGNS = bytes(0xFF * (b >= 0x80) for b in _ALL)
+
+
+@functools.lru_cache(maxsize=64)
+def _fields(n: int) -> tuple[Callable, Callable]:
+    """The column pass's reads of n 8-byte immediates and of n offsets."""
+    return struct.Struct(f"<{n}Q").unpack_from, struct.Struct(f"<{n}h").unpack
 
 
 @dataclass(frozen=True)
@@ -220,96 +237,105 @@ def _scan(
 ) -> tuple[list[VerifyError], tuple[tuple[int, ...], ...]]:
     """Run every check and lower each slot to its executable row.
 
+    The column pass lowers every slot as if it were plain; then each slot
+    that is not plain takes its checks, in slot order, and gets its row.
     Returns all violations, in slot order, and the executable form; the
     form is meaningful only when there are no violations.
     """
-    allowed = frozenset(allowed_syscalls)
     data = program.to_bytes()
     n = len(data) // SLOT_SIZE
+    ops, regs = data[::SLOT_SIZE], data[1::SLOT_SIZE]
+    # One AND over two column pairs: whether each slot is plain (its opcode
+    # and its register byte both are), then its immediate's sign-extension
+    # byte (0xFF where the opcode reads 64 bits and the immediate is negative).
+    flags = (
+        int.from_bytes(ops.translate(_PLAIN_OPS) + ops.translate(_WIDE_OPS), "little")
+        & int.from_bytes(regs.translate(_PLAIN_REG_BYTES) + data[7::SLOT_SIZE].translate(_SIGNS), "little")
+    ).to_bytes(2 * n, "little")
+    # Each immediate is read as 8 bytes of a copy of the slots: its own 4,
+    # then its sign-extension byte 4 times over the next slot's first 4.  The
+    # offsets are read from the slots themselves (the cast only copies their
+    # bytes, so the one byte order is the format's).
+    lanes = bytearray(data + b"\0\0\0\0")
+    lanes[8::SLOT_SIZE] = lanes[9::SLOT_SIZE] = lanes[10::SLOT_SIZE] = lanes[11::SLOT_SIZE] = bytearray(flags[n:])
+    read_imms, read_offs = _fields(n)
+    form = list(zip(ops.translate(_CODES), ops.translate(_SUBS), regs.translate(_DSTS), regs.translate(_SRCS),
+                    read_offs(memoryview(data).cast("H")[1::4].tobytes()), read_imms(lanes, 4)))
+
     errors: list[VerifyError] = []
-    form: list[tuple[int, ...]] = []
-    is_cont = continuation_slots(data[::SLOT_SIZE])
-
-    def fail(kind: VerifyErrorKind, at: int, mnemonic: str, detail: str) -> None:
-        errors.append(VerifyError(kind, at, mnemonic, detail))
-
     if n > limits.max_instructions:
         at = limits.max_instructions
         detail = f"program has {n} slots, limit is {at}"
-        fail(VerifyErrorKind.TOO_LONG, at, _mnemonic(data, at), detail)
+        errors.append(VerifyError(VerifyErrorKind.TOO_LONG, at, _mnemonic(data, at), detail))
 
-    has_exit = False
-    last_real = -1
-    in_wide_load = False
-    for i, (opcode, regs, off, imm) in enumerate(_SLOT.iter_unpack(data)):
-        plain = _PLAIN.get(opcode)  # never a wide load's continuation: its opcode is 0
-        if plain is not None:
-            pair = _PLAIN_REGS[regs]
-            if pair is not None:
-                code, sub, imm_mask = plain
-                dst, src = pair
-                form.append((code, sub, dst, src, off, imm & imm_mask))
-                last_real = i
-                continue
-        if in_wide_load:  # lowered with the wide load's first slot
-            in_wide_load = False
-            continue
-        row = _ROWS.get(opcode)
-        last_real = i
+    allowed = None  # the granted ids, as a set once a call needs them
+    is_cont = continuation_slots(ops) if OP_LDDW in ops else bytes(n)  # with no lddw, none is
+    last_real = n - 1
+    continuation = -1
+    i = -1
+    for run in flags[:n].split(b"\0")[:-1]:  # the plain slots before each slot that is not
+        i += len(run) + 1
+        row = _ROWS.get(ops[i])
         if row is None:
-            detail = f"opcode {opcode:#04x} is not part of the supported set"
-            fail(VerifyErrorKind.UNKNOWN_OPCODE, i, _mnemonic(data, i), detail)
-            form.append(_NOT_RUNNABLE)
+            if i == continuation:  # lowered with the wide load's first slot
+                continue
+            detail = f"opcode {ops[i]:#04x} is not part of the supported set"
+            errors.append(VerifyError(VerifyErrorKind.UNKNOWN_OPCODE, i, _mnemonic(data, i), detail))
+            form[i] = _NOT_RUNNABLE
             continue
         name, writes_dst, code, sub, imm_mask, stack_code = row
-        dst, src, imm = regs & 0x0F, regs >> 4, imm & imm_mask
+        _, _, dst, src, off, imm = form[i]
+        # The column read imm at 64 bits where imm_mask is MASK64, else at 32;
+        # a mask of -1 (a call, a byte swap) keeps it as encoded, signed.
+        imm = imm & imm_mask if imm_mask >= 0 else (imm ^ 0x80000000) - 0x80000000
         if stack_code and (src if code == LDX else dst) == 10 and 0 <= off <= STACK_SIZE - sub:
             code = stack_code
 
         if dst > 10 or src > 10:
             bad = f"r{dst}" if dst > 10 else f"r{src}"
             detail = f"register field names {bad}; only r0..r10 exist"
-            fail(VerifyErrorKind.BAD_REGISTER_FIELD, i, name, detail)
+            errors.append(VerifyError(VerifyErrorKind.BAD_REGISTER_FIELD, i, name, detail))
         elif dst == 10 and writes_dst:
             detail = "r10 is the read-only stack pointer and cannot be written"
-            fail(VerifyErrorKind.WRITE_TO_R10, i, name, detail)
+            errors.append(VerifyError(VerifyErrorKind.WRITE_TO_R10, i, name, detail))
 
         if code == END and imm not in (16, 32, 64):
             detail = f"byte-order width {imm} is not one of 16/32/64"
-            fail(VerifyErrorKind.UNKNOWN_OPCODE, i, name, detail)
+            errors.append(VerifyError(VerifyErrorKind.UNKNOWN_OPCODE, i, name, detail))
 
         if code == JCOND_K or code == JCOND_X or code == JA:
             off = i + 1 + off
             if not 0 <= off < n:
                 detail = f"jump target {off} falls outside slots [0, {n})"
-                fail(VerifyErrorKind.JUMP_OUT_OF_BOUNDS, i, name, detail)
+                errors.append(VerifyError(VerifyErrorKind.JUMP_OUT_OF_BOUNDS, i, name, detail))
             elif is_cont[off]:
                 detail = f"jump target {off} lands inside a wide load"
-                fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
+                errors.append(VerifyError(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail))
         elif code == CALL:
+            if allowed is None:
+                allowed = frozenset(allowed_syscalls)
             if imm not in allowed:
                 detail = f"helper id {imm:#x} is not granted to this program"
-                fail(VerifyErrorKind.UNKNOWN_SYSCALL, i, name, detail)
-        elif code == EXIT:
-            has_exit = True
+                errors.append(VerifyError(VerifyErrorKind.UNKNOWN_SYSCALL, i, name, detail))
         elif code == LDDW:
             if i + 1 >= n:
                 detail = "wide load is missing its continuation slot"
-                fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
-            elif data[SLOT_SIZE * (i + 1)] != 0:
+                errors.append(VerifyError(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail))
+            elif ops[i + 1] != 0:
                 detail = "wide load continuation slot must have a zero opcode"
-                fail(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail)
-            else:
-                imm |= (_SLOT.unpack_from(data, SLOT_SIZE * (i + 1))[3] & MASK32) << 32
-                form += ((code, sub, dst, src, off, imm), _NOT_RUNNABLE)
-                in_wide_load = True
-                continue
-        form.append((code, sub, dst, src, off, imm))
+                errors.append(VerifyError(VerifyErrorKind.TRUNCATED_WIDE_LOAD, i, name, detail))
+            else:  # the continuation's opcode 0 reads its immediate at 32 bits
+                imm |= form[i + 1][5] << 32
+                form[i + 1] = _NOT_RUNNABLE
+                continuation = i + 1
+                if continuation == last_real:
+                    last_real = i
+        form[i] = (code, sub, dst, src, off, imm)
 
     # A single NoExit covers both ways control can escape: no exit anywhere,
     # or a final instruction that can fall through past the last slot.
-    last_row = _ROWS.get(data[SLOT_SIZE * last_real]) if last_real >= 0 else None
-    if not has_exit or last_row is None or last_row[2] not in (EXIT, JA):
+    has_exit = OP_EXIT in ops
+    if not has_exit or last_real < 0 or form[last_real][0] not in (EXIT, JA):
         at = max(last_real, 0)
         mnem = _mnemonic(data, at) if n else "<empty>"
         detail = (
@@ -317,9 +343,10 @@ def _scan(
             if not has_exit
             else "control can fall off the end; the last instruction must be exit or ja"
         )
-        fail(VerifyErrorKind.NO_EXIT, at, mnem, detail)
+        errors.append(VerifyError(VerifyErrorKind.NO_EXIT, at, mnem, detail))
 
-    errors.sort(key=lambda e: e.slot_index)
+    if n > limits.max_instructions:  # every other error came in slot order
+        errors.sort(key=lambda e: e.slot_index)
     return errors, tuple(form)
 
 

@@ -316,12 +316,27 @@ MUTANTS = (
         "    except _Trap as trap:\n        executed += pc - start\n",
         VM_TESTS,
     ),
+    # The verifier's column pass: a slot it takes as plain skips every check.
     Mutant(
-        "the verifier's plain-ALU fast path also takes dst r10",
+        "the register column treats dst r10 as plain",
         "src/femtoc/verifier.py",
-        "if regs & 0x0F < 10 and regs >> 4 <= 10",
-        "if regs & 0x0F <= 10 and regs >> 4 <= 10",
+        "(b & 0x0F < 10 and b >> 4 <= 10)",
+        "(b & 0x0F <= 10 and b >> 4 <= 10)",
         ("tests/test_verifier.py", "tests/test_vm.py"),
+    ),
+    Mutant(
+        "the opcode column takes the byte swaps as plain",
+        "src/femtoc/verifier.py",
+        "(ALU64_K, ALU64_X, ALU32_K, ALU32_X, EXIT)",
+        "(ALU64_K, ALU64_X, ALU32_K, ALU32_X, EXIT, END)",
+        ("tests/test_verifier.py",),
+    ),
+    Mutant(
+        "the sign column is dropped, so a negative 64-bit immediate is not sign-extended",
+        "src/femtoc/verifier.py",
+        "data[7::SLOT_SIZE].translate(_SIGNS)",
+        "bytes(n)",
+        ("tests/test_verifier.py",),
     ),
     # Warnings raised compiling generated source fail the tests.
     Mutant(

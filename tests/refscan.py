@@ -1,11 +1,12 @@
-"""Reference scan: the verifier's slot loop before plain ALU slots took
-their fast path.
+"""Reference scan: the verifier's per-slot loop from before the column pass.
 
-``femtoc.verifier._scan`` lowers a plain ALU slot (dst below r10, src in
-r0..r10) with no test.  This is the loop it ran before, every slot through
-every check, kept only so that ``tests/test_verifier.py`` can require the
-package's scan to report the same errors and build the same form on every
-program.
+``femtoc.verifier._scan`` lowers every slot in C-level passes over byte
+columns of the program, and runs the per-slot checks only on the slots that
+are not plain (an ALU operation or an exit whose register byte names a dst
+below r10 and a src in r0..r10).  This is the loop it stands in for, every
+slot unpacked and taken through every check in Python, kept only so that
+``tests/test_verifier.py`` can require the package's scan to report the same
+errors and build the same form on every program.
 """
 
 from __future__ import annotations

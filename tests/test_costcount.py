@@ -48,3 +48,17 @@ def test_a_set_up_counts_the_same_in_two_runs_under_two_hash_seeds():
     assert "src/femtoc/doc.py:literals" in counts
     per_value = ("src/femtoc/doc.py:literals", "src/femtoc/doc.py:_literal")  # and their comprehensions
     assert sum(n for key, n in counts.items() if key.startswith(per_value)) < 4096
+
+
+# churn's counts after 4 ops of warm-up, over 16 ops
+COUNT_CHURN = (
+    "import json, costcount; print(json.dumps(costcount.report({'churn': costcount.count('churn', 1, 4, 16)})))"
+)
+
+
+def test_the_scan_of_a_churn_update_runs_its_plain_slots_in_columns():
+    # Each accepted update verifies a 16-1024-slot payload that is nearly all
+    # plain ALU slots; the column pass lowers those with no bytecode per slot.
+    # The per-slot scan it replaced ran ~9500 bytecodes per op over these 16.
+    counts = _counts("0", COUNT_CHURN)["workloads"]["churn"]["bytecodes"]
+    assert 0 < counts["src/femtoc/verifier.py:_scan"] < 2000

@@ -339,15 +339,53 @@ def test_verifier_output_matches_the_pinned_digest():
     assert digest == _PIN_DIGEST
 
 
-# -- the plain-slot fast path against the reference scan ------------------------
+# -- the column pass against the reference scan -----------------------------
 
 SCAN_PROGRAMS = 20_000  # raw-byte programs; the genprog stream adds its own
 
 
+def _slot(op, regs=0, off=0, imm=0):
+    return struct.pack("<BBhi", op, regs, off, imm)
+
+
+def _edge_programs(rng):
+    """Programs at the column pass's edges, one slot's bytes after another."""
+    alu = [op for op in _KNOWN_OPS if V._ROWS[op][2] in (V.ALU64_K, V.ALU64_X, V.ALU32_K, V.ALU32_X)]
+    k_forms = [op for op in alu if V._ROWS[op][2] in (V.ALU64_K, V.ALU32_K)]
+    exit_ = _slot(isa.OP_EXIT)
+    lddw = _slot(isa.OP_LDDW, 1, 0, -5) + _slot(0, 0, 0, -7)
+
+    def plain(off=0):
+        return _slot(rng.choice(alu), rng.randint(0, 9) | rng.randint(0, 10) << 4, off, rng.getrandbits(32) - (1 << 31))
+
+    yield b""  # 0 slots
+    yield exit_  # 1 slot
+    yield _slot(0xB7)
+    yield _slot(isa.OP_LDDW, 1)  # lddw in the only, and last, slot
+    for n in (2, 7, 64):  # all plain, no exit
+        yield b"".join(plain() for _ in range(n))
+    for n in (4096, 4097):  # as many slots as the default limit allows, and one more
+        body = b"".join(plain(rng.randint(-3, 3)) for _ in range(n - 1))
+        yield body + exit_
+        yield exit_ + body
+    for op in k_forms:  # immediates at the sign boundary, at 64 and 32 bits
+        for imm in (0x7FFFFFFF, -0x80000000, -1):
+            yield _slot(op, 3, 0, imm) + _slot(op, 0x12, -1, imm) + exit_
+    yield _slot(0xB7) + _slot(isa.OP_LDDW, 2, 0, -1)  # lddw in the last slot
+    yield _slot(0xB7) + lddw + _slot(0x07, 2, 0, -9) + exit_  # a plain slot right after a continuation
+    yield lddw + _slot(0xBF, 0x31) + lddw + exit_
+    for op in alu:  # dst r10, and src r11..r15
+        yield _slot(op, 0x0A) + _slot(op, 0x5A, 0, -2) + exit_
+        yield b"".join(_slot(op, src << 4 | 1, 0, -3) for src in range(11, 16)) + exit_
+
+
 def _scan_stream(rng):
-    """(program, limits, allowed): accepted programs from genprog, then raw
-    bytes with truncated wide loads, bad continuations and every other rule,
-    a third of them under an instruction limit below their length."""
+    """(program, limits, allowed): programs at the column pass's edges,
+    accepted programs from genprog, then raw bytes with truncated wide
+    loads, bad continuations and every other rule, a third of them under an
+    instruction limit below their length."""
+    for data in _edge_programs(random.Random(0xED6E)):
+        yield Program.from_bytes(data), VerifyLimits(), _PIN_ALLOWED
     for _ in range(1_000):
         yield random_accepted_program(rng, 48, allowed_syscalls=(0x01, 0x02, 0x30)), VerifyLimits(), _PIN_ALLOWED
     for _ in range(SCAN_PROGRAMS):
