@@ -21,7 +21,7 @@ from pathlib import Path
 from . import scenario as scenario_mod
 from .asm import AsmError, assemble, disassemble
 from .doc import load, parse_mode, u32s
-from .engine import Contract, ContextRegionSpec, Engine, EngineError, RegionGrant
+from .engine import Contract, ContextRegionSpec, Engine, EngineError, RegionGrant, read_contract
 from .facilities import STANDARD_SYSCALL_IDS, SensorFixture
 from .fixtures import BENCH_FIXTURES, BENCH_INPUTS, FIXTURE_SYSCALLS, fixture_program
 from .isa import Program
@@ -383,7 +383,7 @@ def cmd_sign(args: argparse.Namespace) -> int:
     grants = [spec.partition(":") for spec in args.grant or ()]
     regions = [{"label": label, "mode": mode or "r"} for label, _, mode in grants]
     syscalls = (args.syscalls or "").replace(",", " ").split()
-    contract = Contract.from_json({"syscalls": syscalls, "regions": regions})
+    contract = read_contract({"syscalls": syscalls, "regions": regions}, "contract")
     manifest = build_manifest(
         _parse_uuid(args.tenant, "--tenant"),
         _parse_uuid(args.hook, "--hook"),

@@ -26,7 +26,10 @@ one ``unpack_from`` per load, then sums (``accumulate`` for a chain) from
 the registers' entry values.  A self-loop with no load or store through a
 pointer and no helper call can reach the stack only through its stack
 rows: it holds each row that overlaps no other in a local, loaded once on
-entry, and writes the stored ones back on its two ways out.
+entry, and writes the stored ones back on its two ways out.  A self-loop's
+``LoopPlan`` is the one list of those decisions (``guard``, ``proven``, ``trip``,
+``streams``, ``closed``, ``sunk``, ``dropped``, ``rows``, ``spills`` and
+``traps``): ``loop_plans`` makes them once, and ``_self_loop`` only renders them.
 On both tiers a load or store tests the first window, whose bounds the
 prologue unpacks from the access list's ``run_state`` with the rest of it,
 calls ``in_windows`` only on a miss, and converts once on the access list's
@@ -47,6 +50,8 @@ cheaper than a mask for the usual small values.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .verifier import (
     ALU32_K, ALU32_X, ALU64_K, ALU64_X, ALU_OPS, CALL, END, EXIT, JA, JCOND_K, JCOND_X, LDDW, LDX,
@@ -448,7 +453,7 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
 # can trap (``_TRAPS``) counts a trap's pass (TRAPPED).  A loop whose guard
 # proves nothing has no guard and runs every pass checked.  A body with no
 # such slot reaches the stack only through its stack rows, and holds each row
-# that overlaps no other in a local (``_stack_locals``): loaded on entry, even
+# that overlaps no other in a local (``LoopPlan.rows``): loaded on entry, even
 # with no room; read and assigned by both copies of the body; and, if stored,
 # written back ({spill}) before ALL_TAKEN's handover, so the stepped loop
 # resumes from current bytes, and before LOOP_EXIT.
@@ -464,7 +469,7 @@ def _slot_source(pc: int, row: tuple[int, ...], proven: frozenset[int] = frozens
 # test its branch and drop nothing.
 #
 # A counted self-loop whose every slot is a load whose base steps by its
-# width per pass (``_streams``), a dropped step, or a proven ``add64 rA, rB``
+# width per pass (``LoopPlan.streams``), a dropped step, or a proven ``add64 rA, rB``
 # whose rB such a load or such an add wrote earlier in the pass, with no
 # register written twice, runs its proven passes in closed form when there
 # are more than PLAIN_PASSES of them (``_reduced``): each such load is one
@@ -639,16 +644,6 @@ def _trip(form: tuple[tuple[int, ...], ...], slots: list[int], steps: Steps) -> 
     return f"1 if {gap} >= {e} else safe + 1"
 
 
-def _streams(form: tuple[tuple[int, ...], ...], body: list[int], steps: Steps) -> dict[int, int]:
-    """The loads a closed form of the self-loop body ``body`` may read as
-    streams: each load whose base steps by its width per pass, slot -> its
-    first pass's address less the base's entry value."""
-    per_pass = {reg: sum(s for _, s in ss) for reg, ss in steps.items()}
-    return {pc: off + sum(s for at, s in steps[src] if at < pc)
-            for pc in body for code, sub, _dst, src, off, _imm in [form[pc]]
-            if code == LDX and per_pass.get(src) == sub}
-
-
 def _sinks(form: tuple[tuple[int, ...], ...], body: list[int], steps: Steps,
            streams: dict[int, int]) -> dict[int, int]:
     """The induction registers whose steps the proven passes of a counted
@@ -700,67 +695,86 @@ def _reduced(form: tuple[tuple[int, ...], ...], body: list[int], streams: dict[i
     return decode + "".join(reversed(finals))
 
 
-def _stack_locals(form: tuple[tuple[int, ...], ...], body: list[int]) -> dict[tuple[int, int], str]:
-    """The stack rows of a self-loop body held in locals: (offset, width) ->
-    local.  Empty when a slot could reach the stack through a pointer or a
-    helper (``_TRAPS``), else each row that overlaps no other distinct row."""
-    if any(form[pc][0] in _TRAPS for pc in body):
-        return {}
-    rows = sorted({(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in _STACK_ROWS})
-    return {(off, width): f"s{off}_{width}" for off, width in rows
-            if not any(o < off + width and off < o + w and (o, w) != (off, width) for o, w in rows)}
+class LoopPlan(NamedTuple):
+    """Every decision about one self-loop block (``loop_plans``); ``_self_loop`` only renders it."""
+
+    slots: list[int]  # the block's slots; the last is its branch back to the first
+    guard: str  # source that sets ``safe`` (``_loop_guard``); empty when it proves nothing
+    proven: frozenset[int]  # the slots whose checks cannot fail in the first ``safe`` passes
+    trip: str | None  # source for the pass in which a counted loop leaves (``_trip``); None if uncounted
+    streams: dict[int, int]  # a counted loop's loads whose base steps by their width: slot -> first address - base
+    closed: str | None  # the closed form of a counted loop's proven passes (``_reduced``), or None
+    sunk: dict[int, int]  # register -> step per pass, set once where a counted loop's proven passes end
+    dropped: frozenset[int]  # the steps its proven passes drop when they run one by one
+    rows: dict[tuple[int, int], str]  # the stack rows held in locals: (offset, width) -> local
+    spills: tuple[tuple[int, int], ...]  # the stored ones, written back on each way out
+    traps: bool  # whether a slot of the body can raise _Trap (``_TRAPS``)
 
 
-def _counted_passes(form: tuple[tuple[int, ...], ...], body: list[int], steps: Steps, proven: frozenset[int],
-                    rows: dict[tuple[int, int], str]) -> str:
-    """A counted self-loop's ``proven`` passes: in closed form if it has one
-    and they are over PLAIN_PASSES, else one by one; either way, its sunk
-    induction registers step once at the end."""
-    streams = _streams(form, body, steps)
-    sunk = _sinks(form, body, steps, streams)
-    reduced = _reduced(form, body, streams, {pc for reg in sunk for pc, _ in steps[reg]}, proven) if streams else None
-    if reduced is None:  # each load runs, and reads its base register
-        sunk = _sinks(form, body, steps, {})
-    sink = "".join(f"r{reg} = r{reg} + proven * {d}\n" for reg, d in sunk.items())
-    dropped = {pc for reg in sunk for pc, _ in steps[reg]} if reduced is None else set()
-    kept = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body if pc not in dropped)
-    loop = f"for it in range(1, proven + 1):\n{_indent(kept or 'pass', 1)}"
-    if reduced is None:
-        return loop + sink
-    return f"if proven > {PLAIN_PASSES}:\n{_indent(reduced + sink, 1)}else:\n{_indent(loop, 1)}"
+def loop_plans(form: tuple[tuple[int, ...], ...]) -> dict[int, LoopPlan]:
+    """The plan of each self-loop block of a verified form, by its start."""
+    return {start: _plan(form, slots) for start, slots in _basic_blocks(form).items()
+            if form[slots[-1]][0] in (JCOND_K, JCOND_X) and form[slots[-1]][4] == start}
 
 
-def _self_loop(form: tuple[tuple[int, ...], ...], slots: list[int], taken: str) -> str:
-    """A self-loop block: its guard, its trip if it is counted, its stack
-    locals' loads, its proven and checked passes, and its exits, each of
-    which writes the stored locals back."""
-    length, body = len(slots), slots[:-1]
+def _plan(form: tuple[tuple[int, ...], ...], slots: list[int]) -> LoopPlan:
+    """The plan of the self-loop block ``slots``, by the rules above."""
+    body = slots[:-1]
     guard, proven, steps = _loop_guard(form, body)
     trip = _trip(form, slots, steps) if proven else None
-    last = "safe" if trip is None else "proven"  # the last pass that runs unchecked
-    rows = _stack_locals(form, body)
+    streams, closed, sunk, dropped = {}, None, {}, frozenset()
+    if trip is not None:
+        per_pass = {reg: sum(s for _, s in ss) for reg, ss in steps.items()}
+        streams = {pc: off + sum(s for at, s in steps[src] if at < pc)
+                   for pc in body for code, sub, _dst, src, off, _imm in [form[pc]]
+                   if code == LDX and per_pass.get(src) == sub}
+        sunk = _sinks(form, body, steps, streams)
+        if streams:
+            closed = _reduced(form, body, streams, {pc for reg in sunk for pc, _ in steps[reg]}, proven)
+        if closed is None:  # each load runs, and reads its base register
+            sunk = _sinks(form, body, steps, {})
+            dropped = frozenset(pc for reg in sunk for pc, _ in steps[reg])
+    traps = any(form[pc][0] in _TRAPS for pc in body)
+    rows = sorted({(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in _STACK_ROWS})
+    held = {} if traps else {(off, width): f"s{off}_{width}" for off, width in rows
+                             if not any(o < off + width and off < o + w and (o, w) != (off, width) for o, w in rows)}
     stored = {(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in (STX_STACK, ST_STACK)}
+    return LoopPlan(slots, guard if proven else "", proven, trip, streams, closed, sunk, dropped, held,
+                    tuple(row for row in held if row in stored), traps)
+
+
+def _self_loop(form: tuple[tuple[int, ...], ...], plan: LoopPlan, taken: str) -> str:
+    """A self-loop block as ``plan`` decides it: its guard, its trip if it is
+    counted, its stack locals' loads, its proven and checked passes, and its
+    exits, each of which writes the stored locals back."""
+    proven, rows, length, body = plan.proven, plan.rows, len(plan.slots), plan.slots[:-1]
+    last = "safe" if plan.trip is None else "proven"  # the last pass that runs unchecked
     fill = "".join(LOAD_STACK.format(dst=local, width=width, off=off) for (off, width), local in rows.items())
-    spill = "".join(STORE_STACK.format(width=width, off=off, value=local)
-                    for (off, width), local in rows.items() if (off, width) in stored)
+    spill = "".join(STORE_STACK.format(width=width, off=off, value=rows[off, width]) for off, width in plan.spills)
     checked = "".join(_slot_source(pc, form[pc], rows=rows) for pc in body)
     passes = PASSES.format(first=f"{last} + 1" if proven else 1, last="room", body=_indent(checked, 1),
                            taken=taken, then=_indent(ALL_TAKEN.format(length=length, spill=spill), 1))
-    if trip is not None:
-        guard += TRIP.format(trip=trip)
-        passes = _counted_passes(form, body, steps, proven, rows) + LEAVE_AT_TRIP.format(checked=_indent(passes, 1))
+    guard = plan.guard
+    if plan.trip is not None:  # its proven passes: in closed form if it has one and they are over PLAIN_PASSES
+        guard += TRIP.format(trip=plan.trip)
+        sink = "".join(f"r{reg} = r{reg} + proven * {d}\n" for reg, d in plan.sunk.items())
+        kept = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body if pc not in plan.dropped)
+        loop = f"for it in range(1, proven + 1):\n{_indent(kept or 'pass', 1)}"
+        counted = loop + sink if plan.closed is None else (
+            f"if proven > {PLAIN_PASSES}:\n{_indent(plan.closed + sink, 1)}else:\n{_indent(loop, 1)}")
+        passes = counted + LEAVE_AT_TRIP.format(checked=_indent(passes, 1))
     elif proven:
         unchecked = "".join(_slot_source(pc, form[pc], proven, rows) for pc in body)
         passes = PASSES.format(first=1, last="safe", body=_indent(unchecked, 1), taken=taken,
                                then=_indent(passes, 1))
-    if any(form[pc][0] in _TRAPS for pc in body):
+    if plan.traps:
         passes = TRAPPED.format(passes=_indent(passes, 1), length=length)
     room = f"room = (budget - executed) // {length}\n"
-    leave = LOOP_EXIT.format(spill=spill, length=length, next=slots[-1] + 1)
-    return room + (guard if proven else "") + fill + passes + leave
+    leave = LOOP_EXIT.format(spill=spill, length=length, next=plan.slots[-1] + 1)
+    return room + guard + fill + passes + leave
 
 
-def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int]) -> str:
+def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int], plans: dict[int, LoopPlan]) -> str:
     """One block: the budget check, its slots, and where control goes next.
 
     A block that might not fit in the remaining budget raises _Handover,
@@ -781,22 +795,22 @@ def _block_source(form: tuple[tuple[int, ...], ...], start: int, slots: list[int
     if code != JCOND_K and code != JCOND_X:
         return head + body + f"pc = {last + (2 if code == LDDW else 1)}\n"
     taken = CMP[sub].format(a=f"r{dst}", b=str(imm) if code == JCOND_K else f"r{src}", **_W64)
-    if off == start:
-        return _self_loop(form, slots, taken)
+    if start in plans:
+        return _self_loop(form, plans[start], taken)
     return head + body + f"if {taken}:\n    branches += 1\n    pc = {off}\nelse:\n    pc = {last + 1}\n"
 
 
-def _dispatch(form, blocks: dict[int, list[int]], starts: list[int], depth: int) -> str:
+def _dispatch(form, blocks: dict[int, list[int]], plans: dict[int, LoopPlan], starts: list[int], depth: int) -> str:
     """A binary search on ``pc`` over the sorted block starts, with each
     block's source at its leaf."""
     if len(starts) == 1:
-        return _indent(_block_source(form, starts[0], blocks[starts[0]]), depth)
+        return _indent(_block_source(form, starts[0], blocks[starts[0]], plans), depth)
     mid = len(starts) // 2
     return (
         _indent(f"if pc < {starts[mid]}:", depth)
-        + _dispatch(form, blocks, starts[:mid], depth + 1)
+        + _dispatch(form, blocks, plans, starts[:mid], depth + 1)
         + _indent("else:", depth)
-        + _dispatch(form, blocks, starts[mid:], depth + 1)
+        + _dispatch(form, blocks, plans, starts[mid:], depth + 1)
     )
 
 
@@ -832,6 +846,6 @@ def compiled_source(form: tuple[tuple[int, ...], ...]) -> tuple[str, tuple[int, 
         for position, pc in enumerate(slots):
             after[pc] = len(slots) - 1 - position
     source = _COMPILED.format(
-        prologue=_indent(PROLOGUE, 2), dispatch=_dispatch(form, blocks, sorted(blocks), 4)
+        prologue=_indent(PROLOGUE, 2), dispatch=_dispatch(form, blocks, loop_plans(form), sorted(blocks), 4)
     )
     return source, tuple(after)

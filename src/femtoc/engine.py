@@ -132,15 +132,9 @@ class Contract:
             "regions": [{"label": label, "mode": mode} for label, mode in regions],
         }
 
-    @classmethod
-    def from_json(cls, data: object) -> "Contract":
-        """Inverse of to_json, where a grant's mode defaults to 'r'. Malformed
-        data raises ValueError (a doc.ParseError)."""
-        return read_contract(data, "contract")
-
 
 def read_contract(data: object, path: str) -> Contract:
-    """The contract ``data`` at ``path`` of its document."""
+    """The contract ``data`` at ``path`` of its document: the inverse of ``Contract.to_json``."""
     regions = set()
     for at, grant in doc.items(doc.obj(data, path, _CONTRACT_KEYS), "regions", path):
         readable, writable = doc.mode(doc.obj(grant, at, _GRANT_KEYS), at)

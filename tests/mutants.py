@@ -84,9 +84,16 @@ MUTANTS = (
     Mutant(
         "a refused closed form still sinks a stream's base register",
         "src/femtoc/codegen.py",
-        "        sunk = _sinks(form, body, steps, {})\n",
-        "        sunk = _sinks(form, body, steps, streams)\n",
+        "            sunk = _sinks(form, body, steps, {})\n",
+        "            sunk = _sinks(form, body, steps, streams)\n",
         STREAM_TESTS,
+    ),
+    Mutant(
+        "a closed-form plan keeps its dropped steps for the 16-pass fallback",
+        "src/femtoc/codegen.py",
+        "            dropped = frozenset(pc for reg in sunk for pc, _ in steps[reg])\n",
+        "        dropped = frozenset(pc for reg in sunk for pc, _ in steps[reg])\n",
+        VM_TESTS,
     ),
     Mutant(
         "an accumulator of an accumulator keeps its source's entry value",
@@ -149,8 +156,8 @@ MUTANTS = (
     Mutant(
         "rows are promoted in a body with a checked access or a call",
         "src/femtoc/codegen.py",
-        "    if any(form[pc][0] in _TRAPS for pc in body):\n        return {}\n",
-        "",
+        "held = {} if traps else {",
+        "held = {",
         LOOP_TESTS,
     ),
     Mutant(

@@ -101,7 +101,7 @@ import refvm
 from femtoc import codegen, vm
 from femtoc.memory import GUARD_LEN, STACK_LABEL, STACK_SIZE, AccessList, HostMemory, checked_store
 from femtoc.verifier import (
-    ALU64_K, ALU64_X, JCOND_K, JCOND_X, LDX, MASK64, ST, ST_STACK, STX, STX_STACK, VerifyLimits, verify,
+    ALU64_K, ALU64_X, LDX, MASK64, ST, ST_STACK, STX, STX_STACK, VerifyLimits, verify,
 )
 from femtoc.vm import SyscallEnv, SyscallError, SyscallTable
 from genprog import random_accepted_program, random_self_loop, random_stack_loop, random_stream_loop
@@ -134,25 +134,14 @@ class _Scanned(tuple):
         return super().__iter__()
 
 
-def _self_loops(form) -> dict[int, int]:
-    """Slot -> the start of its block, for each slot of a self-loop block."""
-    inside = {}
-    for start, slots in codegen._basic_blocks(form).items():
-        code, off = form[slots[-1]][0], form[slots[-1]][4]
-        if (code == JCOND_K or code == JCOND_X) and off == start:
-            inside.update(dict.fromkeys(slots, start))
-    return inside
-
-
 def _probe(form, outcome) -> None:
     """Count what one compiled run exercised; its scans are counted as they happen."""
-    inside = _self_loops(form)
-    COVERAGE["self-loop programs"] += bool(inside)
-    handed = {pc for pc in HANDOVERS if pc in inside.values()}
+    plans = codegen.loop_plans(form)
+    inside = {pc for plan in plans.values() for pc in plan.slots}
+    COVERAGE["self-loop programs"] += bool(plans)
+    handed = {pc for pc in HANDOVERS if pc in plans}
     COVERAGE["counted-loop handovers"] += bool(handed)
-    blocks = codegen._basic_blocks(form) if handed else {}
-    promoted = [pc for pc in handed if codegen._stack_locals(form, blocks[pc][:-1])]
-    COVERAGE["handovers out of a promoted loop"] += bool(promoted)
+    COVERAGE["handovers out of a promoted loop"] += any(plans[pc].rows for pc in handed)
     fault = outcome.fault
     if fault is not None and fault.note in ("read denied", "write denied"):
         COVERAGE["first-window misses served"] -= 1  # the scan found no window
@@ -160,35 +149,17 @@ def _probe(form, outcome) -> None:
         COVERAGE["traps inside a pass"] += 1
 
 
-def loop_guards(form) -> dict[int, tuple[list[int], str, frozenset[int]]]:
-    """Start -> (slots, guard source, proven slots) of each self-loop block."""
-    blocks = codegen._basic_blocks(form)
-    return {start: (blocks[start], *codegen._loop_guard(form, blocks[start][:-1])[:2])
-            for start in set(_self_loops(form).values())}
-
-
-def stream_coverage(form, slots: list[int]) -> Counter:
-    """What the counted self-loop block ``slots`` runs in its proven passes,
-    when they are over ``codegen.PLAIN_PASSES``: whether it runs them in
-    closed form (``codegen._reduced``), and the loads it reads there as
-    streams; its sunk induction registers, and whether it sinks them in a
-    body that stores; and whether the closed form refused a body whose
-    streams' bases it would have sunk, which must then step them."""
-    body = slots[:-1]
-    _, proven, steps = codegen._loop_guard(form, body)
-    streams = codegen._streams(form, body, steps)
-    sunk = codegen._sinks(form, body, steps, streams)
-    dropped = {pc for reg in sunk for pc, _ in steps[reg]}
-    reduced = bool(streams) and codegen._reduced(form, body, streams, dropped, proven) is not None
-    kept = sunk if reduced else codegen._sinks(form, body, steps, {})
-    return Counter({"streamed loads": len(streams) * reduced, "sunk induction registers": len(kept),
-                    "sunk in a storing body": bool(kept) and any(form[pc][0] in STORES for pc in body),
-                    "reduced entries": reduced, "refused closed forms that step a stream's base": kept != sunk})
-
-
-def loop_trip(form, slots: list[int]) -> str | None:
-    """The source of the self-loop block ``slots``'s trip, or None if it is not counted."""
-    return codegen._trip(form, slots, codegen._loop_guard(form, slots[:-1])[2])
+def stream_coverage(form, plan: codegen.LoopPlan) -> Counter:
+    """What a counted self-loop whose plan is ``plan`` runs in its proven
+    passes, when they are over ``codegen.PLAIN_PASSES``: whether it runs
+    them in closed form, and the loads it reads there as streams; its sunk
+    induction registers, and whether it sinks them in a body that stores;
+    and whether a body with no closed form steps a stream's base there."""
+    reduced = plan.closed is not None
+    steps_a_base = not reduced and any(form[pc][3] not in plan.sunk for pc in plan.streams)
+    return Counter({"streamed loads": len(plan.streams) * reduced, "sunk induction registers": len(plan.sunk),
+                    "sunk in a storing body": bool(plan.sunk) and any(form[pc][0] in STORES for pc in plan.slots),
+                    "reduced entries": reduced, "refused closed forms that step a stream's base": steps_a_base})
 
 
 def guard_safe(guard: str, regs: list[int], room: int, acl: AccessList) -> int:
@@ -219,71 +190,68 @@ def proven_check_fails(row, regs: list[int], acl: AccessList) -> bool:
     return not lo <= regs[base] + off <= hi - sub
 
 
-def stack_coverage(form, body: list[int]) -> Counter:
-    """What an entry of a self-loop whose non-branching slots are ``body``
-    counts of its stack rows: whether compiled code holds any in locals,
-    whether it holds none because a slot could reach the stack through a
-    pointer or a helper, and how many it leaves in memory for an overlap."""
-    rows = {(form[pc][4], form[pc][1]) for pc in body if form[pc][0] in codegen._STACK_ROWS}
-    promoted = codegen._stack_locals(form, body)
-    reaches = any(form[pc][0] in codegen._TRAPS for pc in body)
-    return Counter({"promoted loop entries": bool(promoted),
-                    "loops left unpromoted for an alias or a call": bool(rows) and reaches and not promoted,
-                    "rows left unpromoted for an overlap": 0 if reaches else len(rows - promoted.keys())})
+def stack_coverage(form, plan: codegen.LoopPlan) -> Counter:
+    """What an entry of a self-loop whose plan is ``plan`` counts of its
+    stack rows: whether compiled code holds any in locals, whether it holds
+    none because a slot could reach the stack through a pointer or a
+    helper, and how many it leaves in memory for an overlap."""
+    rows = {(form[pc][4], form[pc][1]) for pc in plan.slots if form[pc][0] in codegen._STACK_ROWS}
+    return Counter({"promoted loop entries": bool(plan.rows),
+                    "loops left unpromoted for an alias or a call": bool(rows) and plan.traps and not plan.rows,
+                    "rows left unpromoted for an overlap": 0 if plan.traps else len(rows - plan.rows.keys())})
 
 
 class LoopProbe:
     """An ``on_step`` for ``refvm.exec_program`` that follows a run through
     the self-loops of ``form`` up to step ``until`` (where the compiled run
-    handed over, if it did).  On each entry it finds the loop's guard's
-    ``safe``; it counts into COVERAGE the loops with no guard, the loops that
-    ran versioned passes, the loops whose proven checks fail in a pass after
-    ``safe`` (the checked remainder), and any that fail in a pass before it,
-    and each entry's ``stack_coverage``.  Of a counted loop's entries, it
-    counts those whose trip lies beyond ``safe`` (or that have none), and
-    those that leave in the pass the trip names, and the ``stream_coverage``
-    of those with more than ``codegen.PLAIN_PASSES`` proven passes."""
+    handed over, if it did), by their plans.  On each entry it finds the
+    ``safe`` of the loop's guard; it counts into COVERAGE the loops with no
+    guard, the loops that ran versioned passes, the loops whose proven
+    checks fail in a pass after ``safe`` (the checked remainder), and any
+    that fail in a pass before it, and each entry's ``stack_coverage``.  Of a
+    counted loop's entries, it counts those whose trip lies beyond ``safe``
+    (or that have none), and those that leave in the pass the trip names,
+    and the ``stream_coverage`` of those with more than
+    ``codegen.PLAIN_PASSES`` proven passes."""
 
     def __init__(self, form, acl: AccessList, budget: int, until: float):
         self.form, self.acl, self.budget, self.until = form, acl, budget, until
-        self.loops = loop_guards(form)
-        self.trips = {start: loop_trip(form, slots) if proven else None
-                      for start, (slots, _, proven) in self.loops.items()}
-        self.entry = None  # (slots, executed at entry, safe, proven, trip or None) of the loop running
+        self.plans = codegen.loop_plans(form)
+        self.entry = None  # (plan, executed at entry, safe, trip or None) of the loop running
         self.short = False  # whether that entry's guard has fallen short yet
 
     def __call__(self, pc: int, regs: list[int], executed: int) -> None:
         if executed >= self.until:
             return
-        if self.entry is not None and pc not in self.entry[0]:
-            slots, entered, _, _, trip = self.entry
+        if self.entry is not None and pc not in self.entry[0].slots:
+            plan, entered, _, trip = self.entry
             if trip is not None:  # it leaves by its branch, in a pass the trip must name
-                left = (executed - entered) // len(slots) == trip
+                left = (executed - entered) // len(plan.slots) == trip
                 COVERAGE["left at the counted pass" if left else "counted trips that missed"] += 1
             self.entry = None
-        if self.entry is None and pc in self.loops:
-            slots, guard, proven = self.loops[pc]
-            room = (self.budget - executed) // len(slots)
+        if self.entry is None and pc in self.plans:
+            plan = self.plans[pc]
+            room = (self.budget - executed) // len(plan.slots)
             if room:
-                safe = guard_safe(guard, regs, room, self.acl) if proven else room
-                COVERAGE["versioned loop entries" if safe and proven else
-                         "loop entries with no guard" if not proven else "loop entries with no safe pass"] += 1
-                COVERAGE.update(stack_coverage(self.form, slots[:-1]))
-                trip = self.trips[pc] and counted_trip(self.trips[pc], regs, safe)
+                safe = guard_safe(plan.guard, regs, room, self.acl) if plan.proven else room
+                COVERAGE["versioned loop entries" if safe and plan.proven else
+                         "loop entries with no guard" if not plan.proven else "loop entries with no safe pass"] += 1
+                COVERAGE.update(stack_coverage(self.form, plan))
+                trip = plan.trip and counted_trip(plan.trip, regs, safe)
                 if trip:
                     COVERAGE["counted entries"] += 1
                     COVERAGE["counted trip beyond safe"] += trip > safe
                     if min(trip, safe) > codegen.PLAIN_PASSES:
-                        COVERAGE.update(stream_coverage(self.form, slots))
+                        COVERAGE.update(stream_coverage(self.form, plan))
                 known = trip if trip and trip <= safe else None  # where it leaves, if its proven passes end there
-                self.entry, self.short = (slots, executed, safe, proven, known), False
+                self.entry, self.short = (plan, executed, safe, known), False
         if self.entry is None:
             return
-        slots, entered, safe, proven, _ = self.entry
-        if pc not in proven:
+        plan, entered, safe, _ = self.entry
+        if pc not in plan.proven:
             return
         if proven_check_fails(self.form[pc], regs, self.acl):
-            if (executed - entered) // len(slots) < safe:
+            if (executed - entered) // len(plan.slots) < safe:
                 COVERAGE["proven checks that failed"] += 1
             elif not self.short:
                 self.short = True

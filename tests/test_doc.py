@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from femtoc.asm import assemble
 from femtoc.doc import ParseError, integer, literal, literals, obj, u32s
-from femtoc.engine import Contract, RegionGrant
+from femtoc.engine import Contract, RegionGrant, read_contract
 from femtoc.scenario import bundled_scenario_path, run_scenario
 from femtoc.update import build_manifest, manifest_from_json, manifest_to_json, private_key_from_seed, sign_manifest
 
@@ -33,7 +33,7 @@ DOCUMENTS = {
         for name in BUNDLED
     },
     "manifest envelope": (_envelope(), manifest_from_json, "manifest envelope", ""),
-    "contract": (CONTRACT.to_json(), Contract.from_json, "contract", "contract"),
+    "contract": (CONTRACT.to_json(), lambda data: read_contract(data, "contract"), "contract", "contract"),
 }
 
 

@@ -19,7 +19,7 @@ from femtoc.memory import DEFAULT_BASE, GUARD_LEN, AccessList, HostMemory, Mode,
 from femtoc.verifier import VerifyLimits, verify
 from femtoc.vm import DuplicateId, FaultKind, SyscallEnv, SyscallError, SyscallTable, exec_program
 from genprog import random_accepted_program
-from test_differential import guard_safe, loop_guards, loop_trip, proven_check_fails
+from test_differential import guard_safe, proven_check_fails
 from test_engine import CallSites, perfbench_workloads  # noqa: F401 (a fixture)
 
 M64 = (1 << 64) - 1
@@ -1337,15 +1337,15 @@ def test_a_versioned_loop_short_by_one_pass_matches_the_reference_on_both_tiers(
     mem = HostMemory()
     ctx_region = mem.alloc(max(len(ctx), 8), "ctx", readable=True, writable=False, init=ctx)
     acl = AccessList([ctx_region, fresh_stack(mem)])
-    ((start, (slots, guard, proven)),) = loop_guards(vp.form).items()
+    ((start, plan),) = codegen.loop_plans(vp.form).items()
     entries, failed = [], []  # (safe, room) on entry; the passes where a proven check fails
 
     def step(pc, regs, executed):
         if pc == start and not entries:
-            passes = ((vp.budget if budget is None else budget) - executed) // len(slots)
-            entries.append((executed, guard_safe(guard, regs, passes, acl), passes))
-        if pc in proven and proven_check_fails(vp.form[pc], regs, acl):
-            failed.append((executed - entries[0][0]) // len(slots) + 1)
+            passes = ((vp.budget if budget is None else budget) - executed) // len(plan.slots)
+            entries.append((executed, guard_safe(plan.guard, regs, passes, acl), passes))
+        if pc in plan.proven and proven_check_fails(vp.form[pc], regs, acl):
+            failed.append((executed - entries[0][0]) // len(plan.slots) + 1)
 
     reference = refvm.exec_program(vp, SyscallEnv(acl, SyscallTable()), budget, step)
     assert interpreted == compiled == (reference, bytes(mem.buf))
@@ -1395,40 +1395,27 @@ def test_constant_divisors_and_shift_amounts_fold_to_the_oracles_result(monkeypa
 
 def test_fletchers_counted_loop_sums_its_ldxh_words_in_closed_form_and_sinks_r1_r2_and_r3():
     form = verify(fixture_program("fletcher32_360")).form
-    ((start, (slots, _, _)),) = loop_guards(form).items()
+    ((start, plan),) = codegen.loop_plans(form).items()
     # ``sub64 r3, 1; jne r3, 0``: its branch first falls through in pass r3.
-    assert loop_trip(form, slots) == "gap if (gap := r3) > 0 else safe + 1"
-    _, proven, steps = codegen._loop_guard(form, slots[:-1])
-    assert codegen._streams(form, slots[:-1], steps) == {start: 0}
-    assert codegen._sinks(form, slots[:-1], steps, {start: 0}) == {1: 2, 2: -1, 3: -1}
-    lines = [line.strip() for line in codegen.compiled_source(form)[0].splitlines()]
-    entry = lines.index("trip = gap if (gap := r3) > 0 else safe + 1")
-    # More than 16 proven passes decode their words at once, as one tuple,
-    # and set each register from the entry values: r5 before r4, whose entry
-    # value r5's prefix sums start from, and r0 last, to the last word.  Then
-    # r1, r2 and r3 move on by their steps.  16 or fewer run pass by pass.
-    assert lines[entry + 1 : entry + 15] == [
-        "proven = trip if trip < safe else safe", "try:", "if proven > 16:",
+    assert plan.trip == "gap if (gap := r3) > 0 else safe + 1"
+    # Its one load walks words by their width, and only their steps read r1,
+    # r2 and r3.  More than 16 proven passes decode the words at once, as one
+    # tuple, and set each register from the entry values: r5 before r4, whose
+    # entry value r5's prefix sums start from, and r0 last, to the last word;
+    # then r1, r2 and r3 move on by their steps.  16 or fewer run pass by pass
+    # and drop no step.  A checked ldxh can trap, and no stack row is held.
+    assert plan.streams == {start: 0} and plan.sunk == {1: 2, 2: -1, 3: -1} and plan.dropped == frozenset()
+    assert plan.closed.splitlines() == [
         f"v{start} = unpack_from(_RUN_FORMATS[2] % proven, buf, r1 - base)",
         f"r5 = r5 + sum(accumulate(v{start}, initial=r4)) - r4", f"r4 = r4 + sum(v{start})", f"r0 = v{start}[-1]",
-        "r1 = r1 + proven * 2", "r2 = r2 + proven * -1", "r3 = r3 + proven * -1",
-        "else:", "for it in range(1, proven + 1):", "r0 = unpack[2](buf, r1 - base)[0]", "r4 = r4 + r0",
     ]
-    assert codegen._reduced(form, slots[:-1], {start: 0}, {start + 3, start + 4, start + 5}, proven) == "".join(
-        line + "\n" for line in lines[entry + 4 : entry + 8])
-    assert [line for line in lines if "r3 != 0" in line] == ["if not (r3 != 0):"]  # the checked passes' test
-    leaves = lines.index("if proven == trip:")
-    assert lines[leaves : leaves + 4] == [
-        "if proven == trip:", "it = trip", "else:", "for it in range(proven + 1, room + 1):",
-    ]
-    trapped = lines.index("except _Trap:")
-    assert lines[trapped + 1] == "executed += it * 7"
+    assert plan.traps and plan.rows == {} and plan.spills == ()
 
 
 def test_a_closed_form_sums_chains_of_any_depth_and_falls_back_on_other_bodies(monkeypatch):
     # r6 += r5, r7 += r6, r0 += r7 over a byte stream: each add sums its
     # source's values pass by pass, from the source's entry value.  A body
-    # that breaks any rule of ``codegen._reduced`` runs pass by pass.
+    # that breaks any rule of the closed form runs pass by pass.
     chain = ["ldxb r5, [r1+0]", "add64 r6, r5", "add64 r7, r6", "add64 r0, r7"]
     src = """
         mov64 r2, 40
@@ -1460,19 +1447,14 @@ loop:   {body}
                                                         stack_last=True)
             assert interpreted == compiled, (body, r6)
             assert compiled[0].fault is None
-        form = verify(assemble(src.format(body=body, r6=1))).form
-        ((_, (slots, _, proven)),) = loop_guards(form).items()
-        steps = codegen._loop_guard(form, slots[:-1])[2]
-        streams = codegen._streams(form, slots[:-1], steps)
-        sunk = codegen._sinks(form, slots[:-1], steps, streams)
-        dropped = {pc for pc in slots[:-1] if form[pc][2] in sunk}
-        assert (codegen._reduced(form, slots[:-1], streams, dropped, proven) is not None) == reduced, body
+        ((_, plan),) = codegen.loop_plans(verify(assemble(src.format(body=body, r6=1))).form).items()
+        assert (plan.closed is not None) == reduced, body
 
 
 def test_a_counted_walk_with_no_closed_form_sinks_its_counter_but_not_its_loads_base(monkeypatch):
-    # xor64 is not an add, so ``codegen._reduced`` refuses the body, and its
-    # proven passes run one by one.  The load reads r1 in each of them, so r1
-    # steps there; only the counter r2 steps once, where they end.
+    # xor64 is not an add, so the body has no closed form, and its proven
+    # passes run one by one.  The load reads r1 in each of them, so r1 steps
+    # there; only the counter r2 steps once, where they end.
     src = """
         mov64 r2, {passes}
 loop:   ldxh r5, [r1+0]
@@ -1484,18 +1466,9 @@ loop:   ldxh r5, [r1+0]
         xor64 r0, r2
         exit
 """
-    form = verify(assemble(src.format(passes=40))).form
-    ((start, (slots, _, proven)),) = loop_guards(form).items()
-    body, steps = slots[:-1], codegen._loop_guard(form, slots[:-1])[2]
-    streams = codegen._streams(form, body, steps)
-    assert streams == {start: 0} and codegen._sinks(form, body, steps, streams) == {1: 2, 2: -1}
-    assert codegen._reduced(form, body, streams, {start + 2, start + 3}, proven) is None
-    assert codegen._sinks(form, body, steps, {}) == {2: -1}
-    lines = [line.strip() for line in codegen.compiled_source(form)[0].splitlines()]
-    at = lines.index("for it in range(1, proven + 1):")
-    assert lines[at + 1 : at + 5] == [
-        "r5 = unpack[2](buf, r1 - base)[0]", "r0 = r0 ^ r5", "r1 = r1 + 2", "r2 = r2 + proven * -1",
-    ]
+    ((start, plan),) = codegen.loop_plans(verify(assemble(src.format(passes=40))).form).items()
+    assert plan.streams == {start: 0} and plan.closed is None
+    assert plan.sunk == {2: -1} and plan.dropped == {start + 3}  # ``sub64 r2, 1``
     for passes in (1, 16, 17, 32, 40):  # the 64-byte window holds 32 words: pass 33 traps
         (interpreted, compiled), _ = run_both_tiers(monkeypatch, src.format(passes=passes), ctx=bytes(range(7, 71)),
                                                     stack_last=True)
@@ -1549,8 +1522,8 @@ def test_a_streamed_loop_leaves_its_buffer_resizable_on_each_way_out(monkeypatch
         ctx = mem.alloc(2 * words, "ctx", readable=True, writable=False, init=bytes(range(1, 2 * words + 1)))
         outcomes.append(exec_program(vp, SyscallEnv(AccessList([ctx, fresh_stack(mem)]), table)))
         mem.alloc(8, "after", readable=True, writable=False)
-    ((_, (slots, _, _)),) = loop_guards(vp.form).items()
-    assert (loop_trip(vp.form, slots) is not None) == (branch == "jne")
+    ((_, plan),) = codegen.loop_plans(vp.form).items()
+    assert (plan.trip is not None) == (branch == "jne")
     interpreted, compiled = outcomes
     assert interpreted == compiled
     assert (compiled.fault and compiled.fault.note) == note
@@ -1620,8 +1593,8 @@ inner:  ldxh r0, [r3+0]
         exit
 """
     vp = verify(assemble(src), VerifyLimits(256, 8192))
-    (inner,) = (slots for slots, _, _ in loop_guards(vp.form).values())
-    assert loop_trip(vp.form, inner) is not None
+    (inner,) = codegen.loop_plans(vp.form).values()
+    assert inner.trip is not None
     outcomes = []
     for execute in (exec_program, refvm.exec_program):
         mem = HostMemory()
@@ -1763,28 +1736,25 @@ def test_in_windows_is_the_packages_one_scan_of_an_access_lists_windows():
 
 
 def test_a_stack_row_loop_converts_each_row_at_entry_and_on_each_way_out(perfbench_workloads):
-    # The compute workload's kernel: a self-loop whose only memory traffic is
-    # 8-byte stack rows, none of which overlaps another.  Its passes read and
-    # assign locals; each row is loaded once on entry, and each stored row is
-    # written back right before the all-taken handover and right before the
-    # loop's exit.
+    # The compute workload's kernel: a counted self-loop whose only memory
+    # traffic is 8-byte stack rows, none of which overlaps another, so it
+    # holds every row in a local and has no closed form.  Its counter r5 is
+    # read only by its step and its branch, which proven passes do not test:
+    # they drop that step, and r5 is set once where they end.  Its passes
+    # read and assign locals; each row is loaded once on entry, and each
+    # stored row is written back right before the all-taken handover and
+    # right before the loop's exit.
     form = verify(perfbench_workloads.Compute(1).kernel).form
-    tree = ast.parse(codegen.compiled_source(form)[0])
-    passes = {ast.unparse(node.iter): node for node in ast.walk(tree) if isinstance(node, ast.For)
-              and ast.unparse(node.iter).startswith("range(")}
-    assert sorted(passes) == ["range(1, proven + 1)", "range(proven + 1, room + 1)"]  # a counted loop
-    assert all(_memory_calls(stmt) == [] for loop in passes.values() for stmt in loop.body)
-    # Its counter r5 is read only by its step and its branch, which proven
-    # passes do not test: it is set once after them, before the checked ones.
-    proven_passes = passes["range(1, proven + 1)"]
-    (after,) = [block[i + 1] for node in ast.walk(tree) if isinstance(block := getattr(node, "body", None), list)
-                for i, stmt in enumerate(block) if stmt is proven_passes]
-    assert not [stmt for stmt in ast.walk(proven_passes) if isinstance(stmt, ast.Assign)
-                and ast.unparse(stmt.targets[0]) == "r5"]
-    assert ast.unparse(after) == "r5 = r5 + proven * -1"
+    ((_, plan),) = codegen.loop_plans(form).items()
     rows = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in codegen._STACK_ROWS}
     stored = {(off, sub) for code, sub, _dst, _src, off, _imm in form if code in (V.STX_STACK, V.ST_STACK)}
-    assert len(stored) > 1
+    assert plan.trip is not None and plan.closed is None and not plan.traps and len(stored) > 1
+    assert plan.sunk == {5: -1} and [form[pc][2] for pc in plan.dropped] == [5]
+    assert plan.rows.keys() == rows and set(plan.spills) == stored
+    tree = ast.parse(codegen.compiled_source(form)[0])
+    passes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.For) and ast.unparse(node.iter).startswith("range(")]
+    assert all(_memory_calls(stmt) == [] for loop in passes for stmt in loop.body)
 
     def at(call):
         return call.func.value.id, ast.unparse(call.func.slice), ast.unparse(call.args[1])
